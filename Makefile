@@ -22,15 +22,17 @@ bench:
 # verify is the pre-merge gate: static checks (vet + gofmt cleanliness), a
 # full build, the whole test suite, the parallel-sweep + fault-matrix +
 # traced-breakdown + steering + PDES determinism + cluster determinism
-# tests under the race detector (the concurrent experiment runner and the
-# PDES coordinator must stay race-free AND byte-identical to a sequential
-# run, with or without tracing), the IPC ring semantics under the race
-# detector, the allocation guards (scheduling/dispatch and the IPC
-# send/recv fast path must stay allocation-free in steady state), and
-# the md5 oracle pinning the default single-link campaign outputs: a
-# topology-plumbing change that shifts one byte of `neat-bench -quick` or
-# `neat-faults -matrix -quick` fails here, not in review. The cluster and
-# ipc campaigns are additionally diffed sequential vs PDES 4-worker.
+# tests under the race detector (the concurrent experiment runner must stay
+# race-free AND byte-identical to a sequential sweep, the PDES coordinator
+# race-free AND byte-identical across worker counts, with or without
+# tracing), the timer-wheel invariants and the IPC ring semantics under the
+# race detector, the allocation guards (scheduling/dispatch, timer
+# arm/stop/fire and the IPC send/recv fast path must stay allocation-free in
+# steady state), and the md5 oracle pinning the default single-link campaign
+# outputs: a topology-plumbing change that shifts one byte of
+# `neat-bench -quick` or `neat-faults -matrix -quick` fails here, not in
+# review. The cluster and ipc campaigns are additionally diffed PDES
+# 1-worker vs 4-worker, the contract sim/pdes.go states.
 verify:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -39,7 +41,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
-	$(GO) test -race ./internal/sim -run 'TestTimerWheelMatchesReferenceScheduler' -count=1
+	$(GO) test -race ./internal/sim -run 'TestTimer' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
@@ -52,12 +54,12 @@ verify:
 	got=$$($$tmp/neat-faults -matrix -quick | md5sum | cut -d' ' -f1); \
 	if [ "$$got" != "eae3e80b0ca40f84c2ac060885a24f84" ]; then \
 		echo "md5 oracle: neat-faults -matrix -quick output changed ($$got)"; exit 1; fi; \
-	a=$$($$tmp/neat-bench -cluster -quick | md5sum | cut -d' ' -f1); \
+	a=$$($$tmp/neat-bench -cluster -quick -pdes 1 | md5sum | cut -d' ' -f1); \
 	b=$$($$tmp/neat-bench -cluster -quick -pdes 4 | md5sum | cut -d' ' -f1); \
 	if [ "$$a" != "$$b" ]; then \
-		echo "cluster campaign diverged between sequential and -pdes 4"; exit 1; fi; \
-	a=$$($$tmp/neat-bench -ipc -quick | md5sum | cut -d' ' -f1); \
+		echo "cluster campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
+	a=$$($$tmp/neat-bench -ipc -quick -pdes 1 | md5sum | cut -d' ' -f1); \
 	b=$$($$tmp/neat-bench -ipc -quick -pdes 4 | md5sum | cut -d' ' -f1); \
 	if [ "$$a" != "$$b" ]; then \
-		echo "ipc campaign diverged between sequential and -pdes 4"; exit 1; fi; \
-	echo "md5 oracle: default outputs unchanged, cluster and ipc engine-identical"
+		echo "ipc campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
+	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"

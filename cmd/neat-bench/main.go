@@ -29,7 +29,7 @@ func main() {
 	steering := flag.Bool("steering", false, "run the placement-policy steering campaign instead of the paper tables")
 	attack := flag.Bool("attack", false, "run the goodput-under-attack campaign instead of the paper tables")
 	cluster := flag.Bool("cluster", false, "run the cluster campaign: multi-machine farms behind a switch/L4 tier (combine with -scale and -pdes)")
-	connscale := flag.Bool("connscale", false, "run the connection-scale ladder: up to ~1M established conns on one replica's engine, wheel vs event timer backends")
+	connscale := flag.Bool("connscale", false, "run the connection-scale ladder: up to ~1M established conns on one replica's engine, each holding an armed timer")
 	ipcfp := flag.Bool("ipc", false, "run the IPC fast-path campaign: message-ring activity under per-message vs coalesced wakes across pipeline shapes (combine with -pdes)")
 	flag.Parse()
 	defer ef.StartProfiles()()

@@ -63,14 +63,12 @@ type clusterRow struct {
 
 // connScaleRow is one rung of the connection-scale ladder: a single replica
 // engine holding N established connections, each with an armed idle timer.
-// PendingEvents stays O(wheel levels) regardless of N when the hierarchical
-// timer wheel is the backend; the event backend would hold one calendar
-// event per armed timer. The 1M rung is covered by BenchmarkMillionConns in
-// the benchmarks section; the ladder here stops at 100k to keep snapshot
-// wall time sane.
+// PendingEvents stays O(1) regardless of N: an armed timer is an entry of the
+// hierarchical timer wheel (PendingTimers), never a calendar event. The 1M
+// rung is covered by BenchmarkMillionConns in the benchmarks section; the
+// ladder here stops at 100k to keep snapshot wall time sane.
 type connScaleRow struct {
 	Conns         int     `json:"conns"`
-	Backend       string  `json:"backend"`
 	Established   int     `json:"established"`
 	PendingEvents int     `json:"pending_events"`
 	PendingTimers int     `json:"pending_timers"`
@@ -178,7 +176,6 @@ func main() {
 		experiments.Options{Quick: true, Seed: 1}, []int{10_000, 100_000}) {
 		rep.ConnScale = append(rep.ConnScale, connScaleRow{
 			Conns:         p.Conns,
-			Backend:       p.Backend,
 			Established:   p.Established,
 			PendingEvents: p.PendingEvents,
 			PendingTimers: p.PendingTimers,

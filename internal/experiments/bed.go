@@ -45,10 +45,10 @@ type Options struct {
 	// PDES with that many domain workers (sim.EnablePDES). 0 keeps the
 	// default single global event loop. Note this changes RNG stream
 	// assignment (per-domain streams), so results are comparable across
-	// PDES worker counts but not with the sequential mode. (The cluster
-	// campaign is the exception: its workload is RNG-free on every
-	// behavior-relevant path, so sequential and PDES runs are
-	// byte-identical.)
+	// PDES worker counts but not with the sequential mode. (The cluster and
+	// ipc campaigns draw nothing behavior-relevant from the RNG, yet differ
+	// too: same-nanosecond ties between a wire delivery and a local event
+	// fall the other way under PDES — see cluster.go.)
 	PDESWorkers int
 	// Scale multiplies the cluster campaign's connection ladder (default
 	// 1, sized for a 1-CPU container; large values target machine-room

@@ -18,9 +18,8 @@ import (
 // claims: one replica's TCP engine holds ~1M established connections while
 // the simulator's calendar queue stays small — armed per-connection timers
 // live in the hierarchical timer wheel, not as individual events. The sweep
-// runs a conns ladder against both timer backends (the wheel and the legacy
-// one-event-per-arm path) and, for the wheel rows, checks that a 2-worker
-// PDES run reproduces the sequential run's protocol state byte for byte.
+// runs a conns ladder and checks, rung by rung, that a 2-worker PDES run
+// reproduces the sequential run's protocol state byte for byte.
 //
 // The bed is deliberately minimal: two machines joined by a real wire.Link
 // (so PDES gets its lookahead and mailbox physics), each hosting raw
@@ -148,7 +147,6 @@ func (h *connHost) RandUint32() uint32 {
 // ConnScalePoint is one measured rung of the connection ladder.
 type ConnScalePoint struct {
 	Conns         int
-	Backend       string // "wheel" or "event"
 	Established   int    // server-side established connections at measurement
 	PendingEvents int    // calendar-queue events resident at measurement
 	PendingTimers int    // timer-wheel entries resident at measurement
@@ -156,25 +154,17 @@ type ConnScalePoint struct {
 	BytesPerConn  float64
 	WallSeconds   float64
 	// PDESIdentical reports that a 2-worker PDES run of the same rung
-	// reproduced the sequential run's digest (wheel rows only; false means
-	// "not checked" on event rows).
+	// reproduced the sequential run's digest.
 	PDESIdentical bool
 
 	digest string
-}
-
-func backendName(b sim.TimerBackend) string {
-	if b == sim.TimerBackendEvent {
-		return "event"
-	}
-	return "wheel"
 }
 
 // connScaleRun measures one rung: conns connections established through a
 // batched, staggered connect storm, then a quiescent hold. The horizon is a
 // fixed function of the rung, so sequential and PDES runs of the same rung
 // execute an identical schedule.
-func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) ConnScalePoint {
+func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 	const (
 		port      = uint16(80)
 		batchSize = 1024
@@ -196,7 +186,6 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 	start := time.Now()
 
 	s := sim.New(seed)
-	s.SetTimerBackend(backend)
 	if pdesWorkers > 0 {
 		s.EnablePDES(pdesWorkers)
 	}
@@ -209,7 +198,7 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 	srvIP := proto.IPv4(10, 0, 0, 1)
 	scfg := tcpeng.DefaultConfig()
 	// One armed timer per established conn: the idle guard, far beyond the
-	// horizon. This is the load the timer-backend axis contrasts.
+	// horizon.
 	scfg.Guard.IdleDeadline = 30 * sim.Second
 	se := srv.addEngine(srvIP, scfg)
 	if _, err := se.Listen(proto.Addr{}, port, conns+16); err != nil {
@@ -240,9 +229,9 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 		at += stagger
 	}
 
-	// Horizon: storm end + handshake drain + one client RTO, so the lazily
-	// stopped handshake rexmit timers have all popped (stale) and the only
-	// resident timers are the servers' idle guards.
+	// Horizon: storm end + handshake drain + one client RTO, so a handshake
+	// that lost a segment would have retransmitted; the only resident timers
+	// are then the servers' idle guards.
 	s.RunUntil(at + 200*sim.Millisecond)
 
 	runtime.GC()
@@ -252,7 +241,6 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 	ts := s.TimerStats()
 	p := ConnScalePoint{
 		Conns:         conns,
-		Backend:       backendName(backend),
 		Established:   se.NumEstablished(),
 		PendingEvents: s.PendingEvents(),
 		PendingTimers: ts.Pending,
@@ -272,16 +260,14 @@ func connScaleRun(seed int64, conns, pdesWorkers int, backend sim.TimerBackend) 
 	return p
 }
 
-// ConnScaleLadder measures the conns ladder across both timer backends.
-// Wheel rows additionally run 2-worker PDES and verify digest identity.
+// ConnScaleLadder measures the conns ladder. Every rung additionally runs
+// under 2-worker PDES to verify digest identity.
 func ConnScaleLadder(o Options, conns []int) []ConnScalePoint {
 	var points []ConnScalePoint
 	for _, n := range conns {
-		wheel := connScaleRun(o.seed(), n, 0, sim.TimerBackendWheel)
-		pdes := connScaleRun(o.seed(), n, 2, sim.TimerBackendWheel)
-		wheel.PDESIdentical = wheel.digest == pdes.digest
-		points = append(points, wheel)
-		points = append(points, connScaleRun(o.seed(), n, 0, sim.TimerBackendEvent))
+		p := connScaleRun(o.seed(), n, 0)
+		p.PDESIdentical = p.digest == connScaleRun(o.seed(), n, 2).digest
+		points = append(points, p)
 	}
 	return points
 }
@@ -296,24 +282,20 @@ func connScaleConns(o Options) []int {
 
 // ConnScale runs the connection-scale campaign and reports it as a table.
 func ConnScale(o Options) *Result {
-	res := &Result{Name: "Connection scale: one replica's engine under a conns ladder x timer backend"}
+	res := &Result{Name: "Connection scale: one replica's engine under a conns ladder"}
 	points := ConnScaleLadder(o, connScaleConns(o))
 	tab := &report.Table{
 		Title: "Established connections vs simulator load (idle guard armed per conn)",
-		Columns: []string{"conns", "backend", "established", "pending events",
+		Columns: []string{"conns", "established", "pending events",
 			"pending timers", "cascades", "B/conn", "wall", "seq==pdes2"},
 	}
 	for _, p := range points {
-		ident := "-"
-		if p.Backend == "wheel" {
-			if p.PDESIdentical {
-				ident = "yes"
-			} else {
-				ident = "NO"
-			}
+		ident := "NO"
+		if p.PDESIdentical {
+			ident = "yes"
 		}
 		tab.AddRow(
-			fmt.Sprintf("%d", p.Conns), p.Backend,
+			fmt.Sprintf("%d", p.Conns),
 			fmt.Sprintf("%d", p.Established),
 			fmt.Sprintf("%d", p.PendingEvents),
 			fmt.Sprintf("%d", p.PendingTimers),
@@ -324,7 +306,7 @@ func ConnScale(o Options) *Result {
 	}
 	res.Tables = append(res.Tables, tab)
 	res.Notef("every established conn arms a 30s idle-guard timer; \"pending events\" is the calendar queue, \"pending timers\" the wheel residency")
-	res.Notef("with the wheel backend the calendar queue stays O(1) in conns; the event backend plants one calendar event per armed timer")
+	res.Notef("the calendar queue stays O(1) in conns: an armed timer is a wheel entry, never an event")
 	res.Notef("B/conn is heap growth per established connection, both endpoints plus wheel entries included")
 	res.Notef("seq==pdes2: the same rung re-run under 2-worker PDES reproduces identical protocol-state digests")
 	return res

@@ -1,43 +1,30 @@
 package experiments
 
-import (
-	"testing"
-
-	"neat/internal/sim"
-)
+import "testing"
 
 // TestConnScaleSmallRung checks the bed itself at a small rung: every
-// requested connection establishes, PDES reproduces the sequential digest,
-// and the two timer backends differ exactly where they should — calendar
-// residency.
+// requested connection establishes, the wheel holds exactly the live timers
+// (one idle guard per connection) while the calendar queue holds none of
+// them, and PDES reproduces the sequential digest.
 func TestConnScaleSmallRung(t *testing.T) {
 	const conns = 768
-	wheel := connScaleRun(7, conns, 0, sim.TimerBackendWheel)
-	if wheel.Established != conns {
-		t.Fatalf("wheel: established %d of %d", wheel.Established, conns)
+	seq := connScaleRun(7, conns, 0)
+	if seq.Established != conns {
+		t.Fatalf("established %d of %d", seq.Established, conns)
 	}
-	if wheel.PendingTimers != conns {
-		t.Fatalf("wheel: %d resident timers, want %d idle guards", wheel.PendingTimers, conns)
+	if seq.PendingTimers != conns {
+		t.Fatalf("%d resident timers, want %d idle guards", seq.PendingTimers, conns)
 	}
-	if wheel.PendingEvents >= conns/2 {
-		t.Fatalf("wheel: %d calendar events pending — timers are leaking into the queue", wheel.PendingEvents)
+	if seq.PendingEvents >= conns/2 {
+		t.Fatalf("%d calendar events pending — timers are leaking into the queue", seq.PendingEvents)
 	}
 
-	pdes := connScaleRun(7, conns, 2, sim.TimerBackendWheel)
+	pdes := connScaleRun(7, conns, 2)
 	if pdes.Established != conns {
 		t.Fatalf("pdes: established %d of %d", pdes.Established, conns)
 	}
-	if pdes.digest != wheel.digest {
-		t.Fatalf("digest mismatch: seq=%s pdes2=%s", wheel.digest, pdes.digest)
-	}
-
-	event := connScaleRun(7, conns, 0, sim.TimerBackendEvent)
-	if event.Established != conns {
-		t.Fatalf("event: established %d of %d", event.Established, conns)
-	}
-	// The legacy backend plants one calendar event per armed idle guard.
-	if event.PendingEvents < conns {
-		t.Fatalf("event backend: %d pending events, want >= %d", event.PendingEvents, conns)
+	if pdes.digest != seq.digest {
+		t.Fatalf("digest mismatch: seq=%s pdes2=%s", seq.digest, pdes.digest)
 	}
 }
 
@@ -46,15 +33,15 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 	if len(res.Tables) != 1 {
 		t.Fatalf("tables: %d", len(res.Tables))
 	}
-	if rows := len(res.Tables[0].Rows); rows != 4 { // 2 rungs x {wheel, event}
+	if rows := len(res.Tables[0].Rows); rows != 2 { // one per rung
 		t.Fatalf("rows: %d", rows)
 	}
 	for _, p := range ConnScaleLadder(Options{Quick: true, Seed: 11}, []int{600}) {
-		if p.Backend == "wheel" && !p.PDESIdentical {
-			t.Fatal("wheel rung not PDES-identical")
+		if !p.PDESIdentical {
+			t.Fatal("rung not PDES-identical")
 		}
 		if p.Established != 600 {
-			t.Fatalf("%s rung established %d of 600", p.Backend, p.Established)
+			t.Fatalf("rung established %d of 600", p.Established)
 		}
 	}
 }
@@ -66,7 +53,7 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 func BenchmarkMillionConns(b *testing.B) {
 	const conns = 1_000_000
 	for i := 0; i < b.N; i++ {
-		p := connScaleRun(int64(42+i), conns, 0, sim.TimerBackendWheel)
+		p := connScaleRun(int64(42+i), conns, 0)
 		if p.Established != conns {
 			b.Fatalf("established %d of %d", p.Established, conns)
 		}

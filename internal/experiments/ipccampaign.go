@@ -19,9 +19,9 @@ import (
 //
 // Every number printed is simulation-derived (no wall clock), and the
 // workload follows the cluster campaign's determinism recipe — fixed
-// local-port plans, no loss, no behavior-relevant randomness — so a
-// sequential run and a PDES run of the same campaign are byte-identical
-// (the verify target diffs the two).
+// local-port plans, no loss, no behavior-relevant randomness — so PDES runs
+// of the same campaign are byte-identical at every worker count (the verify
+// target diffs -pdes 1 against -pdes 4).
 
 // IPCPoint is one measured (pipeline, wake mode) cell.
 type IPCPoint struct {
@@ -178,7 +178,7 @@ func IPCFastPath(o Options) *Result {
 	res.Notef("sends traverse modeled SPSC rings; \"saved\" counts sends that found the ring armed and skipped their doorbell (coalesced mode only)")
 	res.Notef("\"slow\" sends paid the kernel-assisted latency (colocated endpoints); \"stalls\" found the ring full and waited for the head slot")
 	res.Notef("\"vectors\" are same-timestamp delivery batches the dispatcher carried as one event; \"avg vec\" their mean size")
-	res.Notef("all numbers are simulation-derived: a -pdes N re-run of this campaign must be byte-identical (make verify diffs sequential vs -pdes 4)")
+	res.Notef("all numbers are simulation-derived: -pdes N runs of this campaign must be byte-identical for every N (make verify diffs -pdes 1 vs -pdes 4)")
 	return res
 }
 

@@ -93,12 +93,11 @@ func (s *Simulator) PDESEnabled() bool { return s.pdes != nil && s.parent == nil
 // independent of the runtime interleaving.
 func (s *Simulator) newDomain() *Simulator {
 	d := &Simulator{
-		rng:          rand.New(rand.NewSource(s.rng.Int63())),
-		tracer:       s.tracer,
-		pdes:         s.pdes,
-		parent:       s,
-		domID:        len(s.pdes.domains),
-		timerBackend: s.timerBackend,
+		rng:    rand.New(rand.NewSource(s.rng.Int63())),
+		tracer: s.tracer,
+		pdes:   s.pdes,
+		parent: s,
+		domID:  len(s.pdes.domains),
 	}
 	s.pdes.domains = append(s.pdes.domains, d)
 	return d

@@ -192,11 +192,12 @@ type outMsg struct {
 	// message finished processing; the send is released at that point of
 	// the dispatch, not at the end of the whole batch.
 	cyclesAt int64
-	// timer, when non-nil, marks a timer arm for the wheel backend: msg is
-	// the unboxed user message and tgen the generation to fire with. The
-	// flush routes these to the timer wheel instead of the event queue.
+	// timer, when non-nil, marks a timer arm: msg is the unboxed user
+	// message and tgen the generation it was armed under. The flush routes
+	// the arm to the timer wheel, unless a Stop or a later Retimer has moved
+	// the timer's generation on since.
 	timer *Timer
-	tgen  uint64
+	tgen  uint32
 }
 
 // flushGroup tracks one open delivery vector while the dispatch flush
@@ -400,7 +401,7 @@ func (p *Proc) runDispatch() {
 		if tf, ok := msg.(*timerFire); ok {
 			stale := tf.gen != tf.t.gen
 			if !stale {
-				tf.t.fired = true
+				tf.t.node = timerFired
 			}
 			msg = tf.msg
 			// The box has served its one delivery; recycle it. Boxes that
@@ -481,33 +482,22 @@ func (p *Proc) runDispatch() {
 		out := &pend[i]
 		at := t0 + Time(float64(p.machine.Cycles(out.cyclesAt))*factor) + out.delay
 		if out.timer != nil {
-			// A run of timer arms to one release time goes to the wheel
-			// under a single shared sequence number — exactly the sequence
-			// a batched delivery of the boxed firings would have consumed,
-			// so merged pop order matches the legacy backend byte for byte.
-			j := i + 1
-			for j < len(pend) && pend[j].timer != nil {
-				next := &pend[j]
-				if t0+Time(float64(p.machine.Cycles(next.cyclesAt))*factor)+next.delay != at {
-					break
+			if out.tgen == out.timer.gen {
+				// Timer barrier: an open vector at this release time must
+				// close before the arm takes its sequence number. Its event
+				// already holds an earlier sequence — it delivers before the
+				// firing — and sends buffered after the arm must deliver
+				// after it.
+				for gi := range groups {
+					if groups[gi].b != nil && groups[gi].at == at {
+						p.sim.noteIPCBatch(len(groups[gi].b.msgs))
+						groups[gi].b = nil
+					}
 				}
-				j++
+				p.sim.armTimer(at, out.timer, out.msg)
 			}
-			// Timer barrier: an open vector at this release time must close
-			// before the run consumes its sequence number. Its event already
-			// holds an earlier sequence — it delivers before the firing —
-			// and sends buffered after this run must deliver after it.
-			for gi := range groups {
-				if groups[gi].b != nil && groups[gi].at == at {
-					p.sim.noteIPCBatch(len(groups[gi].b.msgs))
-					groups[gi].b = nil
-				}
-			}
-			p.sim.armTimers(at, pend[i:j])
-			for k := i; k < j; k++ {
-				pend[k] = outMsg{} // drop references; the slice is recycled
-			}
-			i = j
+			pend[i] = outMsg{} // drop references; the slice is recycled
+			i++
 			continue
 		}
 		var b *msgBatch
@@ -619,18 +609,32 @@ func (c *Context) SendDelayed(dst *Proc, msg Message, delay Time) {
 }
 
 // Timer is a cancellable self-delivery armed by a handler. A Timer can be
-// re-armed with Retimer, in which case any firing already in flight is
-// dropped (it carries a stale generation).
+// re-armed with Retimer, which cancels the previous arming. While armed it
+// owns one entry of its simulator's timer wheel (see timerwheel.go); the
+// handle finds that entry by itself, so Stop needs no Context.
 type Timer struct {
-	gen   uint64 // bumped by Stop and Retimer; stale firings are dropped
-	fired bool
+	p *Proc // process of the latest arm; its simulator's wheel holds the entry
+	// gen is bumped by Stop and Retimer. The wheel entry is gone by then; the
+	// generation cancels what the wheel no longer holds — an arm still
+	// buffered in its dispatch, a firing popped but not yet dispatched.
+	gen  uint32
+	node uint32 // wheel node while resident, else timerIdle or timerFired
 }
 
 // Stop cancels the timer if it has not fired.
-func (t *Timer) Stop() { t.gen++ }
+func (t *Timer) Stop() {
+	t.gen++
+	if t.Armed() {
+		t.p.sim.tw.release(t)
+	}
+}
 
 // Fired reports whether the timer message was delivered.
-func (t *Timer) Fired() bool { return t.fired }
+func (t *Timer) Fired() bool { return t.node == timerFired }
+
+// Armed reports whether the timer holds a wheel entry: armed, flushed by
+// its dispatch, and neither fired nor stopped since.
+func (t *Timer) Armed() bool { return t.node != timerIdle && t.node != timerFired }
 
 // TimerAfter delivers msg back to the calling process d after the current
 // dispatch completes, unless stopped.
@@ -643,21 +647,15 @@ func (c *Context) TimerAfter(d Time, msg Message) *Timer {
 // Retimer re-arms t to deliver msg d after the current dispatch completes,
 // cancelling any previous arming. Hot paths (TCP retransmission, delayed
 // ACK) reuse one Timer per logical timer instead of allocating on every arm.
+// The arm is buffered unboxed; the flush links it into the timer wheel and
+// the firing box is built only at delivery, so arming allocates nothing in
+// steady state.
 func (c *Context) Retimer(t *Timer, d Time, msg Message) {
-	t.gen++
-	t.fired = false
+	t.Stop()
+	t.node = timerIdle // not fired either
 	p := c.Proc
-	if p.sim.timerBackend == TimerBackendEvent {
-		// Legacy reference path: box the firing now and schedule it as an
-		// ordinary delivery event at flush.
-		p.pending = append(p.pending, outMsg{dst: p, msg: p.sim.newTimerFire(t, t.gen, msg), delay: d})
-		return
-	}
-	// Wheel path: record the arm unboxed; the flush inserts it into the
-	// timer wheel and the firing box is built only at delivery. Appending to
-	// the recycled pending slice and inserting into a recycled wheel slot
-	// allocate nothing in steady state.
-	p.pending = append(p.pending, outMsg{dst: p, msg: msg, delay: d, timer: t, tgen: t.gen})
+	t.p = p
+	p.pending = append(p.pending, outMsg{msg: msg, delay: d, timer: t, tgen: t.gen})
 }
 
 // timerFire wraps a timer delivery; runDispatch unwraps it transparently
@@ -666,11 +664,11 @@ func (c *Context) Retimer(t *Timer, d Time, msg Message) {
 // steady state reuses the box released by an earlier firing.
 type timerFire struct {
 	t   *Timer
-	gen uint64
+	gen uint32
 	msg Message
 }
 
-func (s *Simulator) newTimerFire(t *Timer, gen uint64, msg Message) *timerFire {
+func (s *Simulator) newTimerFire(t *Timer, gen uint32, msg Message) *timerFire {
 	if n := len(s.tfFree); n > 0 {
 		tf := s.tfFree[n-1]
 		s.tfFree = s.tfFree[:n-1]

@@ -366,10 +366,8 @@ type Simulator struct {
 	// collected; the freelist only ever shrinks by reuse.
 	tfFree []*timerFire
 
-	// tw holds armed timers outside the event queue (see timerwheel.go);
-	// timerBackend selects between it and the legacy per-event path.
-	tw           timerWheel
-	timerBackend TimerBackend
+	// tw holds armed timers outside the event queue (see timerwheel.go).
+	tw timerWheel
 
 	// Stats
 	eventsRun uint64

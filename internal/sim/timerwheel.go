@@ -1,186 +1,217 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Hierarchical timer wheel.
 //
 // Armed timers (TCP retransmission, delayed ACK, TIME_WAIT expiry, keepalive
-// guards) used to be ordinary event-queue entries: one calendar-queue event
-// per armed timer. At millions of connections that is millions of pending
-// simulator events, almost all of which are stopped or re-armed before they
-// fire. The wheel moves timers out of the event queue entirely: they live in
-// a three-level hierarchy of slot arrays beside the queue, and the
-// simulator's pop merges the two sources by (time, sequence), so a run is
-// byte-identical to the per-event scheduling it replaced while the event
-// queue's pending count stays independent of the number of armed timers.
+// guards) live outside the event queue, in a hierarchy of slot arrays beside
+// it. The simulator's pop merges the two sources by (time, sequence), so the
+// event queue's pending count stays independent of the number of armed
+// timers, and almost every timer is stopped or re-armed without ever
+// becoming an event.
 //
-// Determinism. Every arm records the (deadline, sequence) the legacy path
-// would have stamped on its delivery event — a run of timer arms flushed by
-// one dispatch to the same deadline shares one sequence number, exactly like
-// a batched delivery — plus a wheel-global arm order for same-(at, seq)
-// ties. The merged pop compares the queue head and the wheel head
-// lexicographically by (at, seq); within the wheel, entries order by
-// (at, seq, ord). A popped entry is delivered through Proc.Deliver like any
-// scheduled message, so drop injection, dead-process drops and trace stamps
-// behave identically to the event path.
+// Two invariants carry the design.
 //
-// Stops are lazy: Timer.Stop only bumps the generation, and the entry stays
-// resident until its deadline, when it pops and is dropped as stale by the
-// dispatch unwrap — the same observable lifecycle a stale in-flight event
-// had. Pending counts therefore include stale entries, just as the event
-// queue's length did.
+// Occupancy equals live armed timers. An entry is a node in a wheel-owned
+// pool, doubly linked into its slot; the Timer handle holds the node index,
+// so Stop and Retimer unlink the entry in O(1) and hand the node back. A
+// timer that is stopped never pops, never wakes its process and costs
+// nothing after the unlink.
+//
+// The position follows the clock, never the next deadline. cur is the L0
+// bucket of the latest pop, arm or opened range and never exceeds the
+// clock's bucket, so an arm (always at or after the clock) lands in the slot
+// of its own deadline. peek does not move the position: it returns the exact
+// minimum while that lies before every unopened higher-level range, and
+// otherwise a lower bound — the start of the earliest such range — which the
+// merged pop opens only once nothing in the event queue is earlier.
+//
+// Determinism. Every arm takes the next simulator sequence number, so the
+// merged pop compares the queue head and the wheel head lexicographically
+// by (at, seq), and the wheel orders its own entries the same way. A popped
+// entry is delivered through Proc.Deliver like any scheduled message, so
+// drop injection, dead-process drops and trace stamps apply to it.
 //
 // Geometry. Level 0 shares the calendar queue's 4096 ns bucket and spans
 // ~4.2 ms; each higher level covers twSlots slots of the one below (L1
-// ~4.3 s — every RTO and TIME_WAIT in practice — and L2 ~73 min). Entries
-// beyond the L2 horizon wait in a small overflow heap. Cascades are lazy:
-// a higher-level slot is scattered downward only when the wheel position
-// crosses into it while searching for the next deadline.
+// ~4.3 s — every RTO and TIME_WAIT in practice — L2 ~73 min, L3 ~52 days,
+// L4 the rest of Time). A deadline beyond the last level's window waits in
+// that window's last slot and is placed again, by its true deadline, when
+// the slot opens. L0 slot lists are kept sorted by (at, seq), which an arm
+// satisfies by linking at the tail in the common case; higher levels are
+// plain FIFO lists, scattered one level down when their range opens.
 const (
-	twLevels   = 3
+	twLevels   = 5
 	twSlotBits = wheelBits // 1024 slots per level, matching the event queue
 	twSlots    = 1 << twSlotBits
 	twSlotMask = twSlots - 1
+
+	twChunkBits = 8 // nodes per pool chunk
+	twChunkMask = 1<<twChunkBits - 1
 )
 
-// twEntry is one armed timer. Entries are stored by value in slot slices
-// (whose capacity is recycled like calendar-queue buckets), so arming in
-// steady state allocates nothing.
-type twEntry struct {
-	at   Time
-	seq  uint64 // sequence the legacy event path would have used
-	ord  uint64 // wheel-global arm order, tie-break within one (at, seq)
-	t    *Timer
-	gen  uint64
-	msg  Message
-	proc *Proc
+// Timer.node values that are not pool indices.
+const (
+	timerIdle  = 0          // never armed, stopped, or popped and awaiting dispatch
+	timerFired = ^uint32(0) // the firing was delivered to the handler
+)
+
+// twNode is one armed timer. next/prev link it into its slot's circular
+// list (the head's prev is the tail); a free node chains through next.
+type twNode struct {
+	at         Time
+	seq        uint64
+	t          *Timer
+	msg        Message
+	next, prev uint32
+	level      uint8
+	slot       uint16
 }
 
-func twLess(a, b *twEntry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	return a.ord < b.ord
-}
-
-// twHeap is a binary min-heap by (at, seq, ord) holding entries beyond the
-// L2 horizon.
-type twHeap []twEntry
-
-func (h *twHeap) push(e twEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !twLess(&(*h)[i], &(*h)[parent]) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *twHeap) pop() twEntry {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = twEntry{} // release references for GC
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && twLess(&old[l], &old[smallest]) {
-			smallest = l
-		}
-		if r < n && twLess(&old[r], &old[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		old[i], old[smallest] = old[smallest], old[i]
-		i = smallest
-	}
+func (n *twNode) before(at Time, seq uint64) bool {
+	return n.at < at || (n.at == at && n.seq < seq)
 }
 
 type timerWheel struct {
-	slots  [twLevels][twSlots][]twEntry
+	heads  [twLevels][twSlots]uint32
 	occ    [twLevels][twSlots / 64]uint64
 	counts [twLevels]int
-	cur    int64 // monotonic L0 bucket counter; L0 horizon is [cur, cur+twSlots)
-	far    twHeap
-	armOrd uint64
+	cur    int64 // monotonic L0 bucket counter; level l's window starts at cur>>(l*twSlotBits)
 
-	// Cached minimum: valid between a peek and the pop (or insert of a
-	// smaller entry) that follows it, so the merged pop's wheel peek is O(1)
-	// on the hot path. The cached min always resides in an L0 slot.
-	minValid bool
-	min      twEntry
-	minSlot  int64
-	minIdx   int
+	// Node pool: index 0 is the nil link, chunks never move once allocated.
+	chunks [][]twNode
+	used   uint32 // indices handed out so far (the pool's high-water mark)
+	free   uint32 // head of the free chain
 
-	cascaded uint64 // entries scattered down a level by lazy cascade
-	fired    uint64 // entries popped for delivery (including stale ones)
+	// upper caches the start bucket of the earliest occupied higher-level
+	// range. Inserts lower it in place; it is recomputed after a range
+	// opens or a higher-level slot empties.
+	upper      int64
+	upperValid bool
+
+	cascaded uint64 // entries scattered down a level when their range opened
+	fired    uint64 // entries popped for delivery
+}
+
+func (w *timerWheel) node(i uint32) *twNode {
+	return &w.chunks[i>>twChunkBits][i&twChunkMask]
 }
 
 func (w *timerWheel) pending() int {
-	return w.counts[0] + w.counts[1] + w.counts[2] + len(w.far)
+	n := 0
+	for _, c := range w.counts {
+		n += c
+	}
+	return n
 }
 
 func (w *timerWheel) empty() bool { return w.pending() == 0 }
 
-// insert arms one entry. seq is shared by every arm of one flushed run;
-// the wheel-global arm order disambiguates within it.
-func (w *timerWheel) insert(at Time, seq uint64, t *Timer, gen uint64, msg Message, p *Proc) {
-	e := twEntry{at: at, seq: seq, ord: w.armOrd, t: t, gen: gen, msg: msg, proc: p}
-	w.armOrd++
-	lvl, slot := w.place(e)
-	if w.minValid && lvl == 0 && twLess(&e, &w.min) {
-		w.min = e
-		w.minSlot = slot
-		w.minIdx = len(w.slots[0][slot]) - 1
+func (w *timerWheel) alloc() uint32 {
+	if i := w.free; i != 0 {
+		w.free = w.node(i).next
+		return i
 	}
+	w.used++
+	if int(w.used>>twChunkBits) == len(w.chunks) {
+		w.chunks = append(w.chunks, make([]twNode, 1<<twChunkBits))
+	}
+	return w.used
 }
 
-// place routes an entry to the innermost level whose horizon contains it.
-// Entries whose bucket already passed park in the current L0 slot: the
-// per-slot (at, seq, ord) scan still pops them first, and the position never
-// advances past a non-empty current slot.
-func (w *timerWheel) place(e twEntry) (level int, slot int64) {
-	b0 := int64(e.at) >> bucketShift
-	if b0 < w.cur {
-		b0 = w.cur
-	}
-	if b0-w.cur < twSlots {
-		s := b0 & twSlotMask
-		w.put(0, s, e)
-		return 0, s
-	}
-	b1 := b0 >> twSlotBits
-	if b1-w.cur>>twSlotBits < twSlots {
-		s := b1 & twSlotMask
-		w.put(1, s, e)
-		return 1, s
-	}
-	b2 := b1 >> twSlotBits
-	if b2-w.cur>>(2*twSlotBits) < twSlots {
-		s := b2 & twSlotMask
-		w.put(2, s, e)
-		return 2, s
-	}
-	w.far.push(e)
-	return -1, 0
+// insert arms t to deliver msg at (at, seq). The caller has advanced the
+// position to the clock, and at is not before the clock.
+func (w *timerWheel) insert(at Time, seq uint64, t *Timer, msg Message) {
+	i := w.alloc()
+	n := w.node(i)
+	n.at, n.seq, n.t, n.msg = at, seq, t, msg
+	t.node = i
+	w.place(i, n)
 }
 
-func (w *timerWheel) put(level int, slot int64, e twEntry) {
-	w.slots[level][slot] = append(w.slots[level][slot], e)
-	w.occ[level][slot>>6] |= 1 << uint(slot&63)
+// place links a node into the innermost level whose window contains its
+// deadline.
+func (w *timerWheel) place(i uint32, n *twNode) {
+	b := int64(n.at) >> bucketShift
+	if b < w.cur {
+		panic("sim: timer deadline behind the wheel position")
+	}
+	cur := w.cur
+	level := 0
+	for b-cur >= twSlots {
+		if level == twLevels-1 {
+			b = cur + twSlotMask // beyond the last window: placed again when this slot opens
+			break
+		}
+		level++
+		b >>= twSlotBits
+		cur >>= twSlotBits
+	}
+	slot := b & twSlotMask
+	n.level, n.slot = uint8(level), uint16(slot)
+	head := w.heads[level][slot]
+	if head == 0 {
+		n.next, n.prev = i, i
+		w.heads[level][slot] = i
+		w.occ[level][slot>>6] |= 1 << uint(slot&63)
+	} else {
+		// Link after the last entry that is not later. Higher levels are
+		// FIFO, so there it is the tail; in L0 it almost always is, because
+		// an arm carries the newest sequence number.
+		tail := w.node(head).prev
+		after := tail
+		if level == 0 {
+			for !w.node(after).before(n.at, n.seq) {
+				if after == head {
+					// Earlier than every entry: in a ring the new head
+					// links where a new tail would.
+					after = tail
+					w.heads[0][slot] = i
+					break
+				}
+				after = w.node(after).prev
+			}
+		}
+		an := w.node(after)
+		n.prev, n.next = after, an.next
+		w.node(an.next).prev = i
+		an.next = i
+	}
 	w.counts[level]++
+	if level > 0 {
+		if start := b << uint(level*twSlotBits); w.upperValid && start < w.upper {
+			w.upper = start
+		}
+	}
+}
+
+// release unlinks t's entry and returns its node to the pool.
+func (w *timerWheel) release(t *Timer) {
+	i := t.node
+	n := w.node(i)
+	level, slot := int(n.level), int64(n.slot)
+	if n.next == i {
+		w.heads[level][slot] = 0
+		w.occ[level][slot>>6] &^= 1 << uint(slot&63)
+		if level > 0 {
+			w.upperValid = false
+		}
+	} else {
+		w.node(n.prev).next = n.next
+		w.node(n.next).prev = n.prev
+		if w.heads[level][slot] == i {
+			w.heads[level][slot] = n.next
+		}
+	}
+	w.counts[level]--
+	t.node = timerIdle
+	n.t, n.msg = nil, nil // drop references; the node is recycled
+	n.next = w.free
+	w.free = i
 }
 
 // firstSlot returns the first occupied slot of level at or after from,
@@ -201,201 +232,166 @@ func (w *timerWheel) firstSlot(level int, from int64) int64 {
 	panic("sim: timer wheel occupancy bitmap empty with entries resident")
 }
 
-// cascade scatters one higher-level slot down through place. Runs when the
-// wheel position enters the slot's range, so every entry lands at or after
-// the current position.
-func (w *timerWheel) cascade(level int, slot int64) {
-	b := w.slots[level][slot]
-	if len(b) == 0 {
-		return
+// upperStart returns the L0 bucket at which the earliest occupied
+// higher-level range starts: no entry above L0 is due before it.
+func (w *timerWheel) upperStart() int64 {
+	if !w.upperValid {
+		w.upper = math.MaxInt64
+		for level := 1; level < twLevels; level++ {
+			if w.counts[level] == 0 {
+				continue
+			}
+			// A level's current slot was scattered when the position
+			// entered it, so residents start one slot further on.
+			shift := uint(level * twSlotBits)
+			from := w.cur>>shift + 1
+			start := (from + (w.firstSlot(level, from)-from)&twSlotMask) << shift
+			if start < w.upper {
+				w.upper = start
+			}
+		}
+		w.upperValid = true
 	}
-	w.slots[level][slot] = b[:0]
-	w.occ[level][slot>>6] &^= 1 << uint(slot&63)
-	w.counts[level] -= len(b)
-	w.cascaded += uint64(len(b))
-	for i := range b {
-		w.place(b[i])
-		b[i] = twEntry{} // release references; slot capacity is recycled
-	}
+	return w.upper
 }
 
-// migrateFar pulls overflow entries that now fit the L2 horizon.
-func (w *timerWheel) migrateFar() {
-	cur2 := w.cur >> (2 * twSlotBits)
-	for len(w.far) > 0 && int64(w.far[0].at)>>(bucketShift+2*twSlotBits)-cur2 < twSlots {
-		w.place(w.far.pop())
+// peek returns the key of the earliest entry without moving the position.
+// exact is false when an unopened higher-level range starts at or before
+// the earliest L0 entry: at is then the start of that range, a lower bound
+// on every resident deadline, and seq is 0 (below every real sequence).
+func (w *timerWheel) peek() (at Time, seq uint64, exact, ok bool) {
+	upper := w.upperStart()
+	if w.counts[0] > 0 {
+		slot := w.firstSlot(0, w.cur)
+		if w.cur+(slot-w.cur)&twSlotMask < upper {
+			n := w.node(w.heads[0][slot])
+			return n.at, n.seq, true, true
+		}
+	} else if upper == math.MaxInt64 {
+		return 0, 0, false, false
 	}
+	return Time(upper << bucketShift), 0, false, true
 }
 
-// settle advances the wheel position — cascading higher-level slots as their
-// boundaries are crossed — until the earliest resident entry sits in the
-// current L0 slot. Reports false when the wheel holds nothing at all.
-func (w *timerWheel) settle() bool {
-	for {
-		if w.counts[0] > 0 {
-			slot := w.firstSlot(0, w.cur)
-			d := (slot - w.cur) & twSlotMask
-			boundary := (w.cur>>twSlotBits + 1) << twSlotBits
-			if w.cur+d < boundary || (w.counts[1] == 0 && w.counts[2] == 0 && len(w.far) == 0) {
-				// No cascade can produce an earlier entry: advance and stop.
-				w.cur += d
-				return true
-			}
-		} else if w.counts[1] == 0 && w.counts[2] == 0 {
-			if len(w.far) == 0 {
-				return false
-			}
-			// Everything resident is beyond the L2 horizon: jump straight to
-			// the earliest overflow entry and pull the heap in.
-			w.cur = int64(w.far[0].at) >> bucketShift
-			w.migrateFar()
+// open moves the position to the start of the earliest unopened occupied
+// range and scatters the slots that begin there one level down, outermost
+// first so an outer slot's entries are in place before the inner one
+// scatters. The caller guarantees no L0 entry lies before that start.
+func (w *timerWheel) open() {
+	w.cur = w.upperStart()
+	w.upperValid = false
+	for level := twLevels - 1; level > 0; level-- {
+		shift := uint(level * twSlotBits)
+		if w.cur&(1<<shift-1) != 0 {
 			continue
 		}
-		// Advance to the next L1 boundary and cascade the slot it opens.
-		w.cur = (w.cur>>twSlotBits + 1) << twSlotBits
-		cur1 := w.cur >> twSlotBits
-		if cur1&twSlotMask == 0 {
-			// Crossed an L2 boundary too: open its slot first, so its
-			// entries are in place before the L1 slot scatters.
-			w.cascade(2, (cur1>>twSlotBits)&twSlotMask)
-			w.migrateFar()
+		slot := (w.cur >> shift) & twSlotMask
+		i := w.heads[level][slot]
+		if i == 0 {
+			continue
 		}
-		w.cascade(1, cur1&twSlotMask)
+		w.heads[level][slot] = 0
+		w.occ[level][slot>>6] &^= 1 << uint(slot&63)
+		w.node(w.node(i).prev).next = 0 // break the ring at the tail
+		for i != 0 {
+			n := w.node(i)
+			next := n.next
+			w.counts[level]--
+			w.cascaded++
+			w.place(i, n)
+			i = next
+		}
 	}
 }
 
-// peek returns the earliest pending (at, seq) without removing it, settling
-// cascades as needed. The result is cached until the next pop.
-func (w *timerWheel) peek() (Time, uint64, bool) {
-	if w.minValid {
-		return w.min.at, w.min.seq, true
+// advance moves the position up to the clock's bucket, opening every range
+// that starts on the way. No resident deadline precedes the clock, so no
+// L0 entry is passed over.
+func (w *timerWheel) advance(now Time) {
+	b := int64(now) >> bucketShift
+	if b <= w.cur {
+		return
 	}
-	if !w.settle() {
-		return 0, 0, false
+	for w.upperStart() <= b {
+		w.open()
 	}
-	slot := w.cur & twSlotMask // settle leaves cur at the first occupied slot
-	b := w.slots[0][slot]
-	min := 0
-	for i := 1; i < len(b); i++ {
-		if twLess(&b[i], &b[min]) {
-			min = i
-		}
-	}
-	w.minValid = true
-	w.min = b[min]
-	w.minSlot = slot
-	w.minIdx = min
-	return w.min.at, w.min.seq, true
+	w.cur = b
 }
 
-// pop removes and returns the earliest entry. Callers peek first; pop
-// re-peeks only defensively.
-func (w *timerWheel) pop() twEntry {
-	if !w.minValid {
-		if _, _, ok := w.peek(); !ok {
-			panic("sim: pop from an empty timer wheel")
-		}
-	}
-	slot, idx := w.minSlot, w.minIdx
-	b := w.slots[0][slot]
-	e := b[idx]
-	last := len(b) - 1
-	b[idx] = b[last]
-	b[last] = twEntry{} // release references; slot capacity is reused
-	w.slots[0][slot] = b[:last]
-	if last == 0 {
-		w.occ[0][slot>>6] &^= 1 << uint(slot&63)
-	}
-	w.counts[0]--
-	w.minValid = false
+// pop removes the earliest entry. Only valid after an exact peek.
+func (w *timerWheel) pop() (t *Timer, at Time, msg Message) {
+	slot := w.firstSlot(0, w.cur)
+	w.cur += (slot - w.cur) & twSlotMask
+	n := w.node(w.heads[0][slot])
+	t, at, msg = n.t, n.at, n.msg
+	w.release(t)
 	w.fired++
-	return e
+	return t, at, msg
 }
 
-// TimerBackend selects how armed timers are scheduled.
-type TimerBackend uint8
-
-const (
-	// TimerBackendWheel (the default) keeps armed timers in the
-	// hierarchical timer wheel: pending event-queue entries stay
-	// independent of the number of armed timers.
-	TimerBackendWheel TimerBackend = iota
-	// TimerBackendEvent is the legacy reference path: every arm schedules
-	// one delivery event on the calendar queue. Byte-identical to the wheel
-	// by construction; kept as the oracle for the equivalence property test
-	// and the conn-scale sweep's backend axis.
-	TimerBackendEvent
-)
-
-// SetTimerBackend selects the timer scheduling backend. Call it before the
-// simulation runs; switching while timers are armed is unsupported. In PDES
-// mode call it before machines are created so domains inherit the choice.
-func (s *Simulator) SetTimerBackend(b TimerBackend) {
-	s.timerBackend = b
-	if s.pdes != nil && s.parent == nil {
-		for _, d := range s.pdes.domains {
-			d.timerBackend = b
-		}
-	}
-}
-
-// armTimers inserts one flushed run of timer arms sharing a single sequence
-// number, mirroring what a batched delivery of the boxed firings would have
-// consumed on the legacy path.
-func (s *Simulator) armTimers(at Time, arms []outMsg) {
+// armTimer inserts one flushed timer arm under its own sequence number.
+func (s *Simulator) armTimer(at Time, t *Timer, msg Message) {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
-	for k := range arms {
-		o := &arms[k]
-		s.tw.insert(at, s.seq, o.timer, o.tgen, o.msg, o.dst)
-	}
+	s.tw.advance(s.now)
+	s.tw.insert(at, s.seq, t, msg)
 }
 
-// fireTimer delivers one popped wheel entry. The boxed firing is built only
-// now, from the freelist, and travels through Proc.Deliver exactly like a
-// scheduled delivery event: drop injection, dead-process drops, tracer
-// arrival stamps and wake scheduling all behave identically.
-func (s *Simulator) fireTimer(e twEntry) {
-	s.now = e.at
+// fireTimer pops the wheel head and delivers it. The boxed firing is built
+// only now, from the freelist, and travels through Proc.Deliver exactly like
+// a scheduled delivery event: drop injection, dead-process drops, tracer
+// arrival stamps and wake scheduling all apply.
+func (s *Simulator) fireTimer() {
+	t, at, msg := s.tw.pop()
+	s.now = at
 	s.eventsRun++
-	e.proc.Deliver(s.newTimerFire(e.t, e.gen, e.msg))
+	t.p.Deliver(s.newTimerFire(t, t.gen, msg))
 }
 
 // stepNext runs the earliest of the event-queue head and the timer-wheel
 // head, merged by (at, seq). If bounded, work after limit is left in place
 // and false is returned.
 func (s *Simulator) stepNext(limit Time, bounded bool) bool {
-	wa, wseq, wok := s.tw.peek()
-	if !wok {
-		e, ok := s.q.pop(limit, bounded)
-		if !ok {
+	for {
+		wa, wseq, exact, wok := s.tw.peek()
+		if !wok {
+			e, ok := s.q.pop(limit, bounded)
+			if !ok {
+				return false
+			}
+			s.run(e)
+			return true
+		}
+		slot, idx, qa, qseq, qok := s.q.peekPos()
+		if qok && (qa < wa || (qa == wa && qseq < wseq)) {
+			if bounded && qa > limit {
+				return false
+			}
+			s.run(s.q.take(slot, idx))
+			return true
+		}
+		if bounded && wa > limit {
 			return false
 		}
-		s.run(e)
-		return true
-	}
-	slot, idx, qa, qseq, qok := s.q.peekPos()
-	if qok && (qa < wa || (qa == wa && qseq < wseq)) {
-		if bounded && qa > limit {
-			return false
+		if exact {
+			s.fireTimer()
+			return true
 		}
-		s.run(s.q.take(slot, idx))
-		return true
+		// Nothing queued precedes the wheel's lower bound, so the clock is
+		// about to reach it: open that range and look again.
+		s.tw.open()
 	}
-	if bounded && wa > limit {
-		return false
-	}
-	s.fireTimer(s.tw.pop())
-	return true
 }
 
-// peekTime returns the earliest pending timestamp across the event queue and
-// the timer wheel. The PDES coordinator uses this at every barrier.
+// peekTime returns a lower bound on the earliest pending timestamp across
+// the event queue and the timer wheel — exact unless the wheel's earliest
+// entry waits in an unopened range. The PDES coordinator uses this at every
+// barrier; a bound that is early only costs it a window.
 func (s *Simulator) peekTime() (Time, bool) {
 	qt, qok := s.q.peekTime()
-	wt, _, wok := s.tw.peek()
+	wt, _, _, wok := s.tw.peek()
 	switch {
 	case qok && wok:
 		if wt < qt {
@@ -414,10 +410,10 @@ func (s *Simulator) peekTime() (Time, bool) {
 // work of its own.
 func (s *Simulator) idleLocal() bool { return s.q.empty() && s.tw.empty() }
 
-// TimerStats reports timer-wheel counters: entries resident (including
-// lazily-stopped ones awaiting their deadline), entries scattered down a
-// level by cascades, and entries popped for delivery. On a PDES control
-// plane it totals across all domains; call it only at a barrier.
+// TimerStats reports timer-wheel counters: live armed timers, entries
+// scattered down a level when their range opened, and entries popped for
+// delivery. On a PDES control plane it totals across all domains; call it
+// only at a barrier.
 type TimerStats struct {
 	Pending  int
 	Cascades uint64
@@ -438,10 +434,10 @@ func (s *Simulator) TimerStats() TimerStats {
 }
 
 // PendingEvents returns the number of events resident in the calendar
-// queue(s), excluding wheel-resident timers. With the wheel backend this
-// stays independent of the number of armed timers — the conn-scale
-// experiments assert exactly that. On a PDES control plane it totals across
-// all domains; call it only at a barrier.
+// queue(s), excluding wheel-resident timers, so it stays independent of the
+// number of armed timers — the conn-scale experiments assert exactly that.
+// On a PDES control plane it totals across all domains; call it only at a
+// barrier.
 func (s *Simulator) PendingEvents() int {
 	n := s.q.len()
 	if s.pdes != nil && s.parent == nil {

@@ -543,9 +543,17 @@ func (e *Engine) newConn(k connKey) *Conn {
 		e.connFree = e.connFree[:n-1]
 		e.poolReused++
 		// Full field reset, preserving the timer nodes: their sim.Timer
-		// generations must keep increasing across incarnations so that any
-		// in-flight fire from the previous owner stays stale.
+		// generations must keep increasing across incarnations so that a
+		// fire popped for the previous owner but not yet dispatched stays
+		// stale. A node still armed would be worse — a wheel entry of the
+		// previous owner firing into this connection — and remove stopped
+		// all of them, so finding one is an engine bug.
 		timers := c.Timers
+		for i := range timers {
+			if timers[i].Armed() {
+				panic("tcpeng: recycled PCB holds an armed timer")
+			}
+		}
 		*c = Conn{Timers: timers}
 	} else {
 		c = &Conn{}
@@ -596,8 +604,9 @@ func (e *Engine) remove(c *Conn) {
 	e.stats.ConnsRemoved++
 	e.env.ConnRemoved(c)
 	// Recycle after the upcall: the env reads c.ID/addresses synchronously.
-	// Stopping the timers above bumped every node's generation, so fires
-	// already in flight stay stale no matter who reuses the struct.
+	// Stopping the timers above took every node out of the timer wheel and
+	// bumped its generation, so a fire already popped stays stale no matter
+	// who reuses the struct.
 	if b := c.bufs; b != nil {
 		c.bufs = nil
 		b.recycle()
