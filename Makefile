@@ -2,22 +2,13 @@
 
 GO ?= go
 
-.PHONY: build test bench verify
+.PHONY: build test verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
-
-# bench writes the committed benchmark snapshot: micro-benchmark ns/op,
-# B/op and allocs/op plus the wall-clock of a full `neat-bench -quick` run,
-# the PDES worker-scaling ladder, the cluster connection ladder and the
-# connection-scale ladder (the 1M rung rides in as BenchmarkMillionConns).
-BENCH_OUT ?= BENCH_pr10.json
-
-bench:
-	$(GO) run ./cmd/neat-benchreport -out $(BENCH_OUT)
 
 # verify is the pre-merge gate: static checks (vet + gofmt cleanliness), a
 # full build, the whole test suite, the parallel-sweep + fault-matrix +
@@ -32,7 +23,12 @@ bench:
 # outputs: a topology-plumbing change that shifts one byte of
 # `neat-bench -quick` or `neat-faults -matrix -quick` fails here, not in
 # review. The cluster and ipc campaigns are additionally diffed PDES
-# 1-worker vs 4-worker, the contract sim/pdes.go states.
+# 1-worker vs 4-worker, the contract sim/pdes.go states. Last, two short
+# workloads of the repository benchmark (the one benchmark; `bash
+# benchmark/run.sh` for the full run): a PR may not edit benchmark/, so the
+# gate proves it still builds against the internal API it imports and
+# passes its own correctness checks (byte-verified bodies, repeat-identical
+# digests, clean control farm) — any violation exits non-zero.
 verify:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -63,3 +59,5 @@ verify:
 	if [ "$$a" != "$$b" ]; then \
 		echo "ipc campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
 	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"
+	bash benchmark/run.sh -workload web_small -seed 7 -seconds 3 -trace 0
+	bash benchmark/run.sh -workload cluster_faults -seed 7 -seconds 3 -trace 0

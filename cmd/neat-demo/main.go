@@ -30,14 +30,16 @@ func main() {
 	// Observe attaches the tracing layer: the demo ends by replaying the
 	// lifecycle event timeline the management plane recorded. The farm
 	// starts with one slot spare for the scale-up demo.
-	farm, err := cliutil.BootFarm(*seed, *webs,
-		neat.SystemConfig{Replicas: *replicas + 1, Observe: true},
-		func(sys *neat.System) error { return sys.ScaleDown() })
+	tb, err := neat.TopologyConfig{
+		Seed: *seed, ClientStacks: *webs,
+		System: neat.SystemConfig{Replicas: *replicas + 1, Observe: true},
+		Tune:   func(sys *neat.System) error { return sys.ScaleDown() },
+	}.Build()
 	if err != nil {
 		cliutil.Fail("%v", err)
 	}
-	net, server, client := farm.Net, farm.Server, farm.Client
-	sys := farm.Sys
+	net, server, client := tb.Net, tb.Server, tb.Client
+	sys := tb.System
 
 	fmt.Printf("== NEaT demo: %d replicas (1 spare slot), %d lighttpd instances ==\n", *replicas, *webs)
 	defer func() {
@@ -57,7 +59,7 @@ func main() {
 		h.Start()
 		servers = append(servers, h)
 		lg := app.NewLoadgen(client.AppThread(2+*webs+i), fmt.Sprintf("httperf%d", i),
-			farm.CliSys.SyscallProc(), ipc.DefaultCosts(), app.LoadgenConfig{
+			tb.ClientSystem.SyscallProc(), ipc.DefaultCosts(), app.LoadgenConfig{
 				Target: server.IP, Port: uint16(8000 + i), URI: "/index",
 				Conns: 16, ReqPerConn: 100, Timeout: 200 * sim.Millisecond,
 			})

@@ -14,7 +14,6 @@ package main
 import (
 	"fmt"
 
-	"neat"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/socketlib"
@@ -42,9 +41,11 @@ func main() {
 }
 
 func run(interval sim.Time) (lost, restored uint64, appFailures int) {
-	net := neat.NewNetwork(21)
-	server := neat.NewServerMachine(net, neat.AMD12)
-	client := neat.NewClientMachine(net, 2)
+	// CheckpointInterval is deliberately not a facade knob (the paper does
+	// not adopt it), so this example assembles its world on the testbed.
+	net := testbed.New(21)
+	server := testbed.DefaultAMDHost(net, 0, 8)
+	client := testbed.DefaultClientHost(net, 1, 2)
 	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
 		Kind: stack.Multi, TCP: tcpeng.DefaultConfig(),
 		Slots:              testbed.MultiSlots(2, 2),
@@ -54,7 +55,7 @@ func run(interval sim.Time) (lost, restored uint64, appFailures int) {
 	if err != nil {
 		panic(err)
 	}
-	clisys, err := neat.StartClientSystem(client, server, 2)
+	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}

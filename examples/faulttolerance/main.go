@@ -22,20 +22,15 @@ import (
 )
 
 func main() {
-	net := neat.NewNetwork(9)
-	server := neat.NewServerMachine(net, neat.AMD12)
-	client := neat.NewClientMachine(net, 2)
-
-	sys, err := neat.StartNEaT(server, client, neat.SystemConfig{
-		Replicas: 2, Kind: neat.MultiComponent,
-	})
+	tb, err := neat.TopologyConfig{
+		Seed: 9, ClientStacks: 2,
+		System: neat.SystemConfig{Replicas: 2, Kind: neat.MultiComponent},
+	}.Build()
 	if err != nil {
 		panic(err)
 	}
-	clisys, err := neat.StartClientSystem(client, server, 2)
-	if err != nil {
-		panic(err)
-	}
+	net, server, client := tb.Net, tb.Server, tb.Client
+	sys, clisys := tb.System, tb.ClientSystem
 
 	// Server app: accepts and holds connections, echoing heartbeats.
 	srv := newHolder(server.AppThread(7), sys.SyscallProc(), true)

@@ -1,4 +1,4 @@
-// Package cliutil carries the flag, boot and report plumbing shared by
+// Package cliutil carries the flag, profile and report plumbing shared by
 // the repository's command-line tools (neat-bench, neat-faults,
 // neat-demo), so each main() holds only its own campaign logic. The
 // helpers preserve the tools' historical output byte for byte — the
@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"neat"
 	"neat/internal/experiments"
 )
 
@@ -103,40 +102,4 @@ func EmitAll(results []*experiments.Result) {
 func Fail(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(2)
-}
-
-// Farm is a booted facade-level demo topology: a NEaT server machine and
-// an oversized load-generator client machine with its client-side stack.
-type Farm struct {
-	Net    *neat.Network
-	Server *neat.Machine
-	Client *neat.Machine
-	Sys    *neat.System
-	CliSys *neat.System
-}
-
-// BootCluster builds a multi-machine topology through the public
-// facade's declarative API, failing with the config's actionable error.
-// Tools that outgrow the two-machine BootFarm shape declare their world
-// here instead of assuming Net.Link.
-func BootCluster(cfg neat.ClusterConfig) (*neat.Cluster, error) {
-	return cfg.Build()
-}
-
-// BootFarm builds the demo topology through the public facade: an AMD
-// server running a NEaT system per cfg, a client machine with `stacks`
-// client replicas. tune, when non-nil, runs against the server system
-// before the client side boots (scale adjustments, fault arming) so its
-// events land at the same simulated time as a hand-rolled boot sequence.
-// It is a thin wrapper over the declarative neat.TopologyConfig surface,
-// which performs the historical boot sequence byte for byte.
-func BootFarm(seed int64, stacks int, cfg neat.SystemConfig, tune func(*neat.System) error) (*Farm, error) {
-	tb, err := neat.TopologyConfig{
-		Seed: seed, ClientStacks: stacks, System: cfg, Tune: tune,
-	}.Build()
-	if err != nil {
-		return nil, err
-	}
-	return &Farm{Net: tb.Net, Server: tb.Server, Client: tb.Client,
-		Sys: tb.System, CliSys: tb.ClientSystem}, nil
 }

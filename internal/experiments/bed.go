@@ -15,7 +15,6 @@ import (
 	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 	"neat/internal/trace"
-	"neat/internal/wire"
 )
 
 // MachineKind selects the system-under-test machine of §6.
@@ -94,23 +93,6 @@ func (o Options) window() sim.Time {
 	return 200 * sim.Millisecond
 }
 
-// TopologyConfig shapes a bed's two-machine network. Zero fields keep
-// the defaults (10 Gb/s line rate, 1 µs propagation delay).
-type TopologyConfig struct {
-	LinkBitsPerSec int64
-	LinkPropDelay  sim.Time
-}
-
-// shape applies the declared overrides to a freshly built link.
-func (t TopologyConfig) shape(l *wire.Link) {
-	if t.LinkBitsPerSec > 0 {
-		l.BitsPerSec = t.LinkBitsPerSec
-	}
-	if t.LinkPropDelay > 0 {
-		l.PropDelay = t.LinkPropDelay
-	}
-}
-
 // BedConfig describes one measured configuration: a server system (NEaT or
 // the Linux baseline), its lighttpd instances and the matching httperf
 // load generators.
@@ -126,7 +108,7 @@ type BedConfig struct {
 	// assuming the hardwired link. The zero value is the historical
 	// testbed shape — one point-to-point 10 Gb/s, 1 µs DAC — byte for
 	// byte. (Multi-machine topologies are ClusterBedConfig's job.)
-	Topology TopologyConfig
+	Topology testbed.LinkSpec
 
 	// NEaT configuration (used when LinuxCores == 0).
 	Kind         stack.Kind
@@ -155,7 +137,7 @@ type BedConfig struct {
 
 	// IPC tunes the server system's modeled message rings (ring depth,
 	// doorbell coalescing). Zero value: calibrated per-message doorbells.
-	IPC testbed.IPCTuning
+	IPC ipc.Tuning
 
 	// Workload.
 	WebLocs     []testbed.ThreadLoc // lighttpd i at WebLocs[i], port 8000+i
@@ -208,7 +190,7 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 		cfg.ReqPerConn = 100
 	}
 	n := testbed.New(cfg.Seed)
-	cfg.Topology.shape(n.Link)
+	cfg.Topology.Shape(n.Link)
 	if cfg.PDESWorkers > 0 {
 		// Must precede host creation: machines built afterwards get their
 		// own event-queue domains.

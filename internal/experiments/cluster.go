@@ -66,7 +66,7 @@ type ClusterBedConfig struct {
 
 	// IPC tunes every member's modeled message rings (ring depth, doorbell
 	// coalescing). Zero value: calibrated per-message doorbells.
-	IPC testbed.IPCTuning
+	IPC ipc.Tuning
 }
 
 func (cfg *ClusterBedConfig) fillDefaults() {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"neat/internal/app"
+	"neat/internal/ipc"
 	"neat/internal/report"
 	"neat/internal/sim"
 	"neat/internal/stack"
@@ -64,7 +65,7 @@ func ipcLinkBed(o Options, kind stack.Kind, coalesce bool) (Measurement, sim.IPC
 		// exists to batch.
 		FileSize: 8192,
 		GenPorts: plans,
-		IPC:      testbed.IPCTuning{CoalesceWakes: coalesce},
+		IPC:      ipc.Tuning{CoalesceWakes: coalesce},
 	})
 	if err != nil {
 		return Measurement{}, sim.IPCStats{}, err
@@ -86,7 +87,7 @@ func ipcClusterBed(o Options, coalesce bool) (Measurement, sim.IPCStats, error) 
 		Farms:       2, MembersPerFarm: 2, ReplicasPerMember: 2,
 		Clients: 2, Tenants: 2,
 		ConnsPerGen: 4, ReqPerConn: 25,
-		IPC: testbed.IPCTuning{CoalesceWakes: coalesce},
+		IPC: ipc.Tuning{CoalesceWakes: coalesce},
 	})
 	if err != nil {
 		return Measurement{}, sim.IPCStats{}, err

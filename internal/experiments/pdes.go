@@ -27,7 +27,7 @@ import (
 // PDESFarm is the deterministic campaign (its rendered report is
 // byte-identical for any worker count — the determinism test compares
 // workers=1 against workers=4); PDESScaling is the wall-clock ladder
-// recorded in BENCH_pr6.json.
+// (neat-bench -only pdesscale).
 
 // farmPair is one (server, client) machine pair of the farm.
 type farmPair struct {
@@ -206,7 +206,7 @@ type ScalingPoint struct {
 }
 
 // PDESScalingLadder times the same farm run at each worker count and
-// returns the points (for BENCH_pr6.json) — workers=0 is the sequential
+// returns the points — workers=0 is the sequential
 // baseline. Wall-clock speedup beyond workers=1 requires real CPUs; on a
 // single-core host the ladder degenerates to the coordination overhead.
 func PDESScalingLadder(o Options, workerCounts []int) ([]ScalingPoint, error) {

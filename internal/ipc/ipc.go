@@ -18,7 +18,7 @@
 //     spins (CostPolling) until the head slot frees and its message is
 //     delayed accordingly, with a Stalls counter on both the connection
 //     and the simulator (sim.ipc.stalls).
-//   - Wake coalescing (opt-in, Costs.CoalesceWakes): a send finding the
+//   - Wake coalescing (opt-in, Tuning.CoalesceWakes): a send finding the
 //     ring already armed (occupancy > 0) skips the doorbell — the sender
 //     saves the doorbell cycles and the message rides the in-flight
 //     predecessor's delivery window, drained by the same receiver
@@ -29,7 +29,11 @@
 // replica into existing channels.
 package ipc
 
-import "neat/internal/sim"
+import (
+	"fmt"
+
+	"neat/internal/sim"
+)
 
 // DefaultRingDepth is the per-connection in-flight bound when
 // Costs.RingDepth is zero: deep enough that the default campaigns never
@@ -40,6 +44,34 @@ const DefaultRingDepth = 8192
 // doorbell write (the MWAIT monitor touch or kernel notify) when
 // Costs.DoorbellCycles is zero. A coalesced send saves exactly this.
 const DefaultDoorbellCycles = 120
+
+// Tuning is the pair of ring knobs a system builder sets per system; the
+// remaining Costs are calibration. It is declared here, beside the ring it
+// shapes, and every layer above (stack templates, testbed, experiment beds,
+// the neat facade) carries this type instead of restating its fields. The
+// zero value is the calibrated behavior: a per-message doorbell and the
+// package-default ring depth.
+type Tuning struct {
+	// RingDepth bounds the in-flight messages per connection; a send
+	// finding the ring full stalls the sender until the head slot frees
+	// (counted as sim.ipc.stalls). 0 selects DefaultRingDepth.
+	RingDepth int
+	// CoalesceWakes enables doorbell/wake coalescing: a sender touching an
+	// already-armed ring skips the doorbell (saving DoorbellCycles) and
+	// its message shares the in-flight predecessor's delivery window; the
+	// receiver drains the ring until empty before re-arming. Off by
+	// default — per-message doorbells, the calibrated behavior.
+	CoalesceWakes bool
+}
+
+// Validate reports an out-of-range knob. The message starts at the field
+// name so callers can prefix the path their user wrote it under.
+func (t Tuning) Validate() error {
+	if t.RingDepth < 0 {
+		return fmt.Errorf("RingDepth is %d; want 0 (default %d) or a positive in-flight bound", t.RingDepth, DefaultRingDepth)
+	}
+	return nil
+}
 
 // Costs parameterizes a channel.
 type Costs struct {
@@ -52,16 +84,8 @@ type Costs struct {
 	// SlowLatency is the latency when sender and receiver share a hardware
 	// thread and the kernel must schedule the receiver.
 	SlowLatency sim.Time
-	// RingDepth bounds the in-flight messages per connection; a send
-	// finding the ring full stalls the sender until the head slot frees.
-	// 0 selects DefaultRingDepth.
-	RingDepth int
-	// CoalesceWakes enables doorbell/wake coalescing: a sender touching an
-	// already-armed ring skips the doorbell (saving DoorbellCycles) and
-	// its message shares the in-flight predecessor's delivery window; the
-	// receiver drains the ring until empty before re-arming. Off by
-	// default — per-message doorbells, the calibrated legacy behavior.
-	CoalesceWakes bool
+	// Tuning holds the ring depth and wake coalescing.
+	Tuning
 	// DoorbellCycles is the portion of SendCycles a coalesced send skips.
 	// Only read when CoalesceWakes is on; 0 selects DefaultDoorbellCycles.
 	DoorbellCycles int64

@@ -1,6 +1,7 @@
 package ipc
 
 import (
+	"strings"
 	"testing"
 
 	"neat/internal/sim"
@@ -92,5 +93,18 @@ func TestNilPeerDropsSilently(t *testing.T) {
 	s.Drain() // must not panic
 	if conn.Stats().Sent != 0 {
 		t.Fatalf("sent on nil peer: %+v", conn.Stats())
+	}
+}
+
+// TestTuningValidate is the range table of the ring knobs, beside their
+// one declaration.
+func TestTuningValidate(t *testing.T) {
+	for _, ok := range []Tuning{{}, {RingDepth: 1}, {RingDepth: 1 << 20, CoalesceWakes: true}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: Validate() = %v, want nil", ok, err)
+		}
+	}
+	if err := (Tuning{RingDepth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "RingDepth") {
+		t.Errorf("negative depth: Validate() = %v, want mention of RingDepth", err)
 	}
 }

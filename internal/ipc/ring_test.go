@@ -80,7 +80,7 @@ func TestIPCBatchDrainZeroAlloc(t *testing.T) {
 // the stall on both the connection and the simulator, keeps delivery FIFO,
 // and never delivers a stalled message before the slot it waited for freed.
 func TestIPCRingOverflowStalls(t *testing.T) {
-	costs := Costs{SendCycles: 100, FastLatency: 300, SlowLatency: 5000, RingDepth: 2}
+	costs := Costs{SendCycles: 100, FastLatency: 300, SlowLatency: 5000, Tuning: Tuning{RingDepth: 2}}
 	h := newRingHarness(costs)
 	h.src.Deliver(4) // one activation, four sends, depth 2 → two stalls
 	h.s.Drain()
@@ -165,7 +165,7 @@ func TestIPCCoalescedRideFIFO(t *testing.T) {
 				at = append(at, s.Now())
 			}), sim.ProcConfig{})
 			costs := Costs{SendCycles: 200, FastLatency: 300, SlowLatency: 5000,
-				CoalesceWakes: true, DoorbellCycles: 120}
+				Tuning: Tuning{CoalesceWakes: true}, DoorbellCycles: 120}
 			conn := New(dst, costs)
 			src := sim.NewProc(srcTh, "src", sim.HandlerFunc(func(ctx *sim.Context, msg sim.Message) {
 				conn.Send(ctx, 0)

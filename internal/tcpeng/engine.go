@@ -207,6 +207,32 @@ func (g GuardConfig) Enabled() bool {
 	return g != GuardConfig{}
 }
 
+// Validate reports the first out-of-range guard. The message starts at the
+// field name so callers can prefix the path their user wrote it under.
+// (A negative SynCookieWatermark is meaningful — cookies for every SYN —
+// so the cookie fields have no invalid value.)
+func (g GuardConfig) Validate() error {
+	if g.SynBacklog < 0 {
+		return fmt.Errorf("SynBacklog is %d; want 0 (guard off) or a positive half-open cap", g.SynBacklog)
+	}
+	if g.HeaderDeadline < 0 {
+		return fmt.Errorf("HeaderDeadline is %v; want 0 (guard off) or a positive deadline", g.HeaderDeadline)
+	}
+	if g.HeaderMinBytes < 0 {
+		return fmt.Errorf("HeaderMinBytes is %d; want 0 (default 64) or a positive byte floor", g.HeaderMinBytes)
+	}
+	if g.HeaderMinBytes > 0 && g.HeaderDeadline == 0 {
+		return fmt.Errorf("HeaderMinBytes is %d but HeaderDeadline is 0; the byte floor only applies with a deadline set", g.HeaderMinBytes)
+	}
+	if g.IdleDeadline < 0 {
+		return fmt.Errorf("IdleDeadline is %v; want 0 (guard off) or a positive deadline", g.IdleDeadline)
+	}
+	if g.MaxConnsPerSource < 0 {
+		return fmt.Errorf("MaxConnsPerSource is %d; want 0 (guard off) or a positive per-source cap", g.MaxConnsPerSource)
+	}
+	return nil
+}
+
 func (c *Config) fillDefaults() {
 	if c.MSS == 0 {
 		c.MSS = 1460

@@ -36,7 +36,10 @@ import (
 	"neat/internal/wire"
 )
 
-// FarmControlConfig tunes one farm's controller loop.
+// FarmControlConfig tunes one farm's controller loop: the health check
+// interval and the watermark autoscaling policy over the mean
+// live-connection count per active member. Zero watermarks leave the farm
+// at its initial active set (health monitoring still runs).
 type FarmControlConfig struct {
 	// Interval between health/scale evaluations (default 250 µs).
 	Interval sim.Time
@@ -51,6 +54,17 @@ type FarmControlConfig struct {
 	MinActive int
 	// Cooldown is the minimum time between scale events (default 4×Interval).
 	Cooldown sim.Time
+}
+
+// Validate reports a negative interval or inconsistent watermarks.
+func (c FarmControlConfig) Validate() error {
+	if c.Interval < 0 || c.Cooldown < 0 {
+		return fmt.Errorf("negative controller interval or cooldown")
+	}
+	if c.HighWater < 0 || c.LowWater < 0 || (c.HighWater > 0 && c.LowWater >= c.HighWater) {
+		return fmt.Errorf("watermarks (high %d, low %d) must satisfy 0 <= low < high", c.HighWater, c.LowWater)
+	}
+	return nil
 }
 
 // FarmSpec describes one server farm: Members identical NEaT machines
@@ -100,8 +114,16 @@ type ClientSpec struct {
 type SwitchSpec struct {
 	// Name labels the switch (default "tor").
 	Name string
-	// Latency is the store-and-forward delay (default 1 µs).
+	// Latency is the store-and-forward delay per frame (default 1 µs).
 	Latency sim.Time
+}
+
+// Validate reports a negative latency.
+func (sw SwitchSpec) Validate() error {
+	if sw.Latency < 0 {
+		return fmt.Errorf("switch latency is %v; want 0 (default 1 µs) or a positive delay", sw.Latency)
+	}
+	return nil
 }
 
 // ClusterSpec is a resolved cluster topology. The neat facade's
@@ -110,10 +132,9 @@ type ClusterSpec struct {
 	Switch  SwitchSpec
 	Farms   []FarmSpec
 	Clients []ClientSpec
-	// LinkBitsPerSec / LinkPropDelay shape every access link (defaults:
-	// the 10 Gb/s, 1 µs DAC of the two-host testbed).
-	LinkBitsPerSec int64
-	LinkPropDelay  sim.Time
+	// Link shapes every access link (zero: the 10 Gb/s, 1 µs DAC of the
+	// two-host testbed).
+	Link LinkSpec
 }
 
 // FarmMember is one running server machine of a farm.
@@ -233,6 +254,12 @@ func (c *Cluster) TenantFarms(tenant string) []*Farm {
 // Validate reports the first error in the spec, with enough context to
 // fix it.
 func (spec ClusterSpec) Validate() error {
+	if err := spec.Switch.Validate(); err != nil {
+		return fmt.Errorf("testbed: %v", err)
+	}
+	if err := spec.Link.Validate(); err != nil {
+		return fmt.Errorf("testbed: %v", err)
+	}
 	if len(spec.Farms) == 0 {
 		return fmt.Errorf("testbed: cluster needs at least one farm")
 	}
@@ -269,13 +296,8 @@ func (spec ClusterSpec) Validate() error {
 		if _, err := f.Steering.NewDeterministic(); err != nil {
 			return fmt.Errorf("testbed: farm %q: %v", f.Name, err)
 		}
-		if f.Control.Interval < 0 || f.Control.Cooldown < 0 {
-			return fmt.Errorf("testbed: farm %q has a negative controller interval or cooldown", f.Name)
-		}
-		if f.Control.HighWater < 0 || f.Control.LowWater < 0 ||
-			(f.Control.HighWater > 0 && f.Control.LowWater >= f.Control.HighWater) {
-			return fmt.Errorf("testbed: farm %q watermarks (high %d, low %d) must satisfy 0 <= low < high",
-				f.Name, f.Control.HighWater, f.Control.LowWater)
+		if err := f.Control.Validate(); err != nil {
+			return fmt.Errorf("testbed: farm %q: %v", f.Name, err)
 		}
 	}
 	for i, cl := range spec.Clients {
@@ -327,12 +349,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 
 	link := func() *Net {
 		n := NewOn(s)
-		if spec.LinkBitsPerSec > 0 {
-			n.Link.BitsPerSec = spec.LinkBitsPerSec
-		}
-		if spec.LinkPropDelay > 0 {
-			n.Link.PropDelay = spec.LinkPropDelay
-		}
+		spec.Link.Shape(n.Link)
 		return n
 	}
 
@@ -387,7 +404,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			hcfg.IP = vip // DSR: every member answers from the VIP
 			hcfg.MAC = memberMAC(fi, mi)
 			if hcfg.Cores == 0 {
-				hcfg.Cores = 12
+				hcfg.Cores = AMDCores
 			}
 			if hcfg.Queues == 0 {
 				hcfg.Queues = 8

@@ -43,6 +43,35 @@ func NewOn(s *sim.Simulator) *Net {
 	return &Net{Sim: s, Link: wire.NewLink(s)}
 }
 
+// LinkSpec overrides the shape of a link: the one declaration every layer
+// that lets a caller reshape links carries (experiment beds, ClusterSpec,
+// the neat facade). Zero fields keep wire.NewLink's defaults — the
+// 10 Gb/s, 1 µs DAC of the paper's testbed.
+type LinkSpec struct {
+	// BitsPerSec is the line rate (default 10 Gb/s).
+	BitsPerSec int64
+	// PropDelay is the propagation delay (default 1 µs).
+	PropDelay sim.Time
+}
+
+// Validate reports a negative rate or delay.
+func (ls LinkSpec) Validate() error {
+	if ls.BitsPerSec < 0 || ls.PropDelay < 0 {
+		return fmt.Errorf("link shape is %+v; rate and propagation delay must be 0 (defaults) or positive", ls)
+	}
+	return nil
+}
+
+// Shape applies the overrides to a freshly built link.
+func (ls LinkSpec) Shape(l *wire.Link) {
+	if ls.BitsPerSec > 0 {
+		l.BitsPerSec = ls.BitsPerSec
+	}
+	if ls.PropDelay > 0 {
+		l.PropDelay = ls.PropDelay
+	}
+}
+
 // ThreadLoc addresses one hardware thread of a machine.
 type ThreadLoc struct {
 	Core   int
@@ -154,31 +183,14 @@ type NEaTConfig struct {
 	// Stack optionally overrides the full replica template (built from
 	// StackConfig when nil).
 	Stack *stack.Config
-	// IPC tunes the modeled message rings of the system's channels; it
-	// composes with Stack (applied on top of whichever template is used).
-	// The zero value keeps the calibrated per-message doorbell behaviour.
-	IPC IPCTuning
+	// IPC tunes the modeled message rings of the system's channels. When
+	// set it replaces the ring tuning of whichever template is used (Stack
+	// or the default); the zero value keeps the template's — by default the
+	// calibrated per-message doorbell behaviour.
+	IPC ipc.Tuning
 	// Observe attaches the observability layer (lifecycle events; combine
 	// with trace.Tracer.Attach on the simulator for message tracing).
 	Observe core.ObserveConfig
-}
-
-// IPCTuning adjusts the ring knobs of the channel costs a NEaT system is
-// built with: RingDepth bounds the in-flight messages per channel (0 =
-// package default) and CoalesceWakes enables doorbell coalescing.
-type IPCTuning struct {
-	RingDepth     int
-	CoalesceWakes bool
-}
-
-// apply overlays the tuning on a channel cost template.
-func (t IPCTuning) apply(c *ipc.Costs) {
-	if t.RingDepth > 0 {
-		c.RingDepth = t.RingDepth
-	}
-	if t.CoalesceWakes {
-		c.CoalesceWakes = true
-	}
 }
 
 // BuildNEaT boots a NEaT system on host h talking to peer.
@@ -193,7 +205,9 @@ func (h *Host) BuildNEaTARP(arp map[proto.Addr]proto.MAC, cfg NEaTConfig) (*core
 	if cfg.Stack != nil {
 		scfg = *cfg.Stack
 	}
-	cfg.IPC.apply(&scfg.IPC)
+	if cfg.IPC != (ipc.Tuning{}) {
+		scfg.IPC.Tuning = cfg.IPC
+	}
 	threads := make([][]*sim.HWThread, len(cfg.Slots))
 	for i, slot := range cfg.Slots {
 		for _, loc := range slot {
@@ -238,11 +252,19 @@ func MultiSlots(first, n int) [][]ThreadLoc {
 	return out
 }
 
+// Core counts of the two system-under-test machines of §6. Layout checks
+// above this package (does a replica placement fit the machine?) read
+// them instead of restating the numbers.
+const (
+	AMDCores  = 12
+	XeonCores = 8
+)
+
 // DefaultAMDHost returns the 12-core AMD Opteron 6168 system-under-test
 // host of §6 (1.9 GHz, no hyperthreading).
 func DefaultAMDHost(n *Net, side int, queues int) *Host {
 	return n.AddHost(HostConfig{
-		Name: "amd", Side: side, Cores: 12, ThreadsPerCore: 1,
+		Name: "amd", Side: side, Cores: AMDCores, ThreadsPerCore: 1,
 		FreqHz: 1_900_000_000, Queues: queues,
 		IP:  proto.IPv4(10, 0, 0, 1),
 		MAC: proto.MAC{0x02, 0xAD, 0, 0, 0, 0x01},
@@ -255,7 +277,7 @@ func DefaultAMDHost(n *Net, side int, queues int) *Host {
 // (8 cores, 2 hardware threads per core, 2.26 GHz).
 func DefaultXeonHost(n *Net, side int, queues int, driver ThreadLoc) *Host {
 	return n.AddHost(HostConfig{
-		Name: "xeon", Side: side, Cores: 8, ThreadsPerCore: 2,
+		Name: "xeon", Side: side, Cores: XeonCores, ThreadsPerCore: 2,
 		FreqHz: 2_260_000_000, Queues: queues,
 		IP:     proto.IPv4(10, 0, 0, 1),
 		MAC:    proto.MAC{0x02, 0x8E, 0, 0, 0, 0x01},

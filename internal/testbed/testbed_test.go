@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"neat/internal/baseline"
+	"neat/internal/sim"
 	"neat/internal/stack"
 	"neat/internal/tcpeng"
 )
@@ -77,5 +78,38 @@ func TestBuildNEaTAndBaseline(t *testing.T) {
 	}
 	if _, err := cli2.BuildClientSystem(amd2, 1, tcpeng.DefaultConfig()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLinkSpecShapesEveryAccessLink: the one link-shape declaration
+// overrides only the fields it sets, and a cluster applies it to every
+// machine's access link.
+func TestLinkSpecShapesEveryAccessLink(t *testing.T) {
+	n := New(1)
+	rate, delay := n.Link.BitsPerSec, n.Link.PropDelay
+	LinkSpec{}.Shape(n.Link)
+	if n.Link.BitsPerSec != rate || n.Link.PropDelay != delay {
+		t.Fatal("zero LinkSpec changed the default link")
+	}
+	if err := (LinkSpec{BitsPerSec: -1}).Validate(); err == nil {
+		t.Fatal("negative rate accepted")
+	}
+
+	c, err := NewCluster(sim.New(1), ClusterSpec{
+		Link:    LinkSpec{BitsPerSec: 40_000_000_000, PropDelay: 250 * sim.Nanosecond},
+		Farms:   []FarmSpec{{Name: "f", Members: 2}},
+		Clients: []ClientSpec{{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := []*Host{c.Clients[0].Host}
+	for _, m := range c.Farms[0].Members {
+		hosts = append(hosts, m.Host)
+	}
+	for _, h := range hosts {
+		if l := h.Net.Link; l.BitsPerSec != 40_000_000_000 || l.PropDelay != 250*sim.Nanosecond {
+			t.Fatalf("%s access link is %d b/s, %v", h.Machine.Name, l.BitsPerSec, l.PropDelay)
+		}
 	}
 }

@@ -19,11 +19,20 @@
 //
 // Quick start (see examples/quickstart for the full program):
 //
-//	net := neat.NewNetwork(42)
-//	server := neat.NewServerMachine(net, neat.AMD12)
-//	client := neat.NewClientMachine(net, 2)
-//	sys, _ := server.StartNEaT(client, neat.SystemConfig{Replicas: 3})
-//	...
+//	tb, _ := neat.TopologyConfig{
+//		Seed:   42,
+//		System: neat.SystemConfig{Replicas: 3},
+//	}.Build()
+//	// tb.Server / tb.Client are the machines, tb.System the NEaT stack,
+//	// tb.ClientSystem the load generator's stack; place applications on
+//	// tb.Server.AppThread(n) and drive the world with tb.Net.Sim.RunFor.
+//
+// Every knob group is declared once, in the internal package that consumes
+// it, with its Validate beside it; the facade re-exports it by alias
+// (IPCConfig, GuardConfig, AutoscaleConfig, SwitchConfig, LinkConfig). One
+// function, compileSystem, turns a SystemConfig into what the testbed
+// boots, for a two-machine TopologyConfig and for every member of a
+// ClusterConfig farm alike.
 package neat
 
 import (
@@ -142,29 +151,19 @@ const (
 	Second      = sim.Second
 )
 
-// NewNetwork creates a deterministic simulated network seeded with seed.
-func NewNetwork(seed int64) *Network { return testbed.New(seed) }
-
-// NewServerMachine attaches a system-under-test machine to the network.
-func NewServerMachine(n *Network, model MachineModel) *Machine {
-	switch model {
-	case Xeon8x2:
-		return testbed.DefaultXeonHost(n, 0, 8, testbed.ThreadLoc{Core: 0})
-	default:
-		return testbed.DefaultAMDHost(n, 0, 8)
+// cores is the model's core count: the bound a replica layout must fit.
+func (m MachineModel) cores() int {
+	if m == Xeon8x2 {
+		return testbed.XeonCores
 	}
+	return testbed.AMDCores
 }
 
-// NewClientMachine attaches an oversized load-generator machine with the
-// given number of client stack replicas.
-func NewClientMachine(n *Network, stacks int) *Machine {
-	return testbed.DefaultClientHost(n, 1, stacks)
-}
-
-// SystemConfig configures StartNEaT. The zero value is a working system:
-// two single-component replicas on cores 2 and 3, no TSO, the paper's
-// instantaneous crash oracle for failure detection, and no observability
-// instruments attached.
+// SystemConfig configures one machine's NEaT system — the server of a
+// TopologyConfig, or every member of a FarmConfig. The zero value is a
+// working system: two single-component replicas on cores 2 and 3, no TSO,
+// the paper's instantaneous crash oracle for failure detection, and no
+// observability instruments attached.
 type SystemConfig struct {
 	// Replicas is the partition count (default 2). The testbed NICs
 	// expose 8 RX/TX queue pairs, so at most 8 replicas are steerable.
@@ -194,9 +193,10 @@ type SystemConfig struct {
 	// paper's behaviour (RSS hash indirection, no drain deadline).
 	Steering SteeringConfig
 	// Guard configures the per-replica resource guards against hostile
-	// peers (SYN-backlog shedding, slowloris header/idle deadlines,
-	// per-source connection caps). The zero value disables every guard,
-	// preserving the paper's behaviour exactly; see GuardConfig.
+	// peers (SYN-backlog shedding, SYN cookies, slowloris header/idle
+	// deadlines, per-source connection caps). The zero value disables
+	// every guard, preserving the paper's behaviour exactly; see
+	// GuardConfig.
 	Guard GuardConfig
 	// IPC tunes the modeled shared-memory message rings of every channel
 	// the system creates (replica↔replica, replica↔application, SYSCALL
@@ -206,49 +206,20 @@ type SystemConfig struct {
 }
 
 // IPCConfig tunes the bounded SPSC message rings of §3.2's user-space
-// channels. The zero value is the paper's calibrated behaviour: a
-// per-message doorbell and the package-default ring depth.
-type IPCConfig struct {
-	// RingDepth bounds the in-flight messages per channel; a sender
-	// finding its ring full stalls until the receiver frees the head slot
-	// (counted as sim.ipc.stalls). 0 selects the package default (8192).
-	RingDepth int
-	// CoalesceWakes enables doorbell/wake coalescing: a sender touching an
-	// already-armed ring skips the wake cost and the receiver drains the
-	// ring until empty before re-arming — the fast-channel batching the
-	// paper's scalability rests on. Off by default so results stay
-	// byte-identical to the calibrated per-message model.
-	CoalesceWakes bool
-}
+// channels: RingDepth and CoalesceWakes. The zero value is the paper's
+// calibrated behaviour. Declared in internal/ipc beside the ring.
+type IPCConfig = ipc.Tuning
 
 // GuardConfig bounds the resources one remote peer can pin inside a
-// replica. Guards are the containment half of the adversarial-workload
-// plane: partitioning already limits an attack's blast radius to the
-// replicas its flows hash to, and the guards keep even those replicas
-// serving by shedding the attacker's state deterministically. Each field
-// is independent and disabled at zero. Activity is counted in
-// System.Metrics() as stack.syn_shed, stack.slowloris_reaped and
-// stack.src_capped.
-type GuardConfig struct {
-	// SynBacklog caps half-open (SYN_RCVD) connections per listener per
-	// replica; at the cap the oldest half-open connection is shed to
-	// admit a new SYN, so a SYN flood recycles its own slots instead of
-	// wedging the listener.
-	SynBacklog int
-	// HeaderDeadline reaps an accepted connection that has delivered
-	// fewer than HeaderMinBytes by this deadline — the slowloris defense.
-	HeaderDeadline Time
-	// HeaderMinBytes is the cumulative byte floor for HeaderDeadline
-	// (default 64 when a deadline is set).
-	HeaderMinBytes int
-	// IdleDeadline reaps a connection with no inbound segment at all for
-	// this long (ACKs count as activity, so slow readers of a long
-	// download are safe).
-	IdleDeadline Time
-	// MaxConnsPerSource caps server-side connections per remote address;
-	// SYNs beyond the cap are dropped.
-	MaxConnsPerSource int
-}
+// replica: SYN-backlog shedding, SYN cookies, slowloris header/idle
+// deadlines, per-source connection caps. Guards are the containment half
+// of the adversarial-workload plane: partitioning already limits an
+// attack's blast radius to the replicas its flows hash to, and the guards
+// keep even those replicas serving. Each field is independent and disabled
+// at zero. Activity is counted in System.Metrics() as stack.syn_shed,
+// stack.syn_cookies_sent, stack.slowloris_reaped and stack.src_capped.
+// Declared in internal/tcpeng beside the engine that enforces it.
+type GuardConfig = tcpeng.GuardConfig
 
 // SteeringConfig selects and tunes a flow placement policy.
 type SteeringConfig struct {
@@ -279,9 +250,27 @@ type SteeringConfig struct {
 	DrainDeadline Time
 }
 
+// compile is the one translation of the user-facing steering knobs (a
+// policy name) to the placement plane's config, range checks included. The
+// message starts at the field name; callers prefix the config path.
+func (c SteeringConfig) compile() (steer.Config, error) {
+	policy, err := steer.ParsePolicy(c.Policy)
+	if err != nil {
+		return steer.Config{}, fmt.Errorf("Policy %q: %v; want \"\", \"hash\", \"ring\" or \"least-loaded\"", c.Policy, err)
+	}
+	if c.RingVNodes < 0 {
+		return steer.Config{}, fmt.Errorf("RingVNodes is %d; want 0 (default %d) or a positive count", c.RingVNodes, steer.DefaultRingVNodes)
+	}
+	if c.DrainDeadline < 0 {
+		return steer.Config{}, fmt.Errorf("DrainDeadline is %v; want 0 (drain without deadline) or a positive duration", c.DrainDeadline)
+	}
+	return steer.Config{Policy: policy, RingVNodes: c.RingVNodes, DrainDeadline: c.DrainDeadline}, nil
+}
+
 // Validate reports the first configuration error, with enough context to
-// fix it. StartNEaT calls it; call it directly to check a config built
-// from user input.
+// fix it. Build calls it; call it directly to check a config built from
+// user input. Whether the replica layout fits the machine is checked where
+// the machine is known (TopologyConfig and ClusterConfig Validate/Build).
 func (cfg SystemConfig) Validate() error {
 	if cfg.Replicas < 0 {
 		return fmt.Errorf("neat: SystemConfig.Replicas is %d; want 0 (default 2) or a positive count", cfg.Replicas)
@@ -295,43 +284,28 @@ func (cfg SystemConfig) Validate() error {
 	if cfg.FirstCore == 1 || cfg.FirstCore < 0 {
 		return fmt.Errorf("neat: SystemConfig.FirstCore is %d; cores 0 and 1 host the NIC driver and the SYSCALL server, so replicas start at core 2 (the default)", cfg.FirstCore)
 	}
-	if _, err := steer.ParsePolicy(cfg.Steering.Policy); err != nil {
-		return fmt.Errorf("neat: SystemConfig.Steering.Policy %q: %v; want \"\", \"hash\", \"ring\" or \"least-loaded\"", cfg.Steering.Policy, err)
+	if _, err := cfg.Steering.compile(); err != nil {
+		return fmt.Errorf("neat: SystemConfig.Steering.%v", err)
 	}
-	if cfg.Steering.RingVNodes < 0 {
-		return fmt.Errorf("neat: SystemConfig.Steering.RingVNodes is %d; want 0 (default %d) or a positive count", cfg.Steering.RingVNodes, steer.DefaultRingVNodes)
+	if err := cfg.Guard.Validate(); err != nil {
+		return fmt.Errorf("neat: SystemConfig.Guard.%v", err)
 	}
-	if cfg.Steering.DrainDeadline < 0 {
-		return fmt.Errorf("neat: SystemConfig.Steering.DrainDeadline is %v; want 0 (drain without deadline) or a positive duration", cfg.Steering.DrainDeadline)
-	}
-	if cfg.Guard.SynBacklog < 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.SynBacklog is %d; want 0 (guard off) or a positive half-open cap", cfg.Guard.SynBacklog)
-	}
-	if cfg.Guard.HeaderDeadline < 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.HeaderDeadline is %v; want 0 (guard off) or a positive deadline", cfg.Guard.HeaderDeadline)
-	}
-	if cfg.Guard.HeaderMinBytes < 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.HeaderMinBytes is %d; want 0 (default 64) or a positive byte floor", cfg.Guard.HeaderMinBytes)
-	}
-	if cfg.Guard.HeaderMinBytes > 0 && cfg.Guard.HeaderDeadline == 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.HeaderMinBytes is %d but HeaderDeadline is 0; the byte floor only applies with a deadline set", cfg.Guard.HeaderMinBytes)
-	}
-	if cfg.Guard.IdleDeadline < 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.IdleDeadline is %v; want 0 (guard off) or a positive deadline", cfg.Guard.IdleDeadline)
-	}
-	if cfg.Guard.MaxConnsPerSource < 0 {
-		return fmt.Errorf("neat: SystemConfig.Guard.MaxConnsPerSource is %d; want 0 (guard off) or a positive per-source cap", cfg.Guard.MaxConnsPerSource)
-	}
-	if cfg.IPC.RingDepth < 0 {
-		return fmt.Errorf("neat: SystemConfig.IPC.RingDepth is %d; want 0 (default %d) or a positive in-flight bound", cfg.IPC.RingDepth, ipc.DefaultRingDepth)
+	if err := cfg.IPC.Validate(); err != nil {
+		return fmt.Errorf("neat: SystemConfig.IPC.%v", err)
 	}
 	return nil
 }
 
-// StartNEaT boots a NEaT system on machine m serving traffic from peer.
-func StartNEaT(m, peer *Machine, cfg SystemConfig) (*System, error) {
+// compileSystem is the only translation of a SystemConfig into the
+// testbed's NEaTConfig: TopologyConfig.Build and ClusterConfig.Build both
+// boot exactly what it returns, so a farm member is a two-machine server
+// behind a switch. cores is the target machine's core count — a layout
+// that does not fit is an error here, not a panic inside the testbed — and
+// tr, when non-nil, is the simulation's one tracer (the builder attaches it
+// to the simulator before the system boots).
+func compileSystem(cfg SystemConfig, cores int, tr *trace.Tracer) (testbed.NEaTConfig, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return testbed.NEaTConfig{}, err
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -339,61 +313,29 @@ func StartNEaT(m, peer *Machine, cfg SystemConfig) (*System, error) {
 	if cfg.FirstCore == 0 {
 		cfg.FirstCore = 2
 	}
-	perReplica := 1
 	slots := testbed.SingleSlots(cfg.FirstCore, cfg.Replicas)
 	if cfg.Kind == stack.Multi {
-		perReplica = 2
 		slots = testbed.MultiSlots(cfg.FirstCore, cfg.Replicas)
 	}
-	if last := cfg.FirstCore + perReplica*cfg.Replicas - 1; last >= m.Machine.NumCores() {
-		return nil, fmt.Errorf("neat: %d %s replicas starting at core %d need cores up to %d, but machine %q has %d cores; use fewer replicas or a lower FirstCore",
-			cfg.Replicas, kindName(cfg.Kind), cfg.FirstCore, last, m.Machine.Name, m.Machine.NumCores())
+	lastSlot := slots[len(slots)-1]
+	if lastCore := lastSlot[len(lastSlot)-1].Core; lastCore >= cores {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: %d %s-component replicas starting at core %d need cores up to %d, but the machine has %d cores; use fewer replicas or a lower FirstCore",
+			cfg.Replicas, cfg.Kind, cfg.FirstCore, lastCore, cores)
 	}
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = cfg.TSO
-	tcp.Guard = tcpeng.GuardConfig{
-		SynBacklog:        cfg.Guard.SynBacklog,
-		HeaderDeadline:    cfg.Guard.HeaderDeadline,
-		HeaderMinBytes:    cfg.Guard.HeaderMinBytes,
-		IdleDeadline:      cfg.Guard.IdleDeadline,
-		MaxConnsPerSource: cfg.Guard.MaxConnsPerSource,
-	}
-	var obs core.ObserveConfig
-	if cfg.Observe {
-		obs.Trace = trace.New().Attach(m.Net.Sim)
-	}
-	var wd core.WatchdogConfig
-	wd.Enabled = cfg.Watchdog
-	policy, _ := steer.ParsePolicy(cfg.Steering.Policy) // Validate checked it
-	return m.BuildNEaT(peer, testbed.NEaTConfig{
-		Kind: cfg.Kind, TCP: tcp,
+	tcp.Guard = cfg.Guard
+	steering, _ := cfg.Steering.compile() // Validate checked it
+	return testbed.NEaTConfig{
+		Kind:     cfg.Kind,
+		TCP:      tcp,
 		Slots:    slots,
 		Syscall:  testbed.ThreadLoc{Core: 1},
-		Watchdog: wd,
-		Observe:  obs,
-		Steering: steer.Config{
-			Policy:        policy,
-			RingVNodes:    cfg.Steering.RingVNodes,
-			DrainDeadline: cfg.Steering.DrainDeadline,
-		},
-		IPC: testbed.IPCTuning{
-			RingDepth:     cfg.IPC.RingDepth,
-			CoalesceWakes: cfg.IPC.CoalesceWakes,
-		},
-	})
-}
-
-// kindName names a replica kind in error messages.
-func kindName(k ReplicaKind) string {
-	if k == stack.Multi {
-		return "multi-component"
-	}
-	return "single-component"
-}
-
-// StartClientSystem boots the load-generator-side stack on machine m.
-func StartClientSystem(m, peer *Machine, stacks int) (*System, error) {
-	return m.BuildClientSystem(peer, stacks, tcpeng.DefaultConfig())
+		Watchdog: core.WatchdogConfig{Enabled: cfg.Watchdog},
+		Observe:  core.ObserveConfig{Trace: tr},
+		Steering: steering,
+		IPC:      cfg.IPC,
+	}, nil
 }
 
 // Experiments re-exports the paper's evaluation harness.

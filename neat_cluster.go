@@ -6,16 +6,14 @@ package neat
 // store-and-forward switch, one access link per machine, L4 virtual
 // services steering each farm's flows across its member machines with the
 // same placement policies that steer flows across replicas within a
-// machine. The two-machine helpers (NewNetwork, NewServerMachine,
-// NewClientMachine, StartNEaT) remain the short path for single-link
-// work; a cluster is what you reach for when the question spans machines:
+// machine. TopologyConfig (below) is the short path for single-link work;
+// a cluster is what you reach for when the question spans machines:
 // farm-level autoscaling, cross-machine failover, multi-tenant isolation.
 
 import (
 	"fmt"
 
 	"neat/internal/sim"
-	"neat/internal/steer"
 	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 	"neat/internal/trace"
@@ -69,27 +67,24 @@ type ClusterConfig struct {
 	Farms []FarmConfig
 	// Clients are the load-generator machines (at least one).
 	Clients []ClientConfig
-	// Observe attaches a message tracer to the whole cluster before
-	// boot (per-hop latency spans via Cluster tracing; serializes PDES
-	// execution without changing behavior).
+	// Observe attaches one message tracer to the whole cluster before
+	// boot and hands it to every member system, so any member's
+	// Sys.Trace() reaches the per-hop latency spans and the lifecycle
+	// timeline (serializes PDES execution without changing behavior).
+	// Setting a farm's System.Observe does the same: a simulator has one
+	// tracer, never one per member.
 	Observe bool
 }
 
-// SwitchConfig shapes the cluster switch.
-type SwitchConfig struct {
-	// Name labels the switch (default "tor").
-	Name string
-	// Latency is the store-and-forward delay per frame (default 1 µs).
-	Latency Time
-}
+// SwitchConfig shapes the cluster switch: Name (default "tor") and the
+// per-frame store-and-forward Latency (default 1 µs). Declared in
+// internal/testbed beside the cluster builder.
+type SwitchConfig = testbed.SwitchSpec
 
-// LinkConfig shapes the per-machine access links.
-type LinkConfig struct {
-	// BitsPerSec is the line rate (default 10 Gb/s).
-	BitsPerSec int64
-	// PropDelay is the propagation delay (default 1 µs).
-	PropDelay Time
-}
+// LinkConfig shapes the per-machine access links: BitsPerSec (default
+// 10 Gb/s) and PropDelay (default 1 µs). Declared in internal/testbed
+// beside the link builder.
+type LinkConfig = testbed.LinkSpec
 
 // FarmConfig declares one server farm: Members identical NEaT machines
 // behind a shared virtual IP, load-balanced by an L4 service on the
@@ -110,7 +105,8 @@ type FarmConfig struct {
 	// autoscaler can activate.
 	InitialActive int
 	// System configures each member machine's NEaT system, exactly as
-	// StartNEaT would interpret it on a two-machine network. The
+	// TopologyConfig.System does for a two-machine server (one compile
+	// path; members are 12-core AMD machines with 8 NIC queues). The
 	// watchdog is always on regardless of System.Watchdog: its
 	// heartbeat counters are the farm controller's cross-machine
 	// liveness signal.
@@ -126,23 +122,12 @@ type FarmConfig struct {
 	Autoscale AutoscaleConfig
 }
 
-// AutoscaleConfig is the farm controller's scaling policy: watermark
-// rules over the mean live-connection count per active member.
-type AutoscaleConfig struct {
-	// Interval between controller evaluations (default 250 µs).
-	Interval Time
-	// HighWater activates a standby member when the mean exceeds it
-	// (0 disables scaling up).
-	HighWater int
-	// LowWater drains a member when the mean falls below it (0 disables
-	// scaling down).
-	LowWater int
-	// MinActive floors scale-down (default 1).
-	MinActive int
-	// Cooldown is the minimum time between scale events (default
-	// 4×Interval).
-	Cooldown Time
-}
+// AutoscaleConfig is the farm controller's policy: evaluation Interval
+// (default 250 µs), HighWater/LowWater rules over the mean live-connection
+// count per active member (0 disables that direction), the MinActive floor
+// (default 1) and the Cooldown between scale events (default 4×Interval).
+// Declared in internal/testbed beside the controller loop.
+type AutoscaleConfig = testbed.FarmControlConfig
 
 // ClientConfig declares one load-generator machine.
 type ClientConfig struct {
@@ -154,28 +139,27 @@ type ClientConfig struct {
 	Stacks int
 }
 
-// spec compiles the declarative config to the testbed's resolved form.
-func (cfg ClusterConfig) spec() (testbed.ClusterSpec, error) {
-	spec := testbed.ClusterSpec{
-		Switch: testbed.SwitchSpec{
-			Name:    cfg.Switch.Name,
-			Latency: cfg.Switch.Latency,
-		},
-		LinkBitsPerSec: cfg.Link.BitsPerSec,
-		LinkPropDelay:  cfg.Link.PropDelay,
+// spec compiles the declarative config to the testbed's resolved form and
+// validates the result. tr is the cluster's one tracer when tracing was
+// asked for (nil from Validate); it reaches the members of every farm that
+// asked, or all of them under ClusterConfig.Observe.
+func (cfg ClusterConfig) spec(tr *trace.Tracer) (testbed.ClusterSpec, error) {
+	spec := testbed.ClusterSpec{Switch: cfg.Switch, Link: cfg.Link}
+	if cfg.PDESWorkers < 0 {
+		return spec, fmt.Errorf("neat: ClusterConfig.PDESWorkers is %d; want 0 (sequential) or a positive worker count", cfg.PDESWorkers)
 	}
 	for _, f := range cfg.Farms {
-		if err := f.System.Validate(); err != nil {
-			return spec, fmt.Errorf("neat: farm %q: %v", f.Name, err)
+		var memberTrace *trace.Tracer
+		if cfg.Observe || f.System.Observe {
+			memberTrace = tr
 		}
-		nc, err := compileSystem(f.System)
+		nc, err := compileSystem(f.System, testbed.AMDCores, memberTrace)
 		if err != nil {
 			return spec, fmt.Errorf("neat: farm %q: %v", f.Name, err)
 		}
-		policy, err := steer.ParsePolicy(f.Steering.Policy)
+		steering, err := f.Steering.compile()
 		if err != nil {
-			return spec, fmt.Errorf("neat: farm %q steering policy %q: %v; want \"\", \"hash\" or \"ring\"",
-				f.Name, f.Steering.Policy, err)
+			return spec, fmt.Errorf("neat: farm %q: Steering.%v", f.Name, err)
 		}
 		spec.Farms = append(spec.Farms, testbed.FarmSpec{
 			Name:          f.Name,
@@ -183,17 +167,8 @@ func (cfg ClusterConfig) spec() (testbed.ClusterSpec, error) {
 			Members:       f.Members,
 			InitialActive: f.InitialActive,
 			NEaT:          nc,
-			Steering: steer.Config{
-				Policy:     policy,
-				RingVNodes: f.Steering.RingVNodes,
-			},
-			Control: testbed.FarmControlConfig{
-				Interval:  f.Autoscale.Interval,
-				HighWater: f.Autoscale.HighWater,
-				LowWater:  f.Autoscale.LowWater,
-				MinActive: f.Autoscale.MinActive,
-				Cooldown:  f.Autoscale.Cooldown,
-			},
+			Steering:      steering,
+			Control:       f.Autoscale,
 		})
 	}
 	for _, cl := range cfg.Clients {
@@ -202,27 +177,15 @@ func (cfg ClusterConfig) spec() (testbed.ClusterSpec, error) {
 			Stacks: cl.Stacks,
 		})
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 // Validate reports the first configuration error, with enough context to
 // fix it. Build calls it; call it directly to check a config assembled
 // from user input.
 func (cfg ClusterConfig) Validate() error {
-	if cfg.PDESWorkers < 0 {
-		return fmt.Errorf("neat: ClusterConfig.PDESWorkers is %d; want 0 (sequential) or a positive worker count", cfg.PDESWorkers)
-	}
-	if cfg.Switch.Latency < 0 {
-		return fmt.Errorf("neat: ClusterConfig.Switch.Latency is %v; want 0 (default 1 µs) or a positive delay", cfg.Switch.Latency)
-	}
-	if cfg.Link.BitsPerSec < 0 || cfg.Link.PropDelay < 0 {
-		return fmt.Errorf("neat: ClusterConfig.Link is %+v; rate and propagation delay must be 0 (defaults) or positive", cfg.Link)
-	}
-	spec, err := cfg.spec()
-	if err != nil {
-		return err
-	}
-	return spec.Validate()
+	_, err := cfg.spec(nil)
+	return err
 }
 
 // Build boots the cluster: its own simulator (sequential or PDES per
@@ -231,10 +194,15 @@ func (cfg ClusterConfig) Validate() error {
 // Cluster.Sim and observe it through Cluster.Events, Farm.Service and
 // each member's System.
 func (cfg ClusterConfig) Build() (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	var tr *trace.Tracer
+	observed := cfg.Observe
+	for _, f := range cfg.Farms {
+		observed = observed || f.System.Observe
 	}
-	spec, err := cfg.spec()
+	if observed {
+		tr = trace.New()
+	}
+	spec, err := cfg.spec(tr)
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +214,8 @@ func (cfg ClusterConfig) Build() (*Cluster, error) {
 	if cfg.PDESWorkers > 0 {
 		s.EnablePDES(cfg.PDESWorkers)
 	}
-	if cfg.Observe {
-		trace.New().Attach(s)
+	if tr != nil {
+		tr.Attach(s)
 	}
 	return testbed.NewCluster(s, spec)
 }
@@ -264,10 +232,7 @@ type Testbed struct {
 
 // TopologyConfig declares the classic two-machine testbed — one NEaT
 // server, one load-generator client, one point-to-point link — as a
-// single value. It is the declarative form of the
-// NewNetwork/NewServerMachine/NewClientMachine/StartNEaT sequence (which
-// remains available for incremental assembly); Build performs exactly
-// that sequence, so a migrated caller sees byte-identical simulations.
+// single value.
 type TopologyConfig struct {
 	// Seed drives the deterministic simulation (default 1).
 	Seed int64
@@ -279,24 +244,39 @@ type TopologyConfig struct {
 	System SystemConfig
 	// Tune, when non-nil, runs against the server system before the
 	// client side boots (scale adjustments, fault arming), so its events
-	// land at the same simulated time as a hand-rolled boot sequence.
+	// land before the client stack's boot events.
 	Tune func(*System) error
 }
 
-// Validate reports the first configuration error. Build calls it.
-func (cfg TopologyConfig) Validate() error {
+// compile checks the topology's own fields and compiles the server system
+// against the chosen model's core count.
+func (cfg TopologyConfig) compile(tr *trace.Tracer) (testbed.NEaTConfig, error) {
 	if cfg.ClientStacks < 0 {
-		return fmt.Errorf("neat: TopologyConfig.ClientStacks is %d; want 0 (default 1) or a positive count", cfg.ClientStacks)
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.ClientStacks is %d; want 0 (default 1) or a positive count", cfg.ClientStacks)
 	}
 	if cfg.Server != AMD12 && cfg.Server != Xeon8x2 {
-		return fmt.Errorf("neat: TopologyConfig.Server is %d; want neat.AMD12 or neat.Xeon8x2", cfg.Server)
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.Server is %d; want neat.AMD12 or neat.Xeon8x2", cfg.Server)
 	}
-	return cfg.System.Validate()
+	return compileSystem(cfg.System, cfg.Server.cores(), tr)
 }
 
-// Build boots the declared testbed.
+// Validate reports the first configuration error, a replica layout that
+// does not fit the chosen server model included. Build calls it.
+func (cfg TopologyConfig) Validate() error {
+	_, err := cfg.compile(nil)
+	return err
+}
+
+// Build boots the declared testbed: the server machine (8 NIC queues) and
+// the oversized client machine on one link, the NEaT system, Tune, then
+// the client-side stack.
 func (cfg TopologyConfig) Build() (*Testbed, error) {
-	if err := cfg.Validate(); err != nil {
+	var tr *trace.Tracer
+	if cfg.System.Observe {
+		tr = trace.New()
+	}
+	nc, err := cfg.compile(tr)
+	if err != nil {
 		return nil, err
 	}
 	seed := cfg.Seed
@@ -307,10 +287,18 @@ func (cfg TopologyConfig) Build() (*Testbed, error) {
 	if stacks == 0 {
 		stacks = 1
 	}
-	net := NewNetwork(seed)
-	server := NewServerMachine(net, cfg.Server)
-	client := NewClientMachine(net, stacks)
-	sys, err := StartNEaT(server, client, cfg.System)
+	net := testbed.New(seed)
+	var server *Machine
+	if cfg.Server == Xeon8x2 {
+		server = testbed.DefaultXeonHost(net, 0, 8, testbed.ThreadLoc{Core: 0})
+	} else {
+		server = testbed.DefaultAMDHost(net, 0, 8)
+	}
+	client := testbed.DefaultClientHost(net, 1, stacks)
+	if tr != nil {
+		tr.Attach(net.Sim)
+	}
+	sys, err := server.BuildNEaT(client, nc)
 	if err != nil {
 		return nil, err
 	}
@@ -319,51 +307,10 @@ func (cfg TopologyConfig) Build() (*Testbed, error) {
 			return nil, err
 		}
 	}
-	clisys, err := StartClientSystem(client, server, stacks)
+	clisys, err := client.BuildClientSystem(server, stacks, tcpeng.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	return &Testbed{Net: net, Server: server, Client: client,
 		System: sys, ClientSystem: clisys}, nil
-}
-
-// compileSystem translates the facade's per-machine SystemConfig into the
-// testbed's NEaTConfig — the same interpretation StartNEaT applies,
-// shared so a farm member is exactly a StartNEaT machine behind a switch.
-// The caller has run cfg.Validate.
-func compileSystem(cfg SystemConfig) (testbed.NEaTConfig, error) {
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.FirstCore == 0 {
-		cfg.FirstCore = 2
-	}
-	slots := testbed.SingleSlots(cfg.FirstCore, cfg.Replicas)
-	if cfg.Kind == MultiComponent {
-		slots = testbed.MultiSlots(cfg.FirstCore, cfg.Replicas)
-	}
-	tcp := tcpeng.DefaultConfig()
-	tcp.TSO = cfg.TSO
-	tcp.Guard.SynBacklog = cfg.Guard.SynBacklog
-	tcp.Guard.HeaderDeadline = cfg.Guard.HeaderDeadline
-	tcp.Guard.HeaderMinBytes = cfg.Guard.HeaderMinBytes
-	tcp.Guard.IdleDeadline = cfg.Guard.IdleDeadline
-	tcp.Guard.MaxConnsPerSource = cfg.Guard.MaxConnsPerSource
-	policy, err := steer.ParsePolicy(cfg.Steering.Policy)
-	if err != nil {
-		return testbed.NEaTConfig{}, err
-	}
-	nc := testbed.NEaTConfig{
-		Kind:    cfg.Kind,
-		TCP:     tcp,
-		Slots:   slots,
-		Syscall: testbed.ThreadLoc{Core: 1},
-		Steering: steer.Config{
-			Policy:        policy,
-			RingVNodes:    cfg.Steering.RingVNodes,
-			DrainDeadline: cfg.Steering.DrainDeadline,
-		},
-	}
-	nc.Watchdog.Enabled = cfg.Watchdog
-	return nc, nil
 }
