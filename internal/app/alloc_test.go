@@ -1,0 +1,67 @@
+package app
+
+import (
+	"runtime"
+	"testing"
+
+	"neat/internal/bufpool"
+	"neat/internal/sim"
+	"neat/internal/tcpeng"
+)
+
+// Allocation budgets of one HTTP exchange through the whole system — load
+// generator, two socket libraries, two NEaT stacks, drivers, NICs and the
+// wire — on warm keep-alive connections. The per-byte path allocates
+// nothing in steady state (receive chunks, EvData boxes, TSO payloads and
+// frames cycle through pools, the send buffer reuses its array); what is
+// left is per message, mostly event boxing in internal/sim and internal/ipc.
+// A copy or a box that stops being pooled fails here, not in a re-anchor.
+
+// replyCost runs a warm closed-loop web bed and returns heap allocations and
+// bytes per completed reply.
+func replyCost(t *testing.T, fileSize, conns int, tso bool, warm, window sim.Time) (allocs, bytes float64) {
+	t.Helper()
+	if bufpool.RaceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	tcp := tcpeng.DefaultConfig()
+	tcp.TSO = tso
+	b := newWebBed(t, 2, 1, 1, tcp,
+		HTTPDConfig{Files: map[string]int{"/f": fileSize}},
+		LoadgenConfig{Conns: conns, ReqPerConn: 1_000_000, URI: "/f"})
+	b.start()
+	b.run(warm)
+	before := b.responses()
+	var m0, m1 runtime.MemStats
+	runtime.GC() // start the window with warm pools and no collection due
+	runtime.ReadMemStats(&m0)
+	b.run(window)
+	runtime.ReadMemStats(&m1)
+	replies := b.responses() - before
+	if replies < 100 || b.errors() != 0 {
+		t.Fatalf("%d replies in the window, %d errors", replies, b.errors())
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(replies),
+		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(replies)
+}
+
+func TestBulkReplyAllocBudget(t *testing.T) {
+	allocs, bytes := replyCost(t, 64<<10, 4, true, 20*sim.Millisecond, 50*sim.Millisecond)
+	t.Logf("64 KiB reply: %.1f allocs, %.0f B", allocs, bytes)
+	// Measured 2.4 and 134 B. With the benchmark's own generator, which arms
+	// a timer per request, the same reply counts 6.8 and 0.9 kB (web_bulk);
+	// it was 107 and 212 kB when every segment grew a slice.
+	if allocs > 5 || bytes > 1024 {
+		t.Fatalf("a warm 64 KiB keep-alive reply costs %.1f allocations and %.0f B; budget 5 and 1024", allocs, bytes)
+	}
+}
+
+func TestSmallReplyAllocBudget(t *testing.T) {
+	allocs, bytes := replyCost(t, 20, 16, false, 10*sim.Millisecond, 20*sim.Millisecond)
+	t.Logf("20 B reply: %.1f allocs, %.0f B", allocs, bytes)
+	// Measured 2.4; 5.4 with the benchmark's generator (web_small), 13.4
+	// before receive chunks and EvData boxes were pooled.
+	if allocs > 5 {
+		t.Fatalf("a warm 20 B keep-alive reply costs %.1f allocations; budget 5", allocs)
+	}
+}

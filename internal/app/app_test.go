@@ -6,6 +6,7 @@ import (
 	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
+	"neat/internal/socketlib"
 	"neat/internal/stack"
 	"neat/internal/tcpeng"
 	"neat/internal/testbed"
@@ -290,5 +291,82 @@ func TestSyntheticBody(t *testing.T) {
 	}
 	if parseContentLength([]byte("junk")) != 0 {
 		t.Fatal("missing content-length should be 0")
+	}
+}
+
+// TestResponseHeadFormat pins the bytes of a response head (the md5 oracles
+// pin them end to end) and headLen against appendHead across every digit
+// count: the head is written into a slab carved to headLen bytes, so a
+// miscount would silently truncate it.
+func TestResponseHeadFormat(t *testing.T) {
+	if got, want := string(appendHead(nil, "200 OK", 65536, false)),
+		"HTTP/1.1 200 OK\r\nContent-Length: 65536\r\nConnection: keep-alive\r\n\r\n"; got != want {
+		t.Fatalf("head = %q, want %q", got, want)
+	}
+	if got, want := string(appendHead(nil, "404 X", 9, true)),
+		"HTTP/1.1 404 X\r\nContent-Length: 9\r\nConnection: close\r\n\r\n"; got != want {
+		t.Fatalf("head = %q, want %q", got, want)
+	}
+	for _, n := range []int{0, 1, 9, 10, 11, 99, 100, 999, 1000, 65535, 65536, 99999, 100000, 10 << 20, 1<<31 - 1} {
+		for _, closeAfter := range []bool{false, true} {
+			if got, want := headLen("200 OK", n, closeAfter), len(appendHead(nil, "200 OK", n, closeAfter)); got != want {
+				t.Fatalf("headLen(%d, close=%v) = %d, appendHead wrote %d", n, closeAfter, got, want)
+			}
+		}
+	}
+}
+
+// TestHTTPDRequestParsing feeds the in-place request parser directly: split
+// and pipelined requests, the 400 and 404 paths, and inbuf rewinding to its
+// base once drained. The socket is not open, so responses are built and
+// released without a stack behind them.
+func TestHTTPDRequestParsing(t *testing.T) {
+	s := sim.New(1)
+	m := sim.NewMachine(s, "m", 1, 1, 1_000_000_000)
+	h := &HTTPD{cfg: HTTPDConfig{Files: map[string]int{"/f": 20}, MaxRequestsPerConn: 1000,
+		CyclesPerRequest: 1, CyclesPerKB: 1, ChunkSize: 64 << 10}}
+	newConn := func() *httpConn { return &httpConn{srv: h, sock: &socketlib.Socket{}} }
+	c := newConn()
+	p := sim.NewProc(m.Thread(0, 0), "httpd", sim.HandlerFunc(func(ctx *sim.Context, msg sim.Message) {
+		c.onData(ctx, []byte(msg.(string)), false)
+	}), sim.ProcConfig{})
+	feed := func(in string) {
+		p.Deliver(in)
+		s.Drain()
+	}
+
+	feed("GET /f HT")
+	if h.stats.Requests != 0 || string(c.inbuf) != "GET /f HT" {
+		t.Fatalf("half a request line: %d requests, inbuf %q", h.stats.Requests, c.inbuf)
+	}
+	feed("TP/1.1\r\nHost: sut\r\n\r\nGET /f HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\nGET /f")
+	if st := h.stats; st.Requests != 3 || st.Responses != 3 || st.NotFound != 1 || st.BadReqs != 0 {
+		t.Fatalf("pipelined requests: %+v", st)
+	}
+	if string(c.inbuf) != "GET /f" {
+		t.Fatalf("unparsed tail %q, want it at the base of inbuf", c.inbuf)
+	}
+	base := &c.inbuf[0]
+	feed(" HTTP/1.1\r\n\r\n")
+	if h.stats.Requests != 4 || len(c.inbuf) != 0 {
+		t.Fatalf("completed tail: %d requests, %d bytes left", h.stats.Requests, len(c.inbuf))
+	}
+	feed("GET /f HTTP/1.1\r\n\r\n")
+	if c.inbuf = c.inbuf[:1]; &c.inbuf[0] != base {
+		t.Fatal("a drained inbuf did not rewind to its base")
+	}
+
+	for _, bad := range []string{"POST /f HTTP/1.1\r\n\r\n", "GET /f\r\n\r\n", "GET\r\n\r\n", "\r\n\r\n"} {
+		c = newConn()
+		before := h.stats.BadReqs
+		feed(bad)
+		if h.stats.BadReqs != before+1 || !c.closing {
+			t.Fatalf("%q: BadReqs %d -> %d, closing=%v", bad, before, h.stats.BadReqs, c.closing)
+		}
+	}
+	c = newConn()
+	feed("GET  HTTP/1.1\r\n\r\n") // empty path: well-formed, not found
+	if h.stats.NotFound != 2 {
+		t.Fatalf("empty path: NotFound = %d, want 2", h.stats.NotFound)
 	}
 }

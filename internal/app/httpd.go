@@ -9,7 +9,6 @@ package app
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 
 	"neat/internal/bufpool"
@@ -142,25 +141,31 @@ func (h *HTTPD) accept(ctx *sim.Context, s *socketlib.Socket) {
 	}
 }
 
-// onData buffers and parses pipelined HTTP/1.1 requests.
+// onData buffers and parses pipelined HTTP/1.1 requests. What is left
+// unparsed moves back to the base of inbuf, so a connection that drains its
+// requests — every keep-alive one does — appends into the same array for its
+// whole life.
 func (c *httpConn) onData(ctx *sim.Context, data []byte, eof bool) {
 	c.inbuf = append(c.inbuf, data...)
+	rest := c.inbuf
 	for !c.closing {
-		end := bytes.Index(c.inbuf, []byte("\r\n\r\n"))
+		end := bytes.Index(rest, []byte("\r\n\r\n"))
 		if end < 0 {
 			break
 		}
-		req := c.inbuf[:end]
-		c.inbuf = c.inbuf[end+4:]
+		req := rest[:end]
+		rest = rest[end+4:]
 		c.handleRequest(ctx, req)
 	}
+	c.inbuf = c.inbuf[:copy(c.inbuf, rest)]
 	if eof && !c.closing {
 		c.closing = true
 		c.sock.Close(ctx)
 	}
 }
 
-// handleRequest serves one parsed request head.
+// handleRequest serves one parsed request head. The request line is read in
+// place: "GET <path> <version>".
 func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 	h := c.srv
 	h.stats.Requests++
@@ -170,19 +175,23 @@ func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 	if i := bytes.IndexByte(line, '\r'); i >= 0 {
 		line = line[:i]
 	}
-	parts := bytes.SplitN(line, []byte(" "), 3)
-	if len(parts) < 3 || string(parts[0]) != "GET" {
+	sp1 := bytes.IndexByte(line, ' ')
+	sp2 := -1
+	if sp1 >= 0 {
+		sp2 = bytes.IndexByte(line[sp1+1:], ' ')
+	}
+	if sp2 < 0 || string(line[:sp1]) != "GET" {
 		h.stats.BadReqs++
-		c.respond(ctx, 400, []byte("bad request"), true)
+		c.respond(ctx, "400 X", "bad request", true)
 		return
 	}
-	path := string(parts[1])
+	path := line[sp1+1 : sp1+1+sp2]
 	wantClose := bytes.Contains(req, []byte("Connection: close"))
 
-	size, ok := h.cfg.Files[path]
+	size, ok := h.cfg.Files[string(path)]
 	if !ok {
 		h.stats.NotFound++
-		c.respond(ctx, 404, []byte("not found"), wantClose)
+		c.respond(ctx, "404 X", "not found", wantClose)
 		return
 	}
 	c.served++
@@ -192,16 +201,37 @@ func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 	c.respondFile(ctx, size, wantClose)
 }
 
+// appendHead appends the head of a response with the given status text and
+// body length to b. Responses are written straight into their slab, which
+// has to be carved first: headLen is the number of bytes appendHead appends.
+func appendHead(b []byte, status string, length int, closeAfter bool) []byte {
+	b = append(b, "HTTP/1.1 "...)
+	b = append(b, status...)
+	b = append(b, "\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(length), 10)
+	b = append(b, "\r\n"...)
+	b = append(b, connHeader(closeAfter)...)
+	return append(b, "\r\n"...)
+}
+
+func headLen(status string, length int, closeAfter bool) int {
+	digits := 1
+	for n := length; n >= 10; n /= 10 {
+		digits++
+	}
+	return len("HTTP/1.1 ") + len(status) + len("\r\nContent-Length: ") + digits +
+		len("\r\n") + len(connHeader(closeAfter)) + len("\r\n")
+}
+
 // respond sends a small literal response.
-func (c *httpConn) respond(ctx *sim.Context, code int, body []byte, closeAfter bool) {
+func (c *httpConn) respond(ctx *sim.Context, status, body string, closeAfter bool) {
 	h := c.srv
-	head := fmt.Sprintf("HTTP/1.1 %d X\r\nContent-Length: %d\r\n%s\r\n",
-		code, len(body), connHeader(closeAfter))
+	n := headLen(status, len(body), closeAfter)
+	ref := h.arena.Alloc(n + len(body))
+	appendHead(ref.B[:0], status, len(body), closeAfter)
+	copy(ref.B[n:], body)
 	h.stats.Responses++
-	h.stats.BytesOut += uint64(len(head) + len(body))
-	ref := h.arena.Alloc(len(head) + len(body))
-	copy(ref.B, head)
-	copy(ref.B[len(head):], body)
+	h.stats.BytesOut += uint64(len(ref.B))
 	c.sock.SendRef(ctx, ref)
 	if closeAfter {
 		c.closing = true
@@ -213,26 +243,27 @@ func (c *httpConn) respond(ctx *sim.Context, code int, body []byte, closeAfter b
 // bodies lazily on send-space notifications.
 func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 	h := c.srv
-	head := "HTTP/1.1 200 OK\r\nContent-Length: " + strconv.Itoa(size) +
-		"\r\n" + connHeader(closeAfter) + "\r\n"
+	n := headLen("200 OK", size, closeAfter)
 	ctx.Charge(h.cfg.CyclesPerKB * int64(size/1024+1))
 	h.stats.Responses++
-	h.stats.BytesOut += uint64(len(head) + size)
+	h.stats.BytesOut += uint64(n + size)
 
 	if closeAfter {
 		c.closing = true
 	}
-	if len(head)+size <= h.cfg.ChunkSize {
-		ref := h.arena.Alloc(len(head) + size)
-		copy(ref.B, head)
-		FillSynthetic(ref.B[len(head):])
+	if n+size <= h.cfg.ChunkSize {
+		ref := h.arena.Alloc(n + size)
+		appendHead(ref.B[:0], "200 OK", size, closeAfter)
+		FillSynthetic(ref.B[n:])
 		c.sock.SendRef(ctx, ref)
 		if closeAfter {
 			c.sock.Close(ctx)
 		}
 		return
 	}
-	c.sock.SendRef(ctx, h.arena.AllocString(head))
+	ref := h.arena.Alloc(n)
+	appendHead(ref.B[:0], "200 OK", size, closeAfter)
+	c.sock.SendRef(ctx, ref)
 	c.sendRemaining = size
 	c.pump(ctx)
 }

@@ -232,38 +232,58 @@ func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
 	c.timer = ctx.TimerAfter(lg.cfg.Timeout, lgTimeout{c: c, gen: c.gen})
 }
 
-// onData consumes response bytes, completing requests as bodies fill.
+// onData consumes response bytes, completing requests as bodies fill. Bytes
+// are read off the slice the library lends; only an incomplete response head
+// is kept until the next call, at the base of inbuf.
 func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
-	c.inbuf = append(c.inbuf, data...)
+	buf := data
+	if len(c.inbuf) > 0 {
+		c.inbuf = append(c.inbuf, data...)
+		buf = c.inbuf
+	}
+	c.inbuf = append(c.inbuf[:0], lg.consume(ctx, c, buf)...)
+	if eof && !c.done {
+		// Server closed early (e.g. its keep-alive limit) — only an error
+		// if a request was outstanding.
+		if c.expect != -1 || c.sent < lg.cfg.ReqPerConn {
+			lg.connError(ctx, c, false)
+		} else {
+			c.sock.Close(ctx)
+		}
+	}
+}
+
+// consume completes the responses buf holds and returns what it could not
+// use yet: the start of a response head, or nothing.
+func (lg *Loadgen) consume(ctx *sim.Context, c *lgConn, buf []byte) []byte {
 	for {
 		if c.expect == -1 {
 			// Parse response head.
-			end := bytes.Index(c.inbuf, []byte("\r\n\r\n"))
+			end := bytes.Index(buf, []byte("\r\n\r\n"))
 			if end < 0 {
-				break
+				return buf
 			}
-			head := c.inbuf[:end]
-			c.inbuf = c.inbuf[end+4:]
+			head := buf[:end]
+			buf = buf[end+4:]
 			c.expect = parseContentLength(head)
 			c.closeAfter = bytes.Contains(head, []byte("Connection: close"))
 		}
-		if c.expect > len(c.inbuf) {
-			// Consume (and discard) partial body bytes so huge responses
-			// never accumulate in the buffer.
-			c.bodySeen += len(c.inbuf)
-			c.expect -= len(c.inbuf)
-			c.inbuf = nil
-			break
+		if c.expect > len(buf) {
+			// Body bytes are counted, never kept: huge responses do not
+			// accumulate anywhere.
+			c.bodySeen += len(buf)
+			c.expect -= len(buf)
+			return nil
 		}
 		// Rest of the response body is here.
 		c.bodySeen += c.expect
-		c.inbuf = c.inbuf[c.expect:]
+		buf = buf[c.expect:]
 		body := c.bodySeen
 		c.bodySeen = 0
 		c.expect = -1
 		lg.completeResponse(ctx, c, body)
 		if c.done {
-			return
+			return nil
 		}
 		if c.closeAfter {
 			// The server ends the connection here (its keep-alive limit or
@@ -273,34 +293,24 @@ func (lg *Loadgen) onData(ctx *sim.Context, c *lgConn, data []byte, eof bool) {
 			lg.stats.ConnsCompleted++
 			c.sock.Close(ctx)
 			lg.openConn(ctx)
-			return
+			return nil
 		}
-		if c.sent < lg.cfg.ReqPerConn {
-			if lg.cfg.ThinkTime > 0 {
-				ctx.TimerAfter(lg.cfg.ThinkTime, lgThinkDone{c: c, gen: c.gen})
-				break
-			}
-			lg.sendRequest(ctx, c)
-			// Responses cannot be pipelined beyond what we requested.
-			if len(c.inbuf) == 0 {
-				break
-			}
-			continue
-		}
-		// Connection complete.
-		c.done = true
-		lg.stats.ConnsCompleted++
-		c.sock.Close(ctx)
-		lg.openConn(ctx)
-		return
-	}
-	if eof && !c.done {
-		// Server closed early (e.g. its keep-alive limit) — only an error
-		// if a request was outstanding.
-		if c.expect != -1 || c.sent < lg.cfg.ReqPerConn {
-			lg.connError(ctx, c, false)
-		} else {
+		if c.sent >= lg.cfg.ReqPerConn {
+			// Connection complete.
+			c.done = true
+			lg.stats.ConnsCompleted++
 			c.sock.Close(ctx)
+			lg.openConn(ctx)
+			return nil
+		}
+		if lg.cfg.ThinkTime > 0 {
+			ctx.TimerAfter(lg.cfg.ThinkTime, lgThinkDone{c: c, gen: c.gen})
+			return buf
+		}
+		lg.sendRequest(ctx, c)
+		// Responses cannot be pipelined beyond what we requested.
+		if len(buf) == 0 {
+			return nil
 		}
 	}
 }

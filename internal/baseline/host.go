@@ -171,12 +171,13 @@ func (kh *kernelHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		c.Ctx = &sockCtx{app: m.App, reqID: m.ReqID, home: h.curProc}
 		h.conns[c.ID] = c
 	case *stack.OpSend:
-		// Pooled fast-path form (socketlib): recycle the box after the
-		// bytes are absorbed and the Ref released.
-		h.opSend(m.ConnID, m.Data, m.Ref, m.WantSpace)
+		// Pooled fast-path form (socketlib): once the bytes are absorbed the
+		// box goes back to its pool and the Ref is released.
+		h.opSend(m.ConnID, m.Data, m.WantSpace)
 		m.Recycle()
 	case stack.OpSend:
-		h.opSend(m.ConnID, m.Data, m.Ref, m.WantSpace)
+		h.opSend(m.ConnID, m.Data, m.WantSpace)
+		m.Ref.Release()
 	case stack.OpClose:
 		if c, ok := h.conns[m.ConnID]; ok {
 			h.charge(h.costs.SyscallOp)
@@ -219,23 +220,27 @@ func (kh *kernelHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
 }
 
 // opSend appends send-stream bytes to a connection: the shared body of the
-// pooled (*stack.OpSend) and value (stack.OpSend) message forms.
-func (h *kernelHost) opSend(connID uint64, data []byte, ref bufpool.Ref, wantSpace bool) {
+// pooled (*stack.OpSend) and value (stack.OpSend) message forms. As in
+// stack.tcpHost, sc.pending takes only what the send buffer refused and the
+// caller releases data on return.
+func (h *kernelHost) opSend(connID uint64, data []byte, wantSpace bool) {
 	c, ok := h.conns[connID]
 	if !ok {
-		ref.Release()
 		return
 	}
 	h.charge(h.costs.SyscallOp)
 	h.lock()
 	h.stats.SyscallsIn++
 	sc := c.Ctx.(*sockCtx)
-	sc.pending = append(sc.pending, data...)
-	ref.Release() // data now lives in sc.pending
 	if wantSpace {
 		sc.wantSpace = true
 	}
-	h.drainPending(c, sc)
+	if len(sc.pending) > 0 {
+		sc.pending = append(sc.pending, data...)
+		h.drainPending(c, sc)
+	} else if n := c.Send(data); n < len(data) {
+		sc.pending = append(sc.pending, data[n:]...)
+	}
 	h.maybeAdvertiseSpace(c, sc)
 }
 
@@ -329,12 +334,14 @@ func (h *kernelHost) Deliver(s *udpeng.Socket, src proto.Addr, srcPort uint16, d
 
 // ---- tcpeng.Env ----
 
-// SendSegment implements tcpeng.Env.
+// SendSegment implements tcpeng.Env. A TSO super-segment is copied into a
+// pooled buffer the IP engine and the NIC own from here on (ipeng.TSO).
 func (h *kernelHost) SendSegment(c *tcpeng.Conn, seg tcpeng.OutSegment) {
 	h.charge(h.costs.TCPSegOut)
 	h.lock()
 	if seg.TSO && len(seg.Payload) > seg.MSS {
-		h.ip.OutputTSO(ipeng.TSO{TCP: seg.Hdr, Dst: seg.Dst, Payload: seg.Payload, MSS: seg.MSS})
+		payload := append(bufpool.Get(len(seg.Payload))[:0], seg.Payload...)
+		h.ip.OutputTSO(ipeng.TSO{TCP: seg.Hdr, Dst: seg.Dst, Payload: payload, MSS: seg.MSS})
 		return
 	}
 	n := seg.Hdr.EncodedLen(len(seg.Payload))
@@ -399,7 +406,7 @@ func (h *kernelHost) DataReadable(c *tcpeng.Conn) {
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendApp(sc.app, stack.EvData{Stack: sc.home, ConnID: c.ID, Data: data, EOF: eof})
+	h.sendApp(sc.app, stack.NewEvData(sc.home, c.ID, data, eof))
 }
 
 // SendSpace implements tcpeng.Env.

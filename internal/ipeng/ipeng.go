@@ -18,6 +18,9 @@ import (
 
 // TSO describes a TCP segmentation-offload transmission: the IP component
 // attaches IP and Ethernet headers and hands the NIC one descriptor.
+// Payload is a pooled buffer whose ownership passes to the engine with
+// OutputTSO: it goes on to Env.TransmitTSO, or is released here when the
+// engine segments in software.
 type TSO struct {
 	TCP     proto.TCPHeader
 	Dst     proto.Addr
@@ -32,7 +35,8 @@ type Env interface {
 	Now() sim.Time
 	// TransmitFrame hands a serialized Ethernet frame to the NIC driver.
 	TransmitFrame(raw []byte)
-	// TransmitTSO hands the driver a TSO descriptor with prebuilt headers.
+	// TransmitTSO hands the driver a TSO descriptor with prebuilt headers;
+	// payload is the descriptor's to release (NIC.SendTSO does).
 	TransmitTSO(eth proto.EthernetHeader, ip proto.IPv4Header, tcp proto.TCPHeader, payload []byte, mss int)
 	// DeliverTransport passes a complete (reassembled) packet up the stack.
 	DeliverTransport(f *proto.Frame)
@@ -260,24 +264,20 @@ func (e *Engine) sendIPFrame(dst proto.Addr, ip proto.IPv4Header, frame []byte) 
 // OutputTSO transmits a TCP super-segment via NIC segmentation offload.
 func (e *Engine) OutputTSO(t TSO) {
 	if t.Dst == e.cfg.Addr {
-		// Loopback TSO: software-segment locally.
-		transport := t.TCP.Marshal(bufpool.Get(t.TCP.EncodedLen(len(t.Payload)))[:0], e.cfg.Addr, t.Dst, t.Payload)
-		e.loopback(t.Dst, proto.ProtoTCP, transport)
-		bufpool.Put(transport)
+		e.softwareTSO(t) // loopback never reaches a NIC
 		return
 	}
 	hop, ok := e.nextHop(t.Dst)
 	if !ok {
 		e.stats.NoRoute++
+		bufpool.Put(t.Payload)
 		return
 	}
 	mac, ok := e.arp[hop]
 	if !ok {
 		// TSO sends always follow established traffic; resolve first with
-		// a plain queued frame by falling back to non-TSO output.
-		transport := t.TCP.Marshal(bufpool.Get(t.TCP.EncodedLen(len(t.Payload)))[:0], e.cfg.Addr, t.Dst, t.Payload)
-		e.Output(t.Dst, proto.ProtoTCP, transport)
-		bufpool.Put(transport)
+		// plain queued frames by falling back to non-TSO output.
+		e.softwareTSO(t)
 		return
 	}
 	e.ipID++
@@ -286,6 +286,19 @@ func (e *Engine) OutputTSO(t TSO) {
 	ip := proto.IPv4Header{ID: e.ipID, Flags: proto.IPFlagDF, TTL: 64,
 		Protocol: proto.ProtoTCP, Src: e.cfg.Addr, Dst: t.Dst}
 	e.env.TransmitTSO(eth, ip, t.TCP, t.Payload, t.MSS)
+}
+
+// softwareTSO segments a super-segment at MSS as the NIC would and sends
+// every segment through Output (which loops back or queues behind ARP), then
+// releases the payload. One datagram could not carry it: IPv4's TotalLen is
+// 16 bits and a default TSOMax payload alone is 64 KiB.
+func (e *Engine) softwareTSO(t TSO) {
+	proto.SegmentTSO(t.TCP, t.Payload, t.MSS, func(tcp proto.TCPHeader, seg []byte) {
+		transport := tcp.Marshal(bufpool.Get(tcp.EncodedLen(len(seg)))[:0], e.cfg.Addr, t.Dst, seg)
+		e.Output(t.Dst, proto.ProtoTCP, transport)
+		bufpool.Put(transport)
+	})
+	bufpool.Put(t.Payload)
 }
 
 // loopback short-circuits packets addressed to ourselves (§3.3: each

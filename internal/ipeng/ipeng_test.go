@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"neat/internal/bufpool"
 	"neat/internal/proto"
 	"neat/internal/sim"
 )
@@ -337,5 +338,93 @@ func TestTSOPath(t *testing.T) {
 	}
 	if e2.Stats().ARPRequestsSent != 1 {
 		t.Fatal("fallback did not trigger ARP")
+	}
+}
+
+// tsoStream checks that frames carry, in order, MSS-bounded TCP segments
+// whose sequence numbers follow on from seq and whose payloads concatenate
+// to want, with PSH on the last one only.
+func tsoStream(t *testing.T, frames []*proto.Frame, seq uint32, mss int, want []byte) {
+	t.Helper()
+	var got []byte
+	for i, f := range frames {
+		if f.TCP == nil {
+			t.Fatalf("frame %d of %d is not TCP", i, len(frames))
+		}
+		if len(f.Payload) == 0 || len(f.Payload) > mss {
+			t.Fatalf("segment %d carries %d bytes (MSS %d)", i, len(f.Payload), mss)
+		}
+		if f.TCP.Seq != seq+uint32(len(got)) {
+			t.Fatalf("segment %d seq %d, want %d", i, f.TCP.Seq, seq+uint32(len(got)))
+		}
+		if psh, last := f.TCP.Flags&proto.TCPPsh != 0, i == len(frames)-1; psh != last {
+			t.Fatalf("segment %d of %d: PSH=%v", i, len(frames), psh)
+		}
+		got = append(got, f.Payload...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%d segments delivered %d of %d bytes, or not the bytes sent", len(frames), len(got), len(want))
+	}
+}
+
+// TestSoftwareTSOSegmentsAtMSS covers the two OutputTSO branches no NIC
+// segments for — loopback and an unresolved next hop. Marshalled as one
+// datagram, a super-segment overflows IPv4's 16-bit TotalLen from 65 496
+// payload bytes on: 65 496 used to be dropped and 65 536, the default TSOMax,
+// to arrive as an empty segment.
+func TestSoftwareTSOSegmentsAtMSS(t *testing.T) {
+	const mss, seq = 1460, 1000
+	for _, n := range []int{8000, 65000, 65495, 65496, 65536} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i*7 + i>>8)
+		}
+		tso := func() TSO {
+			return TSO{
+				TCP: proto.TCPHeader{SrcPort: 80, DstPort: 99, Seq: seq, Flags: proto.TCPAck | proto.TCPPsh, Window: 512},
+				// OutputTSO owns and releases the payload, as in the stack.
+				Payload: append(bufpool.Get(n)[:0], want...),
+				MSS:     mss,
+			}
+		}
+
+		env := &fakeIPEnv{}
+		e := newIP(env, ipA, macA, true)
+		lo := tso()
+		lo.Dst = ipA
+		e.OutputTSO(lo)
+		if len(env.frames) != 0 || env.tso != 0 {
+			t.Fatalf("%d B: loopback reached the driver", n)
+		}
+		tsoStream(t, env.delivered, seq, mss, want)
+
+		env = &fakeIPEnv{}
+		e = newIP(env, ipA, macA, false)
+		out := tso()
+		out.Dst = ipB
+		e.OutputTSO(out)
+		if env.tso != 0 || len(env.frames) != 1 { // the ARP request only
+			t.Fatalf("%d B: unresolved hop sent %d frames, %d TSO descriptors", n, len(env.frames), env.tso)
+		}
+		env.frames = nil
+		reply, err := proto.DecodeFrame(proto.BuildARP(
+			proto.EthernetHeader{Dst: macA, Src: macB, Type: proto.EtherTypeARP},
+			proto.ARPPacket{Op: proto.ARPReply, SenderMAC: macB, SenderIP: ipB, TargetMAC: macA, TargetIP: ipA}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Input(reply)
+		var sent []*proto.Frame
+		for i, raw := range env.frames {
+			f, err := proto.DecodeFrame(raw)
+			if err != nil {
+				t.Fatalf("%d B: queued frame %d undecodable: %v", n, i, err)
+			}
+			if f.Eth.Dst != macB {
+				t.Fatalf("%d B: queued frame %d sent to %v", n, i, f.Eth.Dst)
+			}
+			sent = append(sent, f)
+		}
+		tsoStream(t, sent, seq, mss, want)
 	}
 }

@@ -68,7 +68,9 @@ func NewTxTSO(t TxTSO) *TxTSO {
 // offload: the NIC slices Payload into MSS-sized segments, cloning the
 // prototype headers and advancing sequence numbers in hardware. This is the
 // feature that lets small configurations saturate 10 Gb/s in §6 with large
-// files.
+// files. Payload belongs to the descriptor: the sender does not touch it
+// again and NIC.SendTSO releases it (a descriptor lost on the way leaves it
+// to the GC).
 type TxTSO struct {
 	Eth     proto.EthernetHeader
 	IP      proto.IPv4Header
@@ -342,37 +344,16 @@ func (n *NIC) Transmit(raw []byte) {
 // SendTSO performs TCP segmentation offload in "hardware": the payload is
 // cut into MSS-sized segments, each with cloned headers, adjusted sequence
 // numbers and recomputed checksums. Only the last segment carries PSH/FIN.
+// The NIC is the last reader of t.Payload, a buffer the sender gave up with
+// the descriptor, and returns it to the pools.
 func (n *NIC) SendTSO(t TxTSO) {
 	n.stats.TSORequests++
-	mss := t.MSS
-	if mss <= 0 {
-		mss = 1460
-	}
-	payload := t.Payload
-	seq := t.TCP.Seq
-	finalFlags := t.TCP.Flags
-	for first := true; first || len(payload) > 0; first = false {
-		seg := payload
-		if len(seg) > mss {
-			seg = seg[:mss]
-		}
-		payload = payload[len(seg):]
-		tcp := t.TCP
-		tcp.Seq = seq
-		if len(payload) > 0 {
-			tcp.Flags = finalFlags &^ (proto.TCPPsh | proto.TCPFin)
-		} else {
-			tcp.Flags = finalFlags
-		}
-		ip := t.IP
-		raw := proto.AppendTCP(bufpool.Get(proto.WireSizeTCP(&tcp, len(seg)))[:0], t.Eth, ip, tcp, seg)
+	proto.SegmentTSO(t.TCP, t.Payload, t.MSS, func(tcp proto.TCPHeader, seg []byte) {
+		raw := proto.AppendTCP(bufpool.Get(proto.WireSizeTCP(&tcp, len(seg)))[:0], t.Eth, t.IP, tcp, seg)
 		n.stats.TSOSegments++
 		n.Transmit(raw)
-		seq += uint32(len(seg))
-		if len(payload) == 0 {
-			break
-		}
-	}
+	})
+	bufpool.Put(t.Payload)
 }
 
 // drainRxStamps rotates queue q's hardware-enqueue stamp buffers after a

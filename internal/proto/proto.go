@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors returned by the decoders.
@@ -332,17 +333,40 @@ func (h *UDPHeader) Unmarshal(b []byte, src, dst Addr) ([]byte, error) {
 // Checksum computes the Internet checksum (RFC 1071) of b folded together
 // with an initial partial sum. Verifying a buffer that embeds a correct
 // checksum yields 0.
+//
+// The one's-complement sum does not depend on byte order (RFC 1071 §2(B)),
+// so the bulk of b is summed as native 64-bit words with end-around carry,
+// 32 bytes per iteration, and swapped to network order once; the tail of
+// fewer than eight bytes and initial are added as big-endian 16-bit words.
 func Checksum(b []byte, initial uint32) uint16 {
-	sum := initial
+	var acc, carry uint64
+	for len(b) >= 32 {
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[8:]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[16:]), carry)
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b[24:]), carry)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		acc, carry = bits.Add64(acc, binary.LittleEndian.Uint64(b), carry)
+		b = b[8:]
+	}
+	acc, carry = bits.Add64(acc, carry, 0)
+	acc += carry
+	acc = acc>>32 + acc&0xffffffff
+	for acc>>16 != 0 {
+		acc = acc>>16 + acc&0xffff
+	}
+	sum := uint64(initial) + uint64(bits.ReverseBytes16(uint16(acc)))
 	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+		sum += uint64(binary.BigEndian.Uint16(b))
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		sum += uint64(b[0]) << 8
 	}
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }

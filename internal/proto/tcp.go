@@ -165,6 +165,34 @@ func (h *TCPHeader) Unmarshal(b []byte, src, dst Addr) ([]byte, error) {
 	return b[dataOff:], nil
 }
 
+// SegmentTSO cuts a TSO super-segment into segments of at most mss payload
+// bytes the way the NIC hardware does: every segment clones the prototype
+// header with its own sequence number, and PSH and FIN ride only the last.
+// An empty payload yields one bare segment; mss <= 0 selects the Ethernet
+// default of 1460. emit must not keep seg.
+func SegmentTSO(tcp TCPHeader, payload []byte, mss int, emit func(tcp TCPHeader, seg []byte)) {
+	if mss <= 0 {
+		mss = 1460
+	}
+	finalFlags := tcp.Flags
+	for {
+		seg := payload
+		if len(seg) > mss {
+			seg = seg[:mss]
+		}
+		payload = payload[len(seg):]
+		tcp.Flags = finalFlags
+		if len(payload) > 0 {
+			tcp.Flags &^= TCPPsh | TCPFin
+		}
+		emit(tcp, seg)
+		if len(payload) == 0 {
+			return
+		}
+		tcp.Seq += uint32(len(seg))
+	}
+}
+
 // String summarizes the segment for traces.
 func (h *TCPHeader) String() string {
 	return fmt.Sprintf("tcp %d>%d %s seq=%d ack=%d win=%d",

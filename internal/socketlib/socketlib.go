@@ -45,6 +45,9 @@ type Lib struct {
 	sysConn *ipc.Conn
 	costs   ipc.Costs
 
+	// arena holds the copies plain Send makes of its caller's bytes.
+	arena bufpool.Arena
+
 	stackConns map[*sim.Proc]*ipc.Conn
 	conns      map[connKey]*Socket
 	connecting map[uint64]*Socket
@@ -145,7 +148,10 @@ type Socket struct {
 
 	// OnConnect resolves Connect (nil error on success).
 	OnConnect func(ctx *sim.Context, err error)
-	// OnData delivers received bytes; eof marks the peer's FIN.
+	// OnData delivers received bytes; eof marks the peer's FIN. data is a
+	// pooled buffer the library takes back when OnData returns: a handler
+	// that needs the bytes later copies them (passing data to Send is fine,
+	// Send copies).
 	OnData func(ctx *sim.Context, data []byte, eof bool)
 	// OnSendSpace fires when requested send space became available.
 	OnSendSpace func(ctx *sim.Context, avail int)
@@ -183,17 +189,16 @@ func (s *Socket) State() SocketState { return s.state }
 func (s *Socket) Credit() int { return s.credit }
 
 // Send streams data on the socket (fast path: directly to the owning
-// replica). It returns false if the socket is not open. When the tracked
-// credit falls below SendLowWater the stack is asked to notify via
-// OnSendSpace; large transfers should chunk on that signal.
+// replica). It returns false if the socket is not open. data is copied into
+// a library-owned slab before Send returns — so the caller may reuse it at
+// once, and may pass the slice OnData lent it — and continues as SendRef.
+// When the tracked credit falls below SendLowWater the stack is asked to
+// notify via OnSendSpace; large transfers should chunk on that signal.
 func (s *Socket) Send(ctx *sim.Context, data []byte) bool {
 	if s.state != SockOpen {
 		return false
 	}
-	s.credit -= len(data)
-	want := s.credit < SendLowWater
-	s.lib.stackConn(s.stack).Send(ctx, stack.NewOpSend(s.connID, data, bufpool.Ref{}, want))
-	return true
+	return s.SendRef(ctx, s.lib.arena.AllocCopy(data))
 }
 
 // SendRef streams slab-carved data on the socket. Ownership of the Ref
@@ -318,11 +323,12 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 			s.OnConnect(ctx, nil)
 		}
 		return true
-	case stack.EvData:
+	case *stack.EvData:
 		s, ok := l.conns[connKey{m.Stack, m.ConnID}]
 		if ok && s.OnData != nil {
 			s.OnData(ctx, m.Data, m.EOF)
 		}
+		m.Recycle() // the chunk and the box go back to their pools
 		return true
 	case stack.EvSendSpace:
 		s, ok := l.conns[connKey{m.Stack, m.ConnID}]

@@ -35,7 +35,7 @@ func (f *fakeStack) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	case *stack.OpSend:
 		// Echo the data back. The box is retained in f.ops for the tests'
 		// op-sequence assertions, so it is deliberately not recycled.
-		f.appConn.Send(ctx, stack.EvData{Stack: f.proc, ConnID: m.ConnID, Data: m.Data})
+		f.appConn.Send(ctx, stack.NewEvData(f.proc, m.ConnID, append([]byte(nil), m.Data...), false))
 		if m.WantSpace {
 			f.appConn.Send(ctx, stack.EvSendSpace{Stack: f.proc, ConnID: m.ConnID, Available: 1000})
 		}
@@ -179,7 +179,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	app.proc.Deliver("go")
 	s.RunFor(sim.Millisecond)
-	app.proc.Deliver(stack.EvData{Stack: fs.proc, ConnID: 77, EOF: true})
+	app.proc.Deliver(stack.NewEvData(fs.proc, 77, nil, true))
 	app.proc.Deliver(stack.EvClosed{Stack: fs.proc, ConnID: 77, Reset: true, Err: stack.ErrReplicaFailure})
 	s.RunFor(sim.Millisecond)
 	if !sawEOF || !sawClosed || !sawReset {
@@ -333,7 +333,7 @@ func TestListenerClose(t *testing.T) {
 
 func TestUnknownEventsIgnored(t *testing.T) {
 	s, fs, app := setup(t)
-	app.proc.Deliver(stack.EvData{Stack: fs.proc, ConnID: 999, Data: []byte("stray")})
+	app.proc.Deliver(stack.NewEvData(fs.proc, 999, []byte("stray"), false))
 	app.proc.Deliver(stack.EvSendSpace{Stack: fs.proc, ConnID: 999})
 	app.proc.Deliver(stack.EvAccepted{ListenerReqID: 424242, ConnID: 1, Stack: fs.proc})
 	s.RunFor(sim.Millisecond) // must not panic

@@ -44,7 +44,8 @@ type ipOutput struct {
 }
 
 // ipOutputTSO carries a TSO super-segment towards the IP process. Pooled
-// like ipOutput.
+// like ipOutput; payload is the TCP process's own copy (see
+// tcpHost.SendSegment) and changes owner with the message.
 type ipOutputTSO struct {
 	dst     proto.Addr
 	hdr     proto.TCPHeader
@@ -116,7 +117,8 @@ type OpConnect struct {
 // library sets it when its send credit runs low).
 //
 // When Data is carved from a payload slab, Ref carries the reference; the
-// stack Releases it after copying Data into the engine's send buffer. The
+// stack Releases it once the engine's send buffer (or, for bytes the buffer
+// had no room for, the socket's pending queue) holds a copy of Data. The
 // zero Ref (plain Data ownership) stays valid: Release is then a no-op.
 type OpSend struct {
 	ConnID    uint64
@@ -131,17 +133,18 @@ type OpSend struct {
 var opSendPool = sync.Pool{New: func() any { return new(OpSend) }}
 
 // NewOpSend returns a pooled OpSend box. Ownership transfers with the
-// message; the consuming stack recycles the box (and releases Ref) after
-// absorbing Data into the connection's send stream.
+// message; the consuming stack calls Recycle after absorbing Data into the
+// connection's send stream.
 func NewOpSend(connID uint64, data []byte, ref bufpool.Ref, wantSpace bool) *OpSend {
 	m := opSendPool.Get().(*OpSend)
 	m.ConnID, m.Data, m.Ref, m.WantSpace = connID, data, ref, wantSpace
 	return m
 }
 
-// Recycle returns the box to the pool. Callers must have consumed Data and
-// released Ref; the box must not be touched afterwards.
+// Recycle releases Ref and returns the box to the pool. The caller must
+// have consumed Data; box and Data must not be touched afterwards.
 func (m *OpSend) Recycle() {
+	m.Ref.Release()
 	*m = OpSend{}
 	opSendPool.Put(m)
 }
@@ -215,12 +218,34 @@ type EvConnected struct {
 }
 
 // EvData delivers received bytes (push-mode fast path). EOF marks the
-// peer's FIN after all data.
+// peer's FIN after all data. It travels only as the pooled box NewEvData
+// returns.
 type EvData struct {
 	Stack  *sim.Proc
 	ConnID uint64
 	Data   []byte
 	EOF    bool
+}
+
+var evDataPool = sync.Pool{New: func() any { return new(EvData) }}
+
+// NewEvData returns a pooled EvData box. data is a buffer the sender owns
+// outright — what tcpeng.Conn.Recv handed it — and box and buffer change
+// owner with the message: the receiving socket library calls Recycle after
+// the application's OnData returned. A message lost on the way (crashed
+// receiver, drop fault) leaves both to the GC.
+func NewEvData(stack *sim.Proc, connID uint64, data []byte, eof bool) *EvData {
+	m := evDataPool.Get().(*EvData)
+	m.Stack, m.ConnID, m.Data, m.EOF = stack, connID, data, eof
+	return m
+}
+
+// Recycle returns Data to the buffer pools and the box to its pool; neither
+// may be touched afterwards.
+func (m *EvData) Recycle() {
+	bufpool.Put(m.Data)
+	*m = EvData{}
+	evDataPool.Put(m)
 }
 
 // EvSendSpace advertises the absolute free send window for a connection.

@@ -84,10 +84,12 @@ func newRig(t *testing.T, kind Kind, nReplicas int, tcpCfg tcpeng.Config) *rig {
 	return r
 }
 
-// echoServer is a minimal app: listens, echoes everything, closes on EOF.
+// echoServer is a minimal app: listens, echoes everything (unless sink is
+// set), closes on EOF.
 type echoServer struct {
 	proc     *sim.Proc
 	stack    *ipc.Conn
+	sink     bool
 	listened bool
 	accepted int
 	closed   int
@@ -112,9 +114,11 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 	case EvAccepted:
 		a.accepted++
-	case EvData:
+	case *EvData:
+		// The event's chunk is this app's now; it is echoed by reference and
+		// never recycled, which the ownership contract allows.
 		a.got[m.ConnID] = append(a.got[m.ConnID], m.Data...)
-		if len(m.Data) > 0 {
+		if len(m.Data) > 0 && !a.sink {
 			a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: m.Data})
 		}
 		if m.EOF {
@@ -155,7 +159,7 @@ func (a *echoClient) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 		a.connID = m.ConnID
 		a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: a.payload})
-	case EvData:
+	case *EvData:
 		a.got = append(a.got, m.Data...)
 		if len(a.got) >= len(a.payload) {
 			a.stack.Send(ctx, OpClose{ConnID: a.connID})

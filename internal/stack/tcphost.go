@@ -88,13 +88,14 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 		}
 		return true
 	case *OpSend:
-		// Pooled fast-path form (socketlib): recycle the box once Data has
-		// been absorbed and Ref released.
-		h.opSend(ctx, m.ConnID, m.Data, m.Ref, m.WantSpace)
+		// Pooled fast-path form (socketlib): once Data has been absorbed the
+		// box goes back to its pool and the Ref is released.
+		h.opSend(ctx, m.ConnID, m.Data, m.WantSpace)
 		m.Recycle()
 		return true
 	case OpSend:
-		h.opSend(ctx, m.ConnID, m.Data, m.Ref, m.WantSpace)
+		h.opSend(ctx, m.ConnID, m.Data, m.WantSpace)
+		m.Ref.Release()
 		return true
 	case OpClose:
 		if c, ok := h.conns[m.ConnID]; ok {
@@ -134,21 +135,27 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 }
 
 // opSend appends send-stream bytes to a connection: the shared body of the
-// pooled (*OpSend) and value (OpSend) message forms.
-func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, ref bufpool.Ref, wantSpace bool) {
+// pooled (*OpSend) and value (OpSend) message forms. The engine copies
+// straight from the caller's bytes and sc.pending takes only what the send
+// buffer had no room for, so on return nothing refers to data any more and
+// the caller releases it.
+func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, wantSpace bool) {
 	c, ok := h.conns[connID]
 	if !ok {
-		ref.Release()
 		return // connection already gone; app learns via EvClosed
 	}
 	sc := c.Ctx.(*sockCtx)
-	sc.pending = append(sc.pending, data...)
-	ref.Release() // data now lives in sc.pending
 	if wantSpace {
 		sc.wantSpace = true
 	}
 	ctx.Charge(h.costs.SockOp)
-	h.drainPending(c, sc)
+	if len(sc.pending) > 0 {
+		// Refused bytes are still waiting: these go behind them.
+		sc.pending = append(sc.pending, data...)
+		h.drainPending(c, sc)
+	} else if n := c.Send(data); n < len(data) {
+		sc.pending = append(sc.pending, data[n:]...)
+	}
 	h.maybeAdvertiseSpace(c, sc)
 }
 
@@ -231,11 +238,15 @@ func (h *tcpHost) sendApp(ctx *sim.Context, app *sim.Proc, ev sim.Message) {
 func (h *tcpHost) Now() sim.Time { return h.proc.Sim().Now() }
 
 // SendSegment implements tcpeng.Env: serialize (or TSO-describe) and hand
-// to the IP layer.
+// to the IP layer. seg.Payload is only valid during the call, and a TSO
+// descriptor outlives it — it rides to the IP and driver processes by
+// reference — so the super-segment gets a pooled buffer of its own, which
+// whoever segments it releases.
 func (h *tcpHost) SendSegment(c *tcpeng.Conn, seg tcpeng.OutSegment) {
 	h.ctx.Charge(h.costs.TCPSegOut)
 	if seg.TSO && len(seg.Payload) > seg.MSS {
-		h.outTSO(h.ctx, ipeng.TSO{TCP: seg.Hdr, Dst: seg.Dst, Payload: seg.Payload, MSS: seg.MSS})
+		payload := append(bufpool.Get(len(seg.Payload))[:0], seg.Payload...)
+		h.outTSO(h.ctx, ipeng.TSO{TCP: seg.Hdr, Dst: seg.Dst, Payload: payload, MSS: seg.MSS})
 		return
 	}
 	n := seg.Hdr.EncodedLen(len(seg.Payload))
@@ -294,7 +305,8 @@ func (h *tcpHost) Connected(c *tcpeng.Conn) {
 	})
 }
 
-// DataReadable implements tcpeng.Env: fast-path push of received bytes.
+// DataReadable implements tcpeng.Env: fast-path push of received bytes. The
+// chunk Recv hands over travels to the application inside the event.
 func (h *tcpHost) DataReadable(c *tcpeng.Conn) {
 	sc, ok := c.Ctx.(*sockCtx)
 	if !ok {
@@ -305,7 +317,7 @@ func (h *tcpHost) DataReadable(c *tcpeng.Conn) {
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendApp(h.ctx, sc.app, EvData{Stack: h.proc, ConnID: c.ID, Data: data, EOF: eof})
+	h.sendApp(h.ctx, sc.app, NewEvData(h.proc, c.ID, data, eof))
 }
 
 // SendSpace implements tcpeng.Env.

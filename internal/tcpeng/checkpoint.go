@@ -143,10 +143,11 @@ func (e *Engine) Restore(s *Snapshot) int {
 		c.snd.cwnd = uint32(e.cfg.InitialCwndMSS * c.mss)
 		c.rcv.nxt = cs.RcvNxt
 		c.rcv.wndShift = cs.RcvWndShift
-		if len(cs.SndBuf) > 0 || len(cs.RcvBuf) > 0 {
-			b := c.ensureBufs()
-			b.snd = append(b.snd, cs.SndBuf...)
-			b.rcv = append(b.rcv, cs.RcvBuf...)
+		if len(cs.SndBuf) > 0 {
+			c.ensureBufs().appendSnd(cs.SndBuf)
+		}
+		if len(cs.RcvBuf) > 0 {
+			c.ensureBufs().appendRcv(cs.RcvBuf)
 		}
 		c.rto = e.cfg.InitialRTO
 		restored++

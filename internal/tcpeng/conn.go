@@ -3,6 +3,7 @@ package tcpeng
 import (
 	"fmt"
 
+	"neat/internal/bufpool"
 	"neat/internal/proto"
 	"neat/internal/sim"
 )
@@ -98,21 +99,56 @@ type ooSeg struct {
 // the out-of-order reassembly list. Blocks are pooled per engine and
 // attached to a Conn only when it first buffers data.
 type connBufs struct {
-	snd []byte  // unacked+unsent bytes; snd[0] is seq snd.una
-	rcv []byte  // in-order data awaiting Recv
-	oo  []ooSeg // out-of-order segments, sorted by seq
+	snd    []byte  // unacked+unsent bytes; snd[0] is seq snd.una
+	sndArr []byte  // the whole array snd slides through
+	rcv    []byte  // in-order data awaiting Recv
+	oo     []ooSeg // out-of-order segments, sorted by seq
 }
 
-// recycle empties the block for reuse. Slices already handed out (Recv
-// results, marshalled segments) live strictly before the current bases or
-// were copied by the env, so reusing the remaining capacity is safe.
+// recycle empties the block for reuse. The block holds the only reference
+// to everything in it: a send payload handed to the Env is valid only until
+// SendSegment returns, and Recv moves what it hands out of the block. So the
+// send array is reusable from its first byte, and unread receive bytes and
+// unmerged out-of-order segments go back to the buffer pools.
 func (b *connBufs) recycle() {
-	b.snd = b.snd[:0]
-	b.rcv = b.rcv[:0]
+	b.snd = b.sndArr[:0]
+	bufpool.Put(b.rcv)
+	b.rcv = nil
 	for i := range b.oo {
+		bufpool.Put(b.oo[i].data)
 		b.oo[i] = ooSeg{}
 	}
 	b.oo = b.oo[:0]
+}
+
+// appendSnd adds data behind the live send bytes. ACKs slide snd forward
+// through sndArr; once the slide has eaten the room behind the live bytes
+// they move back to the front of the same array, so a connection in steady
+// state reuses one array and append never grows the slice. A new array is
+// made only when live bytes plus data do not fit the old one, sized to
+// exactly what they need. Moving the live bytes is safe because nothing
+// outside the block refers to them (see Env.SendSegment).
+func (b *connBufs) appendSnd(data []byte) {
+	live := len(b.snd)
+	if cap(b.snd)-live < len(data) {
+		arr := b.sndArr
+		if need := live + len(data); need > len(arr) {
+			arr = make([]byte, need)
+		}
+		copy(arr, b.snd)
+		b.sndArr, b.snd = arr, arr[:live]
+	}
+	b.snd = append(b.snd, data...)
+}
+
+// appendRcv adds in-order bytes to the receive buffer. An empty buffer — the
+// only case on a path that drains per segment — starts a pooled chunk, which
+// Recv later hands to the caller whole.
+func (b *connBufs) appendRcv(p []byte) {
+	if len(b.rcv) == 0 {
+		b.rcv = bufpool.Get(len(p))[:0]
+	}
+	b.rcv = append(b.rcv, p...)
 }
 
 // sndBuf returns the send buffer (nil when no block is attached).
@@ -554,20 +590,21 @@ func (c *Conn) appendInOrder(payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	b.rcv = append(b.rcv, payload...)
+	b.appendRcv(payload)
 	c.rcv.nxt += uint32(len(payload))
 	c.engine.stats.DataBytesIn += uint64(len(payload))
 	c.ackPending++
 	c.engine.env.DataReadable(c)
 }
 
-// insertOutOfOrder stores a future segment sorted by sequence.
+// insertOutOfOrder stores a copy of a future segment, in a pooled buffer,
+// sorted by sequence.
 func (c *Conn) insertOutOfOrder(seq uint32, payload []byte) {
 	b := c.ensureBufs()
 	if len(b.oo) > 64 {
 		return // bound memory; peer will retransmit
 	}
-	data := append([]byte(nil), payload...)
+	data := append(bufpool.Get(len(payload))[:0], payload...)
 	at := len(b.oo)
 	for i, s := range b.oo {
 		if proto.SeqLT(seq, s.seq) {
@@ -591,11 +628,14 @@ func (c *Conn) mergeOutOfOrder() {
 		if proto.SeqGT(s.seq, c.rcv.nxt) {
 			return
 		}
-		b.oo = b.oo[1:]
-		if proto.SeqLEQ(s.seq+uint32(len(s.data)), c.rcv.nxt) {
-			continue // fully duplicate
+		// Shift rather than slide: the list keeps its (bounded) array.
+		n := copy(b.oo, b.oo[1:])
+		b.oo[n] = ooSeg{}
+		b.oo = b.oo[:n]
+		if proto.SeqGT(s.seq+uint32(len(s.data)), c.rcv.nxt) { // else fully duplicate
+			c.appendInOrder(s.data[c.rcv.nxt-s.seq:])
 		}
-		c.appendInOrder(s.data[c.rcv.nxt-s.seq:])
+		bufpool.Put(s.data)
 	}
 }
 

@@ -97,7 +97,9 @@ type OutSegment struct {
 type Env interface {
 	// Now returns the current time.
 	Now() sim.Time
-	// SendSegment transmits one segment (or TSO super-segment).
+	// SendSegment transmits one segment (or TSO super-segment). seg.Payload
+	// is a view into the connection's send buffer and is valid until the
+	// call returns; an Env that needs the bytes later copies them.
 	SendSegment(c *Conn, seg OutSegment)
 	// ArmTimer (re)schedules timer k of c to fire after d; StopTimer
 	// cancels it. The owner must call Engine.OnTimer when it fires.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"neat/internal/bufpool"
 	"neat/internal/proto"
 	"neat/internal/sim"
 )
@@ -208,7 +209,12 @@ func (e *fakeEnv) Connected(c *Conn) { e.connected = append(e.connected, c) }
 func (e *fakeEnv) DataReadable(c *Conn) {
 	e.readable[c]++
 	if e.autoRecv {
-		e.recvData[c] = append(e.recvData[c], c.Recv(0)...)
+		// Copy and return the chunk at once, as the socket library does after
+		// OnData: a chunk the engine still used would be overwritten by the
+		// next segment and show up as a corrupt stream.
+		data := c.Recv(0)
+		e.recvData[c] = append(e.recvData[c], data...)
+		bufpool.Put(data)
 	}
 }
 

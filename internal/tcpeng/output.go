@@ -20,7 +20,7 @@ func (c *Conn) Send(data []byte) int {
 	if len(data) > space {
 		data = data[:space]
 	}
-	b.snd = append(b.snd, data...)
+	b.appendSnd(data)
 	c.trySend()
 	return len(data)
 }
@@ -28,18 +28,24 @@ func (c *Conn) Send(data []byte) int {
 // SendSpaceFree returns the free bytes in the send buffer.
 func (c *Conn) SendSpaceFree() int { return c.snd.bufMax - len(c.sndBuf()) }
 
-// Recv takes up to max bytes of in-order received data. A growing receive
+// Recv takes up to max bytes of in-order received data (max <= 0: all of
+// it). The bytes leave the engine with the call: nothing here refers to the
+// returned slice any more, and a caller that took everything available holds
+// the whole pooled chunk and may hand it to bufpool.Put once done with it
+// (dropping it is as safe as dropping any pooled buffer). A growing receive
 // window is re-advertised opportunistically by the next outbound segment.
 func (c *Conn) Recv(max int) []byte {
 	avail := len(c.rcvBuf())
-	if max <= 0 || max > avail {
-		max = avail
-	}
-	if max == 0 {
+	if avail == 0 {
 		return nil
 	}
-	out := c.bufs.rcv[:max:max]
-	c.bufs.rcv = c.bufs.rcv[max:]
+	var out []byte
+	if max <= 0 || max >= avail {
+		out, c.bufs.rcv = c.bufs.rcv, nil
+	} else {
+		out = c.bufs.rcv[:max:max]
+		c.bufs.rcv = c.bufs.rcv[max:]
+	}
 	// If the window was closed and now reopened substantially, send a
 	// window update so the peer resumes.
 	if c.rcv.lastWndAdvertised == 0 && c.recvWindow() >= uint32(c.mss) {
@@ -273,9 +279,9 @@ func (c *Conn) emitData(seq, n uint32, fin bool) {
 	hdr.Window = c.advertisedWindow()
 	e.stats.SegsOut++
 	e.stats.DataBytesOut += uint64(n)
-	// Payload is a view into the send buffer: the environment marshals
-	// (copies) it into the outbound frame, and the buffer bytes it covers
-	// stay in place until the segment is acked, so no defensive copy.
+	// Payload is a view into the send buffer, valid until SendSegment
+	// returns: the environment copies it, into the outbound frame or into a
+	// TSO buffer of its own, so the buffer is free to move its bytes later.
 	e.env.SendSegment(c, OutSegment{
 		Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr,
 		Payload: payload,
