@@ -20,15 +20,17 @@ test:
 # race detector, the allocation guards (scheduling/dispatch, timer
 # arm/stop/fire and the IPC send/recv fast path must stay allocation-free in
 # steady state; so must a warm bulk exchange inside the TCP engine pair, in
-# order or reordered, and a whole HTTP reply over a NEaT bed must stay inside
-# its budget), the byte-path ownership tests under the race detector, the
+# order or reordered, a BuildTCP frame's round trip and an accept that keeps
+# up with the queue; a whole HTTP reply and a whole one-request connection
+# over a NEaT bed must stay inside their budgets), the byte-path and
+# connection-path ownership tests under the race detector, the
 # layer benchmarks of the per-byte path (checksum, bulk send/receive: they
 # print the numbers and fail on wrong bytes), 5 s of each fuzz target, and
 # the md5 oracle pinning the default single-link campaign outputs: a
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
 # `neat-faults -matrix -quick` fails here, not in review. The cluster and
 # ipc campaigns are additionally diffed PDES 1-worker vs 4-worker, the
-# contract sim/pdes.go states. Last, three short workloads of the repository
+# contract sim/pdes.go states. Last, four short workloads of the repository
 # benchmark (the one benchmark; `bash benchmark/run.sh` for the full run): a
 # PR may not edit benchmark/, so the gate proves it still builds against the
 # internal API it imports and passes its own correctness checks
@@ -46,8 +48,8 @@ verify:
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
-	$(GO) test ./internal/tcpeng ./internal/app -run 'TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget' -count=1
-	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS' -count=1
+	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
+	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
@@ -71,4 +73,5 @@ verify:
 	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"
 	bash benchmark/run.sh -workload web_small -seed 7 -seconds 3 -trace 0
 	bash benchmark/run.sh -workload web_bulk -seed 7 -seconds 3 -trace 0
+	bash benchmark/run.sh -workload conn_scale -seed 7 -seconds 3 -trace 0
 	bash benchmark/run.sh -workload cluster_faults -seed 7 -seconds 3 -trace 0

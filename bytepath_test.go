@@ -2,6 +2,7 @@ package neat_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"neat"
@@ -143,5 +144,89 @@ func TestDroppedEvDataCorruptsNothing(t *testing.T) {
 	tb.Net.Sim.RunFor(200 * neat.Millisecond)
 	if got := bytes.Join(clean.pieces, nil); !bytes.Equal(got, want) {
 		t.Fatalf("after the losses a clean download got %d of %d bytes, or not the bytes sent", len(got), len(want))
+	}
+}
+
+// TestDroppedConnEventsCorruptNothing loses a fifth of the messages to a
+// server application while connections churn through it, pooled EvAccepted
+// and EvClosed boxes among them. A lost box goes to the GC, never back into
+// its pool while a message still holds it: afterwards, with nothing dropped,
+// every connection is accepted as a socket of its own, echoes its own bytes,
+// and its peer's reset is reported once, on that socket.
+func TestDroppedConnEventsCorruptNothing(t *testing.T) {
+	tb := bytePathBed(t)
+	type srvSock struct {
+		got    []byte
+		closes int
+		reset  bool
+	}
+	var socks []*srvSock
+	srv := apiApp(tb.Server.AppThread(5), tb.System.SyscallProc(), func(ctx *sim.Context, lib *socketlib.Lib) {
+		lib.Listen(ctx, 4000, 64).OnAccept = func(ctx *sim.Context, s *socketlib.Socket) {
+			ss := &srvSock{}
+			socks = append(socks, ss)
+			s.OnData = func(ctx *sim.Context, data []byte, eof bool) {
+				ss.got = append(ss.got, data...)
+				s.Send(ctx, data)
+			}
+			s.OnClosed = func(ctx *sim.Context, reset bool, err error) {
+				ss.closes++
+				ss.reset = reset
+			}
+		}
+	})
+	srv.Deliver("go")
+	tb.Net.Sim.RunFor(neat.Millisecond)
+
+	const perRound = 40
+	payload := func(i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("<%03d>", i)), 12) }
+	next, echoed := 0, 0
+	cli := apiApp(tb.Client.AppThread(4), tb.ClientSystem.SyscallProc(), func(ctx *sim.Context, lib *socketlib.Lib) {
+		for end := next + perRound; next < end; next++ {
+			want, s := payload(next), lib.Connect(ctx, neat.IPv4(10, 0, 0, 1), 4000)
+			var got []byte
+			s.OnConnect = func(ctx *sim.Context, err error) {
+				if err == nil {
+					s.Send(ctx, want)
+				}
+			}
+			s.OnData = func(ctx *sim.Context, data []byte, eof bool) {
+				if got = append(got, data...); len(got) >= len(want) {
+					if bytes.Equal(got, want) {
+						echoed++
+					}
+					s.Abort(ctx)
+				}
+			}
+		}
+	})
+	srv.SetDropRate(0.2)
+	cli.Deliver("go")
+	tb.Net.Sim.RunFor(50 * neat.Millisecond)
+	srv.SetDropRate(0)
+	lossy := len(socks)
+	if srv.Stats().DropInjected == 0 || lossy >= perRound {
+		t.Fatalf("%d messages dropped, %d of %d connections accepted: no EvAccepted was lost",
+			srv.Stats().DropInjected, lossy, perRound)
+	}
+
+	echoed = 0
+	cli.Deliver("go")
+	tb.Net.Sim.RunFor(50 * neat.Millisecond)
+	if echoed != perRound || len(socks)-lossy != perRound {
+		t.Fatalf("after the losses %d of %d connections were accepted and %d echoed intact",
+			len(socks)-lossy, perRound, echoed)
+	}
+	seen := map[string]bool{}
+	for _, ss := range socks[lossy:] {
+		if ss.closes != 1 || !ss.reset {
+			t.Fatalf("a reset connection reported %d closes, reset %v", ss.closes, ss.reset)
+		}
+		seen[string(ss.got)] = true
+	}
+	for i := perRound; i < 2*perRound; i++ {
+		if !seen[string(payload(i))] {
+			t.Fatalf("connection %d's bytes reached no socket of their own", i)
+		}
 	}
 }

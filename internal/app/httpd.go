@@ -61,6 +61,9 @@ type HTTPD struct {
 	// arena carves response payloads out of pooled slab blocks; each send
 	// hands a bufpool.Ref to the stack instead of allocating a []byte.
 	arena bufpool.Arena
+
+	// onClosed is connClosed bound once, so an accept does not bind it anew.
+	onClosed func(ctx *sim.Context, reset bool, err error)
 }
 
 type httpConn struct {
@@ -94,6 +97,7 @@ func NewHTTPD(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc
 		cfg.ChunkSize = 64 << 10
 	}
 	h := &HTTPD{cfg: cfg}
+	h.onClosed = h.connClosed
 	h.proc = sim.NewProc(th, name, h, sim.ProcConfig{
 		Component: "app", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 60,
 	})
@@ -133,21 +137,26 @@ func (h *HTTPD) accept(ctx *sim.Context, s *socketlib.Socket) {
 	s.Ctx = c
 	s.OnData = c.onData
 	s.OnSendSpace = c.onSendSpace
-	s.OnClosed = func(ctx *sim.Context, reset bool, err error) {
-		if reset {
-			h.stats.Resets++
-		}
-		h.stats.Closed++
-	}
+	s.OnClosed = h.onClosed
 }
 
-// onData buffers and parses pipelined HTTP/1.1 requests. What is left
-// unparsed moves back to the base of inbuf, so a connection that drains its
-// requests — every keep-alive one does — appends into the same array for its
-// whole life.
+func (h *HTTPD) connClosed(ctx *sim.Context, reset bool, err error) {
+	if reset {
+		h.stats.Resets++
+	}
+	h.stats.Closed++
+}
+
+// onData parses pipelined HTTP/1.1 requests. Requests that arrive whole are
+// read off the slice the library lends; only what is left unparsed — the
+// start of a request head — is kept until the next call, at the base of
+// inbuf.
 func (c *httpConn) onData(ctx *sim.Context, data []byte, eof bool) {
-	c.inbuf = append(c.inbuf, data...)
-	rest := c.inbuf
+	rest := data
+	if len(c.inbuf) > 0 {
+		c.inbuf = append(c.inbuf, data...)
+		rest = c.inbuf
+	}
 	for !c.closing {
 		end := bytes.Index(rest, []byte("\r\n\r\n"))
 		if end < 0 {
@@ -157,7 +166,7 @@ func (c *httpConn) onData(ctx *sim.Context, data []byte, eof bool) {
 		rest = rest[end+4:]
 		c.handleRequest(ctx, req)
 	}
-	c.inbuf = c.inbuf[:copy(c.inbuf, rest)]
+	c.inbuf = append(c.inbuf[:0], rest...)
 	if eof && !c.closing {
 		c.closing = true
 		c.sock.Close(ctx)

@@ -71,7 +71,10 @@ type Loadgen struct {
 	latency   metrics.Histogram
 	measuring bool
 	running   bool
-	gen       uint64
+
+	// reqKeepAlive and reqClose are the two requests the generator sends,
+	// built once: the second asks the server to close after replying.
+	reqKeepAlive, reqClose string
 
 	// arena carves request payloads out of pooled slab blocks (see HTTPD).
 	arena bufpool.Arena
@@ -80,28 +83,32 @@ type Loadgen struct {
 type lgConn struct {
 	lg         *Loadgen
 	sock       *socketlib.Socket
-	gen        uint64
 	sent       int
 	inbuf      []byte
 	expect     int  // bytes remaining of current response body, -1 = header
 	bodySeen   int  // body bytes already consumed of the current response
 	closeAfter bool // server announced Connection: close on this response
 	reqStart   sim.Time
-	timer      *sim.Timer
+	timeout    lgTimeout
+	think      lgThinkDone
 	// windowResponses counts replies during the measuring window for
 	// httperf-style discarding on error.
 	windowResponses uint64
 	done            bool
 }
 
+// lgTimeout and lgThinkDone are a connection's request timeout and think
+// timer, embedded in lgConn. Each node is its own fire message, as a
+// tcpeng.ConnTimer is: the generation inside its sim.Timer drops a fire that
+// was stopped or re-armed, and arming it through Retimer allocates nothing.
 type lgTimeout struct {
-	c   *lgConn
-	gen uint64
+	sim.Timer
+	c *lgConn
 }
 
 type lgThinkDone struct {
-	c   *lgConn
-	gen uint64
+	sim.Timer
+	c *lgConn
 }
 
 type lgStart struct{}
@@ -122,6 +129,8 @@ func NewLoadgen(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts i
 		cfg.CyclesPerRequest = 2500
 	}
 	lg := &Loadgen{cfg: cfg}
+	lg.reqKeepAlive = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\n\r\n"
+	lg.reqClose = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\nConnection: close\r\n\r\n"
 	lg.proc = sim.NewProc(th, name, lg, sim.ProcConfig{
 		Component: "app", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 60,
 	})
@@ -175,12 +184,12 @@ func (lg *Loadgen) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 	case lgStop:
 		lg.running = false
-	case lgTimeout:
-		if m.c.gen == m.gen && !m.c.done {
+	case *lgTimeout:
+		if !m.c.done {
 			lg.connError(ctx, m.c, true)
 		}
-	case lgThinkDone:
-		if m.c.gen == m.gen && !m.c.done {
+	case *lgThinkDone:
+		if !m.c.done {
 			lg.sendRequest(ctx, m.c)
 		}
 	}
@@ -191,9 +200,9 @@ func (lg *Loadgen) openConn(ctx *sim.Context) {
 	if !lg.running {
 		return
 	}
-	lg.gen++
 	lg.stats.ConnsOpened++
-	c := &lgConn{lg: lg, gen: lg.gen, expect: -1}
+	c := &lgConn{lg: lg, expect: -1}
+	c.timeout.c, c.think.c = c, c
 	var lp uint16
 	if lg.cfg.Ports != nil {
 		lp = lg.cfg.Ports()
@@ -221,15 +230,14 @@ func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
 	ctx.Charge(lg.cfg.CyclesPerRequest)
 	c.sent++
 	lg.stats.RequestsSent++
-	closeHdr := ""
+	req := lg.reqKeepAlive
 	if c.sent >= lg.cfg.ReqPerConn && !lg.cfg.CloseFromClient {
-		closeHdr = "Connection: close\r\n"
+		req = lg.reqClose
 	}
-	req := "GET " + lg.cfg.URI + " HTTP/1.1\r\nHost: sut\r\n" + closeHdr + "\r\n"
 	c.reqStart = ctx.Sim.Now()
 	c.expect = -1
 	c.sock.SendRef(ctx, lg.arena.AllocString(req))
-	c.timer = ctx.TimerAfter(lg.cfg.Timeout, lgTimeout{c: c, gen: c.gen})
+	ctx.Retimer(&c.timeout.Timer, lg.cfg.Timeout, &c.timeout)
 }
 
 // onData consumes response bytes, completing requests as bodies fill. Bytes
@@ -304,7 +312,7 @@ func (lg *Loadgen) consume(ctx *sim.Context, c *lgConn, buf []byte) []byte {
 			return nil
 		}
 		if lg.cfg.ThinkTime > 0 {
-			ctx.TimerAfter(lg.cfg.ThinkTime, lgThinkDone{c: c, gen: c.gen})
+			ctx.Retimer(&c.think.Timer, lg.cfg.ThinkTime, &c.think)
 			return buf
 		}
 		lg.sendRequest(ctx, c)
@@ -318,10 +326,7 @@ func (lg *Loadgen) consume(ctx *sim.Context, c *lgConn, buf []byte) []byte {
 // completeResponse accounts one successful reply.
 func (lg *Loadgen) completeResponse(ctx *sim.Context, c *lgConn, bodyBytes int) {
 	ctx.Charge(lg.cfg.CyclesPerRequest / 2)
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	c.timeout.Stop()
 	lg.stats.ResponsesOK++
 	lg.stats.BytesIn += uint64(bodyBytes)
 	if lg.measuring {
@@ -343,10 +348,7 @@ func (lg *Loadgen) connError(ctx *sim.Context, c *lgConn, timeout bool) {
 	if lg.measuring {
 		lg.stats.WindowDiscarded += c.windowResponses
 	}
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
+	c.timeout.Stop()
 	if c.sock.State() == socketlib.SockOpen {
 		c.sock.Abort(ctx)
 	}

@@ -377,10 +377,7 @@ func (h *kernelHost) Accepted(c *tcpeng.Conn) {
 	c.Ctx = sc
 	h.conns[c.ID] = c
 	ra, rp := c.RemoteAddr()
-	h.sendApp(lc.app, stack.EvAccepted{
-		ListenerReqID: lc.reqID, ConnID: c.ID, Stack: lc.home,
-		RemoteAddr: ra, RemotePort: rp, SendBuf: c.SendSpaceFree(),
-	})
+	h.sendApp(lc.app, stack.NewEvAccepted(lc.reqID, c.ID, lc.home, ra, rp, c.SendSpaceFree()))
 }
 
 // Connected implements tcpeng.Env.
@@ -429,7 +426,7 @@ func (h *kernelHost) ConnClosed(c *tcpeng.Conn, reset bool) {
 		h.sendApp(sc.app, stack.EvConnected{ReqID: sc.reqID, Stack: sc.home, Err: c.Err})
 		return
 	}
-	h.sendApp(sc.app, stack.EvClosed{Stack: sc.home, ConnID: c.ID, Reset: reset, Err: c.Err})
+	h.sendApp(sc.app, stack.NewEvClosed(sc.home, c.ID, reset, c.Err))
 }
 
 // ConnRemoved implements tcpeng.Env.

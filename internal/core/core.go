@@ -774,8 +774,7 @@ func (sys *System) drainDeadline(sl *slot, seq uint64) {
 		sys.stats.ConnectionsLost++
 		sys.stats.DrainForcedCloses++
 		if app := sys.conns[r][id]; app != nil {
-			sys.sendProc(app, stack.EvClosed{Stack: r.SockProc(), ConnID: id,
-				Reset: true, Err: stack.ErrReplicaRetired})
+			sys.sendProc(app, stack.NewEvClosed(r.SockProc(), id, true, stack.ErrReplicaRetired))
 		}
 	}
 	sys.collect(sl)
@@ -990,8 +989,7 @@ func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 			for connID, app := range sys.conns[r] {
 				sys.stats.ConnectionsLost++
 				if app != nil {
-					sys.sendProc(app, stack.EvClosed{Stack: dead, ConnID: connID,
-						Reset: true, Err: stack.ErrReplicaFailure})
+					sys.sendProc(app, stack.NewEvClosed(dead, connID, true, stack.ErrReplicaFailure))
 				}
 			}
 		}
@@ -1078,8 +1076,7 @@ func (sys *System) quarantine(sl *slot) {
 	for connID, app := range sys.conns[r] {
 		sys.stats.ConnectionsLost++
 		if app != nil {
-			sys.sendProc(app, stack.EvClosed{Stack: r.SockProc(), ConnID: connID,
-				Reset: true, Err: stack.ErrReplicaFailure})
+			sys.sendProc(app, stack.NewEvClosed(r.SockProc(), connID, true, stack.ErrReplicaFailure))
 		}
 	}
 	delete(sys.conns, r)

@@ -78,6 +78,7 @@ func (h *connHost) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			if e := h.engines[f.IP.Dst]; e != nil {
 				e.Input(f)
 			}
+			f.Release()
 		}
 	case *tcpeng.ConnTimer:
 		ctx.Charge(100)
@@ -176,12 +177,10 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 		// range even after batch-granular round-robin imbalance.
 		perEngine = 60000
 	)
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
+	heap0 := settledHeap()
 	// The live heap grows to ~1.5 GB at the million rung; the default GOGC
 	// re-scans it dozens of times during the storm for no benefit. The
-	// explicit runtime.GC() below keeps the footprint measurement honest.
+	// collections in settledHeap keep the footprint measurement honest.
 	defer debug.SetGCPercent(debug.SetGCPercent(400))
 	start := time.Now()
 
@@ -234,9 +233,7 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 	// are then the servers' idle guards.
 	s.RunUntil(at + 200*sim.Millisecond)
 
-	runtime.GC()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
+	heap1 := settledHeap()
 
 	ts := s.TimerStats()
 	p := ConnScalePoint{
@@ -248,7 +245,7 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 		WallSeconds:   time.Since(start).Seconds(),
 	}
 	if p.Established > 0 {
-		p.BytesPerConn = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(p.Established)
+		p.BytesPerConn = float64(heap1-heap0) / float64(p.Established)
 	}
 
 	d := md5.New()
@@ -258,6 +255,18 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 	}
 	p.digest = fmt.Sprintf("%x", d.Sum(nil))
 	return p
+}
+
+// settledHeap returns the live heap with the buffer pools emptied. The first
+// collection moves what sync.Pools hold into their victim caches, the
+// second frees it: frames released to the pool and awaiting reuse are
+// not connection state.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // ConnScaleLadder measures the conns ladder. Every rung additionally runs

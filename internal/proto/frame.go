@@ -197,9 +197,12 @@ func AppendTCP(b []byte, eth EthernetHeader, ip IPv4Header, tcp TCPHeader, paylo
 	return tcp.Marshal(b, ip.Src, ip.Dst, payload)
 }
 
-// BuildTCP serializes a complete Ethernet/IPv4/TCP frame.
+// BuildTCP serializes a complete Ethernet/IPv4/TCP frame into a pooled
+// buffer. Ownership passes to the caller like any bufpool buffer: handed on
+// to DecodeFrame, it returns to the pool when the frame's terminal consumer
+// calls Release.
 func BuildTCP(eth EthernetHeader, ip IPv4Header, tcp TCPHeader, payload []byte) []byte {
-	return AppendTCP(make([]byte, 0, WireSizeTCP(&tcp, len(payload))), eth, ip, tcp, payload)
+	return AppendTCP(bufpool.Get(WireSizeTCP(&tcp, len(payload)))[:0], eth, ip, tcp, payload)
 }
 
 // AppendUDP serializes a complete Ethernet/IPv4/UDP frame, appending to b.

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"neat/internal/bufpool"
 )
 
 var (
@@ -265,6 +267,32 @@ func TestDecodeFrameTCP(t *testing.T) {
 	fl, ok := f.Flow()
 	if !ok || fl.Proto != ProtoTCP || fl.SrcPort != 1000 || fl.Dst != ipB {
 		t.Fatalf("flow: %+v ok=%v", fl, ok)
+	}
+}
+
+// TestBuildTCPRoundTripZeroAlloc: a BuildTCP frame is a pooled buffer, so
+// once the pools are warm building, decoding and releasing one allocates
+// nothing — the frame comes back through Release.
+func TestBuildTCPRoundTripZeroAlloc(t *testing.T) {
+	if bufpool.RaceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	payload := make([]byte, 1460)
+	var seq uint32
+	roundTrip := func() {
+		seq++
+		raw := BuildTCP(EthernetHeader{Dst: macB, Src: macA, Type: EtherTypeIPv4},
+			IPv4Header{TTL: 64, Src: ipA, Dst: ipB},
+			TCPHeader{SrcPort: 1000, DstPort: 80, Seq: seq, Flags: TCPAck, Window: 100}, payload)
+		f, err := DecodeFrame(raw)
+		if err != nil || f.TCP.Seq != seq || len(f.Payload) != len(payload) {
+			t.Fatalf("round trip: %v", err)
+		}
+		f.Release()
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("a warm BuildTCP/DecodeFrame/Release round trip allocates %.1f times", allocs)
 	}
 }
 

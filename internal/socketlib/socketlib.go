@@ -287,19 +287,18 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 			ln.OnReady(ctx, m.Err)
 		}
 		return true
-	case stack.EvAccepted:
-		ln, ok := l.listeners[m.ListenerReqID]
-		if !ok {
-			// Listener gone: refuse silently (the conn will be reset when
-			// the app never writes; a real library would abort here).
-			return true
+	case *stack.EvAccepted:
+		// A connection whose listener is gone is refused silently (it will be
+		// reset when the app never writes; a real library would abort here).
+		if ln, ok := l.listeners[m.ListenerReqID]; ok {
+			s := &Socket{lib: l, stack: m.Stack, connID: m.ConnID, state: SockOpen,
+				credit: m.SendBuf, RemoteAddr: m.RemoteAddr, RemotePort: m.RemotePort}
+			l.conns[connKey{m.Stack, m.ConnID}] = s
+			if ln.OnAccept != nil {
+				ln.OnAccept(ctx, s)
+			}
 		}
-		s := &Socket{lib: l, stack: m.Stack, connID: m.ConnID, state: SockOpen,
-			credit: m.SendBuf, RemoteAddr: m.RemoteAddr, RemotePort: m.RemotePort}
-		l.conns[connKey{m.Stack, m.ConnID}] = s
-		if ln.OnAccept != nil {
-			ln.OnAccept(ctx, s)
-		}
+		m.Recycle()
 		return true
 	case stack.EvConnected:
 		s, ok := l.connecting[m.ReqID]
@@ -339,7 +338,7 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 			}
 		}
 		return true
-	case stack.EvClosed:
+	case *stack.EvClosed:
 		k := connKey{m.Stack, m.ConnID}
 		s, ok := l.conns[k]
 		if ok {
@@ -350,6 +349,7 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 				s.OnClosed(ctx, m.Reset, m.Err)
 			}
 		}
+		m.Recycle()
 		return true
 	case stack.EvUDPBound:
 		u, ok := l.udpBinding[m.ReqID]

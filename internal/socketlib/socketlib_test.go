@@ -152,10 +152,7 @@ func TestListenAcceptFlow(t *testing.T) {
 		t.Fatal("listener not ready")
 	}
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.EvAccepted{
-		ListenerReqID: op.ReqID, ConnID: 9, Stack: fs.proc,
-		RemoteAddr: proto.IPv4(10, 0, 0, 2), RemotePort: 5555, SendBuf: 500,
-	})
+	app.proc.Deliver(stack.NewEvAccepted(op.ReqID, 9, fs.proc, proto.IPv4(10, 0, 0, 2), 5555, 500))
 	s.RunFor(sim.Millisecond)
 	if accepted == nil {
 		t.Fatal("no accept callback")
@@ -180,7 +177,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	app.proc.Deliver("go")
 	s.RunFor(sim.Millisecond)
 	app.proc.Deliver(stack.NewEvData(fs.proc, 77, nil, true))
-	app.proc.Deliver(stack.EvClosed{Stack: fs.proc, ConnID: 77, Reset: true, Err: stack.ErrReplicaFailure})
+	app.proc.Deliver(stack.NewEvClosed(fs.proc, 77, true, stack.ErrReplicaFailure))
 	s.RunFor(sim.Millisecond)
 	if !sawEOF || !sawClosed || !sawReset {
 		t.Fatalf("eof=%v closed=%v reset=%v", sawEOF, sawClosed, sawReset)
@@ -190,7 +187,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	// A second EvClosed for the same conn is ignored (already removed).
 	sawClosed = false
-	app.proc.Deliver(stack.EvClosed{Stack: fs.proc, ConnID: 77})
+	app.proc.Deliver(stack.NewEvClosed(fs.proc, 77, false, nil))
 	s.RunFor(sim.Millisecond)
 	if sawClosed {
 		t.Fatal("duplicate close delivered")
@@ -324,7 +321,7 @@ func TestListenerClose(t *testing.T) {
 	}
 	// Accept events for the closed listener are ignored.
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.EvAccepted{ListenerReqID: op.ReqID, ConnID: 3, Stack: fs.proc})
+	app.proc.Deliver(stack.NewEvAccepted(op.ReqID, 3, fs.proc, proto.Addr{}, 0, 0))
 	s.RunFor(sim.Millisecond)
 	if app.lib.NumOpenSockets() != 0 {
 		t.Fatal("closed listener accepted a connection")
@@ -335,7 +332,7 @@ func TestUnknownEventsIgnored(t *testing.T) {
 	s, fs, app := setup(t)
 	app.proc.Deliver(stack.NewEvData(fs.proc, 999, []byte("stray"), false))
 	app.proc.Deliver(stack.EvSendSpace{Stack: fs.proc, ConnID: 999})
-	app.proc.Deliver(stack.EvAccepted{ListenerReqID: 424242, ConnID: 1, Stack: fs.proc})
+	app.proc.Deliver(stack.NewEvAccepted(424242, 1, fs.proc, proto.Addr{}, 0, 0))
 	s.RunFor(sim.Millisecond) // must not panic
 	if app.lib.NumOpenSockets() != 0 {
 		t.Fatal("stray events created sockets")

@@ -199,6 +199,7 @@ type EvListening struct {
 }
 
 // EvAccepted announces a new established connection on a listening socket.
+// It travels only as the pooled box NewEvAccepted returns.
 type EvAccepted struct {
 	ListenerReqID uint64
 	ConnID        uint64
@@ -206,6 +207,25 @@ type EvAccepted struct {
 	RemoteAddr    proto.Addr
 	RemotePort    uint16
 	SendBuf       int // initial send credit
+}
+
+var evAcceptedPool = sync.Pool{New: func() any { return new(EvAccepted) }}
+
+// NewEvAccepted returns a pooled EvAccepted box. The box changes owner with
+// the message: the receiving socket library calls Recycle once it has
+// dispatched the event. A box lost on the way is left to the GC.
+func NewEvAccepted(listenerReqID, connID uint64, stack *sim.Proc, remoteAddr proto.Addr,
+	remotePort uint16, sendBuf int) *EvAccepted {
+	m := evAcceptedPool.Get().(*EvAccepted)
+	*m = EvAccepted{ListenerReqID: listenerReqID, ConnID: connID, Stack: stack,
+		RemoteAddr: remoteAddr, RemotePort: remotePort, SendBuf: sendBuf}
+	return m
+}
+
+// Recycle returns the box to its pool; it may not be touched afterwards.
+func (m *EvAccepted) Recycle() {
+	*m = EvAccepted{}
+	evAcceptedPool.Put(m)
 }
 
 // EvConnected resolves OpConnect (Err set on failure).
@@ -256,12 +276,29 @@ type EvSendSpace struct {
 }
 
 // EvClosed reports a connection leaving service. Reset marks aborts
-// (including RSTs from the peer).
+// (including RSTs from the peer). It travels only as the pooled box
+// NewEvClosed returns.
 type EvClosed struct {
 	Stack  *sim.Proc
 	ConnID uint64
 	Reset  bool
 	Err    error
+}
+
+var evClosedPool = sync.Pool{New: func() any { return new(EvClosed) }}
+
+// NewEvClosed returns a pooled EvClosed box, owned like an EvAccepted box:
+// the receiving socket library recycles it after dispatch.
+func NewEvClosed(stack *sim.Proc, connID uint64, reset bool, err error) *EvClosed {
+	m := evClosedPool.Get().(*EvClosed)
+	m.Stack, m.ConnID, m.Reset, m.Err = stack, connID, reset, err
+	return m
+}
+
+// Recycle returns the box to its pool; it may not be touched afterwards.
+func (m *EvClosed) Recycle() {
+	*m = EvClosed{}
+	evClosedPool.Put(m)
 }
 
 // EvUDPBound acknowledges OpUDPBind.

@@ -112,7 +112,7 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		if m.Err == nil {
 			a.listened = true
 		}
-	case EvAccepted:
+	case *EvAccepted:
 		a.accepted++
 	case *EvData:
 		// The event's chunk is this app's now; it is echoed by reference and
@@ -124,7 +124,7 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		if m.EOF {
 			a.stack.Send(ctx, OpClose{ConnID: m.ConnID})
 		}
-	case EvClosed:
+	case *EvClosed:
 		a.closed++
 	}
 }

@@ -283,11 +283,7 @@ func (h *tcpHost) Accepted(c *tcpeng.Conn) {
 		h.r.OnConnEstablished(h.r, c)
 	}
 	ra, rp := c.RemoteAddr()
-	h.sendApp(h.ctx, lc.app, EvAccepted{
-		ListenerReqID: lc.reqID, ConnID: c.ID, Stack: h.proc,
-		RemoteAddr: ra, RemotePort: rp,
-		SendBuf: c.SendSpaceFree(),
-	})
+	h.sendApp(h.ctx, lc.app, NewEvAccepted(lc.reqID, c.ID, h.proc, ra, rp, c.SendSpaceFree()))
 }
 
 // Connected implements tcpeng.Env.
@@ -341,7 +337,7 @@ func (h *tcpHost) ConnClosed(c *tcpeng.Conn, reset bool) {
 		h.sendApp(h.ctx, sc.app, EvConnected{ReqID: sc.reqID, Stack: h.proc, Err: c.Err})
 		return
 	}
-	h.sendApp(h.ctx, sc.app, EvClosed{Stack: h.proc, ConnID: c.ID, Reset: reset, Err: c.Err})
+	h.sendApp(h.ctx, sc.app, NewEvClosed(h.proc, c.ID, reset, c.Err))
 }
 
 // ConnRemoved implements tcpeng.Env.

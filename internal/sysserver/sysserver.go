@@ -106,7 +106,9 @@ func (s *Server) send(ctx *sim.Context, to *sim.Proc, msg sim.Message) {
 	c.Send(ctx, msg)
 }
 
-// HandleMessage implements sim.Handler.
+// HandleMessage implements sim.Handler. A request forwarded unchanged goes
+// on as the msg it arrived in: passing the type-switched copy would box it
+// again.
 func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {
 	case stack.OpListen:
@@ -142,7 +144,7 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		ctx.Charge(OpCycles)
 		s.mgr.UnregisterListen(m.ReqID)
 		for _, t := range s.mgr.ListenTargets() {
-			s.send(ctx, t, m)
+			s.send(ctx, t, msg)
 		}
 	case stack.OpConnect:
 		ctx.Charge(OpCycles)
@@ -152,7 +154,7 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			s.send(ctx, m.App, stack.EvConnected{ReqID: m.ReqID, Err: stack.ErrNoReplicas})
 			return
 		}
-		s.send(ctx, t, m)
+		s.send(ctx, t, msg)
 	case stack.OpUDPBind:
 		ctx.Charge(OpCycles)
 		s.stats.UDPBinds++
@@ -161,6 +163,6 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			s.send(ctx, m.App, stack.EvUDPBound{ReqID: m.ReqID, Err: stack.ErrNoReplicas})
 			return
 		}
-		s.send(ctx, t, m)
+		s.send(ctx, t, msg)
 	}
 }

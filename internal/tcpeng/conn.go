@@ -57,8 +57,9 @@ type Conn struct {
 
 	// bufs is the lazily attached buffer block (send/receive buffers and
 	// the reassembly list). It stays nil until the connection buffers its
-	// first byte, so embryonic, idle and TIME_WAIT connections cost only
-	// this compact struct; on removal the block returns to the engine pool.
+	// first byte, so embryonic and idle connections cost only this compact
+	// struct. The block returns to the engine pool on entry to TIME_WAIT if
+	// it holds no bytes (see enterTimeWait), else on removal.
 	bufs *connBufs
 
 	// RTT estimation (RFC 6298).
@@ -666,12 +667,19 @@ func (c *Conn) maybeProcessFin() {
 	}
 }
 
-// enterTimeWait moves to TIME_WAIT and arms the reaper.
+// enterTimeWait moves to TIME_WAIT and arms the reaper. Our FIN is acked and
+// the peer's has arrived, so no byte moves either way any more: a block with
+// no unread or out-of-order bytes would sit idle through the wait, and goes
+// back to the pool now. The PCB stays until the reaper fires, to re-ACK a
+// retransmitted FIN.
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	e := c.engine
 	e.env.StopTimer(c, TimerRexmit)
 	e.env.ArmTimer(c, TimerTimeWait, e.cfg.TimeWait)
+	if b := c.bufs; b != nil && len(b.snd) == 0 && len(b.rcv) == 0 && len(b.oo) == 0 {
+		c.releaseBufs()
+	}
 }
 
 // destroy tears down a connection immediately (RST in/out or LastAck done).
@@ -694,10 +702,9 @@ func (c *Conn) destroy(err error, reset bool) {
 			c.Listener.dropEmbryonic(c)
 		}
 		// Remove from accept queue if never accepted.
-		q := c.Listener.acceptQ
-		for i, qc := range q {
+		for i, qc := range c.Listener.acceptQ {
 			if qc == c {
-				c.Listener.acceptQ = append(q[:i], q[i+1:]...)
+				c.Listener.unqueue(i)
 				break
 			}
 		}

@@ -467,30 +467,44 @@ func (e *Engine) Listen(addr proto.Addr, port uint16, backlog int) (*Listener, e
 	return l, nil
 }
 
-// Accept pops an established connection from the accept queue, or nil.
+// Accept pops an established connection from the accept queue, or nil. The
+// rest of the queue moves down inside its own array, so a host that accepts
+// each connection as it arrives appends into one array forever.
 func (l *Listener) Accept() *Conn {
 	if len(l.acceptQ) == 0 {
 		return nil
 	}
 	c := l.acceptQ[0]
-	l.acceptQ = l.acceptQ[1:]
+	l.unqueue(0)
 	return c
+}
+
+// unqueue removes entry i of the accept queue in place and clears the slot
+// it vacates, so the array holds no stale PCB pointer.
+func (l *Listener) unqueue(i int) {
+	q := l.acceptQ
+	n := i + copy(q[i:], q[i+1:])
+	q[n] = nil
+	l.acceptQ = q[:n]
 }
 
 // AcceptPending returns the number of queued established connections.
 func (l *Listener) AcceptPending() int { return len(l.acceptQ) }
 
-// Close stops accepting; queued connections are reset.
+// Close stops accepting; queued connections are reset. The queue is detached
+// first: each Abort would otherwise unqueue its connection from under the
+// loop and skip the next one.
 func (l *Listener) Close() {
 	if l.closed {
 		return
 	}
 	l.closed = true
 	delete(l.engine.listeners, l.key)
-	for _, c := range l.acceptQ {
+	q := l.acceptQ
+	l.acceptQ = nil
+	for _, c := range q {
 		c.Abort()
 	}
-	l.acceptQ = nil
 }
 
 // lookupListener finds a listener for the destination of a SYN.
@@ -635,12 +649,18 @@ func (e *Engine) remove(c *Conn) {
 	// Stopping the timers above took every node out of the timer wheel and
 	// bumped its generation, so a fire already popped stays stale no matter
 	// who reuses the struct.
+	c.releaseBufs()
+	e.connFree = append(e.connFree, c)
+}
+
+// releaseBufs detaches the connection's buffer block, if any, and parks it
+// on the engine's free list.
+func (c *Conn) releaseBufs() {
 	if b := c.bufs; b != nil {
 		c.bufs = nil
 		b.recycle()
-		e.bufsFree = append(e.bufsFree, b)
+		c.engine.bufsFree = append(c.engine.bufsFree, b)
 	}
-	e.connFree = append(e.connFree, c)
 }
 
 // getBufs takes a buffer block from the free list or allocates one.
