@@ -23,8 +23,9 @@ test:
 # order or reordered, a BuildTCP frame's round trip and an accept that keeps
 # up with the queue; a whole HTTP reply and a whole one-request connection
 # over a NEaT bed must stay inside their budgets), the byte-path and
-# connection-path ownership tests under the race detector, the
-# layer benchmarks of the per-byte path (checksum, bulk send/receive: they
+# connection-path ownership tests under the race detector, the Linux
+# baseline's tests under the race detector (its K kernel contexts share one
+# engine set and NEaT's pooled event boxes), the layer benchmarks of the per-byte path (checksum, bulk send/receive: they
 # print the numbers and fail on wrong bytes), 5 s of each fuzz target, and
 # the md5 oracle pinning the default single-link campaign outputs: a
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
@@ -50,6 +51,7 @@ verify:
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
+	$(GO) test -race ./internal/baseline -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s

@@ -1,7 +1,8 @@
 // Package baseline implements the comparator of the paper's evaluation: a
 // monolithic, shared-everything network stack in the style of Linux
-// (§6.1). It reuses the exact same protocol engines as NEaT — the
-// difference is purely architectural, which is the paper's point:
+// (§6.1). It runs the exact same protocol engines and socket glue as a
+// single-component NEaT replica (stack.Engines) — the difference is purely
+// architectural, which is the paper's point:
 //
 //   - ONE shared TCP/IP instance serves every core. K kernel contexts
 //     (softirq/syscall execution, one per core) operate on the shared
@@ -26,10 +27,9 @@ import (
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
 	"neat/internal/nicdev"
-	"neat/internal/pfilter"
 	"neat/internal/sim"
+	"neat/internal/stack"
 	"neat/internal/tcpeng"
-	"neat/internal/udpeng"
 )
 
 // Tuning is the Table 1 configuration ladder.
@@ -129,15 +129,17 @@ type Stats struct {
 	PacketsOut uint64
 	LockedOps  uint64
 	LockCycles int64
-	SyscallsIn uint64
 }
 
 // System is the monolithic stack: K kernel contexts around one shared
-// engine set.
+// engine set — NEaT's own socket glue and engines, charged with the kernel
+// cost model below.
 type System struct {
 	cfg   Config
 	procs []*sim.Proc
-	host  *kernelHost
+	eng   *stack.Engines
+	lock  int64 // cycles of one locked operation on shared state
+	stats Stats
 }
 
 // New boots a baseline system.
@@ -157,31 +159,91 @@ func New(cfg Config) (*System, error) {
 	}
 	cfg.TCP.TSO = cfg.TCP.TSO || cfg.Tuning.Ethtool
 
-	s := &System{cfg: cfg}
-	s.host = newKernelHost(s)
+	// Every kernel operation pays the tuning's locality factor; each
+	// operation on shared state also takes a lock whose contention and
+	// cache-line bouncing grow with the number of kernel contexts.
+	c := cfg.Costs
+	f := cfg.Tuning.LocalityFactor()
+	scale := func(cycles int64) int64 { return int64(float64(cycles) * f) }
+	k := int64(len(cfg.KernelThreads))
+	s := &System{cfg: cfg,
+		lock: c.LockBase + (c.LockPerContender+c.CacheBouncePerContender)*(k-1)}
+	s.eng = stack.NewEngines(cfg.KernelThreads[0].Machine().Sim(), stack.Config{
+		IP: cfg.IP, TCP: cfg.TCP, IPC: cfg.IPC,
+		Costs: stack.Costs{
+			FilterCheck:  scale(c.SoftirqPerPacket),
+			IPIn:         scale(c.IPIn),
+			IPOut:        scale(c.IPOut),
+			TCPSegIn:     scale(c.TCPSegIn),
+			TCPSegOut:    scale(c.TCPSegOut),
+			TCPConnSetup: scale(c.TCPConnSetup),
+			UDPIn:        scale(c.IPIn),
+			UDPOut:       scale(c.SyscallOp),
+			SockOp:       scale(c.SyscallOp),
+			SockEvent:    scale(c.SockEvent),
+			TimerOp:      scale(c.TimerOp),
+		},
+	}, scale(c.TCPConnSetup+c.SyscallOp), s.lock, nicEgress{s})
+
 	for i, th := range cfg.KernelThreads {
 		pc := sim.ProcConfig{Component: "kernel",
 			WakeCycles: 2600, HaltCycles: 1600, DispatchCycles: 150}
 		if cfg.Tuning.SchedDeadline {
 			pc.WakeCycles, pc.HaltCycles = 2200, 1400
 		}
-		p := sim.NewProc(th, fmt.Sprintf("kernel%d", i), &kernelHandler{s.host, i}, pc)
+		p := sim.NewProc(th, fmt.Sprintf("kernel%d", i), kernelHandler{s.eng, s}, pc)
 		s.procs = append(s.procs, p)
 	}
-	s.host.finishInit()
 
 	// IRQ routing per tuning: with affinity queue i → core i; otherwise
 	// irqbalance's stable-but-arbitrary spread (rotated by one, denying
 	// queue/app alignment).
-	k := len(s.procs)
 	for q := 0; q < cfg.NIC.NumQueues(); q++ {
-		idx := q % k
+		idx := q % len(s.procs)
 		if !cfg.Tuning.IRQAffinity {
-			idx = (q + 1) % k
+			idx = (q + 1) % len(s.procs)
 		}
 		cfg.NIC.SetQueueIRQTarget(q, s.procs[idx])
 	}
 	return s, nil
+}
+
+// kernelHandler runs one kernel context: the shared engine set behind the
+// per-queue IRQ front end (softirq RX processing).
+type kernelHandler struct {
+	*stack.Engines
+	s *System
+}
+
+// HandleMessage implements sim.Handler.
+func (kh kernelHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
+	irq, ok := msg.(nicdev.QueueIRQ)
+	if !ok {
+		kh.Engines.HandleMessage(ctx, msg)
+		return
+	}
+	s := kh.s
+	s.stats.IRQs++
+	frames := s.cfg.NIC.DrainQueue(irq.Queue)
+	for i, f := range frames {
+		frames[i] = nil
+		s.stats.PacketsIn++
+		kh.Input(ctx, f)
+	}
+	s.cfg.NIC.RearmQueueIRQ(irq.Queue)
+}
+
+// nicEgress transmits straight to the NIC: the kernel owns the driver.
+type nicEgress struct{ s *System }
+
+func (e nicEgress) Transmit(ctx *sim.Context, raw []byte) {
+	e.s.stats.PacketsOut++
+	e.s.cfg.NIC.Transmit(raw)
+}
+
+func (e nicEgress) TransmitTSO(ctx *sim.Context, t nicdev.TxTSO) {
+	e.s.stats.PacketsOut++
+	e.s.cfg.NIC.SendTSO(t)
 }
 
 // KernelProc returns kernel context i — the syscall target for the
@@ -192,16 +254,12 @@ func (s *System) KernelProc(i int) *sim.Proc { return s.procs[i] }
 func (s *System) NumContexts() int { return len(s.procs) }
 
 // TCP exposes the shared TCP engine.
-func (s *System) TCP() *tcpeng.Engine { return s.host.tcp }
-
-// IP exposes the shared IP engine.
-func (s *System) IP() *ipeng.Engine { return s.host.ip }
-
-// UDP exposes the shared UDP engine.
-func (s *System) UDP() *udpeng.Engine { return s.host.udp }
-
-// Filter exposes the netfilter-equivalent packet filter.
-func (s *System) Filter() *pfilter.Filter { return s.host.filter }
+func (s *System) TCP() *tcpeng.Engine { return s.eng.TCP() }
 
 // Stats returns baseline counters.
-func (s *System) Stats() Stats { return s.host.stats }
+func (s *System) Stats() Stats {
+	st := s.stats
+	st.LockedOps = s.eng.LockedOps()
+	st.LockCycles = int64(st.LockedOps) * s.lock
+	return st
+}

@@ -5,18 +5,48 @@ import (
 
 	"neat/internal/app"
 	"neat/internal/baseline"
+	"neat/internal/bufpool"
+	"neat/internal/core"
 	"neat/internal/ipc"
+	"neat/internal/proto"
 	"neat/internal/sim"
+	"neat/internal/stack"
 	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
+
+// pair is a baseline on an AMD host facing a NEaT client system on the
+// peer host.
+type pair struct {
+	net    *testbed.Net
+	server *testbed.Host
+	client *testbed.Host
+	sys    *baseline.System
+	cli    *core.System
+}
+
+func bootPair(t *testing.T, cores, clientStacks int, tuning baseline.Tuning) pair {
+	t.Helper()
+	n := testbed.New(33)
+	server := testbed.DefaultAMDHost(n, 0, cores)
+	client := testbed.DefaultClientHost(n, 1, clientStacks)
+	sys, err := server.BuildBaseline(client, tuning, tcpeng.DefaultConfig(), baseline.Costs{},
+		flatten(testbed.SingleSlots(0, cores)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := client.BuildClientSystem(server, clientStacks, tcpeng.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pair{net: n, server: server, client: client, sys: sys, cli: cli}
+}
 
 // linuxBed: AMD host running the monolithic baseline with K cores, one
 // lighttpd per core (own port, colocated with its kernel context), 12
 // httperf processes on the client host, one per lighttpd port.
 type linuxBed struct {
-	net     *testbed.Net
-	sys     *baseline.System
+	pair
 	servers []*app.HTTPD
 	gens    []*app.Loadgen
 }
@@ -31,22 +61,10 @@ func flatten(slots [][]testbed.ThreadLoc) []testbed.ThreadLoc {
 
 func buildLinuxBed(t *testing.T, cores int, tuning baseline.Tuning, conns, reqPerConn, fileSize int) *linuxBed {
 	t.Helper()
-	n := testbed.New(33)
-	server := testbed.DefaultAMDHost(n, 0, cores)
-	client := testbed.DefaultClientHost(n, 1, cores)
-	sys, err := server.BuildBaseline(client, tuning, tcpeng.DefaultConfig(),
-		flatten(testbed.SingleSlots(0, cores)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, cores, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &linuxBed{net: n, sys: sys}
+	b := &linuxBed{pair: bootPair(t, cores, cores, tuning)}
 	for i := 0; i < cores; i++ {
 		// lighttpd i colocated with kernel context i, own port (§6.1).
-		h := app.NewHTTPD(server.Machine.Thread(i, 0), "lighttpd", sys.KernelProc(i),
+		h := app.NewHTTPD(b.server.Machine.Thread(i, 0), "lighttpd", b.sys.KernelProc(i),
 			ipc.DefaultCosts(), app.HTTPDConfig{
 				Port:  uint16(8000 + i),
 				Files: map[string]int{"/file": fileSize},
@@ -54,16 +72,16 @@ func buildLinuxBed(t *testing.T, cores int, tuning baseline.Tuning, conns, reqPe
 		h.Start()
 		b.servers = append(b.servers, h)
 	}
-	n.Sim.RunFor(sim.Millisecond)
+	b.net.Sim.RunFor(sim.Millisecond)
 	for i, h := range b.servers {
 		if !h.Ready() {
 			t.Fatalf("lighttpd %d not ready", i)
 		}
 	}
 	for i := 0; i < cores; i++ {
-		lg := app.NewLoadgen(client.AppThread(2+cores+i), "httperf", clisys.SyscallProc(),
+		lg := app.NewLoadgen(b.client.AppThread(2+cores+i), "httperf", b.cli.SyscallProc(),
 			ipc.DefaultCosts(), app.LoadgenConfig{
-				Target: server.IP, Port: uint16(8000 + i), URI: "/file",
+				Target: b.server.IP, Port: uint16(8000 + i), URI: "/file",
 				Conns: conns, ReqPerConn: reqPerConn,
 			})
 		b.gens = append(b.gens, lg)
@@ -142,5 +160,160 @@ func TestBaselineSharedListenerAndEngine(t *testing.T) {
 func TestBaselineConfigValidation(t *testing.T) {
 	if _, err := baseline.New(baseline.Config{}); err == nil {
 		t.Fatal("empty config accepted")
+	}
+}
+
+var (
+	defaultTuning = baseline.Tuning{}
+	pinnedTuning  = baseline.Tuning{IRQAffinity: true, ServerPinning: true}
+)
+
+// TestBaselineUDPEveryContext: a resolver bound through kernel context 0
+// hears every query, whichever kernel context the NIC's RSS hands the
+// datagram to — the event names the context the socket was bound on.
+func TestBaselineUDPEveryContext(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tuning baseline.Tuning
+	}{{"defaults", defaultTuning}, {"pinned", pinnedTuning}} {
+		tuning := tc.tuning
+		t.Run(tc.name, func(t *testing.T) {
+			p := bootPair(t, 4, 1, tuning)
+			srv := app.NewDNSServer(p.server.Machine.Thread(0, 0), "resolver", p.sys.KernelProc(0),
+				ipc.DefaultCosts(), app.DNSServerConfig{})
+			srv.Start()
+			var clients []*app.DNSClient
+			for i := 0; i < 8; i++ {
+				c := app.NewDNSClient(p.client.AppThread(3+i), "dig", p.cli.SyscallProc(),
+					ipc.DefaultCosts(), app.DNSClientConfig{Target: p.server.IP})
+				c.Start()
+				clients = append(clients, c)
+			}
+			p.net.Sim.RunFor(50 * sim.Millisecond)
+			for _, c := range clients {
+				c.Stop()
+			}
+			p.net.Sim.RunFor(5 * sim.Millisecond)
+
+			var sent, answered uint64
+			for _, c := range clients {
+				sent += c.Stats().QueriesSent
+				answered += c.Stats().ResponsesOK
+			}
+			st := srv.Stats()
+			t.Logf("queries sent %d, seen by the server %d, answered %d", sent, st.Queries, answered)
+			if sent == 0 || st.Queries != sent || answered != sent {
+				t.Fatalf("server saw %d and clients got %d answers of %d queries", st.Queries, answered, sent)
+			}
+		})
+	}
+}
+
+// opener speaks the socket protocol to one kernel context: it opens conns
+// connections to a peer port, sends payload on each, closes once the echo
+// is back, and records the Stack every event names.
+type opener struct {
+	proc    *sim.Proc
+	kernel  *ipc.Conn
+	peer    proto.Addr
+	port    uint16
+	conns   int
+	payload []byte
+
+	stacks    []*sim.Proc
+	errs      []error
+	connected int
+	closed    int
+	echoed    map[uint64]int
+}
+
+func newOpener(th *sim.HWThread, kernel *sim.Proc, peer proto.Addr, port uint16, conns int) *opener {
+	o := &opener{kernel: ipc.New(kernel, ipc.DefaultCosts()), peer: peer, port: port, conns: conns,
+		payload: []byte("the same glue, one host"), echoed: map[uint64]int{}}
+	o.proc = sim.NewProc(th, "opener", o, sim.ProcConfig{Component: "app"})
+	return o
+}
+
+func (o *opener) HandleMessage(ctx *sim.Context, msg sim.Message) {
+	switch m := msg.(type) {
+	case string: // "start"
+		for i := 0; i < o.conns; i++ {
+			o.kernel.Send(ctx, stack.OpConnect{App: o.proc, ReqID: uint64(i + 1), Addr: o.peer, Port: o.port})
+		}
+	case stack.EvConnected:
+		o.stacks = append(o.stacks, m.Stack)
+		if m.Err != nil {
+			o.errs = append(o.errs, m.Err)
+			return
+		}
+		o.connected++
+		o.kernel.Send(ctx, stack.NewOpSend(m.ConnID, o.payload, bufpool.Ref{}, false))
+	case *stack.EvData:
+		o.stacks = append(o.stacks, m.Stack)
+		o.echoed[m.ConnID] += len(m.Data)
+		if len(m.Data) > 0 && o.echoed[m.ConnID] == len(o.payload) {
+			o.kernel.Send(ctx, stack.OpClose{ConnID: m.ConnID})
+		}
+		m.Recycle()
+	case *stack.EvClosed:
+		o.stacks = append(o.stacks, m.Stack)
+		o.closed++
+		m.Recycle()
+	}
+}
+
+// TestBaselineActiveOpenNamesItsContext: connections opened through kernel
+// context 1 report context 1 in every event, although the NIC spreads
+// their receive processing over all four contexts.
+func TestBaselineActiveOpenNamesItsContext(t *testing.T) {
+	p := bootPair(t, 4, 1, pinnedTuning)
+	echo := app.NewEchoServer(p.client.AppThread(3), "echo", p.cli.SyscallProc(), ipc.DefaultCosts(),
+		app.EchoConfig{Port: 7})
+	echo.Start()
+	p.net.Sim.RunFor(sim.Millisecond)
+	if !echo.Ready() {
+		t.Fatal("echo server not listening")
+	}
+	const conns = 8
+	o := newOpener(p.server.Machine.Thread(1, 0), p.sys.KernelProc(1), p.client.IP, 7, conns)
+	o.proc.Deliver("start")
+	p.net.Sim.RunFor(20 * sim.Millisecond)
+
+	if len(o.errs) != 0 || o.connected != conns || o.closed != conns {
+		t.Fatalf("connected %d, closed %d of %d; errors %v", o.connected, o.closed, conns, o.errs)
+	}
+	for id, n := range o.echoed {
+		if n != len(o.payload) {
+			t.Fatalf("conn %d echoed %d of %d bytes", id, n, len(o.payload))
+		}
+	}
+	for i, s := range o.stacks {
+		if s != p.sys.KernelProc(1) {
+			t.Fatalf("event %d names %v, want kernel context 1", i, s)
+		}
+	}
+	elsewhere := false
+	for i := 0; i < p.sys.NumContexts(); i++ {
+		if i != 1 && p.sys.KernelProc(i).Stats().Messages > 0 {
+			elsewhere = true
+		}
+	}
+	if !elsewhere {
+		t.Fatal("every frame arrived on context 1; the test proves nothing")
+	}
+}
+
+// TestBaselineRefusedConnect: a connect to a closed port resolves with an
+// error naming the kernel context that ran it.
+func TestBaselineRefusedConnect(t *testing.T) {
+	p := bootPair(t, 4, 1, defaultTuning)
+	o := newOpener(p.server.Machine.Thread(1, 0), p.sys.KernelProc(1), p.client.IP, 9, 1)
+	o.proc.Deliver("start")
+	p.net.Sim.RunFor(10 * sim.Millisecond)
+	if o.connected != 0 || len(o.errs) != 1 {
+		t.Fatalf("connected %d, errors %v: want one refused connect", o.connected, o.errs)
+	}
+	if o.stacks[0] != p.sys.KernelProc(1) {
+		t.Fatalf("EvConnected names %v, want kernel context 1", o.stacks[0])
 	}
 }

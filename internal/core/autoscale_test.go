@@ -219,12 +219,25 @@ func TestCheckpointedRecoveryKeepsConnections(t *testing.T) {
 	}
 
 	// Traffic still flows: echo round-trips on fresh connections AND the
-	// restored listener.
+	// restored listener, whose accepts must name the new TCP process.
+	accepted := victim.TCP().Stats().AcceptedConns
 	b.connect(10)
 	n.Sim.RunFor(2 * sim.Second)
 	if b.cli.done != 10 {
 		t.Fatalf("post-restore echo: done=%d failed=%d resets=%d",
 			b.cli.done, b.cli.failed, b.cli.resets)
+	}
+	if victim.TCP().Stats().AcceptedConns == accepted {
+		t.Fatal("no post-restore connection reached the restored listener")
+	}
+
+	// Events of the restored connections name the new TCP process as well:
+	// the server application hears every held connection reset.
+	resets := b.app.failures
+	holder.proc.Deliver("abortAll")
+	n.Sim.RunFor(10 * sim.Millisecond)
+	if got := b.app.failures - resets; got != 10 {
+		t.Fatalf("server heard %d of 10 held connections reset", got)
 	}
 }
 

@@ -310,19 +310,7 @@ func baselineOn(server, client *testbed.Host, cfg BedConfig, tcp tcpeng.Config, 
 			locs = append(locs, testbed.ThreadLoc{Core: i})
 		}
 	}
-	threads := make([]*sim.HWThread, len(locs))
-	for i, loc := range locs {
-		threads[i] = server.Thread(loc)
-	}
-	return baseline.New(baseline.Config{
-		KernelThreads: threads,
-		NIC:           server.NIC,
-		IP:            server.StackConfig(stack.Single, tcp, client).IP,
-		TCP:           tcp,
-		Tuning:        cfg.LinuxTuning,
-		Costs:         ScaleBaselineCosts(LinuxCosts(), scale),
-		IPC:           ipc.DefaultCosts(),
-	})
+	return server.BuildBaseline(client, cfg.LinuxTuning, tcp, ScaleBaselineCosts(LinuxCosts(), scale), locs)
 }
 
 // Measurement is one httperf-style report plus server-side observations.

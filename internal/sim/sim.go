@@ -376,12 +376,10 @@ type Simulator struct {
 	ipc ipcCounters
 }
 
-// msgBatch carries the messages of one batched delivery. The simulation is
-// single-threaded, so a plain freelist suffices. dsts, when non-empty, is
-// parallel to msgs and carries a per-message destination (the flush-vector
-// form: one simulator event delivering to several inboxes); empty means
-// every message goes to the event's proc (the single-destination form used
-// by DeliverBatchAt).
+// msgBatch carries the messages of one flush vector: the sends a dispatch
+// released at one instant, delivered by a single simulator event to several
+// inboxes. dsts is parallel to msgs and names each message's destination.
+// The simulation is single-threaded, so a plain freelist suffices.
 type msgBatch struct {
 	msgs []Message
 	dsts []*Proc
@@ -491,27 +489,6 @@ func (s *Simulator) DeliverAt(t Time, p *Proc, msg Message) {
 	s.schedule(t, event{kind: evDeliver, proc: p, msg: msg})
 }
 
-// DeliverBatchAt delivers every message of msgs to p at absolute time t as
-// one queue entry: one sequence number, one calendar-queue insertion, one
-// pop. The messages land in p's inbox in slice order, exactly as if each had
-// been scheduled by consecutive DeliverAt calls (consecutive sequence
-// numbers admit no interleaving event between them), and the batch counts as
-// len(msgs) events in EventsRun so observable statistics do not depend on
-// how deliveries were grouped. msgs is copied; the caller keeps ownership of
-// the slice.
-func (s *Simulator) DeliverBatchAt(t Time, p *Proc, msgs []Message) {
-	switch len(msgs) {
-	case 0:
-		return
-	case 1:
-		s.DeliverAt(t, p, msgs[0])
-		return
-	}
-	b := s.getBatch()
-	b.msgs = append(b.msgs[:0], msgs...)
-	s.schedule(t, event{kind: evDeliverBatch, proc: p, msg: b})
-}
-
 // run executes one popped event.
 func (s *Simulator) run(e event) {
 	s.now = e.at
@@ -531,21 +508,14 @@ func (s *Simulator) run(e event) {
 		// events so EventsRun (and everything reported from it) is
 		// independent of how deliveries were grouped.
 		s.eventsRun += uint64(len(b.msgs)) - 1
-		if len(b.dsts) > 0 {
-			// Flush-vector form: deliveries land in slice order, exactly
-			// the order the sends were buffered, whatever their targets.
-			for i, m := range b.msgs {
-				b.dsts[i].Deliver(m)
-				b.msgs[i] = nil
-				b.dsts[i] = nil
-			}
-			b.dsts = b.dsts[:0]
-		} else {
-			for i, m := range b.msgs {
-				e.proc.Deliver(m)
-				b.msgs[i] = nil
-			}
+		// Deliveries land in slice order, exactly the order the sends were
+		// buffered, whatever their targets.
+		for i, m := range b.msgs {
+			b.dsts[i].Deliver(m)
+			b.msgs[i] = nil
+			b.dsts[i] = nil
 		}
+		b.dsts = b.dsts[:0]
 		b.msgs = b.msgs[:0]
 		s.batchFree = append(s.batchFree, b)
 	}

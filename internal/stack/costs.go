@@ -1,5 +1,7 @@
 package stack
 
+import "neat/internal/sim"
+
 // Costs is the per-operation cycle budget of stack components. The defaults
 // are calibrated in internal/experiments/calibrate.go so that one
 // single-component replica on a 1.9 GHz core saturates at roughly the
@@ -34,4 +36,20 @@ func DefaultCosts() Costs {
 		SockEvent:    600,
 		TimerOp:      400,
 	}
+}
+
+// opCosts is the cycle table the hosts of one replica or engine set charge,
+// fixed at construction. A NEaT replica charges its Costs as configured; the
+// Linux baseline derives every value from its own kernel table.
+type opCosts struct {
+	Costs
+	connect int64  // an active open (OpConnect)
+	lock    int64  // one locked operation on shared state; 0 in NEaT
+	locked  uint64 // locked operations charged so far
+}
+
+// chargeLocked bills c cycles of work on shared stack state plus its lock.
+func (k *opCosts) chargeLocked(ctx *sim.Context, c int64) {
+	k.locked++
+	ctx.Charge(c + k.lock)
 }

@@ -10,21 +10,20 @@ import (
 	"neat/internal/udpeng"
 )
 
-// ipHost hosts the packet filter, the IP engine and the UDP engine. In a
-// single-component replica it shares the process with tcpHost; in a
-// multi-component replica it is the "IP process" of Fig. 3.
+// ipHost hosts the packet filter, the IP engine and the UDP engine. In an
+// engine set it shares the process(es) with tcpHost; in a multi-component
+// replica it is the "IP process" of Fig. 3.
 type ipHost struct {
-	r     *Replica
-	proc  *sim.Proc
-	costs Costs
+	s     *sim.Simulator
+	costs *opCosts
 	ctx   *sim.Context // current dispatch context
 
 	filter *pfilter.Filter
 	ip     *ipeng.Engine
 	udp    *udpeng.Engine
 
-	toTCP    func(ctx *sim.Context, f *proto.Frame)
-	toDriver *ipc.Conn
+	toTCP func(ctx *sim.Context, f *proto.Frame)
+	out   Egress
 
 	udpSocks map[uint64]*udpSockCtx
 	nextUDP  uint64
@@ -32,25 +31,45 @@ type ipHost struct {
 	ipcCosts ipc.Costs
 }
 
-// udpSockCtx binds a UDP socket to its owning application.
+// udpSockCtx binds a UDP socket to its owning application and to the stack
+// process that bound it, which every datagram event names.
 type udpSockCtx struct {
 	app  *sim.Proc
+	home *sim.Proc
 	id   uint64
 	sock *udpeng.Socket
+}
+
+// Egress is where the IP layer hands finished frames: the NIC driver's
+// channel for a NEaT replica, the NIC itself for the Linux baseline.
+type Egress interface {
+	Transmit(ctx *sim.Context, raw []byte)
+	TransmitTSO(ctx *sim.Context, t nicdev.TxTSO)
+}
+
+// driverEgress sends frames to the NIC driver process.
+type driverEgress struct{ c *ipc.Conn }
+
+func (d driverEgress) Transmit(ctx *sim.Context, raw []byte) {
+	d.c.Send(ctx, nicdev.NewTxFrame(raw))
+}
+
+func (d driverEgress) TransmitTSO(ctx *sim.Context, t nicdev.TxTSO) {
+	d.c.Send(ctx, nicdev.NewTxTSO(t))
 }
 
 // The host's dispatch context (h.ctx) is installed for the whole
 // activation by the owning handler's BeginBatch, so engine callbacks can
 // charge cycles and emit messages without a per-message context swap.
 
-// inputFrame is the RX entry point of the replica.
+// inputFrame is the RX entry point of the stack.
 func (h *ipHost) inputFrame(ctx *sim.Context, f *proto.Frame) {
 	ctx.Charge(h.costs.FilterCheck)
 	if h.filter.Check(f) == pfilter.Drop {
 		f.Release()
 		return
 	}
-	ctx.Charge(h.costs.IPIn)
+	h.costs.chargeLocked(ctx, h.costs.IPIn)
 	h.ip.Input(f)
 }
 
@@ -58,12 +77,12 @@ func (h *ipHost) inputFrame(ctx *sim.Context, f *proto.Frame) {
 func (h *ipHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 	switch m := msg.(type) {
 	case OpUDPBind:
-		ctx.Charge(h.costs.SockOp)
+		h.costs.chargeLocked(ctx, h.costs.SockOp)
 		s, err := h.udp.Bind(m.Port)
-		ev := EvUDPBound{ReqID: m.ReqID, Stack: h.proc, Err: err}
+		ev := EvUDPBound{ReqID: m.ReqID, Stack: ctx.Proc, Err: err}
 		if err == nil {
 			h.nextUDP++
-			sc := &udpSockCtx{app: m.App, id: h.nextUDP, sock: s}
+			sc := &udpSockCtx{app: m.App, home: ctx.Proc, id: h.nextUDP, sock: s}
 			s.Ctx = sc
 			h.udpSocks[sc.id] = sc
 			ev.UDPID = sc.id
@@ -72,12 +91,10 @@ func (h *ipHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 		h.sendApp(ctx, m.App, ev)
 		return true
 	case OpUDPSendTo:
-		sc, ok := h.udpSocks[m.UDPID]
-		if !ok {
-			return true
+		if sc, ok := h.udpSocks[m.UDPID]; ok {
+			h.costs.chargeLocked(ctx, h.costs.UDPOut)
+			sc.sock.SendTo(m.Addr, m.Port, m.Data)
 		}
-		ctx.Charge(h.costs.UDPOut)
-		sc.sock.SendTo(m.Addr, m.Port, m.Data)
 		return true
 	case OpUDPClose:
 		if sc, ok := h.udpSocks[m.UDPID]; ok {
@@ -104,18 +121,18 @@ func (h *ipHost) sendApp(ctx *sim.Context, app *sim.Proc, ev sim.Message) {
 // ---- ipeng.Env ----
 
 // Now implements ipeng.Env.
-func (h *ipHost) Now() sim.Time { return h.proc.Sim().Now() }
+func (h *ipHost) Now() sim.Time { return h.s.Now() }
 
 // TransmitFrame implements ipeng.Env.
 func (h *ipHost) TransmitFrame(raw []byte) {
 	h.ctx.Charge(h.costs.IPOut)
-	h.toDriver.Send(h.ctx, nicdev.NewTxFrame(raw))
+	h.out.Transmit(h.ctx, raw)
 }
 
 // TransmitTSO implements ipeng.Env.
 func (h *ipHost) TransmitTSO(eth proto.EthernetHeader, ip proto.IPv4Header, tcp proto.TCPHeader, payload []byte, mss int) {
 	h.ctx.Charge(h.costs.IPOut)
-	h.toDriver.Send(h.ctx, nicdev.NewTxTSO(nicdev.TxTSO{Eth: eth, IP: ip, TCP: tcp, Payload: payload, MSS: mss}))
+	h.out.TransmitTSO(h.ctx, nicdev.TxTSO{Eth: eth, IP: ip, TCP: tcp, Payload: payload, MSS: mss})
 }
 
 // DeliverTransport implements ipeng.Env. Frame ownership arrives with the
@@ -155,5 +172,5 @@ func (h *ipHost) Deliver(s *udpeng.Socket, src proto.Addr, srcPort uint16, data 
 		return
 	}
 	data = append([]byte(nil), data...)
-	h.sendApp(h.ctx, sc.app, EvUDPData{Stack: h.proc, UDPID: sc.id, Src: src, SrcPort: srcPort, Data: data})
+	h.sendApp(h.ctx, sc.app, EvUDPData{Stack: sc.home, UDPID: sc.id, Src: src, SrcPort: srcPort, Data: data})
 }

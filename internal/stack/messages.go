@@ -128,8 +128,7 @@ type OpSend struct {
 }
 
 // opSendPool recycles *OpSend boxes so the per-send fast path (socketlib →
-// replica) allocates nothing in steady state. The value form of OpSend
-// remains a valid message for callers that don't pool.
+// replica) allocates nothing in steady state.
 var opSendPool = sync.Pool{New: func() any { return new(OpSend) }}
 
 // NewOpSend returns a pooled OpSend box. Ownership transfers with the

@@ -45,11 +45,14 @@ type Config struct {
 // Replica is one partition of the network stack: its own TCP/IP state, its
 // own processes, its own NIC queue. Replicas never talk to each other.
 type Replica struct {
-	name string
-	kind Kind
-	s    *sim.Simulator
-	cfg  Config
+	name  string
+	kind  Kind
+	s     *sim.Simulator
+	cfg   Config
+	costs *opCosts
 
+	// procs is {stack} for Single and {ip, tcp} for Multi: the entry
+	// process first, the socket process last.
 	procs []*sim.Proc
 	iph   *ipHost
 	tcph  *tcpHost
@@ -92,25 +95,23 @@ func NewReplica(threads []*sim.HWThread, driver *sim.Proc, cfg Config) *Replica 
 		cfg.Name = "stack"
 	}
 	r := &Replica{name: cfg.Name, kind: cfg.Kind, s: threads[0].Machine().Sim(),
-		cfg: cfg, driver: driver}
+		cfg: cfg, driver: driver,
+		costs: &opCosts{Costs: cfg.Costs, connect: cfg.Costs.TCPConnSetup}}
 
 	switch cfg.Kind {
 	case Single:
-		r.buildSingle(threads[0])
+		r.procs = []*sim.Proc{r.buildSingle(threads[0])}
 	case Multi:
-		r.buildIPHost(threads[0])
-		r.buildTCPHost(threads[1])
-		r.procs = []*sim.Proc{r.iph.proc, r.tcph.proc}
+		r.procs = []*sim.Proc{r.buildIPHost(threads[0]), r.buildTCPHost(threads[1])}
 	}
 	return r
 }
 
 // newIPHost constructs a fresh ipHost (engines rebuilt from configuration —
-// the component is stateless, §3.7).
-func (r *Replica) newIPHost() *ipHost {
-	h := &ipHost{r: r, costs: r.cfg.Costs, udpSocks: map[uint64]*udpSockCtx{},
+// the component is stateless, §3.7) whose frames leave through out.
+func (r *Replica) newIPHost(out Egress) *ipHost {
+	h := &ipHost{s: r.s, costs: r.costs, out: out, udpSocks: map[uint64]*udpSockCtx{},
 		appConns: map[*sim.Proc]*ipc.Conn{}, ipcCosts: r.cfg.IPC}
-	h.toDriver = ipc.New(r.driver, r.cfg.IPC)
 	h.filter = pfilter.New()
 	h.ip = ipeng.NewEngine(h, r.cfg.IP)
 	h.udp = udpeng.NewEngine(h, r.cfg.IP.Addr)
@@ -119,75 +120,92 @@ func (r *Replica) newIPHost() *ipHost {
 
 // newTCPHost constructs a fresh tcpHost with an empty TCP engine.
 func (r *Replica) newTCPHost() *tcpHost {
-	h := &tcpHost{r: r, costs: r.cfg.Costs, conns: map[uint64]*tcpeng.Conn{},
+	h := &tcpHost{r: r, s: r.s, costs: r.costs, conns: map[uint64]*tcpeng.Conn{},
 		listeners: map[uint64]*tcpeng.Listener{},
 		appConns:  map[*sim.Proc]*ipc.Conn{}, ipcCosts: r.cfg.IPC}
 	h.tcp = tcpeng.NewEngine(h, r.cfg.IP.Addr, r.cfg.TCP)
 	return h
 }
 
+// toDriver is a replica's egress: a fresh channel to its NIC driver.
+func (r *Replica) toDriver() Egress { return driverEgress{ipc.New(r.driver, r.cfg.IPC)} }
+
 func stackProcConfig(component string) sim.ProcConfig {
 	return sim.ProcConfig{Component: component,
 		WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 80}
 }
 
+// Engines is an in-process engine set: an ipHost and a tcpHost joined by
+// direct calls. It is the whole stack of a single-component replica, and
+// the shared kernel state the Linux baseline's kernel contexts all run.
+// It is also the handler of the processes that run it.
+type Engines struct {
+	iph  *ipHost
+	tcph *tcpHost
+}
+
+// NewEngines builds the engine set of a stack that is not a NEaT replica —
+// the Linux baseline's. cfg.Costs is its per-operation cycle table; connect
+// is what an active open costs and lock what each operation on shared
+// state adds. Frames leave through out. No manager hooks are installed.
+func NewEngines(s *sim.Simulator, cfg Config, connect, lock int64, out Egress) *Engines {
+	r := &Replica{s: s, cfg: cfg, costs: &opCosts{Costs: cfg.Costs, connect: connect, lock: lock}}
+	return r.newEngines(out)
+}
+
+func (r *Replica) newEngines(out Egress) *Engines {
+	e := &Engines{iph: r.newIPHost(out), tcph: r.newTCPHost()}
+	e.iph.toTCP = e.tcph.segmentIn
+	e.tcph.outFrame = func(ctx *sim.Context, dst proto.Addr, p proto.IPProto, frame []byte) {
+		e.iph.ip.OutputFrame(dst, p, frame)
+	}
+	e.tcph.outTSO = func(ctx *sim.Context, t ipeng.TSO) {
+		e.iph.ip.OutputTSO(t)
+	}
+	return e
+}
+
 // buildSingle (re)creates the whole single-component stack on one thread.
-func (r *Replica) buildSingle(th *sim.HWThread) {
-	r.iph = r.newIPHost()
-	r.tcph = r.newTCPHost()
+func (r *Replica) buildSingle(th *sim.HWThread) *sim.Proc {
+	e := r.newEngines(r.toDriver())
+	r.iph, r.tcph = e.iph, e.tcph
 	// A single-component replica is one process; its fault-injection
 	// component label is "tcp" because the TCP engine dominates both the
 	// code size and the state (the injector refines by code-size weights).
-	p := sim.NewProc(th, r.name, &singleHandler{r}, stackProcConfig("tcp"))
-	r.procs = []*sim.Proc{p}
-	r.iph.proc, r.tcph.proc = p, p
-	costs := r.cfg.Costs
-	// Direct in-process calls between the layers. Both hosts' dispatch
-	// contexts are installed for the whole activation by the handler's
-	// BeginBatch, so no per-call context swap is needed.
-	r.iph.toTCP = func(ctx *sim.Context, f *proto.Frame) {
-		ctx.Charge(costs.TCPSegIn)
-		r.tcph.tcp.Input(f)
-		f.Release() // TCP input copies payload into engine buffers
-	}
-	r.tcph.outFrame = func(ctx *sim.Context, dst proto.Addr, p proto.IPProto, frame []byte) {
-		r.iph.ip.OutputFrame(dst, p, frame)
-	}
-	r.tcph.outTSO = func(ctx *sim.Context, t ipeng.TSO) {
-		r.iph.ip.OutputTSO(t)
-	}
+	return sim.NewProc(th, r.name, e, stackProcConfig("tcp"))
 }
 
 // buildIPHost (re)creates the PF+IP+UDP process of a Multi replica.
-func (r *Replica) buildIPHost(th *sim.HWThread) {
-	r.iph = r.newIPHost()
-	r.iph.proc = sim.NewProc(th, r.name+".ip", &ipHandler{r.iph}, stackProcConfig("ip"))
+func (r *Replica) buildIPHost(th *sim.HWThread) *sim.Proc {
+	r.iph = r.newIPHost(r.toDriver())
+	p := sim.NewProc(th, r.name+".ip", &ipHandler{r.iph}, stackProcConfig("ip"))
 	if r.connToTCP == nil {
 		r.connToTCP = ipc.New(nil, r.cfg.IPC)
 	}
 	if r.connToIP == nil {
 		r.connToIP = ipc.New(nil, r.cfg.IPC)
 	}
-	r.connToIP.Rebind(r.iph.proc)
+	r.connToIP.Rebind(p)
 	toTCP := r.connToTCP
 	r.iph.toTCP = func(ctx *sim.Context, f *proto.Frame) {
 		// The frame box crosses the component boundary as-is: it is already
 		// pooled and reference-counted, so no wrapper message is needed.
 		toTCP.Send(ctx, f)
 	}
+	return p
 }
 
 // buildTCPHost (re)creates the TCP process of a Multi replica.
-func (r *Replica) buildTCPHost(th *sim.HWThread) {
+func (r *Replica) buildTCPHost(th *sim.HWThread) *sim.Proc {
 	r.tcph = r.newTCPHost()
-	r.tcph.proc = sim.NewProc(th, r.name+".tcp", &tcpHandler{r.tcph}, stackProcConfig("tcp"))
+	p := sim.NewProc(th, r.name+".tcp", &tcpHandler{r.tcph}, stackProcConfig("tcp"))
 	if r.connToTCP == nil {
 		r.connToTCP = ipc.New(nil, r.cfg.IPC)
 	}
 	if r.connToIP == nil {
 		r.connToIP = ipc.New(nil, r.cfg.IPC)
 	}
-	r.connToTCP.Rebind(r.tcph.proc)
+	r.connToTCP.Rebind(p)
 	toIP := r.connToIP
 	r.tcph.outFrame = func(ctx *sim.Context, dst proto.Addr, p proto.IPProto, frame []byte) {
 		toIP.Send(ctx, newIPOutput(dst, p, frame))
@@ -195,6 +213,7 @@ func (r *Replica) buildTCPHost(th *sim.HWThread) {
 	r.tcph.outTSO = func(ctx *sim.Context, t ipeng.TSO) {
 		toIP.Send(ctx, newIPOutputTSO(t.Dst, t.TCP, t.Payload, t.MSS))
 	}
+	return p
 }
 
 // RestartIP replaces a dead IP process of a Multi replica with a fresh,
@@ -205,10 +224,10 @@ func (r *Replica) RestartIP(th *sim.HWThread) *sim.Proc {
 	if r.kind != Multi {
 		panic("stack: RestartIP on a single-component replica")
 	}
-	r.buildIPHost(th)
-	r.procs = []*sim.Proc{r.iph.proc, r.tcph.proc}
-	r.dead = r.tcph.proc.Dead()
-	return r.iph.proc
+	tcp := r.procs[1]
+	r.procs = []*sim.Proc{r.buildIPHost(th), tcp}
+	r.dead = tcp.Dead()
+	return r.procs[0]
 }
 
 // RestartTCP replaces a dead TCP process of a Multi replica. All TCP
@@ -218,10 +237,10 @@ func (r *Replica) RestartTCP(th *sim.HWThread) *sim.Proc {
 	if r.kind != Multi {
 		panic("stack: RestartTCP on a single-component replica")
 	}
-	r.buildTCPHost(th)
-	r.procs = []*sim.Proc{r.iph.proc, r.tcph.proc}
-	r.dead = r.iph.proc.Dead()
-	return r.tcph.proc
+	ip := r.procs[0]
+	r.procs = []*sim.Proc{ip, r.buildTCPHost(th)}
+	r.dead = ip.Dead()
+	return r.procs[1]
 }
 
 // Rebuild replaces a dead single-component replica with a fresh incarnation
@@ -230,7 +249,7 @@ func (r *Replica) Rebuild(th *sim.HWThread) *sim.Proc {
 	if r.kind != Single {
 		panic("stack: Rebuild is for single-component replicas")
 	}
-	r.buildSingle(th)
+	r.procs = []*sim.Proc{r.buildSingle(th)}
 	r.dead = false
 	return r.procs[0]
 }
@@ -257,10 +276,10 @@ func (r *Replica) Kind() Kind { return r.kind }
 func (r *Replica) Procs() []*sim.Proc { return r.procs }
 
 // EntryProc returns the process the NIC driver must deliver RX frames to.
-func (r *Replica) EntryProc() *sim.Proc { return r.iph.proc }
+func (r *Replica) EntryProc() *sim.Proc { return r.procs[0] }
 
 // SockProc returns the process applications address socket operations to.
-func (r *Replica) SockProc() *sim.Proc { return r.tcph.proc }
+func (r *Replica) SockProc() *sim.Proc { return r.procs[len(r.procs)-1] }
 
 // TCP returns the replica's TCP engine (tests and the manager inspect it).
 func (r *Replica) TCP() *tcpeng.Engine { return r.tcph.tcp }
@@ -300,43 +319,44 @@ func (r *Replica) String() string {
 
 // ---- process handlers ----
 //
-// Every handler implements sim.BatchHandler: deliveries now arrive as
-// vectors (one simulator event per same-timestamp ring flush), and the
-// bracket installs the hosts' dispatch context once per activation instead
-// of once per message. The per-message context swaps — and the allocating
-// withCtx func literals on the OpSend path — are gone; engine callbacks
-// reach the context through the host for the whole drain. The bracket is
-// bookkeeping only: it charges no cycles and sends no messages, so batched
-// and unbatched delivery produce byte-identical simulations.
-
-// singleHandler runs the entire stack in one process.
-type singleHandler struct{ r *Replica }
+// Every handler implements sim.BatchHandler: the bracket installs the
+// hosts' dispatch context once per activation, and engine callbacks reach
+// it through the host for the whole drain. The bracket is bookkeeping only:
+// it charges no cycles and sends no messages, so a simulation is
+// byte-identical with or without it.
 
 // BeginBatch implements sim.BatchHandler.
-func (h *singleHandler) BeginBatch(ctx *sim.Context, n int) {
-	h.r.iph.ctx, h.r.tcph.ctx = ctx, ctx
-}
+func (e *Engines) BeginBatch(ctx *sim.Context, n int) { e.iph.ctx, e.tcph.ctx = ctx, ctx }
 
 // EndBatch implements sim.BatchHandler.
-func (h *singleHandler) EndBatch() {
-	h.r.iph.ctx, h.r.tcph.ctx = nil, nil
-}
+func (e *Engines) EndBatch() { e.iph.ctx, e.tcph.ctx = nil, nil }
 
-func (h *singleHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
-	r := h.r
+// HandleMessage implements sim.Handler: frames, timers and every socket
+// operation of the engine set.
+func (e *Engines) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {
 	case *proto.Frame:
-		r.iph.inputFrame(ctx, m)
+		e.iph.inputFrame(ctx, m)
 	case tickMsg:
 		m.fn()
 	case *tcpeng.ConnTimer:
-		r.tcph.onTimer(ctx, m)
+		e.tcph.onTimer(ctx, m)
 	default:
-		if !r.tcph.handleOp(ctx, msg) {
-			r.iph.handleOp(ctx, msg)
+		if !e.tcph.handleOp(ctx, msg) {
+			e.iph.handleOp(ctx, msg)
 		}
 	}
 }
+
+// Input runs one received frame through the packet filter and the IP
+// engine; ownership of f arrives with the call.
+func (e *Engines) Input(ctx *sim.Context, f *proto.Frame) { e.iph.inputFrame(ctx, f) }
+
+// TCP returns the engine set's TCP engine.
+func (e *Engines) TCP() *tcpeng.Engine { return e.tcph.tcp }
+
+// LockedOps reports how many operations on shared state have been charged.
+func (e *Engines) LockedOps() uint64 { return e.iph.costs.locked }
 
 // ipHandler is the multi-component PF+IP(+UDP) process.
 type ipHandler struct{ h *ipHost }
@@ -380,10 +400,7 @@ func (th *tcpHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	h := th.h
 	switch m := msg.(type) {
 	case *proto.Frame:
-		// Inbound segment from the IP process.
-		ctx.Charge(h.costs.TCPSegIn)
-		h.tcp.Input(m)
-		m.Release()
+		h.segmentIn(ctx, m) // inbound segment from the IP process
 	case *tcpeng.ConnTimer:
 		h.onTimer(ctx, m)
 	case tickMsg:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"neat/internal/bufpool"
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
 	"neat/internal/nicdev"
@@ -119,7 +120,7 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		// never recycled, which the ownership contract allows.
 		a.got[m.ConnID] = append(a.got[m.ConnID], m.Data...)
 		if len(m.Data) > 0 && !a.sink {
-			a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: m.Data})
+			a.stack.Send(ctx, NewOpSend(m.ConnID, m.Data, bufpool.Ref{}, false))
 		}
 		if m.EOF {
 			a.stack.Send(ctx, OpClose{ConnID: m.ConnID})
@@ -158,7 +159,7 @@ func (a *echoClient) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			return
 		}
 		a.connID = m.ConnID
-		a.stack.Send(ctx, OpSend{ConnID: m.ConnID, Data: a.payload})
+		a.stack.Send(ctx, NewOpSend(m.ConnID, a.payload, bufpool.Ref{}, false))
 	case *EvData:
 		a.got = append(a.got, m.Data...)
 		if len(a.got) >= len(a.payload) {

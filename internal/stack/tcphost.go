@@ -9,14 +9,14 @@ import (
 	"neat/internal/tcpeng"
 )
 
-// tcpHost hosts the TCP engine and the TCP-side socket bookkeeping. In a
-// single-component replica it shares the process with ipHost; in a
-// multi-component replica it is the "TCP process" of Fig. 3 — the one
-// stateful component whose crash loses connections (§6.6).
+// tcpHost hosts the TCP engine and the TCP-side socket bookkeeping. In an
+// engine set it shares the process(es) with ipHost; in a multi-component
+// replica it is the "TCP process" of Fig. 3 — the one stateful component
+// whose crash loses connections (§6.6).
 type tcpHost struct {
 	r     *Replica
-	proc  *sim.Proc
-	costs Costs
+	s     *sim.Simulator
+	costs *opCosts
 	ctx   *sim.Context
 
 	tcp *tcpeng.Engine
@@ -34,18 +34,26 @@ type tcpHost struct {
 	ipcCosts  ipc.Costs
 }
 
-// sockCtx is the per-connection socket bookkeeping.
+// sockCtx is the per-connection socket bookkeeping. home is the stack
+// process that created the socket — the one running the connect, or the
+// listener's home for an accepted connection. Every event for the socket
+// names it, so the socket library's (stack, connID) keys hold even where
+// other processes run the socket's receive path (the Linux baseline's
+// kernel contexts).
 type sockCtx struct {
 	app         *sim.Proc
+	home        *sim.Proc
 	reqID       uint64 // OpConnect correlation (active opens)
 	established bool
 	pending     []byte // OpSend bytes not yet accepted by the engine
 	wantSpace   bool   // app asked to be told when space frees
 }
 
-// listenCtx binds a listener subsocket to its owning application.
+// listenCtx binds a listener subsocket to its owning application and to
+// the stack process that created it.
 type listenCtx struct {
 	app   *sim.Proc
+	home  *sim.Proc
 	reqID uint64
 }
 
@@ -54,71 +62,75 @@ type listenCtx struct {
 // HandleMessage run with it already in place.
 
 func (h *tcpHost) onTimer(ctx *sim.Context, m *tcpeng.ConnTimer) {
-	ctx.Charge(h.costs.TimerOp)
+	h.costs.chargeLocked(ctx, h.costs.TimerOp)
 	h.tcp.OnTimer(m.C, m.Kind)
+}
+
+// segmentIn runs one inbound TCP segment; frame ownership arrives with the
+// call, and TCP input copies what it keeps.
+func (h *tcpHost) segmentIn(ctx *sim.Context, f *proto.Frame) {
+	h.costs.chargeLocked(ctx, h.costs.TCPSegIn)
+	h.tcp.Input(f)
+	f.Release()
 }
 
 // handleOp processes TCP socket operations; reports whether msg was one.
 func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 	switch m := msg.(type) {
 	case OpListen:
-		ctx.Charge(h.costs.SockOp)
+		h.costs.chargeLocked(ctx, h.costs.SockOp)
 		l, err := h.tcp.Listen(proto.Addr{}, m.Port, m.Backlog)
 		if err == nil {
-			l.Ctx = &listenCtx{app: m.App, reqID: m.ReqID}
+			l.Ctx = &listenCtx{app: m.App, home: ctx.Proc, reqID: m.ReqID}
 			h.listeners[m.ReqID] = l
 		}
 		ackTo := m.App
 		if m.ReplyTo != nil {
 			ackTo = m.ReplyTo
 		}
-		h.sendApp(ctx, ackTo, EvListening{ReqID: m.ReqID, Stack: h.proc, Err: err})
+		h.sendApp(ctx, ackTo, EvListening{ReqID: m.ReqID, Stack: ctx.Proc, Err: err})
 		return true
 	case OpConnect:
-		ctx.Charge(h.costs.TCPConnSetup)
+		h.costs.chargeLocked(ctx, h.costs.connect)
 		c, err := h.tcp.ConnectFrom(m.Addr, m.Port, m.LocalPort)
 		if err != nil {
-			h.sendApp(ctx, m.App, EvConnected{ReqID: m.ReqID, Stack: h.proc, Err: err})
+			h.sendApp(ctx, m.App, EvConnected{ReqID: m.ReqID, Stack: ctx.Proc, Err: err})
 			return true
 		}
-		c.Ctx = &sockCtx{app: m.App, reqID: m.ReqID}
+		c.Ctx = &sockCtx{app: m.App, home: ctx.Proc, reqID: m.ReqID}
 		h.conns[c.ID] = c
 		if h.r.OnConnCreated != nil {
 			h.r.OnConnCreated(h.r, c)
 		}
 		return true
 	case *OpSend:
-		// Pooled fast-path form (socketlib): once Data has been absorbed the
-		// box goes back to its pool and the Ref is released.
+		// Once Data has been absorbed the box goes back to its pool and the
+		// Ref is released.
 		h.opSend(ctx, m.ConnID, m.Data, m.WantSpace)
 		m.Recycle()
 		return true
-	case OpSend:
-		h.opSend(ctx, m.ConnID, m.Data, m.WantSpace)
-		m.Ref.Release()
-		return true
 	case OpClose:
 		if c, ok := h.conns[m.ConnID]; ok {
-			ctx.Charge(h.costs.SockOp)
+			h.costs.chargeLocked(ctx, h.costs.SockOp)
 			c.Close()
 		}
 		return true
 	case OpAbort:
 		if c, ok := h.conns[m.ConnID]; ok {
-			ctx.Charge(h.costs.SockOp)
+			h.costs.chargeLocked(ctx, h.costs.SockOp)
 			c.Abort()
 		}
 		return true
 	case OpCloseListener:
 		if l, ok := h.listeners[m.ReqID]; ok {
-			ctx.Charge(h.costs.SockOp)
+			h.costs.chargeLocked(ctx, h.costs.SockOp)
 			delete(h.listeners, m.ReqID)
 			l.Close()
 		}
 		return true
 	case OpCheckpoint:
 		snap := h.tcp.Snapshot()
-		snap.Owner = h.proc
+		snap.Owner = ctx.Proc
 		// Checkpointing is the run-time overhead the paper warns about
 		// (§2.1): a process-image snapshot costs a fixed quiesce+copy of
 		// the process plus the per-connection state.
@@ -134,8 +146,7 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 	return false
 }
 
-// opSend appends send-stream bytes to a connection: the shared body of the
-// pooled (*OpSend) and value (OpSend) message forms. The engine copies
+// opSend appends send-stream bytes to a connection. The engine copies
 // straight from the caller's bytes and sc.pending takes only what the send
 // buffer had no room for, so on return nothing refers to data any more and
 // the caller releases it.
@@ -148,7 +159,7 @@ func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, wantSpace
 	if wantSpace {
 		sc.wantSpace = true
 	}
-	ctx.Charge(h.costs.SockOp)
+	h.costs.chargeLocked(ctx, h.costs.SockOp)
 	if len(sc.pending) > 0 {
 		// Refused bytes are still waiting: these go behind them.
 		sc.pending = append(sc.pending, data...)
@@ -160,9 +171,9 @@ func (h *tcpHost) opSend(ctx *sim.Context, connID uint64, data []byte, wantSpace
 }
 
 // restore loads a checkpoint into this (fresh) TCP host: PCBs come back
-// with their socket bookkeeping, the manager hooks re-register them (and
-// re-install NIC filters), and the owning applications are told the new
-// home of each connection.
+// with their socket bookkeeping re-homed to this process, the manager hooks
+// re-register them (and re-install NIC filters), and the owning
+// applications are told the new home of each connection.
 func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 	if snap == nil {
 		return
@@ -171,6 +182,7 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 	n := h.tcp.Restore(snap)
 	for _, ls := range snap.Listeners {
 		if lc, ok := ls.Ctx.(*listenCtx); ok {
+			lc.home = ctx.Proc
 			if l := h.tcp.LookupListener(ls.Port); l != nil {
 				h.listeners[lc.reqID] = l
 			}
@@ -185,11 +197,12 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 		if c == nil {
 			continue
 		}
+		sc.home = ctx.Proc
 		h.conns[c.ID] = c
 		if h.r.OnConnEstablished != nil {
 			h.r.OnConnEstablished(h.r, c)
 		}
-		h.sendApp(ctx, sc.app, EvRehomed{OldStack: snap.Owner, NewStack: h.proc, ConnID: c.ID})
+		h.sendApp(ctx, sc.app, EvRehomed{OldStack: snap.Owner, NewStack: ctx.Proc, ConnID: c.ID})
 	}
 	if h.r.OnRestored != nil {
 		h.r.OnRestored(h.r, n)
@@ -218,7 +231,7 @@ func (h *tcpHost) maybeAdvertiseSpace(c *tcpeng.Conn, sc *sockCtx) {
 		return
 	}
 	sc.wantSpace = false
-	h.sendApp(h.ctx, sc.app, EvSendSpace{Stack: h.proc, ConnID: c.ID, Available: avail})
+	h.sendApp(h.ctx, sc.app, EvSendSpace{Stack: sc.home, ConnID: c.ID, Available: avail})
 }
 
 // sendApp posts an event to an application process.
@@ -235,7 +248,7 @@ func (h *tcpHost) sendApp(ctx *sim.Context, app *sim.Proc, ev sim.Message) {
 // ---- tcpeng.Env ----
 
 // Now implements tcpeng.Env.
-func (h *tcpHost) Now() sim.Time { return h.proc.Sim().Now() }
+func (h *tcpHost) Now() sim.Time { return h.s.Now() }
 
 // SendSegment implements tcpeng.Env: serialize (or TSO-describe) and hand
 // to the IP layer. seg.Payload is only valid during the call, and a TSO
@@ -243,7 +256,7 @@ func (h *tcpHost) Now() sim.Time { return h.proc.Sim().Now() }
 // reference — so the super-segment gets a pooled buffer of its own, which
 // whoever segments it releases.
 func (h *tcpHost) SendSegment(c *tcpeng.Conn, seg tcpeng.OutSegment) {
-	h.ctx.Charge(h.costs.TCPSegOut)
+	h.costs.chargeLocked(h.ctx, h.costs.TCPSegOut)
 	if seg.TSO && len(seg.Payload) > seg.MSS {
 		payload := append(bufpool.Get(len(seg.Payload))[:0], seg.Payload...)
 		h.outTSO(h.ctx, ipeng.TSO{TCP: seg.Hdr, Dst: seg.Dst, Payload: payload, MSS: seg.MSS})
@@ -255,7 +268,8 @@ func (h *tcpHost) SendSegment(c *tcpeng.Conn, seg tcpeng.OutSegment) {
 }
 
 // ArmTimer implements tcpeng.Env: (re)arm the connection's intrusive timer
-// node. The node doubles as the fire message, so arming allocates nothing.
+// node on the process running the dispatch. The node doubles as the fire
+// message, so arming allocates nothing.
 func (h *tcpHost) ArmTimer(c *tcpeng.Conn, k tcpeng.TimerKind, d sim.Time) {
 	t := &c.Timers[k]
 	h.ctx.Retimer(&t.Timer, d, t)
@@ -268,22 +282,21 @@ func (h *tcpHost) StopTimer(c *tcpeng.Conn, k tcpeng.TimerKind) {
 
 // Accepted implements tcpeng.Env.
 func (h *tcpHost) Accepted(c *tcpeng.Conn) {
-	h.ctx.Charge(h.costs.TCPConnSetup)
+	h.costs.chargeLocked(h.ctx, h.costs.TCPConnSetup)
 	lc, ok := c.Listener.Ctx.(*listenCtx)
 	if !ok {
 		return
 	}
-	// NEaT sockets hand accepted connections straight to the application;
-	// the library "accepts" them without a syscall (§3.3).
+	// Accepted connections go straight to the application; the library
+	// "accepts" them without a syscall (§3.3).
 	c.Listener.Accept()
-	sc := &sockCtx{app: lc.app, established: true}
-	c.Ctx = sc
+	c.Ctx = &sockCtx{app: lc.app, home: lc.home, established: true}
 	h.conns[c.ID] = c
 	if h.r.OnConnEstablished != nil {
 		h.r.OnConnEstablished(h.r, c)
 	}
 	ra, rp := c.RemoteAddr()
-	h.sendApp(h.ctx, lc.app, NewEvAccepted(lc.reqID, c.ID, h.proc, ra, rp, c.SendSpaceFree()))
+	h.sendApp(h.ctx, lc.app, NewEvAccepted(lc.reqID, c.ID, lc.home, ra, rp, c.SendSpaceFree()))
 }
 
 // Connected implements tcpeng.Env.
@@ -297,7 +310,7 @@ func (h *tcpHost) Connected(c *tcpeng.Conn) {
 		h.r.OnConnEstablished(h.r, c)
 	}
 	h.sendApp(h.ctx, sc.app, EvConnected{
-		ReqID: sc.reqID, ConnID: c.ID, Stack: h.proc, SendBuf: c.SendSpaceFree(),
+		ReqID: sc.reqID, ConnID: c.ID, Stack: sc.home, SendBuf: c.SendSpaceFree(),
 	})
 }
 
@@ -313,7 +326,7 @@ func (h *tcpHost) DataReadable(c *tcpeng.Conn) {
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendApp(h.ctx, sc.app, NewEvData(h.proc, c.ID, data, eof))
+	h.sendApp(h.ctx, sc.app, NewEvData(sc.home, c.ID, data, eof))
 }
 
 // SendSpace implements tcpeng.Env.
@@ -334,10 +347,10 @@ func (h *tcpHost) ConnClosed(c *tcpeng.Conn, reset bool) {
 	}
 	if !sc.established {
 		// Active open failed.
-		h.sendApp(h.ctx, sc.app, EvConnected{ReqID: sc.reqID, Stack: h.proc, Err: c.Err})
+		h.sendApp(h.ctx, sc.app, EvConnected{ReqID: sc.reqID, Stack: sc.home, Err: c.Err})
 		return
 	}
-	h.sendApp(h.ctx, sc.app, NewEvClosed(h.proc, c.ID, reset, c.Err))
+	h.sendApp(h.ctx, sc.app, NewEvClosed(sc.home, c.ID, reset, c.Err))
 }
 
 // ConnRemoved implements tcpeng.Env.
@@ -349,4 +362,4 @@ func (h *tcpHost) ConnRemoved(c *tcpeng.Conn) {
 }
 
 // RandUint32 implements tcpeng.Env.
-func (h *tcpHost) RandUint32() uint32 { return h.proc.Sim().Rand().Uint32() }
+func (h *tcpHost) RandUint32() uint32 { return h.s.Rand().Uint32() }

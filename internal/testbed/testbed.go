@@ -351,21 +351,20 @@ func (h *Host) AppThread(coreIdx int) *sim.HWThread {
 
 // BuildBaseline boots a monolithic Linux-model stack on host h: one kernel
 // context per entry of kernelLocs, applications to be colocated by the
-// caller on the same threads.
-func (h *Host) BuildBaseline(peer *Host, tuning baseline.Tuning, tcp tcpeng.Config, kernelLocs []ThreadLoc) (*baseline.System, error) {
+// caller on the same threads. The zero costs selects baseline.DefaultCosts.
+func (h *Host) BuildBaseline(peer *Host, tuning baseline.Tuning, tcp tcpeng.Config, costs baseline.Costs, kernelLocs []ThreadLoc) (*baseline.System, error) {
 	threads := make([]*sim.HWThread, len(kernelLocs))
 	for i, loc := range kernelLocs {
 		threads[i] = h.Thread(loc)
 	}
+	scfg := h.StackConfig(stack.Single, tcp, peer)
 	return baseline.New(baseline.Config{
 		KernelThreads: threads,
 		NIC:           h.NIC,
-		IP: ipeng.Config{
-			Addr: h.IP, Mask: Netmask, MAC: h.MAC,
-			StaticARP: map[proto.Addr]proto.MAC{peer.IP: peer.MAC},
-		},
-		TCP:    tcp,
-		Tuning: tuning,
-		IPC:    ipc.DefaultCosts(),
+		IP:            scfg.IP,
+		TCP:           tcp,
+		Tuning:        tuning,
+		Costs:         costs,
+		IPC:           scfg.IPC,
 	})
 }

@@ -68,7 +68,7 @@ func TestBuildNEaTAndBaseline(t *testing.T) {
 	n2 := New(2)
 	amd2 := DefaultAMDHost(n2, 0, 4)
 	cli2 := DefaultClientHost(n2, 1, 1)
-	bl, err := amd2.BuildBaseline(cli2, baseline.Tuning{}, tcpeng.DefaultConfig(),
+	bl, err := amd2.BuildBaseline(cli2, baseline.Tuning{}, tcpeng.DefaultConfig(), baseline.Costs{},
 		[]ThreadLoc{{Core: 0}, {Core: 1}, {Core: 2}, {Core: 3}})
 	if err != nil {
 		t.Fatal(err)
