@@ -16,8 +16,9 @@ test:
 # tests under the race detector (the concurrent experiment runner must stay
 # race-free AND byte-identical to a sequential sweep, the PDES coordinator
 # race-free AND byte-identical across worker counts, with or without
-# tracing), the timer-wheel invariants and the IPC ring semantics under the
-# race detector, the allocation guards (scheduling/dispatch, timer
+# tracing), the scheduler's invariants and its differential test against a
+# reference heap, and the IPC ring semantics under the race detector, the
+# scheduler's node-size budget, the allocation guards (scheduling/dispatch, timer
 # arm/stop/fire and the IPC send/recv fast path must stay allocation-free in
 # steady state; so must a warm bulk exchange inside the TCP engine pair, in
 # order or reordered, a BuildTCP frame's round trip and an accept that keeps
@@ -26,7 +27,9 @@ test:
 # connection-path ownership tests under the race detector, the Linux
 # baseline's tests under the race detector (its K kernel contexts share one
 # engine set and NEaT's pooled event boxes), the layer benchmarks of the per-byte path (checksum, bulk send/receive: they
-# print the numbers and fail on wrong bytes), 5 s of each fuzz target, and
+# print the numbers and fail on wrong bytes) and of the scheduler (schedule
+# and pop: near, far, and a burst after an idle gap), 5 s of each fuzz
+# target, and
 # the md5 oracle pinning the default single-link campaign outputs: a
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
 # `neat-faults -matrix -quick` fails here, not in review. The cluster and
@@ -36,7 +39,9 @@ test:
 # PR may not edit benchmark/, so the gate proves it still builds against the
 # internal API it imports and passes its own correctness checks
 # (byte-verified bodies, repeat-identical digests, clean control farm) — any
-# violation exits non-zero.
+# violation exits non-zero — and each run's final JSON line must match the
+# seed-7 values pinned in testdata/benchmark_model_pins.txt: every model_*
+# exactly, allocs_per_op within 2 %.
 verify:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -45,14 +50,15 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
-	$(GO) test -race ./internal/sim -run 'TestTimer' -count=1
+	$(GO) test -race ./internal/sim -run 'TestTimer|TestScheduler|TestEventPosition|TestQueue|TestScheduleAtNow' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
-	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades' -count=1
+	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades|TestWheelNodeSize' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
 	$(GO) test -race ./internal/baseline -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem
+	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEventSchedulePop' -benchtime 200000x -benchmem
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -73,7 +79,8 @@ verify:
 	if [ "$$a" != "$$b" ]; then \
 		echo "ipc campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
 	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"
-	bash benchmark/run.sh -workload web_small -seed 7 -seconds 3 -trace 0
-	bash benchmark/run.sh -workload web_bulk -seed 7 -seconds 3 -trace 0
-	bash benchmark/run.sh -workload conn_scale -seed 7 -seconds 3 -trace 0
-	bash benchmark/run.sh -workload cluster_faults -seed 7 -seconds 3 -trace 0
+	@for w in web_small web_bulk conn_scale cluster_faults; do \
+		out=$$(bash benchmark/run.sh -workload $$w -seed 7 -seconds 3 -trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | bash testdata/check_model_pins.sh $$w || exit 1; \
+	done

@@ -16,8 +16,9 @@ import (
 
 // The connection-scale sweep measures what the million-connection refactor
 // claims: one replica's TCP engine holds ~1M established connections while
-// the simulator's calendar queue stays small — armed per-connection timers
-// live in the hierarchical timer wheel, not as individual events. The sweep
+// the simulator's pending events stay few — armed per-connection timers are
+// timer nodes of the scheduler's wheel, which PendingEvents does not count,
+// and the events beside them stay O(1) in conns. The sweep
 // runs a conns ladder and checks, rung by rung, that a 2-worker PDES run
 // reproduces the sequential run's protocol state byte for byte.
 //
@@ -149,8 +150,8 @@ func (h *connHost) RandUint32() uint32 {
 type ConnScalePoint struct {
 	Conns         int
 	Established   int    // server-side established connections at measurement
-	PendingEvents int    // calendar-queue events resident at measurement
-	PendingTimers int    // timer-wheel entries resident at measurement
+	PendingEvents int    // scheduled events resident at measurement
+	PendingTimers int    // armed timers resident at measurement
 	Cascades      uint64 // wheel cascade operations during the run
 	BytesPerConn  float64
 	WallSeconds   float64
@@ -314,8 +315,8 @@ func ConnScale(o Options) *Result {
 			ident)
 	}
 	res.Tables = append(res.Tables, tab)
-	res.Notef("every established conn arms a 30s idle-guard timer; \"pending events\" is the calendar queue, \"pending timers\" the wheel residency")
-	res.Notef("the calendar queue stays O(1) in conns: an armed timer is a wheel entry, never an event")
+	res.Notef("every established conn arms a 30s idle-guard timer; \"pending events\" counts scheduled events, \"pending timers\" armed timers, both in the one scheduler wheel")
+	res.Notef("pending events stay O(1) in conns: an armed timer is a timer node of the wheel, never an event")
 	res.Notef("B/conn is heap growth per established connection, both endpoints plus wheel entries included")
 	res.Notef("seq==pdes2: the same rung re-run under 2-worker PDES reproduces identical protocol-state digests")
 	return res

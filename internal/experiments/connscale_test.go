@@ -4,8 +4,8 @@ import "testing"
 
 // TestConnScaleSmallRung checks the bed itself at a small rung: every
 // requested connection establishes, the wheel holds exactly the live timers
-// (one idle guard per connection) while the calendar queue holds none of
-// them, and PDES reproduces the sequential digest.
+// (one idle guard per connection) while the pending events stay few, and
+// PDES reproduces the sequential digest.
 func TestConnScaleSmallRung(t *testing.T) {
 	const conns = 768
 	seq := connScaleRun(7, conns, 0)
@@ -16,7 +16,7 @@ func TestConnScaleSmallRung(t *testing.T) {
 		t.Fatalf("%d resident timers, want %d idle guards", seq.PendingTimers, conns)
 	}
 	if seq.PendingEvents >= conns/2 {
-		t.Fatalf("%d calendar events pending — timers are leaking into the queue", seq.PendingEvents)
+		t.Fatalf("%d events pending — timers are being counted as events", seq.PendingEvents)
 	}
 
 	pdes := connScaleRun(7, conns, 2)
@@ -48,7 +48,7 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 
 // BenchmarkMillionConns is the headline number: one replica's TCP engine
 // holding a million established connections, each with an armed idle-guard
-// timer, while the simulator's calendar queue stays effectively empty.
+// timer, while the simulator's pending events stay effectively none.
 // Run with -benchtime=1x; one iteration is one full establishment storm.
 func BenchmarkMillionConns(b *testing.B) {
 	const conns = 1_000_000
@@ -60,10 +60,10 @@ func BenchmarkMillionConns(b *testing.B) {
 		if p.PendingTimers != conns {
 			b.Fatalf("resident timers %d, want %d", p.PendingTimers, conns)
 		}
-		// The point of the wheel: calendar residency is O(levels), not
+		// The point of the wheel: pending events are O(levels), not
 		// O(conns). 1024 is generous — typically it is single digits.
 		if p.PendingEvents >= 1024 {
-			b.Fatalf("calendar queue holds %d events with %d armed timers", p.PendingEvents, conns)
+			b.Fatalf("%d events pending with %d armed timers", p.PendingEvents, conns)
 		}
 		if p.Cascades == 0 {
 			b.Fatal("no cascades: the ladder never exercised upper wheel levels")

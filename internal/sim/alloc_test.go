@@ -4,8 +4,8 @@ import "testing"
 
 // These tests guard the observability layer's overhead contract:
 //
-//   - the event-scheduling path stays allocation-free (the calendar
-//     queue's closure-free 0 allocs/op property);
+//   - the event-scheduling path stays allocation-free (closure-free
+//     event kinds on pooled wheel nodes: 0 allocs/op);
 //   - the deliver → dispatch cycle is allocation-free with no tracer
 //     installed (the Context is hoisted into the Proc, so the Handler
 //     interface escape costs nothing) — the arrival-stamp machinery must
@@ -17,11 +17,11 @@ func TestScheduleZeroAlloc(t *testing.T) {
 	s := New(1)
 	sink := &benchSink{}
 	for i := 0; i < 64; i++ {
-		s.AfterEvent(Time(i%8)*Microsecond, sink, 1)
+		s.AtEvent(s.Now()+Time(i%8)*Microsecond, sink, 1)
 		s.Step()
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		s.AfterEvent(Microsecond, sink, 1)
+		s.AtEvent(s.Now()+Microsecond, sink, 1)
 		s.Step()
 	})
 	if allocs != 0 {

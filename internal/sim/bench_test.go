@@ -6,37 +6,64 @@ type benchSink struct{ n uint64 }
 
 func (s *benchSink) OnEvent(tag uint64) { s.n += tag }
 
-// BenchmarkSimSchedule measures the closure-free schedule+dispatch cycle of
-// the calendar queue in steady state: one insert and one pop per iteration,
-// with the timer horizon spread across the wheel.
-func BenchmarkSimSchedule(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	sink := &benchSink{}
-	for i := 0; i < b.N; i++ {
-		s.AfterEvent(Time(i%1000)*Microsecond, sink, 1)
-		s.Step()
+// BenchmarkEventSchedulePop measures one closure-free schedule and one pop
+// of the scheduler in steady state, a hold model: every iteration runs the
+// earliest pending event and schedules a replacement, so the population
+// stays constant.
+//
+//   - near: 1024 events pending within the first 1 ms, all in L0;
+//   - far: 1024 events 10–14 ms out, each placed in L1 and scattered into
+//     L0 when its range opens;
+//   - gap_burst: one far event pending across a 1 s idle gap, then a burst
+//     of 1024 near schedules popped in order, as a quiet stack wakes up.
+func BenchmarkEventSchedulePop(b *testing.B) {
+	const pop = 1024
+	hold := func(b *testing.B, base, spread Time) {
+		s := New(1)
+		sink := &benchSink{}
+		next := func(i int) Time { return base + Time(i*7919%pop)*spread/pop }
+		for i := 0; i < pop; i++ {
+			s.AtEvent(next(i), sink, 1)
+		}
+		step := func(i int) {
+			s.Step()
+			s.AtEvent(s.Now()+next(i), sink, 1)
+		}
+		for i := 0; i < 4*pop; i++ {
+			step(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step(i)
+		}
 	}
-	s.Drain()
-	if sink.n == 0 {
-		b.Fatal("no events ran")
-	}
-}
-
-// BenchmarkSimScheduleFar exercises the far-future heap spill: every
-// insertion lands beyond the wheel horizon and must migrate back in.
-func BenchmarkSimScheduleFar(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	sink := &benchSink{}
-	for i := 0; i < b.N; i++ {
-		s.AfterEvent(10*Millisecond, sink, 1) // past the 1024-bucket horizon
-		s.Step()
-	}
-	s.Drain()
-	if sink.n == 0 {
-		b.Fatal("no events ran")
-	}
+	b.Run("near", func(b *testing.B) { hold(b, 0, Millisecond) })
+	b.Run("far", func(b *testing.B) { hold(b, 10*Millisecond, 4*Millisecond) })
+	b.Run("gap_burst", func(b *testing.B) {
+		s := New(1)
+		sink := &benchSink{}
+		burst := func() {
+			s.AtEvent(s.Now()+20*Second, sink, 0) // the far sentinel
+			s.RunFor(Second)
+			start := s.Now()
+			for i := 0; i < pop; i++ {
+				s.AtEvent(start+Time(i*7919%pop)*Microsecond, sink, 1)
+			}
+			s.RunFor(2 * Millisecond)
+		}
+		for i := 0; i < 4; i++ {
+			burst()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += pop {
+			burst()
+		}
+		if sink.n == 0 {
+			b.Fatal("no events ran")
+		}
+	})
 }
 
 // timerBench is one process driven one tick per simulated microsecond; the

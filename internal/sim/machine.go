@@ -24,7 +24,7 @@ type Machine struct {
 
 // NewMachine creates a machine with cores×threadsPerCore hardware threads.
 // On a PDES control plane (EnablePDES) the machine is placed in a fresh
-// event-queue domain: everything derived from the machine — its processes,
+// scheduler domain: everything derived from the machine — its processes,
 // their contexts, the NIC bound to it — schedules on the domain shard that
 // Machine.Sim() returns, not on s.
 func NewMachine(s *Simulator, name string, cores, threadsPerCore int, freqHz int64) *Machine {

@@ -3,11 +3,11 @@ package sim
 // Conservative parallel discrete-event simulation (PDES).
 //
 // EnablePDES splits one simulation into per-machine domains: every Machine
-// created afterwards owns a private event queue, clock, sequence counter,
+// created afterwards owns a private scheduler, clock, sequence counter,
 // RNG stream and freelists (a full shard Simulator), while the simulator
 // EnablePDES was called on remains the control plane — it keeps the driver
 // code's At/After closures (experiment harness steps, fault-storm strikes)
-// on its own queue and coordinates the domains.
+// in its own scheduler and coordinates the domains.
 //
 // Correctness rests on lookahead: the only cross-machine channel is the
 // wire, and a link never delivers earlier than serialization floor +
@@ -16,9 +16,9 @@ package sim
 // lookahead; influence generated inside a window lands strictly after it,
 // so domains never see each other mid-window. Cross-domain deliveries
 // travel through per-link mailboxes that registered flushers drain into the
-// receiving domain's queue at each barrier, in deterministic order.
+// receiving domain's scheduler at each barrier, in deterministic order.
 //
-// Determinism: each domain's execution depends only on its own queue, RNG
+// Determinism: each domain's execution depends only on its own scheduler, RNG
 // and the barrier-flushed mailbox contents — all of which are independent
 // of the worker count — so a run with N workers is byte-identical to the
 // same run with 1 worker. The sequential (non-PDES) mode is a different
@@ -62,7 +62,7 @@ func (c *pdesCoord) flush() {
 }
 
 // EnablePDES switches the simulator into conservative parallel mode: every
-// machine created afterwards receives its own event-queue domain, and
+// machine created afterwards receives its own scheduler domain, and
 // RunUntil advances all domains in windows bounded by the registered
 // cross-domain lookahead, workers domains at a time. Must be called before
 // any machine is created. workers=1 executes domains sequentially in
@@ -214,9 +214,11 @@ func (s *Simulator) runPDES(limit Time, drain bool) {
 			// No domain event strictly precedes the control event: run it
 			// with every clock advanced to its time. Control events execute
 			// at barriers with all domains quiescent, so they may touch any
-			// domain (deliver messages, kill processes, read stats).
+			// domain (deliver messages, kill processes, read stats). ctrlAt
+			// may be the lower bound of an unopened range: the bounded step
+			// then only opens it, and the loop looks again.
 			s.advanceDomains(ctrlAt)
-			s.stepNext(0, false)
+			s.stepNext(ctrlAt, true)
 			continue
 		}
 		// Parallel window [T, W]: every domain runs its events with

@@ -74,6 +74,29 @@ func TestPDESControlRunsAtBarrier(t *testing.T) {
 	}
 }
 
+// TestPDESFarControlEventWaitsForDomains: a control event beyond the L0
+// horizon waits in an unopened range, so the coordinator first sees only
+// a lower bound on its time. Stepping the control plane must not run it
+// ahead of domain events that precede it.
+func TestPDESFarControlEventWaitsForDomains(t *testing.T) {
+	s, a, _ := pdesPair(1)
+	s.RegisterLookahead(Microsecond)
+	var order []string
+	s.At(10*Millisecond, func() {
+		if got := a.Sim().Now(); got != 10*Millisecond {
+			t.Errorf("domain clock at control time = %v, want 10ms", got)
+		}
+		order = append(order, "ctrl@10")
+	})
+	a.Sim().At(6*Millisecond, func() { order = append(order, "a@6") })
+	a.Sim().At(9*Millisecond, func() { order = append(order, "a@9") })
+	a.Sim().At(11*Millisecond, func() { order = append(order, "a@11") })
+	s.RunUntil(20 * Millisecond)
+	if got, want := fmt.Sprint(order), "[a@6 a@9 ctrl@10 a@11]"; got != want {
+		t.Fatalf("execution order %v, want %v", got, want)
+	}
+}
+
 // TestPDESBarrierFlushDelivery models a cross-domain channel by hand: a
 // mailbox written by domain a's events and flushed into domain b at
 // barriers, with the registered lookahead keeping the delivery outside the

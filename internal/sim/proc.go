@@ -347,7 +347,8 @@ func (p *Proc) scheduleDispatch() {
 		p.thread.busyTotal += wake
 		start += wake
 	}
-	p.sim.schedule(start, event{kind: evDispatch, proc: p})
+	_, n := p.sim.schedule(start, evDispatch)
+	n.msg = p
 }
 
 // runDispatch drains the inbox, executing the handler for each message that
@@ -513,7 +514,8 @@ func (p *Proc) runDispatch() {
 			// position; messages appended afterwards ride in the same event
 			// (the batch is only read when the event pops, strictly after
 			// this flush completes).
-			p.sim.schedule(at, event{kind: evDeliverBatch, proc: out.dst, msg: b})
+			_, n := p.sim.schedule(at, evDeliverBatch)
+			n.msg = b
 			groups = append(groups, flushGroup{at: at, b: b})
 		}
 		b.msgs = append(b.msgs, out.msg)
@@ -536,7 +538,8 @@ func (p *Proc) runDispatch() {
 	if len(p.inbox) > 0 && !p.hung {
 		// More work arrived while running; go again back-to-back.
 		p.state = procScheduled
-		p.sim.schedule(tEnd, event{kind: evDispatch, proc: p})
+		_, n := p.sim.schedule(tEnd, evDispatch)
+		n.msg = p
 		return
 	}
 	// Halt (enter MWAIT). The halt path costs kernel time.
@@ -625,7 +628,7 @@ type Timer struct {
 func (t *Timer) Stop() {
 	t.gen++
 	if t.Armed() {
-		t.p.sim.tw.release(t)
+		t.p.sim.tw.stopTimer(t)
 	}
 }
 

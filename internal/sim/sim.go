@@ -9,23 +9,20 @@
 // ordered by (time, sequence) and all randomness flows from one seeded
 // source. Running the same experiment twice yields identical results.
 // An opt-in conservative parallel mode (EnablePDES; see pdes.go) splits the
-// run into per-machine event-queue domains advanced in lookahead-bounded
+// run into per-machine scheduler domains advanced in lookahead-bounded
 // windows; it trades the sequential mode's global event order for
 // machine-local determinism (per-domain RNG streams and sequence counters),
 // so its results are reproducible across any worker count but not
 // byte-identical to the sequential mode.
 //
-// The event queue is a calendar queue (timing wheel): near-future events
-// live in fixed time buckets whose slot storage is recycled run after run,
-// and far-future events (retransmission timeouts, TIME_WAIT expiry) fall
-// back to a binary heap until the wheel horizon reaches them. The hottest
-// schedule sites use closure-free event kinds so that steady-state
-// scheduling performs no allocation at all.
+// Scheduled events and armed timers share one scheduler, a hierarchical
+// timing wheel whose pooled nodes are recycled run after run (see
+// timerwheel.go). The hottest schedule sites use closure-free event kinds
+// so that steady-state scheduling performs no allocation at all.
 package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -70,245 +67,6 @@ type EventHandler interface {
 	OnEvent(tag uint64)
 }
 
-type evKind uint8
-
-const (
-	evFunc         evKind = iota // run fn()
-	evDispatch                   // run proc.runDispatch()
-	evDeliver                    // proc.Deliver(msg)
-	evHandler                    // h.OnEvent(tag)
-	evDeliverBatch               // deliver every message of a msgBatch to proc
-)
-
-// event is one queue entry. The kind discriminates which payload fields are
-// live; keeping them unioned in one flat struct lets bucket slots be reused
-// without any per-event allocation.
-type event struct {
-	at   Time
-	seq  uint64
-	kind evKind
-	fn   func()
-	proc *Proc
-	msg  Message
-	h    EventHandler
-	tag  uint64
-}
-
-// eventHeap is a binary min-heap ordered by (at, seq). It holds only
-// far-future events that do not fit the wheel horizon.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // release references for GC
-	*h = old[:n]
-	h.siftDown(0)
-	return top
-}
-
-func (h eventHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
-// Calendar-queue geometry: 1024 buckets of 4096 ns each give a ~4.2 ms
-// horizon, comfortably wider than the typical inter-event gap (cycle
-// charges, wire latencies, IPC wakeups are all well under a millisecond)
-// while keeping the wheel small enough to live inline in the Simulator.
-const (
-	wheelBits    = 10
-	wheelBuckets = 1 << wheelBits
-	wheelMask    = wheelBuckets - 1
-	bucketShift  = 12 // 4096 ns per bucket
-)
-
-// eventQueue is a calendar queue. Events whose bucket index falls within
-// [cur, cur+wheelBuckets) live in the wheel; later events wait in the far
-// heap and migrate in as cur advances. Invariant: every far event's bucket
-// index is >= cur, and at any moment the earliest event overall is in the
-// wheel whenever the wheel is non-empty.
-type eventQueue struct {
-	// wheel slot storage is recycled: bucket slices keep their capacity
-	// after being drained, acting as a free list for event slots.
-	wheel [wheelBuckets][]event
-	// occ is an occupancy bitmap over wheel slots for O(1) next-bucket
-	// scans.
-	occ   [wheelBuckets / 64]uint64
-	cur   int64 // monotonic bucket counter: wheel horizon is [cur, cur+wheelBuckets)
-	count int   // events resident in the wheel
-	far   eventHeap
-}
-
-func (q *eventQueue) empty() bool { return q.count == 0 && len(q.far) == 0 }
-
-func (q *eventQueue) len() int { return q.count + len(q.far) }
-
-func (q *eventQueue) push(e event) {
-	if int64(e.at)>>bucketShift >= q.cur+wheelBuckets {
-		q.far.push(e)
-		return
-	}
-	q.wheelInsert(e)
-}
-
-func (q *eventQueue) wheelInsert(e event) {
-	bi := int64(e.at) >> bucketShift
-	if bi < q.cur {
-		// A bounded pop may advance cur past bucket(now) without running
-		// the event it peeked at. Insertions before cur park in the first
-		// bucket: the per-bucket (at, seq) scan still pops them first, and
-		// cur cannot advance past a non-empty current bucket.
-		bi = q.cur
-	}
-	slot := bi & wheelMask
-	q.wheel[slot] = append(q.wheel[slot], e)
-	q.occ[slot>>6] |= 1 << uint(slot&63)
-	q.count++
-}
-
-// migrate pulls far-heap events that now fall inside the wheel horizon.
-// It must run whenever cur advances, or a later wheel insertion could be
-// popped ahead of an earlier far event.
-func (q *eventQueue) migrate() {
-	for len(q.far) > 0 && int64(q.far[0].at)>>bucketShift < q.cur+wheelBuckets {
-		q.wheelInsert(q.far.pop())
-	}
-}
-
-// firstSlot returns the first occupied wheel slot at or after cur,
-// wrapping. Only valid when count > 0.
-func (q *eventQueue) firstSlot() int64 {
-	start := q.cur & wheelMask
-	w := start >> 6
-	if b := q.occ[w] &^ ((1 << uint(start&63)) - 1); b != 0 {
-		return w<<6 | int64(bits.TrailingZeros64(b))
-	}
-	for i := int64(1); i <= int64(len(q.occ)); i++ {
-		wi := (w + i) & (int64(len(q.occ)) - 1)
-		if q.occ[wi] != 0 {
-			return wi<<6 | int64(bits.TrailingZeros64(q.occ[wi]))
-		}
-	}
-	panic("sim: occupancy bitmap empty with count > 0")
-}
-
-// peekPos advances the horizon to the first occupied bucket and returns the
-// position and (at, seq) key of the earliest event without removing it. The
-// horizon advance and far-heap migration it performs are order-neutral, so a
-// peek whose event is not taken (the merged pop chose the timer wheel, or a
-// bounded run stopped) leaves behavior unchanged.
-func (q *eventQueue) peekPos() (slot int64, idx int, at Time, seq uint64, ok bool) {
-	if q.count == 0 {
-		if len(q.far) == 0 {
-			return 0, 0, 0, 0, false
-		}
-		// The wheel drained with far events pending: jump the horizon to
-		// the earliest far bucket and migrate.
-		q.cur = int64(q.far[0].at) >> bucketShift
-		q.migrate()
-	}
-	slot = q.firstSlot()
-	// Advance cur to the bucket index the slot represents, then migrate:
-	// far events that the advance brought inside the horizon land in
-	// buckets strictly after this one, preserving order.
-	q.cur += (slot - q.cur) & wheelMask
-	q.migrate()
-
-	b := q.wheel[slot]
-	min := 0
-	for i := 1; i < len(b); i++ {
-		if b[i].at < b[min].at || (b[i].at == b[min].at && b[i].seq < b[min].seq) {
-			min = i
-		}
-	}
-	return slot, min, b[min].at, b[min].seq, true
-}
-
-// take removes and returns the event a peekPos located.
-func (q *eventQueue) take(slot int64, idx int) event {
-	b := q.wheel[slot]
-	e := b[idx]
-	last := len(b) - 1
-	b[idx] = b[last]
-	b[last] = event{} // release references for GC; slot capacity is reused
-	q.wheel[slot] = b[:last]
-	if last == 0 {
-		q.occ[slot>>6] &^= 1 << uint(slot&63)
-	}
-	q.count--
-	return e
-}
-
-// pop removes and returns the earliest event. If bounded, events after
-// limit are left in place and ok is false.
-func (q *eventQueue) pop(limit Time, bounded bool) (e event, ok bool) {
-	slot, idx, at, _, ok := q.peekPos()
-	if !ok || (bounded && at > limit) {
-		return event{}, false
-	}
-	return q.take(slot, idx), true
-}
-
-// peekTime returns the timestamp of the earliest pending event without
-// mutating the queue. The wheel invariant (the earliest event overall is in
-// the wheel whenever the wheel is non-empty, and earlier buckets hold
-// strictly earlier times than later ones) makes the first occupied bucket's
-// minimum the global minimum. The PDES coordinator uses this at every
-// barrier to pick the next window start.
-func (q *eventQueue) peekTime() (Time, bool) {
-	if q.count == 0 {
-		if len(q.far) == 0 {
-			return 0, false
-		}
-		return q.far[0].at, true
-	}
-	b := q.wheel[q.firstSlot()]
-	min := b[0].at
-	for i := 1; i < len(b); i++ {
-		if b[i].at < min {
-			min = b[i].at
-		}
-	}
-	return min, true
-}
-
 // Tracer observes the message path of a simulation. It is the hook behind
 // the opt-in observability layer: when a tracer is installed, every process
 // dispatch reports per-message queueing and processing times, and
@@ -330,11 +88,10 @@ type Tracer interface {
 	OnSpan(hop string, queued, processed Time)
 }
 
-// Simulator owns the virtual clock and the event queue. All machines,
+// Simulator owns the virtual clock and the scheduler. All machines,
 // processes, NICs and links of one experiment hang off a single Simulator.
 type Simulator struct {
 	now      Time
-	q        eventQueue
 	seq      uint64
 	rng      *rand.Rand
 	machines []*Machine
@@ -366,7 +123,7 @@ type Simulator struct {
 	// collected; the freelist only ever shrinks by reuse.
 	tfFree []*timerFire
 
-	// tw holds armed timers outside the event queue (see timerwheel.go).
+	// tw holds every scheduled event and armed timer (see timerwheel.go).
 	tw timerWheel
 
 	// Stats
@@ -446,27 +203,11 @@ func (s *Simulator) SetTracer(t Tracer) {
 // Tracer returns the installed observability hook, or nil.
 func (s *Simulator) Tracer() Tracer { return s.tracer }
 
-// schedule clamps t to now, stamps the sequence number and enqueues.
-func (s *Simulator) schedule(t Time, e event) {
-	if s.pdes != nil && s.parent == nil && s.pdes.inWindow.Load() {
-		// Domain code must never schedule on the control plane while
-		// windows execute concurrently: the control queue is only touched
-		// at barriers. Cross-domain influence goes through the wire.
-		panic("sim: control-plane schedule during a parallel window")
-	}
-	if t < s.now {
-		t = s.now
-	}
-	s.seq++
-	e.at = t
-	e.seq = s.seq
-	s.q.push(e)
-}
-
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in the model; it is clamped to "now" to keep the clock monotonic.
 func (s *Simulator) At(t Time, fn func()) {
-	s.schedule(t, event{kind: evFunc, fn: fn})
+	_, n := s.schedule(t, evFunc)
+	n.msg = fn
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -474,51 +215,37 @@ func (s *Simulator) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // AtEvent schedules h.OnEvent(tag) at absolute time t without allocating.
 func (s *Simulator) AtEvent(t Time, h EventHandler, tag uint64) {
-	s.schedule(t, event{kind: evHandler, h: h, tag: tag})
-}
-
-// AfterEvent schedules h.OnEvent(tag) d nanoseconds from now.
-func (s *Simulator) AfterEvent(d Time, h EventHandler, tag uint64) {
-	s.AtEvent(s.now+d, h, tag)
+	_, n := s.schedule(t, evHandler)
+	n.msg, n.tag = h, tag
 }
 
 // DeliverAt delivers msg to p at absolute time t without allocating a
-// closure. It is the scheduled-delivery primitive behind NIC interrupts
-// and delayed IPC.
+// closure: a pooled delivery vector of one. It is the scheduled-delivery
+// primitive behind NIC interrupts and delayed IPC.
 func (s *Simulator) DeliverAt(t Time, p *Proc, msg Message) {
-	s.schedule(t, event{kind: evDeliver, proc: p, msg: msg})
+	b := s.getBatch()
+	b.msgs = append(b.msgs, msg)
+	b.dsts = append(b.dsts, p)
+	_, n := s.schedule(t, evDeliverBatch)
+	n.msg = b
 }
 
-// run executes one popped event.
-func (s *Simulator) run(e event) {
-	s.now = e.at
-	s.eventsRun++
-	switch e.kind {
-	case evFunc:
-		e.fn()
-	case evDispatch:
-		e.proc.runDispatch()
-	case evDeliver:
-		e.proc.Deliver(e.msg)
-	case evHandler:
-		e.h.OnEvent(e.tag)
-	case evDeliverBatch:
-		b := e.msg.(*msgBatch)
-		// A batch of N messages is N logical deliveries: count it as N
-		// events so EventsRun (and everything reported from it) is
-		// independent of how deliveries were grouped.
-		s.eventsRun += uint64(len(b.msgs)) - 1
-		// Deliveries land in slice order, exactly the order the sends were
-		// buffered, whatever their targets.
-		for i, m := range b.msgs {
-			b.dsts[i].Deliver(m)
-			b.msgs[i] = nil
-			b.dsts[i] = nil
-		}
-		b.dsts = b.dsts[:0]
-		b.msgs = b.msgs[:0]
-		s.batchFree = append(s.batchFree, b)
+// deliverBatch runs one popped delivery vector and recycles its carrier.
+func (s *Simulator) deliverBatch(b *msgBatch) {
+	// A batch of N messages is N logical deliveries: count it as N events
+	// so EventsRun (and everything reported from it) is independent of how
+	// deliveries were grouped.
+	s.eventsRun += uint64(len(b.msgs)) - 1
+	// Deliveries land in slice order, exactly the order the sends were
+	// buffered, whatever their targets.
+	for i, m := range b.msgs {
+		b.dsts[i].Deliver(m)
+		b.msgs[i] = nil
+		b.dsts[i] = nil
 	}
+	b.dsts = b.dsts[:0]
+	b.msgs = b.msgs[:0]
+	s.batchFree = append(s.batchFree, b)
 }
 
 // Idle reports whether no events remain. On a PDES control plane this

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -481,133 +482,151 @@ func TestRespawnRevivesEndpointInPlace(t *testing.T) {
 	}
 }
 
-// ---- eventQueue edge cases: far-heap migration, bucket boundaries ----
+// ---- scheduler edge cases: level boundaries, scatters, bounded runs ----
 
-// TestQueueFarWheelMigrationBoundary exercises push/pop exactly around the
-// wheel horizon: events one tick inside, exactly at, and one tick beyond
-// the horizon, plus occupancy-word boundaries, must still pop in (at, seq)
-// order.
+// tagTrace is an EventHandler that records each tag with its run time.
+type tagTrace struct {
+	s   *Simulator
+	got []uint64
+	at  []Time
+}
+
+func (r *tagTrace) OnEvent(tag uint64) {
+	r.got = append(r.got, tag)
+	r.at = append(r.at, r.s.Now())
+}
+
+// TestQueueFarWheelMigrationBoundary schedules events exactly around the L0
+// horizon — one tick inside, at, and one tick beyond it, several horizons
+// out — and on occupancy-word boundaries: they must still run in (at, seq)
+// order, the ones beyond the horizon after their range is scattered into L0.
 func TestQueueFarWheelMigrationBoundary(t *testing.T) {
-	var q eventQueue
-	horizon := Time(wheelBuckets << bucketShift)
+	s := New(1)
+	r := &tagTrace{s: s}
+	horizon := Time(twSlots << bucketShift)
 	times := []Time{
-		horizon - 1,                       // last wheel bucket
-		horizon,                           // first far bucket
-		horizon + 1,                       // far
-		(3 * wheelBuckets) << bucketShift, // far beyond several horizons
-		0,                                 // bucket 0
-		63<<bucketShift + 1,               // last slot of the first occupancy word
-		64 << bucketShift,                 // first slot of the second occupancy word
-		(wheelBuckets - 1) << bucketShift, // last wheel slot
+		horizon - 1,                  // last L0 bucket
+		horizon,                      // first L1 range
+		horizon + 1,                  // L1
+		(3 * twSlots) << bucketShift, // several horizons out
+		0,                            // bucket 0
+		63<<bucketShift + 1,          // last slot of the first occupancy word
+		64 << bucketShift,            // first slot of the second occupancy word
+		(twSlots - 1) << bucketShift, // last L0 slot
+		horizon,                      // same tick as an earlier schedule: runs after it
 	}
 	for i, at := range times {
-		q.push(event{at: at, seq: uint64(i + 1)})
+		s.AtEvent(at, r, uint64(i))
 	}
-	var got []Time
-	prevSeq := uint64(0)
-	prev := Time(-1)
-	for !q.empty() {
-		e, ok := q.pop(0, false)
-		if !ok {
-			t.Fatal("pop failed with events pending")
-		}
-		if e.at < prev {
-			t.Fatalf("popped %v after %v", e.at, prev)
-		}
-		if e.at == prev && e.seq < prevSeq {
-			t.Fatalf("same-time events out of seq order: %d after %d", e.seq, prevSeq)
-		}
-		prev, prevSeq = e.at, e.seq
-		got = append(got, e.at)
+	if c := s.tw.counts; c[0] != 5 || c[1] != 4 {
+		t.Fatalf("level counts %v, want 5 entries in L0 and 4 in L1", c)
 	}
-	if len(got) != len(times) {
-		t.Fatalf("popped %d events, want %d", len(got), len(times))
+	s.Drain()
+	want := []uint64{4, 5, 6, 7, 0, 1, 8, 2, 3}
+	if !reflect.DeepEqual(r.got, want) {
+		t.Fatalf("ran %v, want %v", r.got, want)
+	}
+	for i, tag := range r.got {
+		if r.at[i] != times[tag] {
+			t.Fatalf("event %d ran at %v, scheduled for %v", tag, r.at[i], times[tag])
+		}
+	}
+	if ts := s.TimerStats(); ts.Cascades != 0 || s.PendingEvents() != 0 {
+		t.Fatalf("after drain: %+v, %d events pending; events are no timers", ts, s.PendingEvents())
 	}
 }
 
 // TestQueueSameTickSeqAcrossMigration pins FIFO order within one timestamp
-// when some of the tied events migrate from the far heap and others are
-// inserted directly into the wheel after the horizon jumped.
+// when some of the tied events are scattered down from L1 and another is
+// scheduled straight into L0 after the range opened.
 func TestQueueSameTickSeqAcrossMigration(t *testing.T) {
-	var q eventQueue
-	tick := Time((wheelBuckets + 3) << bucketShift) // beyond the initial horizon
-	q.push(event{at: tick, seq: 1})                 // far
-	q.push(event{at: 100, seq: 2})                  // wheel
-	q.push(event{at: tick, seq: 3})                 // far
-	if e, _ := q.pop(0, false); e.seq != 2 {
-		t.Fatalf("first pop seq = %d, want 2", e.seq)
+	s := New(1)
+	r := &tagTrace{s: s}
+	tick := Time((twSlots + 3) << bucketShift) // beyond the initial L0 horizon
+	s.AtEvent(tick, r, 1)                      // L1
+	s.AtEvent(100, r, 2)                       // L0
+	s.AtEvent(tick, r, 3)                      // L1
+	s.Step()
+	// L0 is empty now: the next step opens tick's range and scatters both
+	// L1 events into one L0 slot, in seq order.
+	if at, ok := s.peekTime(); !ok || at > tick {
+		t.Fatalf("peekTime = %v/%v, want a lower bound on %v", at, ok, tick)
 	}
-	// The wheel is now empty; the next operations jump the horizon to tick's
-	// bucket and migrate both far events. A direct insertion at the same
-	// tick afterwards must still pop in seq order behind them.
-	if at, ok := q.peekTime(); !ok || at != tick {
-		t.Fatalf("peekTime = %v/%v, want %v", at, ok, tick)
-	}
-	if e, _ := q.pop(0, false); e.seq != 1 {
-		t.Fatalf("second pop seq = %d, want 1", e.seq)
-	}
-	q.push(event{at: tick, seq: 4}) // now within the horizon: wheel-direct
-	if e, _ := q.pop(0, false); e.seq != 3 {
-		t.Fatalf("third pop seq = %d, want 3", e.seq)
-	}
-	if e, _ := q.pop(0, false); e.seq != 4 {
-		t.Fatalf("fourth pop seq = %d, want 4", e.seq)
+	s.Step()
+	s.AtEvent(tick, r, 4) // at the clock: straight into L0, behind 3
+	s.Drain()
+	if want := []uint64{2, 1, 3, 4}; !reflect.DeepEqual(r.got, want) {
+		t.Fatalf("ran %v, want %v", r.got, want)
 	}
 }
 
-// TestQueueInsertBeforeCurParks covers the wheelInsert clamp: a bounded pop
-// can advance cur past bucket(now) without running anything; an insertion
-// for an earlier time must park in the current bucket and still pop first.
-func TestQueueInsertBeforeCurParks(t *testing.T) {
-	var q eventQueue
-	q.push(event{at: 5 << bucketShift, seq: 1})
-	if _, ok := q.pop(10, true); ok {
-		t.Fatal("bounded pop returned an event past its limit")
+// TestScheduleAtNowAfterBoundedOpen: a bounded run may open a range without
+// running anything in it, moving the position ahead of where the clock was.
+// RunUntil leaves the clock at its limit, inside the opened range, so a
+// schedule at the clock (or clamped to it) lands in L0 and runs first.
+func TestScheduleAtNowAfterBoundedOpen(t *testing.T) {
+	s := New(1)
+	r := &tagTrace{s: s}
+	far := Time((2*twSlots + 5) << bucketShift)
+	s.AtEvent(far, r, 1)
+	rangeStart := Time((2 * twSlots) << bucketShift)
+	if at, ok := s.peekTime(); !ok || at != rangeStart {
+		t.Fatalf("peekTime = %v/%v, want the range start %v", at, ok, rangeStart)
 	}
-	q.push(event{at: 3, seq: 2}) // bucket(3) = 0 < cur = 5: parks in bucket 5
-	if at, ok := q.peekTime(); !ok || at != 3 {
-		t.Fatalf("peekTime = %v/%v, want 3", at, ok)
+	s.RunUntil(rangeStart + 10)
+	if len(r.got) != 0 || s.tw.counts[0] != 1 {
+		t.Fatalf("bounded run: ran %v, L0 holds %d, want nothing run and the range open", r.got, s.tw.counts[0])
 	}
-	if e, _ := q.pop(0, false); e.seq != 2 {
-		t.Fatalf("first pop seq = %d, want the parked earlier event", e.seq)
+	if cur, clock := s.tw.cur, int64(s.Now())>>bucketShift; cur > clock {
+		t.Fatalf("position %d ahead of the clock's bucket %d", cur, clock)
 	}
-	if e, _ := q.pop(0, false); e.seq != 1 {
-		t.Fatalf("second pop seq = %d, want 1", e.seq)
+	s.AtEvent(s.Now(), r, 2)
+	s.AtEvent(3, r, 3) // in the past: clamped to the clock
+	if at, ok := s.peekTime(); !ok || at != s.Now() {
+		t.Fatalf("peekTime = %v/%v, want the clock %v", at, ok, s.Now())
+	}
+	s.Drain()
+	if want := []uint64{2, 3, 1}; !reflect.DeepEqual(r.got, want) {
+		t.Fatalf("ran %v, want %v", r.got, want)
+	}
+	if r.at[0] != rangeStart+10 || r.at[2] != far {
+		t.Fatalf("run times %v", r.at)
 	}
 }
 
 // TestQueuePeekTimeMatchesPop drives a randomized workload and checks that
-// peekTime always announces exactly the timestamp the next pop returns.
+// peekTime never announces a time after the next pop, and announces it
+// exactly whenever the earliest event already sits in L0.
 func TestQueuePeekTimeMatchesPop(t *testing.T) {
-	var q eventQueue
+	s := New(1)
+	r := &tagTrace{s: s}
 	rng := rand.New(rand.NewSource(3))
-	if _, ok := q.peekTime(); ok {
-		t.Fatal("peekTime on an empty queue reported an event")
+	if _, ok := s.peekTime(); ok {
+		t.Fatal("peekTime on an empty scheduler reported an event")
 	}
-	span := int64(wheelBuckets) << (bucketShift + 2) // 4 horizons worth
+	span := int64(twSlots) << (bucketShift + 2) // 4 horizons worth
 	for i := 0; i < 500; i++ {
-		q.push(event{at: Time(rng.Int63n(span)), seq: uint64(i + 1)})
+		s.AtEvent(Time(rng.Int63n(span)), r, uint64(i))
 	}
-	prev := Time(-1)
-	for n := 0; !q.empty(); n++ {
-		at, ok := q.peekTime()
+	for n := 0; !s.Idle(); n++ {
+		at, ok := s.peekTime()
+		_, head, _ := s.tw.peek()
 		if !ok {
 			t.Fatal("peekTime reported empty with events pending")
 		}
-		e, _ := q.pop(0, false)
-		if e.at != at {
-			t.Fatalf("peekTime = %v but pop returned %v", at, e.at)
+		ran := len(r.got)
+		for len(r.got) == ran {
+			s.Step()
 		}
-		if e.at < prev {
-			t.Fatalf("popped %v after %v", e.at, prev)
+		if got := s.Now(); got < at || (head != 0 && got != at) {
+			t.Fatalf("peekTime = %v (exact %v) but the next pop ran at %v", at, head != 0, got)
 		}
-		prev = e.at
-		// Interleave pushes to re-create wheel/far mixtures mid-drain.
+		// Interleave schedules to mix L0 and upper levels mid-drain.
 		if n%7 == 0 {
-			q.push(event{at: prev + Time(rng.Int63n(span)), seq: uint64(1000 + n)})
+			s.AtEvent(s.Now()+Time(rng.Int63n(span)), r, uint64(1000+n))
 		}
 	}
-	if _, ok := q.peekTime(); ok {
-		t.Fatal("peekTime on a drained queue reported an event")
+	if _, ok := s.peekTime(); ok {
+		t.Fatal("peekTime on a drained scheduler reported an event")
 	}
 }

@@ -5,53 +5,64 @@ import (
 	"math/bits"
 )
 
-// Hierarchical timer wheel.
+// The scheduler: one hierarchical timing wheel.
 //
-// Armed timers (TCP retransmission, delayed ACK, TIME_WAIT expiry, keepalive
-// guards) live outside the event queue, in a hierarchy of slot arrays beside
-// it. The simulator's pop merges the two sources by (time, sequence), so the
-// event queue's pending count stays independent of the number of armed
-// timers, and almost every timer is stopped or re-armed without ever
-// becoming an event.
+// Everything a simulator has pending — scheduled events (closures,
+// dispatches, handler callbacks, delivery vectors) and armed timers (TCP
+// retransmission, delayed ACK, TIME_WAIT expiry, keepalive guards) — is a
+// node of one wheel-owned pool, linked into a slot of a hierarchy of slot
+// arrays. There is no second structure to merge with: the wheel's head is
+// the next thing to run.
 //
-// Two invariants carry the design.
+// Three invariants carry the design.
 //
-// Occupancy equals live armed timers. An entry is a node in a wheel-owned
-// pool, doubly linked into its slot; the Timer handle holds the node index,
-// so Stop and Retimer unlink the entry in O(1) and hand the node back. A
-// timer that is stopped never pops, never wakes its process and costs
-// nothing after the unlink.
+// Occupancy equals pending work. A node is linked into exactly one slot
+// until it pops; a Timer handle holds its node index, so Stop and Retimer
+// unlink the entry in O(1) and hand the node back. A timer that is stopped
+// never pops, never wakes its process and costs nothing after the unlink.
 //
 // The position follows the clock, never the next deadline. cur is the L0
-// bucket of the latest pop, arm or opened range and never exceeds the
-// clock's bucket, so an arm (always at or after the clock) lands in the slot
-// of its own deadline. peek does not move the position: it returns the exact
-// minimum while that lies before every unopened higher-level range, and
-// otherwise a lower bound — the start of the earliest such range — which the
-// merged pop opens only once nothing in the event queue is earlier.
+// bucket of the latest pop, schedule or opened range, and a range is opened
+// only once the clock is bound to reach it, so a schedule (always at or after
+// the clock) lands in the slot of its own time. peek does not move the
+// position: it returns the exact minimum while that lies before every
+// unopened higher-level range, and otherwise a lower bound — the start of the
+// earliest such range — which stepNext opens before it looks again.
 //
-// Determinism. Every arm takes the next simulator sequence number, so the
-// merged pop compares the queue head and the wheel head lexicographically
-// by (at, seq), and the wheel orders its own entries the same way. A popped
-// entry is delivered through Proc.Deliver like any scheduled message, so
-// drop injection, dead-process drops and trace stamps apply to it.
+// Determinism. Every schedule and every timer arm takes the next simulator
+// sequence number and the wheel orders its nodes lexicographically by
+// (at, seq), so events and timers pop in one total order. A popped timer is
+// delivered through Proc.Deliver like any scheduled message, so drop
+// injection, dead-process drops and trace stamps apply to it.
 //
-// Geometry. Level 0 shares the calendar queue's 4096 ns bucket and spans
-// ~4.2 ms; each higher level covers twSlots slots of the one below (L1
-// ~4.3 s — every RTO and TIME_WAIT in practice — L2 ~73 min, L3 ~52 days,
-// L4 the rest of Time). A deadline beyond the last level's window waits in
-// that window's last slot and is placed again, by its true deadline, when
-// the slot opens. L0 slot lists are kept sorted by (at, seq), which an arm
-// satisfies by linking at the tail in the common case; higher levels are
-// plain FIFO lists, scattered one level down when their range opens.
+// Geometry. Level 0 has twSlots buckets of 4096 ns and spans ~4.2 ms; each
+// higher level covers twSlots slots of the one below (L1 ~4.3 s — every RTO
+// and TIME_WAIT in practice — L2 ~73 min, L3 ~52 days, L4 the rest of Time).
+// A deadline beyond the last level's window waits in that window's last slot
+// and is placed again, by its true deadline, when the slot opens. L0 slot
+// lists are kept sorted by (at, seq), which a schedule satisfies by linking
+// at the tail in the common case; higher levels are plain FIFO lists,
+// scattered one level down when their range opens.
 const (
-	twLevels   = 5
-	twSlotBits = wheelBits // 1024 slots per level, matching the event queue
-	twSlots    = 1 << twSlotBits
-	twSlotMask = twSlots - 1
+	bucketShift = 12 // 4096 ns per L0 bucket
+	twLevels    = 5
+	twSlotBits  = 10
+	twSlots     = 1 << twSlotBits
+	twSlotMask  = twSlots - 1
 
 	twChunkBits = 8 // nodes per pool chunk
 	twChunkMask = 1<<twChunkBits - 1
+)
+
+// evKind says what a node runs when it pops.
+type evKind uint8
+
+const (
+	evFunc         evKind = iota // msg.(func())()
+	evDispatch                   // msg.(*Proc).runDispatch()
+	evHandler                    // msg.(EventHandler).OnEvent(tag)
+	evDeliverBatch               // deliver every message of msg.(*msgBatch)
+	evTimer                      // deliver msg to t's process as a timer firing
 )
 
 // Timer.node values that are not pool indices.
@@ -60,16 +71,21 @@ const (
 	timerFired = ^uint32(0) // the firing was delivered to the handler
 )
 
-// twNode is one armed timer. next/prev link it into its slot's circular
-// list (the head's prev is the tail); a free node chains through next.
+// twNode is one piece of pending work. next/prev link it into its slot's
+// circular list (the head's prev is the tail); a free node chains through
+// next. The payload is written in place when the node is scheduled.
 type twNode struct {
 	at         Time
 	seq        uint64
-	t          *Timer
-	msg        Message
 	next, prev uint32
 	level      uint8
+	kind       evKind
 	slot       uint16
+	// msg is the timer's message, or what the kind runs: the func, the
+	// *Proc, the EventHandler or the *msgBatch.
+	msg Message
+	t   *Timer // evTimer: the handle that owns the node
+	tag uint64 // evHandler: the argument of OnEvent
 }
 
 func (n *twNode) before(at Time, seq uint64) bool {
@@ -83,7 +99,7 @@ type timerWheel struct {
 	cur    int64 // monotonic L0 bucket counter; level l's window starts at cur>>(l*twSlotBits)
 
 	// Node pool: index 0 is the nil link, chunks never move once allocated.
-	chunks [][]twNode
+	chunks []*[1 << twChunkBits]twNode
 	used   uint32 // indices handed out so far (the pool's high-water mark)
 	free   uint32 // head of the free chain
 
@@ -93,8 +109,9 @@ type timerWheel struct {
 	upper      int64
 	upperValid bool
 
-	cascaded uint64 // entries scattered down a level when their range opened
-	fired    uint64 // entries popped for delivery
+	timers   int    // resident timer nodes; every other resident node is an event
+	cascaded uint64 // timer nodes scattered down a level when their range opened
+	fired    uint64 // timer nodes popped for delivery
 }
 
 func (w *timerWheel) node(i uint32) *twNode {
@@ -109,28 +126,24 @@ func (w *timerWheel) pending() int {
 	return n
 }
 
-func (w *timerWheel) empty() bool { return w.pending() == 0 }
-
-func (w *timerWheel) alloc() uint32 {
-	if i := w.free; i != 0 {
+// insert links a fresh node of kind at (at, seq) and returns it for the
+// caller to fill in its payload. at is not before the clock, and the caller
+// has advanced the position to the clock.
+func (w *timerWheel) insert(at Time, seq uint64, kind evKind) (uint32, *twNode) {
+	i := w.free
+	if i != 0 {
 		w.free = w.node(i).next
-		return i
+	} else {
+		w.used++
+		if int(w.used>>twChunkBits) == len(w.chunks) {
+			w.chunks = append(w.chunks, new([1 << twChunkBits]twNode))
+		}
+		i = w.used
 	}
-	w.used++
-	if int(w.used>>twChunkBits) == len(w.chunks) {
-		w.chunks = append(w.chunks, make([]twNode, 1<<twChunkBits))
-	}
-	return w.used
-}
-
-// insert arms t to deliver msg at (at, seq). The caller has advanced the
-// position to the clock, and at is not before the clock.
-func (w *timerWheel) insert(at Time, seq uint64, t *Timer, msg Message) {
-	i := w.alloc()
 	n := w.node(i)
-	n.at, n.seq, n.t, n.msg = at, seq, t, msg
-	t.node = i
+	n.at, n.seq, n.kind = at, seq, kind
 	w.place(i, n)
+	return i, n
 }
 
 // place links a node into the innermost level whose window contains its
@@ -138,7 +151,7 @@ func (w *timerWheel) insert(at Time, seq uint64, t *Timer, msg Message) {
 func (w *timerWheel) place(i uint32, n *twNode) {
 	b := int64(n.at) >> bucketShift
 	if b < w.cur {
-		panic("sim: timer deadline behind the wheel position")
+		panic("sim: deadline behind the wheel position")
 	}
 	cur := w.cur
 	level := 0
@@ -161,7 +174,7 @@ func (w *timerWheel) place(i uint32, n *twNode) {
 	} else {
 		// Link after the last entry that is not later. Higher levels are
 		// FIFO, so there it is the tail; in L0 it almost always is, because
-		// an arm carries the newest sequence number.
+		// a schedule carries the newest sequence number.
 		tail := w.node(head).prev
 		after := tail
 		if level == 0 {
@@ -189,9 +202,8 @@ func (w *timerWheel) place(i uint32, n *twNode) {
 	}
 }
 
-// release unlinks t's entry and returns its node to the pool.
-func (w *timerWheel) release(t *Timer) {
-	i := t.node
+// remove unlinks node i and returns it to the pool.
+func (w *timerWheel) remove(i uint32) {
 	n := w.node(i)
 	level, slot := int(n.level), int64(n.slot)
 	if n.next == i {
@@ -208,8 +220,7 @@ func (w *timerWheel) release(t *Timer) {
 		}
 	}
 	w.counts[level]--
-	t.node = timerIdle
-	n.t, n.msg = nil, nil // drop references; the node is recycled
+	n.msg, n.t = nil, nil // drop references; the node is recycled
 	n.next = w.free
 	w.free = i
 }
@@ -229,7 +240,7 @@ func (w *timerWheel) firstSlot(level int, from int64) int64 {
 			return wi<<6 | int64(bits.TrailingZeros64(occ[wi]))
 		}
 	}
-	panic("sim: timer wheel occupancy bitmap empty with entries resident")
+	panic("sim: wheel occupancy bitmap empty with entries resident")
 }
 
 // upperStart returns the L0 bucket at which the earliest occupied
@@ -255,22 +266,22 @@ func (w *timerWheel) upperStart() int64 {
 	return w.upper
 }
 
-// peek returns the key of the earliest entry without moving the position.
-// exact is false when an unopened higher-level range starts at or before
-// the earliest L0 entry: at is then the start of that range, a lower bound
-// on every resident deadline, and seq is 0 (below every real sequence).
-func (w *timerWheel) peek() (at Time, seq uint64, exact, ok bool) {
+// peek returns the earliest node without moving the position. i is 0 when
+// an unopened higher-level range starts at or before the earliest L0 entry:
+// at is then the start of that range, a lower bound on every resident
+// deadline. ok is false when nothing is pending.
+func (w *timerWheel) peek() (at Time, i uint32, ok bool) {
 	upper := w.upperStart()
 	if w.counts[0] > 0 {
 		slot := w.firstSlot(0, w.cur)
 		if w.cur+(slot-w.cur)&twSlotMask < upper {
-			n := w.node(w.heads[0][slot])
-			return n.at, n.seq, true, true
+			i = w.heads[0][slot]
+			return w.node(i).at, i, true
 		}
 	} else if upper == math.MaxInt64 {
-		return 0, 0, false, false
+		return 0, 0, false
 	}
-	return Time(upper << bucketShift), 0, false, true
+	return Time(upper << bucketShift), 0, true
 }
 
 // open moves the position to the start of the earliest unopened occupied
@@ -297,7 +308,9 @@ func (w *timerWheel) open() {
 			n := w.node(i)
 			next := n.next
 			w.counts[level]--
-			w.cascaded++
+			if n.kind == evTimer {
+				w.cascaded++
+			}
 			w.place(i, n)
 			i = next
 		}
@@ -318,114 +331,109 @@ func (w *timerWheel) advance(now Time) {
 	w.cur = b
 }
 
-// pop removes the earliest entry. Only valid after an exact peek.
-func (w *timerWheel) pop() (t *Timer, at Time, msg Message) {
-	slot := w.firstSlot(0, w.cur)
-	w.cur += (slot - w.cur) & twSlotMask
-	n := w.node(w.heads[0][slot])
-	t, at, msg = n.t, n.at, n.msg
-	w.release(t)
-	w.fired++
-	return t, at, msg
-}
-
-// armTimer inserts one flushed timer arm under its own sequence number.
-func (s *Simulator) armTimer(at Time, t *Timer, msg Message) {
-	if at < s.now {
-		at = s.now
+// schedule links a node of kind at t (clamped to the clock) under the next
+// sequence number and returns it for the caller to write its payload.
+func (s *Simulator) schedule(t Time, kind evKind) (uint32, *twNode) {
+	if s.pdes != nil && s.parent == nil && s.pdes.inWindow.Load() {
+		// Domain code must never schedule on the control plane while
+		// windows execute concurrently: its scheduler is only touched at
+		// barriers. Cross-domain influence goes through the wire.
+		panic("sim: control-plane schedule during a parallel window")
+	}
+	if t < s.now {
+		t = s.now
 	}
 	s.seq++
 	s.tw.advance(s.now)
-	s.tw.insert(at, s.seq, t, msg)
+	return s.tw.insert(t, s.seq, kind)
 }
 
-// fireTimer pops the wheel head and delivers it. The boxed firing is built
-// only now, from the freelist, and travels through Proc.Deliver exactly like
-// a scheduled delivery event: drop injection, dead-process drops, tracer
-// arrival stamps and wake scheduling all apply.
-func (s *Simulator) fireTimer() {
-	t, at, msg := s.tw.pop()
-	s.now = at
-	s.eventsRun++
-	t.p.Deliver(s.newTimerFire(t, t.gen, msg))
+// armTimer links one flushed timer arm under its own sequence number.
+func (s *Simulator) armTimer(at Time, t *Timer, msg Message) {
+	i, n := s.schedule(at, evTimer)
+	n.t, n.msg = t, msg
+	t.node = i
+	s.tw.timers++
 }
 
-// stepNext runs the earliest of the event-queue head and the timer-wheel
-// head, merged by (at, seq). If bounded, work after limit is left in place
-// and false is returned.
+// stopTimer unlinks t's resident node.
+func (w *timerWheel) stopTimer(t *Timer) {
+	w.remove(t.node)
+	t.node = timerIdle
+	w.timers--
+}
+
+// stepNext pops and runs the earliest pending node. If bounded, work after
+// limit is left in place and false is returned.
 func (s *Simulator) stepNext(limit Time, bounded bool) bool {
+	w := &s.tw
 	for {
-		wa, wseq, exact, wok := s.tw.peek()
-		if !wok {
-			e, ok := s.q.pop(limit, bounded)
-			if !ok {
-				return false
-			}
-			s.run(e)
-			return true
-		}
-		slot, idx, qa, qseq, qok := s.q.peekPos()
-		if qok && (qa < wa || (qa == wa && qseq < wseq)) {
-			if bounded && qa > limit {
-				return false
-			}
-			s.run(s.q.take(slot, idx))
-			return true
-		}
-		if bounded && wa > limit {
+		at, i, ok := w.peek()
+		if !ok || (bounded && at > limit) {
 			return false
 		}
-		if exact {
-			s.fireTimer()
-			return true
+		if i == 0 {
+			// Nothing resident precedes the lower bound, so the clock is
+			// about to reach it: open that range and look again.
+			w.open()
+			continue
 		}
-		// Nothing queued precedes the wheel's lower bound, so the clock is
-		// about to reach it: open that range and look again.
-		s.tw.open()
+		n := w.node(i)
+		kind, msg, tag, t := n.kind, n.msg, n.tag, n.t
+		w.cur = int64(at) >> bucketShift
+		w.remove(i)
+		s.now = at
+		s.eventsRun++
+		switch kind {
+		case evFunc:
+			msg.(func())()
+		case evDispatch:
+			msg.(*Proc).runDispatch()
+		case evHandler:
+			msg.(EventHandler).OnEvent(tag)
+		case evDeliverBatch:
+			s.deliverBatch(msg.(*msgBatch))
+		case evTimer:
+			// The boxed firing is built only now, from the freelist, and
+			// travels through Proc.Deliver exactly like a scheduled
+			// delivery: drop injection, dead-process drops, tracer arrival
+			// stamps and wake scheduling all apply.
+			t.node = timerIdle
+			w.timers--
+			w.fired++
+			t.p.Deliver(s.newTimerFire(t, t.gen, msg))
+		}
+		return true
 	}
 }
 
-// peekTime returns a lower bound on the earliest pending timestamp across
-// the event queue and the timer wheel — exact unless the wheel's earliest
-// entry waits in an unopened range. The PDES coordinator uses this at every
-// barrier; a bound that is early only costs it a window.
+// peekTime returns a lower bound on the earliest pending timestamp — exact
+// unless the earliest node waits in an unopened range. The PDES coordinator
+// uses this at every barrier; a bound that is early only costs it a window.
 func (s *Simulator) peekTime() (Time, bool) {
-	qt, qok := s.q.peekTime()
-	wt, _, _, wok := s.tw.peek()
-	switch {
-	case qok && wok:
-		if wt < qt {
-			return wt, true
-		}
-		return qt, true
-	case qok:
-		return qt, true
-	case wok:
-		return wt, true
-	}
-	return 0, false
+	at, _, ok := s.tw.peek()
+	return at, ok
 }
 
-// idleLocal reports whether this simulator (queue and wheel) has no pending
-// work of its own.
-func (s *Simulator) idleLocal() bool { return s.q.empty() && s.tw.empty() }
+// idleLocal reports whether this simulator has no pending work of its own.
+func (s *Simulator) idleLocal() bool { return s.tw.pending() == 0 }
 
-// TimerStats reports timer-wheel counters: live armed timers, entries
-// scattered down a level when their range opened, and entries popped for
-// delivery. On a PDES control plane it totals across all domains; call it
-// only at a barrier.
+// TimerStats reports timer counters: live armed timers, timer entries
+// scattered down a level when their range opened, and timer entries popped
+// for delivery. On a PDES control plane it totals across all domains; call
+// it only at a barrier.
 type TimerStats struct {
 	Pending  int
 	Cascades uint64
 	Fired    uint64
 }
 
-// TimerStats returns the simulator's timer-wheel counters.
+// TimerStats returns the simulator's timer counters.
 func (s *Simulator) TimerStats() TimerStats {
-	st := TimerStats{Pending: s.tw.pending(), Cascades: s.tw.cascaded, Fired: s.tw.fired}
+	st := TimerStats{Pending: s.tw.timers, Cascades: s.tw.cascaded, Fired: s.tw.fired}
 	if s.pdes != nil && s.parent == nil {
 		for _, d := range s.pdes.domains {
-			st.Pending += d.tw.pending()
+			st.Pending += d.tw.timers
 			st.Cascades += d.tw.cascaded
 			st.Fired += d.tw.fired
 		}
@@ -433,16 +441,16 @@ func (s *Simulator) TimerStats() TimerStats {
 	return st
 }
 
-// PendingEvents returns the number of events resident in the calendar
-// queue(s), excluding wheel-resident timers, so it stays independent of the
-// number of armed timers — the conn-scale experiments assert exactly that.
-// On a PDES control plane it totals across all domains; call it only at a
+// PendingEvents returns the number of scheduled events resident in the
+// wheel(s), excluding armed timers, so it stays independent of the number
+// of armed timers — the conn-scale experiments assert exactly that. On a
+// PDES control plane it totals across all domains; call it only at a
 // barrier.
 func (s *Simulator) PendingEvents() int {
-	n := s.q.len()
+	n := s.tw.pending() - s.tw.timers
 	if s.pdes != nil && s.parent == nil {
 		for _, d := range s.pdes.domains {
-			n += d.q.len()
+			n += d.tw.pending() - d.tw.timers
 		}
 	}
 	return n

@@ -5,15 +5,19 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // Property test: under a seeded random workload of arm / stop / re-arm
 // operations — including reactions taken from inside timer fires — the
-// timer wheel delivers exactly the firing sequence of a reference scheduler
-// that shares no code with it: refTimers below, which plants one ordinary
-// delayed self-send per arm on the calendar queue and its far-future binary
-// heap, and cancels lazily by generation. Same-tick ordering by (deadline,
-// arm order) is covered implicitly: any divergence reorders the trace.
+// timer handles deliver exactly the firing sequence of refTimers below,
+// which plants one ordinary delayed self-send per arm and cancels lazily by
+// generation: eager O(1) unlinking against lazy cancellation, through the
+// whole dispatch and flush path. Both run on the same scheduler; the
+// scheduler itself is held to an independent binary heap by
+// TestSchedulerMatchesReferenceHeap (refsched_test.go). Same-tick ordering
+// by (deadline, arm order) is covered implicitly: any divergence reorders
+// the trace.
 
 type twArm struct {
 	id    int
@@ -448,6 +452,70 @@ func TestTimerWheelPositionFollowsClock(t *testing.T) {
 	}
 	if got := b.s.TimerStats().Pending; got != 1 || !far.Armed() {
 		t.Fatalf("%d entries resident after the near timers fired, want the far one", got)
+	}
+}
+
+// TestEventPositionFollowsClock is the parked-slot regression with events:
+// with only a far event pending, a 1 s idle gap must not move the position
+// to that event, or every nearer schedule afterwards would park in one L0
+// slot and be rescanned per pop. No L0 slot may ever hold more than the
+// schedules of its own 4096 ns bucket.
+func TestEventPositionFollowsClock(t *testing.T) {
+	const (
+		near   = 50_000
+		spread = 40 * Millisecond
+	)
+	s := New(1)
+	r := &tagTrace{s: s}
+	s.AtEvent(20*Second, r, 0)
+	s.RunFor(Second) // idle gap: nothing but the far event is pending
+	if cur, clock := s.tw.cur, int64(s.Now())>>bucketShift; cur > clock {
+		t.Fatalf("position %d ran ahead of the clock's bucket %d", cur, clock)
+	}
+	perBucket := map[int64]int{}
+	start := s.Now()
+	for i := 0; i < near; i++ {
+		at := start + Time(int64(i)*int64(spread)/near)
+		perBucket[int64(at)>>bucketShift]++
+		s.AtEvent(at, r, 1)
+	}
+	maxPerBucket := 0
+	for _, n := range perBucket {
+		maxPerBucket = max(maxPerBucket, n)
+	}
+	w := &s.tw
+	for steps := 0; len(r.got) < near; steps++ {
+		if !s.Step() {
+			t.Fatalf("simulator idle after %d of %d near events", len(r.got), near)
+		}
+		if steps%512 != 0 {
+			continue
+		}
+		for slot := range w.heads[0] {
+			n := 0
+			for i := w.heads[0][slot]; i != 0; {
+				n++
+				if i = w.node(i).next; i == w.heads[0][slot] {
+					break
+				}
+			}
+			if n > maxPerBucket {
+				t.Fatalf("after %d events L0 slot %d holds %d entries; the fullest bucket had %d schedules",
+					len(r.got), slot, n, maxPerBucket)
+			}
+		}
+	}
+	if got := s.PendingEvents(); got != 1 {
+		t.Fatalf("%d events pending after the near ones ran, want the far one", got)
+	}
+}
+
+// TestWheelNodeSize pins the node at one cache line: conn-scale beds keep
+// about a hundred thousand timers resident, so every byte of a node is
+// about 0.1 MB of live heap.
+func TestWheelNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(twNode{}); n > 64 {
+		t.Fatalf("twNode is %d bytes, budget 64", n)
 	}
 }
 
