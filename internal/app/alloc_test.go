@@ -18,16 +18,30 @@ import (
 // in internal/sim and internal/ipc. A copy or a box that stops being pooled
 // fails here, not in a re-anchor.
 
+// webBedFunc builds the web bed a budget is measured on.
+type webBedFunc func(t *testing.T, tcp tcpeng.Config, hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed
+
+// neatWebBed serves from one httpd over two NEaT replicas.
+func neatWebBed(t *testing.T, tcp tcpeng.Config, hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
+	return newWebBed(t, 2, 1, 1, tcp, hcfg, lcfg)
+}
+
+// baselineWebBed serves from one httpd over the Linux baseline's four
+// kernel contexts.
+func baselineWebBed(t *testing.T, tcp tcpeng.Config, hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
+	return newBaselineWebBed(t, 4, tcp, hcfg, lcfg)
+}
+
 // replyCost runs a warm closed-loop web bed and returns heap allocations and
 // bytes per completed reply.
-func replyCost(t *testing.T, fileSize, conns, reqPerConn int, tso bool, warm, window sim.Time) (allocs, bytes float64) {
+func replyCost(t *testing.T, bed webBedFunc, fileSize, conns, reqPerConn int, tso bool, warm, window sim.Time) (allocs, bytes float64) {
 	t.Helper()
 	if bufpool.RaceDetector {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = tso
-	b := newWebBed(t, 2, 1, 1, tcp,
+	b := bed(t, tcp,
 		HTTPDConfig{Files: map[string]int{"/f": fileSize}},
 		LoadgenConfig{Conns: conns, ReqPerConn: reqPerConn, URI: "/f"})
 	b.start()
@@ -47,7 +61,7 @@ func replyCost(t *testing.T, fileSize, conns, reqPerConn int, tso bool, warm, wi
 }
 
 func TestBulkReplyAllocBudget(t *testing.T) {
-	allocs, bytes := replyCost(t, 64<<10, 4, 1_000_000, true, 20*sim.Millisecond, 50*sim.Millisecond)
+	allocs, bytes := replyCost(t, neatWebBed, 64<<10, 4, 1_000_000, true, 20*sim.Millisecond, 50*sim.Millisecond)
 	t.Logf("64 KiB reply: %.1f allocs, %.0f B", allocs, bytes)
 	// Measured 0.4 and about 100 B; 2.4 while the generator built each
 	// request string and timer anew. With the benchmark's own generator, which
@@ -59,7 +73,7 @@ func TestBulkReplyAllocBudget(t *testing.T) {
 }
 
 func TestSmallReplyAllocBudget(t *testing.T) {
-	allocs, bytes := replyCost(t, 20, 16, 1_000_000, false, 10*sim.Millisecond, 20*sim.Millisecond)
+	allocs, bytes := replyCost(t, neatWebBed, 20, 16, 1_000_000, false, 10*sim.Millisecond, 20*sim.Millisecond)
 	t.Logf("20 B reply: %.1f allocs, %.0f B", allocs, bytes)
 	// Measured 0.4; 2.4 with a request string and timer built per request,
 	// 5.4 with the benchmark's generator (web_small), 13.4 before receive
@@ -76,14 +90,28 @@ func TestSmallReplyAllocBudget(t *testing.T) {
 // reuse, and so do the EvAccepted/EvClosed boxes and the generator's timers;
 // what is left is the per-connection records the applications and the
 // socket layer own (socket, socket bookkeeping, connection record and its
-// callbacks) and per-message boxing.
+// callbacks) and per-message boxing. The server runs NEaT, then the Linux
+// baseline, which serves from the same socket glue.
 func TestConnLifecycleAllocBudget(t *testing.T) {
-	allocs, bytes := replyCost(t, 20, 16, 1, false, 300*sim.Millisecond, 50*sim.Millisecond)
-	t.Logf("connection lifecycle: %.1f allocs, %.0f B", allocs, bytes)
-	// Measured 15.1 and about 830 B; 24.2 and 1.1 kB before frames, blocks,
-	// the accept queue, the two events and the generator's timers and
-	// requests were reused.
-	if allocs > 16 {
-		t.Fatalf("a warm one-request connection costs %.1f allocations; budget 16", allocs)
+	for _, tc := range []struct {
+		name   string
+		bed    webBedFunc
+		budget float64
+	}{
+		// Measured 15.1 and about 830 B; 24.2 and 1.1 kB before frames,
+		// blocks, the accept queue, the two events and the generator's
+		// timers and requests were reused.
+		{"neat", neatWebBed, 16},
+		// Measured 15.1 and about 750 B, the same per-connection records
+		// and boxes as over NEaT.
+		{"baseline", baselineWebBed, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs, bytes := replyCost(t, tc.bed, 20, 16, 1, false, 300*sim.Millisecond, 50*sim.Millisecond)
+			t.Logf("connection lifecycle: %.1f allocs, %.0f B", allocs, bytes)
+			if allocs > tc.budget {
+				t.Fatalf("a warm one-request connection costs %.1f allocations; budget %.0f", allocs, tc.budget)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package app
 import (
 	"testing"
 
+	"neat/internal/baseline"
 	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
@@ -12,13 +13,14 @@ import (
 	"neat/internal/testbed"
 )
 
-// webBed is a full web-serving testbed: AMD server running NEaT +
-// N httpd instances, client host running M loadgen instances.
+// webBed is a full web-serving testbed: AMD server running NEaT (or the
+// Linux baseline, newBaselineWebBed) + N httpd instances, client host
+// running M loadgen instances over NEaT.
 type webBed struct {
 	net     *testbed.Net
 	server  *testbed.Host
 	client  *testbed.Host
-	sys     *core.System
+	sys     *core.System // nil over the baseline
 	clisys  *core.System
 	servers []*HTTPD
 	gens    []*Loadgen
@@ -38,11 +40,49 @@ func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := &webBed{net: n, server: server, client: client, sys: sys}
+	b.populate(t, httpds, loadgens, tcp, hcfg, lcfg, func(i int) (*sim.HWThread, *sim.Proc) {
+		return server.AppThread(2 + replicas + i), sys.SyscallProc()
+	})
+	return b
+}
+
+// newBaselineWebBed is newWebBed with the server running the Linux baseline:
+// one kernel context on each of cores 0..contexts-1, one httpd colocated with
+// context 0, one loadgen.
+func newBaselineWebBed(t *testing.T, contexts int, tcp tcpeng.Config,
+	hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
+	t.Helper()
+	n := testbed.New(11)
+	server := testbed.DefaultAMDHost(n, 0, contexts)
+	client := testbed.DefaultClientHost(n, 1, 1)
+	locs := make([]testbed.ThreadLoc, contexts)
+	for i := range locs {
+		locs[i] = testbed.ThreadLoc{Core: i}
+	}
+	sys, err := server.BuildBaseline(client, baseline.Tuning{}, tcp, baseline.Costs{}, locs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &webBed{net: n, server: server, client: client}
+	b.populate(t, 1, 1, tcp, hcfg, lcfg, func(int) (*sim.HWThread, *sim.Proc) {
+		return server.Thread(locs[0]), sys.KernelProc(0)
+	})
+	return b
+}
+
+// populate boots the client system, starts httpds web servers — server i on
+// the thread place(i) names, issuing socket calls through the process it
+// names — waits for them to listen, and creates loadgens load generators.
+func (b *webBed) populate(t *testing.T, httpds, loadgens int, tcp tcpeng.Config,
+	hcfg HTTPDConfig, lcfg LoadgenConfig, place func(i int) (*sim.HWThread, *sim.Proc)) {
+	t.Helper()
+	n, server, client := b.net, b.server, b.client
 	clisys, err := client.BuildClientSystem(server, loadgens, tcp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &webBed{net: n, server: server, client: client, sys: sys, clisys: clisys}
+	b.clisys = clisys
 
 	if hcfg.Files == nil {
 		hcfg.Files = map[string]int{"/f20": 20}
@@ -51,8 +91,8 @@ func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 		hcfg.Port = 80
 	}
 	for i := 0; i < httpds; i++ {
-		h := NewHTTPD(server.AppThread(2+replicas+i), "lighttpd", sys.SyscallProc(),
-			ipc.DefaultCosts(), hcfg)
+		th, syscall := place(i)
+		h := NewHTTPD(th, "lighttpd", syscall, ipc.DefaultCosts(), hcfg)
 		h.Start()
 		b.servers = append(b.servers, h)
 	}
@@ -79,7 +119,6 @@ func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 			ipc.DefaultCosts(), lcfg)
 		b.gens = append(b.gens, lg)
 	}
-	return b
 }
 
 func (b *webBed) start() {

@@ -37,6 +37,13 @@ import (
 // campaigns derive them from the flow hash, not from randomness.
 type PortPlan func() uint16
 
+// Client-side cycle costs of the attackers' unit of work.
+const (
+	slCyclesPerSend = 500  // one trickled header byte (Slowloris)
+	flCyclesPerSyn  = 600  // one forged SYN frame (SYNFlood)
+	ccCyclesPerConn = 1000 // one open/abandon cycle (ConnChurn)
+)
+
 // ---- Slowloris ----
 
 // SlowlorisConfig configures one slow-header attacker process.
@@ -50,8 +57,6 @@ type SlowlorisConfig struct {
 	Interval sim.Time
 	// Ports optionally aims the attack (see PortPlan).
 	Ports PortPlan
-	// CyclesPerSend is the client-side cost of each trickled byte.
-	CyclesPerSend int64
 }
 
 // SlowlorisStats counts attacker-side activity.
@@ -104,9 +109,6 @@ func NewSlowloris(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = 2 * sim.Millisecond
-	}
-	if cfg.CyclesPerSend == 0 {
-		cfg.CyclesPerSend = 500
 	}
 	a := &Slowloris{cfg: cfg}
 	a.proc = sim.NewProc(th, name, a, sim.ProcConfig{
@@ -176,7 +178,7 @@ func (a *Slowloris) openConn(ctx *sim.Context) {
 
 // trickle sends the next single header byte and re-arms the pacing timer.
 func (a *Slowloris) trickle(ctx *sim.Context, c *slConn) {
-	ctx.Charge(a.cfg.CyclesPerSend)
+	ctx.Charge(slCyclesPerSend)
 	var b byte
 	if c.sent < len(slPreamble) {
 		b = slPreamble[c.sent]
@@ -227,8 +229,6 @@ type SYNFloodConfig struct {
 	// default cycles 50 unassigned addresses of the target's /24 and walks
 	// the port space deterministically.
 	Spoof func(i uint64) (proto.Addr, uint16)
-	// CyclesPerSyn is the client-side cost of building one frame.
-	CyclesPerSyn int64
 }
 
 // SYNFloodStats counts flood activity.
@@ -257,9 +257,6 @@ func NewSYNFlood(th *sim.HWThread, name string, driverProc *sim.Proc, ipcCosts i
 	}
 	if cfg.Burst == 0 {
 		cfg.Burst = 4
-	}
-	if cfg.CyclesPerSyn == 0 {
-		cfg.CyclesPerSyn = 600
 	}
 	if cfg.Spoof == nil {
 		base := cfg.Target
@@ -311,7 +308,7 @@ func (f *SYNFlood) HandleMessage(ctx *sim.Context, msg sim.Message) {
 // burst injects one burst of spoofed SYNs and re-arms the pacing timer.
 func (f *SYNFlood) burst(ctx *sim.Context) {
 	for i := 0; i < f.cfg.Burst; i++ {
-		ctx.Charge(f.cfg.CyclesPerSyn)
+		ctx.Charge(flCyclesPerSyn)
 		src, sport := f.cfg.Spoof(f.sent)
 		tcp := proto.TCPHeader{
 			SrcPort: sport, DstPort: f.cfg.Port,
@@ -343,8 +340,6 @@ type ConnChurnConfig struct {
 	Hold sim.Time
 	// Ports optionally aims the attack (see PortPlan).
 	Ports PortPlan
-	// CyclesPerConn is the client-side cost of each open/abandon cycle.
-	CyclesPerConn int64
 }
 
 // ConnChurnStats counts churn activity.
@@ -382,9 +377,6 @@ type ccStop struct{}
 func NewConnChurn(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc.Costs, cfg ConnChurnConfig) *ConnChurn {
 	if cfg.Conns == 0 {
 		cfg.Conns = 8
-	}
-	if cfg.CyclesPerConn == 0 {
-		cfg.CyclesPerConn = 1000
 	}
 	a := &ConnChurn{cfg: cfg}
 	a.proc = sim.NewProc(th, name, a, sim.ProcConfig{
@@ -441,7 +433,7 @@ func (a *ConnChurn) openConn(ctx *sim.Context) {
 	c.sock = s
 	s.Ctx = c
 	s.OnConnect = func(ctx *sim.Context, err error) {
-		ctx.Charge(a.cfg.CyclesPerConn)
+		ctx.Charge(ccCyclesPerConn)
 		if err != nil {
 			a.connGone(ctx, c, true)
 			return

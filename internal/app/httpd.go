@@ -263,7 +263,7 @@ func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 	if n+size <= h.cfg.ChunkSize {
 		ref := h.arena.Alloc(n + size)
 		appendHead(ref.B[:0], "200 OK", size, closeAfter)
-		FillSynthetic(ref.B[n:])
+		fillSynthetic(ref.B[n:])
 		c.sock.SendRef(ctx, ref)
 		if closeAfter {
 			c.sock.Close(ctx)
@@ -285,7 +285,7 @@ func (c *httpConn) pump(ctx *sim.Context) {
 			n = c.sendRemaining
 		}
 		ref := c.srv.arena.Alloc(n)
-		FillSynthetic(ref.B)
+		fillSynthetic(ref.B)
 		c.sock.SendRef(ctx, ref)
 		c.sendRemaining -= n
 		if c.sock.Credit() < socketlib.SendLowWater {
@@ -321,9 +321,9 @@ var syntheticChunk = func() []byte {
 	return b
 }()
 
-// FillSynthetic fills b with the deterministic body pattern in place —
+// fillSynthetic fills b with the deterministic body pattern in place —
 // the allocation-free form of SyntheticBody for slab-carved payloads.
-func FillSynthetic(b []byte) {
+func fillSynthetic(b []byte) {
 	for off := 0; off < len(b); off += len(syntheticChunk) {
 		copy(b[off:], syntheticChunk)
 	}
@@ -332,6 +332,6 @@ func FillSynthetic(b []byte) {
 // SyntheticBody returns a deterministic body of exactly size bytes.
 func SyntheticBody(size int) []byte {
 	out := make([]byte, size)
-	FillSynthetic(out)
+	fillSynthetic(out)
 	return out
 }

@@ -25,9 +25,6 @@ type LoadgenConfig struct {
 	// and replaced (the paper uses 1000 for Table 1, 100 for §6.3/§6.4,
 	// and 1 for Figure 12).
 	ReqPerConn int
-	// CloseFromClient makes the client half responsible for the active
-	// close (server closes otherwise via Connection: close).
-	CloseFromClient bool
 	// ThinkTime inserts a pause between a response and the next request
 	// on the connection (0 = closed-loop as fast as possible). Used to
 	// drive the partial-load points of the paper's Table 2.
@@ -231,7 +228,7 @@ func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
 	c.sent++
 	lg.stats.RequestsSent++
 	req := lg.reqKeepAlive
-	if c.sent >= lg.cfg.ReqPerConn && !lg.cfg.CloseFromClient {
+	if c.sent >= lg.cfg.ReqPerConn {
 		req = lg.reqClose
 	}
 	c.reqStart = ctx.Sim.Now()

@@ -10,85 +10,6 @@ import (
 	"neat/internal/testbed"
 )
 
-// streamBed reuses the web testbed with the HTTPD replaced by a Streamer
-// (newWebBed with zero httpds leaves port 80 free).
-func streamBed(t *testing.T, tcp tcpeng.Config, scfg StreamerConfig, lcfg LoadgenConfig) (*webBed, *Streamer) {
-	t.Helper()
-	b := newWebBed(t, 1, 0, 1, tcp, HTTPDConfig{}, lcfg)
-	if scfg.Port == 0 {
-		scfg.Port = 80
-	}
-	s := NewStreamer(b.server.AppThread(3), "streamer", b.sys.SyscallProc(),
-		ipc.DefaultCosts(), scfg)
-	s.Start()
-	b.net.Sim.RunFor(sim.Millisecond)
-	if !s.Ready() {
-		t.Fatal("streamer not ready")
-	}
-	return b, s
-}
-
-func TestStreamerPacedDelivery(t *testing.T) {
-	scfg := StreamerConfig{ChunkSize: 2048, ChunkEvery: 250 * sim.Microsecond,
-		ChunksPerResponse: 16}
-	b, s := streamBed(t, tcpeng.DefaultConfig(), scfg, LoadgenConfig{Conns: 2})
-	b.start()
-	b.run(200 * sim.Millisecond)
-
-	resp := b.responses()
-	if resp < 20 {
-		t.Fatalf("streamed responses=%d errors=%d", resp, b.errors())
-	}
-	if b.errors() != 0 {
-		t.Fatalf("errors=%d", b.errors())
-	}
-	var bytesIn uint64
-	for _, g := range b.gens {
-		bytesIn += g.Stats().BytesIn
-	}
-	if want := resp * uint64(scfg.ChunkSize*scfg.ChunksPerResponse); bytesIn != want {
-		t.Fatalf("bytes=%d want %d (corrupt streams?)", bytesIn, want)
-	}
-	st := s.Stats()
-	if st.Completed < resp {
-		t.Fatalf("streamer completed %d < client responses %d", st.Completed, resp)
-	}
-	// Pacing means a stream takes at least ChunksPerResponse-1 intervals.
-	if lat := b.gens[0].Latency(); lat.Count() != 0 {
-		t.Fatalf("no measurement window was opened but latency has %d samples", lat.Count())
-	}
-}
-
-// TestStreamerSurvivesGuards is the false-positive check for the slow-read
-// guards: a paced streaming response is long-lived and receives nothing
-// from the client but ACKs, which must count as activity — the guard reaps
-// none of them.
-func TestStreamerSurvivesGuards(t *testing.T) {
-	tcp := tcpeng.DefaultConfig()
-	tcp.Guard.HeaderDeadline = 2 * sim.Millisecond
-	tcp.Guard.HeaderMinBytes = 24
-	tcp.Guard.IdleDeadline = 5 * sim.Millisecond
-	scfg := StreamerConfig{ChunkSize: 2048, ChunkEvery: 250 * sim.Microsecond,
-		ChunksPerResponse: 64} // 16 ms per stream, well past the idle deadline
-	b, _ := streamBed(t, tcp, scfg, LoadgenConfig{Conns: 2})
-	b.start()
-	b.run(200 * sim.Millisecond)
-
-	if b.errors() != 0 {
-		t.Fatalf("guards harmed streaming clients: %d errors", b.errors())
-	}
-	if b.responses() < 10 {
-		t.Fatalf("responses=%d", b.responses())
-	}
-	var reaped uint64
-	for _, r := range b.sys.Replicas() {
-		reaped += r.TCP().Stats().SlowlorisReaped
-	}
-	if reaped != 0 {
-		t.Fatalf("guard reaped %d legitimate streaming connections", reaped)
-	}
-}
-
 func TestDNSRequestResponse(t *testing.T) {
 	n := testbed.New(11)
 	server := testbed.DefaultAMDHost(n, 0, 1)

@@ -49,11 +49,11 @@ type Tuning struct {
 	ServerPinning bool
 }
 
-// LocalityFactor returns the kernel-cycle multiplier for the tuning level:
+// localityFactor returns the kernel-cycle multiplier for the tuning level:
 // how much extra cache-miss work every kernel operation pays because data
 // structures follow processes across cores (§2.2). Calibrated against
 // Table 1 (defaults 184.1 → full tuning 224.0 krps).
-func (t Tuning) LocalityFactor() float64 {
+func (t Tuning) localityFactor() float64 {
 	switch {
 	case t.ServerPinning && t.IRQAffinity:
 		return 1.0 // app, queue and kernel context aligned
@@ -163,7 +163,7 @@ func New(cfg Config) (*System, error) {
 	// operation on shared state also takes a lock whose contention and
 	// cache-line bouncing grow with the number of kernel contexts.
 	c := cfg.Costs
-	f := cfg.Tuning.LocalityFactor()
+	f := cfg.Tuning.localityFactor()
 	scale := func(cycles int64) int64 { return int64(float64(cycles) * f) }
 	k := int64(len(cfg.KernelThreads))
 	s := &System{cfg: cfg,

@@ -209,27 +209,33 @@ func TestBaselineUDPEveryContext(t *testing.T) {
 	}
 }
 
+// The opener's request and the length of an HTTPD's keep-alive reply to it
+// when "/f" is a 20-byte file.
+const (
+	openerRequest  = "GET /f HTTP/1.1\r\n\r\n"
+	openerReplyLen = len("HTTP/1.1 200 OK\r\nContent-Length: 20\r\nConnection: keep-alive\r\n\r\n") + 20
+)
+
 // opener speaks the socket protocol to one kernel context: it opens conns
-// connections to a peer port, sends payload on each, closes once the echo
-// is back, and records the Stack every event names.
+// connections to a peer port, sends one GET on each, closes once the reply
+// is in, and records the Stack every event names.
 type opener struct {
-	proc    *sim.Proc
-	kernel  *ipc.Conn
-	peer    proto.Addr
-	port    uint16
-	conns   int
-	payload []byte
+	proc   *sim.Proc
+	kernel *ipc.Conn
+	peer   proto.Addr
+	port   uint16
+	conns  int
 
 	stacks    []*sim.Proc
 	errs      []error
 	connected int
 	closed    int
-	echoed    map[uint64]int
+	replied   map[uint64]int
 }
 
 func newOpener(th *sim.HWThread, kernel *sim.Proc, peer proto.Addr, port uint16, conns int) *opener {
 	o := &opener{kernel: ipc.New(kernel, ipc.DefaultCosts()), peer: peer, port: port, conns: conns,
-		payload: []byte("the same glue, one host"), echoed: map[uint64]int{}}
+		replied: map[uint64]int{}}
 	o.proc = sim.NewProc(th, "opener", o, sim.ProcConfig{Component: "app"})
 	return o
 }
@@ -247,11 +253,11 @@ func (o *opener) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			return
 		}
 		o.connected++
-		o.kernel.Send(ctx, stack.NewOpSend(m.ConnID, o.payload, bufpool.Ref{}, false))
+		o.kernel.Send(ctx, stack.NewOpSend(m.ConnID, []byte(openerRequest), bufpool.Ref{}, false))
 	case *stack.EvData:
 		o.stacks = append(o.stacks, m.Stack)
-		o.echoed[m.ConnID] += len(m.Data)
-		if len(m.Data) > 0 && o.echoed[m.ConnID] == len(o.payload) {
+		o.replied[m.ConnID] += len(m.Data)
+		if len(m.Data) > 0 && o.replied[m.ConnID] == openerReplyLen {
 			o.kernel.Send(ctx, stack.OpClose{ConnID: m.ConnID})
 		}
 		m.Recycle()
@@ -267,24 +273,27 @@ func (o *opener) HandleMessage(ctx *sim.Context, msg sim.Message) {
 // their receive processing over all four contexts.
 func TestBaselineActiveOpenNamesItsContext(t *testing.T) {
 	p := bootPair(t, 4, 1, pinnedTuning)
-	echo := app.NewEchoServer(p.client.AppThread(3), "echo", p.cli.SyscallProc(), ipc.DefaultCosts(),
-		app.EchoConfig{Port: 7})
-	echo.Start()
+	web := app.NewHTTPD(p.client.AppThread(3), "web", p.cli.SyscallProc(), ipc.DefaultCosts(),
+		app.HTTPDConfig{Port: 80, Files: map[string]int{"/f": 20}})
+	web.Start()
 	p.net.Sim.RunFor(sim.Millisecond)
-	if !echo.Ready() {
-		t.Fatal("echo server not listening")
+	if !web.Ready() {
+		t.Fatal("web server not listening")
 	}
 	const conns = 8
-	o := newOpener(p.server.Machine.Thread(1, 0), p.sys.KernelProc(1), p.client.IP, 7, conns)
+	o := newOpener(p.server.Machine.Thread(1, 0), p.sys.KernelProc(1), p.client.IP, 80, conns)
 	o.proc.Deliver("start")
 	p.net.Sim.RunFor(20 * sim.Millisecond)
 
 	if len(o.errs) != 0 || o.connected != conns || o.closed != conns {
 		t.Fatalf("connected %d, closed %d of %d; errors %v", o.connected, o.closed, conns, o.errs)
 	}
-	for id, n := range o.echoed {
-		if n != len(o.payload) {
-			t.Fatalf("conn %d echoed %d of %d bytes", id, n, len(o.payload))
+	if len(o.replied) != conns {
+		t.Fatalf("%d of %d connections got a reply", len(o.replied), conns)
+	}
+	for id, n := range o.replied {
+		if n != openerReplyLen {
+			t.Fatalf("conn %d got %d of %d reply bytes", id, n, openerReplyLen)
 		}
 	}
 	for i, s := range o.stacks {

@@ -97,8 +97,6 @@ type Config struct {
 	// RecoveryDelay models the time the reincarnation server needs to
 	// spawn a replacement process (default 500 µs).
 	RecoveryDelay sim.Time
-	// AutoRecover enables crash-triggered recovery.
-	AutoRecover bool
 	// UseFlowFilters steers established connections with exact NIC
 	// filters; disabling it is the pure-RSS ablation.
 	UseFlowFilters bool
@@ -111,24 +109,26 @@ type Config struct {
 	// UseNICFlowTracking enables the paper's proposed hardware extension
 	// (§4): the NIC itself pins every flow to the queue RSS first assigned
 	// it, removing the need for software-managed per-connection filters.
-	// NICTrackingTableSize bounds the hardware table (default 8192, the
-	// capacity the paper quotes for Intel 10G filters).
-	UseNICFlowTracking   bool
-	NICTrackingTableSize int
+	// The table holds nicTrackingTableSize flows.
+	UseNICFlowTracking bool
 	// Steering selects the flow-placement policy and the scale-down drain
 	// behaviour (internal/steer). The zero value is the paper's placement:
 	// hash steering with a uniformly random connect-side choice, and lazy
 	// termination that drains without a deadline.
 	Steering steer.Config
-	// Watchdog configures heartbeat-based failure detection (watchdog.go).
+	// Watchdog switches failure detection to heartbeat probing (watchdog.go).
 	// Disabled by default: paper-fidelity mode keeps the instantaneous
 	// crash oracle of §3.6. Enabling it supervises every stack component,
 	// the NIC driver and the SYSCALL server with periodic heartbeats, which
 	// also detects hangs/livelocks the oracle cannot see.
-	Watchdog WatchdogConfig
+	Watchdog bool
 	// Observe attaches the observability layer (default: off, zero cost).
 	Observe ObserveConfig
 }
+
+// nicTrackingTableSize bounds the NIC's flow-tracking table: the capacity
+// the paper quotes for Intel 10G filters.
+const nicTrackingTableSize = 8192
 
 // ObserveConfig attaches the observability layer to a system. The zero
 // value is fully disabled: no trace points fire and no events are kept.
@@ -254,7 +254,6 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	if cfg.RecoveryDelay == 0 {
 		cfg.RecoveryDelay = 500 * sim.Microsecond
 	}
-	cfg.Watchdog = cfg.Watchdog.withDefaults()
 	sys := &System{
 		s: s, cfg: cfg,
 		conns:         map[*stack.Replica]map[uint64]*sim.Proc{},
@@ -272,12 +271,7 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	sys.placer = placer
 	cfg.NIC.SetRSSPolicy(placer)
 	if cfg.UseNICFlowTracking {
-		size := cfg.NICTrackingTableSize
-		if size == 0 {
-			size = 8192
-		}
-		cfg.NIC.EnableFlowTracking(size)
-		sys.cfg = cfg
+		cfg.NIC.EnableFlowTracking(nicTrackingTableSize)
 	}
 	sys.sys = sysserver.New(cfg.SyscallThread, sys, cfg.Stack.IPC)
 	for i := 0; i < cfg.InitialReplicas && i < len(sys.slots); i++ {
@@ -289,20 +283,18 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	if cfg.CheckpointInterval > 0 {
 		sys.scheduleCheckpoints()
 	}
-	if cfg.AutoRecover {
-		if cfg.Watchdog.Enabled {
-			// Watchdog mode: no crash oracle — failures are detected (and
-			// hangs can only be detected) by missed heartbeats. The whole
-			// plane is supervised: driver, SYSCALL server, every replica.
-			sys.wd = newWatchdog(sys)
-			sys.wd.Watch(cfg.Driver.Proc())
-			sys.wd.Watch(sys.sys.Proc())
-			for _, sl := range sys.slots {
-				sys.superviseReplica(sl)
-			}
-		} else {
-			s.OnCrash(sys.onCrash)
+	if cfg.Watchdog {
+		// Watchdog mode: no crash oracle — failures are detected (and hangs
+		// can only be detected) by missed heartbeats. The whole plane is
+		// supervised: driver, SYSCALL server, every replica.
+		sys.wd = newWatchdog(sys)
+		sys.wd.Watch(cfg.Driver.Proc())
+		sys.wd.Watch(sys.sys.Proc())
+		for _, sl := range sys.slots {
+			sys.superviseReplica(sl)
 		}
+	} else {
+		s.OnCrash(sys.onCrash)
 	}
 	return sys, nil
 }
@@ -906,23 +898,11 @@ func (sys *System) escalate(sl *slot, dead *sim.Proc) {
 		sys.recover(sl, dead, 0)
 		return
 	}
-	wd := sys.cfg.Watchdog
-	now := sys.s.Now()
-	kept := sl.failTimes[:0]
-	for _, t := range sl.failTimes {
-		if t >= now-wd.Window {
-			kept = append(kept, t)
-		}
-	}
-	sl.failTimes = append(kept, now)
+	delay := sys.backoffDelay(&sl.failTimes)
 	n := len(sl.failTimes)
-	if n >= wd.MaxRestarts {
+	if n >= wdMaxRestarts {
 		sys.quarantine(sl)
 		return
-	}
-	delay := sys.cfg.RecoveryDelay << (n - 1)
-	if delay > wd.BackoffMax || delay <= 0 {
-		delay = wd.BackoffMax
 	}
 	if n >= 2 && sl.replica.Kind() == stack.Multi {
 		// Second strike: stop trusting the surviving component and rebuild
@@ -1153,20 +1133,19 @@ func (sys *System) recoverSyscall() {
 
 // backoffDelay records a failure into the sliding window and returns the
 // respawn delay: RecoveryDelay doubled per recent failure, capped at
-// BackoffMax — a respawn storm must not busy-loop the reincarnation path.
+// wdBackoffMax — a respawn storm must not busy-loop the reincarnation path.
 func (sys *System) backoffDelay(times *[]sim.Time) sim.Time {
-	wd := sys.cfg.Watchdog
 	now := sys.s.Now()
 	kept := (*times)[:0]
 	for _, t := range *times {
-		if t >= now-wd.Window {
+		if t >= now-wdWindow {
 			kept = append(kept, t)
 		}
 	}
 	*times = append(kept, now)
 	delay := sys.cfg.RecoveryDelay << (len(*times) - 1)
-	if delay > wd.BackoffMax || delay <= 0 {
-		delay = wd.BackoffMax
+	if delay > wdBackoffMax || delay <= 0 {
+		delay = wdBackoffMax
 	}
 	return delay
 }

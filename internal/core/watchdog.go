@@ -19,9 +19,9 @@
 // detectors.
 //
 // Detection latency is bounded: a process that fails at time t is declared
-// dead no later than t + (Misses+1)·Interval + one probe round-trip — the
+// dead no later than t + (wdMisses+1)·wdInterval + one probe round-trip — the
 // first probe after the failure may lag it by up to a full interval, and
-// Misses further intervals must elapse before the threshold is crossed.
+// wdMisses further intervals must elapse before the threshold is crossed.
 package core
 
 import (
@@ -37,47 +37,21 @@ import (
 // respawning it.
 var ErrWatchdogKilled = errors.New("core: killed by watchdog after missed heartbeats")
 
-// WatchdogConfig tunes heartbeat-based failure detection.
-type WatchdogConfig struct {
-	// Enabled switches failure detection from the paper-fidelity
-	// instantaneous crash oracle to heartbeat probing. Default off: the
-	// oracle reproduces §3.6/Table 3 exactly.
-	Enabled bool
-	// Interval between probe rounds (default 100 µs).
-	Interval sim.Time
-	// Misses is K: a process is declared failed after K consecutive
-	// unanswered probes (default 3).
-	Misses int
-	// MaxRestarts is M: the M-th failure of one slot within Window
-	// quarantines the slot instead of respawning again (default 5).
-	MaxRestarts int
-	// Window is the sliding failure window for escalation and backoff
-	// (default 50 ms).
-	Window sim.Time
-	// BackoffMax caps the exponential respawn backoff (default 8 ms).
-	BackoffMax sim.Time
-}
-
-// withDefaults fills zero fields. Called unconditionally by New so the
-// backoff parameters are usable even in oracle mode.
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval == 0 {
-		c.Interval = 100 * sim.Microsecond
-	}
-	if c.Misses == 0 {
-		c.Misses = 3
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 5
-	}
-	if c.Window == 0 {
-		c.Window = 50 * sim.Millisecond
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = 8 * sim.Millisecond
-	}
-	return c
-}
+// Detector and escalation parameters.
+const (
+	// wdInterval is the time between probe rounds.
+	wdInterval = 100 * sim.Microsecond
+	// wdMisses is K: a process is declared failed after K consecutive
+	// unanswered probes.
+	wdMisses = 3
+	// wdMaxRestarts is M: the M-th failure of one slot within wdWindow
+	// quarantines the slot instead of respawning again.
+	wdMaxRestarts = 5
+	// wdWindow is the sliding failure window for escalation and backoff.
+	wdWindow = 50 * sim.Millisecond
+	// wdBackoffMax caps the exponential respawn backoff.
+	wdBackoffMax = 8 * sim.Millisecond
+)
 
 // WatchdogStats counts detector activity.
 type WatchdogStats struct {
@@ -96,7 +70,6 @@ type WatchdogStats struct {
 // server is in MINIX-lineage systems.
 type Watchdog struct {
 	sys  *System
-	cfg  WatchdogConfig
 	proc *sim.Proc
 
 	seq uint64
@@ -132,12 +105,11 @@ const (
 )
 
 func newWatchdog(sys *System) *Watchdog {
-	w := &Watchdog{sys: sys, cfg: sys.cfg.Watchdog,
-		entries: map[*sim.Proc]*watchEntry{}}
+	w := &Watchdog{sys: sys, entries: map[*sim.Proc]*watchEntry{}}
 	w.proc = sim.NewProc(sys.cfg.SyscallThread, "watchdog", w, sim.ProcConfig{
 		Component: "watchdog", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 80,
 	})
-	sys.s.DeliverAt(sys.s.Now()+w.cfg.Interval, w.proc, wdTick{})
+	sys.s.DeliverAt(sys.s.Now()+wdInterval, w.proc, wdTick{})
 	return w
 }
 
@@ -150,9 +122,6 @@ func (w *Watchdog) Stats() WatchdogStats { return w.stats }
 // DetectionLatency returns the failure-onset → declaration latency
 // distribution across all detections.
 func (w *Watchdog) DetectionLatency() *metrics.Histogram { return &w.detect }
-
-// NumWatched returns the supervised-process count.
-func (w *Watchdog) NumWatched() int { return len(w.targets) }
 
 // Watch adds p to the supervised set (idempotent).
 func (w *Watchdog) Watch(p *sim.Proc) {
@@ -185,7 +154,7 @@ func (w *Watchdog) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {
 	case wdTick:
 		w.tick(ctx)
-		ctx.Retimer(&w.timer, w.cfg.Interval, wdTick{})
+		ctx.Retimer(&w.timer, wdInterval, wdTick{})
 	case sim.HeartbeatAck:
 		ctx.Charge(wdAckCycles)
 		if e := w.entries[m.From]; e != nil && m.Seq == e.lastSeq {
@@ -207,7 +176,7 @@ func (w *Watchdog) tick(ctx *sim.Context) {
 		if e.awaiting {
 			e.missed++
 			w.stats.ProbesMissed++
-			if e.missed >= w.cfg.Misses {
+			if e.missed >= wdMisses {
 				// Declared after the loop: declaration mutates the target
 				// set (unwatch, escalation kills).
 				failed = append(failed, p)

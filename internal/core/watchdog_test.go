@@ -23,7 +23,7 @@ func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, 
 		Kind: kind, TCP: tcpeng.DefaultConfig(),
 		Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
 		InitialReplicas: initial,
-		Watchdog:        core.WatchdogConfig{Enabled: true},
+		Watchdog:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,20 +43,11 @@ func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, 
 	return b
 }
 
-// detectionBound is the documented worst-case declaration latency:
-// the first probe after the failure lags it by up to one interval, and
-// Misses further intervals must elapse before the threshold is crossed.
-func detectionBound(cfg core.WatchdogConfig) sim.Time {
-	interval := 100 * sim.Microsecond
-	if cfg.Interval != 0 {
-		interval = cfg.Interval
-	}
-	misses := 3
-	if cfg.Misses != 0 {
-		misses = cfg.Misses
-	}
-	return sim.Time(misses+1) * interval
-}
+// detectionBound is the documented worst-case declaration latency,
+// (K+1)·interval with the watchdog's K = 3 misses and 100 µs interval: the
+// first probe after the failure lags it by up to one interval, and K further
+// intervals must elapse before the threshold is crossed.
+const detectionBound = 4 * 100 * sim.Microsecond
 
 func TestWatchdogDetectsHungReplicaWithinBound(t *testing.T) {
 	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
@@ -87,9 +78,8 @@ func TestWatchdogDetectsHungReplicaWithinBound(t *testing.T) {
 	if wst.SpuriousDetected != 0 {
 		t.Fatalf("spurious detections on a healthy system: %+v", wst)
 	}
-	if lat := wd.DetectionLatency().Max(); lat > detectionBound(core.WatchdogConfig{}) {
-		t.Fatalf("detection latency %v exceeds (K+1)·interval = %v",
-			lat, detectionBound(core.WatchdogConfig{}))
+	if lat := wd.DetectionLatency().Max(); lat > detectionBound {
+		t.Fatalf("detection latency %v exceeds (K+1)·interval = %v", lat, detectionBound)
 	}
 	st := b.sys.Stats()
 	if st.Recoveries != 1 || st.TCPStateLost != 1 {
@@ -343,7 +333,7 @@ func TestQuarantineAllReplicasEntersDropAll(t *testing.T) {
 
 // TestEscalationWindowResetsAfterCleanRecovery is the regression guard for
 // the sliding failure window in the escalation ladder: a slot that
-// recovers cleanly and then runs clean for longer than WatchdogConfig.Window
+// recovers cleanly and then runs clean for longer than the 50 ms failure window
 // has its failure history pruned, so widely spaced failures are each
 // treated as a first strike — component restart only, never rebuild or
 // quarantine — no matter how many accumulate over a long run. Failures

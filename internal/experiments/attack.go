@@ -62,13 +62,13 @@ var attackKinds = []attackKind{attackNone, attackSlowloris, attackSynFlood, atta
 // (placement ignores the tuple), so the same attack diffuses.
 var attackPolicies = []steer.PolicyKind{steer.PolicyHash, steer.PolicyLeastLoaded}
 
-// AimedPorts returns a deterministic PortPlan yielding monotonically
+// aimedPorts returns a deterministic PortPlan yielding monotonically
 // increasing local ports whose flow hash places {src, dst, port, dstPort}
 // on replica slot of slots under hash placement (QueueFor =
 // active[hash%slots]). Plans walking the same (dst, dstPort) tuple space
 // must start in disjoint ranges so the client stack never sees a local
 // port collide.
-func AimedPorts(src, dst proto.Addr, dstPort uint16, slots, slot int, start uint16) app.PortPlan {
+func aimedPorts(src, dst proto.Addr, dstPort uint16, slots, slot int, start uint16) app.PortPlan {
 	p := uint32(start)
 	return func() uint16 {
 		for {
@@ -86,10 +86,10 @@ func AimedPorts(src, dst proto.Addr, dstPort uint16, slots, slot int, start uint
 	}
 }
 
-// AimedSpoof returns a SYN-flood spoofing plan cycling 50 unassigned
+// aimedSpoof returns a SYN-flood spoofing plan cycling 50 unassigned
 // in-subnet source addresses, with each source port chosen so the spoofed
 // flow hashes onto replica slot of slots.
-func AimedSpoof(dst proto.Addr, dstPort uint16, slots, slot int) func(uint64) (proto.Addr, uint16) {
+func aimedSpoof(dst proto.Addr, dstPort uint16, slots, slot int) func(uint64) (proto.Addr, uint16) {
 	return func(i uint64) (proto.Addr, uint16) {
 		src := dst
 		src[3] = byte(200 + i%50)
@@ -157,7 +157,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 	// attacks walk disjoint high ranges of web 0's tuple space.
 	plans := make([]app.PortPlan, replicas)
 	for i := range plans {
-		plans[i] = AimedPorts(cliIP, srvIP, uint16(8000+i), replicas, i, uint16(1024+i*4096))
+		plans[i] = aimedPorts(cliIP, srvIP, uint16(8000+i), replicas, i, uint16(1024+i*4096))
 	}
 	cfg := BedConfig{
 		PDESWorkers: o.PDESWorkers,
@@ -185,7 +185,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 		app.NewSlowloris(b.Client.AppThread(atkCore), "slowloris",
 			b.CliSys.SyscallProc(), ipc.DefaultCosts(), app.SlowlorisConfig{
 				Target: srvIP, Port: 8000, Conns: 24,
-				Ports: AimedPorts(cliIP, srvIP, 8000, replicas, 0, 50000),
+				Ports: aimedPorts(cliIP, srvIP, 8000, replicas, 0, 50000),
 			}).Start()
 	case attackSynFlood:
 		app.NewSYNFlood(b.Client.AppThread(atkCore), "synflood",
@@ -194,7 +194,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 				Port:     8000,
 				Burst:    tune.floodBurst,
 				Interval: tune.floodInterval,
-				Spoof:    AimedSpoof(srvIP, 8000, replicas, 0),
+				Spoof:    aimedSpoof(srvIP, 8000, replicas, 0),
 			}).Start()
 	case attackChurn:
 		// A short hold bounds the churn rate (and so the port budget) while
@@ -202,7 +202,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 		app.NewConnChurn(b.Client.AppThread(atkCore), "churn",
 			b.CliSys.SyscallProc(), ipc.DefaultCosts(), app.ConnChurnConfig{
 				Target: srvIP, Port: 8000, Conns: 16, Hold: 2 * sim.Millisecond,
-				Ports: AimedPorts(cliIP, srvIP, 8000, replicas, 0, 40000),
+				Ports: aimedPorts(cliIP, srvIP, 8000, replicas, 0, 40000),
 			}).Start()
 	}
 

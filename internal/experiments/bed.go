@@ -104,12 +104,6 @@ type BedConfig struct {
 	// many workers (see Options.PDESWorkers). Must be set at bed creation.
 	PDESWorkers int
 
-	// Topology declares the network between the two machines instead of
-	// assuming the hardwired link. The zero value is the historical
-	// testbed shape — one point-to-point 10 Gb/s, 1 µs DAC — byte for
-	// byte. (Multi-machine topologies are ClusterBedConfig's job.)
-	Topology testbed.LinkSpec
-
 	// NEaT configuration (used when LinuxCores == 0).
 	Kind         stack.Kind
 	ReplicaSlots [][]testbed.ThreadLoc
@@ -117,14 +111,12 @@ type BedConfig struct {
 	DriverLoc    testbed.ThreadLoc // Xeon only (AMD pins the driver to core 0)
 	// Watchdog switches failure detection to heartbeat probing (the
 	// fault-matrix campaign; Table 3 keeps the paper's crash oracle).
-	Watchdog core.WatchdogConfig
+	Watchdog bool
 
 	// Linux baseline configuration (used when LinuxCores > 0): kernel
-	// contexts on threads LinuxLocs, web i colocated with context i.
-	LinuxCores       int
-	LinuxLocs        []testbed.ThreadLoc
-	LinuxTuning      baseline.Tuning
-	LinuxKernelScale float64
+	// context i on core i, web i colocated with context i.
+	LinuxCores  int
+	LinuxTuning baseline.Tuning
 
 	// Steering configures the server's flow placement plane (zero value:
 	// legacy RSS hash, no drain deadline).
@@ -190,7 +182,6 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 		cfg.ReqPerConn = 100
 	}
 	n := testbed.New(cfg.Seed)
-	cfg.Topology.Shape(n.Link)
 	if cfg.PDESWorkers > 0 {
 		// Must precede host creation: machines built afterwards get their
 		// own event-queue domains.
@@ -223,11 +214,11 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 	b := &Bed{Net: n, Server: server, Client: client, Trace: tr}
 
 	if cfg.LinuxCores > 0 {
-		scale := cfg.LinuxKernelScale
-		if scale == 0 {
-			scale = 1.0
+		locs := make([]testbed.ThreadLoc, cfg.LinuxCores)
+		for i := range locs {
+			locs[i] = testbed.ThreadLoc{Core: i}
 		}
-		bl, err := baselineOn(server, client, cfg, tcp, scale)
+		bl, err := server.BuildBaseline(client, cfg.LinuxTuning, tcp, baseline.Costs{}, locs)
 		if err != nil {
 			return nil, err
 		}
@@ -302,17 +293,6 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 	return b, nil
 }
 
-// baselineOn boots the Linux model with web colocation.
-func baselineOn(server, client *testbed.Host, cfg BedConfig, tcp tcpeng.Config, scale float64) (*baseline.System, error) {
-	locs := cfg.LinuxLocs
-	if locs == nil {
-		for i := 0; i < cfg.LinuxCores; i++ {
-			locs = append(locs, testbed.ThreadLoc{Core: i})
-		}
-	}
-	return server.BuildBaseline(client, cfg.LinuxTuning, tcp, ScaleBaselineCosts(LinuxCosts(), scale), locs)
-}
-
 // Measurement is one httperf-style report plus server-side observations.
 type Measurement struct {
 	KRPS    float64 // good responses (errors discarded) per second / 1000
@@ -337,12 +317,12 @@ func (b *Bed) Run(warm, window sim.Time) Measurement {
 		g.BeginMeasure()
 	}
 	b.Net.Sim.RunFor(window)
-	return measurementFrom(b.WorkloadRegistry(), window)
+	return measurementFrom(b.workloadRegistry(), window)
 }
 
-// WorkloadRegistry collects the load generators' counters into a fresh
+// workloadRegistry collects the load generators' counters into a fresh
 // registry (the client-side "httperf report" instruments).
-func (b *Bed) WorkloadRegistry() *metrics.Registry {
+func (b *Bed) workloadRegistry() *metrics.Registry {
 	r := metrics.NewRegistry()
 	good := r.Counter("loadgen.responses_good")
 	raw := r.Counter("loadgen.window_responses")
@@ -364,7 +344,7 @@ func (b *Bed) WorkloadRegistry() *metrics.Registry {
 // instruments plus the server and client systems' metrics under "server."
 // and "client." prefixes and the link counters.
 func (b *Bed) Registry() *metrics.Registry {
-	r := b.WorkloadRegistry()
+	r := b.workloadRegistry()
 	if b.NEaT != nil {
 		r.Absorb("server.", b.NEaT.Metrics())
 	}

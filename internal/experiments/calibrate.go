@@ -9,7 +9,6 @@
 package experiments
 
 import (
-	"neat/internal/baseline"
 	"neat/internal/stack"
 )
 
@@ -33,8 +32,8 @@ import (
 //	    contention share at 12 contexts (locks + cache-line bouncing).
 //	a5. Linux on the 8-core/16-thread Xeon peaks at 328 krps (§6.4)
 //	    with 16 lighttpd instances ⇒ per-request cost ≈25 % lower in
-//	    cycles than on the AMD (Nehalem vs K10 microarchitecture);
-//	    applied as XeonKernelScale on the baseline cost model only.
+//	    cycles than on the AMD (Nehalem vs K10 microarchitecture). Not
+//	    applied: no campaign runs the baseline on the Xeon.
 //	a6. Hyperthreads: the paper's §6.4 treats 2 threads ≈ 1.3-1.4× one
 //	    core; the machine model uses HTPenalty 1.45 (each thread runs at
 //	    1/1.45 speed when its sibling is busy ⇒ 2 threads = 1.38× core).
@@ -42,9 +41,6 @@ import (
 // AppCyclesPerRequest is anchor a1 minus the library/dispatch overhead the
 // application process pays per request (~2 k cycles measured in the sim).
 const AppCyclesPerRequest = 36000
-
-// XeonKernelScale is anchor a5.
-const XeonKernelScale = 0.75
 
 // ServerStackCosts returns the NEaT per-operation stack costs satisfying
 // anchors a2/a3.
@@ -61,30 +57,5 @@ func ServerStackCosts() stack.Costs {
 		SockOp:       1000,
 		SockEvent:    500,
 		TimerOp:      400,
-	}
-}
-
-// LinuxCosts returns the baseline kernel cost model satisfying anchor a4.
-func LinuxCosts() baseline.Costs {
-	return baseline.DefaultCosts()
-}
-
-// ScaleBaselineCosts returns c with every cycle figure scaled by f
-// (anchor a5's microarchitecture adjustment).
-func ScaleBaselineCosts(c baseline.Costs, f float64) baseline.Costs {
-	s := func(v int64) int64 { return int64(float64(v) * f) }
-	return baseline.Costs{
-		SoftirqPerPacket:        s(c.SoftirqPerPacket),
-		IPIn:                    s(c.IPIn),
-		IPOut:                   s(c.IPOut),
-		TCPSegIn:                s(c.TCPSegIn),
-		TCPSegOut:               s(c.TCPSegOut),
-		TCPConnSetup:            s(c.TCPConnSetup),
-		SyscallOp:               s(c.SyscallOp),
-		SockEvent:               s(c.SockEvent),
-		TimerOp:                 s(c.TimerOp),
-		LockBase:                s(c.LockBase),
-		LockPerContender:        s(c.LockPerContender),
-		CacheBouncePerContender: s(c.CacheBouncePerContender),
 	}
 }

@@ -276,8 +276,8 @@ func (b *ClusterBed) workloadRegistry() *metrics.Registry {
 	return r
 }
 
-// FarmGoodput sums good responses per farm across generators.
-func (b *ClusterBed) FarmGoodput() []uint64 {
+// farmGoodput sums good responses per farm across generators.
+func (b *ClusterBed) farmGoodput() []uint64 {
 	out := make([]uint64, len(b.Cluster.Farms))
 	for i, g := range b.Gens {
 		out[b.GenFarm[i]] += g.GoodResponses()
@@ -285,9 +285,9 @@ func (b *ClusterBed) FarmGoodput() []uint64 {
 	return out
 }
 
-// AggregateConns is the configured concurrent-connection total across all
+// aggregateConns is the configured concurrent-connection total across all
 // generators.
-func (b *ClusterBed) AggregateConns() int { return len(b.Gens) * b.Cfg.ConnsPerGen }
+func (b *ClusterBed) aggregateConns() int { return len(b.Gens) * b.Cfg.ConnsPerGen }
 
 // tier buckets one Breakdown span into the cluster's path tiers.
 func clusterTier(sp *trace.Span) string {
@@ -314,9 +314,9 @@ var clusterTierOrder = []string{
 	"replica (stack + SYSCALL + app)",
 }
 
-// TierTable aggregates the traced per-hop breakdown into per-tier rows:
+// tierTable aggregates the traced per-hop breakdown into per-tier rows:
 // client → wire → LB → farm machine → replica.
-func (b *ClusterBed) TierTable(title string) *report.Table {
+func (b *ClusterBed) tierTable(title string) *report.Table {
 	type agg struct {
 		count       uint64
 		queue, proc metrics.Histogram
@@ -358,12 +358,12 @@ type ClusterPoint struct {
 	PerFarm     []uint64 // good responses per farm
 }
 
-// ClusterLadder runs the connection-count ladder: the same topology at
+// clusterLadder runs the connection-count ladder: the same topology at
 // increasing per-generator connection counts (each rung a fresh
 // simulation, same seed). scale multiplies every rung — the -scale knob
 // that turns the container-sized default into a machine-room run (at
 // scale 8000 the top rung carries >1.1M aggregate connections).
-func ClusterLadder(o Options, rungs []int, scale int) ([]ClusterPoint, error) {
+func clusterLadder(o Options, rungs []int, scale int) ([]ClusterPoint, error) {
 	if scale < 1 {
 		scale = 1
 	}
@@ -381,12 +381,12 @@ func ClusterLadder(o Options, rungs []int, scale int) ([]ClusterPoint, error) {
 		m := b.Run(o.farmWarm(), o.farmWindow())
 		out = append(out, ClusterPoint{
 			ConnsPerGen: cfg.ConnsPerGen,
-			Aggregate:   b.AggregateConns(),
+			Aggregate:   b.aggregateConns(),
 			KRPS:        m.KRPS,
 			Errors:      m.Errors,
 			MeanLat:     m.MeanLat,
 			P99Lat:      m.P99Lat,
-			PerFarm:     b.FarmGoodput(),
+			PerFarm:     b.farmGoodput(),
 		})
 	}
 	return out, nil
@@ -409,7 +409,7 @@ func ClusterScale(o Options) *Result {
 	// depends on that.
 	res := &Result{Name: "Cluster scale: L4-balanced NEaT farms behind a switch"}
 
-	points, err := ClusterLadder(o, clusterRungs(o), o.clusterScale())
+	points, err := clusterLadder(o, clusterRungs(o), o.clusterScale())
 	if err != nil {
 		res.Notef("ladder failed: %v", err)
 		return res
@@ -443,7 +443,7 @@ func ClusterScale(o Options) *Result {
 	}
 	tb.Run(o.farmWarm(), o.farmWindow())
 	res.Tables = append(res.Tables,
-		tb.TierTable("per-tier latency: client → LB → farm machine → replica"))
+		tb.tierTable("per-tier latency: client → LB → farm machine → replica"))
 
 	res.Notef("every farm member shares its farm VIP (direct-server-return); the switch L4 service rewrites only the destination MAC")
 	res.Notef("tenant isolation: a tenant's clients resolve only its own VIPs, and each farm steers with its own placer over its own members")

@@ -214,7 +214,7 @@ func TestClusterTenantIsolation(t *testing.T) {
 		g.BeginMeasure()
 	}
 	b.Sim.RunFor(10 * sim.Millisecond)
-	perFarm := b.FarmGoodput()
+	perFarm := b.farmGoodput()
 	for fi, f := range b.Cluster.Farms {
 		var want uint64
 		for i, g := range b.Gens {
@@ -274,7 +274,7 @@ func TestClusterSpecValidation(t *testing.T) {
 // TestClusterLadderScale checks the -scale knob multiplies every rung.
 func TestClusterLadderScale(t *testing.T) {
 	o := Options{Quick: true, Scale: 3}
-	pts, err := ClusterLadder(o, []int{2}, o.clusterScale())
+	pts, err := clusterLadder(o, []int{2}, o.clusterScale())
 	if err != nil {
 		t.Fatal(err)
 	}

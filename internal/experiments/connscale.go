@@ -270,9 +270,9 @@ func settledHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// ConnScaleLadder measures the conns ladder. Every rung additionally runs
+// connScaleLadder measures the conns ladder. Every rung additionally runs
 // under 2-worker PDES to verify digest identity.
-func ConnScaleLadder(o Options, conns []int) []ConnScalePoint {
+func connScaleLadder(o Options, conns []int) []ConnScalePoint {
 	var points []ConnScalePoint
 	for _, n := range conns {
 		p := connScaleRun(o.seed(), n, 0)
@@ -293,7 +293,7 @@ func connScaleConns(o Options) []int {
 // ConnScale runs the connection-scale campaign and reports it as a table.
 func ConnScale(o Options) *Result {
 	res := &Result{Name: "Connection scale: one replica's engine under a conns ladder"}
-	points := ConnScaleLadder(o, connScaleConns(o))
+	points := connScaleLadder(o, connScaleConns(o))
 	tab := &report.Table{
 		Title: "Established connections vs simulator load (idle guard armed per conn)",
 		Columns: []string{"conns", "established", "pending events",

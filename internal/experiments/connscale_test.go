@@ -36,7 +36,7 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 	if rows := len(res.Tables[0].Rows); rows != 2 { // one per rung
 		t.Fatalf("rows: %d", rows)
 	}
-	for _, p := range ConnScaleLadder(Options{Quick: true, Seed: 11}, []int{600}) {
+	for _, p := range connScaleLadder(Options{Quick: true, Seed: 11}, []int{600}) {
 		if !p.PDESIdentical {
 			t.Fatal("rung not PDES-identical")
 		}

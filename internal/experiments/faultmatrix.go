@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"neat/internal/core"
 	"neat/internal/faultinject"
 	"neat/internal/report"
 	"neat/internal/sim"
@@ -141,7 +140,7 @@ func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observ
 		WebLocs:      coreRange(6, 2),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Timeout:  150 * sim.Millisecond,
-		Watchdog: core.WatchdogConfig{Enabled: true},
+		Watchdog: true,
 	})
 	if err != nil {
 		return matrixOut{outcome: "none"}
@@ -252,7 +251,7 @@ func FaultTimeline(o Options, seed int64, kind faultinject.Kind, comp string) *R
 		WebLocs:      coreRange(6, 2),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Timeout:  150 * sim.Millisecond,
-		Watchdog: core.WatchdogConfig{Enabled: true},
+		Watchdog: true,
 		Observe:  true,
 	})
 	if err != nil {
@@ -312,7 +311,7 @@ func replayCounters(o Options, seed int64, kind faultinject.Kind, comp string, o
 		WebLocs:      coreRange(6, 2),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Timeout:  150 * sim.Millisecond,
-		Watchdog: core.WatchdogConfig{Enabled: true},
+		Watchdog: true,
 	})
 	tab := &report.Table{Title: "Watchdog and management-plane counters",
 		Columns: []string{"counter", "value"}}

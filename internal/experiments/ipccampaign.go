@@ -96,8 +96,8 @@ func ipcClusterBed(o Options, coalesce bool) (Measurement, sim.IPCStats, error) 
 	return m, b.Sim.IPCStats(), nil
 }
 
-// IPCFastPathPoints measures all (pipeline, wake mode) cells.
-func IPCFastPathPoints(o Options) ([]IPCPoint, error) {
+// ipcFastPathPoints measures all (pipeline, wake mode) cells.
+func ipcFastPathPoints(o Options) ([]IPCPoint, error) {
 	var points []IPCPoint
 	for _, p := range []struct {
 		name string
@@ -127,7 +127,7 @@ func IPCFastPathPoints(o Options) ([]IPCPoint, error) {
 // IPCFastPath runs the campaign and reports it as tables.
 func IPCFastPath(o Options) *Result {
 	res := &Result{Name: "IPC fast path: message rings and doorbell coalescing across pipeline shapes"}
-	points, err := IPCFastPathPoints(o)
+	points, err := ipcFastPathPoints(o)
 	if err != nil {
 		res.Notef("campaign failed: %v", err)
 		return res

@@ -205,11 +205,11 @@ type ScalingPoint struct {
 	KRPS        float64 // total farm goodput (sanity: identical for workers >= 1)
 }
 
-// PDESScalingLadder times the same farm run at each worker count and
+// pdesScalingLadder times the same farm run at each worker count and
 // returns the points — workers=0 is the sequential
 // baseline. Wall-clock speedup beyond workers=1 requires real CPUs; on a
 // single-core host the ladder degenerates to the coordination overhead.
-func PDESScalingLadder(o Options, workerCounts []int) ([]ScalingPoint, error) {
+func pdesScalingLadder(o Options, workerCounts []int) ([]ScalingPoint, error) {
 	pairs := farmPairCount(o)
 	var out []ScalingPoint
 	for _, w := range workerCounts {
@@ -232,7 +232,7 @@ func PDESScalingLadder(o Options, workerCounts []int) ([]ScalingPoint, error) {
 // PDESScaling renders the scaling ladder as a result table.
 func PDESScaling(o Options) *Result {
 	res := &Result{Name: "PDES scaling: wall-clock time vs worker count (same farm, same seed)"}
-	points, err := PDESScalingLadder(o, []int{0, 1, 2, 4})
+	points, err := pdesScalingLadder(o, []int{0, 1, 2, 4})
 	if err != nil {
 		res.Notef("ladder failed: %v", err)
 		return res

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"neat/internal/core"
-	"neat/internal/metrics"
 	"neat/internal/sim"
 	"neat/internal/stack"
 )
@@ -210,15 +209,6 @@ func (inj *Injector) Injected(k Kind) uint64 {
 		return 0
 	}
 	return inj.injected[k]
-}
-
-// PublishMetrics exports the per-kind injection counters into a metrics
-// registry as faultinject.injected.crash|hang|storm, so campaigns can
-// assert the injection mix they actually applied.
-func (inj *Injector) PublishMetrics(r *metrics.Registry) {
-	r.SetCounter("faultinject.injected.crash", inj.injected[KindCrash])
-	r.SetCounter("faultinject.injected.hang", inj.injected[KindHang])
-	r.SetCounter("faultinject.injected.storm", inj.injected[KindStorm])
 }
 
 // Target resolves the process currently implementing comp: the singleton

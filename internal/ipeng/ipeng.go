@@ -54,12 +54,14 @@ type Config struct {
 	// StaticARP seeds the ARP cache (the experiments use static entries;
 	// dynamic resolution is exercised by tests).
 	StaticARP map[proto.Addr]proto.MAC
-	// ARPTimeout is the per-try ARP resolution timeout (default 200 ms,
-	// 3 tries).
-	ARPTimeout sim.Time
-	// ReassemblyTimeout discards incomplete fragment groups (default 1 s).
-	ReassemblyTimeout sim.Time
 }
+
+const (
+	// arpTimeout is the per-try ARP resolution timeout (3 tries).
+	arpTimeout = 200 * sim.Millisecond
+	// reassemblyTimeout discards incomplete fragment groups.
+	reassemblyTimeout = sim.Second
+)
 
 // Stats counts IP component events.
 type Stats struct {
@@ -114,12 +116,6 @@ type reasmBuf struct {
 func NewEngine(env Env, cfg Config) *Engine {
 	if cfg.MTU == 0 {
 		cfg.MTU = 1500
-	}
-	if cfg.ARPTimeout == 0 {
-		cfg.ARPTimeout = 200 * sim.Millisecond
-	}
-	if cfg.ReassemblyTimeout == 0 {
-		cfg.ReassemblyTimeout = sim.Second
 	}
 	e := &Engine{
 		env:     env,
@@ -368,7 +364,7 @@ func (e *Engine) sendARPRequest(target proto.Addr) {
 }
 
 func (e *Engine) armARPRetry(target proto.Addr) {
-	e.env.After(e.cfg.ARPTimeout, func() {
+	e.env.After(arpTimeout, func() {
 		pend, ok := e.arpWait[target]
 		if !ok {
 			return // resolved
@@ -462,9 +458,9 @@ func (e *Engine) inputFragment(f *proto.Frame) {
 	b, ok := e.reasm[k]
 	if !ok {
 		b = &reasmBuf{have: make(map[uint16]bool), total: -1,
-			deadline: e.env.Now() + e.cfg.ReassemblyTimeout}
+			deadline: e.env.Now() + reassemblyTimeout}
 		e.reasm[k] = b
-		e.env.After(e.cfg.ReassemblyTimeout, func() {
+		e.env.After(reassemblyTimeout, func() {
 			if cur, still := e.reasm[k]; still && cur == b {
 				e.stats.ReassemblyExpired++
 				delete(e.reasm, k)

@@ -92,9 +92,6 @@ func (d *Driver) Restart() {
 // driver was down. Call it after the queue bindings are re-announced.
 func (d *Driver) Kick() { d.nic.rearm() }
 
-// QueueTarget returns the process bound to queue q, or nil.
-func (d *Driver) QueueTarget(q int) *sim.Proc { return d.targets[q] }
-
 // HandleMessage implements sim.Handler.
 func (d *Driver) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {

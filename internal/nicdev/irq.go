@@ -10,21 +10,10 @@ import (
 // its IRQ affinity names, and that core's kernel context drains the queue
 // in softirq context. NEaT never uses this mode — its queues all flow
 // through the single driver process.
-//
-// Interrupt moderation (SetIRQCoalesce) applies to both modes: with a
-// non-zero window, a vector that has just fired holds further interrupts
-// back until the window elapses, so a burst of frames raises one wakeup
-// and the drain handles the whole burst. The deferred refire re-checks the
-// queue: if the drain already emptied it the vector simply re-arms. The
-// default window of zero preserves the exact legacy interrupt timing.
 
 // QueueIRQ is the message a NIC in per-queue IRQ mode delivers to the
 // bound kernel context when queue Q becomes non-empty.
 type QueueIRQ struct{ Queue int }
-
-// tagDriverIRQ is the OnEvent tag of the driver-vector refire; queue q's
-// refire uses tag 1+q.
-const tagDriverIRQ = 0
 
 // SetQueueIRQTarget routes queue q's interrupt to the given process and
 // switches the NIC to per-queue IRQ mode for that queue. Pass nil to mask
@@ -34,7 +23,6 @@ func (n *NIC) SetQueueIRQTarget(q int, p *sim.Proc) {
 		n.irqTargets = make([]*sim.Proc, len(n.queues))
 		n.irqArmed = make([]bool, len(n.queues))
 		n.irqMsgs = make([]sim.Message, len(n.queues))
-		n.irqNext = make([]sim.Time, len(n.queues))
 		for i := range n.irqArmed {
 			n.irqArmed[i] = true
 			// Box each queue's interrupt message once; every delivery of
@@ -44,14 +32,6 @@ func (n *NIC) SetQueueIRQTarget(q int, p *sim.Proc) {
 	}
 	n.irqTargets[q] = p
 }
-
-// SetIRQCoalesce sets the interrupt-moderation window for every vector of
-// this NIC, in the style of the i82599's interrupt throttle register: after
-// a vector fires, its next interrupt is held back until window has elapsed,
-// and the deferred refire is dropped entirely if the queues were drained in
-// the meantime. Zero (the default) disables moderation and preserves the
-// exact un-moderated interrupt timing.
-func (n *NIC) SetIRQCoalesce(window sim.Time) { n.irqWindow = window }
 
 // DrainQueue removes and returns all frames pending on queue q (the
 // kernel context reads the descriptor ring directly). The returned slice
@@ -75,7 +55,7 @@ func (n *NIC) RearmQueueIRQ(q int) {
 	n.irqArmed[q] = true
 	if len(n.queues[q].frames) > 0 && n.irqTargets[q] != nil {
 		n.irqArmed[q] = false
-		n.raiseQueueIRQ(q, n.sim.Now(), true)
+		n.irqTargets[q].Deliver(n.irqMsgs[q])
 	}
 }
 
@@ -87,68 +67,7 @@ func (n *NIC) notifyQueue(q int) bool {
 	}
 	if n.irqTargets[q] != nil && n.irqArmed[q] {
 		n.irqArmed[q] = false
-		n.raiseQueueIRQ(q, n.sim.Now()+n.PipelineLatency, false)
+		n.sim.DeliverAt(n.sim.Now()+n.PipelineLatency, n.irqTargets[q], n.irqMsgs[q])
 	}
 	return true
-}
-
-// raiseQueueIRQ delivers queue q's interrupt at time at — or, when the
-// moderation window has not yet elapsed, schedules a refire for when it
-// has. The vector stays masked (irqArmed false) either way until the
-// drain's rearm.
-func (n *NIC) raiseQueueIRQ(q int, at sim.Time, immediate bool) {
-	if n.irqWindow > 0 {
-		if hold := n.irqNext[q]; at < hold {
-			n.stats.IRQDeferred++
-			n.sim.AtEvent(hold, n, uint64(1+q))
-			return
-		}
-		n.irqNext[q] = at + n.irqWindow
-	}
-	if immediate {
-		n.irqTargets[q].Deliver(n.irqMsgs[q])
-	} else {
-		n.sim.DeliverAt(at, n.irqTargets[q], n.irqMsgs[q])
-	}
-}
-
-// raiseDriverIRQ is the driver-mode counterpart of raiseQueueIRQ: one
-// RX notification for all queues, moderated by the same window.
-func (n *NIC) raiseDriverIRQ(at sim.Time, immediate bool) {
-	if n.irqWindow > 0 {
-		if hold := n.drvNext; at < hold {
-			n.stats.IRQDeferred++
-			n.sim.AtEvent(hold, n, tagDriverIRQ)
-			return
-		}
-		n.drvNext = at + n.irqWindow
-	}
-	if immediate {
-		n.driver.proc.Deliver(rxReady{})
-	} else {
-		n.sim.DeliverAt(at, n.driver.proc, rxReady{})
-	}
-}
-
-// OnEvent implements sim.EventHandler: a moderated vector's deferred
-// refire. If frames are still pending the interrupt fires now (opening the
-// next moderation window); if the consumer drained them in the meantime
-// the vector just re-arms and the wakeup is saved entirely.
-func (n *NIC) OnEvent(tag uint64) {
-	if tag == tagDriverIRQ {
-		if n.driver != nil && n.pendingQueues() {
-			n.drvNext = n.sim.Now() + n.irqWindow
-			n.driver.proc.Deliver(rxReady{})
-			return
-		}
-		n.intrArmed = true
-		return
-	}
-	q := int(tag - 1)
-	if len(n.queues[q].frames) > 0 && n.irqTargets[q] != nil {
-		n.irqNext[q] = n.sim.Now() + n.irqWindow
-		n.irqTargets[q].Deliver(n.irqMsgs[q])
-		return
-	}
-	n.irqArmed[q] = true
 }

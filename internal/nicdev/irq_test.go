@@ -3,7 +3,6 @@ package nicdev
 import (
 	"testing"
 
-	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/wire"
 )
@@ -27,16 +26,15 @@ func (s *softirqSink) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	}
 }
 
-// queueIRQRun pushes n frames 1µs apart into a single-queue NIC in
-// per-queue IRQ mode with the given moderation window, and reports how
-// many interrupts the kernel context took to consume them all.
-func queueIRQRun(t *testing.T, n int, window sim.Time) (frames, irqs int, stats NICStats) {
-	t.Helper()
+// TestQueueIRQOnePerFrame pushes frames 1µs apart into a single-queue NIC
+// in per-queue IRQ mode. The spacing far exceeds the drain time, so every
+// frame raises its own interrupt and the kernel context consumes them all.
+func TestQueueIRQOnePerFrame(t *testing.T) {
+	const n = 8
 	s := sim.New(1)
 	m := sim.NewMachine(s, "srv", 1, 1, 1_000_000_000)
 	l := wire.NewLink(s)
 	nic := NewNIC(s, "nic0", macB, l, 1, 1)
-	nic.SetIRQCoalesce(window)
 	sink := &softirqSink{nic: nic}
 	p := sim.NewProc(m.Thread(0, 0), "ksoftirqd", sink, sim.ProcConfig{})
 	nic.SetQueueIRQTarget(0, p)
@@ -46,77 +44,10 @@ func queueIRQRun(t *testing.T, n int, window sim.Time) (frames, irqs int, stats 
 		s.At(at, func() { nic.Receive(tcpFrame(port, nil)) })
 	}
 	s.Drain()
-	return sink.got, sink.irqs, nic.Stats()
-}
-
-func TestQueueIRQCoalesceReducesWakeups(t *testing.T) {
-	const n = 32
-	frames, irqs, stats := queueIRQRun(t, n, 100*sim.Microsecond)
-	if frames != n {
-		t.Fatalf("moderated run delivered %d of %d frames", frames, n)
+	if sink.got != n {
+		t.Fatalf("delivered %d of %d frames", sink.got, n)
 	}
-	if irqs >= n/2 {
-		t.Fatalf("moderation took %d interrupts for %d frames, want far fewer", irqs, n)
-	}
-	if stats.IRQDeferred == 0 {
-		t.Fatal("moderated burst deferred no interrupts")
-	}
-}
-
-func TestQueueIRQNoCoalesceByDefault(t *testing.T) {
-	const n = 8
-	frames, irqs, stats := queueIRQRun(t, n, 0)
-	if frames != n {
-		t.Fatalf("delivered %d of %d frames", frames, n)
-	}
-	// 1µs spacing far exceeds the drain time: every frame raises its own
-	// interrupt when moderation is off.
-	if irqs != n {
-		t.Fatalf("unmoderated run took %d interrupts for %d frames, want %d", irqs, n, n)
-	}
-	if stats.IRQDeferred != 0 {
-		t.Fatalf("unmoderated run deferred %d interrupts", stats.IRQDeferred)
-	}
-}
-
-// driverIRQRun mirrors queueIRQRun for driver mode: frames spaced 1µs with
-// a bound replica target, reporting driver dispatches.
-func driverIRQRun(t *testing.T, n int, window sim.Time) (frames int, dispatches uint64, stats NICStats) {
-	t.Helper()
-	s := sim.New(1)
-	m := sim.NewMachine(s, "srv", 2, 1, 1_000_000_000)
-	l := wire.NewLink(s)
-	nic := NewNIC(s, "nic0", macB, l, 1, 1)
-	nic.SetIRQCoalesce(window)
-	drv := NewDriver(m.Thread(0, 0), "nicdrv", nic, DefaultDriverCosts())
-	got := 0
-	p := sim.NewProc(m.Thread(1, 0), "replica", sim.HandlerFunc(func(ctx *sim.Context, msg sim.Message) {
-		if f, ok := msg.(*proto.Frame); ok {
-			got++
-			f.Release()
-		}
-	}), sim.ProcConfig{})
-	drv.BindQueue(0, p)
-	for i := 0; i < n; i++ {
-		port := uint16(6000 + i)
-		at := sim.Time(i) * sim.Microsecond
-		s.At(at, func() { nic.Receive(tcpFrame(port, nil)) })
-	}
-	s.Drain()
-	return got, drv.Proc().Stats().Dispatches, nic.Stats()
-}
-
-func TestDriverIRQCoalesceReducesWakeups(t *testing.T) {
-	const n = 32
-	frames, moderated, stats := driverIRQRun(t, n, 100*sim.Microsecond)
-	if frames != n {
-		t.Fatalf("moderated run delivered %d of %d frames", frames, n)
-	}
-	if stats.IRQDeferred == 0 {
-		t.Fatal("moderated burst deferred no interrupts")
-	}
-	_, unmoderated, _ := driverIRQRun(t, n, 0)
-	if moderated >= unmoderated {
-		t.Fatalf("moderation did not reduce driver dispatches: %d (window on) vs %d (off)", moderated, unmoderated)
+	if sink.irqs != n {
+		t.Fatalf("took %d interrupts for %d frames, want %d", sink.irqs, n, n)
 	}
 }

@@ -97,7 +97,6 @@ type NICStats struct {
 	TrackHits      uint64
 	TrackInserts   uint64
 	TrackEvictions uint64
-	IRQDeferred    uint64 // interrupts held back by the moderation window
 }
 
 // RSSPolicy steers unpinned flows to a queue: the software-programmable
@@ -139,13 +138,8 @@ type NIC struct {
 	irqTargets []*sim.Proc
 	irqArmed   []bool
 	// irqMsgs holds one pre-boxed QueueIRQ per queue so a delivery never
-	// allocates; irqNext is the per-vector moderation horizon.
+	// allocates.
 	irqMsgs []sim.Message
-	irqNext []sim.Time
-	// irqWindow is the interrupt-moderation window (0 = off); drvNext is
-	// the driver vector's moderation horizon.
-	irqWindow sim.Time
-	drvNext   sim.Time
 
 	// Hardware flow tracking (§4 extension; see EnableFlowTracking).
 	// trackOrder is a FIFO of live flows; trackHead indexes its logical
@@ -169,17 +163,11 @@ type rxQueue struct {
 	spareAt []sim.Time
 }
 
-// NewNIC creates a NIC with n RX/TX queue pairs attached to the given link
-// side. Initially all queues participate in RSS. It is the historical
-// point-to-point constructor, kept as a thin wrapper over NewNICAt.
+// NewNIC creates a NIC with n RX/TX queue pairs attached to the given side
+// of a link — a point-to-point link or a switch access link; the NIC does
+// not care which. Initially all queues participate in RSS.
 func NewNIC(s *sim.Simulator, name string, mac proto.MAC, l *wire.Link, side int, nQueues int) *NIC {
-	return NewNICAt(s, name, mac, l.End(side), nQueues)
-}
-
-// NewNICAt creates a NIC attached to a named wire endpoint — one side of a
-// point-to-point link or the machine-facing side of a switch access link.
-// The NIC does not care which: the endpoint is its port.
-func NewNICAt(s *sim.Simulator, name string, mac proto.MAC, port wire.Endpoint, nQueues int) *NIC {
+	port := l.End(side)
 	n := &NIC{
 		sim:             s,
 		port:            port,
@@ -297,7 +285,7 @@ func (n *NIC) Receive(raw []byte) {
 	}
 	if n.driver != nil && n.intrArmed {
 		n.intrArmed = false
-		n.raiseDriverIRQ(n.sim.Now()+n.PipelineLatency, false)
+		n.sim.DeliverAt(n.sim.Now()+n.PipelineLatency, n.driver.proc, rxReady{})
 	}
 }
 
@@ -393,7 +381,7 @@ func (n *NIC) rearm() {
 	n.intrArmed = true
 	if n.driver != nil && n.pendingQueues() {
 		n.intrArmed = false
-		n.raiseDriverIRQ(n.sim.Now(), true)
+		n.driver.proc.Deliver(rxReady{})
 	}
 }
 

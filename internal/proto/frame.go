@@ -205,8 +205,8 @@ func BuildTCP(eth EthernetHeader, ip IPv4Header, tcp TCPHeader, payload []byte) 
 	return AppendTCP(bufpool.Get(WireSizeTCP(&tcp, len(payload)))[:0], eth, ip, tcp, payload)
 }
 
-// AppendUDP serializes a complete Ethernet/IPv4/UDP frame, appending to b.
-func AppendUDP(b []byte, eth EthernetHeader, ip IPv4Header, udp UDPHeader, payload []byte) []byte {
+// appendUDP serializes a complete Ethernet/IPv4/UDP frame, appending to b.
+func appendUDP(b []byte, eth EthernetHeader, ip IPv4Header, udp UDPHeader, payload []byte) []byte {
 	ip.Protocol = ProtoUDP
 	ip.TotalLen = uint16(IPv4HeaderLen + UDPHeaderLen + len(payload))
 	b = eth.Marshal(b)
@@ -217,12 +217,12 @@ func AppendUDP(b []byte, eth EthernetHeader, ip IPv4Header, udp UDPHeader, paylo
 // BuildUDP serializes a complete Ethernet/IPv4/UDP frame.
 func BuildUDP(eth EthernetHeader, ip IPv4Header, udp UDPHeader, payload []byte) []byte {
 	b := make([]byte, 0, EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
-	return AppendUDP(b, eth, ip, udp, payload)
+	return appendUDP(b, eth, ip, udp, payload)
 }
 
-// AppendICMP serializes a complete Ethernet/IPv4/ICMP echo frame, appending
+// appendICMP serializes a complete Ethernet/IPv4/ICMP echo frame, appending
 // to b.
-func AppendICMP(b []byte, eth EthernetHeader, ip IPv4Header, icmp ICMPEcho, payload []byte) []byte {
+func appendICMP(b []byte, eth EthernetHeader, ip IPv4Header, icmp ICMPEcho, payload []byte) []byte {
 	ip.Protocol = ProtoICMP
 	ip.TotalLen = uint16(IPv4HeaderLen + ICMPHeaderLen + len(payload))
 	b = eth.Marshal(b)
@@ -233,16 +233,16 @@ func AppendICMP(b []byte, eth EthernetHeader, ip IPv4Header, icmp ICMPEcho, payl
 // BuildICMP serializes a complete Ethernet/IPv4/ICMP echo frame.
 func BuildICMP(eth EthernetHeader, ip IPv4Header, icmp ICMPEcho, payload []byte) []byte {
 	b := make([]byte, 0, EthernetHeaderLen+IPv4HeaderLen+ICMPHeaderLen+len(payload))
-	return AppendICMP(b, eth, ip, icmp, payload)
+	return appendICMP(b, eth, ip, icmp, payload)
 }
 
-// AppendARP serializes a complete Ethernet/ARP frame, appending to b.
-func AppendARP(b []byte, eth EthernetHeader, arp ARPPacket) []byte {
+// appendARP serializes a complete Ethernet/ARP frame, appending to b.
+func appendARP(b []byte, eth EthernetHeader, arp ARPPacket) []byte {
 	b = eth.Marshal(b)
 	return arp.Marshal(b)
 }
 
 // BuildARP serializes a complete Ethernet/ARP frame.
 func BuildARP(eth EthernetHeader, arp ARPPacket) []byte {
-	return AppendARP(make([]byte, 0, EthernetHeaderLen+ARPPacketLen), eth, arp)
+	return appendARP(make([]byte, 0, EthernetHeaderLen+ARPPacketLen), eth, arp)
 }

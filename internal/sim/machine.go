@@ -125,9 +125,6 @@ func (t *HWThread) String() string {
 	return fmt.Sprintf("%s/c%d.t%d", t.core.machine.Name, t.core.Index, t.Index)
 }
 
-// FreeAt returns the time at which the thread becomes free.
-func (t *HWThread) FreeAt() Time { return t.freeAt }
-
 // BusyTotal returns the cumulative busy time of the thread.
 func (t *HWThread) BusyTotal() Time { return t.busyTotal }
 

@@ -6,13 +6,13 @@
 // that owns the flow's state, and new flows must spread across replicas.
 // Before this package those decisions were smeared across four layers —
 // the NIC's RSS indirection, the management plane's connect routing, the
-// SYSCALL server and the autoscaler — which meant they could drift apart
+// SYSCALL server and scale-down — which meant they could drift apart
 // and none could be swapped or tuned. Now they all consult one Placer:
 //
 //   - the NIC asks QueueFor(hash) to steer an unpinned inbound flow;
 //   - the SYSCALL server (via core.System.ConnectTarget) asks PickConnect
 //     for each new outbound connection;
-//   - scale-down (manual or autoscaler-driven) asks PickRetire which
+//   - scale-down (core.System.ScaleDown) asks PickRetire which
 //     replica should drain.
 //
 // Established connections are never moved by a policy change: the NIC's

@@ -140,7 +140,7 @@ func (e *Engine) Restore(s *Snapshot) int {
 		c.snd.nxt = cs.SndUna + uint32(len(cs.SndBuf))
 		c.snd.wnd = cs.SndWnd
 		c.snd.wndShift = cs.SndWndShift
-		c.snd.cwnd = uint32(e.cfg.InitialCwndMSS * c.mss)
+		c.snd.cwnd = uint32(initialCwndMSS * c.mss)
 		c.rcv.nxt = cs.RcvNxt
 		c.rcv.wndShift = cs.RcvWndShift
 		if len(cs.SndBuf) > 0 {
@@ -149,7 +149,7 @@ func (e *Engine) Restore(s *Snapshot) int {
 		if len(cs.RcvBuf) > 0 {
 			c.ensureBufs().appendRcv(cs.RcvBuf)
 		}
-		c.rto = e.cfg.InitialRTO
+		c.rto = initialRTO
 		restored++
 		// Kick resynchronization: if data is outstanding, the RTO will
 		// retransmit from SndUna; otherwise probe the peer with a bare ACK

@@ -173,7 +173,7 @@ func TestRestoreRebindSingleRexmitFiring(t *testing.T) {
 	fresh.Restore(snap)
 
 	// Both the leaked timer and the restored conn's timer fire at +50ms
-	// (InitialRTO). Keep the wire black-holed and count firings.
+	// (initialRTO). Keep the wire black-holed and count firings.
 	h.run(h.now + 60*sim.Millisecond)
 	st := fresh.Stats()
 	if st.Retransmits != 1 {

@@ -288,7 +288,7 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 	c.snd.una = c.iss
 	c.snd.nxt = c.iss + 1
 	c.applyPeerOptions(h)
-	c.rto = e.cfg.InitialRTO
+	c.rto = initialRTO
 	c.sendFlags(proto.TCPSyn|proto.TCPAck, c.iss, c.rcv.nxt, true)
 	e.env.ArmTimer(c, TimerRexmit, c.rto)
 }
@@ -303,7 +303,7 @@ func (c *Conn) applyPeerOptions(h *proto.TCPHeader) {
 	} else {
 		c.rcv.wndShift = 0 // peer can't scale: don't scale ours either
 	}
-	c.snd.cwnd = uint32(c.engine.cfg.InitialCwndMSS * c.mss)
+	c.snd.cwnd = uint32(initialCwndMSS * c.mss)
 	c.snd.wnd = uint32(h.Window) << c.snd.wndShift
 }
 
@@ -345,9 +345,11 @@ func (c *Conn) input(h *proto.TCPHeader, payload []byte) {
 		return
 	}
 
-	// RST processing: any acceptable RST kills the connection.
+	// RST processing (RFC 793 §3.4): an RST at rcv.nxt or inside the receive
+	// window kills the connection. One behind rcv.nxt is an old duplicate or
+	// a blind guess, and is ignored.
 	if h.Flags&proto.TCPRst != 0 {
-		if c.seqAcceptable(h.Seq, 0) || h.Seq == c.rcv.nxt {
+		if off := h.Seq - c.rcv.nxt; off == 0 || off < c.recvWindow() {
 			e.stats.ResetsIn++
 			c.destroy(ErrReset, true)
 		}

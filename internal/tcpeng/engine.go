@@ -127,20 +127,15 @@ type Env interface {
 
 // Config parameterizes an engine.
 type Config struct {
-	MSS         int      // our MSS (default 1460)
-	RecvBuf     int      // receive buffer bytes (default 256 KiB)
-	SendBuf     int      // send buffer bytes (default 256 KiB)
-	TSO         bool     // hand >MSS payloads to the NIC
-	TSOMax      int      // max TSO super-segment (default 64 KiB)
-	NoDelay     bool     // disable Nagle (default true: the paper's HTTP workload)
-	InitialRTO  sim.Time // default 50 ms
-	MinRTO      sim.Time // default 5 ms (LAN-scaled; Linux uses 200 ms)
-	MaxRTO      sim.Time // default 2 s
-	DelAckDelay sim.Time // default 1 ms
-	TimeWait    sim.Time // 2*MSL stand-in; default 250 ms (a control-plane
+	MSS      int      // our MSS (default 1460)
+	RecvBuf  int      // receive buffer bytes (default 256 KiB)
+	SendBuf  int      // send buffer bytes (default 256 KiB)
+	TSO      bool     // hand >MSS payloads to the NIC
+	TSOMax   int      // max TSO super-segment (default 64 KiB)
+	NoDelay  bool     // disable Nagle (default true: the paper's HTTP workload)
+	MaxRTO   sim.Time // default 2 s
+	TimeWait sim.Time // 2*MSL stand-in; default 250 ms (a control-plane
 	// tunable per §4)
-	PersistInterval sim.Time // zero-window probe interval, default 100 ms
-	InitialCwndMSS  int      // initial congestion window in MSS (default 10)
 
 	// MaxRetries caps consecutive RTO retransmissions of the same data
 	// before the connection is declared dead (Linux's tcp_retries2;
@@ -204,11 +199,6 @@ type GuardConfig struct {
 	SynCookieWatermark int
 }
 
-// Enabled reports whether any guard is configured.
-func (g GuardConfig) Enabled() bool {
-	return g != GuardConfig{}
-}
-
 // Validate reports the first out-of-range guard. The message starts at the
 // field name so callers can prefix the path their user wrote it under.
 // (A negative SynCookieWatermark is meaningful — cookies for every SYN —
@@ -248,26 +238,11 @@ func (c *Config) fillDefaults() {
 	if c.TSOMax == 0 {
 		c.TSOMax = 64 << 10
 	}
-	if c.InitialRTO == 0 {
-		c.InitialRTO = 50 * sim.Millisecond
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = 5 * sim.Millisecond
-	}
 	if c.MaxRTO == 0 {
 		c.MaxRTO = 2 * sim.Second
 	}
-	if c.DelAckDelay == 0 {
-		c.DelAckDelay = sim.Millisecond
-	}
 	if c.TimeWait == 0 {
 		c.TimeWait = 250 * sim.Millisecond
-	}
-	if c.PersistInterval == 0 {
-		c.PersistInterval = 100 * sim.Millisecond
-	}
-	if c.InitialCwndMSS == 0 {
-		c.InitialCwndMSS = 10
 	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 10
@@ -296,6 +271,16 @@ func DefaultConfig() Config {
 	c.fillDefaults()
 	return c
 }
+
+// Protocol timers and the initial window. The RTO bounds are LAN-scaled
+// (Linux's minimum RTO is 200 ms).
+const (
+	initialRTO      = 50 * sim.Millisecond
+	minRTO          = 5 * sim.Millisecond
+	delAckDelay     = sim.Millisecond
+	persistInterval = 100 * sim.Millisecond // zero-window probe interval
+	initialCwndMSS  = 10                    // initial congestion window in MSS
+)
 
 // Engine errors.
 var (
@@ -568,7 +553,7 @@ func (e *Engine) ConnectFrom(remote proto.Addr, port, localPort uint16) (*Conn, 
 	c.iss = e.env.RandUint32()
 	c.snd.una = c.iss
 	c.snd.nxt = c.iss + 1
-	c.rto = e.cfg.InitialRTO
+	c.rto = initialRTO
 	e.stats.ActiveOpens++
 	c.sendFlags(proto.TCPSyn, c.iss, 0, true)
 	e.env.ArmTimer(c, TimerRexmit, c.rto)
@@ -611,7 +596,7 @@ func (e *Engine) newConn(k connKey) *Conn {
 	c.rcv.bufMax = e.cfg.RecvBuf
 	c.snd.bufMax = e.cfg.SendBuf
 	c.rcv.wndShift, c.snd.wndShift = windowShift(e.cfg.RecvBuf), 0
-	c.snd.cwnd = uint32(e.cfg.InitialCwndMSS * e.cfg.MSS)
+	c.snd.cwnd = uint32(initialCwndMSS * e.cfg.MSS)
 	c.snd.ssthresh = 0xffffffff
 	e.conns[k] = c
 	return c

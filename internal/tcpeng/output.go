@@ -2,7 +2,6 @@ package tcpeng
 
 import (
 	"neat/internal/proto"
-	"neat/internal/sim"
 )
 
 // Send appends data to the send buffer and transmits what the windows
@@ -166,7 +165,7 @@ func (c *Conn) sendAck() {
 }
 
 // maybeSendAck implements delayed ACKs: every second segment immediately,
-// otherwise after DelAckDelay.
+// otherwise after delAckDelay.
 func (c *Conn) maybeSendAck() {
 	if c.ackPending == 0 {
 		return
@@ -177,7 +176,7 @@ func (c *Conn) maybeSendAck() {
 	}
 	if !c.delAckArmed {
 		c.delAckArmed = true
-		c.engine.env.ArmTimer(c, TimerDelAck, c.engine.cfg.DelAckDelay)
+		c.engine.env.ArmTimer(c, TimerDelAck, delAckDelay)
 	}
 }
 
@@ -211,7 +210,7 @@ func (c *Conn) trySend() {
 		// timer when the peer closed the window completely.
 		if avail == 0 {
 			if c.snd.wnd == 0 && inFlight == 0 && unsent > 0 {
-				e.env.ArmTimer(c, TimerPersist, e.cfg.PersistInterval)
+				e.env.ArmTimer(c, TimerPersist, persistInterval)
 			}
 			break
 		}
@@ -346,17 +345,14 @@ func (c *Conn) measureRTT(ack uint32) {
 		c.srtt = (7*c.srtt + r) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.engine.cfg.MinRTO {
-		rto = c.engine.cfg.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
 	if rto > c.engine.cfg.MaxRTO {
 		rto = c.engine.cfg.MaxRTO
 	}
 	c.rto = rto
 }
-
-// SRTT returns the smoothed round-trip time estimate.
-func (c *Conn) SRTT() sim.Time { return c.srtt }
 
 // renoOnAck grows cwnd (slow start / congestion avoidance) and exits fast
 // recovery when the recovery point is passed.
@@ -568,5 +564,5 @@ func (e *Engine) onPersist(c *Conn) {
 	c.emitData(c.snd.nxt, 1, false)
 	c.snd.nxt++
 	e.env.ArmTimer(c, TimerRexmit, c.rto)
-	e.env.ArmTimer(c, TimerPersist, e.cfg.PersistInterval)
+	e.env.ArmTimer(c, TimerPersist, persistInterval)
 }

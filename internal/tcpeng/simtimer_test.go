@@ -23,6 +23,7 @@ type simHost struct {
 	isn    uint32
 
 	connected []*Conn
+	accepted  []*Conn
 }
 
 func (h *simHost) HandleMessage(ctx *sim.Context, msg sim.Message) {
@@ -57,7 +58,7 @@ func (h *simHost) ArmTimer(c *Conn, k TimerKind, d sim.Time) {
 
 func (h *simHost) StopTimer(c *Conn, k TimerKind) { c.Timers[k].Stop() }
 
-func (h *simHost) Accepted(c *Conn) { c.Listener.Accept() }
+func (h *simHost) Accepted(c *Conn) { h.accepted = append(h.accepted, c.Listener.Accept()) }
 
 func (h *simHost) Connected(c *Conn) { h.connected = append(h.connected, c) }
 
@@ -180,6 +181,38 @@ func TestPCBRecycleAfterEveryClose(t *testing.T) {
 		if ps := h.engine.PoolStats(); ps.Reused != 3*n || ps.FreeConns != 0 {
 			t.Fatalf("%s: %+v, want each of %d PCBs recycled three times", h.proc.Name, ps, n)
 		}
+	}
+}
+
+// TestIdleGuardCountsBareACKs is the false-positive check of the idle guard:
+// a server connection streaming a long response to a peer that sends nothing
+// but ACKs is active, so it outlives the deadline several times over; once
+// the peer goes silent it is reaped within two deadlines.
+func TestIdleGuardCountsBareACKs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Guard.IdleDeadline = 5 * sim.Millisecond
+	r := newSimRig(t, cfg)
+	r.open(t, 1)
+	srv := r.srv.accepted[0]
+
+	const every = 250 * sim.Microsecond
+	chunk := make([]byte, 2048)
+	for at := sim.Time(0); at < 3*cfg.Guard.IdleDeadline; at += every {
+		r.srv.proc.Deliver(func() { srv.Send(chunk) })
+		r.s.RunFor(every)
+	}
+	if got := r.srv.engine.Stats().SlowlorisReaped; got != 0 || srv.State() != StateEstablished {
+		t.Fatalf("guard reaped %d streaming connections (state %v)", got, srv.State())
+	}
+	cli := r.cli.engine.Stats()
+	if cli.DataBytesOut != 0 || cli.DataBytesIn < 50*uint64(len(chunk)) {
+		t.Fatalf("client sent %d data bytes and received %d: want a pure-ACK peer of a long stream",
+			cli.DataBytesOut, cli.DataBytesIn)
+	}
+
+	r.s.RunFor(2 * cfg.Guard.IdleDeadline)
+	if got := r.srv.engine.Stats().SlowlorisReaped; got != 1 {
+		t.Fatalf("guard reaped %d silent connections within two deadlines, want 1", got)
 	}
 }
 

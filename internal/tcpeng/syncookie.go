@@ -157,9 +157,9 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 	c.mss = mss
 	// Neither direction scales: the SYN|ACK offered no window scale.
 	c.rcv.wndShift, c.snd.wndShift = 0, 0
-	c.snd.cwnd = uint32(e.cfg.InitialCwndMSS * c.mss)
+	c.snd.cwnd = uint32(initialCwndMSS * c.mss)
 	c.snd.wnd = uint32(h.Window)
-	c.rto = e.cfg.InitialRTO
+	c.rto = initialRTO
 	c.state = StateEstablished
 	e.stats.EstablishedTransitons++
 	e.stats.AcceptedConns++

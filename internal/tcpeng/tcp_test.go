@@ -337,6 +337,57 @@ func TestAbortSendsRST(t *testing.T) {
 	}
 }
 
+// TestRSTAcceptedOnlyInWindow: an established connection takes an RST at
+// rcv.nxt or inside its receive window (RFC 793 §3.4, reset processing) and
+// ignores one behind rcv.nxt — the half of the sequence space a blind
+// attacker guessing at random would otherwise hit.
+func TestRSTAcceptedOnlyInWindow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		off   int32
+		atWnd bool // off counts from rcv.nxt+wnd instead of rcv.nxt
+		reset bool
+	}{
+		{"-1", -1, false, false},
+		{"-100000", -100_000, false, false},
+		{"-2^30", -1 << 30, false, false},
+		{"0", 0, false, true},
+		{"+1", 1, false, true},
+		{"wnd-1", -1, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(13)
+			h.build(defCfg(), defCfg())
+			h.b.engine.Listen(proto.Addr{}, 80, 16)
+			cli, srv := h.connectPair(80)
+			cli.Send(patterned(3000))
+			h.run(h.now + 10*sim.Millisecond)
+
+			seq := srv.rcv.nxt + uint32(tc.off)
+			if tc.atWnd {
+				seq += srv.recvWindow()
+			}
+			rst := proto.TCPHeader{SrcPort: srv.key.remotePort, DstPort: srv.key.localPort,
+				Seq: seq, Flags: proto.TCPRst}
+			f, err := proto.DecodeFrame(proto.BuildTCP(proto.EthernetHeader{Type: proto.EtherTypeIPv4},
+				proto.IPv4Header{TTL: 64, Src: h.a.addr, Dst: h.b.addr}, rst, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.b.engine.Input(f)
+			f.Release()
+
+			resets := h.b.engine.Stats().ResetsIn
+			if tc.reset && (resets != 1 || srv.State() != StateClosed || !h.b.resets[srv]) {
+				t.Fatalf("RST at rcv.nxt%+d: ResetsIn %d, state %v; want the connection reset", tc.off, resets, srv.State())
+			}
+			if !tc.reset && (resets != 0 || srv.State() != StateEstablished) {
+				t.Fatalf("RST at rcv.nxt%+d: ResetsIn %d, state %v; want it ignored", tc.off, resets, srv.State())
+			}
+		})
+	}
+}
+
 func TestFlowControlZeroWindowAndResume(t *testing.T) {
 	cfgB := defCfg()
 	cfgB.RecvBuf = 4096 // tiny receive buffer

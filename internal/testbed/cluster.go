@@ -240,8 +240,8 @@ func (c *Cluster) Farm(name string) *Farm {
 	return nil
 }
 
-// TenantFarms returns the farms of one tenant, in spec order.
-func (c *Cluster) TenantFarms(tenant string) []*Farm {
+// tenantFarms returns the farms of one tenant, in spec order.
+func (c *Cluster) tenantFarms(tenant string) []*Farm {
 	var out []*Farm
 	for _, f := range c.Farms {
 		if f.Tenant == tenant {
@@ -421,7 +421,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			}
 			// The member watchdog is the cross-machine liveness signal:
 			// the farm controller reads its probe counter for progress.
-			ncfg.Watchdog.Enabled = true
+			ncfg.Watchdog = true
 			sys, err := h.BuildNEaTARP(clientARP[fs.Tenant], ncfg)
 			if err != nil {
 				return nil, fmt.Errorf("testbed: farm %q member %d: %w", fs.Name, mi, err)
@@ -462,7 +462,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		// A tenant's client resolves exactly its tenant's VIPs: the ARP
 		// table is the tenant boundary.
 		arp := make(map[proto.Addr]proto.MAC)
-		for _, f := range c.TenantFarms(cs.Tenant) {
+		for _, f := range c.tenantFarms(cs.Tenant) {
 			arp[f.VIP] = f.VMAC
 		}
 		sys, err := h.BuildClientSystemARP(arp, stacks, tcpeng.DefaultConfig())

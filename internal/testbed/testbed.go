@@ -89,7 +89,6 @@ type HostConfig struct {
 	IP             proto.Addr
 	MAC            proto.MAC
 	Driver         ThreadLoc // where the NIC driver runs
-	DriverCosts    *nicdev.DriverCosts
 }
 
 // Host is a machine with its NIC and driver.
@@ -115,12 +114,8 @@ func (n *Net) AddHost(cfg HostConfig) *Host {
 	}
 	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.ThreadsPerCore, cfg.FreqHz)
 	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, cfg.Side, cfg.Queues)
-	dcosts := nicdev.DefaultDriverCosts()
-	if cfg.DriverCosts != nil {
-		dcosts = *cfg.DriverCosts
-	}
 	drv := nicdev.NewDriver(m.Thread(cfg.Driver.Core, cfg.Driver.Thread),
-		cfg.Name+".nicdrv", nic, dcosts)
+		cfg.Name+".nicdrv", nic, nicdev.DefaultDriverCosts())
 	return &Host{Net: n, Machine: m, NIC: nic, Driver: drv, IP: cfg.IP, MAC: cfg.MAC}
 }
 
@@ -132,14 +127,14 @@ func (h *Host) Thread(loc ThreadLoc) *sim.HWThread {
 // StackConfig returns the replica template for this host, with static ARP
 // towards the peer host.
 func (h *Host) StackConfig(kind stack.Kind, tcp tcpeng.Config, peer *Host) stack.Config {
-	return h.StackConfigARP(kind, tcp, map[proto.Addr]proto.MAC{peer.IP: peer.MAC})
+	return h.stackConfigARP(kind, tcp, map[proto.Addr]proto.MAC{peer.IP: peer.MAC})
 }
 
-// StackConfigARP returns the replica template for this host with an
+// stackConfigARP returns the replica template for this host with an
 // arbitrary static ARP table — the multi-peer form cluster topologies
 // need, where a farm machine answers many clients and a client resolves
 // many service VIPs.
-func (h *Host) StackConfigARP(kind stack.Kind, tcp tcpeng.Config, arp map[proto.Addr]proto.MAC) stack.Config {
+func (h *Host) stackConfigARP(kind stack.Kind, tcp tcpeng.Config, arp map[proto.Addr]proto.MAC) stack.Config {
 	return stack.Config{
 		Kind: kind,
 		IP: ipeng.Config{
@@ -168,15 +163,13 @@ type NEaTConfig struct {
 	// UseNICFlowTracking enables the §4 hardware tracking extension
 	// (usually combined with DisableFlowFilters).
 	UseNICFlowTracking bool
-	// DisableRecovery turns the crash watcher off.
-	DisableRecovery bool
 	// RecoveryDelay overrides the default 500 µs.
 	RecoveryDelay sim.Time
 	// CheckpointInterval enables stateful TCP recovery (0 = stateless).
 	CheckpointInterval sim.Time
 	// Watchdog enables heartbeat-based failure detection with the
 	// escalation ladder (default: the paper's instantaneous crash oracle).
-	Watchdog core.WatchdogConfig
+	Watchdog bool
 	// Steering configures the flow placement plane (zero value: the
 	// legacy RSS hash policy, no drain deadline).
 	Steering steer.Config
@@ -201,7 +194,7 @@ func (h *Host) BuildNEaT(peer *Host, cfg NEaTConfig) (*core.System, error) {
 // BuildNEaTARP boots a NEaT system on host h with an arbitrary static ARP
 // table (the cluster form: one server machine answering many clients).
 func (h *Host) BuildNEaTARP(arp map[proto.Addr]proto.MAC, cfg NEaTConfig) (*core.System, error) {
-	scfg := h.StackConfigARP(cfg.Kind, cfg.TCP, arp)
+	scfg := h.stackConfigARP(cfg.Kind, cfg.TCP, arp)
 	if cfg.Stack != nil {
 		scfg = *cfg.Stack
 	}
@@ -223,7 +216,6 @@ func (h *Host) BuildNEaTARP(arp map[proto.Addr]proto.MAC, cfg NEaTConfig) (*core
 		SyscallThread:      h.Thread(cfg.Syscall),
 		RecoveryDelay:      cfg.RecoveryDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
-		AutoRecover:        !cfg.DisableRecovery,
 		UseFlowFilters:     !cfg.DisableFlowFilters,
 		UseNICFlowTracking: cfg.UseNICFlowTracking,
 		Watchdog:           cfg.Watchdog,
@@ -311,7 +303,7 @@ func (h *Host) BuildClientSystem(peer *Host, stacks int, tcp tcpeng.Config) (*co
 // BuildClientSystemARP is BuildClientSystem with an arbitrary static ARP
 // table (the cluster form: one load generator resolving many service VIPs).
 func (h *Host) BuildClientSystemARP(arp map[proto.Addr]proto.MAC, stacks int, tcp tcpeng.Config) (*core.System, error) {
-	scfg := h.StackConfigARP(stack.Single, tcp, arp)
+	scfg := h.stackConfigARP(stack.Single, tcp, arp)
 	// Generous client: stack operations cost a tenth of the server's.
 	scfg.Costs = cheapCosts()
 	cfg := NEaTConfig{Kind: stack.Single, TCP: tcp,

@@ -107,12 +107,6 @@ func NewSwitch(ds *sim.Simulator, name string) *Switch {
 // Stats returns a snapshot of the switch counters.
 func (sw *Switch) Stats() SwitchStats { return sw.stats }
 
-// NumPorts returns the number of attached ports.
-func (sw *Switch) NumPorts() int { return len(sw.ports) }
-
-// PortName returns the name port i was attached under.
-func (sw *Switch) PortName(i int) string { return sw.ports[i].name }
-
 // AddPort attaches the switch to endpoint ep under the given port name and
 // returns the port index. macs lists the station addresses reachable
 // behind the port (normally the one NIC MAC of the machine on the other
@@ -134,9 +128,6 @@ func (sw *Switch) AddPort(name string, ep Endpoint, macs ...proto.MAC) int {
 // both directions — the model of an unplugged cable or a powered-off
 // machine.
 func (sw *Switch) SetPortUp(i int, up bool) { sw.ports[i].up = up }
-
-// PortUp reports whether port i is up.
-func (sw *Switch) PortUp(i int) bool { return sw.ports[i].up }
 
 // ingress handles one frame arriving on port in: route, then schedule the
 // store-and-forward delivery.
@@ -354,9 +345,6 @@ func (sw *Switch) AddService(cfg L4ServiceConfig) (*L4Service, error) {
 	return svc, nil
 }
 
-// Services returns the installed services in installation order.
-func (sw *Switch) Services() []*L4Service { return sw.svcs }
-
 // Config returns the service configuration.
 func (svc *L4Service) Config() L4ServiceConfig { return svc.cfg }
 
@@ -365,9 +353,6 @@ func (svc *L4Service) Stats() L4Stats { return svc.stats }
 
 // NumFlows returns the flow-pinning table occupancy.
 func (svc *L4Service) NumFlows() int { return len(svc.flows) }
-
-// Backends returns the backend set. Callers must not modify it.
-func (svc *L4Service) Backends() []L4Backend { return svc.backends }
 
 // AddBackend registers a farm machine (by switch port and MAC) as a
 // backend in the given initial state and returns its backend index.

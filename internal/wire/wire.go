@@ -12,7 +12,7 @@
 // its physics provide the lookahead that makes conservative parallel
 // execution correct: no frame can arrive earlier than the minimum
 // serialization time plus the propagation delay after its send
-// (Lookahead()). Cross-domain deliveries go through per-direction
+// (lookahead()). Cross-domain deliveries go through per-direction
 // mailboxes flushed into the receiving domain's queue at each coordinator
 // barrier.
 package wire
@@ -43,7 +43,7 @@ type Link struct {
 	sim *sim.Simulator
 
 	// dom holds each endpoint's scheduling domain. Both default to the
-	// constructing simulator; BindEndpoint rebinds a side to its machine's
+	// constructing simulator; bindEndpoint rebinds a side to its machine's
 	// domain, and when the two sides land in different domains the link
 	// switches to mailbox delivery (cross == true).
 	dom   [2]*sim.Simulator
@@ -130,9 +130,6 @@ type Endpoint struct {
 // End returns the endpoint handle for side (0 or 1) of the link.
 func (l *Link) End(side int) Endpoint { return Endpoint{link: l, side: side} }
 
-// IsZero reports whether the endpoint is unwired.
-func (e Endpoint) IsZero() bool { return e.link == nil }
-
 // Link returns the underlying link.
 func (e Endpoint) Link() *Link { return e.link }
 
@@ -146,39 +143,36 @@ func (e Endpoint) Attach(p Port) { e.link.Attach(e.side, p) }
 func (e Endpoint) Transmit(frame []byte) { e.link.Transmit(e.side, frame) }
 
 // Bind rebinds the endpoint to the scheduling domain ds (see
-// Link.BindEndpoint).
-func (e Endpoint) Bind(ds *sim.Simulator) { e.link.BindEndpoint(e.side, ds) }
-
-// Lookahead returns the link's PDES lookahead (see Link.Lookahead).
-func (e Endpoint) Lookahead() sim.Time { return e.link.Lookahead() }
+// Link.bindEndpoint).
+func (e Endpoint) Bind(ds *sim.Simulator) { e.link.bindEndpoint(e.side, ds) }
 
 // Attach connects p as endpoint side (0 or 1).
 func (l *Link) Attach(side int, p Port) { l.ports[side] = p }
 
-// BindEndpoint rebinds endpoint side to the scheduling domain ds (its
+// bindEndpoint rebinds endpoint side to the scheduling domain ds (its
 // machine's simulator). The NIC driver calls this when it learns which
 // machine hosts the device. In the default sequential mode every domain is
 // the constructing simulator and this is a no-op; in PDES mode, once both
 // endpoints are bound to different domains, the link registers its
 // lookahead with the coordinator and switches to barrier-flushed mailbox
 // delivery.
-func (l *Link) BindEndpoint(side int, ds *sim.Simulator) {
+func (l *Link) bindEndpoint(side int, ds *sim.Simulator) {
 	l.dom[side] = ds
 	l.bound[side] = true
 	if l.bound[0] && l.bound[1] && l.dom[0] != l.dom[1] && !l.cross {
 		l.cross = true
-		l.sim.RegisterLookahead(l.Lookahead())
+		l.sim.RegisterLookahead(l.lookahead())
 		l.sim.RegisterBarrierFlush(l.flushMailboxes)
 	}
 }
 
-// Lookahead returns the hard lower bound on the delay between a Transmit on
+// lookahead returns the hard lower bound on the delay between a Transmit on
 // either side and the resulting delivery: the serialization time of a
 // minimum-size frame plus the propagation delay. Every arrival the link
 // ever schedules — including duplicates injected by the fault hook, which
 // land one extra serialization later — is at least this far in the
 // transmitter's future, which is what makes it a safe PDES horizon.
-func (l *Link) Lookahead() sim.Time {
+func (l *Link) lookahead() sim.Time {
 	minWire := int64(MinFrameBytes + DefaultOverheadBytes)
 	serial := sim.Time(minWire * 8 * int64(sim.Second) / l.BitsPerSec)
 	la := serial + l.PropDelay

@@ -166,21 +166,21 @@ func TestLookaheadValue(t *testing.T) {
 	l := NewLink(s)
 	// Minimum on-wire frame: 64 B padded + 24 B overhead = 88 B at 10 Gb/s
 	// is 70.4 ns, truncated to 70 ns, plus the 1 µs propagation delay.
-	if got, want := l.Lookahead(), sim.Time(1070); got != want {
-		t.Fatalf("Lookahead() = %v, want %v", got, want)
+	if got, want := l.lookahead(), sim.Time(1070); got != want {
+		t.Fatalf("lookahead() = %v, want %v", got, want)
 	}
 	// The bound never collapses to zero, even on an absurdly fast link.
 	l.BitsPerSec = 1 << 62
 	l.PropDelay = 0
-	if got := l.Lookahead(); got < sim.Nanosecond {
-		t.Fatalf("Lookahead() = %v, want >= 1ns", got)
+	if got := l.lookahead(); got < sim.Nanosecond {
+		t.Fatalf("lookahead() = %v, want >= 1ns", got)
 	}
 }
 
 // TestLookaheadLowerBound pins the PDES safety property: every delivery the
 // link ever schedules — tiny padded frames, frames queued behind a busy
 // transmitter, even duplicates injected by the fault hook — arrives at
-// least Lookahead() after its Transmit call.
+// least lookahead() after its Transmit call.
 func TestLookaheadLowerBound(t *testing.T) {
 	s := sim.New(7)
 	l := NewLink(s)
@@ -188,7 +188,7 @@ func TestLookaheadLowerBound(t *testing.T) {
 	dst := [2]*capturePort{{s: s}, {s: s}}
 	l.Attach(0, dst[0])
 	l.Attach(1, dst[1])
-	la := l.Lookahead()
+	la := l.lookahead()
 
 	// Frames are tagged with their send index in byte 0 so arrivals can be
 	// matched to their Transmit time. Bursty schedule: many sends land while

@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"neat/internal/core"
-	"neat/internal/experiments"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/proto"
@@ -331,22 +330,9 @@ func compileSystem(cfg SystemConfig, cores int, tr *trace.Tracer) (testbed.NEaTC
 		TCP:      tcp,
 		Slots:    slots,
 		Syscall:  testbed.ThreadLoc{Core: 1},
-		Watchdog: core.WatchdogConfig{Enabled: cfg.Watchdog},
+		Watchdog: cfg.Watchdog,
 		Observe:  core.ObserveConfig{Trace: tr},
 		Steering: steering,
 		IPC:      cfg.IPC,
 	}, nil
-}
-
-// Experiments re-exports the paper's evaluation harness.
-
-// ExperimentOptions tunes experiment runs.
-type ExperimentOptions = experiments.Options
-
-// ExperimentResult is one reproduced table or figure.
-type ExperimentResult = experiments.Result
-
-// RunAllExperiments regenerates every table and figure of §6.
-func RunAllExperiments(o ExperimentOptions) []*ExperimentResult {
-	return experiments.All(o)
 }
