@@ -34,10 +34,13 @@ test:
 # topology-plumbing change that shifts one byte of `neat-bench -quick` or
 # `neat-faults -matrix -quick` fails here, not in review. The cluster and
 # ipc campaigns are additionally diffed PDES 1-worker vs 4-worker, the
-# contract sim/pdes.go states. Last, four short workloads of the repository
-# benchmark (the one benchmark; `bash benchmark/run.sh` for the full run): a
-# PR may not edit benchmark/, so the gate proves it still builds against the
-# internal API it imports and passes its own correctness checks
+# contract sim/pdes.go states. The five examples and cmd/neat-demo are built
+# and run, and each one's stdout md5 must match testdata/example_outputs.md5:
+# user-facing programs stay byte-stable across refactors. Last, four short
+# workloads of the repository benchmark (the one benchmark; `bash
+# benchmark/run.sh` for the full run): a PR may not edit benchmark/, so the
+# gate proves it still builds against the internal API it imports and passes
+# its own correctness checks
 # (byte-verified bodies, repeat-identical digests, clean control farm) — any
 # violation exits non-zero — and each run's final JSON line must match the
 # seed-7 values pinned in testdata/benchmark_model_pins.txt: every model_*
@@ -79,6 +82,15 @@ verify:
 	if [ "$$a" != "$$b" ]; then \
 		echo "ipc campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
 	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	while read -r want pkg; do \
+		bin=$$tmp/$$(basename $$pkg); \
+		$(GO) build -o $$bin ./$$pkg || exit 1; \
+		got=$$($$bin | md5sum | cut -d' ' -f1); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "example output: $$pkg stdout changed ($$got, want $$want)"; exit 1; fi; \
+	done < testdata/example_outputs.md5; \
+	echo "example outputs: examples and neat-demo stdout unchanged"
 	@for w in web_small web_bulk conn_scale cluster_faults; do \
 		out=$$(bash benchmark/run.sh -workload $$w -seed 7 -seconds 3 -trace 0) || { echo "$$out"; exit 1; }; \
 		echo "$$out"; \

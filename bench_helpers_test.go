@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"neat/internal/app"
-	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/tcpeng"
@@ -15,14 +14,16 @@ import (
 // defaultTCP is the engine configuration used by the ablation benches.
 func defaultTCP() tcpeng.Config { return tcpeng.DefaultConfig() }
 
-// runWeb attaches `webs` lighttpd+httperf pairs to an already-booted NEaT
-// system, runs a short measured window and returns krps.
-func runWeb(b *testing.B, n *testbed.Net, server, client *testbed.Host, sys *core.System, webs int) float64 {
+// runWeb boots a two-machine bed on s with the given server machine and
+// NEaT system and `webs` client stacks, attaches `webs` lighttpd+httperf
+// pairs, runs a short measured window and returns krps.
+func runWeb(b *testing.B, s *sim.Simulator, host testbed.HostConfig, cfg testbed.NEaTConfig, webs int) float64 {
 	b.Helper()
-	clisys, err := client.BuildClientSystem(server, webs, defaultTCP())
+	tb, err := testbed.NewBed(s, testbed.BedConfig{Server: host, NEaT: cfg, ClientStacks: webs})
 	if err != nil {
 		b.Fatal(err)
 	}
+	n, server, client, sys, clisys := tb.Net, tb.Server, tb.Client, tb.NEaT, tb.CliSys
 	var gens []*app.Loadgen
 	base := server.Machine.NumCores() - webs
 	for i := 0; i < webs; i++ {

@@ -144,19 +144,12 @@ func BenchmarkFigure13StateVsThroughput(b *testing.B) {
 // ablationBed builds a 3-replica NEaT web bed with optional knobs.
 func ablationBed(b *testing.B, flowFilters bool) float64 {
 	b.Helper()
-	n := testbed.New(1)
-	server := testbed.DefaultAMDHost(n, 0, 3)
-	client := testbed.DefaultClientHost(n, 1, 4)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
+	return runWeb(b, sim.New(1), testbed.AMD.Host(3), testbed.NEaTConfig{
 		Kind: stack.Single, TCP: defaultTCP(),
 		Slots:              testbed.SingleSlots(2, 3),
 		Syscall:            testbed.ThreadLoc{Core: 1},
 		DisableFlowFilters: !flowFilters,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return runWeb(b, n, server, client, sys, 4)
+	}, 4)
 }
 
 // BenchmarkAblationFlowDirectorVsRSS compares exact-filter steering
@@ -178,21 +171,14 @@ func BenchmarkAblationFlowDirectorVsRSS(b *testing.B) {
 // Figure 13.
 func BenchmarkAblationMultiVsSingle(b *testing.B) {
 	run := func(kind stack.Kind, replicas int) float64 {
-		n := testbed.New(1)
-		server := testbed.DefaultAMDHost(n, 0, replicas)
-		client := testbed.DefaultClientHost(n, 1, 4)
 		slots := testbed.SingleSlots(2, replicas)
 		if kind == stack.Multi {
 			slots = testbed.MultiSlots(2, replicas)
 		}
-		sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
+		return runWeb(b, sim.New(1), testbed.AMD.Host(replicas), testbed.NEaTConfig{
 			Kind: kind, TCP: defaultTCP(),
 			Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return runWeb(b, n, server, client, sys, 4)
+		}, 4)
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(run(stack.Multi, 1), "multi1x-krps")
@@ -205,31 +191,16 @@ func BenchmarkAblationMultiVsSingle(b *testing.B) {
 // against dedicating full cores.
 func BenchmarkAblationHyperthreadColocation(b *testing.B) {
 	run := func(colocate bool) float64 {
-		n := testbed.New(1)
-		var server *testbed.Host
-		var cfg testbed.NEaTConfig
+		cfg := testbed.NEaTConfig{
+			Kind: stack.Single, TCP: defaultTCP(),
+			Slots:   testbed.SingleSlots(2, 2),
+			Syscall: testbed.ThreadLoc{Core: 1},
+		}
 		if colocate {
-			server = testbed.DefaultXeonHost(n, 0, 2, testbed.ThreadLoc{Core: 0})
-			cfg = testbed.NEaTConfig{
-				Kind: stack.Single, TCP: defaultTCP(),
-				Slots: [][]testbed.ThreadLoc{
-					{{Core: 1, Thread: 0}}, {{Core: 1, Thread: 1}}},
-				Syscall: testbed.ThreadLoc{Core: 0, Thread: 1},
-			}
-		} else {
-			server = testbed.DefaultXeonHost(n, 0, 2, testbed.ThreadLoc{Core: 0})
-			cfg = testbed.NEaTConfig{
-				Kind: stack.Single, TCP: defaultTCP(),
-				Slots:   testbed.SingleSlots(2, 2),
-				Syscall: testbed.ThreadLoc{Core: 1},
-			}
+			cfg.Slots = [][]testbed.ThreadLoc{{{Core: 1, Thread: 0}}, {{Core: 1, Thread: 1}}}
+			cfg.Syscall = testbed.ThreadLoc{Core: 0, Thread: 1}
 		}
-		client := testbed.DefaultClientHost(n, 1, 4)
-		sys, err := server.BuildNEaT(client, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return runWeb(b, n, server, client, sys, 4)
+		return runWeb(b, sim.New(1), testbed.Xeon.Host(2), cfg, 4)
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(run(true), "ht-colocated-krps")
@@ -242,18 +213,12 @@ func BenchmarkAblationHyperthreadColocation(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := testbed.New(1)
-		server := testbed.DefaultAMDHost(n, 0, 2)
-		client := testbed.DefaultClientHost(n, 1, 2)
-		sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
+		s := sim.New(1)
+		runWeb(b, s, testbed.AMD.Host(2), testbed.NEaTConfig{
 			Kind: stack.Single, TCP: defaultTCP(),
 			Slots: testbed.SingleSlots(2, 2), Syscall: testbed.ThreadLoc{Core: 1},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runWeb(b, n, server, client, sys, 2)
-		b.ReportMetric(float64(n.Sim.EventsRun()), "sim-events")
+		}, 2)
+		b.ReportMetric(float64(s.EventsRun()), "sim-events")
 	}
 }
 
@@ -262,21 +227,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // snapshots buy connection survival at a throughput price.
 func BenchmarkAblationCheckpointing(b *testing.B) {
 	run := func(interval sim.Time) float64 {
-		n := testbed.New(1)
 		// One replica serving more web demand than it has capacity for:
 		// the snapshot cycles come straight out of the request rate.
-		server := testbed.DefaultAMDHost(n, 0, 1)
-		client := testbed.DefaultClientHost(n, 1, 4)
-		sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
+		return runWeb(b, sim.New(1), testbed.AMD.Host(1), testbed.NEaTConfig{
 			Kind: stack.Single, TCP: defaultTCP(),
 			Slots:              testbed.SingleSlots(2, 1),
 			Syscall:            testbed.ThreadLoc{Core: 1},
 			CheckpointInterval: interval,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return runWeb(b, n, server, client, sys, 4)
+		}, 4)
 	}
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(run(0), "stateless-krps")

@@ -10,8 +10,9 @@ import (
 // TestOneCompilePath pins the one-translation rule: for every SystemConfig
 // in the table, the NEaTConfig the two-machine Build boots and the one a
 // one-member farm gets are the same value (the farm builder then adds only
-// the member's ARP table and the forced-on watchdog), and the systems both
-// paths boot agree on everything a replica is configured with.
+// the member's ARP table and the forced-on watchdog), the machines both
+// paths build have the same shape, and the systems they boot agree on
+// everything a replica is configured with.
 func TestOneCompilePath(t *testing.T) {
 	cases := map[string]SystemConfig{
 		"zero": {},
@@ -31,7 +32,7 @@ func TestOneCompilePath(t *testing.T) {
 				Farms:   []FarmConfig{{Name: "f", Members: 1, System: sc}},
 				Clients: []ClientConfig{{}},
 			}
-			want, err := topo.compile(nil)
+			want, err := topo.compile()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,6 +54,10 @@ func TestOneCompilePath(t *testing.T) {
 			cl, err := cluster.Build()
 			if err != nil {
 				t.Fatal(err)
+			}
+			got := [2]hostShape{shapeOf(cl.Farms[0].Members[0].Host), shapeOf(cl.Clients[0].Host)}
+			if want := [2]hostShape{shapeOf(tb.Server), shapeOf(tb.Client)}; got != want {
+				t.Fatalf("farm member and cluster client are %+v, two-machine server and client %+v", got, want)
 			}
 			two, member := tb.System, cl.Farms[0].Members[0].Sys
 			if a, b := two.Placer().Name(), member.Placer().Name(); a != b {
@@ -77,6 +82,24 @@ func TestOneCompilePath(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hostShape is what a machine is built with, names and addresses aside.
+type hostShape struct {
+	cores, threadsPerCore, queues int
+	freqHz                        int64
+	driver                        [2]int // core, thread
+}
+
+func shapeOf(h *Machine) hostShape {
+	drv := h.Driver.Proc().Thread()
+	return hostShape{
+		cores:          h.Machine.NumCores(),
+		threadsPerCore: h.Machine.Core(0).NumThreads(),
+		queues:         h.NIC.NumQueues(),
+		freqHz:         h.Machine.FreqHz,
+		driver:         [2]int{drv.Core().Index, drv.Index},
 	}
 }
 

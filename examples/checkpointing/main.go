@@ -18,7 +18,6 @@ import (
 	"neat/internal/sim"
 	"neat/internal/socketlib"
 	"neat/internal/stack"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -43,22 +42,20 @@ func main() {
 func run(interval sim.Time) (lost, restored uint64, appFailures int) {
 	// CheckpointInterval is deliberately not a facade knob (the paper does
 	// not adopt it), so this example assembles its world on the testbed.
-	net := testbed.New(21)
-	server := testbed.DefaultAMDHost(net, 0, 8)
-	client := testbed.DefaultClientHost(net, 1, 2)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: stack.Multi, TCP: tcpeng.DefaultConfig(),
-		Slots:              testbed.MultiSlots(2, 2),
-		Syscall:            testbed.ThreadLoc{Core: 1},
-		CheckpointInterval: interval,
+	b, err := testbed.NewBed(sim.New(21), testbed.BedConfig{
+		Server: testbed.AMD.Host(8),
+		NEaT: testbed.NEaTConfig{
+			Kind:               stack.Multi,
+			Slots:              testbed.MultiSlots(2, 2),
+			Syscall:            testbed.ThreadLoc{Core: 1},
+			CheckpointInterval: interval,
+		},
+		ClientStacks: 2,
 	})
 	if err != nil {
 		panic(err)
 	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		panic(err)
-	}
+	net, server, client, sys, clisys := b.Net, b.Server, b.Client, b.NEaT, b.CliSys
 
 	// Server app: accept and hold.
 	failures := 0

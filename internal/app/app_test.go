@@ -20,7 +20,8 @@ type webBed struct {
 	net     *testbed.Net
 	server  *testbed.Host
 	client  *testbed.Host
-	sys     *core.System // nil over the baseline
+	sys     *core.System     // nil over the baseline
+	linux   *baseline.System // nil over NEaT
 	clisys  *core.System
 	servers []*HTTPD
 	gens    []*Loadgen
@@ -29,20 +30,17 @@ type webBed struct {
 func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 	hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
 	t.Helper()
-	n := testbed.New(11)
-	server := testbed.DefaultAMDHost(n, 0, replicas)
-	client := testbed.DefaultClientHost(n, 1, loadgens)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: stack.Single, TCP: tcp,
-		Slots:   testbed.SingleSlots(2, replicas),
-		Syscall: testbed.ThreadLoc{Core: 1},
+	b := bootWebBed(t, testbed.BedConfig{
+		Server: testbed.AMD.Host(replicas),
+		NEaT: testbed.NEaTConfig{
+			Kind: stack.Single, TCP: tcp,
+			Slots:   testbed.SingleSlots(2, replicas),
+			Syscall: testbed.ThreadLoc{Core: 1},
+		},
+		ClientStacks: loadgens, ClientTCP: tcp,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &webBed{net: n, server: server, client: client, sys: sys}
-	b.populate(t, httpds, loadgens, tcp, hcfg, lcfg, func(i int) (*sim.HWThread, *sim.Proc) {
-		return server.AppThread(2 + replicas + i), sys.SyscallProc()
+	b.populate(t, httpds, loadgens, hcfg, lcfg, func(i int) (*sim.HWThread, *sim.Proc) {
+		return b.server.AppThread(2 + replicas + i), b.sys.SyscallProc()
 	})
 	return b
 }
@@ -53,37 +51,35 @@ func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 func newBaselineWebBed(t *testing.T, contexts int, tcp tcpeng.Config,
 	hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
 	t.Helper()
-	n := testbed.New(11)
-	server := testbed.DefaultAMDHost(n, 0, contexts)
-	client := testbed.DefaultClientHost(n, 1, 1)
-	locs := make([]testbed.ThreadLoc, contexts)
-	for i := range locs {
-		locs[i] = testbed.ThreadLoc{Core: i}
-	}
-	sys, err := server.BuildBaseline(client, baseline.Tuning{}, tcp, baseline.Costs{}, locs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &webBed{net: n, server: server, client: client}
-	b.populate(t, 1, 1, tcp, hcfg, lcfg, func(int) (*sim.HWThread, *sim.Proc) {
-		return server.Thread(locs[0]), sys.KernelProc(0)
+	b := bootWebBed(t, testbed.BedConfig{
+		Server:     testbed.AMD.Host(contexts),
+		NEaT:       testbed.NEaTConfig{TCP: tcp},
+		LinuxCores: contexts,
+		ClientTCP:  tcp,
+	})
+	b.populate(t, 1, 1, hcfg, lcfg, func(int) (*sim.HWThread, *sim.Proc) {
+		return b.server.Thread(testbed.ThreadLoc{Core: 0}), b.linux.KernelProc(0)
 	})
 	return b
 }
 
-// populate boots the client system, starts httpds web servers — server i on
-// the thread place(i) names, issuing socket calls through the process it
-// names — waits for them to listen, and creates loadgens load generators.
-func (b *webBed) populate(t *testing.T, httpds, loadgens int, tcp tcpeng.Config,
-	hcfg HTTPDConfig, lcfg LoadgenConfig, place func(i int) (*sim.HWThread, *sim.Proc)) {
+// bootWebBed boots the two-machine bed (seed 11) under a webBed.
+func bootWebBed(t *testing.T, cfg testbed.BedConfig) *webBed {
 	t.Helper()
-	n, server, client := b.net, b.server, b.client
-	clisys, err := client.BuildClientSystem(server, loadgens, tcp)
+	tb, err := testbed.NewBed(sim.New(11), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.clisys = clisys
+	return &webBed{net: tb.Net, server: tb.Server, client: tb.Client,
+		sys: tb.NEaT, linux: tb.Linux, clisys: tb.CliSys}
+}
 
+// populate starts httpds web servers — server i on the thread place(i)
+// names, issuing socket calls through the process it names — waits for
+// them to listen, and creates loadgens load generators.
+func (b *webBed) populate(t *testing.T, httpds, loadgens int,
+	hcfg HTTPDConfig, lcfg LoadgenConfig, place func(i int) (*sim.HWThread, *sim.Proc)) {
+	t.Helper()
 	if hcfg.Files == nil {
 		hcfg.Files = map[string]int{"/f20": 20}
 	}
@@ -96,17 +92,14 @@ func (b *webBed) populate(t *testing.T, httpds, loadgens int, tcp tcpeng.Config,
 		h.Start()
 		b.servers = append(b.servers, h)
 	}
-	n.Sim.RunFor(sim.Millisecond)
+	b.net.Sim.RunFor(sim.Millisecond)
 	for i, h := range b.servers {
 		if !h.Ready() {
 			t.Fatalf("httpd %d not ready", i)
 		}
 	}
 
-	if lcfg.Target == (testbed.Netmask) { // placeholder never true
-		t.Fatal("unreachable")
-	}
-	lcfg.Target = server.IP
+	lcfg.Target = b.server.IP
 	if lcfg.Port == 0 {
 		lcfg.Port = 80
 	}
@@ -115,7 +108,7 @@ func (b *webBed) populate(t *testing.T, httpds, loadgens int, tcp tcpeng.Config,
 	}
 	appBase := 2 + loadgens
 	for i := 0; i < loadgens; i++ {
-		lg := NewLoadgen(client.AppThread(appBase+i), "httperf", clisys.SyscallProc(),
+		lg := NewLoadgen(b.client.AppThread(appBase+i), "httperf", b.clisys.SyscallProc(),
 			ipc.DefaultCosts(), lcfg)
 		b.gens = append(b.gens, lg)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // attackerCore returns a free client-host core beyond the loadgen block
-// (BuildClientSystem occupies cores 2..2+loadgens-1, loadgens sit at
+// (the client system occupies cores 2..2+loadgens-1, loadgens sit at
 // 2+loadgens..2+2*loadgens-1).
 func attackerCore(loadgens, i int) int { return 2 + 2*loadgens + i }
 

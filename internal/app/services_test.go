@@ -11,22 +11,15 @@ import (
 )
 
 func TestDNSRequestResponse(t *testing.T) {
-	n := testbed.New(11)
-	server := testbed.DefaultAMDHost(n, 0, 1)
-	client := testbed.DefaultClientHost(n, 1, 1)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: stack.Single, TCP: tcpeng.DefaultConfig(),
-		Slots:   testbed.SingleSlots(2, 1),
-		Syscall: testbed.ThreadLoc{Core: 1},
+	b := bootWebBed(t, testbed.BedConfig{
+		Server: testbed.AMD.Host(1),
+		NEaT: testbed.NEaTConfig{
+			Kind: stack.Single, TCP: tcpeng.DefaultConfig(),
+			Slots:   testbed.SingleSlots(2, 1),
+			Syscall: testbed.ThreadLoc{Core: 1},
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, 1, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sys
+	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys
 
 	srv := NewDNSServer(server.AppThread(3), "resolver", sys.SyscallProc(),
 		ipc.DefaultCosts(), DNSServerConfig{})

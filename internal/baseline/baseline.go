@@ -68,8 +68,8 @@ func (t Tuning) localityFactor() float64 {
 	}
 }
 
-// Costs parameterizes the kernel cycle model. Values are cycles.
-type Costs struct {
+// costs parameterizes the kernel cycle model. Values are cycles.
+type costs struct {
 	SoftirqPerPacket int64 // NAPI poll + ring handling per packet
 	IPIn, IPOut      int64
 	TCPSegIn         int64
@@ -88,10 +88,10 @@ type Costs struct {
 	CacheBouncePerContender int64
 }
 
-// DefaultCosts returns the calibrated kernel cost model (see
+// defaultCosts returns the calibrated kernel cost model (see
 // internal/experiments/calibrate.go for the derivations).
-func DefaultCosts() Costs {
-	return Costs{
+func defaultCosts() costs {
+	return costs{
 		SoftirqPerPacket: 1800,
 		IPIn:             2600,
 		IPOut:            2800,
@@ -118,7 +118,6 @@ type Config struct {
 	IP            ipeng.Config
 	TCP           tcpeng.Config
 	Tuning        Tuning
-	Costs         Costs
 	IPC           ipc.Costs
 }
 
@@ -154,15 +153,12 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("baseline: %d kernel contexts but NIC has %d queues",
 			len(cfg.KernelThreads), cfg.NIC.NumQueues())
 	}
-	if cfg.Costs == (Costs{}) {
-		cfg.Costs = DefaultCosts()
-	}
 	cfg.TCP.TSO = cfg.TCP.TSO || cfg.Tuning.Ethtool
 
 	// Every kernel operation pays the tuning's locality factor; each
 	// operation on shared state also takes a lock whose contention and
 	// cache-line bouncing grow with the number of kernel contexts.
-	c := cfg.Costs
+	c := defaultCosts()
 	f := cfg.Tuning.localityFactor()
 	scale := func(cycles int64) int64 { return int64(float64(cycles) * f) }
 	k := int64(len(cfg.KernelThreads))

@@ -27,19 +27,17 @@ type pair struct {
 
 func bootPair(t *testing.T, cores, clientStacks int, tuning baseline.Tuning) pair {
 	t.Helper()
-	n := testbed.New(33)
-	server := testbed.DefaultAMDHost(n, 0, cores)
-	client := testbed.DefaultClientHost(n, 1, clientStacks)
-	sys, err := server.BuildBaseline(client, tuning, tcpeng.DefaultConfig(), baseline.Costs{},
-		flatten(testbed.SingleSlots(0, cores)))
+	b, err := testbed.NewBed(sim.New(33), testbed.BedConfig{
+		Server:       testbed.AMD.Host(cores),
+		NEaT:         testbed.NEaTConfig{TCP: tcpeng.DefaultConfig()},
+		LinuxCores:   cores,
+		LinuxTuning:  tuning,
+		ClientStacks: clientStacks,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := client.BuildClientSystem(server, clientStacks, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pair{net: n, server: server, client: client, sys: sys, cli: cli}
+	return pair{net: b.Net, server: b.Server, client: b.Client, sys: b.Linux, cli: b.CliSys}
 }
 
 // linuxBed: AMD host running the monolithic baseline with K cores, one
@@ -49,14 +47,6 @@ type linuxBed struct {
 	pair
 	servers []*app.HTTPD
 	gens    []*app.Loadgen
-}
-
-func flatten(slots [][]testbed.ThreadLoc) []testbed.ThreadLoc {
-	var out []testbed.ThreadLoc
-	for _, s := range slots {
-		out = append(out, s...)
-	}
-	return out
 }
 
 func buildLinuxBed(t *testing.T, cores int, tuning baseline.Tuning, conns, reqPerConn, fileSize int) *linuxBed {

@@ -94,9 +94,6 @@ type Config struct {
 	Driver *nicdev.Driver
 	// SyscallThread hosts the SYSCALL server.
 	SyscallThread *sim.HWThread
-	// RecoveryDelay models the time the reincarnation server needs to
-	// spawn a replacement process (default 500 µs).
-	RecoveryDelay sim.Time
 	// UseFlowFilters steers established connections with exact NIC
 	// filters; disabling it is the pure-RSS ablation.
 	UseFlowFilters bool
@@ -122,23 +119,21 @@ type Config struct {
 	// the NIC driver and the SYSCALL server with periodic heartbeats, which
 	// also detects hangs/livelocks the oracle cannot see.
 	Watchdog bool
-	// Observe attaches the observability layer (default: off, zero cost).
-	Observe ObserveConfig
+	// Trace, when non-nil, receives the management plane's lifecycle
+	// events (respawns, escalations, quarantines, RSS rebinds, scaling).
+	// Callers who also want per-message latency breakdowns attach the same
+	// tracer to the simulator (trace.Tracer.Attach) before the run. Nil
+	// (the default) fires no trace points and keeps no events.
+	Trace *trace.Tracer
 }
+
+// recoveryDelay models the time the reincarnation server needs to spawn a
+// replacement process; the watchdog's respawn backoff doubles it.
+const recoveryDelay = 500 * sim.Microsecond
 
 // nicTrackingTableSize bounds the NIC's flow-tracking table: the capacity
 // the paper quotes for Intel 10G filters.
 const nicTrackingTableSize = 8192
-
-// ObserveConfig attaches the observability layer to a system. The zero
-// value is fully disabled: no trace points fire and no events are kept.
-type ObserveConfig struct {
-	// Trace, when non-nil, receives the management plane's lifecycle
-	// events (respawns, escalations, quarantines, RSS rebinds, scaling).
-	// Callers who also want per-message latency breakdowns attach the same
-	// tracer to the simulator (trace.Tracer.Attach) before the run.
-	Trace *trace.Tracer
-}
 
 // Stats counts management-plane events.
 type Stats struct {
@@ -225,7 +220,7 @@ type slot struct {
 	// updated if further components die before the respawn fires, consumed
 	// by completeRecovery. Keeping it on the slot (instead of captured in
 	// the After closure) is what lets a second crash within the
-	// RecoveryDelay window merge into the cycle instead of being dropped.
+	// recoveryDelay window merge into the cycle instead of being dropped.
 	recPrev        SlotState
 	recTCPLost     bool
 	recStateful    bool
@@ -251,9 +246,6 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	// Every component of the system lives on the SYSCALL server's machine;
 	// schedule on that machine's domain (identical to s outside PDES mode).
 	s = cfg.SyscallThread.Machine().Sim()
-	if cfg.RecoveryDelay == 0 {
-		cfg.RecoveryDelay = 500 * sim.Microsecond
-	}
 	sys := &System{
 		s: s, cfg: cfg,
 		conns:         map[*stack.Replica]map[uint64]*sim.Proc{},
@@ -331,15 +323,15 @@ func (sys *System) Stats() Stats { return sys.stats }
 
 // Trace returns the attached lifecycle tracer, or nil when the system was
 // built without observability.
-func (sys *System) Trace() *trace.Tracer { return sys.cfg.Observe.Trace }
+func (sys *System) Trace() *trace.Tracer { return sys.cfg.Trace }
 
 // eventf records a lifecycle event on the observability timeline. With no
 // tracer attached (the default) it returns before formatting anything.
 func (sys *System) eventf(kind, format string, args ...interface{}) {
-	if sys.cfg.Observe.Trace == nil {
+	if sys.cfg.Trace == nil {
 		return
 	}
-	sys.cfg.Observe.Trace.Emit(kind, fmt.Sprintf(format, args...))
+	sys.cfg.Trace.Emit(kind, fmt.Sprintf(format, args...))
 }
 
 // Metrics collects the system's live counters into a fresh registry:
@@ -825,7 +817,7 @@ func (sys *System) scheduleCheckpoints() {
 
 // onCrash is the instantaneous failure detector of paper-fidelity mode:
 // the microkernel notifies us of a dead process and we spawn a replacement
-// after RecoveryDelay. Watchdog mode replaces this oracle with heartbeat
+// after recoveryDelay. Watchdog mode replaces this oracle with heartbeat
 // probing (watchdog.go), which additionally catches hangs.
 func (sys *System) onCrash(p *sim.Proc, cause error) {
 	if sys.expectedKills[p] {
@@ -846,7 +838,7 @@ func (sys *System) onCrash(p *sim.Proc, cause error) {
 		}
 		for _, rp := range sl.replica.Procs() {
 			if rp == p {
-				sys.recover(sl, p, sys.cfg.RecoveryDelay)
+				sys.recover(sl, p, recoveryDelay)
 				return
 			}
 		}
@@ -923,7 +915,7 @@ func (sys *System) escalate(sl *slot, dead *sim.Proc) {
 // recover accounts a dead component of a replica slot and schedules its
 // rebuild after delay. The first crash of a recovery cycle opens the
 // cycle; further crashes within the same cycle (e.g. the second component
-// of a multi-component replica dying inside the RecoveryDelay window)
+// of a multi-component replica dying inside the recoveryDelay window)
 // merge into it: their consequences are recorded — a TCP-component death
 // reclassifies a provisionally transparent recovery as connection-losing —
 // instead of being silently dropped. The driver stops passing packets to
@@ -1132,7 +1124,7 @@ func (sys *System) recoverSyscall() {
 }
 
 // backoffDelay records a failure into the sliding window and returns the
-// respawn delay: RecoveryDelay doubled per recent failure, capped at
+// respawn delay: recoveryDelay doubled per recent failure, capped at
 // wdBackoffMax — a respawn storm must not busy-loop the reincarnation path.
 func (sys *System) backoffDelay(times *[]sim.Time) sim.Time {
 	now := sys.s.Now()
@@ -1143,7 +1135,7 @@ func (sys *System) backoffDelay(times *[]sim.Time) sim.Time {
 		}
 	}
 	*times = append(kept, now)
-	delay := sys.cfg.RecoveryDelay << (len(*times) - 1)
+	delay := recoveryDelay << (len(*times) - 1)
 	if delay > wdBackoffMax || delay <= 0 {
 		delay = wdBackoffMax
 	}

@@ -8,7 +8,6 @@ import (
 	"neat/internal/sim"
 	"neat/internal/socketlib"
 	"neat/internal/stack"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -130,26 +129,34 @@ type bed struct {
 
 func newBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, initial int) *bed {
 	t.Helper()
-	n := testbed.New(7)
-	server := testbed.DefaultAMDHost(n, 0, len(slots))
-	client := testbed.DefaultClientHost(n, 1, 2)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: kind, TCP: tcpeng.DefaultConfig(),
-		Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, 7, testbed.NEaTConfig{
+		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
 		InitialReplicas: initial,
+	})
+}
+
+// bootBed boots the two-machine bed on seed: an AMD server with one NIC
+// queue per slot running cfg, and a client host with 2 stacks.
+func bootBed(t *testing.T, seed int64, cfg testbed.NEaTConfig) *bed {
+	t.Helper()
+	tb, err := testbed.NewBed(sim.New(seed), testbed.BedConfig{
+		Server: testbed.AMD.Host(len(cfg.Slots)), NEaT: cfg, ClientStacks: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &bed{net: n, server: server, client: client, sys: sys, clisys: clisys}
-	b.app = newSrvApp(server.AppThread(server.Machine.NumCores()-1), sys.SyscallProc())
-	b.cli = newCliApp(client.AppThread(client.Machine.NumCores()-1), clisys.SyscallProc(), server)
+	return &bed{net: tb.Net, server: tb.Server, client: tb.Client, sys: tb.NEaT, clisys: tb.CliSys}
+}
+
+// listeningBed is bootBed plus the server app listening on the server's
+// last core and the client app on the client's last core.
+func listeningBed(t *testing.T, seed int64, cfg testbed.NEaTConfig) *bed {
+	t.Helper()
+	b := bootBed(t, seed, cfg)
+	b.app = newSrvApp(b.server.AppThread(b.server.Machine.NumCores()-1), b.sys.SyscallProc())
+	b.cli = newCliApp(b.client.AppThread(b.client.Machine.NumCores()-1), b.clisys.SyscallProc(), b.server)
 	b.app.proc.Deliver("listen")
-	n.Sim.RunFor(sim.Millisecond)
+	b.net.Sim.RunFor(sim.Millisecond)
 	if !b.app.ready {
 		t.Fatal("listen never became ready")
 	}

@@ -10,7 +10,6 @@ import (
 	"neat/internal/sim"
 	"neat/internal/socketlib"
 	"neat/internal/stack"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -19,23 +18,14 @@ import (
 // per-connection filters, and lazy termination still keeps existing
 // connections on their replica after the RSS set shrinks.
 func TestNICFlowTrackingReplacesSoftwareFilters(t *testing.T) {
-	n := testbed.New(13)
-	server := testbed.DefaultAMDHost(n, 0, 2)
-	client := testbed.DefaultClientHost(n, 1, 2)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: stack.Single, TCP: tcpeng.DefaultConfig(),
+	b := bootBed(t, 13, testbed.NEaTConfig{
+		Kind:               stack.Single,
 		Slots:              testbed.SingleSlots(2, 2),
 		Syscall:            testbed.ThreadLoc{Core: 1},
 		DisableFlowFilters: true,
 		UseNICFlowTracking: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys
 	h := app.NewHTTPD(server.AppThread(6), "web", sys.SyscallProc(),
 		ipc.DefaultCosts(), app.HTTPDConfig{Port: 8000, Files: map[string]int{"/f": 20}})
 	h.Start()
@@ -88,31 +78,15 @@ func TestNICFlowTrackingReplacesSoftwareFilters(t *testing.T) {
 // stateful recovery: connections survive a TCP crash, the applications
 // are rehomed to the new process, and traffic continues.
 func TestCheckpointedRecoveryKeepsConnections(t *testing.T) {
-	n := testbed.New(21)
-	server := testbed.DefaultAMDHost(n, 0, 2)
-	client := testbed.DefaultClientHost(n, 1, 2)
-	scfg := server.StackConfig(stack.Multi, tcpeng.DefaultConfig(), client)
-	sys, err := core.New(n.Sim, core.Config{
-		Stack: scfg,
-		Threads: [][]*sim.HWThread{
-			{server.Machine.Thread(2, 0), server.Machine.Thread(3, 0)},
-			{server.Machine.Thread(4, 0), server.Machine.Thread(5, 0)},
-		},
-		NIC: server.NIC, Driver: server.Driver,
-		SyscallThread:      server.Machine.Thread(1, 0),
-		UseFlowFilters:     true,
+	b := bootBed(t, 21, testbed.NEaTConfig{
+		Kind:               stack.Multi,
+		Slots:              testbed.MultiSlots(2, 2),
+		Syscall:            testbed.ThreadLoc{Core: 1},
 		CheckpointInterval: 10 * sim.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys
 
 	// Echo server + clients doing periodic request/response on held conns.
-	b := &bed{net: n, server: server, client: client, sys: sys, clisys: clisys}
 	b.app = newSrvApp(server.AppThread(7), sys.SyscallProc())
 	b.cli = newCliApp(client.AppThread(7), clisys.SyscallProc(), server)
 	b.app.proc.Deliver("listen")

@@ -9,7 +9,6 @@ import (
 	"neat/internal/socketlib"
 	"neat/internal/stack"
 	"neat/internal/steer"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -18,31 +17,11 @@ import (
 func newSteerBed(t *testing.T, seed int64, kind stack.Kind, slots [][]testbed.ThreadLoc,
 	initial int, steering steer.Config) *bed {
 	t.Helper()
-	n := testbed.New(seed)
-	server := testbed.DefaultAMDHost(n, 0, len(slots))
-	client := testbed.DefaultClientHost(n, 1, 2)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: kind, TCP: tcpeng.DefaultConfig(),
-		Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, seed, testbed.NEaTConfig{
+		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
 		InitialReplicas: initial,
 		Steering:        steering,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &bed{net: n, server: server, client: client, sys: sys, clisys: clisys}
-	b.app = newSrvApp(server.AppThread(server.Machine.NumCores()-1), sys.SyscallProc())
-	b.cli = newCliApp(client.AppThread(client.Machine.NumCores()-1), clisys.SyscallProc(), server)
-	b.app.proc.Deliver("listen")
-	n.Sim.RunFor(sim.Millisecond)
-	if !b.app.ready {
-		t.Fatal("listen never became ready")
-	}
-	return b
 }
 
 // talkerApp keeps connections open and exchanges a round of echo traffic

@@ -8,7 +8,6 @@ import (
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/stack"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -16,31 +15,11 @@ import (
 // paper-fidelity crash oracle.
 func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, initial int) *bed {
 	t.Helper()
-	n := testbed.New(7)
-	server := testbed.DefaultAMDHost(n, 0, len(slots))
-	client := testbed.DefaultClientHost(n, 1, 2)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind: kind, TCP: tcpeng.DefaultConfig(),
-		Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, 7, testbed.NEaTConfig{
+		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
 		InitialReplicas: initial,
 		Watchdog:        true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clisys, err := client.BuildClientSystem(server, 2, tcpeng.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := &bed{net: n, server: server, client: client, sys: sys, clisys: clisys}
-	b.app = newSrvApp(server.AppThread(server.Machine.NumCores()-1), sys.SyscallProc())
-	b.cli = newCliApp(client.AppThread(client.Machine.NumCores()-1), clisys.SyscallProc(), server)
-	b.app.proc.Deliver("listen")
-	n.Sim.RunFor(sim.Millisecond)
-	if !b.app.ready {
-		t.Fatal("listen never became ready")
-	}
-	return b
 }
 
 // detectionBound is the documented worst-case declaration latency,
@@ -227,7 +206,7 @@ func TestWatchdogSpuriousDetectionOnLossyChannel(t *testing.T) {
 
 // TestSecondCrashWithinRecoveryWindow is the regression test for the
 // recovery-merge fix: in paper-fidelity (oracle) mode, when both
-// components of a multi-component replica die within one RecoveryDelay
+// components of a multi-component replica die within one recoveryDelay
 // window, the second crash used to be silently dropped — its connection
 // loss went unrecorded and the recovery stayed classified as transparent.
 func TestSecondCrashWithinRecoveryWindow(t *testing.T) {

@@ -151,8 +151,8 @@ type attackTuning struct {
 // (and turns the flood up) while keeping the rest of the cell identical.
 func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard tcpeng.GuardConfig, tune attackTuning) attackOut {
 	const replicas = 4
-	srvIP := proto.IPv4(10, 0, 0, 1) // testbed.DefaultAMDHost
-	cliIP := proto.IPv4(10, 0, 0, 2) // testbed.DefaultClientHost
+	srvIP := proto.IPv4(10, 0, 0, 1) // testbed.AMD.Host's address
+	cliIP := proto.IPv4(10, 0, 0, 2) // the bed's default client machine
 	// Generator i walks ports from 1024+i*4096 aimed at replica i; the
 	// attacks walk disjoint high ranges of web 0's tuple space.
 	plans := make([]app.PortPlan, replicas)

@@ -6,7 +6,6 @@ import (
 
 	"neat/internal/app"
 	"neat/internal/baseline"
-	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/sim"
@@ -17,13 +16,10 @@ import (
 	"neat/internal/trace"
 )
 
-// MachineKind selects the system-under-test machine of §6.
-type MachineKind int
-
-// The two testbed machines.
+// The two system-under-test machines of §6 (testbed.MachineModel).
 const (
-	AMD  MachineKind = iota // 12 cores, 1.9 GHz, no SMT
-	Xeon                    // 8 cores × 2 threads, 2.26 GHz
+	AMD  = testbed.AMD  // 12 cores, 1.9 GHz, no SMT
+	Xeon = testbed.Xeon // 8 cores × 2 threads, 2.26 GHz
 )
 
 // Options tunes experiment execution.
@@ -98,7 +94,7 @@ func (o Options) window() sim.Time {
 // load generators.
 type BedConfig struct {
 	Seed    int64
-	Machine MachineKind
+	Machine testbed.MachineModel
 
 	// PDESWorkers > 0 enables conservative parallel simulation with that
 	// many workers (see Options.PDESWorkers). Must be set at bed creation.
@@ -108,7 +104,7 @@ type BedConfig struct {
 	Kind         stack.Kind
 	ReplicaSlots [][]testbed.ThreadLoc
 	SyscallLoc   testbed.ThreadLoc
-	DriverLoc    testbed.ThreadLoc // Xeon only (AMD pins the driver to core 0)
+	DriverLoc    testbed.ThreadLoc // the NIC driver's thread (default core 0)
 	// Watchdog switches failure detection to heartbeat probing (the
 	// fault-matrix campaign; Table 3 keeps the paper's crash oracle).
 	Watchdog bool
@@ -152,16 +148,12 @@ type BedConfig struct {
 	Observe bool
 }
 
-// Bed is an instantiated configuration ready to measure.
+// Bed is an instantiated configuration ready to measure: the testbed's
+// two-machine bed plus its web servers and load generators.
 type Bed struct {
-	Net    *testbed.Net
-	Server *testbed.Host
-	Client *testbed.Host
-	NEaT   *core.System
-	CliSys *core.System
-	Linux  *baseline.System
-	Webs   []*app.HTTPD
-	Gens   []*app.Loadgen
+	*testbed.Bed
+	Webs []*app.HTTPD
+	Gens []*app.Loadgen
 	// Trace is the attached tracer when the bed was built with
 	// BedConfig.Observe; nil otherwise.
 	Trace *trace.Tracer
@@ -181,76 +173,54 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 	if cfg.ReqPerConn == 0 {
 		cfg.ReqPerConn = 100
 	}
-	n := testbed.New(cfg.Seed)
+	s := sim.New(cfg.Seed)
 	if cfg.PDESWorkers > 0 {
 		// Must precede host creation: machines built afterwards get their
 		// own event-queue domains.
-		n.Sim.EnablePDES(cfg.PDESWorkers)
+		s.EnablePDES(cfg.PDESWorkers)
 	}
 	var tr *trace.Tracer
 	if cfg.Observe {
-		// Attach before anything is built so every delivery carries an
-		// arrival stamp from the first event on.
-		tr = trace.New().Attach(n.Sim)
+		// The bed attaches it before anything is built, so every delivery
+		// carries an arrival stamp from the first event on.
+		tr = trace.New()
 	}
 
 	queues := len(cfg.ReplicaSlots)
 	if cfg.LinuxCores > 0 {
 		queues = cfg.LinuxCores
 	}
-	var server *testbed.Host
-	switch cfg.Machine {
-	case AMD:
-		server = testbed.DefaultAMDHost(n, 0, queues)
-	case Xeon:
-		server = testbed.DefaultXeonHost(n, 0, queues, cfg.DriverLoc)
-	}
-	client := testbed.DefaultClientHost(n, 1, len(cfg.WebLocs))
+	server := cfg.Machine.Host(queues)
+	server.Driver = cfg.DriverLoc
 
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = cfg.TSO
 	tcp.Guard = cfg.Guard
 
-	b := &Bed{Net: n, Server: server, Client: client, Trace: tr}
-
-	if cfg.LinuxCores > 0 {
-		locs := make([]testbed.ThreadLoc, cfg.LinuxCores)
-		for i := range locs {
-			locs[i] = testbed.ThreadLoc{Core: i}
-		}
-		bl, err := server.BuildBaseline(client, cfg.LinuxTuning, tcp, baseline.Costs{}, locs)
-		if err != nil {
-			return nil, err
-		}
-		b.Linux = bl
-	} else {
-		scfg := server.StackConfig(cfg.Kind, tcp, client)
-		scfg.Costs = ServerStackCosts()
-		sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
+	tb, err := testbed.NewBed(s, testbed.BedConfig{
+		Trace:  tr,
+		Server: server,
+		NEaT: testbed.NEaTConfig{
 			Kind: cfg.Kind, TCP: tcp,
 			Slots:    cfg.ReplicaSlots,
 			Syscall:  cfg.SyscallLoc,
-			Stack:    &scfg,
 			Watchdog: cfg.Watchdog,
-			Observe:  core.ObserveConfig{Trace: tr},
 			Steering: cfg.Steering,
+			Costs:    ServerStackCosts(),
 			IPC:      cfg.IPC,
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.NEaT = sys
-	}
-
-	clisys, err := client.BuildClientSystem(server, len(cfg.WebLocs), tcpeng.DefaultConfig())
+		},
+		LinuxCores:   cfg.LinuxCores,
+		LinuxTuning:  cfg.LinuxTuning,
+		ClientStacks: len(cfg.WebLocs),
+	})
 	if err != nil {
 		return nil, err
 	}
-	b.CliSys = clisys
+	b := &Bed{Bed: tb, Trace: tr}
 
 	// Web servers.
 	for i, loc := range cfg.WebLocs {
-		var syscallProc = clisys.SyscallProc() // placeholder; replaced below
+		var syscallProc *sim.Proc
 		if b.NEaT != nil {
 			syscallProc = b.NEaT.SyscallProc()
 		} else {
@@ -260,7 +230,7 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 		if i < len(cfg.FileSizes) && cfg.FileSizes[i] > 0 {
 			size = cfg.FileSizes[i]
 		}
-		h := app.NewHTTPD(server.Thread(loc), fmt.Sprintf("lighttpd%d", i), syscallProc,
+		h := app.NewHTTPD(b.Server.Thread(loc), fmt.Sprintf("lighttpd%d", i), syscallProc,
 			ipc.DefaultCosts(), app.HTTPDConfig{
 				Port:             uint16(8000 + i),
 				Files:            map[string]int{"/file": size},
@@ -269,7 +239,7 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 		h.Start()
 		b.Webs = append(b.Webs, h)
 	}
-	n.Sim.RunFor(2 * sim.Millisecond)
+	s.RunFor(2 * sim.Millisecond)
 	for i, h := range b.Webs {
 		if !h.Ready() {
 			return nil, fmt.Errorf("experiments: lighttpd %d failed to listen", i)
@@ -279,15 +249,15 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 	// Load generators: one per web instance/port.
 	for i := range cfg.WebLocs {
 		lcfg := app.LoadgenConfig{
-			Target: server.IP, Port: uint16(8000 + i), URI: "/file",
+			Target: b.Server.IP, Port: uint16(8000 + i), URI: "/file",
 			Conns: cfg.ConnsPerGen, ReqPerConn: cfg.ReqPerConn,
 			ThinkTime: cfg.ThinkTime, Timeout: cfg.Timeout,
 		}
 		if i < len(cfg.GenPorts) {
 			lcfg.Ports = cfg.GenPorts[i]
 		}
-		lg := app.NewLoadgen(client.AppThread(2+len(cfg.WebLocs)+i), fmt.Sprintf("httperf%d", i),
-			clisys.SyscallProc(), ipc.DefaultCosts(), lcfg)
+		lg := app.NewLoadgen(b.Client.AppThread(2+len(cfg.WebLocs)+i), fmt.Sprintf("httperf%d", i),
+			b.CliSys.SyscallProc(), ipc.DefaultCosts(), lcfg)
 		b.Gens = append(b.Gens, lg)
 	}
 	return b, nil

@@ -137,28 +137,30 @@ func NewClusterBed(cfg ClusterBedConfig) (*ClusterBed, error) {
 	}
 	var tr *trace.Tracer
 	if cfg.Observe {
-		tr = trace.New().Attach(s)
+		// One tracer for the whole cluster: NewCluster attaches it to the
+		// simulator and hands it to every member system.
+		tr = trace.New()
 	}
 
 	spec := testbed.ClusterSpec{}
 	for fi := 0; fi < cfg.Farms; fi++ {
-		// The member machine: driver core 0, SYSCALL core 1, replicas
-		// from core 2, the web server above them.
-		cores := 2 + cfg.ReplicasPerMember + 1
-		if cores < 12 {
-			cores = 12
-		}
+		// The member machine: the AMD model with 8 NIC queues, grown when
+		// driver (core 0), SYSCALL (core 1), the replicas from core 2 and
+		// the web server above them need more cores.
+		host := testbed.AMD.Host(8)
+		host.Cores = max(host.Cores, 2+cfg.ReplicasPerMember+1)
 		spec.Farms = append(spec.Farms, testbed.FarmSpec{
 			Name:          fmt.Sprintf("farm%d", fi),
 			Tenant:        tenantName(fi % cfg.Tenants),
 			Members:       cfg.MembersPerFarm,
 			InitialActive: cfg.InitialActive,
-			Host:          testbed.HostConfig{Cores: cores},
+			Host:          host,
 			NEaT: testbed.NEaTConfig{
 				Slots:   testbed.SingleSlots(2, cfg.ReplicasPerMember),
 				Syscall: testbed.ThreadLoc{Core: 1},
 				IPC:     cfg.IPC,
 			},
+			Trace:   tr,
 			Control: cfg.Control,
 		})
 	}

@@ -3,10 +3,51 @@ package experiments
 import (
 	"testing"
 
+	"neat/internal/faultinject"
 	"neat/internal/sim"
 	"neat/internal/testbed"
 	"neat/internal/wire"
 )
+
+// TestClusterBedTracesEveryMember: an observed cluster bed has one tracer,
+// attached to the simulator and handed to every member system, so the
+// members' lifecycle events land on it.
+func TestClusterBedTracesEveryMember(t *testing.T) {
+	b, err := NewClusterBed(ClusterBedConfig{Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Trace == nil {
+		t.Fatal("Observe: true but the bed has no tracer")
+	}
+	replicas := 0
+	for _, f := range b.Cluster.Farms {
+		for mi, m := range f.Members {
+			if m.Sys.Trace() != b.Trace {
+				t.Fatalf("farm %s member %d traces to %p, not the bed's tracer %p", f.Name, mi, m.Sys.Trace(), b.Trace)
+			}
+			replicas += len(m.Sys.Replicas())
+		}
+	}
+	count := func(kind string) int {
+		n := 0
+		for _, ev := range b.Trace.Events() {
+			if ev.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
+	if n := count("spawn"); n != replicas {
+		t.Fatalf("%d spawn events, want one per member replica (%d)", n, replicas)
+	}
+	sys := b.Cluster.Farms[0].Members[0].Sys
+	faultinject.Target(sys, sys.Replicas()[0], "tcp").Crash(faultinject.ErrInjected)
+	b.Sim.RunFor(5 * sim.Millisecond)
+	if count("recover") == 0 {
+		t.Fatalf("no recover event after crashing farm0 member 0's tcp; events: %+v", b.Trace.Events())
+	}
+}
 
 // TestClusterDeterminism is the cluster determinism gate, and it is the
 // contract sim/pdes.go states: the full campaign output over the 3-farm

@@ -6,14 +6,12 @@ import (
 	"time"
 
 	"neat/internal/app"
-	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/proto"
 	"neat/internal/report"
 	"neat/internal/sim"
 	"neat/internal/stack"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 )
 
@@ -29,13 +27,11 @@ import (
 // workers=1 against workers=4); PDESScaling is the wall-clock ladder
 // (neat-bench -only pdesscale).
 
-// farmPair is one (server, client) machine pair of the farm.
+// farmPair is one (server, client) machine pair of the farm: its web
+// server and load generator.
 type farmPair struct {
-	srv, cli *testbed.Host
-	sys      *core.System
-	clisys   *core.System
-	web      *app.HTTPD
-	gen      *app.Loadgen
+	web *app.HTTPD
+	gen *app.Loadgen
 }
 
 // farm is a multi-pair testbed sharing one simulator.
@@ -74,57 +70,47 @@ func newFarm(seed int64, pairs, pdesWorkers int) (*farm, error) {
 		s.EnablePDES(pdesWorkers)
 	}
 	f := &farm{sim: s}
-	tcp := tcpeng.DefaultConfig()
 	for i := 0; i < pairs; i++ {
-		n := testbed.NewOn(s)
 		// Small hosts: driver on core 0, SYSCALL on core 1, one replica on
 		// core 2, the application on core 3. The farm's parallelism comes
 		// from the number of pairs, not the size of each machine.
-		srv := n.AddHost(testbed.HostConfig{
-			Name: fmt.Sprintf("srv%d", i), Side: 0, Cores: 4, ThreadsPerCore: 1,
-			FreqHz: 1_900_000_000, Queues: 1,
-			IP:     proto.IPv4(10, 0, 0, 1),
-			MAC:    proto.MAC{0x02, 0xFA, 0, 0, byte(i), 0x01},
-			Driver: testbed.ThreadLoc{Core: 0},
-		})
-		cli := n.AddHost(testbed.HostConfig{
-			Name: fmt.Sprintf("cli%d", i), Side: 1, Cores: 4, ThreadsPerCore: 1,
-			FreqHz: 3_000_000_000, Queues: 1,
-			IP:     proto.IPv4(10, 0, 0, 2),
-			MAC:    proto.MAC{0x02, 0xFA, 0, 0, byte(i), 0x02},
-			Driver: testbed.ThreadLoc{Core: 0},
-		})
-		scfg := srv.StackConfig(stack.Single, tcp, cli)
-		scfg.Costs = ServerStackCosts()
-		sys, err := srv.BuildNEaT(cli, testbed.NEaTConfig{
-			Kind: stack.Single, TCP: tcp,
-			Slots:   testbed.SingleSlots(2, 1),
-			Syscall: testbed.ThreadLoc{Core: 1},
-			Stack:   &scfg,
+		b, err := testbed.NewBed(s, testbed.BedConfig{
+			Server: testbed.HostConfig{
+				Name: fmt.Sprintf("srv%d", i), Cores: 4, ThreadsPerCore: 1,
+				FreqHz: 1_900_000_000, Queues: 1,
+				IP:  proto.IPv4(10, 0, 0, 1),
+				MAC: proto.MAC{0x02, 0xFA, 0, 0, byte(i), 0x01},
+			},
+			NEaT: testbed.NEaTConfig{
+				Kind:    stack.Single,
+				Slots:   testbed.SingleSlots(2, 1),
+				Syscall: testbed.ThreadLoc{Core: 1},
+				Costs:   ServerStackCosts(),
+			},
+			Client: testbed.HostConfig{
+				Name: fmt.Sprintf("cli%d", i), Cores: 4, ThreadsPerCore: 1,
+				FreqHz: 3_000_000_000, Queues: 1,
+				IP:  proto.IPv4(10, 0, 0, 2),
+				MAC: proto.MAC{0x02, 0xFA, 0, 0, byte(i), 0x02},
+			},
 		})
 		if err != nil {
-			return nil, fmt.Errorf("pdes farm pair %d server: %w", i, err)
+			return nil, fmt.Errorf("pdes farm pair %d: %w", i, err)
 		}
-		clisys, err := cli.BuildClientSystem(srv, 1, tcpeng.DefaultConfig())
-		if err != nil {
-			return nil, fmt.Errorf("pdes farm pair %d client: %w", i, err)
-		}
-		web := app.NewHTTPD(srv.Thread(testbed.ThreadLoc{Core: 3}),
-			fmt.Sprintf("lighttpd%d", i), sys.SyscallProc(),
+		web := app.NewHTTPD(b.Server.Thread(testbed.ThreadLoc{Core: 3}),
+			fmt.Sprintf("lighttpd%d", i), b.NEaT.SyscallProc(),
 			ipc.DefaultCosts(), app.HTTPDConfig{
 				Port:             8000,
 				Files:            map[string]int{"/file": 20},
 				CyclesPerRequest: AppCyclesPerRequest,
 			})
 		web.Start()
-		gen := app.NewLoadgen(cli.AppThread(3), fmt.Sprintf("httperf%d", i),
-			clisys.SyscallProc(), ipc.DefaultCosts(), app.LoadgenConfig{
-				Target: srv.IP, Port: 8000, URI: "/file",
+		gen := app.NewLoadgen(b.Client.AppThread(3), fmt.Sprintf("httperf%d", i),
+			b.CliSys.SyscallProc(), ipc.DefaultCosts(), app.LoadgenConfig{
+				Target: b.Server.IP, Port: 8000, URI: "/file",
 				Conns: 8, ReqPerConn: 100,
 			})
-		f.pairs = append(f.pairs, &farmPair{
-			srv: srv, cli: cli, sys: sys, clisys: clisys, web: web, gen: gen,
-		})
+		f.pairs = append(f.pairs, &farmPair{web: web, gen: gen})
 	}
 	s.RunFor(2 * sim.Millisecond)
 	for i, p := range f.pairs {

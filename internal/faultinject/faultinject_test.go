@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"neat/internal/core"
+	"neat/internal/sim"
 	"neat/internal/stack"
 	"neat/internal/testbed"
 )
@@ -67,18 +68,18 @@ func TestMatrixComponentsExtendDefault(t *testing.T) {
 // drainableBed boots a minimal 2-replica NEaT system for injection tests.
 func drainableBed(t *testing.T) (*testbed.Net, *core.System) {
 	t.Helper()
-	net := testbed.New(11)
-	server := testbed.DefaultAMDHost(net, 0, 4)
-	client := testbed.DefaultClientHost(net, 1, 1)
-	sys, err := server.BuildNEaT(client, testbed.NEaTConfig{
-		Kind:    stack.Single,
-		Slots:   testbed.SingleSlots(2, 2),
-		Syscall: testbed.ThreadLoc{Core: 1},
+	b, err := testbed.NewBed(sim.New(11), testbed.BedConfig{
+		Server: testbed.AMD.Host(4),
+		NEaT: testbed.NEaTConfig{
+			Kind:    stack.Single,
+			Slots:   testbed.SingleSlots(2, 2),
+			Syscall: testbed.ThreadLoc{Core: 1},
+		},
 	})
 	if err != nil {
-		t.Fatalf("BuildNEaT: %v", err)
+		t.Fatalf("NewBed: %v", err)
 	}
-	return net, sys
+	return b.Net, b.NEaT
 }
 
 func TestInjectDrainedSystemNoPanic(t *testing.T) {

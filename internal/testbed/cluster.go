@@ -33,6 +33,7 @@ import (
 	"neat/internal/sim"
 	"neat/internal/steer"
 	"neat/internal/tcpeng"
+	"neat/internal/trace"
 	"neat/internal/wire"
 )
 
@@ -81,15 +82,17 @@ type FarmSpec struct {
 	InitialActive int
 	// VIP is the farm's virtual IP; zero assigns 10.0.0.(100+farmIndex).
 	VIP proto.Addr
-	// Host shapes each member machine. Zero value: the 12-core AMD
-	// Opteron of §6 with 8 NIC queues. Name/Side/IP/MAC are assigned by
-	// the builder (members share the VIP — direct-server-return).
+	// Host shapes each member machine (zero: the AMD model with 8 NIC
+	// queues). Name/IP/MAC are assigned by the builder (members share the
+	// VIP — direct-server-return).
 	Host HostConfig
-	// NEaT configures each member's system. Zero TCP means
-	// tcpeng.DefaultConfig(); nil Slots means two single-component
-	// replicas on cores 2-3. The watchdog is forced on: its heartbeat
-	// counters are the cross-machine liveness signal.
+	// NEaT configures each member's system. Nil Slots means two
+	// single-component replicas on cores 2-3. The watchdog is forced on:
+	// its heartbeat counters are the cross-machine liveness signal.
 	NEaT NEaTConfig
+	// Trace, when non-nil, is the cluster's one tracer: NewCluster
+	// attaches it to the simulator and hands it to every member system.
+	Trace *trace.Tracer
 	// Steering is the farm-level placement policy (default hash). Must be
 	// deterministic (hash or ring — not least-loaded).
 	Steering steer.Config
@@ -105,9 +108,6 @@ type ClientSpec struct {
 	// sequential↔PDES byte-identity matters: a single stack makes the
 	// connect-side placer draw-free.
 	Stacks int
-	// Host optionally overrides the machine shape (zero: the oversized
-	// default load generator).
-	Host HostConfig
 }
 
 // SwitchSpec shapes the cluster switch.
@@ -329,10 +329,16 @@ func clientMAC(k int) proto.MAC { return proto.MAC{0x02, 0xC1, 0, 0, 0, byte(k +
 // s. In PDES mode (s.EnablePDES called first) every machine — the switch
 // included — runs in its own scheduling domain. Machine creation order is
 // fixed (switch, then farms in order, then clients), so domain RNG
-// seeding and addressing are reproducible run-to-run.
+// seeding and addressing are reproducible run-to-run. A farm's tracer is
+// attached to s before the first machine exists.
 func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	for _, fs := range spec.Farms {
+		if fs.Trace != nil {
+			fs.Trace.Attach(s)
+		}
 	}
 	swName := spec.Switch.Name
 	if swName == "" {
@@ -348,7 +354,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 	c := &Cluster{Sim: s, Switch: sw, SwitchMachine: swm}
 
 	link := func() *Net {
-		n := NewOn(s)
+		n := newNet(s)
 		spec.Link.Shape(n.Link)
 		return n
 	}
@@ -399,22 +405,15 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		}
 		for mi := 0; mi < fs.Members; mi++ {
 			hcfg := fs.Host
+			if hcfg == (HostConfig{}) {
+				hcfg = AMD.Host(8)
+			}
 			hcfg.Name = fmt.Sprintf("%s-m%d", fs.Name, mi)
-			hcfg.Side = 0
 			hcfg.IP = vip // DSR: every member answers from the VIP
 			hcfg.MAC = memberMAC(fi, mi)
-			if hcfg.Cores == 0 {
-				hcfg.Cores = AMDCores
-			}
-			if hcfg.Queues == 0 {
-				hcfg.Queues = 8
-			}
 			n := link()
-			h := n.AddHost(hcfg)
+			h := n.addHost(0, hcfg)
 			ncfg := fs.NEaT
-			if ncfg.TCP == (tcpeng.Config{}) {
-				ncfg.TCP = tcpeng.DefaultConfig()
-			}
 			if ncfg.Slots == nil {
 				ncfg.Slots = SingleSlots(2, 2)
 				ncfg.Syscall = ThreadLoc{Core: 1}
@@ -422,7 +421,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			// The member watchdog is the cross-machine liveness signal:
 			// the farm controller reads its probe counter for progress.
 			ncfg.Watchdog = true
-			sys, err := h.BuildNEaTARP(clientARP[fs.Tenant], ncfg)
+			sys, err := h.boot(clientARP[fs.Tenant], ncfg, fs.Trace)
 			if err != nil {
 				return nil, fmt.Errorf("testbed: farm %q member %d: %w", fs.Name, mi, err)
 			}
@@ -445,27 +444,19 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		if stacks == 0 {
 			stacks = 1
 		}
-		hcfg := cs.Host
+		hcfg := clientHost(stacks)
 		hcfg.Name = fmt.Sprintf("client%d", k)
-		hcfg.Side = 0
 		hcfg.IP = clientIP(k)
 		hcfg.MAC = clientMAC(k)
-		if hcfg.Cores == 0 {
-			hcfg.Cores = 2 + 2*stacks + 14
-			hcfg.FreqHz = 3_000_000_000
-		}
-		if hcfg.Queues == 0 {
-			hcfg.Queues = stacks
-		}
 		n := link()
-		h := n.AddHost(hcfg)
+		h := n.addHost(0, hcfg)
 		// A tenant's client resolves exactly its tenant's VIPs: the ARP
 		// table is the tenant boundary.
 		arp := make(map[proto.Addr]proto.MAC)
 		for _, f := range c.tenantFarms(cs.Tenant) {
 			arp[f.VIP] = f.VMAC
 		}
-		sys, err := h.BuildClientSystemARP(arp, stacks, tcpeng.DefaultConfig())
+		sys, err := h.boot(arp, clientSystem(stacks, tcpeng.DefaultConfig()), nil)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: client %d: %w", k, err)
 		}

@@ -19,11 +19,9 @@ import (
 	"neat/internal/stack"
 	"neat/internal/steer"
 	"neat/internal/tcpeng"
+	"neat/internal/trace"
 	"neat/internal/wire"
 )
-
-// Netmask used throughout the testbed (one /24).
-var Netmask = proto.IPv4(255, 255, 255, 0)
 
 // Net is a two-endpoint network: one simulator, one 10G link.
 type Net struct {
@@ -31,15 +29,10 @@ type Net struct {
 	Link *wire.Link
 }
 
-// New creates a network with a 10 Gb/s, 1 µs DAC-like link.
-func New(seed int64) *Net {
-	return NewOn(sim.New(seed))
-}
-
-// NewOn creates a network on an existing simulator. Farm topologies (many
-// host pairs in one simulation, e.g. the PDES scaling benches) call this
-// once per link, sharing the simulator across all of them.
-func NewOn(s *sim.Simulator) *Net {
+// newNet adds a 10 Gb/s, 1 µs DAC-like link to simulator s. Farm
+// topologies (many host pairs in one simulation) call it once per link,
+// sharing the simulator across all of them.
+func newNet(s *sim.Simulator) *Net {
 	return &Net{Sim: s, Link: wire.NewLink(s)}
 }
 
@@ -81,7 +74,6 @@ type ThreadLoc struct {
 // HostConfig describes one machine and its NIC.
 type HostConfig struct {
 	Name           string
-	Side           int // link endpoint (0 or 1)
 	Cores          int
 	ThreadsPerCore int
 	FreqHz         int64
@@ -101,19 +93,10 @@ type Host struct {
 	MAC     proto.MAC
 }
 
-// AddHost creates a machine attached to the link.
-func (n *Net) AddHost(cfg HostConfig) *Host {
-	if cfg.ThreadsPerCore == 0 {
-		cfg.ThreadsPerCore = 1
-	}
-	if cfg.FreqHz == 0 {
-		cfg.FreqHz = 1_900_000_000
-	}
-	if cfg.Queues == 0 {
-		cfg.Queues = 1
-	}
+// addHost creates a machine attached to endpoint side (0 or 1) of the link.
+func (n *Net) addHost(side int, cfg HostConfig) *Host {
 	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.ThreadsPerCore, cfg.FreqHz)
-	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, cfg.Side, cfg.Queues)
+	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, side, cfg.Queues)
 	drv := nicdev.NewDriver(m.Thread(cfg.Driver.Core, cfg.Driver.Thread),
 		cfg.Name+".nicdrv", nic, nicdev.DefaultDriverCosts())
 	return &Host{Net: n, Machine: m, NIC: nic, Driver: drv, IP: cfg.IP, MAC: cfg.MAC}
@@ -124,33 +107,66 @@ func (h *Host) Thread(loc ThreadLoc) *sim.HWThread {
 	return h.Machine.Thread(loc.Core, loc.Thread)
 }
 
-// StackConfig returns the replica template for this host, with static ARP
-// towards the peer host.
-func (h *Host) StackConfig(kind stack.Kind, tcp tcpeng.Config, peer *Host) stack.Config {
-	return h.stackConfigARP(kind, tcp, map[proto.Addr]proto.MAC{peer.IP: peer.MAC})
+// AppThread returns thread (core, 0) with a helpful panic when the host is
+// too small (misconfigured experiment).
+func (h *Host) AppThread(coreIdx int) *sim.HWThread {
+	if coreIdx >= h.Machine.NumCores() {
+		panic(fmt.Sprintf("testbed: host %s has %d cores, wanted core %d",
+			h.Machine.Name, h.Machine.NumCores(), coreIdx))
+	}
+	return h.Machine.Thread(coreIdx, 0)
 }
 
-// stackConfigARP returns the replica template for this host with an
-// arbitrary static ARP table — the multi-peer form cluster topologies
-// need, where a farm machine answers many clients and a client resolves
-// many service VIPs.
-func (h *Host) stackConfigARP(kind stack.Kind, tcp tcpeng.Config, arp map[proto.Addr]proto.MAC) stack.Config {
-	return stack.Config{
-		Kind: kind,
-		IP: ipeng.Config{
-			Addr: h.IP, Mask: Netmask, MAC: h.MAC,
-			StaticARP: arp,
-		},
-		TCP:   tcp,
-		Costs: stack.DefaultCosts(),
-		IPC:   ipc.DefaultCosts(),
+// ipConfig is the host's IP configuration — one /24 throughout the
+// testbed — with a static ARP table.
+func (h *Host) ipConfig(arp map[proto.Addr]proto.MAC) ipeng.Config {
+	return ipeng.Config{Addr: h.IP, Mask: proto.IPv4(255, 255, 255, 0), MAC: h.MAC, StaticARP: arp}
+}
+
+// MachineModel selects one of the two system-under-test machines of §6.
+type MachineModel int
+
+// The two testbed machines.
+const (
+	// AMD is the 12-core AMD Opteron 6168 at 1.9 GHz, no hyperthreading.
+	AMD MachineModel = iota
+	// Xeon is the dual-socket quad-core Xeon E5520 at 2.26 GHz with
+	// 2-way SMT.
+	Xeon
+)
+
+// Host returns the model's machine with queues NIC queue pairs, addressed
+// as the server of the two-machine bed. Core 0 hosts the NIC driver (the
+// paper dedicates one core to it).
+func (m MachineModel) Host(queues int) HostConfig {
+	if m == Xeon {
+		return HostConfig{Name: "xeon", Cores: 8, ThreadsPerCore: 2,
+			FreqHz: 2_260_000_000, Queues: queues,
+			IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0x8E, 0, 0, 0, 0x01}}
 	}
+	return HostConfig{Name: "amd", Cores: 12, ThreadsPerCore: 1,
+		FreqHz: 1_900_000_000, Queues: queues,
+		IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0xAD, 0, 0, 0, 0x01}}
+}
+
+// Cores is the model's core count: the bound a replica layout must fit.
+func (m MachineModel) Cores() int { return m.Host(0).Cores }
+
+// clientHost is the deliberately oversized load-generator machine for
+// `stacks` client replicas (it must never be the bottleneck; the paper
+// uses the second testbed machine with 12 httperf instances).
+func clientHost(stacks int) HostConfig {
+	return HostConfig{Name: "client",
+		Cores:          2 + 2*stacks + 14, // driver + syscall + stacks + apps
+		ThreadsPerCore: 1, FreqHz: 3_000_000_000, Queues: stacks,
+		IP: proto.IPv4(10, 0, 0, 2), MAC: proto.MAC{0x02, 0xC1, 0, 0, 0, 0x02}}
 }
 
 // NEaTConfig places a NEaT system on a host.
 type NEaTConfig struct {
 	Kind stack.Kind
-	TCP  tcpeng.Config
+	// TCP configures every replica's engine (zero: tcpeng.DefaultConfig()).
+	TCP tcpeng.Config
 	// Slots lists the hardware threads of each replica slot (1 thread for
 	// single-component, 2 for multi-component replicas).
 	Slots [][]ThreadLoc
@@ -163,8 +179,6 @@ type NEaTConfig struct {
 	// UseNICFlowTracking enables the §4 hardware tracking extension
 	// (usually combined with DisableFlowFilters).
 	UseNICFlowTracking bool
-	// RecoveryDelay overrides the default 500 µs.
-	RecoveryDelay sim.Time
 	// CheckpointInterval enables stateful TCP recovery (0 = stateless).
 	CheckpointInterval sim.Time
 	// Watchdog enables heartbeat-based failure detection with the
@@ -173,34 +187,26 @@ type NEaTConfig struct {
 	// Steering configures the flow placement plane (zero value: the
 	// legacy RSS hash policy, no drain deadline).
 	Steering steer.Config
-	// Stack optionally overrides the full replica template (built from
-	// StackConfig when nil).
-	Stack *stack.Config
-	// IPC tunes the modeled message rings of the system's channels. When
-	// set it replaces the ring tuning of whichever template is used (Stack
-	// or the default); the zero value keeps the template's — by default the
-	// calibrated per-message doorbell behaviour.
+	// Costs is the replica cycle table (zero: stack.DefaultCosts()).
+	Costs stack.Costs
+	// IPC tunes the modeled message rings of the system's channels (zero:
+	// the calibrated per-message doorbell behaviour).
 	IPC ipc.Tuning
-	// Observe attaches the observability layer (lifecycle events; combine
-	// with trace.Tracer.Attach on the simulator for message tracing).
-	Observe core.ObserveConfig
 }
 
-// BuildNEaT boots a NEaT system on host h talking to peer.
-func (h *Host) BuildNEaT(peer *Host, cfg NEaTConfig) (*core.System, error) {
-	return h.BuildNEaTARP(map[proto.Addr]proto.MAC{peer.IP: peer.MAC}, cfg)
-}
-
-// BuildNEaTARP boots a NEaT system on host h with an arbitrary static ARP
-// table (the cluster form: one server machine answering many clients).
-func (h *Host) BuildNEaTARP(arp map[proto.Addr]proto.MAC, cfg NEaTConfig) (*core.System, error) {
-	scfg := h.stackConfigARP(cfg.Kind, cfg.TCP, arp)
-	if cfg.Stack != nil {
-		scfg = *cfg.Stack
+// boot starts a NEaT system on host h with static ARP table arp: the one
+// per-machine system builder behind two-machine servers and clients and
+// every cluster member and client. tr, when non-nil, receives the system's
+// lifecycle events.
+func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Tracer) (*core.System, error) {
+	if cfg.TCP == (tcpeng.Config{}) {
+		cfg.TCP = tcpeng.DefaultConfig()
 	}
-	if cfg.IPC != (ipc.Tuning{}) {
-		scfg.IPC.Tuning = cfg.IPC
+	if cfg.Costs == (stack.Costs{}) {
+		cfg.Costs = stack.DefaultCosts()
 	}
+	icosts := ipc.DefaultCosts()
+	icosts.Tuning = cfg.IPC
 	threads := make([][]*sim.HWThread, len(cfg.Slots))
 	for i, slot := range cfg.Slots {
 		for _, loc := range slot {
@@ -208,20 +214,51 @@ func (h *Host) BuildNEaTARP(arp map[proto.Addr]proto.MAC, cfg NEaTConfig) (*core
 		}
 	}
 	return core.New(h.Net.Sim, core.Config{
-		Stack:              scfg,
+		Stack: stack.Config{Kind: cfg.Kind, IP: h.ipConfig(arp), TCP: cfg.TCP,
+			Costs: cfg.Costs, IPC: icosts},
 		Threads:            threads,
 		InitialReplicas:    cfg.InitialReplicas,
 		NIC:                h.NIC,
 		Driver:             h.Driver,
 		SyscallThread:      h.Thread(cfg.Syscall),
-		RecoveryDelay:      cfg.RecoveryDelay,
 		CheckpointInterval: cfg.CheckpointInterval,
 		UseFlowFilters:     !cfg.DisableFlowFilters,
 		UseNICFlowTracking: cfg.UseNICFlowTracking,
 		Watchdog:           cfg.Watchdog,
-		Observe:            cfg.Observe,
+		Trace:              tr,
 		Steering:           cfg.Steering,
 	})
+}
+
+// clientSystem is the load generator's NEaT system: `stacks`
+// single-component replicas from core 2, one per load-generator process.
+// Client stacks are given a large cycle discount — the load generator must
+// saturate the server, not itself (the paper's client machine runs 12
+// httperf processes that together generate >300 krps).
+func clientSystem(stacks int, tcp tcpeng.Config) NEaTConfig {
+	return NEaTConfig{Kind: stack.Single, TCP: tcp,
+		Slots:   SingleSlots(2, stacks),
+		Syscall: ThreadLoc{Core: 1},
+		Costs:   cheapCosts(),
+	}
+}
+
+// cheapCosts returns stack costs scaled down for the load generator: stack
+// operations cost a tenth of the server's.
+func cheapCosts() stack.Costs {
+	c := stack.DefaultCosts()
+	c.FilterCheck /= 10
+	c.IPIn /= 10
+	c.IPOut /= 10
+	c.TCPSegIn /= 10
+	c.TCPSegOut /= 10
+	c.TCPConnSetup /= 10
+	c.UDPIn /= 10
+	c.UDPOut /= 10
+	c.SockOp /= 10
+	c.SockEvent /= 10
+	c.TimerOp /= 10
+	return c
 }
 
 // SingleSlots builds n single-thread slots on consecutive cores starting
@@ -244,119 +281,87 @@ func MultiSlots(first, n int) [][]ThreadLoc {
 	return out
 }
 
-// Core counts of the two system-under-test machines of §6. Layout checks
-// above this package (does a replica placement fit the machine?) read
-// them instead of restating the numbers.
-const (
-	AMDCores  = 12
-	XeonCores = 8
-)
-
-// DefaultAMDHost returns the 12-core AMD Opteron 6168 system-under-test
-// host of §6 (1.9 GHz, no hyperthreading).
-func DefaultAMDHost(n *Net, side int, queues int) *Host {
-	return n.AddHost(HostConfig{
-		Name: "amd", Side: side, Cores: AMDCores, ThreadsPerCore: 1,
-		FreqHz: 1_900_000_000, Queues: queues,
-		IP:  proto.IPv4(10, 0, 0, 1),
-		MAC: proto.MAC{0x02, 0xAD, 0, 0, 0, 0x01},
-		// Core 0 hosts the NIC driver (the paper dedicates one core to it).
-		Driver: ThreadLoc{Core: 0},
-	})
+// BedConfig describes one two-machine bed: the server machine and its
+// system, and the load-generator machine.
+type BedConfig struct {
+	// Trace, when non-nil, is attached to the simulator before anything is
+	// built and handed to the server's NEaT system.
+	Trace *trace.Tracer
+	// Server shapes the system-under-test machine (a MachineModel's Host,
+	// or a custom shape).
+	Server HostConfig
+	// NEaT is the server's system. With LinuxCores > 0 the Linux baseline
+	// boots instead, running NEaT.TCP under LinuxTuning with one kernel
+	// context on each of cores 0..LinuxCores-1.
+	NEaT        NEaTConfig
+	LinuxCores  int
+	LinuxTuning baseline.Tuning
+	// Tune, when non-nil, runs against the server's NEaT system before the
+	// client side boots (scale adjustments, fault arming), so its events
+	// land before the client stack's boot events.
+	Tune func(*core.System) error
+	// ClientStacks is the load generator's replica count (default 1), and
+	// ClientTCP their engine configuration (zero: tcpeng.DefaultConfig()).
+	ClientStacks int
+	ClientTCP    tcpeng.Config
+	// Client shapes the load-generator machine (zero: the oversized
+	// default for ClientStacks stacks).
+	Client HostConfig
 }
 
-// DefaultXeonHost returns the dual-socket quad-core Xeon E5520 host of §6
-// (8 cores, 2 hardware threads per core, 2.26 GHz).
-func DefaultXeonHost(n *Net, side int, queues int, driver ThreadLoc) *Host {
-	return n.AddHost(HostConfig{
-		Name: "xeon", Side: side, Cores: XeonCores, ThreadsPerCore: 2,
-		FreqHz: 2_260_000_000, Queues: queues,
-		IP:     proto.IPv4(10, 0, 0, 1),
-		MAC:    proto.MAC{0x02, 0x8E, 0, 0, 0, 0x01},
-		Driver: driver,
-	})
+// Bed is a booted two-machine testbed.
+type Bed struct {
+	Net    *Net
+	Server *Host
+	Client *Host
+	NEaT   *core.System     // the server's NEaT system (nil over the baseline)
+	Linux  *baseline.System // the server's baseline (nil over NEaT)
+	CliSys *core.System
 }
 
-// DefaultClientHost returns a deliberately oversized load-generator
-// machine (it must never be the bottleneck; the paper uses the second
-// testbed machine with 12 httperf instances).
-func DefaultClientHost(n *Net, side int, stacks int) *Host {
-	cores := 2 + 2*stacks + 14 // driver + syscall + stacks + apps
-	return n.AddHost(HostConfig{
-		Name: "client", Side: side, Cores: cores, ThreadsPerCore: 1,
-		FreqHz: 3_000_000_000, Queues: stacks,
-		IP:     proto.IPv4(10, 0, 0, 2),
-		MAC:    proto.MAC{0x02, 0xC1, 0, 0, 0, 0x02},
-		Driver: ThreadLoc{Core: 0},
-	})
-}
-
-// BuildClientSystem boots a NEaT system on the (oversized) client host
-// with `stacks` single-component replicas: one per load-generator process.
-// Client stacks are given a large cycle discount — the load generator must
-// saturate the server, not itself (the paper's client machine runs 12
-// httperf processes that together generate >300 krps).
-func (h *Host) BuildClientSystem(peer *Host, stacks int, tcp tcpeng.Config) (*core.System, error) {
-	return h.BuildClientSystemARP(map[proto.Addr]proto.MAC{peer.IP: peer.MAC}, stacks, tcp)
-}
-
-// BuildClientSystemARP is BuildClientSystem with an arbitrary static ARP
-// table (the cluster form: one load generator resolving many service VIPs).
-func (h *Host) BuildClientSystemARP(arp map[proto.Addr]proto.MAC, stacks int, tcp tcpeng.Config) (*core.System, error) {
-	scfg := h.stackConfigARP(stack.Single, tcp, arp)
-	// Generous client: stack operations cost a tenth of the server's.
-	scfg.Costs = cheapCosts()
-	cfg := NEaTConfig{Kind: stack.Single, TCP: tcp,
-		Slots:   SingleSlots(2, stacks),
-		Syscall: ThreadLoc{Core: 1},
-		Stack:   &scfg,
+// NewBed boots the paper's two-machine testbed (§6) on simulator s, which
+// may be shared with other beds (one link each): tracer, server machine,
+// client machine, server system, Tune, client system — in that order, since
+// process creation order fixes event sequence numbers. Callers enable PDES
+// on s before the first machine exists.
+func NewBed(s *sim.Simulator, cfg BedConfig) (*Bed, error) {
+	if cfg.Trace != nil {
+		cfg.Trace.Attach(s)
 	}
-	return h.BuildNEaTARP(arp, cfg)
-}
-
-// cheapCosts returns stack costs scaled down for the load generator.
-func cheapCosts() stack.Costs {
-	c := stack.DefaultCosts()
-	c.FilterCheck /= 10
-	c.IPIn /= 10
-	c.IPOut /= 10
-	c.TCPSegIn /= 10
-	c.TCPSegOut /= 10
-	c.TCPConnSetup /= 10
-	c.UDPIn /= 10
-	c.UDPOut /= 10
-	c.SockOp /= 10
-	c.SockEvent /= 10
-	c.TimerOp /= 10
-	return c
-}
-
-// AppThread returns thread (core, 0) with a helpful panic when the host is
-// too small (misconfigured experiment).
-func (h *Host) AppThread(coreIdx int) *sim.HWThread {
-	if coreIdx >= h.Machine.NumCores() {
-		panic(fmt.Sprintf("testbed: host %s has %d cores, wanted core %d",
-			h.Machine.Name, h.Machine.NumCores(), coreIdx))
+	stacks := max(cfg.ClientStacks, 1)
+	if cfg.Client == (HostConfig{}) {
+		cfg.Client = clientHost(stacks)
 	}
-	return h.Machine.Thread(coreIdx, 0)
-}
-
-// BuildBaseline boots a monolithic Linux-model stack on host h: one kernel
-// context per entry of kernelLocs, applications to be colocated by the
-// caller on the same threads. The zero costs selects baseline.DefaultCosts.
-func (h *Host) BuildBaseline(peer *Host, tuning baseline.Tuning, tcp tcpeng.Config, costs baseline.Costs, kernelLocs []ThreadLoc) (*baseline.System, error) {
-	threads := make([]*sim.HWThread, len(kernelLocs))
-	for i, loc := range kernelLocs {
-		threads[i] = h.Thread(loc)
+	n := newNet(s)
+	b := &Bed{Net: n, Server: n.addHost(0, cfg.Server), Client: n.addHost(1, cfg.Client)}
+	arp := map[proto.Addr]proto.MAC{b.Client.IP: b.Client.MAC}
+	var err error
+	if cfg.LinuxCores > 0 {
+		threads := make([]*sim.HWThread, cfg.LinuxCores)
+		for i := range threads {
+			threads[i] = b.Server.Machine.Thread(i, 0)
+		}
+		b.Linux, err = baseline.New(baseline.Config{
+			KernelThreads: threads,
+			NIC:           b.Server.NIC,
+			IP:            b.Server.ipConfig(arp),
+			TCP:           cfg.NEaT.TCP,
+			Tuning:        cfg.LinuxTuning,
+			IPC:           ipc.DefaultCosts(),
+		})
+	} else {
+		b.NEaT, err = b.Server.boot(arp, cfg.NEaT, cfg.Trace)
+		if err == nil && cfg.Tune != nil {
+			err = cfg.Tune(b.NEaT)
+		}
 	}
-	scfg := h.StackConfig(stack.Single, tcp, peer)
-	return baseline.New(baseline.Config{
-		KernelThreads: threads,
-		NIC:           h.NIC,
-		IP:            scfg.IP,
-		TCP:           tcp,
-		Tuning:        tuning,
-		Costs:         costs,
-		IPC:           scfg.IPC,
-	})
+	if err != nil {
+		return nil, err
+	}
+	b.CliSys, err = b.Client.boot(map[proto.Addr]proto.MAC{b.Server.IP: b.Server.MAC},
+		clientSystem(stacks, cfg.ClientTCP), nil)
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }

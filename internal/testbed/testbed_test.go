@@ -3,24 +3,37 @@ package testbed
 import (
 	"testing"
 
-	"neat/internal/baseline"
 	"neat/internal/sim"
 	"neat/internal/stack"
 	"neat/internal/tcpeng"
+	"neat/internal/trace"
 )
 
+// bed boots a two-machine bed on a fresh simulator, failing the test on
+// an error.
+func bed(t *testing.T, seed int64, cfg BedConfig) *Bed {
+	t.Helper()
+	b, err := NewBed(sim.New(seed), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// twoReplicas is a two-replica single-component system on cores 2-3.
+var twoReplicas = NEaTConfig{Kind: stack.Single, Slots: SingleSlots(2, 2), Syscall: ThreadLoc{Core: 1}}
+
 func TestHostsAndLayouts(t *testing.T) {
-	n := New(1)
-	amd := DefaultAMDHost(n, 0, 4)
-	cli := DefaultClientHost(n, 1, 2)
+	b := bed(t, 1, BedConfig{Server: AMD.Host(4), NEaT: twoReplicas, ClientStacks: 2})
+	amd, cli := b.Server, b.Client
 	if amd.Machine.NumCores() != 12 || amd.Machine.FreqHz != 1_900_000_000 {
 		t.Fatalf("AMD host: %d cores @%d", amd.Machine.NumCores(), amd.Machine.FreqHz)
 	}
 	if amd.NIC.NumQueues() != 4 {
 		t.Fatalf("queues=%d", amd.NIC.NumQueues())
 	}
-	if cli.Machine.NumCores() < 16 {
-		t.Fatalf("client too small: %d", cli.Machine.NumCores())
+	if cli.Machine.NumCores() < 16 || cli.NIC.NumQueues() != 2 {
+		t.Fatalf("client too small: %d cores, %d queues", cli.Machine.NumCores(), cli.NIC.NumQueues())
 	}
 	if amd.Thread(ThreadLoc{Core: 3}).Core().Index != 3 {
 		t.Fatal("thread resolution")
@@ -28,9 +41,8 @@ func TestHostsAndLayouts(t *testing.T) {
 }
 
 func TestXeonHostModel(t *testing.T) {
-	n := New(1)
-	x := DefaultXeonHost(n, 0, 2, ThreadLoc{Core: 0})
-	if x.Machine.NumCores() != 8 || x.Machine.Core(0).NumThreads() != 2 {
+	x := bed(t, 1, BedConfig{Server: Xeon.Host(2), NEaT: twoReplicas}).Server
+	if x.Machine.NumCores() != Xeon.Cores() || x.Machine.Core(0).NumThreads() != 2 {
 		t.Fatalf("xeon topology: %d cores × %d threads",
 			x.Machine.NumCores(), x.Machine.Core(0).NumThreads())
 	}
@@ -50,34 +62,25 @@ func TestSlotHelpers(t *testing.T) {
 	}
 }
 
+// TestBuildNEaTAndBaseline: the one two-machine builder boots NEaT with
+// its tracer on the server, or the baseline when LinuxCores is set, and
+// the untraced client system either way.
 func TestBuildNEaTAndBaseline(t *testing.T) {
-	n := New(1)
-	amd := DefaultAMDHost(n, 0, 2)
-	cli := DefaultClientHost(n, 1, 1)
-	sys, err := amd.BuildNEaT(cli, NEaTConfig{
-		Kind: stack.Single, TCP: tcpeng.DefaultConfig(),
-		Slots: SingleSlots(2, 2), Syscall: ThreadLoc{Core: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	tr := trace.New()
+	b := bed(t, 1, BedConfig{Trace: tr, Server: AMD.Host(2), NEaT: twoReplicas})
+	if b.NEaT.NumActive() != 2 || b.Linux != nil {
+		t.Fatalf("active=%d, baseline %v", b.NEaT.NumActive(), b.Linux)
 	}
-	if sys.NumActive() != 2 {
-		t.Fatalf("active=%d", sys.NumActive())
+	if b.NEaT.Trace() != tr || b.CliSys.Trace() != nil {
+		t.Fatal("the tracer must reach the server system and only it")
 	}
 
-	n2 := New(2)
-	amd2 := DefaultAMDHost(n2, 0, 4)
-	cli2 := DefaultClientHost(n2, 1, 1)
-	bl, err := amd2.BuildBaseline(cli2, baseline.Tuning{}, tcpeng.DefaultConfig(), baseline.Costs{},
-		[]ThreadLoc{{Core: 0}, {Core: 1}, {Core: 2}, {Core: 3}})
-	if err != nil {
-		t.Fatal(err)
+	b = bed(t, 2, BedConfig{Server: AMD.Host(4), NEaT: NEaTConfig{TCP: tcpeng.DefaultConfig()}, LinuxCores: 4})
+	if b.NEaT != nil || b.Linux.NumContexts() != 4 {
+		t.Fatalf("NEaT %v, baseline contexts %d", b.NEaT, b.Linux.NumContexts())
 	}
-	if bl.NumContexts() != 4 {
-		t.Fatalf("contexts=%d", bl.NumContexts())
-	}
-	if _, err := cli2.BuildClientSystem(amd2, 1, tcpeng.DefaultConfig()); err != nil {
-		t.Fatal(err)
+	if b.CliSys == nil {
+		t.Fatal("no client system over the baseline")
 	}
 }
 
@@ -85,7 +88,7 @@ func TestBuildNEaTAndBaseline(t *testing.T) {
 // overrides only the fields it sets, and a cluster applies it to every
 // machine's access link.
 func TestLinkSpecShapesEveryAccessLink(t *testing.T) {
-	n := New(1)
+	n := newNet(sim.New(1))
 	rate, delay := n.Link.BitsPerSec, n.Link.PropDelay
 	LinkSpec{}.Shape(n.Link)
 	if n.Link.BitsPerSec != rate || n.Link.PropDelay != delay {

@@ -133,9 +133,6 @@ func (l *Link) End(side int) Endpoint { return Endpoint{link: l, side: side} }
 // Link returns the underlying link.
 func (e Endpoint) Link() *Link { return e.link }
 
-// Side returns the link side this endpoint occupies.
-func (e Endpoint) Side() int { return e.side }
-
 // Attach connects p as the receiver of frames arriving at this endpoint.
 func (e Endpoint) Attach(p Port) { e.link.Attach(e.side, p) }
 

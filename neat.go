@@ -123,15 +123,16 @@ const (
 	MultiComponent  = stack.Multi
 )
 
-// MachineModel selects one of the paper's testbed machines.
-type MachineModel int
+// MachineModel selects one of the paper's testbed machines. Declared in
+// internal/testbed with each model's shape.
+type MachineModel = testbed.MachineModel
 
 // Supported machine models.
 const (
 	// AMD12 is the 12-core 1.9 GHz AMD Opteron 6168.
-	AMD12 MachineModel = iota
+	AMD12 = testbed.AMD
 	// Xeon8x2 is the 8-core 2.26 GHz Xeon E5520 with 2-way SMT.
-	Xeon8x2
+	Xeon8x2 = testbed.Xeon
 )
 
 // Addr is an IPv4 address.
@@ -149,14 +150,6 @@ const (
 	Millisecond = sim.Millisecond
 	Second      = sim.Second
 )
-
-// cores is the model's core count: the bound a replica layout must fit.
-func (m MachineModel) cores() int {
-	if m == Xeon8x2 {
-		return testbed.XeonCores
-	}
-	return testbed.AMDCores
-}
 
 // SystemConfig configures one machine's NEaT system — the server of a
 // TopologyConfig, or every member of a FarmConfig. The zero value is a
@@ -299,10 +292,9 @@ func (cfg SystemConfig) Validate() error {
 // testbed's NEaTConfig: TopologyConfig.Build and ClusterConfig.Build both
 // boot exactly what it returns, so a farm member is a two-machine server
 // behind a switch. cores is the target machine's core count — a layout
-// that does not fit is an error here, not a panic inside the testbed — and
-// tr, when non-nil, is the simulation's one tracer (the builder attaches it
-// to the simulator before the system boots).
-func compileSystem(cfg SystemConfig, cores int, tr *trace.Tracer) (testbed.NEaTConfig, error) {
+// that does not fit is an error here, not a panic inside the testbed. The
+// tracer SystemConfig.Observe asks for is the builder's to attach.
+func compileSystem(cfg SystemConfig, cores int) (testbed.NEaTConfig, error) {
 	if err := cfg.Validate(); err != nil {
 		return testbed.NEaTConfig{}, err
 	}
@@ -331,7 +323,6 @@ func compileSystem(cfg SystemConfig, cores int, tr *trace.Tracer) (testbed.NEaTC
 		Slots:    slots,
 		Syscall:  testbed.ThreadLoc{Core: 1},
 		Watchdog: cfg.Watchdog,
-		Observe:  core.ObserveConfig{Trace: tr},
 		Steering: steering,
 		IPC:      cfg.IPC,
 	}, nil

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"neat/internal/sim"
-	"neat/internal/tcpeng"
 	"neat/internal/testbed"
 	"neat/internal/trace"
 )
@@ -153,7 +152,7 @@ func (cfg ClusterConfig) spec(tr *trace.Tracer) (testbed.ClusterSpec, error) {
 		if cfg.Observe || f.System.Observe {
 			memberTrace = tr
 		}
-		nc, err := compileSystem(f.System, testbed.AMDCores, memberTrace)
+		nc, err := compileSystem(f.System, AMD12.Cores())
 		if err != nil {
 			return spec, fmt.Errorf("neat: farm %q: %v", f.Name, err)
 		}
@@ -167,6 +166,7 @@ func (cfg ClusterConfig) spec(tr *trace.Tracer) (testbed.ClusterSpec, error) {
 			Members:       f.Members,
 			InitialActive: f.InitialActive,
 			NEaT:          nc,
+			Trace:         memberTrace,
 			Steering:      steering,
 			Control:       f.Autoscale,
 		})
@@ -214,9 +214,6 @@ func (cfg ClusterConfig) Build() (*Cluster, error) {
 	if cfg.PDESWorkers > 0 {
 		s.EnablePDES(cfg.PDESWorkers)
 	}
-	if tr != nil {
-		tr.Attach(s)
-	}
 	return testbed.NewCluster(s, spec)
 }
 
@@ -250,32 +247,28 @@ type TopologyConfig struct {
 
 // compile checks the topology's own fields and compiles the server system
 // against the chosen model's core count.
-func (cfg TopologyConfig) compile(tr *trace.Tracer) (testbed.NEaTConfig, error) {
+func (cfg TopologyConfig) compile() (testbed.NEaTConfig, error) {
 	if cfg.ClientStacks < 0 {
 		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.ClientStacks is %d; want 0 (default 1) or a positive count", cfg.ClientStacks)
 	}
 	if cfg.Server != AMD12 && cfg.Server != Xeon8x2 {
 		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.Server is %d; want neat.AMD12 or neat.Xeon8x2", cfg.Server)
 	}
-	return compileSystem(cfg.System, cfg.Server.cores(), tr)
+	return compileSystem(cfg.System, cfg.Server.Cores())
 }
 
 // Validate reports the first configuration error, a replica layout that
 // does not fit the chosen server model included. Build calls it.
 func (cfg TopologyConfig) Validate() error {
-	_, err := cfg.compile(nil)
+	_, err := cfg.compile()
 	return err
 }
 
-// Build boots the declared testbed: the server machine (8 NIC queues) and
-// the oversized client machine on one link, the NEaT system, Tune, then
-// the client-side stack.
+// Build boots the declared testbed through the testbed's one two-machine
+// builder: the server machine (8 NIC queues) and the oversized client
+// machine on one link, the NEaT system, Tune, then the client-side stack.
 func (cfg TopologyConfig) Build() (*Testbed, error) {
-	var tr *trace.Tracer
-	if cfg.System.Observe {
-		tr = trace.New()
-	}
-	nc, err := cfg.compile(tr)
+	nc, err := cfg.compile()
 	if err != nil {
 		return nil, err
 	}
@@ -283,34 +276,20 @@ func (cfg TopologyConfig) Build() (*Testbed, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	stacks := cfg.ClientStacks
-	if stacks == 0 {
-		stacks = 1
+	var tr *trace.Tracer
+	if cfg.System.Observe {
+		tr = trace.New()
 	}
-	net := testbed.New(seed)
-	var server *Machine
-	if cfg.Server == Xeon8x2 {
-		server = testbed.DefaultXeonHost(net, 0, 8, testbed.ThreadLoc{Core: 0})
-	} else {
-		server = testbed.DefaultAMDHost(net, 0, 8)
-	}
-	client := testbed.DefaultClientHost(net, 1, stacks)
-	if tr != nil {
-		tr.Attach(net.Sim)
-	}
-	sys, err := server.BuildNEaT(client, nc)
+	b, err := testbed.NewBed(sim.New(seed), testbed.BedConfig{
+		Trace:        tr,
+		Server:       cfg.Server.Host(8),
+		NEaT:         nc,
+		Tune:         cfg.Tune,
+		ClientStacks: cfg.ClientStacks,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Tune != nil {
-		if err := cfg.Tune(sys); err != nil {
-			return nil, err
-		}
-	}
-	clisys, err := client.BuildClientSystem(server, stacks, tcpeng.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Testbed{Net: net, Server: server, Client: client,
-		System: sys, ClientSystem: clisys}, nil
+	return &Testbed{Net: b.Net, Server: b.Server, Client: b.Client,
+		System: b.NEaT, ClientSystem: b.CliSys}, nil
 }
