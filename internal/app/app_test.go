@@ -29,13 +29,21 @@ type webBed struct {
 
 func newWebBed(t *testing.T, replicas, httpds, loadgens int, tcp tcpeng.Config,
 	hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
+	return newSupervisedWebBed(t, replicas, httpds, loadgens, false, tcp, hcfg, lcfg)
+}
+
+// newSupervisedWebBed is newWebBed with the server's heartbeat watchdog
+// switched on or off.
+func newSupervisedWebBed(t *testing.T, replicas, httpds, loadgens int, watchdog bool, tcp tcpeng.Config,
+	hcfg HTTPDConfig, lcfg LoadgenConfig) *webBed {
 	t.Helper()
 	b := bootWebBed(t, testbed.BedConfig{
 		Server: testbed.AMD.Host(replicas),
 		NEaT: testbed.NEaTConfig{
 			Kind: stack.Single, TCP: tcp,
-			Slots:   testbed.SingleSlots(2, replicas),
-			Syscall: testbed.ThreadLoc{Core: 1},
+			Slots:    testbed.SingleSlots(2, replicas),
+			Syscall:  testbed.ThreadLoc{Core: 1},
+			Watchdog: watchdog,
 		},
 		ClientStacks: loadgens, ClientTCP: tcp,
 	})

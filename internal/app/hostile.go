@@ -318,7 +318,7 @@ func (f *SYNFlood) burst(ctx *sim.Context) {
 			proto.EthernetHeader{Dst: f.cfg.TargetMAC, Src: f.cfg.SrcMAC, Type: proto.EtherTypeIPv4},
 			proto.IPv4Header{TTL: 64, Protocol: proto.ProtoTCP, Src: src, Dst: f.cfg.Target},
 			tcp, nil)
-		f.drv.Send(ctx, nicdev.NewTxFrame(raw))
+		f.drv.Send(ctx, nicdev.NewTxFrame(ctx.Sim, raw))
 		f.sent++
 		f.stats.SynsSent++
 	}

@@ -5,7 +5,6 @@ import (
 
 	"neat/internal/app"
 	"neat/internal/baseline"
-	"neat/internal/bufpool"
 	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/proto"
@@ -243,12 +242,12 @@ func (o *opener) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			return
 		}
 		o.connected++
-		o.kernel.Send(ctx, stack.NewOpSend(m.ConnID, []byte(openerRequest), bufpool.Ref{}, false))
+		o.kernel.Send(ctx, stack.NewOpSend(ctx.Sim, stack.OpSend{Conn: m.Conn, Data: []byte(openerRequest)}))
 	case *stack.EvData:
 		o.stacks = append(o.stacks, m.Stack)
 		o.replied[m.ConnID] += len(m.Data)
 		if len(m.Data) > 0 && o.replied[m.ConnID] == openerReplyLen {
-			o.kernel.Send(ctx, stack.OpClose{ConnID: m.ConnID})
+			o.kernel.Send(ctx, stack.NewOpClose(ctx.Sim, m.Conn, false))
 		}
 		m.Recycle()
 	case *stack.EvClosed:

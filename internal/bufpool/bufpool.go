@@ -12,21 +12,20 @@
 // runs one simulator per goroutine against the same shared pools.
 package bufpool
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // classes are the pooled capacities. 2048 covers a full Ethernet frame
 // (1514 B + overheads); the larger classes serve TSO trains, loopback
 // super-frames and reassembly scratch.
 var classes = [...]int{64, 256, 1024, 2048, 4096, 16384, 65536, 262144}
 
-// entry wraps a buffer so that pooling a []byte does not re-box the slice
-// header on every Put. Wrappers themselves cycle through entryPool.
-type entry struct{ buf []byte }
-
-var (
-	pools     [len(classes)]sync.Pool
-	entryPool = sync.Pool{New: func() any { return new(entry) }}
-)
+// pools[i] holds buffers of capacity classes[i] as pointers to their
+// arrays' first byte. A pointer is stored in an interface without boxing,
+// so Get and Put each cost one pool operation and allocate nothing.
+var pools [len(classes)]sync.Pool
 
 // classIndex returns the smallest class holding n bytes, or -1 if n is
 // larger than every class.
@@ -46,11 +45,8 @@ func Get(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	if e, _ := pools[ci].Get().(*entry); e != nil {
-		b := e.buf
-		e.buf = nil
-		entryPool.Put(e)
-		return b[:n]
+	if p, _ := pools[ci].Get().(*byte); p != nil {
+		return unsafe.Slice(p, classes[ci])[:n]
 	}
 	return make([]byte, n, classes[ci])
 }
@@ -64,7 +60,5 @@ func Put(b []byte) {
 	if ci < 0 || cap(b) != classes[ci] {
 		return
 	}
-	e := entryPool.Get().(*entry)
-	e.buf = b[:0:cap(b)]
-	pools[ci].Put(e)
+	pools[ci].Put(unsafe.SliceData(b))
 }

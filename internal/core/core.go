@@ -31,7 +31,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"neat/internal/ipc"
 	"neat/internal/metrics"
@@ -175,8 +174,8 @@ type System struct {
 
 	listens []stack.OpListen
 
-	// conns tracks (replica, connID) → owning app for crash notification.
-	conns map[*stack.Replica]map[uint64]*sim.Proc
+	// conns tracks (replica, connID) → connection for crash notification.
+	conns map[*stack.Replica]map[uint64]*tcpeng.Conn
 
 	// checkpoints holds the latest TCP snapshot per slot (stateful
 	// recovery mode).
@@ -248,7 +247,7 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	s = cfg.SyscallThread.Machine().Sim()
 	sys := &System{
 		s: s, cfg: cfg,
-		conns:         map[*stack.Replica]map[uint64]*sim.Proc{},
+		conns:         map[*stack.Replica]map[uint64]*tcpeng.Conn{},
 		expectedKills: map[*sim.Proc]bool{},
 		checkpoints:   map[int]*tcpeng.Snapshot{},
 		mgmtConns:     map[*sim.Proc]*ipc.Conn{},
@@ -523,7 +522,7 @@ func (sys *System) activate(sl *slot) {
 	r := stack.NewReplica(sl.threads, sys.cfg.Driver.Proc(), cfg)
 	sl.replica = r
 	sl.state = SlotActive
-	sys.conns[r] = map[uint64]*sim.Proc{}
+	sys.conns[r] = map[uint64]*tcpeng.Conn{}
 	sys.installHooks(sl)
 	sys.cfg.Driver.BindQueue(sl.index, r.EntryProc())
 	sys.replayListens(r)
@@ -556,7 +555,7 @@ func (sys *System) installHooks(sl *slot) {
 	}
 	r.OnConnCreated = func(rr *stack.Replica, c *tcpeng.Conn) {
 		// Steer the reply path to this replica before the SYN leaves.
-		sys.conns[rr][c.ID] = rr.ConnApp(c)
+		sys.conns[rr][c.ID] = c
 		if sys.cfg.UseFlowFilters {
 			if err := sys.cfg.NIC.InstallFilter(c.InboundFlow(), sl.index); err == nil {
 				sys.stats.FiltersInstalled++
@@ -564,7 +563,7 @@ func (sys *System) installHooks(sl *slot) {
 		}
 	}
 	r.OnConnEstablished = func(rr *stack.Replica, c *tcpeng.Conn) {
-		sys.conns[rr][c.ID] = rr.ConnApp(c)
+		sys.conns[rr][c.ID] = c
 		if sys.cfg.UseFlowFilters {
 			if err := sys.cfg.NIC.InstallFilter(c.InboundFlow(), sl.index); err == nil {
 				sys.stats.FiltersInstalled++
@@ -595,6 +594,15 @@ func (sys *System) sendProc(p *sim.Proc, msg sim.Message) {
 		sys.mgmtConns[p] = c
 	}
 	c.Inject(msg)
+}
+
+// notifyLost tells the application owning c, if any, that the connection
+// is gone: a reset EvClosed naming stackProc and err.
+func (sys *System) notifyLost(r *stack.Replica, c *tcpeng.Conn, stackProc *sim.Proc, err error) {
+	if app, h := r.ConnOwner(c); app != nil {
+		sys.sendProc(app, stack.NewEvClosed(sys.s, stack.EvClosed{Conn: h, Stack: stackProc, ConnID: c.ID,
+			Reset: true, Err: err}))
+	}
 }
 
 // replayListens re-announces every registered listening socket to a new
@@ -741,24 +749,18 @@ func (sys *System) drainDeadline(sl *slot, seq uint64) {
 	}
 	r := sl.replica
 	conns := r.Conns()
-	ids := make([]uint64, 0, len(conns))
-	for id := range conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	sys.stats.DrainDeadlineFires++
 	sys.eventf("drain-deadline", "slot %d deadline fired: dropping %d straggler connection(s)",
-		sl.index, len(ids))
-	for _, id := range ids {
-		c := conns[id]
+		sl.index, len(conns))
+	for _, c := range conns {
 		if sys.cfg.UseFlowFilters {
 			sys.cfg.NIC.RemoveFilter(c.InboundFlow())
 			sys.stats.FiltersRemoved++
 		}
 		sys.stats.ConnectionsLost++
 		sys.stats.DrainForcedCloses++
-		if app := sys.conns[r][id]; app != nil {
-			sys.sendProc(app, stack.NewEvClosed(r.SockProc(), id, true, stack.ErrReplicaRetired))
+		if sys.conns[r][c.ID] != nil {
+			sys.notifyLost(r, c, r.SockProc(), stack.ErrReplicaRetired)
 		}
 	}
 	sys.collect(sl)
@@ -958,14 +960,12 @@ func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 			// apps: their libraries observe the shared-memory channels
 			// tearing down. (Stateful mode restores them from the last
 			// checkpoint instead — do not declare them lost.)
-			for connID, app := range sys.conns[r] {
+			for _, c := range sys.conns[r] {
 				sys.stats.ConnectionsLost++
-				if app != nil {
-					sys.sendProc(app, stack.NewEvClosed(dead, connID, true, stack.ErrReplicaFailure))
-				}
+				sys.notifyLost(r, c, dead, stack.ErrReplicaFailure)
 			}
 		}
-		sys.conns[r] = map[uint64]*sim.Proc{}
+		sys.conns[r] = map[uint64]*tcpeng.Conn{}
 	} else if !tcpLost && first {
 		sl.recTransparent = true
 		sys.stats.TransparentRecov++
@@ -1045,11 +1045,9 @@ func (sys *System) quarantine(sl *slot) {
 	sl.state = SlotQuarantined
 	sys.stats.SlotsQuarantined++
 	sys.eventf("quarantine", "slot %d fenced permanently", sl.index)
-	for connID, app := range sys.conns[r] {
+	for _, c := range sys.conns[r] {
 		sys.stats.ConnectionsLost++
-		if app != nil {
-			sys.sendProc(app, stack.NewEvClosed(r.SockProc(), connID, true, stack.ErrReplicaFailure))
-		}
+		sys.notifyLost(r, c, r.SockProc(), stack.ErrReplicaFailure)
 	}
 	delete(sys.conns, r)
 	for _, p := range r.Procs() {

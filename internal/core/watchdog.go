@@ -73,10 +73,9 @@ type Watchdog struct {
 	proc *sim.Proc
 
 	seq uint64
-	// targets is the ordered supervised set — iteration must be
-	// deterministic, so a map is used only for lookup.
-	targets []*sim.Proc
-	entries map[*sim.Proc]*watchEntry
+	// targets is the ordered supervised set. Each probe carries its
+	// target's entry as the heartbeat's Tag, so an ack needs no lookup.
+	targets []*watchEntry
 	timer   sim.Timer
 
 	stats  WatchdogStats
@@ -84,6 +83,8 @@ type Watchdog struct {
 }
 
 type watchEntry struct {
+	p        *sim.Proc
+	watched  bool   // cleared by Unwatch; late acks to the entry are ignored
 	awaiting bool   // a probe is outstanding
 	missed   int    // consecutive unanswered probes
 	lastSeq  uint64 // seq of the outstanding probe; stale acks are ignored
@@ -105,7 +106,7 @@ const (
 )
 
 func newWatchdog(sys *System) *Watchdog {
-	w := &Watchdog{sys: sys, entries: map[*sim.Proc]*watchEntry{}}
+	w := &Watchdog{sys: sys}
 	w.proc = sim.NewProc(sys.cfg.SyscallThread, "watchdog", w, sim.ProcConfig{
 		Component: "watchdog", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 80,
 	})
@@ -125,28 +126,28 @@ func (w *Watchdog) DetectionLatency() *metrics.Histogram { return &w.detect }
 
 // Watch adds p to the supervised set (idempotent).
 func (w *Watchdog) Watch(p *sim.Proc) {
-	if p == nil {
+	if p == nil || w.find(p) >= 0 {
 		return
 	}
-	if _, ok := w.entries[p]; ok {
-		return
-	}
-	w.entries[p] = &watchEntry{conn: ipc.New(p, ipc.Costs{})}
-	w.targets = append(w.targets, p)
+	w.targets = append(w.targets, &watchEntry{p: p, watched: true, conn: ipc.New(p, ipc.Costs{})})
 }
 
 // Unwatch removes p from the supervised set (no-op if absent).
 func (w *Watchdog) Unwatch(p *sim.Proc) {
-	if _, ok := w.entries[p]; !ok {
-		return
+	if i := w.find(p); i >= 0 {
+		w.targets[i].watched = false
+		w.targets = append(w.targets[:i], w.targets[i+1:]...)
 	}
-	delete(w.entries, p)
-	for i, t := range w.targets {
-		if t == p {
-			w.targets = append(w.targets[:i], w.targets[i+1:]...)
-			break
+}
+
+// find returns p's index in the supervised set, or -1.
+func (w *Watchdog) find(p *sim.Proc) int {
+	for i, e := range w.targets {
+		if e.p == p {
+			return i
 		}
 	}
+	return -1
 }
 
 // HandleMessage implements sim.Handler.
@@ -155,13 +156,14 @@ func (w *Watchdog) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	case wdTick:
 		w.tick(ctx)
 		ctx.Retimer(&w.timer, wdInterval, wdTick{})
-	case sim.HeartbeatAck:
+	case *sim.HeartbeatPing:
 		ctx.Charge(wdAckCycles)
-		if e := w.entries[m.From]; e != nil && m.Seq == e.lastSeq {
+		if e := m.Tag.(*watchEntry); e.watched && m.Seq == e.lastSeq {
 			e.awaiting = false
 			e.missed = 0
 			w.stats.AcksReceived++
 		}
+		m.Recycle()
 	}
 }
 
@@ -171,15 +173,14 @@ func (w *Watchdog) HandleMessage(ctx *sim.Context, msg sim.Message) {
 func (w *Watchdog) tick(ctx *sim.Context) {
 	ctx.Charge(wdTickCycles)
 	var failed []*sim.Proc
-	for _, p := range w.targets {
-		e := w.entries[p]
+	for _, e := range w.targets {
 		if e.awaiting {
 			e.missed++
 			w.stats.ProbesMissed++
 			if e.missed >= wdMisses {
 				// Declared after the loop: declaration mutates the target
 				// set (unwatch, escalation kills).
-				failed = append(failed, p)
+				failed = append(failed, e.p)
 				continue
 			}
 		}
@@ -188,7 +189,7 @@ func (w *Watchdog) tick(ctx *sim.Context) {
 		e.awaiting = true
 		w.stats.ProbesSent++
 		ctx.Charge(wdProbeCycles)
-		e.conn.Send(ctx, sim.HeartbeatPing{ReplyTo: w.proc, Seq: w.seq})
+		e.conn.Send(ctx, ctx.NewHeartbeat(w.seq, e))
 	}
 	for _, p := range failed {
 		w.declare(p)

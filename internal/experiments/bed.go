@@ -337,6 +337,9 @@ func (b *Bed) Registry() *metrics.Registry {
 	r.SetCounter("sim.timers.pending", uint64(ts.Pending))
 	r.SetCounter("sim.timers.cascades", ts.Cascades)
 	r.SetCounter("sim.timers.fired", ts.Fired)
+	for _, ps := range b.Net.Sim.PoolStats() {
+		r.SetCounter("sim.pool."+ps.Kind+".outstanding", uint64(ps.Outstanding))
+	}
 	is := b.Net.Sim.IPCStats()
 	r.SetCounter("sim.ipc.sends", is.Sends)
 	r.SetCounter("sim.ipc.slow_path", is.SlowPath)

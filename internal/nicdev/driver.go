@@ -101,8 +101,9 @@ func (d *Driver) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		ctx.Charge(d.costs.PerPacketTx)
 		d.stats.TxSent++
 		d.nic.Transmit(m.Raw)
-		m.Raw = nil
-		txFramePool.Put(m)
+		pool := m.pool
+		*m = TxFrame{}
+		pool.Put(m)
 	case TxFrame:
 		ctx.Charge(d.costs.PerPacketTx)
 		d.stats.TxSent++
@@ -113,8 +114,9 @@ func (d *Driver) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		ctx.Charge(d.costs.PerPacketTx + 150)
 		d.stats.TxSent++
 		d.nic.SendTSO(*m)
+		pool := m.pool
 		*m = TxTSO{}
-		txTSOPool.Put(m)
+		pool.Put(m)
 	case TxTSO:
 		ctx.Charge(d.costs.PerPacketTx + 150)
 		d.stats.TxSent++

@@ -18,7 +18,6 @@ package nicdev
 
 import (
 	"fmt"
-	"sync"
 
 	"neat/internal/bufpool"
 	"neat/internal/proto"
@@ -36,31 +35,35 @@ import (
 // after transmitting. The value form also works, for hand-built test
 // traffic.
 type TxFrame struct {
-	Raw []byte
+	Raw  []byte
+	pool *sim.Pool[TxFrame]
 }
 
-// txFramePool and txTSOPool recycle TX request boxes. They are sync.Pools
-// (not per-NIC freelists) because parallel experiment sweeps run many
-// simulators at once; within one simulator a box has exactly one owner at a
-// time, handed from the sending replica to the driver.
+// TX request boxes come from the sending simulator's free lists: a box
+// has exactly one owner at a time, handed from the sending replica to the
+// driver on the same machine, and remembers the list it returns to.
 var (
-	txFramePool = sync.Pool{New: func() any { return new(TxFrame) }}
-	txTSOPool   = sync.Pool{New: func() any { return new(TxTSO) }}
+	txFramePool = sim.NewPoolKind[TxFrame]("tx_frame")
+	txTSOPool   = sim.NewPoolKind[TxTSO]("tx_tso")
 )
 
-// NewTxFrame returns a pooled TX request carrying raw. Ownership of the box
-// passes to the driver with the send; the driver returns it to the pool
-// after posting the frame.
-func NewTxFrame(raw []byte) *TxFrame {
-	m := txFramePool.Get().(*TxFrame)
-	m.Raw = raw
+// NewTxFrame returns a TX request carrying raw, boxed from s's free list.
+// Ownership of the box passes to the driver with the send; the driver
+// recycles it after posting the frame.
+func NewTxFrame(s *sim.Simulator, raw []byte) *TxFrame {
+	pool := txFramePool.Of(s)
+	m := pool.Get()
+	*m = TxFrame{Raw: raw, pool: pool}
 	return m
 }
 
-// NewTxTSO returns a pooled TSO request. Ownership follows NewTxFrame.
-func NewTxTSO(t TxTSO) *TxTSO {
-	m := txTSOPool.Get().(*TxTSO)
+// NewTxTSO returns a copy of t boxed from s's free list. Ownership follows
+// NewTxFrame.
+func NewTxTSO(s *sim.Simulator, t TxTSO) *TxTSO {
+	pool := txTSOPool.Of(s)
+	m := pool.Get()
 	*m = t
+	m.pool = pool
 	return m
 }
 
@@ -77,6 +80,7 @@ type TxTSO struct {
 	TCP     proto.TCPHeader
 	Payload []byte
 	MSS     int
+	pool    *sim.Pool[TxTSO]
 }
 
 // DefaultQueueDepth is the per-RX-queue capacity in frames; overflow is

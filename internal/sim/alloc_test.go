@@ -115,3 +115,42 @@ type countingTracer struct{ n *int }
 
 func (c countingTracer) OnMessage(p *Proc, msg Message, arrivedAt, start, end Time) { *c.n++ }
 func (c countingTracer) OnSpan(hop string, queued, processed Time)                  { *c.n++ }
+
+// TestHeartbeatRoundTripZeroAlloc: a probe round — the prober boxes a ping,
+// the target's dispatch loop turns the box around as the ack, the prober
+// recycles it — allocates nothing in steady state, so supervision costs the
+// garbage collector nothing however many processes are watched.
+func TestHeartbeatRoundTripZeroAlloc(t *testing.T) {
+	s := New(1)
+	m := NewMachine(s, "m", 2, 1, 1_000_000_000)
+	var target *Proc
+	acked := 0
+	prober := NewProc(m.Thread(0, 0), "wd", HandlerFunc(func(ctx *Context, msg Message) {
+		switch hb := msg.(type) {
+		case *HeartbeatPing:
+			acked++
+			hb.Recycle()
+		default:
+			ctx.Send(target, ctx.NewHeartbeat(uint64(acked), nil))
+		}
+	}), ProcConfig{})
+	target = NewProc(m.Thread(1, 0), "w", HandlerFunc(func(ctx *Context, msg Message) {
+		t.Error("heartbeat reached the target's handler")
+	}), ProcConfig{})
+	round := func() {
+		prober.Deliver(0)
+		s.Drain()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Fatalf("heartbeat round trip allocates %.1f allocs/op, want 0", allocs)
+	}
+	if acked != 64+501 {
+		t.Fatalf("acks = %d, want %d", acked, 64+501)
+	}
+	if got := s.beats.stat().Outstanding; got != 0 {
+		t.Fatalf("heartbeat boxes outstanding = %d, want 0", got)
+	}
+}

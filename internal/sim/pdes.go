@@ -92,13 +92,8 @@ func (s *Simulator) PDESEnabled() bool { return s.pdes != nil && s.parent == nil
 // control plane's RNG, so domain randomness is fixed at creation and
 // independent of the runtime interleaving.
 func (s *Simulator) newDomain() *Simulator {
-	d := &Simulator{
-		rng:    rand.New(rand.NewSource(s.rng.Int63())),
-		tracer: s.tracer,
-		pdes:   s.pdes,
-		parent: s,
-		domID:  len(s.pdes.domains),
-	}
+	d := newSimulator(rand.New(rand.NewSource(s.rng.Int63())))
+	d.tracer, d.pdes, d.parent, d.domID = s.tracer, s.pdes, s, len(s.pdes.domains)
 	s.pdes.domains = append(s.pdes.domains, d)
 	return d
 }

@@ -98,15 +98,40 @@ type ProcStats struct {
 // ping if and only if it is actually draining its inbox, so both crashes
 // (deliveries dropped) and livelocks (deliveries queued but never
 // dispatched) manifest identically to the prober as missing acks.
+//
+// One box makes the whole round trip. The prober takes it from its
+// simulator's free list (Context.NewHeartbeat) and sends it; the target's
+// dispatch loop answers by turning the same box around — From becomes the
+// answering process, Acked is set — and sending it back; the prober reads
+// the ack and Recycles the box. A ping that dies with its target is left to
+// the GC. Steady-state supervision therefore allocates nothing.
 type HeartbeatPing struct {
-	ReplyTo *Proc
-	Seq     uint64
+	// From is the process that sent the box: the prober while it travels
+	// as a ping, the answering process once it returns as an ack.
+	From  *Proc
+	Seq   uint64
+	Acked bool
+	// Tag is the prober's own handle on the target's record; the dispatch
+	// loop carries it back untouched.
+	Tag  any
+	pool *Pool[HeartbeatPing]
 }
 
-// HeartbeatAck is the dispatch loop's reply to a HeartbeatPing.
-type HeartbeatAck struct {
-	From *Proc
-	Seq  uint64
+// NewHeartbeat returns a ping from the calling process, taken from its
+// simulator's free list.
+func (c *Context) NewHeartbeat(seq uint64, tag any) *HeartbeatPing {
+	pool := &c.Sim.beats
+	hb := pool.Get()
+	*hb = HeartbeatPing{From: c.Proc, Seq: seq, Tag: tag, pool: pool}
+	return hb
+}
+
+// Recycle returns the box to the free list it came from; it may not be
+// touched afterwards.
+func (hb *HeartbeatPing) Recycle() {
+	pool := hb.pool
+	*hb = HeartbeatPing{}
+	pool.Put(hb)
 }
 
 // HeartbeatCycles is the cost of answering one heartbeat probe (an inbox
@@ -409,20 +434,22 @@ func (p *Proc) runDispatch() {
 			// never reach this point (crashed process, injected drop) simply
 			// fall to the garbage collector.
 			*tf = timerFire{}
-			p.sim.tfFree = append(p.sim.tfFree, tf)
+			p.sim.fires.Put(tf)
 			if stale {
 				continue // stopped or re-armed since this firing was scheduled
 			}
 		}
-		if hb, ok := msg.(HeartbeatPing); ok {
+		if hb, ok := msg.(*HeartbeatPing); ok && !hb.Acked {
 			// Liveness probes are answered by the dispatch loop itself:
 			// the ack certifies "this process is draining its inbox".
 			// They are not part of the message path, so they are not traced.
+			// The ping box itself travels back as the ack.
 			p.stats.Messages++
 			p.charged += p.DispatchCycles + HeartbeatCycles
 			p.chargedByCat[CostProcessing] += p.DispatchCycles + HeartbeatCycles
-			p.pending = append(p.pending, outMsg{dst: hb.ReplyTo,
-				msg: HeartbeatAck{From: p, Seq: hb.Seq}, cyclesAt: p.charged})
+			prober := hb.From
+			hb.From, hb.Acked = p, true
+			p.pending = append(p.pending, outMsg{dst: prober, msg: hb, cyclesAt: p.charged})
 			continue
 		}
 		p.stats.Messages++
@@ -509,7 +536,7 @@ func (p *Proc) runDispatch() {
 			}
 		}
 		if b == nil {
-			b = p.sim.getBatch()
+			b = p.sim.batches.Get()
 			// Scheduling at group creation fixes the vector's sequence
 			// position; messages appended afterwards ride in the same event
 			// (the batch is only read when the event pops, strictly after
@@ -663,8 +690,8 @@ func (c *Context) Retimer(t *Timer, d Time, msg Message) {
 
 // timerFire wraps a timer delivery; runDispatch unwraps it transparently
 // (and drops stale generations) so handlers always see the original message.
-// Boxes are recycled through the simulator's freelist: arming a timer in
-// steady state reuses the box released by an earlier firing.
+// Boxes come from the simulator's free list: arming a timer in steady state
+// reuses the box released by an earlier firing.
 type timerFire struct {
 	t   *Timer
 	gen uint32
@@ -672,11 +699,7 @@ type timerFire struct {
 }
 
 func (s *Simulator) newTimerFire(t *Timer, gen uint32, msg Message) *timerFire {
-	if n := len(s.tfFree); n > 0 {
-		tf := s.tfFree[n-1]
-		s.tfFree = s.tfFree[:n-1]
-		*tf = timerFire{t, gen, msg}
-		return tf
-	}
-	return &timerFire{t, gen, msg}
+	tf := s.fires.Get()
+	*tf = timerFire{t, gen, msg}
+	return tf
 }

@@ -115,13 +115,17 @@ type Simulator struct {
 	// every trace point reduces to one nil check).
 	tracer Tracer
 
-	// batchFree recycles msgBatch carriers (and their message slices) so
-	// steady-state batched delivery allocates nothing.
-	batchFree []*msgBatch
-	// tfFree recycles timerFire boxes between arm and firing for the same
-	// reason. Boxes that die in flight (crash, drop injection) are simply
-	// collected; the freelist only ever shrinks by reuse.
-	tfFree []*timerFire
+	// batches recycles msgBatch carriers (and their message slices) so
+	// steady-state batched delivery allocates nothing; fires recycles
+	// timerFire boxes between arm and firing, and beats the heartbeat
+	// boxes, for the same reason (see pool.go).
+	batches Pool[msgBatch]
+	fires   Pool[timerFire]
+	beats   Pool[HeartbeatPing]
+	// locals holds this simulator's values of every declared Local, pools
+	// the Pools among them (see pool.go).
+	locals []any
+	pools  []poolCounter
 
 	// tw holds every scheduled event and armed timer (see timerwheel.go).
 	tw timerWheel
@@ -136,24 +140,24 @@ type Simulator struct {
 // msgBatch carries the messages of one flush vector: the sends a dispatch
 // released at one instant, delivered by a single simulator event to several
 // inboxes. dsts is parallel to msgs and names each message's destination.
-// The simulation is single-threaded, so a plain freelist suffices.
+// Carriers come from the simulator's free list and keep their slices'
+// capacity from one use to the next.
 type msgBatch struct {
 	msgs []Message
 	dsts []*Proc
 }
 
-func (s *Simulator) getBatch() *msgBatch {
-	if n := len(s.batchFree); n > 0 {
-		b := s.batchFree[n-1]
-		s.batchFree = s.batchFree[:n-1]
-		return b
-	}
-	return &msgBatch{}
-}
-
 // New returns a Simulator whose randomness is derived from seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return newSimulator(rand.New(rand.NewSource(seed)))
+}
+
+// newSimulator returns a simulator drawing from rng, its built-in free
+// lists named for PoolStats.
+func newSimulator(rng *rand.Rand) *Simulator {
+	s := &Simulator{rng: rng}
+	s.batches.kind, s.fires.kind, s.beats.kind = "batch", "timer_fire", "heartbeat"
+	return s
 }
 
 // Now returns the current simulated time.
@@ -223,7 +227,7 @@ func (s *Simulator) AtEvent(t Time, h EventHandler, tag uint64) {
 // closure: a pooled delivery vector of one. It is the scheduled-delivery
 // primitive behind NIC interrupts and delayed IPC.
 func (s *Simulator) DeliverAt(t Time, p *Proc, msg Message) {
-	b := s.getBatch()
+	b := s.batches.Get()
 	b.msgs = append(b.msgs, msg)
 	b.dsts = append(b.dsts, p)
 	_, n := s.schedule(t, evDeliverBatch)
@@ -245,7 +249,7 @@ func (s *Simulator) deliverBatch(b *msgBatch) {
 	}
 	b.dsts = b.dsts[:0]
 	b.msgs = b.msgs[:0]
-	s.batchFree = append(s.batchFree, b)
+	s.batches.Put(b)
 }
 
 // Idle reports whether no events remain. On a PDES control plane this

@@ -377,19 +377,26 @@ func TestHangStopsDrainingButStaysAlive(t *testing.T) {
 func TestHeartbeatAnsweredOnlyWhenDraining(t *testing.T) {
 	s := New(1)
 	m := NewMachine(s, "m", 2, 1, 1_000_000_000)
-	var acks []HeartbeatAck
+	type ack struct {
+		from *Proc
+		seq  uint64
+		tag  any
+	}
+	var acks []ack
 	wd := NewProc(m.Thread(0, 0), "wd", HandlerFunc(func(ctx *Context, msg Message) {
-		if a, ok := msg.(HeartbeatAck); ok {
-			acks = append(acks, a)
+		if hb, ok := msg.(*HeartbeatPing); ok && hb.Acked {
+			acks = append(acks, ack{hb.From, hb.Seq, hb.Tag})
+			hb.Recycle()
 		}
 	}), ProcConfig{})
 	handled := 0
 	p := NewProc(m.Thread(1, 0), "w", HandlerFunc(func(ctx *Context, msg Message) {
 		handled++
 	}), ProcConfig{})
-	p.Deliver(HeartbeatPing{ReplyTo: wd, Seq: 7})
+	ping := func(seq uint64) { p.Deliver(wd.ctx.NewHeartbeat(seq, "w")) }
+	ping(7)
 	s.Drain()
-	if len(acks) != 1 || acks[0].From != p || acks[0].Seq != 7 {
+	if len(acks) != 1 || acks[0] != (ack{p, 7, "w"}) {
 		t.Fatalf("acks=%v", acks)
 	}
 	if handled != 0 {
@@ -397,17 +404,21 @@ func TestHeartbeatAnsweredOnlyWhenDraining(t *testing.T) {
 	}
 	// Hung: ping queues but is never answered.
 	p.Hang()
-	p.Deliver(HeartbeatPing{ReplyTo: wd, Seq: 8})
+	ping(8)
 	s.RunFor(Millisecond)
 	if len(acks) != 1 {
 		t.Fatalf("hung process answered a heartbeat: %v", acks)
 	}
 	// Dead: ping dropped, never answered.
 	p.Kill()
-	p.Deliver(HeartbeatPing{ReplyTo: wd, Seq: 9})
+	ping(9)
 	s.RunFor(Millisecond)
 	if len(acks) != 1 {
 		t.Fatalf("dead process answered a heartbeat: %v", acks)
+	}
+	// The two unanswered boxes are still out; the answered one came back.
+	if got := s.beats.stat().Outstanding; got != 2 {
+		t.Fatalf("heartbeat boxes outstanding = %d, want 2 (lost with the hung and the dead process)", got)
 	}
 }
 

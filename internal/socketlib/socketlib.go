@@ -49,7 +49,9 @@ type Lib struct {
 	arena bufpool.Arena
 
 	stackConns map[*sim.Proc]*ipc.Conn
-	conns      map[connKey]*Socket
+	// socks holds the open sockets by their stack handle,
+	// socks[h.Host][h.Slot], so a stack event finds its socket by index.
+	socks      [][]*Socket
 	connecting map[uint64]*Socket
 	listeners  map[uint64]*Listener
 	udps       map[connKey]*UDPSocket
@@ -69,7 +71,6 @@ func New(app *sim.Proc, syscallProc *sim.Proc, costs ipc.Costs) *Lib {
 		sysConn:    ipc.New(syscallProc, costs),
 		costs:      costs,
 		stackConns: map[*sim.Proc]*ipc.Conn{},
-		conns:      map[connKey]*Socket{},
 		connecting: map[uint64]*Socket{},
 		listeners:  map[uint64]*Listener{},
 		udps:       map[connKey]*UDPSocket{},
@@ -87,6 +88,37 @@ func (l *Lib) stackConn(p *sim.Proc) *ipc.Conn {
 		l.stackConns[p] = c
 	}
 	return c
+}
+
+// bind records s, which the stack has just named s.h, in the socket table.
+func (l *Lib) bind(s *Socket) {
+	s.conn = l.stackConn(s.stack)
+	h := s.h
+	for int(h.Host) >= len(l.socks) {
+		l.socks = append(l.socks, nil)
+	}
+	for int(h.Slot) >= len(l.socks[h.Host]) {
+		l.socks[h.Host] = append(l.socks[h.Host], nil)
+	}
+	l.socks[h.Host][h.Slot] = s
+}
+
+// sock returns the socket h names, or nil if h is stale.
+func (l *Lib) sock(h stack.Handle) *Socket {
+	if int(h.Host) >= len(l.socks) || int(h.Slot) >= len(l.socks[h.Host]) {
+		return nil
+	}
+	if s := l.socks[h.Host][h.Slot]; s != nil && s.h == h {
+		return s
+	}
+	return nil
+}
+
+// unbind removes s from the socket table.
+func (l *Lib) unbind(s *Socket) {
+	if l.sock(s.h) == s {
+		l.socks[s.h.Host][s.h.Slot] = nil
+	}
 }
 
 // Listener is a listening socket. The replication into per-replica
@@ -135,7 +167,8 @@ const (
 type Socket struct {
 	lib    *Lib
 	stack  *sim.Proc
-	connID uint64
+	conn   *ipc.Conn    // the channel to stack
+	h      stack.Handle // the stack's name for the connection
 	state  SocketState
 	credit int
 
@@ -213,7 +246,7 @@ func (s *Socket) SendRef(ctx *sim.Context, ref bufpool.Ref) bool {
 	}
 	s.credit -= len(ref.B)
 	want := s.credit < SendLowWater
-	s.lib.stackConn(s.stack).Send(ctx, stack.NewOpSend(s.connID, ref.B, ref, want))
+	s.conn.Send(ctx, stack.NewOpSend(ctx.Sim, stack.OpSend{Conn: s.h, Data: ref.B, Ref: ref, WantSpace: want}))
 	return true
 }
 
@@ -223,7 +256,7 @@ func (s *Socket) Close(ctx *sim.Context) {
 		return
 	}
 	s.state = SockClosed
-	s.lib.stackConn(s.stack).Send(ctx, stack.OpClose{ConnID: s.connID})
+	s.conn.Send(ctx, stack.NewOpClose(ctx.Sim, s.h, false))
 }
 
 // Abort resets the connection.
@@ -232,7 +265,7 @@ func (s *Socket) Abort(ctx *sim.Context) {
 		return
 	}
 	s.state = SockClosed
-	s.lib.stackConn(s.stack).Send(ctx, stack.OpAbort{ConnID: s.connID})
+	s.conn.Send(ctx, stack.NewOpClose(ctx.Sim, s.h, true))
 }
 
 // UDPSocket is a bound UDP socket.
@@ -291,9 +324,9 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 		// A connection whose listener is gone is refused silently (it will be
 		// reset when the app never writes; a real library would abort here).
 		if ln, ok := l.listeners[m.ListenerReqID]; ok {
-			s := &Socket{lib: l, stack: m.Stack, connID: m.ConnID, state: SockOpen,
+			s := &Socket{lib: l, stack: m.Stack, h: m.Conn, state: SockOpen,
 				credit: m.SendBuf, RemoteAddr: m.RemoteAddr, RemotePort: m.RemotePort}
-			l.conns[connKey{m.Stack, m.ConnID}] = s
+			l.bind(s)
 			if ln.OnAccept != nil {
 				ln.OnAccept(ctx, s)
 			}
@@ -314,35 +347,32 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 			return true
 		}
 		s.stack = m.Stack
-		s.connID = m.ConnID
+		s.h = m.Conn
 		s.credit = m.SendBuf
 		s.state = SockOpen
-		l.conns[connKey{m.Stack, m.ConnID}] = s
+		l.bind(s)
 		if s.OnConnect != nil {
 			s.OnConnect(ctx, nil)
 		}
 		return true
 	case *stack.EvData:
-		s, ok := l.conns[connKey{m.Stack, m.ConnID}]
-		if ok && s.OnData != nil {
+		if s := l.sock(m.Conn); s != nil && s.OnData != nil {
 			s.OnData(ctx, m.Data, m.EOF)
 		}
 		m.Recycle() // the chunk and the box go back to their pools
 		return true
-	case stack.EvSendSpace:
-		s, ok := l.conns[connKey{m.Stack, m.ConnID}]
-		if ok {
+	case *stack.EvSendSpace:
+		if s := l.sock(m.Conn); s != nil {
 			s.credit = m.Available
 			if s.OnSendSpace != nil {
 				s.OnSendSpace(ctx, m.Available)
 			}
 		}
+		m.Recycle()
 		return true
 	case *stack.EvClosed:
-		k := connKey{m.Stack, m.ConnID}
-		s, ok := l.conns[k]
-		if ok {
-			delete(l.conns, k)
+		if s := l.sock(m.Conn); s != nil {
+			l.unbind(s)
 			wasOpen := s.state == SockOpen
 			s.state = SockClosed
 			if s.OnClosed != nil && (wasOpen || m.Reset) {
@@ -370,14 +400,13 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 	case stack.EvRehomed:
 		// The connection's replica was restored from a checkpoint into a
 		// new process: re-key the socket so the fast path follows it.
-		oldKey := connKey{m.OldStack, m.ConnID}
-		s, ok := l.conns[oldKey]
-		if !ok {
+		s := l.sock(m.Old)
+		if s == nil {
 			return true
 		}
-		delete(l.conns, oldKey)
-		s.stack = m.NewStack
-		l.conns[connKey{m.NewStack, m.ConnID}] = s
+		l.unbind(s)
+		s.stack, s.h = m.NewStack, m.New
+		l.bind(s)
 		return true
 	case stack.EvUDPData:
 		u, ok := l.udps[connKey{m.Stack, m.UDPID}]
@@ -392,9 +421,11 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 // NumOpenSockets counts sockets in SockOpen state (tests).
 func (l *Lib) NumOpenSockets() int {
 	n := 0
-	for _, s := range l.conns {
-		if s.state == SockOpen {
-			n++
+	for _, host := range l.socks {
+		for _, s := range host {
+			if s != nil && s.state == SockOpen {
+				n++
+			}
 		}
 	}
 	return n

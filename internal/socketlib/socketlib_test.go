@@ -10,6 +10,9 @@ import (
 	"neat/internal/stack"
 )
 
+// fakeConn is the handle the fake stack gives its one connection (ConnID 77).
+var fakeConn = stack.Handle{Host: 1, Slot: 0, Gen: 1}
+
 // fakeStack scripts the stack side of the socket protocol: it records ops
 // and replies according to a small rule set.
 type fakeStack struct {
@@ -31,13 +34,15 @@ func (f *fakeStack) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			f.appConn.Send(ctx, stack.EvConnected{ReqID: m.ReqID, Stack: f.proc, Err: errors.New("refused")})
 			return
 		}
-		f.appConn.Send(ctx, stack.EvConnected{ReqID: m.ReqID, ConnID: 77, Stack: f.proc, SendBuf: 1000})
+		f.appConn.Send(ctx, stack.EvConnected{ReqID: m.ReqID, Conn: fakeConn, ConnID: 77, Stack: f.proc, SendBuf: 1000})
 	case *stack.OpSend:
 		// Echo the data back. The box is retained in f.ops for the tests'
 		// op-sequence assertions, so it is deliberately not recycled.
-		f.appConn.Send(ctx, stack.NewEvData(f.proc, m.ConnID, append([]byte(nil), m.Data...), false))
+		f.appConn.Send(ctx, stack.NewEvData(ctx.Sim, stack.EvData{Conn: m.Conn, Stack: f.proc, ConnID: 77,
+			Data: append([]byte(nil), m.Data...)}))
 		if m.WantSpace {
-			f.appConn.Send(ctx, stack.EvSendSpace{Stack: f.proc, ConnID: m.ConnID, Available: 1000})
+			f.appConn.Send(ctx, stack.NewEvSendSpace(ctx.Sim, stack.EvSendSpace{Conn: m.Conn, Stack: f.proc,
+				ConnID: 77, Available: 1000}))
 		}
 	case stack.OpCloseListener:
 		// recorded in ops; nothing to reply
@@ -152,7 +157,8 @@ func TestListenAcceptFlow(t *testing.T) {
 		t.Fatal("listener not ready")
 	}
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.NewEvAccepted(op.ReqID, 9, fs.proc, proto.IPv4(10, 0, 0, 2), 5555, 500))
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn, ConnID: 9,
+		Stack: fs.proc, RemoteAddr: proto.IPv4(10, 0, 0, 2), RemotePort: 5555, SendBuf: 500}))
 	s.RunFor(sim.Millisecond)
 	if accepted == nil {
 		t.Fatal("no accept callback")
@@ -176,8 +182,9 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	app.proc.Deliver("go")
 	s.RunFor(sim.Millisecond)
-	app.proc.Deliver(stack.NewEvData(fs.proc, 77, nil, true))
-	app.proc.Deliver(stack.NewEvClosed(fs.proc, 77, true, stack.ErrReplicaFailure))
+	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: fakeConn, Stack: fs.proc, ConnID: 77, EOF: true}))
+	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn, Stack: fs.proc, ConnID: 77, Reset: true,
+		Err: stack.ErrReplicaFailure}))
 	s.RunFor(sim.Millisecond)
 	if !sawEOF || !sawClosed || !sawReset {
 		t.Fatalf("eof=%v closed=%v reset=%v", sawEOF, sawClosed, sawReset)
@@ -187,7 +194,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	// A second EvClosed for the same conn is ignored (already removed).
 	sawClosed = false
-	app.proc.Deliver(stack.NewEvClosed(fs.proc, 77, false, nil))
+	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn, Stack: fs.proc, ConnID: 77}))
 	s.RunFor(sim.Millisecond)
 	if sawClosed {
 		t.Fatal("duplicate close delivered")
@@ -321,7 +328,8 @@ func TestListenerClose(t *testing.T) {
 	}
 	// Accept events for the closed listener are ignored.
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.NewEvAccepted(op.ReqID, 3, fs.proc, proto.Addr{}, 0, 0))
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn, ConnID: 3,
+		Stack: fs.proc}))
 	s.RunFor(sim.Millisecond)
 	if app.lib.NumOpenSockets() != 0 {
 		t.Fatal("closed listener accepted a connection")
@@ -330,9 +338,11 @@ func TestListenerClose(t *testing.T) {
 
 func TestUnknownEventsIgnored(t *testing.T) {
 	s, fs, app := setup(t)
-	app.proc.Deliver(stack.NewEvData(fs.proc, 999, []byte("stray"), false))
-	app.proc.Deliver(stack.EvSendSpace{Stack: fs.proc, ConnID: 999})
-	app.proc.Deliver(stack.NewEvAccepted(424242, 1, fs.proc, proto.Addr{}, 0, 0))
+	stray := stack.Handle{Host: 1, Slot: 5, Gen: 9}
+	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: stray, Stack: fs.proc, ConnID: 999, Data: []byte("stray")}))
+	app.proc.Deliver(stack.NewEvSendSpace(s, stack.EvSendSpace{Conn: stray, Stack: fs.proc, ConnID: 999}))
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: 424242, Conn: stray, ConnID: 1,
+		Stack: fs.proc}))
 	s.RunFor(sim.Millisecond) // must not panic
 	if app.lib.NumOpenSockets() != 0 {
 		t.Fatal("stray events created sockets")

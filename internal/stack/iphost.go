@@ -51,11 +51,11 @@ type Egress interface {
 type driverEgress struct{ c *ipc.Conn }
 
 func (d driverEgress) Transmit(ctx *sim.Context, raw []byte) {
-	d.c.Send(ctx, nicdev.NewTxFrame(raw))
+	d.c.Send(ctx, nicdev.NewTxFrame(ctx.Sim, raw))
 }
 
 func (d driverEgress) TransmitTSO(ctx *sim.Context, t nicdev.TxTSO) {
-	d.c.Send(ctx, nicdev.NewTxTSO(t))
+	d.c.Send(ctx, nicdev.NewTxTSO(ctx.Sim, t))
 }
 
 // The host's dispatch context (h.ctx) is installed for the whole

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"neat/internal/bufpool"
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
 	"neat/internal/nicdev"
@@ -120,10 +119,10 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		// never recycled, which the ownership contract allows.
 		a.got[m.ConnID] = append(a.got[m.ConnID], m.Data...)
 		if len(m.Data) > 0 && !a.sink {
-			a.stack.Send(ctx, NewOpSend(m.ConnID, m.Data, bufpool.Ref{}, false))
+			a.stack.Send(ctx, NewOpSend(ctx.Sim, OpSend{Conn: m.Conn, Data: m.Data}))
 		}
 		if m.EOF {
-			a.stack.Send(ctx, OpClose{ConnID: m.ConnID})
+			a.stack.Send(ctx, NewOpClose(ctx.Sim, m.Conn, false))
 		}
 	case *EvClosed:
 		a.closed++
@@ -135,7 +134,7 @@ type echoClient struct {
 	proc    *sim.Proc
 	stack   *ipc.Conn
 	payload []byte
-	connID  uint64
+	conn    Handle
 	got     []byte
 	done    bool
 	fail    error
@@ -158,12 +157,12 @@ func (a *echoClient) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			a.fail = m.Err
 			return
 		}
-		a.connID = m.ConnID
-		a.stack.Send(ctx, NewOpSend(m.ConnID, a.payload, bufpool.Ref{}, false))
+		a.conn = m.Conn
+		a.stack.Send(ctx, NewOpSend(ctx.Sim, OpSend{Conn: m.Conn, Data: a.payload}))
 	case *EvData:
 		a.got = append(a.got, m.Data...)
 		if len(a.got) >= len(a.payload) {
-			a.stack.Send(ctx, OpClose{ConnID: a.connID})
+			a.stack.Send(ctx, NewOpClose(ctx.Sim, a.conn, false))
 			a.done = true
 		}
 	}
