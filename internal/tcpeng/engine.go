@@ -740,6 +740,15 @@ func (e *Engine) EmbryonicConns() int {
 	return n
 }
 
+// Conns returns the engine's connections, in no particular order.
+func (e *Engine) Conns() []*Conn {
+	cs := make([]*Conn, 0, len(e.conns))
+	for _, c := range e.conns {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
 // LookupByID returns the live connection with the given ID, or nil.
 func (e *Engine) LookupByID(id uint64) *Conn {
 	for _, c := range e.conns {
