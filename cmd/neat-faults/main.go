@@ -1,8 +1,8 @@
 // Command neat-faults runs fault-injection campaigns standalone.
 //
-// The default mode reproduces §6.6: N failing runs against a
-// multi-component NEaT stack under web load, classifying each recovery,
-// and printing the Table 3 breakdown.
+// The default mode reproduces §6.6: 100 failing runs (24 with -quick)
+// against a multi-component NEaT stack under web load, classifying each
+// recovery, and printing the Table 3 breakdown.
 //
 // -matrix runs the extended campaign instead: every fault kind (crash,
 // hang, storm) against every component of the plane (pf, ip, udp, tcp,
@@ -25,7 +25,7 @@
 //
 // Usage:
 //
-//	neat-faults [-runs N] [-seed N] [-quick]           Table 3 (§6.6)
+//	neat-faults [-seed N] [-quick]                     Table 3 (§6.6)
 //	neat-faults -matrix [-seed N] [-quick]             fault matrix
 //	neat-faults -attack [-seed N] [-quick]             goodput under attack
 //	neat-faults -replay SEED [-kind K] [-comp C]       verbose single run
@@ -43,7 +43,6 @@ import (
 
 func main() {
 	ef := cliutil.Experiment(1)
-	runs := flag.Int("runs", 100, "number of failing runs to collect (Table 3 mode)")
 	matrix := flag.Bool("matrix", false, "run the extended kind × component fault matrix")
 	attack := flag.Bool("attack", false, "run the goodput-under-attack campaign (hostile clients vs guarded replicas)")
 	replay := flag.Int64("replay", 0, "re-run one matrix run with this seed, verbosely")
@@ -71,7 +70,6 @@ func main() {
 		cliutil.Emit(experiments.FaultMatrix(o))
 		fmt.Printf("(campaign executed with quick=%v)\n", o.Quick)
 	default:
-		o.Quick = o.Quick || *runs < 100
 		cliutil.Emit(experiments.Table3(o))
 		fmt.Printf("(campaign executed with quick=%v)\n", o.Quick)
 	}

@@ -15,14 +15,12 @@ import (
 // everything a replica is configured with.
 func TestOneCompilePath(t *testing.T) {
 	cases := map[string]SystemConfig{
-		"zero": {},
-		"multi-tso": {Replicas: 3, Kind: MultiComponent, FirstCore: 4, TSO: true,
-			Watchdog: true},
+		"zero":      {},
+		"multi-tso": {Replicas: 3, Kind: MultiComponent, TSO: true, Watchdog: true},
 		"guards-and-cookies": {Guard: GuardConfig{SynBacklog: 32, HeaderDeadline: 5 * Millisecond,
-			HeaderMinBytes: 16, IdleDeadline: Second, MaxConnsPerSource: 64,
-			SynCookies: true, SynCookieWatermark: 8}},
-		"ipc":      {Replicas: 4, IPC: IPCConfig{RingDepth: 64, CoalesceWakes: true}},
-		"steering": {Steering: SteeringConfig{Policy: "ring", RingVNodes: 16, DrainDeadline: Millisecond}},
+			HeaderMinBytes: 16, IdleDeadline: Second, SynCookies: true, SynCookieWatermark: 8}},
+		"ipc":      {Replicas: 4, IPC: IPCConfig{CoalesceWakes: true}},
+		"steering": {Steering: SteeringConfig{Policy: "ring"}},
 	}
 	for name, sc := range cases {
 		sc := sc

@@ -45,7 +45,7 @@ func newSupervisedWebBed(t *testing.T, replicas, httpds, loadgens int, watchdog 
 			Syscall:  testbed.ThreadLoc{Core: 1},
 			Watchdog: watchdog,
 		},
-		ClientStacks: loadgens, ClientTCP: tcp,
+		ClientStacks: loadgens,
 	})
 	b.populate(t, httpds, loadgens, hcfg, lcfg, func(i int) (*sim.HWThread, *sim.Proc) {
 		return b.server.AppThread(2 + replicas + i), b.sys.SyscallProc()
@@ -63,7 +63,6 @@ func newBaselineWebBed(t *testing.T, contexts int, tcp tcpeng.Config,
 		Server:     testbed.AMD.Host(contexts),
 		NEaT:       testbed.NEaTConfig{TCP: tcp},
 		LinuxCores: contexts,
-		ClientTCP:  tcp,
 	})
 	b.populate(t, 1, 1, hcfg, lcfg, func(int) (*sim.HWThread, *sim.Proc) {
 		return b.server.Thread(testbed.ThreadLoc{Core: 0}), b.linux.KernelProc(0)
@@ -172,7 +171,7 @@ func TestHTTPKeepAliveEndToEnd(t *testing.T) {
 
 func TestHTTPServerKeepAliveLimit(t *testing.T) {
 	b := newWebBed(t, 1, 1, 1, tcpeng.DefaultConfig(),
-		HTTPDConfig{MaxRequestsPerConn: 5},
+		HTTPDConfig{maxRequestsPerConn: 5},
 		LoadgenConfig{Conns: 2, ReqPerConn: 100})
 	b.start()
 	b.run(100 * sim.Millisecond)
@@ -363,8 +362,8 @@ func TestResponseHeadFormat(t *testing.T) {
 func TestHTTPDRequestParsing(t *testing.T) {
 	s := sim.New(1)
 	m := sim.NewMachine(s, "m", 1, 1, 1_000_000_000)
-	h := &HTTPD{cfg: HTTPDConfig{Files: map[string]int{"/f": 20}, MaxRequestsPerConn: 1000,
-		CyclesPerRequest: 1, CyclesPerKB: 1, ChunkSize: 64 << 10}}
+	h := &HTTPD{cfg: HTTPDConfig{Files: map[string]int{"/f": 20}, maxRequestsPerConn: 1000,
+		CyclesPerRequest: 1}}
 	newConn := func() *httpConn { return &httpConn{srv: h, sock: &socketlib.Socket{}} }
 	c := newConn()
 	p := sim.NewProc(m.Thread(0, 0), "httpd", sim.HandlerFunc(func(ctx *sim.Context, msg sim.Message) {

@@ -19,11 +19,19 @@ import (
 // [2-byte ID][4-byte answer] back — the point is the traffic shape, not
 // RFC 1035.
 
+// The modeled per-query costs: the resolver's lookup (a cache hit in a real
+// resolver) and the client's per-lookup work.
+const (
+	dnsServerCyclesPerQuery = 8000
+	dnsClientCyclesPerQuery = 2000
+)
+
+// dnsNames is the rotation of queried names: a small synthetic zone.
+var dnsNames = []string{"www.sut.test", "api.sut.test", "cdn.sut.test", "db.sut.test"}
+
 // DNSServerConfig configures the resolver process.
 type DNSServerConfig struct {
 	Port uint16 // default 53
-	// CyclesPerQuery is the lookup cost (cache hit in a real resolver).
-	CyclesPerQuery int64
 }
 
 // DNSServerStats counts resolver activity.
@@ -50,9 +58,6 @@ type dnsSrvStart struct{}
 func NewDNSServer(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc.Costs, cfg DNSServerConfig) *DNSServer {
 	if cfg.Port == 0 {
 		cfg.Port = 53
-	}
-	if cfg.CyclesPerQuery == 0 {
-		cfg.CyclesPerQuery = 8000
 	}
 	s := &DNSServer{cfg: cfg}
 	s.proc = sim.NewProc(th, name, s, sim.ProcConfig{
@@ -94,7 +99,7 @@ func (s *DNSServer) onQuery(ctx *sim.Context, src proto.Addr, srcPort uint16, da
 		s.stats.BadQuery++
 		return
 	}
-	ctx.Charge(s.cfg.CyclesPerQuery)
+	ctx.Charge(dnsServerCyclesPerQuery)
 	h := uint32(2166136261)
 	for _, b := range data[2:] {
 		h = (h ^ uint32(b)) * 16777619
@@ -111,13 +116,8 @@ type DNSClientConfig struct {
 	Port   uint16 // default 53
 	// Interval paces queries (default 100 µs).
 	Interval sim.Time
-	// Names is the rotation of queried names (default a small synthetic
-	// zone).
-	Names []string
 	// Timeout expires an unanswered query (default 100 ms).
 	Timeout sim.Time
-	// CyclesPerQuery is the client-side cost per lookup.
-	CyclesPerQuery int64
 }
 
 // DNSClientStats counts lookup activity.
@@ -167,12 +167,6 @@ func NewDNSClient(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 100 * sim.Millisecond
-	}
-	if len(cfg.Names) == 0 {
-		cfg.Names = []string{"www.sut.test", "api.sut.test", "cdn.sut.test", "db.sut.test"}
-	}
-	if cfg.CyclesPerQuery == 0 {
-		cfg.CyclesPerQuery = 2000
 	}
 	c := &DNSClient{cfg: cfg}
 	c.proc = sim.NewProc(th, name, c, sim.ProcConfig{
@@ -241,8 +235,8 @@ func (c *DNSClient) tick(ctx *sim.Context) {
 		}
 		c.outstanding = c.outstanding[1:]
 	}
-	ctx.Charge(c.cfg.CyclesPerQuery)
-	name := c.cfg.Names[int(c.nextID)%len(c.cfg.Names)]
+	ctx.Charge(dnsClientCyclesPerQuery)
+	name := dnsNames[int(c.nextID)%len(dnsNames)]
 	q := make([]byte, 2+len(name))
 	q[0], q[1] = byte(c.nextID>>8), byte(c.nextID)
 	copy(q[2:], name)

@@ -23,8 +23,8 @@ import (
 //     with deterministic oldest-first shedding (GuardConfig.SynBacklog).
 //   - ConnChurn: open fully legitimate connections as fast as possible and
 //     abandon them immediately, burning connection-setup work, filter
-//     programming and accept-queue slots. Bounded by the per-source
-//     open-connection cap (GuardConfig.MaxConnsPerSource).
+//     programming and accept-queue slots. No guard bounds it: partitioning
+//     confines it to the replicas its flows hash to.
 //
 // All three support aiming: with a PortPlan the attacker fixes each
 // connection's local port, and therefore its 4-tuple, and therefore the

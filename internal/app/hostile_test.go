@@ -19,7 +19,6 @@ func serverTCPStats(b *webBed) tcpeng.Stats {
 		st := r.TCP().Stats()
 		out.SynShed += st.SynShed
 		out.SlowlorisReaped += st.SlowlorisReaped
-		out.SrcCapped += st.SrcCapped
 		out.DroppedSynBacklog += st.DroppedSynBacklog
 	}
 	return out
@@ -175,31 +174,5 @@ func TestGuardShedsSynFloodKeepsService(t *testing.T) {
 	}
 	if window < 200 {
 		t.Fatalf("goodput under guarded flood too low: %d window responses", window)
-	}
-}
-
-func TestGuardSourceCapBoundsChurn(t *testing.T) {
-	tcp := tcpeng.DefaultConfig()
-	tcp.Guard.MaxConnsPerSource = 12
-	// Loadgen is built but never started: the churner is alone, so every
-	// connection from the client host's (single) source address is hostile.
-	b := newWebBed(t, 1, 1, 1, tcp, HTTPDConfig{}, LoadgenConfig{})
-	ch := NewConnChurn(b.client.AppThread(attackerCore(1, 0)), "churn",
-		b.clisys.SyscallProc(), ipc.DefaultCosts(),
-		ConnChurnConfig{Target: b.server.IP, Port: 80, Conns: 32, Hold: 50 * sim.Millisecond})
-	ch.Start()
-	b.run(300 * sim.Millisecond)
-
-	st := serverTCPStats(b)
-	if st.SrcCapped == 0 {
-		t.Fatal("source cap never engaged")
-	}
-	if got := ch.Stats(); got.Opened < 40 {
-		t.Fatalf("churn stalled entirely: %+v", got)
-	}
-	// The server never held more than the cap (plus the handful of
-	// handshakes in flight) for this source.
-	if n := b.sys.TotalConns(); n > 16 {
-		t.Fatalf("source cap leaked: %d live conns on the server", n)
 	}
 }

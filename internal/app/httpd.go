@@ -24,18 +24,23 @@ type HTTPDConfig struct {
 	// Files maps URI path → content size in bytes (content is synthetic,
 	// cached in memory as in the paper's evaluation).
 	Files map[string]int
-	// MaxRequestsPerConn closes the connection after N requests, like the
-	// paper's lighttpd configured for 1000 requests per connection.
-	MaxRequestsPerConn int
 	// CyclesPerRequest is the application work per request (parse +
 	// dispatch + logging). Calibrated in experiments/calibrate.go.
 	CyclesPerRequest int64
-	// CyclesPerKB is the application copy cost per KiB of response body.
-	CyclesPerKB int64
-	// ChunkSize bounds how much of a large response is handed to the
-	// socket per send-space window (default 64 KiB).
-	ChunkSize int
+
+	// maxRequestsPerConn closes the connection after N requests (default
+	// 1000, the paper's lighttpd setting); the keep-alive test lowers it.
+	maxRequestsPerConn int
 }
+
+const (
+	// httpdCyclesPerKB is the application copy cost per KiB of response
+	// body.
+	httpdCyclesPerKB = 600
+	// httpdChunkSize bounds how much of a large response is handed to the
+	// socket per send-space window.
+	httpdChunkSize = 64 << 10
+)
 
 // HTTPDStats counts server activity.
 type HTTPDStats struct {
@@ -84,17 +89,11 @@ func NewHTTPD(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc
 	if cfg.Backlog == 0 {
 		cfg.Backlog = 1024
 	}
-	if cfg.MaxRequestsPerConn == 0 {
-		cfg.MaxRequestsPerConn = 1000
+	if cfg.maxRequestsPerConn == 0 {
+		cfg.maxRequestsPerConn = 1000
 	}
 	if cfg.CyclesPerRequest == 0 {
 		cfg.CyclesPerRequest = 30000
-	}
-	if cfg.CyclesPerKB == 0 {
-		cfg.CyclesPerKB = 600
-	}
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = 64 << 10
 	}
 	h := &HTTPD{cfg: cfg}
 	h.onClosed = h.connClosed
@@ -204,7 +203,7 @@ func (c *httpConn) handleRequest(ctx *sim.Context, req []byte) {
 		return
 	}
 	c.served++
-	if c.served >= h.cfg.MaxRequestsPerConn {
+	if c.served >= h.cfg.maxRequestsPerConn {
 		wantClose = true
 	}
 	c.respondFile(ctx, size, wantClose)
@@ -253,14 +252,14 @@ func (c *httpConn) respond(ctx *sim.Context, status, body string, closeAfter boo
 func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 	h := c.srv
 	n := headLen("200 OK", size, closeAfter)
-	ctx.Charge(h.cfg.CyclesPerKB * int64(size/1024+1))
+	ctx.Charge(httpdCyclesPerKB * int64(size/1024+1))
 	h.stats.Responses++
 	h.stats.BytesOut += uint64(n + size)
 
 	if closeAfter {
 		c.closing = true
 	}
-	if n+size <= h.cfg.ChunkSize {
+	if n+size <= httpdChunkSize {
 		ref := h.arena.Alloc(n + size)
 		appendHead(ref.B[:0], "200 OK", size, closeAfter)
 		fillSynthetic(ref.B[n:])
@@ -280,7 +279,7 @@ func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 // pump generates and pushes body chunks within the socket's credit.
 func (c *httpConn) pump(ctx *sim.Context) {
 	for c.sendRemaining > 0 {
-		n := c.srv.cfg.ChunkSize
+		n := httpdChunkSize
 		if n > c.sendRemaining {
 			n = c.sendRemaining
 		}

@@ -18,9 +18,8 @@
 //     connections and nothing else (§3.6, Table 3);
 //   - scaling — spawning replicas under load and lazily terminating them
 //     when load drops: terminating replicas leave the placement plane but
-//     serve their existing connections until the count drops to zero or,
-//     when a drain deadline is configured, until the deadline force-closes
-//     the stragglers (§3.4);
+//     serve their existing connections until the count drops to zero
+//     (§3.4);
 //   - the SYSCALL server, which fans out listens and routes connects to
 //     the replica the placement policy picks (random under the default
 //     hash policy) — the address-space re-randomization of §3.8 falls out
@@ -102,15 +101,9 @@ type Config struct {
 	// incarnation restores the latest snapshot instead of losing the
 	// connections. 0 disables (the paper's default, stateless recovery).
 	CheckpointInterval sim.Time
-	// UseNICFlowTracking enables the paper's proposed hardware extension
-	// (§4): the NIC itself pins every flow to the queue RSS first assigned
-	// it, removing the need for software-managed per-connection filters.
-	// The table holds nicTrackingTableSize flows.
-	UseNICFlowTracking bool
-	// Steering selects the flow-placement policy and the scale-down drain
-	// behaviour (internal/steer). The zero value is the paper's placement:
-	// hash steering with a uniformly random connect-side choice, and lazy
-	// termination that drains without a deadline.
+	// Steering selects the flow-placement policy (internal/steer). The
+	// zero value is the paper's placement: hash steering with a uniformly
+	// random connect-side choice.
 	Steering steer.Config
 	// Watchdog switches failure detection to heartbeat probing (watchdog.go).
 	// Disabled by default: paper-fidelity mode keeps the instantaneous
@@ -130,10 +123,6 @@ type Config struct {
 // replacement process; the watchdog's respawn backoff doubles it.
 const recoveryDelay = 500 * sim.Microsecond
 
-// nicTrackingTableSize bounds the NIC's flow-tracking table: the capacity
-// the paper quotes for Intel 10G filters.
-const nicTrackingTableSize = 8192
-
 // Stats counts management-plane events.
 type Stats struct {
 	Recoveries          uint64 // replica/component restarts
@@ -152,8 +141,6 @@ type Stats struct {
 	SlotsQuarantined    uint64 // slots fenced by escalation (step 3)
 	DriverRecoveries    uint64 // NIC driver respawns
 	SyscallRecoveries   uint64 // SYSCALL server respawns
-	DrainDeadlineFires  uint64 // scale-down drains cut short by the deadline
-	DrainForcedCloses   uint64 // straggler connections dropped by drain deadlines
 }
 
 // ErrNoFreeSlot is returned by ScaleUp when every slot is in use.
@@ -210,11 +197,6 @@ type slot struct {
 	// failTimes is the slot's sliding failure window (escalation + backoff).
 	failTimes []sim.Time
 
-	// drainSeq guards drain-deadline callbacks: it advances every time the
-	// slot starts terminating, so a deadline armed for an earlier drain
-	// cannot fire into a slot that has since been collected and reused.
-	drainSeq uint64
-
 	// Recovery-cycle bookkeeping: set when the slot enters SlotRecovering,
 	// updated if further components die before the respawn fires, consumed
 	// by completeRecovery. Keeping it on the slot (instead of captured in
@@ -261,16 +243,12 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	}
 	sys.placer = placer
 	cfg.NIC.SetRSSPolicy(placer)
-	if cfg.UseNICFlowTracking {
-		cfg.NIC.EnableFlowTracking(nicTrackingTableSize)
-	}
 	sys.sys = sysserver.New(cfg.SyscallThread, sys, cfg.Stack.IPC)
 	for i := 0; i < cfg.InitialReplicas && i < len(sys.slots); i++ {
 		sys.activate(sys.slots[i])
 	}
 	sys.updatePlacement()
-	sys.eventf("steer", "placement policy %s (drain deadline %v)",
-		placer.Name(), cfg.Steering.DrainDeadline)
+	sys.eventf("steer", "placement policy %s", placer.Name())
 	if cfg.CheckpointInterval > 0 {
 		sys.scheduleCheckpoints()
 	}
@@ -357,8 +335,6 @@ func (sys *System) Metrics() *metrics.Registry {
 	r.SetCounter("core.slots_quarantined", st.SlotsQuarantined)
 	r.SetCounter("core.driver_recoveries", st.DriverRecoveries)
 	r.SetCounter("core.syscall_recoveries", st.SyscallRecoveries)
-	r.SetCounter("core.drain_deadline_fires", st.DrainDeadlineFires)
-	r.SetCounter("core.drain_forced_closes", st.DrainForcedCloses)
 
 	ns := sys.cfg.NIC.Stats()
 	r.SetCounter("nic.rx_frames", ns.RxFrames)
@@ -370,9 +346,6 @@ func (sys *System) Metrics() *metrics.Registry {
 	r.SetCounter("nic.tx_frames", ns.TxFrames)
 	r.SetCounter("nic.tso_requests", ns.TSORequests)
 	r.SetCounter("nic.tso_segments", ns.TSOSegments)
-	r.SetCounter("nic.track_hits", ns.TrackHits)
-	r.SetCounter("nic.track_inserts", ns.TrackInserts)
-	r.SetCounter("nic.track_evictions", ns.TrackEvictions)
 
 	ds := sys.cfg.Driver.Stats()
 	r.SetCounter("driver.rx_dispatched", ds.RxDispatched)
@@ -390,7 +363,7 @@ func (sys *System) Metrics() *metrics.Registry {
 	// attacked and clean replicas shows up in the per-replica connection
 	// gauges; the totals here are what the goodput-under-attack campaign
 	// asserts on.
-	var synShed, slowReaped, srcCapped uint64
+	var synShed, slowReaped uint64
 	var cookiesSent, cookiesValidated, cookiesRejected uint64
 	for _, sl := range sys.slots {
 		if sl.replica == nil {
@@ -399,14 +372,12 @@ func (sys *System) Metrics() *metrics.Registry {
 		ts := sl.replica.TCP().Stats()
 		synShed += ts.SynShed
 		slowReaped += ts.SlowlorisReaped
-		srcCapped += ts.SrcCapped
 		cookiesSent += ts.SynCookiesSent
 		cookiesValidated += ts.SynCookiesValidated
 		cookiesRejected += ts.SynCookiesRejected
 	}
 	r.SetCounter("stack.syn_shed", synShed)
 	r.SetCounter("stack.slowloris_reaped", slowReaped)
-	r.SetCounter("stack.src_capped", srcCapped)
 	r.SetCounter("stack.syn_cookies_sent", cookiesSent)
 	r.SetCounter("stack.syn_cookies_validated", cookiesValidated)
 	r.SetCounter("stack.syn_cookies_rejected", cookiesRejected)
@@ -692,9 +663,7 @@ func (sys *System) ScaleUp() (*stack.Replica, error) {
 // one under LeastLoadedPolicy): it stops receiving new connections
 // (removed from the placer and from connect selection) but keeps its
 // flow-director pins and serves existing connections until they drain,
-// then is collected — the lazy termination strategy of §3.4. With
-// Steering.DrainDeadline set, a drain that outlives the deadline is cut
-// short: the stragglers are forcibly closed and the replica retires.
+// then is collected — the lazy termination strategy of §3.4.
 func (sys *System) ScaleDown() error {
 	idx := sys.placer.PickRetire()
 	if idx < 0 {
@@ -708,62 +677,16 @@ func (sys *System) ScaleDown() error {
 }
 
 // retire transitions an active slot into the terminating (draining)
-// state and arms the drain deadline when one is configured.
+// state, collecting it at once when it holds no connection.
 func (sys *System) retire(sl *slot) {
 	sl.state = SlotTerminating
-	sl.drainSeq++
 	sys.stats.ScaleDowns++
 	sys.eventf("scale-down", "slot %d terminating lazily (%d conns draining)",
 		sl.index, sl.replica.TCP().NumConns())
 	sys.updatePlacement()
 	if sl.replica.TCP().NumConns() == 0 {
 		sys.collect(sl)
-		return
 	}
-	sys.armDrainDeadline(sl)
-}
-
-// armDrainDeadline schedules the forced end of a slot's drain when
-// Steering.DrainDeadline is configured (no-op otherwise). The callback is
-// sequence-guarded so it cannot fire into a slot that drained naturally
-// and was since reused.
-func (sys *System) armDrainDeadline(sl *slot) {
-	dl := sys.cfg.Steering.DrainDeadline
-	if dl <= 0 {
-		return
-	}
-	seq := sl.drainSeq
-	sys.eventf("drain", "slot %d drain deadline armed (%v)", sl.index, dl)
-	sys.s.After(dl, func() { sys.drainDeadline(sl, seq) })
-}
-
-// drainDeadline fires when a terminating replica has not drained within
-// the configured deadline: every straggler connection is forcibly closed
-// (its filter removed, its owning application notified with
-// stack.ErrReplicaRetired) and the replica retires immediately.
-// Connections are dropped in ascending ID order so the teardown is
-// deterministic.
-func (sys *System) drainDeadline(sl *slot, seq uint64) {
-	if sl.state != SlotTerminating || sl.drainSeq != seq || sl.replica == nil {
-		return // drained naturally, recovering, or slot reused since arming
-	}
-	r := sl.replica
-	conns := r.Conns()
-	sys.stats.DrainDeadlineFires++
-	sys.eventf("drain-deadline", "slot %d deadline fired: dropping %d straggler connection(s)",
-		sl.index, len(conns))
-	for _, c := range conns {
-		if sys.cfg.UseFlowFilters {
-			sys.cfg.NIC.RemoveFilter(c.InboundFlow())
-			sys.stats.FiltersRemoved++
-		}
-		sys.stats.ConnectionsLost++
-		sys.stats.DrainForcedCloses++
-		if sys.conns[r][c.ID] != nil {
-			sys.notifyLost(r, c, r.SockProc(), stack.ErrReplicaRetired)
-		}
-	}
-	sys.collect(sl)
 }
 
 // collect garbage-collects a drained terminating replica.
@@ -1018,18 +941,6 @@ func (sys *System) completeRecovery(sl *slot) {
 	sys.updatePlacement()
 	sys.superviseReplica(sl)
 	sys.eventf("respawn", "slot %d back to %s", sl.index, sl.state)
-	if sl.state == SlotTerminating && sys.cfg.Steering.DrainDeadline > 0 {
-		// The crash voided the previously armed deadline's view of the
-		// world (stateless recovery may have dropped every draining
-		// connection). Collect immediately if nothing is left, otherwise
-		// restart the drain clock for the new incarnation.
-		if r.TCP().NumConns() == 0 {
-			sys.collect(sl)
-		} else {
-			sl.drainSeq++
-			sys.armDrainDeadline(sl)
-		}
-	}
 }
 
 // quarantine permanently fences a slot that keeps failing: processes

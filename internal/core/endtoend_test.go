@@ -3,8 +3,6 @@ package core_test
 import (
 	"testing"
 
-	"neat/internal/app"
-	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/proto"
 	"neat/internal/sim"
@@ -12,67 +10,6 @@ import (
 	"neat/internal/stack"
 	"neat/internal/testbed"
 )
-
-// TestNICFlowTrackingReplacesSoftwareFilters exercises the paper's §4
-// proposal: with hardware flow tracking, NEaT needs no software-managed
-// per-connection filters, and lazy termination still keeps existing
-// connections on their replica after the RSS set shrinks.
-func TestNICFlowTrackingReplacesSoftwareFilters(t *testing.T) {
-	b := bootBed(t, 13, testbed.NEaTConfig{
-		Kind:               stack.Single,
-		Slots:              testbed.SingleSlots(2, 2),
-		Syscall:            testbed.ThreadLoc{Core: 1},
-		DisableFlowFilters: true,
-		UseNICFlowTracking: true,
-	})
-	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys
-	h := app.NewHTTPD(server.AppThread(6), "web", sys.SyscallProc(),
-		ipc.DefaultCosts(), app.HTTPDConfig{Port: 8000, Files: map[string]int{"/f": 20}})
-	h.Start()
-	lg := app.NewLoadgen(client.AppThread(6), "gen", clisys.SyscallProc(),
-		ipc.DefaultCosts(), app.LoadgenConfig{
-			Target: server.IP, Port: 8000, URI: "/f",
-			Conns: 16, ReqPerConn: 1 << 30, // effectively endless keep-alive
-			Timeout: 300 * sim.Millisecond,
-		})
-	n.Sim.RunFor(2 * sim.Millisecond)
-	lg.Start()
-	n.Sim.RunFor(100 * sim.Millisecond)
-
-	if server.NIC.NumFilters() != 0 {
-		t.Fatalf("software filters installed despite tracking: %d", server.NIC.NumFilters())
-	}
-	if server.NIC.NumTrackedFlows() == 0 {
-		t.Fatal("hardware tracking table empty")
-	}
-	usedBoth := 0
-	for _, r := range sys.Replicas() {
-		if r.TCP().NumEstablished() > 0 {
-			usedBoth++
-		}
-	}
-	if usedBoth != 2 {
-		t.Skip("seed placed all connections on one replica")
-	}
-
-	// Lazy termination: the terminating replica leaves RSS but its tracked
-	// flows keep arriving; existing connections must keep completing
-	// requests with zero errors.
-	if err := sys.ScaleDown(); err != nil {
-		t.Fatal(err)
-	}
-	before := lg.Stats().ResponsesOK
-	n.Sim.RunFor(150 * sim.Millisecond)
-	if lg.Stats().ConnErrors != 0 {
-		t.Fatalf("tracking failed during lazy termination: %d errors", lg.Stats().ConnErrors)
-	}
-	if lg.Stats().ResponsesOK <= before {
-		t.Fatal("no progress during lazy termination")
-	}
-	if got := sys.SlotStates()[1]; got != core.SlotTerminating {
-		t.Fatalf("slot state: %v", sys.SlotStates())
-	}
-}
 
 // TestCheckpointedRecoveryKeepsConnections enables checkpoint-based
 // stateful recovery: connections survive a TCP crash, the applications

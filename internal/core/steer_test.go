@@ -13,7 +13,7 @@ import (
 )
 
 // newSteerBed is newBed with an explicit seed and steering configuration:
-// the placement-plane tests need non-default policies and drain deadlines.
+// the placement-plane tests need non-default policies.
 func newSteerBed(t *testing.T, seed int64, kind stack.Kind, slots [][]testbed.ThreadLoc,
 	initial int, steering steer.Config) *bed {
 	t.Helper()
@@ -88,11 +88,9 @@ func (a *talkerApp) pingAll(b *bed) int {
 // TestDrainScaleDown is the graceful-drain acceptance test: scaling down
 // mid-burst must lose zero established connections — in-flight requests
 // on the retiring replica complete, only new placement avoids it, and the
-// slot is collected once its last connection closes (well before the
-// generous deadline).
+// slot is collected once its last connection closes.
 func TestDrainScaleDown(t *testing.T) {
-	b := newSteerBed(t, 7, stack.Single, testbed.SingleSlots(2, 2), 2,
-		steer.Config{DrainDeadline: 2 * sim.Second})
+	b := newSteerBed(t, 7, stack.Single, testbed.SingleSlots(2, 2), 2, steer.Config{})
 	b.connect(30)
 	// Let the burst get established but not complete, then retire a slot.
 	b.net.Sim.RunFor(500 * sim.Microsecond)
@@ -105,9 +103,6 @@ func TestDrainScaleDown(t *testing.T) {
 			b.cli.done, b.cli.failed, b.cli.resets)
 	}
 	st := b.sys.Stats()
-	if st.DrainForcedCloses != 0 || st.DrainDeadlineFires != 0 {
-		t.Fatalf("graceful drain used force: %+v", st)
-	}
 	if st.ConnectionsLost != 0 {
 		t.Fatalf("connections lost during drain: %d", st.ConnectionsLost)
 	}
@@ -117,49 +112,6 @@ func TestDrainScaleDown(t *testing.T) {
 	}
 	if b.sys.Stats().ReplicasGarbage != 1 {
 		t.Fatalf("stats: %+v", b.sys.Stats())
-	}
-}
-
-// TestDrainDeadlineForcesRetirement: when the drain deadline fires with
-// connections still alive, they are reset (the server app observes
-// ErrReplicaRetired) and the slot is collected anyway.
-func TestDrainDeadlineForcesRetirement(t *testing.T) {
-	b := newSteerBed(t, 7, stack.Single, testbed.SingleSlots(2, 2), 2,
-		steer.Config{DrainDeadline: 50 * sim.Millisecond})
-	holder := newHolderApp(b)
-	for i := 0; i < 12; i++ {
-		holder.proc.Deliver("hold")
-	}
-	b.net.Sim.RunFor(200 * sim.Millisecond)
-	if holder.open != 12 {
-		t.Fatalf("held=%d", holder.open)
-	}
-	victim := b.sys.Replicas()[1]
-	held := victim.TCP().NumConns()
-	if held == 0 {
-		t.Skip("seed put no connections on the retiring replica")
-	}
-	if err := b.sys.ScaleDown(); err != nil {
-		t.Fatal(err)
-	}
-	if b.sys.SlotStates()[1] != core.SlotTerminating {
-		t.Fatalf("states after down: %v", b.sys.SlotStates())
-	}
-	b.net.Sim.RunFor(200 * sim.Millisecond)
-
-	st := b.sys.Stats()
-	if st.DrainDeadlineFires != 1 {
-		t.Fatalf("deadline fires = %d, want 1 (%+v)", st.DrainDeadlineFires, st)
-	}
-	if int(st.DrainForcedCloses) != held {
-		t.Fatalf("forced closes = %d, want %d", st.DrainForcedCloses, held)
-	}
-	if b.sys.SlotStates()[1] != core.SlotEmpty {
-		t.Fatalf("slot not collected after deadline: %v", b.sys.SlotStates())
-	}
-	// The server application owns the reset sockets and is told.
-	if b.app.failures != held {
-		t.Fatalf("server app saw %d resets, want %d", b.app.failures, held)
 	}
 }
 

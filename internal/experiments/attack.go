@@ -221,7 +221,6 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 		st := r.TCP().Stats()
 		out.guard.SynShed += st.SynShed
 		out.guard.SlowlorisReaped += st.SlowlorisReaped
-		out.guard.SrcCapped += st.SrcCapped
 		out.guard.DroppedSynBacklog += st.DroppedSynBacklog
 		out.guard.SynCookiesSent += st.SynCookiesSent
 		out.guard.SynCookiesValidated += st.SynCookiesValidated

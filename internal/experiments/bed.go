@@ -115,7 +115,7 @@ type BedConfig struct {
 	LinuxTuning baseline.Tuning
 
 	// Steering configures the server's flow placement plane (zero value:
-	// legacy RSS hash, no drain deadline).
+	// legacy RSS hash).
 	Steering steer.Config
 
 	// Guard configures the server replicas' per-replica resource guards
@@ -123,7 +123,7 @@ type BedConfig struct {
 	// are never guarded.
 	Guard tcpeng.GuardConfig
 
-	// IPC tunes the server system's modeled message rings (ring depth,
+	// IPC tunes the server system's modeled message rings (wake/
 	// doorbell coalescing). Zero value: calibrated per-message doorbells.
 	IPC ipc.Tuning
 

@@ -47,12 +47,6 @@ type ClusterBedConfig struct {
 	ReplicasPerMember int
 	Clients           int
 	Tenants           int
-	// InitialActive members per farm (default all; fewer leaves standby
-	// capacity for the farm autoscaler).
-	InitialActive int
-	// Control tunes every farm's controller (health interval, autoscale
-	// watermarks).
-	Control testbed.FarmControlConfig
 
 	// Workload: each client machine runs one load generator per farm of
 	// its tenant, targeting the farm VIP.
@@ -64,7 +58,7 @@ type ClusterBedConfig struct {
 	// Observe attaches the message tracer (per-tier latency breakdowns).
 	Observe bool
 
-	// IPC tunes every member's modeled message rings (ring depth, doorbell
+	// IPC tunes every member's modeled message rings (doorbell
 	// coalescing). Zero value: calibrated per-message doorbells.
 	IPC ipc.Tuning
 }
@@ -150,18 +144,16 @@ func NewClusterBed(cfg ClusterBedConfig) (*ClusterBed, error) {
 		host := testbed.AMD.Host(8)
 		host.Cores = max(host.Cores, 2+cfg.ReplicasPerMember+1)
 		spec.Farms = append(spec.Farms, testbed.FarmSpec{
-			Name:          fmt.Sprintf("farm%d", fi),
-			Tenant:        tenantName(fi % cfg.Tenants),
-			Members:       cfg.MembersPerFarm,
-			InitialActive: cfg.InitialActive,
-			Host:          host,
+			Name:    fmt.Sprintf("farm%d", fi),
+			Tenant:  tenantName(fi % cfg.Tenants),
+			Members: cfg.MembersPerFarm,
+			Host:    host,
 			NEaT: testbed.NEaTConfig{
 				Slots:   testbed.SingleSlots(2, cfg.ReplicasPerMember),
 				Syscall: testbed.ThreadLoc{Core: 1},
 				IPC:     cfg.IPC,
 			},
-			Trace:   tr,
-			Control: cfg.Control,
+			Trace: tr,
 		})
 	}
 	for k := 0; k < cfg.Clients; k++ {

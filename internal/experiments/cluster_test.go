@@ -6,7 +6,6 @@ import (
 	"neat/internal/faultinject"
 	"neat/internal/sim"
 	"neat/internal/testbed"
-	"neat/internal/wire"
 )
 
 // TestClusterBedTracesEveryMember: an observed cluster bed has one tracer,
@@ -131,9 +130,6 @@ func TestClusterFailover(t *testing.T) {
 	if b.Cluster.Farms[0].Members[1].Alive() {
 		t.Fatal("killed member still marked alive")
 	}
-	if st := b.Cluster.Farms[0].Service.BackendState(1); st != wire.BackendDown {
-		t.Fatalf("killed member's backend is %v, want down", st)
-	}
 
 	// No clean farm sees an error or a discarded (partial) response:
 	// zero lost bytes outside the blast radius.
@@ -175,66 +171,6 @@ func TestClusterFailover(t *testing.T) {
 	// zero active backends.
 	if n := b.Cluster.Farms[0].Service.NumActive(); n != 1 {
 		t.Fatalf("wounded farm has %d active backends, want 1", n)
-	}
-}
-
-// TestClusterAutoscale drives one farm past its high watermark and checks
-// the controller activates standby capacity, then drains it when the load
-// falls away.
-func TestClusterAutoscale(t *testing.T) {
-	b, err := NewClusterBed(ClusterBedConfig{
-		Seed:           1,
-		Farms:          1,
-		Tenants:        1,
-		Clients:        2,
-		MembersPerFarm: 3,
-		InitialActive:  1,
-		ConnsPerGen:    8,
-		ReqPerConn:     20,
-		Control: testbed.FarmControlConfig{
-			HighWater: 4,
-			LowWater:  1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	farm := b.Cluster.Farms[0]
-	if n := farm.Service.NumActive(); n != 1 {
-		t.Fatalf("farm starts with %d active members, want 1", n)
-	}
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Sim.RunFor(20 * sim.Millisecond)
-	ups := 0
-	for _, ev := range b.Cluster.Events() {
-		if ev.Kind == testbed.FarmScaleUp {
-			ups++
-		}
-	}
-	if ups == 0 {
-		t.Fatalf("no scale-up under load; events: %+v, active=%d",
-			b.Cluster.Events(), farm.Service.NumActive())
-	}
-	if n := farm.Service.NumActive(); n < 2 {
-		t.Fatalf("farm has %d active members after load, want >= 2", n)
-	}
-	// Load off: generators stop replacing finished connections. The drain
-	// run must outlive TIME_WAIT — TotalConns counts every live PCB, and
-	// the controller only sees the mean drop once reaping clears them.
-	for _, g := range b.Gens {
-		g.Stop()
-	}
-	b.Sim.RunFor(3 * sim.Second)
-	downs := 0
-	for _, ev := range b.Cluster.Events() {
-		if ev.Kind == testbed.FarmScaleDown {
-			downs++
-		}
-	}
-	if downs == 0 {
-		t.Fatalf("no scale-down after load fell away; events: %+v", b.Cluster.Events())
 	}
 }
 
@@ -290,11 +226,6 @@ func TestClusterSpecValidation(t *testing.T) {
 			Clients: []testbed.ClientSpec{{}}}, // duplicate name
 		{Farms: []testbed.FarmSpec{{Name: "f", Members: 1}},
 			Clients: []testbed.ClientSpec{{Tenant: "ghost"}}}, // tenant owns no farm
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 2, InitialActive: 3}},
-			Clients: []testbed.ClientSpec{{}}}, // InitialActive > Members
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 1,
-			Control: testbed.FarmControlConfig{HighWater: 2, LowWater: 5}}},
-			Clients: []testbed.ClientSpec{{}}}, // low >= high
 	}
 	for i, spec := range cases {
 		if _, err := testbed.NewCluster(s, spec); err == nil {

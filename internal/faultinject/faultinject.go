@@ -146,8 +146,8 @@ func New(rng *rand.Rand, components []Component) *Injector {
 	return inj
 }
 
-// Pick selects a component name with probability proportional to weight.
-func (inj *Injector) Pick() string {
+// pick selects a component name with probability proportional to weight.
+func (inj *Injector) pick() string {
 	x := inj.rng.Float64() * inj.total
 	for _, c := range inj.components {
 		x -= c.Weight
@@ -189,7 +189,7 @@ func (inj *Injector) Inject(sys *core.System) (Injection, bool) {
 		return Injection{}, false
 	}
 	r := replicas[inj.rng.Intn(len(replicas))]
-	comp := inj.Pick()
+	comp := inj.pick()
 	target := Target(sys, r, comp)
 	injection := Injection{
 		Component:     comp,

@@ -25,7 +25,7 @@ func TestPickDistribution(t *testing.T) {
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[inj.Pick()]++
+		counts[inj.pick()]++
 	}
 	got := float64(counts["tcp"]) / n
 	if math.Abs(got-0.462) > 0.02 {
@@ -51,7 +51,7 @@ func TestMatrixComponentsExtendDefault(t *testing.T) {
 	counts := map[string]int{}
 	const n = 20000
 	for i := 0; i < n; i++ {
-		counts[inj.Pick()]++
+		counts[inj.pick()]++
 	}
 	for _, name := range []string{"driver", "syscall"} {
 		if counts[name] == 0 {
@@ -155,7 +155,7 @@ func TestOutcomeStrings(t *testing.T) {
 
 func TestCustomComponents(t *testing.T) {
 	inj := New(rand.New(rand.NewSource(1)), []Component{{Name: "only", Weight: 1}})
-	if inj.Pick() != "only" {
+	if inj.pick() != "only" {
 		t.Fatal("single component not picked")
 	}
 	if inj.TCPShare() != 0 {

@@ -29,15 +29,12 @@
 // replica into existing channels.
 package ipc
 
-import (
-	"fmt"
+import "neat/internal/sim"
 
-	"neat/internal/sim"
-)
-
-// DefaultRingDepth is the per-connection in-flight bound when
-// Costs.RingDepth is zero: deep enough that the default campaigns never
-// stall, shallow enough to bound a runaway sender.
+// DefaultRingDepth is the per-connection in-flight bound: deep enough that
+// the default campaigns never stall, shallow enough to bound a runaway
+// sender. A send finding the ring full stalls the sender until the head
+// slot frees (counted as sim.ipc.stalls).
 const DefaultRingDepth = 8192
 
 // DefaultDoorbellCycles is the share of SendCycles attributed to the
@@ -45,32 +42,18 @@ const DefaultRingDepth = 8192
 // Costs.DoorbellCycles is zero. A coalesced send saves exactly this.
 const DefaultDoorbellCycles = 120
 
-// Tuning is the pair of ring knobs a system builder sets per system; the
-// remaining Costs are calibration. It is declared here, beside the ring it
-// shapes, and every layer above (stack templates, testbed, experiment beds,
-// the neat facade) carries this type instead of restating its fields. The
-// zero value is the calibrated behavior: a per-message doorbell and the
-// package-default ring depth.
+// Tuning is the ring knob a system builder sets per system; the remaining
+// Costs are calibration. It is declared here, beside the ring it shapes,
+// and every layer above (stack templates, testbed, experiment beds, the
+// neat facade) carries this type instead of restating its field. The zero
+// value is the calibrated behavior: a per-message doorbell.
 type Tuning struct {
-	// RingDepth bounds the in-flight messages per connection; a send
-	// finding the ring full stalls the sender until the head slot frees
-	// (counted as sim.ipc.stalls). 0 selects DefaultRingDepth.
-	RingDepth int
 	// CoalesceWakes enables doorbell/wake coalescing: a sender touching an
 	// already-armed ring skips the doorbell (saving DoorbellCycles) and
 	// its message shares the in-flight predecessor's delivery window; the
 	// receiver drains the ring until empty before re-arming. Off by
 	// default — per-message doorbells, the calibrated behavior.
 	CoalesceWakes bool
-}
-
-// Validate reports an out-of-range knob. The message starts at the field
-// name so callers can prefix the path their user wrote it under.
-func (t Tuning) Validate() error {
-	if t.RingDepth < 0 {
-		return fmt.Errorf("RingDepth is %d; want 0 (default %d) or a positive in-flight bound", t.RingDepth, DefaultRingDepth)
-	}
-	return nil
 }
 
 // Costs parameterizes a channel.
@@ -84,11 +67,15 @@ type Costs struct {
 	// SlowLatency is the latency when sender and receiver share a hardware
 	// thread and the kernel must schedule the receiver.
 	SlowLatency sim.Time
-	// Tuning holds the ring depth and wake coalescing.
+	// Tuning holds wake coalescing.
 	Tuning
 	// DoorbellCycles is the portion of SendCycles a coalesced send skips.
 	// Only read when CoalesceWakes is on; 0 selects DefaultDoorbellCycles.
 	DoorbellCycles int64
+
+	// ringDepth overrides DefaultRingDepth when positive; the ring tests
+	// shrink it to force stalls.
+	ringDepth int
 }
 
 // DefaultCosts returns the calibrated channel costs: a ~200-cycle enqueue,
@@ -102,11 +89,11 @@ func DefaultCosts() Costs {
 	}
 }
 
-func (c Costs) ringDepth() int {
-	if c.RingDepth <= 0 {
+func (c Costs) depth() int {
+	if c.ringDepth <= 0 {
 		return DefaultRingDepth
 	}
-	return c.RingDepth
+	return c.ringDepth
 }
 
 func (c Costs) doorbellCycles() int64 {
@@ -234,9 +221,6 @@ func New(peer *sim.Proc, costs Costs) *Conn {
 	return &Conn{peer: peer, costs: costs}
 }
 
-// Peer returns the current destination process.
-func (c *Conn) Peer() *sim.Proc { return c.peer }
-
 // Rebind points the connection at a new peer process and discards the
 // in-flight ring state: messages queued towards the old incarnation are
 // gone with it. The recovery manager uses this to splice a freshly spawned
@@ -249,10 +233,6 @@ func (c *Conn) Rebind(peer *sim.Proc) {
 
 // Stats returns a snapshot of the counters.
 func (c *Conn) Stats() Stats { return c.stats }
-
-// InFlight returns the current modeled ring occupancy (sent messages whose
-// delivery deadline has not yet passed).
-func (c *Conn) InFlight() int { return c.ring.n }
 
 // Inject delivers msg to the peer immediately, outside any simulated
 // process context. The management plane uses it where it previously wrote
@@ -300,7 +280,7 @@ func (c *Conn) Send(ctx *sim.Context, msg sim.Message) {
 	cycles := c.costs.SendCycles
 	delay := lat
 	switch {
-	case c.ring.n >= c.costs.ringDepth():
+	case c.ring.n >= c.costs.depth():
 		// Full ring: deterministic sender-side backpressure. The sender
 		// spins until the receiver consumes the head slot, then enqueues;
 		// the message cannot deliver before that slot freed.

@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"strings"
 	"testing"
 
 	"neat/internal/sim"
@@ -77,7 +76,7 @@ func TestRebindAfterCrash(t *testing.T) {
 	if len(got) != 2 || got[0] != "old:one" || got[1] != "new:two" {
 		t.Fatalf("got %v", got)
 	}
-	if conn.Peer() != replacement {
+	if conn.peer != replacement {
 		t.Fatal("peer not rebound")
 	}
 }
@@ -93,18 +92,5 @@ func TestNilPeerDropsSilently(t *testing.T) {
 	s.Drain() // must not panic
 	if conn.Stats().Sent != 0 {
 		t.Fatalf("sent on nil peer: %+v", conn.Stats())
-	}
-}
-
-// TestTuningValidate is the range table of the ring knobs, beside their
-// one declaration.
-func TestTuningValidate(t *testing.T) {
-	for _, ok := range []Tuning{{}, {RingDepth: 1}, {RingDepth: 1 << 20, CoalesceWakes: true}} {
-		if err := ok.Validate(); err != nil {
-			t.Errorf("%+v: Validate() = %v, want nil", ok, err)
-		}
-	}
-	if err := (Tuning{RingDepth: -1}).Validate(); err == nil || !strings.Contains(err.Error(), "RingDepth") {
-		t.Errorf("negative depth: Validate() = %v, want mention of RingDepth", err)
 	}
 }

@@ -76,11 +76,11 @@ func TestIPCBatchDrainZeroAlloc(t *testing.T) {
 }
 
 // TestIPCRingOverflowStalls pins the deterministic backpressure semantics:
-// a burst overrunning RingDepth stalls the sender on the head slot, counts
+// a burst overrunning the ring depth stalls the sender on the head slot, counts
 // the stall on both the connection and the simulator, keeps delivery FIFO,
 // and never delivers a stalled message before the slot it waited for freed.
 func TestIPCRingOverflowStalls(t *testing.T) {
-	costs := Costs{SendCycles: 100, FastLatency: 300, SlowLatency: 5000, Tuning: Tuning{RingDepth: 2}}
+	costs := Costs{SendCycles: 100, FastLatency: 300, SlowLatency: 5000, ringDepth: 2}
 	h := newRingHarness(costs)
 	h.src.Deliver(4) // one activation, four sends, depth 2 → two stalls
 	h.s.Drain()
@@ -200,7 +200,7 @@ func TestIPCCoalescedRideFIFO(t *testing.T) {
 
 // TestIPCDepthHighWater pins the occupancy instrumentation: the high-water
 // mark reflects the deepest in-flight burst, on the connection and the
-// simulator alike, and InFlight drains as simulated time passes deadlines.
+// simulator alike, and the ring occupancy drains as simulated time passes deadlines.
 func TestIPCDepthHighWater(t *testing.T) {
 	h := newRingHarness(DefaultCosts())
 	h.src.Deliver(8)
@@ -211,14 +211,14 @@ func TestIPCDepthHighWater(t *testing.T) {
 	if hw := h.s.IPCStats().DepthHW; hw != 8 {
 		t.Fatalf("sim.ipc.depth_hw = %d, want 8", hw)
 	}
-	if n := h.conn.InFlight(); n != 8 {
+	if n := h.conn.ring.n; n != 8 {
 		// Drain ran past every deadline, but retirement is lazy (popped on
-		// the next send); InFlight reports the modeled occupancy as-is.
+		// the next send); the ring reports the modeled occupancy as-is.
 		t.Logf("in-flight after drain: %d", n)
 	}
 	h.src.Deliver("late") // expires the 8 passed deadlines, pushes 1
 	h.s.Drain()
-	if n := h.conn.InFlight(); n != 1 {
+	if n := h.conn.ring.n; n != 1 {
 		t.Fatalf("in-flight after expiry = %d, want 1", n)
 	}
 }

@@ -44,19 +44,20 @@ type Env interface {
 	After(d sim.Time, fn func())
 }
 
-// Config configures an IP component.
+// Config configures an IP component. There is no gateway: only the
+// directly attached subnet is reachable.
 type Config struct {
-	Addr    proto.Addr
-	Mask    proto.Addr // e.g. 255.255.255.0
-	Gateway proto.Addr // zero = no gateway (link-local only)
-	MAC     proto.MAC
-	MTU     int // default 1500
+	Addr proto.Addr
+	Mask proto.Addr // e.g. 255.255.255.0
+	MAC  proto.MAC
 	// StaticARP seeds the ARP cache (the experiments use static entries;
 	// dynamic resolution is exercised by tests).
 	StaticARP map[proto.Addr]proto.MAC
 }
 
 const (
+	// mtu is the link MTU (Ethernet).
+	mtu = 1500
 	// arpTimeout is the per-try ARP resolution timeout (3 tries).
 	arpTimeout = 200 * sim.Millisecond
 	// reassemblyTimeout discards incomplete fragment groups.
@@ -114,9 +115,6 @@ type reasmBuf struct {
 
 // NewEngine creates an IP component.
 func NewEngine(env Env, cfg Config) *Engine {
-	if cfg.MTU == 0 {
-		cfg.MTU = 1500
-	}
 	e := &Engine{
 		env:     env,
 		cfg:     cfg,
@@ -142,13 +140,11 @@ func (e *Engine) sameSubnet(dst proto.Addr) bool {
 	return e.cfg.Addr.Uint32()&m == dst.Uint32()&m
 }
 
-// nextHop picks the L2 destination for dst.
+// nextHop picks the L2 destination for dst: dst itself when it is on the
+// attached subnet.
 func (e *Engine) nextHop(dst proto.Addr) (proto.Addr, bool) {
 	if e.sameSubnet(dst) || e.cfg.Mask == (proto.Addr{}) {
 		return dst, true
-	}
-	if e.cfg.Gateway != (proto.Addr{}) {
-		return e.cfg.Gateway, true
 	}
 	return proto.Addr{}, false
 }
@@ -163,7 +159,7 @@ func (e *Engine) Output(dst proto.Addr, p proto.IPProto, transport []byte) {
 	}
 	e.ipID++
 	id := e.ipID
-	if len(transport)+proto.IPv4HeaderLen <= e.cfg.MTU {
+	if len(transport)+proto.IPv4HeaderLen <= mtu {
 		ip := proto.IPv4Header{
 			TotalLen: uint16(proto.IPv4HeaderLen + len(transport)),
 			ID:       id, Flags: proto.IPFlagDF, TTL: 64,
@@ -173,7 +169,7 @@ func (e *Engine) Output(dst proto.Addr, p proto.IPProto, transport []byte) {
 		return
 	}
 	// Fragment: payload chunks in multiples of 8 bytes.
-	chunk := (e.cfg.MTU - proto.IPv4HeaderLen) &^ 7
+	chunk := (mtu - proto.IPv4HeaderLen) &^ 7
 	off := 0
 	for off < len(transport) {
 		n := chunk
@@ -207,7 +203,7 @@ func (e *Engine) Output(dst proto.Addr, p proto.IPProto, transport []byte) {
 // packet's IP ID is drawn, so ID sequencing matches Output exactly.
 func (e *Engine) OutputFrame(dst proto.Addr, p proto.IPProto, frame []byte) {
 	transport := frame[proto.TxHeadroom:]
-	if dst == e.cfg.Addr || len(transport)+proto.IPv4HeaderLen > e.cfg.MTU {
+	if dst == e.cfg.Addr || len(transport)+proto.IPv4HeaderLen > mtu {
 		e.Output(dst, p, transport)
 		bufpool.Put(frame)
 		return
@@ -287,7 +283,7 @@ func (e *Engine) OutputTSO(t TSO) {
 // softwareTSO segments a super-segment at MSS as the NIC would and sends
 // every segment through Output (which loops back or queues behind ARP), then
 // releases the payload. One datagram could not carry it: IPv4's TotalLen is
-// 16 bits and a default TSOMax payload alone is 64 KiB.
+// 16 bits and the largest TSO payload (64 KiB) alone overflows it.
 func (e *Engine) softwareTSO(t TSO) {
 	proto.SegmentTSO(t.TCP, t.Payload, t.MSS, func(tcp proto.TCPHeader, seg []byte) {
 		transport := tcp.Marshal(bufpool.Get(tcp.EncodedLen(len(seg)))[:0], e.cfg.Addr, t.Dst, seg)
@@ -511,13 +507,7 @@ func (e *Engine) deliverReassembled(last *proto.Frame, transport []byte) {
 	e.env.DeliverTransport(f)
 }
 
-// ARPEntry reports the cached MAC for ip.
-func (e *Engine) ARPEntry(ip proto.Addr) (proto.MAC, bool) {
-	m, ok := e.arp[ip]
-	return m, ok
-}
-
 // String describes the component configuration.
 func (e *Engine) String() string {
-	return fmt.Sprintf("ip %s/%s gw %s mtu %d", e.cfg.Addr, e.cfg.Mask, e.cfg.Gateway, e.cfg.MTU)
+	return fmt.Sprintf("ip %s/%s mtu %d", e.cfg.Addr, e.cfg.Mask, mtu)
 }

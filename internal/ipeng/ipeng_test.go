@@ -118,7 +118,7 @@ func TestARPResolutionQueuesAndFlushes(t *testing.T) {
 			t.Fatalf("flushed frame has wrong MAC: %v", f.Eth.Dst)
 		}
 	}
-	if _, ok := e.ARPEntry(ipB); !ok {
+	if _, ok := e.arp[ipB]; !ok {
 		t.Fatal("ARP entry not cached")
 	}
 }
@@ -155,7 +155,7 @@ func TestARPRequestAnswered(t *testing.T) {
 		t.Fatalf("bad reply: %+v", f)
 	}
 	// And it learned the requester's mapping.
-	if m, ok := e.ARPEntry(ipB); !ok || m != macB {
+	if m, ok := e.arp[ipB]; !ok || m != macB {
 		t.Fatal("did not learn sender mapping")
 	}
 }
@@ -283,32 +283,9 @@ func TestLoopback(t *testing.T) {
 	}
 }
 
-func TestGatewayRouting(t *testing.T) {
-	env := &fakeIPEnv{}
-	gw := proto.IPv4(10, 0, 0, 254)
-	gwMAC := proto.MAC{2, 0, 0, 0, 0, 0xFE}
-	e := NewEngine(env, Config{
-		Addr: ipA, Mask: mask, Gateway: gw, MAC: macA,
-		StaticARP: map[proto.Addr]proto.MAC{gw: gwMAC},
-	})
-	remote := proto.IPv4(192, 168, 1, 1)
-	h := proto.UDPHeader{SrcPort: 1, DstPort: 2}
-	e.Output(remote, proto.ProtoUDP, h.Marshal(nil, ipA, remote, []byte("far")))
-	if len(env.frames) != 1 {
-		t.Fatal("no frame out")
-	}
-	f, _ := proto.DecodeFrame(env.frames[0])
-	if f.Eth.Dst != gwMAC {
-		t.Fatalf("frame not sent to gateway MAC: %v", f.Eth.Dst)
-	}
-	if f.IP.Dst != remote {
-		t.Fatalf("IP dst rewritten: %v", f.IP.Dst)
-	}
-}
-
 func TestNoRouteCounted(t *testing.T) {
 	env := &fakeIPEnv{}
-	e := NewEngine(env, Config{Addr: ipA, Mask: mask, MAC: macA}) // no gateway
+	e := NewEngine(env, Config{Addr: ipA, Mask: mask, MAC: macA})
 	remote := proto.IPv4(192, 168, 1, 1)
 	h := proto.UDPHeader{SrcPort: 1, DstPort: 2}
 	e.Output(remote, proto.ProtoUDP, h.Marshal(nil, ipA, remote, nil))
@@ -370,7 +347,7 @@ func tsoStream(t *testing.T, frames []*proto.Frame, seq uint32, mss int, want []
 // TestSoftwareTSOSegmentsAtMSS covers the two OutputTSO branches no NIC
 // segments for — loopback and an unresolved next hop. Marshalled as one
 // datagram, a super-segment overflows IPv4's 16-bit TotalLen from 65 496
-// payload bytes on: 65 496 used to be dropped and 65 536, the default TSOMax,
+// payload bytes on: 65 496 used to be dropped and 65 536, TCP's largest TSO super-segment,
 // to arrive as an empty segment.
 func TestSoftwareTSOSegmentsAtMSS(t *testing.T) {
 	const mss, seq = 1460, 1000

@@ -70,9 +70,6 @@ func (h *Histogram) Mean() sim.Time {
 	return sim.Time(h.sum / float64(h.count))
 }
 
-// Min returns the smallest sample.
-func (h *Histogram) Min() sim.Time { return h.min }
-
 // Max returns the largest sample.
 func (h *Histogram) Max() sim.Time { return h.max }
 
@@ -167,26 +164,11 @@ func (s *CPUSampler) Utilization() []float64 {
 	return out
 }
 
-// MaxUtilization returns the busiest thread's utilization.
-func (s *CPUSampler) MaxUtilization() float64 {
-	m := 0.0
-	for _, u := range s.Utilization() {
-		if u > m {
-			m = u
-		}
-	}
-	return m
-}
-
-// Rate converts a count over a simulated window to events/second.
-func Rate(count uint64, window sim.Time) float64 {
+// KRate converts a count over a simulated window to kilo-events/second
+// (the paper reports krps); an empty window yields 0.
+func KRate(count uint64, window sim.Time) float64 {
 	if window <= 0 {
 		return 0
 	}
-	return float64(count) / window.Seconds()
-}
-
-// KRate is Rate scaled to kilo-events/second (the paper reports krps).
-func KRate(count uint64, window sim.Time) float64 {
-	return Rate(count, window) / 1000
+	return float64(count) / window.Seconds() / 1000
 }

@@ -16,8 +16,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count=%d", h.Count())
 	}
-	if h.Min() != sim.Microsecond || h.Max() != 100*sim.Microsecond {
-		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
+	if h.min != sim.Microsecond || h.Max() != 100*sim.Microsecond {
+		t.Fatalf("min=%v max=%v", h.min, h.Max())
 	}
 	mean := h.Mean()
 	if mean < 45*sim.Microsecond || mean > 56*sim.Microsecond {
@@ -76,13 +76,10 @@ func TestHistogramQuantileResolution(t *testing.T) {
 }
 
 func TestRates(t *testing.T) {
-	if r := Rate(500, sim.Second); r != 500 {
-		t.Fatalf("rate=%v", r)
-	}
 	if r := KRate(500_000, sim.Second); r != 500 {
 		t.Fatalf("krate=%v", r)
 	}
-	if Rate(5, 0) != 0 {
+	if KRate(5, 0) != 0 {
 		t.Fatal("zero window")
 	}
 }
@@ -106,9 +103,6 @@ func TestCPUSampler(t *testing.T) {
 	}
 	if u[1] != 0 {
 		t.Fatalf("idle thread utilization=%v", u[1])
-	}
-	if sampler.MaxUtilization() != u[0] {
-		t.Fatal("max != busiest")
 	}
 }
 
@@ -142,7 +136,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		if got := h.Quantile(0); got != 7*sim.Microsecond {
 			t.Fatalf("Quantile(0)=%v, want exact min %v", got, 7*sim.Microsecond)
 		}
-		if got := h.Quantile(-0.5); got != h.Min() {
+		if got := h.Quantile(-0.5); got != h.min {
 			t.Fatalf("Quantile(-0.5)=%v, want min", got)
 		}
 		if got := h.Quantile(1); got != 3*sim.Millisecond {
@@ -171,8 +165,8 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 		h.Observe(1300 * sim.Microsecond)
 		for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 			got := h.Quantile(q)
-			if got < h.Min() || got > h.Max() {
-				t.Fatalf("Quantile(%v)=%v outside [%v, %v]", q, got, h.Min(), h.Max())
+			if got < h.min || got > h.Max() {
+				t.Fatalf("Quantile(%v)=%v outside [%v, %v]", q, got, h.min, h.Max())
 			}
 		}
 	})
@@ -212,7 +206,7 @@ func TestHistogramMergeAssociative(t *testing.T) {
 		return &h
 	}
 	same := func(x, y *Histogram) bool {
-		return x.Count() == y.Count() && x.Min() == y.Min() && x.Max() == y.Max() &&
+		return x.Count() == y.Count() && x.min == y.min && x.Max() == y.Max() &&
 			x.Mean() == y.Mean() && x.Quantile(0.5) == y.Quantile(0.5) &&
 			x.Quantile(0.99) == y.Quantile(0.99)
 	}
@@ -261,7 +255,7 @@ func TestHistogramMergeProperty(t *testing.T) {
 		if a.Count() == 0 {
 			return true
 		}
-		return a.Min() == all.Min() && a.Max() == all.Max() && a.Mean() == all.Mean()
+		return a.min == all.min && a.Max() == all.Max() && a.Mean() == all.Mean()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

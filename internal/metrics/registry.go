@@ -28,9 +28,6 @@ type Counter struct{ v uint64 }
 // Add increments the counter by d.
 func (c *Counter) Add(d uint64) { c.v += d }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
-
 // Set overwrites the counter (used by pull-style collection, where the
 // registry mirrors live counters owned by the components themselves).
 func (c *Counter) Set(v uint64) { c.v = v }

@@ -10,8 +10,7 @@ import (
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.b")
-	c.Inc()
-	c.Add(4)
+	c.Add(5)
 	if r.Counter("a.b") != c {
 		t.Fatal("Counter did not return the existing instrument")
 	}
@@ -76,7 +75,7 @@ func TestRegistryAbsorb(t *testing.T) {
 		t.Fatalf("srv.util=%v", got)
 	}
 	h := r.Histogram("srv.lat")
-	if h.Count() != 2 || h.Min() != sim.Microsecond || h.Max() != sim.Millisecond {
+	if h.Count() != 2 || h.min != sim.Microsecond || h.Max() != sim.Millisecond {
 		t.Fatalf("srv.lat=%v", h)
 	}
 }

@@ -89,18 +89,15 @@ const DefaultQueueDepth = 512
 
 // NICStats counts NIC-level events.
 type NICStats struct {
-	RxFrames       uint64
-	RxDropFull     uint64 // RX queue overflow drops
-	RxDropBad      uint64 // undecodable frames
-	RxDropNoRSS    uint64 // unmatched flows dropped while the RSS set is empty
-	RxFiltered     uint64 // frames steered by an exact filter
-	RxHashed       uint64 // frames steered by RSS
-	TxFrames       uint64
-	TSORequests    uint64
-	TSOSegments    uint64
-	TrackHits      uint64
-	TrackInserts   uint64
-	TrackEvictions uint64
+	RxFrames    uint64
+	RxDropFull  uint64 // RX queue overflow drops
+	RxDropBad   uint64 // undecodable frames
+	RxDropNoRSS uint64 // unmatched flows dropped while the RSS set is empty
+	RxFiltered  uint64 // frames steered by an exact filter
+	RxHashed    uint64 // frames steered by RSS
+	TxFrames    uint64
+	TSORequests uint64
+	TSOSegments uint64
 }
 
 // RSSPolicy steers unpinned flows to a queue: the software-programmable
@@ -144,14 +141,6 @@ type NIC struct {
 	// irqMsgs holds one pre-boxed QueueIRQ per queue so a delivery never
 	// allocates.
 	irqMsgs []sim.Message
-
-	// Hardware flow tracking (§4 extension; see EnableFlowTracking).
-	// trackOrder is a FIFO of live flows; trackHead indexes its logical
-	// front and the dead prefix is compacted away periodically.
-	trackMax   int
-	tracked    map[proto.Flow]int
-	trackOrder []proto.Flow
-	trackHead  int
 
 	stats NICStats
 }
@@ -253,9 +242,8 @@ func (n *NIC) RSSQueues() []int {
 
 // SetRSSPolicy delegates unpinned-flow steering to a placement policy
 // (the flow-placement plane). With a policy installed the built-in
-// rssQueues indirection is bypassed; exact-match filters and the hardware
-// tracking table still take precedence over the policy, exactly as they
-// do over RSS. nil restores the built-in indirection.
+// rssQueues indirection is bypassed; exact-match filters still take
+// precedence over the policy, exactly as they do over RSS. nil restores the built-in indirection.
 func (n *NIC) SetRSSPolicy(p RSSPolicy) { n.rssPolicy = p }
 
 // Receive implements wire.Port: hardware classification and enqueue. The
@@ -305,26 +293,19 @@ func (n *NIC) classify(f *proto.Frame) int {
 		n.stats.RxFiltered++
 		return q
 	}
-	if q, hit := n.tracked[flow]; hit {
-		n.stats.TrackHits++
-		return q
-	}
 	if n.rssPolicy != nil {
 		q := n.rssPolicy.QueueFor(flow.Hash())
 		if q < 0 {
 			return -1
 		}
 		n.stats.RxHashed++
-		n.trackFlow(flow, q)
 		return q
 	}
 	if len(n.rssQueues) == 0 {
 		return -1
 	}
 	n.stats.RxHashed++
-	q := n.rssQueues[int(flow.Hash())%len(n.rssQueues)]
-	n.trackFlow(flow, q)
-	return q
+	return n.rssQueues[int(flow.Hash())%len(n.rssQueues)]
 }
 
 // Transmit puts a serialized frame on the wire.
@@ -387,54 +368,4 @@ func (n *NIC) rearm() {
 		n.intrArmed = false
 		n.driver.proc.Deliver(rxReady{})
 	}
-}
-
-// ---- Flow tracking (§4's proposed NIC extension) ----
-//
-// The paper argues that instead of software frequently updating exact
-// filters, the NIC itself should create "tracking" filters from the
-// packets it handles, guaranteeing that all packets of a flow follow the
-// same route even when the RSS indirection changes. Contemporary hardware
-// lacks this; NEaT compensates with driver-managed filters. This model
-// implements the proposed extension so the two designs can be compared.
-
-// EnableFlowTracking turns on hardware flow tracking with a bounded table
-// of max entries (0 disables). New flows are pinned to the queue RSS
-// first assigns them; when the table is full the oldest entry is evicted
-// (its flow falls back to RSS).
-func (n *NIC) EnableFlowTracking(max int) {
-	n.trackMax = max
-	if max == 0 {
-		n.tracked = nil
-		n.trackOrder = nil
-		return
-	}
-	n.tracked = make(map[proto.Flow]int, max)
-	n.trackOrder = n.trackOrder[:0]
-	n.trackHead = 0
-}
-
-// NumTrackedFlows returns the hardware tracking table occupancy.
-func (n *NIC) NumTrackedFlows() int { return len(n.tracked) }
-
-// trackFlow records a flow→queue pinning, evicting the oldest when full.
-func (n *NIC) trackFlow(flow proto.Flow, q int) {
-	if n.trackMax == 0 {
-		return
-	}
-	if len(n.tracked) >= n.trackMax {
-		oldest := n.trackOrder[n.trackHead]
-		n.trackHead++
-		delete(n.tracked, oldest)
-		n.stats.TrackEvictions++
-		// Compact the evicted prefix once it dominates the slice, keeping
-		// memory bounded by the table size instead of the eviction count.
-		if n.trackHead*2 >= len(n.trackOrder) {
-			n.trackOrder = n.trackOrder[:copy(n.trackOrder, n.trackOrder[n.trackHead:])]
-			n.trackHead = 0
-		}
-	}
-	n.tracked[flow] = q
-	n.trackOrder = append(n.trackOrder, flow)
-	n.stats.TrackInserts++
 }

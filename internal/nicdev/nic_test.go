@@ -299,71 +299,3 @@ func TestDriverCostCategories(t *testing.T) {
 		t.Fatal("driver charged no processing cycles")
 	}
 }
-
-func TestFlowTrackingPinsFlowsAcrossRSSChanges(t *testing.T) {
-	rig := newRig(t, 4)
-	rig.nic.EnableFlowTracking(128)
-	// First packet of the flow: RSS picks a queue and the NIC pins it.
-	rig.link.Transmit(0, tcpFrame(7100, nil))
-	rig.s.Drain()
-	if rig.nic.NumTrackedFlows() != 1 {
-		t.Fatalf("tracked=%d", rig.nic.NumTrackedFlows())
-	}
-	var owner string
-	for name, frames := range rig.got {
-		if len(frames) == 1 {
-			owner = name
-		}
-	}
-	// Shrink the RSS set to one other queue (lazy termination would do
-	// this); the tracked flow must keep hitting its original queue.
-	other := (int(owner[0]-'A') + 1) % 4
-	if err := rig.nic.SetRSSQueues([]int{other}); err != nil {
-		t.Fatal(err)
-	}
-	rig.link.Transmit(0, tcpFrame(7100, []byte("x")))
-	rig.s.Drain()
-	if got := len(rig.got[owner]); got != 2 {
-		t.Fatalf("tracked flow migrated away from %s: %v", owner, rig.got)
-	}
-	if rig.nic.Stats().TrackHits != 1 {
-		t.Fatalf("stats: %+v", rig.nic.Stats())
-	}
-}
-
-func TestFlowTrackingEviction(t *testing.T) {
-	rig := newRig(t, 2)
-	rig.nic.EnableFlowTracking(4)
-	for p := 0; p < 10; p++ {
-		rig.link.Transmit(0, tcpFrame(uint16(7200+p), nil))
-	}
-	rig.s.Drain()
-	if rig.nic.NumTrackedFlows() != 4 {
-		t.Fatalf("tracked=%d, want table capped at 4", rig.nic.NumTrackedFlows())
-	}
-	if rig.nic.Stats().TrackEvictions != 6 {
-		t.Fatalf("evictions=%d", rig.nic.Stats().TrackEvictions)
-	}
-	// Disabling clears the table.
-	rig.nic.EnableFlowTracking(0)
-	if rig.nic.NumTrackedFlows() != 0 {
-		t.Fatal("disable did not clear")
-	}
-}
-
-func TestExactFilterBeatsTracking(t *testing.T) {
-	rig := newRig(t, 2)
-	rig.nic.EnableFlowTracking(16)
-	flow := proto.Flow{Src: ipA, Dst: ipB, SrcPort: 7300, DstPort: 80, Proto: proto.ProtoTCP}
-	rig.link.Transmit(0, tcpFrame(7300, nil)) // now tracked on RSS queue
-	rig.s.Drain()
-	want := (int(flow.Hash()) % 2) // its RSS queue
-	filterQ := 1 - want
-	rig.nic.InstallFilter(flow, filterQ)
-	rig.link.Transmit(0, tcpFrame(7300, nil))
-	rig.s.Drain()
-	name := string(rune('A' + filterQ))
-	if len(rig.got[name]) != 1 {
-		t.Fatalf("exact filter did not override tracking: %v", rig.got)
-	}
-}

@@ -216,8 +216,8 @@ func TestSequenceArithmetic(t *testing.T) {
 	if !SeqLEQ(5, 5) || !SeqGEQ(5, 5) {
 		t.Fatal("equality comparisons failed")
 	}
-	if SeqMax(0xfffffffe, 2) != 2 {
-		t.Fatal("SeqMax across wrap failed")
+	if !SeqGT(2, 0xfffffffe) {
+		t.Fatal("SeqGT across wrap failed")
 	}
 }
 
@@ -350,10 +350,10 @@ func TestDecodeFragmentStopsAtIP(t *testing.T) {
 }
 
 func TestFlagString(t *testing.T) {
-	if s := FlagString(TCPSyn | TCPAck); s != "SA" {
+	if s := flagString(TCPSyn | TCPAck); s != "SA" {
 		t.Fatalf("got %q", s)
 	}
-	if s := FlagString(0); s != "." {
+	if s := flagString(0); s != "." {
 		t.Fatalf("got %q", s)
 	}
 }

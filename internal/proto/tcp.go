@@ -15,8 +15,8 @@ const (
 	TCPUrg uint8 = 1 << 5
 )
 
-// FlagString renders TCP flags as a compact string like "SA" or "FPA".
-func FlagString(flags uint8) string {
+// flagString renders TCP flags as a compact string like "SA" or "FPA".
+func flagString(flags uint8) string {
 	names := []struct {
 		bit uint8
 		ch  byte
@@ -196,7 +196,7 @@ func SegmentTSO(tcp TCPHeader, payload []byte, mss int, emit func(tcp TCPHeader,
 // String summarizes the segment for traces.
 func (h *TCPHeader) String() string {
 	return fmt.Sprintf("tcp %d>%d %s seq=%d ack=%d win=%d",
-		h.SrcPort, h.DstPort, FlagString(h.Flags), h.Seq, h.Ack, h.Window)
+		h.SrcPort, h.DstPort, flagString(h.Flags), h.Seq, h.Ack, h.Window)
 }
 
 // SeqLT reports whether a < b in 32-bit sequence space (RFC 793 wraparound).
@@ -210,11 +210,3 @@ func SeqGT(a, b uint32) bool { return int32(a-b) > 0 }
 
 // SeqGEQ reports whether a >= b in sequence space.
 func SeqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }
-
-// SeqMax returns the later of a and b in sequence space.
-func SeqMax(a, b uint32) uint32 {
-	if SeqGT(a, b) {
-		return a
-	}
-	return b
-}

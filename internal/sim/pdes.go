@@ -85,9 +85,6 @@ func (s *Simulator) EnablePDES(workers int) {
 	s.pdes = &pdesCoord{root: s, workers: workers}
 }
 
-// PDESEnabled reports whether this simulator is a PDES control plane.
-func (s *Simulator) PDESEnabled() bool { return s.pdes != nil && s.parent == nil }
-
 // newDomain creates one domain shard. Its RNG stream is seeded from the
 // control plane's RNG, so domain randomness is fixed at creation and
 // independent of the runtime interleaving.

@@ -22,11 +22,11 @@ func TestPDESMachinesGetOwnDomains(t *testing.T) {
 	if a.Sim() == s || b.Sim() == s || a.Sim() == b.Sim() {
 		t.Fatal("PDES machines must each live in their own domain shard")
 	}
-	if !s.PDESEnabled() {
-		t.Fatal("PDESEnabled() = false on the control plane")
+	if s.pdes == nil || s.parent != nil {
+		t.Fatal("PDES not enabled on the control plane")
 	}
-	if a.Sim().PDESEnabled() {
-		t.Fatal("PDESEnabled() = true on a domain shard")
+	if d := a.Sim(); d.pdes != nil && d.parent == nil {
+		t.Fatal("a domain shard claims to be the PDES control plane")
 	}
 }
 

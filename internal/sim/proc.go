@@ -333,9 +333,6 @@ func (p *Proc) Respawn() {
 	p.ASLRSeed = p.sim.rng.Uint64()
 }
 
-// QueueLen returns the number of undelivered messages in the inbox.
-func (p *Proc) QueueLen() int { return len(p.inbox) }
-
 // Deliver places msg in the process inbox at the current simulated time and
 // wakes the process if it was halted. Messages to dead processes are
 // dropped and counted, mirroring the NIC driver holding packets back from a
@@ -609,9 +606,6 @@ func (p *Proc) Crash(cause error) {
 // Kill terminates the process administratively (no crash notification
 // semantics differ from Crash only in the recorded cause).
 func (p *Proc) Kill() { p.Crash(ErrKilled) }
-
-// CrashCause returns the error a dead process crashed with, or nil.
-func (p *Proc) CrashCause() error { return p.crashed }
 
 // Context is passed to handlers; it is the only interface through which a
 // running process may consume time or emit messages.

@@ -203,8 +203,8 @@ func TestCrashDropsMessagesAndNotifies(t *testing.T) {
 	if p.Stats().Dropped != 1 {
 		t.Fatalf("dropped=%d, want 1", p.Stats().Dropped)
 	}
-	if p.CrashCause() != ErrKilled {
-		t.Fatalf("cause=%v", p.CrashCause())
+	if p.crashed != ErrKilled {
+		t.Fatalf("cause=%v", p.crashed)
 	}
 	// Killing twice is a no-op.
 	p.Kill()
@@ -366,8 +366,8 @@ func TestHangStopsDrainingButStaysAlive(t *testing.T) {
 		t.Fatalf("hung process handled messages: %d", handled)
 	}
 	// Deliveries are accepted (not dropped): the inbox piles up.
-	if p.QueueLen() != 5 {
-		t.Fatalf("queue=%d, want 5", p.QueueLen())
+	if len(p.inbox) != 5 {
+		t.Fatalf("queue=%d, want 5", len(p.inbox))
 	}
 	if p.Stats().Dropped != 0 {
 		t.Fatalf("dropped=%d", p.Stats().Dropped)
@@ -470,11 +470,11 @@ func TestRespawnRevivesEndpointInPlace(t *testing.T) {
 	if p.Dead() || p.Hung() {
 		t.Fatalf("respawn left proc dead=%v hung=%v", p.Dead(), p.Hung())
 	}
-	if p.CrashCause() != nil || p.FailedAt() != 0 {
-		t.Fatalf("fault state survived respawn: %v %v", p.CrashCause(), p.FailedAt())
+	if p.crashed != nil || p.FailedAt() != 0 {
+		t.Fatalf("fault state survived respawn: %v %v", p.crashed, p.FailedAt())
 	}
-	if p.QueueLen() != 0 {
-		t.Fatalf("inbox survived respawn: %d", p.QueueLen())
+	if len(p.inbox) != 0 {
+		t.Fatalf("inbox survived respawn: %d", len(p.inbox))
 	}
 	if p.ASLRSeed == seed1 {
 		t.Fatal("respawn reused the address-space layout")

@@ -131,7 +131,7 @@ func timerTrace(t *testing.T, impl timerImpl, script []Message, reseed int64) []
 		if cur, clock := s.tw.cur, int64(s.Now())>>bucketShift; cur > clock {
 			t.Fatalf("at %d: wheel position %d is ahead of the clock's bucket %d", s.Now(), cur, clock)
 		}
-		if !isWheel || p.QueueLen() > 0 {
+		if !isWheel || len(p.inbox) > 0 {
 			continue
 		}
 		n := 0
@@ -339,7 +339,7 @@ func TestTimerStopAfterPop(t *testing.T) {
 	var first, second Timer
 	b.hook = func(ctx *Context, msg Message) {
 		if msg == "first" {
-			if b.p.QueueLen() != 0 || second.Armed() {
+			if len(b.p.inbox) != 0 || second.Armed() {
 				t.Errorf("second firing not popped yet: Armed=%v", second.Armed())
 			}
 			second.Stop()
@@ -378,7 +378,7 @@ func TestTimerRearmFromOwnHandler(t *testing.T) {
 	}
 	b.do(func(ctx *Context) { ctx.Retimer(&tm, period, "tick") })
 	for b.s.Step() {
-		if want := 1; b.p.QueueLen() == 0 && fires < 5 && b.s.TimerStats().Pending != want {
+		if want := 1; len(b.p.inbox) == 0 && fires < 5 && b.s.TimerStats().Pending != want {
 			t.Fatalf("after firing %d: %d entries resident, want %d", fires, b.s.TimerStats().Pending, want)
 		}
 	}

@@ -191,8 +191,7 @@ type Socket struct {
 	// OnClosed fires when the connection dies (orderly close completion is
 	// silent; this is for resets and replica failures). err distinguishes
 	// the causes: stack.ErrReplicaFailure for a crash that lost the
-	// connection's state, stack.ErrReplicaRetired when a scale-down drain
-	// deadline force-closed it, nil for a peer reset.
+	// connection's state, nil for a peer reset.
 	OnClosed func(ctx *sim.Context, reset bool, err error)
 }
 
@@ -416,17 +415,4 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 		return true
 	}
 	return false
-}
-
-// NumOpenSockets counts sockets in SockOpen state (tests).
-func (l *Lib) NumOpenSockets() int {
-	n := 0
-	for _, host := range l.socks {
-		for _, s := range host {
-			if s != nil && s.state == SockOpen {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -33,7 +33,7 @@ func received(t *testing.T, a *echoServer) []byte {
 // TestLoopbackBulkTSO sends 300 KB from one application of a replica to
 // another over the replica's own address with TSO on: no NIC segments a
 // loopback super-segment, so the IP engine does, at MSS. (As one datagram a
-// default 64 KiB TSOMax payload overflowed IPv4's TotalLen and arrived
+// 64 KiB TSO payload overflowed IPv4's TotalLen and arrived
 // empty; the stream then only completed through retransmission.) The
 // payload also exceeds the send buffer, so the refused-bytes path of opSend
 // runs. The replica is multi-component: a single-component replica loops
@@ -76,12 +76,12 @@ func TestLoopbackBulkTSO(t *testing.T) {
 // sending machine's NIC driver in the middle of a bulk transfer — TSO
 // descriptors, each with the buffer the stack copied the super-segment into.
 // TCP retransmits from the send buffer, which compacts in between, and the
-// stream arrives whole. (Only two, of four MSS each, out of a 64 KiB window:
-// the receiver holds 64 out-of-order segments, and this Reno spends one
+// stream arrives whole. (Only two, out of a 64 KiB send buffer: the
+// receiver holds 64 out-of-order segments, and this Reno spends one
 // backed-off timeout per segment it has to resend beyond that.)
 func TestDroppedTxTSOCorruptsNothing(t *testing.T) {
 	cfg := tcpeng.DefaultConfig()
-	cfg.TSO, cfg.TSOMax, cfg.SendBuf = true, 4*cfg.MSS, 64<<10
+	cfg.TSO, cfg.SendBuf = true, 64<<10
 	r := newRig(t, Single, 1, cfg)
 	srvApp := newEchoServer(r.s.Machines()[0].Thread(5, 0), r.replicas[0].SockProc())
 	srvApp.sink = true

@@ -4,23 +4,22 @@ import (
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
 	"neat/internal/nicdev"
-	"neat/internal/pfilter"
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/udpeng"
 )
 
-// ipHost hosts the packet filter, the IP engine and the UDP engine. In an
-// engine set it shares the process(es) with tcpHost; in a multi-component
-// replica it is the "IP process" of Fig. 3.
+// ipHost hosts the packet filter (PF), the IP engine and the UDP engine. In
+// an engine set it shares the process(es) with tcpHost; in a
+// multi-component replica it is the "IP process" of Fig. 3. PF holds no
+// rules: every frame pays its check and passes.
 type ipHost struct {
 	s     *sim.Simulator
 	costs *opCosts
 	ctx   *sim.Context // current dispatch context
 
-	filter *pfilter.Filter
-	ip     *ipeng.Engine
-	udp    *udpeng.Engine
+	ip  *ipeng.Engine
+	udp *udpeng.Engine
 
 	toTCP func(ctx *sim.Context, f *proto.Frame)
 	out   Egress
@@ -65,10 +64,6 @@ func (d driverEgress) TransmitTSO(ctx *sim.Context, t nicdev.TxTSO) {
 // inputFrame is the RX entry point of the stack.
 func (h *ipHost) inputFrame(ctx *sim.Context, f *proto.Frame) {
 	ctx.Charge(h.costs.FilterCheck)
-	if h.filter.Check(f) == pfilter.Drop {
-		f.Release()
-		return
-	}
 	h.costs.chargeLocked(ctx, h.costs.IPIn)
 	h.ip.Input(f)
 }

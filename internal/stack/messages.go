@@ -1,5 +1,5 @@
-// Package stack assembles the protocol engines (pfilter, ipeng, tcpeng,
-// udpeng) into network stack replicas: isolated, single-threaded processes
+// Package stack assembles the protocol engines (ipeng, tcpeng, udpeng)
+// into network stack replicas: isolated, single-threaded processes
 // wired together and to the NIC driver by message-passing channels.
 //
 // Two replica layouts exist, mirroring §3.7 of the paper:
@@ -423,14 +423,3 @@ var ErrReplicaFailure = errReplicaFailure{}
 type errReplicaFailure struct{}
 
 func (errReplicaFailure) Error() string { return "stack: replica failed; connection state lost" }
-
-// ErrReplicaRetired is the error attached to EvClosed when a connection
-// was forcibly closed because its replica's scale-down drain outlived the
-// configured drain deadline (graceful drain, §3.4 extension).
-var ErrReplicaRetired = errReplicaRetired{}
-
-type errReplicaRetired struct{}
-
-func (errReplicaRetired) Error() string {
-	return "stack: replica retired; drain deadline cut the connection short"
-}

@@ -2,11 +2,9 @@ package stack
 
 import (
 	"fmt"
-	"sort"
 
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
-	"neat/internal/pfilter"
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/tcpeng"
@@ -113,7 +111,6 @@ func NewReplica(threads []*sim.HWThread, driver *sim.Proc, cfg Config) *Replica 
 func (r *Replica) newIPHost(out Egress) *ipHost {
 	h := &ipHost{s: r.s, costs: r.costs, out: out, udpSocks: map[uint64]*udpSockCtx{},
 		appConns: map[*sim.Proc]*ipc.Conn{}, ipcCosts: r.cfg.IPC}
-	h.filter = pfilter.New()
 	h.ip = ipeng.NewEngine(h, r.cfg.IP)
 	h.udp = udpeng.NewEngine(h, r.cfg.IP.Addr)
 	return h
@@ -267,19 +264,6 @@ func (r *Replica) ConnOwner(c *tcpeng.Conn) (*sim.Proc, Handle) {
 	return nil, Handle{}
 }
 
-// Conns returns the TCP engine's connections that belong to a socket, in
-// ascending ID order (for the recovery manager).
-func (r *Replica) Conns() []*tcpeng.Conn {
-	var cs []*tcpeng.Conn
-	for _, c := range r.tcph.tcp.Conns() {
-		if _, ok := c.Ctx.(*sockCtx); ok {
-			cs = append(cs, c)
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-	return cs
-}
-
 // Name returns the replica name.
 func (r *Replica) Name() string { return r.name }
 
@@ -303,9 +287,6 @@ func (r *Replica) IP() *ipeng.Engine { return r.iph.ip }
 
 // UDP returns the replica's UDP engine.
 func (r *Replica) UDP() *udpeng.Engine { return r.iph.udp }
-
-// Filter returns the replica's packet filter.
-func (r *Replica) Filter() *pfilter.Filter { return r.iph.filter }
 
 // Dead reports whether any process of the replica has died.
 func (r *Replica) Dead() bool {

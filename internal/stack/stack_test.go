@@ -384,7 +384,7 @@ func TestReplicaAccessors(t *testing.T) {
 	if rep.EntryProc() == rep.SockProc() {
 		t.Fatal("multi replica should split entry and sock procs")
 	}
-	if rep.IP() == nil || rep.UDP() == nil || rep.Filter() == nil || rep.TCP() == nil {
+	if rep.IP() == nil || rep.UDP() == nil || rep.TCP() == nil {
 		t.Fatal("accessors nil")
 	}
 	if rep.Dead() {

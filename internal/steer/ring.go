@@ -12,8 +12,8 @@ import (
 // arcs — an expected 1/N of the unpinned flow space — where the modulo
 // changes the mapping of almost every hash. That matters across scale
 // events for packets not yet covered by an exact filter (SYN
-// retransmits, flows evicted from the hardware tracking table): with the
-// ring they keep landing on the queue that owns their state.
+// retransmits): with the ring they keep landing on the queue that owns
+// their state.
 //
 // Connect-side placement stays uniformly random (same draw pattern as
 // HashPolicy): the connecting replica is chosen before any flow hash

@@ -43,12 +43,6 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Policy: PolicyKind(99)}, rng, nil); err == nil {
 		t.Error("unknown policy kind accepted")
 	}
-	if _, err := New(Config{DrainDeadline: -1}, rng, nil); err == nil {
-		t.Error("negative drain deadline accepted")
-	}
-	if _, err := New(Config{Policy: PolicyRing, RingVNodes: -3}, rng, nil); err == nil {
-		t.Error("negative vnode count accepted")
-	}
 }
 
 // TestHashPolicyMatchesLegacyRSS pins the byte-identity contract: the

@@ -49,7 +49,7 @@ func TestPartialRecvKeepsStream(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("partial reads delivered %d of %d bytes, or not the bytes sent", len(got), len(want))
 	}
-	if srv.RecvAvailable() != 0 || srv.Recv(0) != nil {
+	if len(srv.rcvBuf()) != 0 || srv.Recv(0) != nil {
 		t.Fatal("drained connection still reports data")
 	}
 }
@@ -136,7 +136,7 @@ func TestSnapshotRestoreMidTransfer(t *testing.T) {
 
 	cli.Send(up)
 	srv.Send(down)
-	h.runUntil(func() bool { return srv.RecvAvailable() >= 30_000 }, sim.Second)
+	h.runUntil(func() bool { return len(srv.rcvBuf()) >= 30_000 }, sim.Second)
 	gotUp := append([]byte(nil), srv.Recv(10_000)...) // a partial read before the checkpoint
 	snap := h.b.engine.Snapshot()
 	if len(snap.Conns) != 1 || len(snap.Conns[0].RcvBuf) == 0 || len(snap.Conns[0].SndBuf) == 0 {

@@ -22,7 +22,7 @@ import (
 // standard retransmission resynchronizes with the peer. Anything that
 // happened after the snapshot is lost: data the replica ACKed to the peer
 // after the snapshot cannot be recovered (the peer has discarded it), and
-// such connections stall and die once MaxRetries is exceeded. This
+// such connections stall and die once maxRetries is exceeded. This
 // output-commit problem is exactly why checkpointing TCP is hard; the
 // interval controls the exposure window.
 

@@ -192,17 +192,14 @@ func TestRestoreRebindSingleRexmitFiring(t *testing.T) {
 }
 
 func TestRetriesExceededKillsStalledConn(t *testing.T) {
-	cfg := defCfg()
-	cfg.MaxRetries = 3
-	cfg.MaxRTO = 50 * sim.Millisecond
 	h := newHarness(43)
-	h.build(cfg, defCfg())
+	h.build(defCfg(), defCfg())
 	h.b.engine.Listen(proto.Addr{}, 80, 16)
 	cli, _ := h.connectPair(80)
 	// Black-hole everything: the client retransmits, backs off, gives up.
 	h.Drop = func(from *fakeEnv, f *proto.Frame) bool { return true }
 	cli.Send([]byte("into the void"))
-	h.run(h.now + 5*sim.Second)
+	h.run(h.now + 15*sim.Second) // maxRetries backed-off RTOs, capped at maxRTO
 	if cli.State() != StateClosed {
 		t.Fatalf("stalled conn still %v", cli.State())
 	}

@@ -257,10 +257,6 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 		e.sendSynCookie(k, h) // stateless: no PCB until the ACK validates
 		return
 	}
-	if g.MaxConnsPerSource > 0 && e.perSource[k.remoteAddr] >= g.MaxConnsPerSource {
-		e.stats.SrcCapped++
-		return // drop the SYN; a legitimate client retransmits
-	}
 	if g.SynBacklog > 0 && l.embryonic >= g.SynBacklog {
 		// Deterministic oldest-first shedding: the oldest half-open
 		// connection is the likeliest to be abandoned (a flood SYN never
@@ -279,7 +275,6 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 	c.Listener = l
 	l.embryonic++
 	l.pushEmbryonic(c)
-	e.perSource[k.remoteAddr]++
 	c.lastActivity = e.env.Now()
 	c.state = StateSynRcvd
 	c.irs = h.Seq
@@ -678,7 +673,7 @@ func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	e := c.engine
 	e.env.StopTimer(c, TimerRexmit)
-	e.env.ArmTimer(c, TimerTimeWait, e.cfg.TimeWait)
+	e.env.ArmTimer(c, TimerTimeWait, timeWait)
 	if b := c.bufs; b != nil && len(b.snd) == 0 && len(b.rcv) == 0 && len(b.oo) == 0 {
 		c.releaseBufs()
 	}

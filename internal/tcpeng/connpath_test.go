@@ -31,8 +31,8 @@ func TestListenerCloseResetsEveryQueued(t *testing.T) {
 			}
 			clis = append(clis, cli)
 		}
-		if l.AcceptPending() != n {
-			t.Fatalf("n=%d: %d connections queued", n, l.AcceptPending())
+		if len(l.acceptQ) != n {
+			t.Fatalf("n=%d: %d connections queued", n, len(l.acceptQ))
 		}
 		l.Close()
 		h.run(h.now + 10*sim.Millisecond)
@@ -59,7 +59,7 @@ func TestAcceptOneAtATimeReusesQueue(t *testing.T) {
 	c := &Conn{}
 	churn := func() {
 		l.acceptQ = append(l.acceptQ, c)
-		if l.Accept() != c || l.AcceptPending() != 0 {
+		if l.Accept() != c || len(l.acceptQ) != 0 {
 			t.Fatal("accept queue lost its entry")
 		}
 	}
@@ -152,7 +152,7 @@ func TestTimeWaitKeepsUnreadBytes(t *testing.T) {
 		t.Fatalf("Recv in TIME_WAIT returned %d of %d bytes, or not the bytes sent", len(got), len(want))
 	}
 	free := h.a.engine.PoolStats().FreeBufs
-	h.run(h.now + defCfg().TimeWait + sim.Millisecond)
+	h.run(h.now + timeWait + sim.Millisecond)
 	if h.a.engine.NumConns() != 0 || h.a.engine.PoolStats().FreeBufs != free+1 {
 		t.Fatal("the reaper did not return the block")
 	}

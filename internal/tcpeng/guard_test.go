@@ -17,14 +17,13 @@ func TestGuardConfigValidate(t *testing.T) {
 	}{
 		{"zero", GuardConfig{}, ""},
 		{"all-set", GuardConfig{SynBacklog: 32, HeaderDeadline: 5 * sim.Millisecond, HeaderMinBytes: 16,
-			IdleDeadline: sim.Second, MaxConnsPerSource: 64, SynCookies: true, SynCookieWatermark: 8}, ""},
+			IdleDeadline: sim.Second, SynCookies: true, SynCookieWatermark: 8}, ""},
 		{"cookies-for-every-syn", GuardConfig{SynCookies: true, SynCookieWatermark: -1}, ""},
 		{"negative-backlog", GuardConfig{SynBacklog: -1}, "SynBacklog"},
 		{"negative-header-deadline", GuardConfig{HeaderDeadline: -1}, "HeaderDeadline"},
 		{"negative-header-floor", GuardConfig{HeaderDeadline: sim.Millisecond, HeaderMinBytes: -1}, "HeaderMinBytes"},
 		{"floor-without-deadline", GuardConfig{HeaderMinBytes: 64}, "only applies with a deadline"},
 		{"negative-idle-deadline", GuardConfig{IdleDeadline: -1}, "IdleDeadline"},
-		{"negative-source-cap", GuardConfig{MaxConnsPerSource: -1}, "MaxConnsPerSource"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,9 +53,6 @@ func (c *Conn) Recv(max int) []byte {
 	return out
 }
 
-// RecvAvailable returns buffered in-order bytes not yet taken by Recv.
-func (c *Conn) RecvAvailable() int { return len(c.rcvBuf()) }
-
 // EOF reports whether the peer's FIN has been fully received and all data
 // consumed.
 func (c *Conn) EOF() bool {
@@ -221,17 +218,10 @@ func (c *Conn) trySend() {
 		}
 		maxSeg := uint32(c.mss)
 		if e.cfg.TSO {
-			maxSeg = uint32(e.cfg.TSOMax)
+			maxSeg = tsoMax
 		}
 		if chunk > maxSeg {
 			chunk = maxSeg
-		}
-
-		// Nagle: without NoDelay, hold small segments while data is in
-		// flight.
-		if chunk < uint32(c.mss) && inFlight > 0 && !e.cfg.NoDelay &&
-			chunk == unsent && !c.snd.finQueued {
-			break
 		}
 
 		fin := false
@@ -348,8 +338,8 @@ func (c *Conn) measureRTT(ack uint32) {
 	if rto < minRTO {
 		rto = minRTO
 	}
-	if rto > c.engine.cfg.MaxRTO {
-		rto = c.engine.cfg.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }
@@ -501,7 +491,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 	switch c.state {
 	case StateSynSent:
 		c.rto *= 2
-		if c.rto > e.cfg.MaxRTO {
+		if c.rto > maxRTO {
 			c.destroy(ErrConnClosed, false)
 			return
 		}
@@ -511,7 +501,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 		return
 	case StateSynRcvd:
 		c.rto *= 2
-		if c.rto > e.cfg.MaxRTO {
+		if c.rto > maxRTO {
 			c.destroy(ErrConnClosed, false)
 			return
 		}
@@ -524,7 +514,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 		return // nothing outstanding
 	}
 	c.rexmitCount++
-	if c.rexmitCount > e.cfg.MaxRetries {
+	if c.rexmitCount > maxRetries {
 		e.stats.RetriesExceeded++
 		c.destroy(ErrConnClosed, false)
 		return
@@ -540,8 +530,8 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 	c.snd.inFastRecovery = false
 	c.snd.dupAcks = 0
 	c.rto *= 2
-	if c.rto > e.cfg.MaxRTO {
-		c.rto = e.cfg.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	c.retransmit()
 	e.env.ArmTimer(c, TimerRexmit, c.rto)

@@ -173,7 +173,7 @@ func TestPCBRecycleAfterEveryClose(t *testing.T) {
 	if got := r.s.TimerStats().Pending; got != n {
 		t.Fatalf("%d timers resident, want the %d TIME_WAIT timers", got, n)
 	}
-	r.s.RunFor(2 * cfg.TimeWait)
+	r.s.RunFor(2 * timeWait)
 	r.settled(t, "TIME_WAIT expiry")
 
 	r.open(t, n)
@@ -261,7 +261,7 @@ func TestTimersDrainAfterConnScaleRun(t *testing.T) {
 			t.Fatalf("batch %d: %d timers resident for %d live PCBs", i, got, live)
 		}
 	}
-	r.s.RunFor(2 * cfg.TimeWait)
+	r.s.RunFor(2 * timeWait)
 	r.settled(t, "closing everything")
 	if ts := r.s.TimerStats(); ts.Fired != batches*batch {
 		t.Fatalf("wheel popped %d entries, want one TIME_WAIT expiry per connection (%d)", ts.Fired, batches*batch)

@@ -112,7 +112,7 @@ func (e *Engine) sendSynCookie(k connKey, h *proto.TCPHeader) {
 	hdr.Ack = h.Seq + 1
 	hdr.Opts.MSS = uint16(e.cfg.MSS)
 	// No window-scale offer: there is no PCB to remember it in.
-	w := e.cfg.RecvBuf
+	w := e.cfg.recvBuf
 	if w > 0xffff {
 		w = 0xffff
 	}
@@ -134,11 +134,6 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 		e.stats.SynCookiesRejected++
 		return true
 	}
-	g := e.cfg.Guard
-	if g.MaxConnsPerSource > 0 && e.perSource[k.remoteAddr] >= g.MaxConnsPerSource {
-		e.stats.SrcCapped++
-		return true
-	}
 	if len(l.acceptQ) >= l.backlog {
 		e.stats.AcceptQueueOverflow++
 		return true
@@ -146,7 +141,6 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 	e.stats.SynCookiesValidated++
 	c := e.newConn(k)
 	c.Listener = l
-	e.perSource[k.remoteAddr]++
 	c.lastActivity = e.env.Now()
 	cookie := h.Ack - 1
 	c.iss = cookie

@@ -131,10 +131,8 @@ func TestSynCookieEngagesAboveWatermark(t *testing.T) {
 }
 
 func TestPCBPoolRecyclesAcrossConnLifetimes(t *testing.T) {
-	cfg := defCfg()
-	cfg.TimeWait = 10 * sim.Millisecond
 	h := newHarness(53)
-	h.build(cfg, cfg)
+	h.build(defCfg(), defCfg())
 	h.b.engine.Listen(proto.Addr{}, 80, 16)
 
 	var firstSrv *Conn
@@ -155,7 +153,7 @@ func TestPCBPoolRecyclesAcrossConnLifetimes(t *testing.T) {
 		cli.Close()
 		srv.Close()
 		// Run past TIME_WAIT so both PCBs are removed and recycled.
-		h.run(h.now + 200*sim.Millisecond)
+		h.run(h.now + timeWait + 50*sim.Millisecond)
 		if n := h.b.engine.NumConns(); n != 0 {
 			t.Fatalf("round %d: %d conns still live", i, n)
 		}

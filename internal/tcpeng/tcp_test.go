@@ -2,7 +2,6 @@ package tcpeng
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +10,15 @@ import (
 )
 
 func defCfg() Config { return DefaultConfig() }
+
+// snapshot lists the connections of m in map order.
+func snapshot(m map[connKey]*Conn) []*Conn {
+	out := make([]*Conn, 0, len(m))
+	for _, c := range m {
+		out = append(out, c)
+	}
+	return out
+}
 
 func TestHandshake(t *testing.T) {
 	h := newHarness(1)
@@ -293,7 +301,7 @@ func TestOrderlyCloseBothSides(t *testing.T) {
 		t.Fatalf("server state %v", srv.State())
 	}
 	// TIME_WAIT reaps; both engines end with zero PCBs.
-	h.run(h.now + 2*defCfg().TimeWait)
+	h.run(h.now + 2*timeWait)
 	if h.a.engine.NumConns() != 0 || h.b.engine.NumConns() != 0 {
 		t.Fatalf("PCBs leaked: a=%d b=%d", h.a.engine.NumConns(), h.b.engine.NumConns())
 	}
@@ -390,7 +398,7 @@ func TestRSTAcceptedOnlyInWindow(t *testing.T) {
 
 func TestFlowControlZeroWindowAndResume(t *testing.T) {
 	cfgB := defCfg()
-	cfgB.RecvBuf = 4096 // tiny receive buffer
+	cfgB.recvBuf = 4096 // tiny receive buffer
 	h := newHarness(12)
 	h.build(defCfg(), cfgB)
 	h.b.autoRecv = false // pull mode: data accumulates
@@ -413,8 +421,8 @@ func TestFlowControlZeroWindowAndResume(t *testing.T) {
 		}
 	}
 	pump(2000)
-	if srv.RecvAvailable() != 4096 {
-		t.Fatalf("receiver buffered %d, want full 4096", srv.RecvAvailable())
+	if len(srv.rcvBuf()) != 4096 {
+		t.Fatalf("receiver buffered %d, want full 4096", len(srv.rcvBuf()))
 	}
 	if h.b.engine.Stats().ZeroWindowAdvertised == 0 {
 		t.Fatal("zero window never advertised")
@@ -437,7 +445,7 @@ func TestFlowControlZeroWindowAndResume(t *testing.T) {
 
 func TestPersistProbeSurvivesLostWindowUpdate(t *testing.T) {
 	cfgB := defCfg()
-	cfgB.RecvBuf = 2048
+	cfgB.recvBuf = 2048
 	h := newHarness(13)
 	h.build(defCfg(), cfgB)
 	h.b.autoRecv = false
@@ -475,7 +483,7 @@ func TestPersistProbeSurvivesLostWindowUpdate(t *testing.T) {
 			break
 		}
 		h.step()
-		if sent == len(payload) && got >= len(payload)-2048 && srv.RecvAvailable() == 0 && cli.SendSpaceFree() == cfgB.SendBuf {
+		if sent == len(payload) && got >= len(payload)-2048 && len(srv.rcvBuf()) == 0 && cli.SendSpaceFree() == cfgB.SendBuf {
 			break
 		}
 	}
@@ -607,29 +615,6 @@ func TestDelayedAckFiresOnTimer(t *testing.T) {
 	}
 }
 
-func TestShutdownAbortsEverything(t *testing.T) {
-	h := newHarness(19)
-	h.build(defCfg(), defCfg())
-	h.b.engine.Listen(proto.Addr{}, 80, 64)
-	for i := 0; i < 5; i++ {
-		h.connectPair(80)
-	}
-	if h.b.engine.NumConns() != 5 {
-		t.Fatalf("conns=%d", h.b.engine.NumConns())
-	}
-	h.b.engine.Shutdown()
-	if h.b.engine.NumConns() != 0 {
-		t.Fatalf("Shutdown left %d conns", h.b.engine.NumConns())
-	}
-	h.run(h.now + sim.Second)
-	// All clients saw resets.
-	for c, rst := range h.a.resets {
-		if !rst {
-			t.Fatalf("client %v closed without reset", c)
-		}
-	}
-}
-
 func TestCrashWithoutShutdownLeavesPeerRetrying(t *testing.T) {
 	// This is the paper's replica-crash model: state vanishes with no RST.
 	h := newHarness(21)
@@ -728,29 +713,6 @@ func TestPeerWithoutWindowScale(t *testing.T) {
 		if c.snd.wnd != 4096 {
 			t.Fatalf("peer window=%d", c.snd.wnd)
 		}
-	}
-}
-
-func TestNagleCoalescesSmallWrites(t *testing.T) {
-	cfg := defCfg()
-	cfg.NoDelay = false // Nagle on
-	h := newHarness(32)
-	h.build(cfg, defCfg())
-	h.b.engine.Listen(proto.Addr{}, 80, 16)
-	cli, srv := h.connectPair(80)
-	segsBefore := h.a.engine.Stats().SegsOut
-	// Ten 10-byte writes back to back: Nagle must coalesce the trailing
-	// nine while the first is in flight.
-	for i := 0; i < 10; i++ {
-		cli.Send([]byte("0123456789"))
-	}
-	h.runUntil(func() bool { return len(h.b.recvData[srv]) == 100 }, sim.Second)
-	dataSegs := h.a.engine.Stats().SegsOut - segsBefore
-	if dataSegs > 4 {
-		t.Fatalf("Nagle off? %d segments for 10 small writes", dataSegs)
-	}
-	if string(h.b.recvData[srv]) != strings.Repeat("0123456789", 10) {
-		t.Fatal("coalesced stream corrupted")
 	}
 }
 

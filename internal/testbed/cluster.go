@@ -20,10 +20,9 @@ package testbed
 // member watchdog's ProbesSent counter for progress. A machine whose
 // watchdog stops probing — hung kernel, pulled cable, KillMachine — is
 // declared dead, its switch backend goes Down, and new flows re-place
-// onto the surviving members; the same loop activates and drains standby
-// members on per-farm connection watermarks (farm-level autoscaling). In
-// PDES runs the controller executes at barriers with every domain
-// quiescent, so cross-machine reads and state flips stay deterministic.
+// onto the surviving members. In PDES runs the controller executes at
+// barriers with every domain quiescent, so cross-machine reads and state
+// flips stay deterministic.
 
 import (
 	"fmt"
@@ -32,41 +31,9 @@ import (
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/steer"
-	"neat/internal/tcpeng"
 	"neat/internal/trace"
 	"neat/internal/wire"
 )
-
-// FarmControlConfig tunes one farm's controller loop: the health check
-// interval and the watermark autoscaling policy over the mean
-// live-connection count per active member. Zero watermarks leave the farm
-// at its initial active set (health monitoring still runs).
-type FarmControlConfig struct {
-	// Interval between health/scale evaluations (default 250 µs).
-	Interval sim.Time
-	// HighWater activates a standby member when the mean live-connection
-	// count per active member exceeds it (0 disables autoscaling up).
-	HighWater int
-	// LowWater drains the newest-activated member when the mean falls
-	// below it and more than MinActive members are active (0 disables
-	// autoscaling down).
-	LowWater int
-	// MinActive floors scale-down (default 1).
-	MinActive int
-	// Cooldown is the minimum time between scale events (default 4×Interval).
-	Cooldown sim.Time
-}
-
-// Validate reports a negative interval or inconsistent watermarks.
-func (c FarmControlConfig) Validate() error {
-	if c.Interval < 0 || c.Cooldown < 0 {
-		return fmt.Errorf("negative controller interval or cooldown")
-	}
-	if c.HighWater < 0 || c.LowWater < 0 || (c.HighWater > 0 && c.LowWater >= c.HighWater) {
-		return fmt.Errorf("watermarks (high %d, low %d) must satisfy 0 <= low < high", c.HighWater, c.LowWater)
-	}
-	return nil
-}
 
 // FarmSpec describes one server farm: Members identical NEaT machines
 // behind one VIP.
@@ -75,13 +42,9 @@ type FarmSpec struct {
 	Name string
 	// Tenant is the owning tenant ("" = the default tenant).
 	Tenant string
-	// Members is the machine count (≥ 1).
+	// Members is the machine count (≥ 1). The farm's virtual IP is
+	// 10.0.0.(100+farmIndex).
 	Members int
-	// InitialActive is how many members start in the new-flow rotation
-	// (default all; the rest are standby capacity for the autoscaler).
-	InitialActive int
-	// VIP is the farm's virtual IP; zero assigns 10.0.0.(100+farmIndex).
-	VIP proto.Addr
 	// Host shapes each member machine (zero: the AMD model with 8 NIC
 	// queues). Name/IP/MAC are assigned by the builder (members share the
 	// VIP — direct-server-return).
@@ -96,8 +59,6 @@ type FarmSpec struct {
 	// Steering is the farm-level placement policy (default hash). Must be
 	// deterministic (hash or ring — not least-loaded).
 	Steering steer.Config
-	// Control tunes the farm controller.
-	Control FarmControlConfig
 }
 
 // ClientSpec describes one load-generator machine.
@@ -163,10 +124,7 @@ type Farm struct {
 	Service *wire.L4Service
 	Members []*FarmMember
 
-	cluster  *Cluster
-	control  FarmControlConfig
-	lastFlip sim.Time
-	flipped  bool
+	cluster *Cluster
 }
 
 // FarmEventKind enumerates farm-controller lifecycle events.
@@ -177,24 +135,14 @@ const (
 	// FarmMemberDead: a member's watchdog stopped making progress and the
 	// backend was taken Down.
 	FarmMemberDead FarmEventKind = iota
-	// FarmScaleUp: a standby member was activated.
-	FarmScaleUp
-	// FarmScaleDown: an active member was put back to draining standby.
-	FarmScaleDown
 )
 
 // String names the event kind.
 func (k FarmEventKind) String() string {
-	switch k {
-	case FarmMemberDead:
+	if k == FarmMemberDead {
 		return "member-dead"
-	case FarmScaleUp:
-		return "scale-up"
-	case FarmScaleDown:
-		return "scale-down"
-	default:
-		return fmt.Sprintf("FarmEventKind(%d)", int(k))
 	}
+	return fmt.Sprintf("FarmEventKind(%d)", int(k))
 }
 
 // FarmEvent is one farm-controller decision.
@@ -289,14 +237,7 @@ func (spec ClusterSpec) Validate() error {
 		if f.Members > 250 {
 			return fmt.Errorf("testbed: farm %q has %d members; the MAC plan allows 250", f.Name, f.Members)
 		}
-		if f.InitialActive < 0 || f.InitialActive > f.Members {
-			return fmt.Errorf("testbed: farm %q InitialActive %d out of range 0..%d (0 means all)",
-				f.Name, f.InitialActive, f.Members)
-		}
 		if _, err := f.Steering.NewDeterministic(); err != nil {
-			return fmt.Errorf("testbed: farm %q: %v", f.Name, err)
-		}
-		if err := f.Control.Validate(); err != nil {
 			return fmt.Errorf("testbed: farm %q: %v", f.Name, err)
 		}
 	}
@@ -371,10 +312,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 
 	for fi := range spec.Farms {
 		fs := &spec.Farms[fi]
-		vip := fs.VIP
-		if vip == (proto.Addr{}) {
-			vip = farmVIP(fi)
-		}
+		vip := farmVIP(fi)
 		vmac := farmVMAC(fi)
 		svc, err := sw.AddService(wire.L4ServiceConfig{
 			Name:     fs.Name,
@@ -388,20 +326,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		}
 		farm := &Farm{
 			Name: fs.Name, Tenant: fs.Tenant, VIP: vip, VMAC: vmac,
-			Service: svc, cluster: c, control: fs.Control,
-		}
-		if farm.control.Interval == 0 {
-			farm.control.Interval = 250 * sim.Microsecond
-		}
-		if farm.control.Cooldown == 0 {
-			farm.control.Cooldown = 4 * farm.control.Interval
-		}
-		if farm.control.MinActive == 0 {
-			farm.control.MinActive = 1
-		}
-		initialActive := fs.InitialActive
-		if initialActive == 0 {
-			initialActive = fs.Members
+			Service: svc, cluster: c,
 		}
 		for mi := 0; mi < fs.Members; mi++ {
 			hcfg := fs.Host
@@ -426,11 +351,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 				return nil, fmt.Errorf("testbed: farm %q member %d: %w", fs.Name, mi, err)
 			}
 			port := sw.AddPort(hcfg.Name, n.Link.End(1), hcfg.MAC)
-			state := wire.BackendActive
-			if mi >= initialActive {
-				state = wire.BackendDraining // standby capacity
-			}
-			backend := svc.AddBackend(port, hcfg.MAC, state)
+			backend := svc.AddBackend(port, hcfg.MAC, wire.BackendActive)
 			farm.Members = append(farm.Members, &FarmMember{
 				Host: h, Sys: sys, Port: port, Backend: backend, alive: true,
 			})
@@ -456,7 +377,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		for _, f := range c.tenantFarms(cs.Tenant) {
 			arp[f.VIP] = f.VMAC
 		}
-		sys, err := h.boot(arp, clientSystem(stacks, tcpeng.DefaultConfig()), nil)
+		sys, err := h.boot(arp, clientSystem(stacks), nil)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: client %d: %w", k, err)
 		}
@@ -476,15 +397,17 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		var tick func()
 		tick = func() {
 			farm.controlTick()
-			s.After(farm.control.Interval, tick)
+			s.After(farmControlInterval, tick)
 		}
-		s.At(s.Now()+farm.control.Interval+17*sim.Microsecond, tick)
+		s.At(s.Now()+farmControlInterval+17*sim.Microsecond, tick)
 	}
 	return c, nil
 }
 
-// controlTick is one farm-controller evaluation: member health first,
-// then the scale watermarks.
+// farmControlInterval is the farm controller's health-check period.
+const farmControlInterval = 250 * sim.Microsecond
+
+// controlTick is one farm-controller evaluation of member health.
 func (f *Farm) controlTick() {
 	now := f.cluster.Sim.Now()
 
@@ -508,54 +431,6 @@ func (f *Farm) controlTick() {
 		}
 		m.lastProbes = probes
 		m.sampled = true
-	}
-
-	// Autoscale: mean live connections per active member against the
-	// watermarks, with a cooldown between flips.
-	if f.control.HighWater == 0 && f.control.LowWater == 0 {
-		return
-	}
-	if f.flipped && now-f.lastFlip < f.control.Cooldown {
-		return
-	}
-	active, conns := 0, 0
-	for _, m := range f.Members {
-		if m.alive && f.Service.BackendState(m.Backend) == wire.BackendActive {
-			active++
-			conns += m.Sys.TotalConns()
-		}
-	}
-	if active == 0 {
-		return
-	}
-	mean := conns / active
-	if f.control.HighWater > 0 && mean > f.control.HighWater {
-		for i, m := range f.Members {
-			if m.alive && f.Service.BackendState(m.Backend) == wire.BackendDraining {
-				f.Service.SetBackendState(m.Backend, wire.BackendActive)
-				f.lastFlip, f.flipped = now, true
-				f.cluster.events = append(f.cluster.events, FarmEvent{
-					At: now, Farm: f.Name, Kind: FarmScaleUp, Member: i,
-				})
-				return
-			}
-		}
-		return
-	}
-	if f.control.LowWater > 0 && mean < f.control.LowWater && active > f.control.MinActive {
-		// Drain the highest-indexed active member (the steer plane's
-		// historical retire choice, one level up).
-		for i := len(f.Members) - 1; i >= 0; i-- {
-			m := f.Members[i]
-			if m.alive && f.Service.BackendState(m.Backend) == wire.BackendActive {
-				f.Service.SetBackendState(m.Backend, wire.BackendDraining)
-				f.lastFlip, f.flipped = now, true
-				f.cluster.events = append(f.cluster.events, FarmEvent{
-					At: now, Farm: f.Name, Kind: FarmScaleDown, Member: i,
-				})
-				return
-			}
-		}
 	}
 }
 

@@ -176,16 +176,13 @@ type NEaTConfig struct {
 	InitialReplicas int
 	// DisableFlowFilters switches to pure-RSS steering (ablation).
 	DisableFlowFilters bool
-	// UseNICFlowTracking enables the §4 hardware tracking extension
-	// (usually combined with DisableFlowFilters).
-	UseNICFlowTracking bool
 	// CheckpointInterval enables stateful TCP recovery (0 = stateless).
 	CheckpointInterval sim.Time
 	// Watchdog enables heartbeat-based failure detection with the
 	// escalation ladder (default: the paper's instantaneous crash oracle).
 	Watchdog bool
 	// Steering configures the flow placement plane (zero value: the
-	// legacy RSS hash policy, no drain deadline).
+	// legacy RSS hash policy).
 	Steering steer.Config
 	// Costs is the replica cycle table (zero: stack.DefaultCosts()).
 	Costs stack.Costs
@@ -223,7 +220,6 @@ func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Trac
 		SyscallThread:      h.Thread(cfg.Syscall),
 		CheckpointInterval: cfg.CheckpointInterval,
 		UseFlowFilters:     !cfg.DisableFlowFilters,
-		UseNICFlowTracking: cfg.UseNICFlowTracking,
 		Watchdog:           cfg.Watchdog,
 		Trace:              tr,
 		Steering:           cfg.Steering,
@@ -234,9 +230,10 @@ func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Trac
 // single-component replicas from core 2, one per load-generator process.
 // Client stacks are given a large cycle discount — the load generator must
 // saturate the server, not itself (the paper's client machine runs 12
-// httperf processes that together generate >300 krps).
-func clientSystem(stacks int, tcp tcpeng.Config) NEaTConfig {
-	return NEaTConfig{Kind: stack.Single, TCP: tcp,
+// httperf processes that together generate >300 krps). Their engines run
+// tcpeng.DefaultConfig().
+func clientSystem(stacks int) NEaTConfig {
+	return NEaTConfig{Kind: stack.Single,
 		Slots:   SingleSlots(2, stacks),
 		Syscall: ThreadLoc{Core: 1},
 		Costs:   cheapCosts(),
@@ -300,10 +297,8 @@ type BedConfig struct {
 	// client side boots (scale adjustments, fault arming), so its events
 	// land before the client stack's boot events.
 	Tune func(*core.System) error
-	// ClientStacks is the load generator's replica count (default 1), and
-	// ClientTCP their engine configuration (zero: tcpeng.DefaultConfig()).
+	// ClientStacks is the load generator's replica count (default 1).
 	ClientStacks int
-	ClientTCP    tcpeng.Config
 	// Client shapes the load-generator machine (zero: the oversized
 	// default for ClientStacks stacks).
 	Client HostConfig
@@ -359,7 +354,7 @@ func NewBed(s *sim.Simulator, cfg BedConfig) (*Bed, error) {
 		return nil, err
 	}
 	b.CliSys, err = b.Client.boot(map[proto.Addr]proto.MAC{b.Server.IP: b.Server.MAC},
-		clientSystem(stacks, cfg.ClientTCP), nil)
+		clientSystem(stacks), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -60,9 +60,6 @@ func NewEngine(env Env, addr proto.Addr) *Engine {
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// NumBound returns the number of bound ports.
-func (e *Engine) NumBound() int { return len(e.binds) }
-
 // Bind binds a socket to port; port 0 picks an ephemeral port.
 func (e *Engine) Bind(port uint16) (*Socket, error) {
 	if port == 0 {

@@ -122,7 +122,7 @@ func TestCloseReleasesPort(t *testing.T) {
 	e := NewEngine(env, ipA)
 	s, _ := e.Bind(1234)
 	s.Close()
-	if e.NumBound() != 0 {
+	if len(e.binds) != 0 {
 		t.Fatal("port not released")
 	}
 	if err := s.SendTo(ipB, 1, nil); err != ErrClosed {

@@ -283,12 +283,12 @@ type L4ServiceConfig struct {
 	// Steering selects the farm-level placement policy (zero value:
 	// deterministic hash over the active backends).
 	Steering steer.Config
-	// MaxFlows bounds the flow-pinning table (default 1<<20 entries);
-	// the oldest pin is evicted first, falling back to policy placement,
-	// which under a stable active set re-places the flow on the same
-	// backend.
-	MaxFlows int
 }
+
+// l4MaxFlows bounds a service's flow-pinning table. The oldest pin is
+// evicted first, falling back to policy placement, which under a stable
+// active set re-places the flow on the same backend.
+const l4MaxFlows = 1 << 20
 
 // L4Stats counts service activity.
 type L4Stats struct {
@@ -330,16 +330,12 @@ func (sw *Switch) AddService(cfg L4ServiceConfig) (*L4Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: service %s steering: %w", cfg.Name, err)
 	}
-	maxFlows := cfg.MaxFlows
-	if maxFlows == 0 {
-		maxFlows = 1 << 20
-	}
 	svc := &L4Service{
 		sw:       sw,
 		cfg:      cfg,
 		placer:   placer,
 		flows:    make(map[proto.Flow]int32),
-		maxFlows: maxFlows,
+		maxFlows: l4MaxFlows,
 	}
 	sw.svcs = append(sw.svcs, svc)
 	return svc, nil
@@ -350,9 +346,6 @@ func (svc *L4Service) Config() L4ServiceConfig { return svc.cfg }
 
 // Stats returns a snapshot of the service counters.
 func (svc *L4Service) Stats() L4Stats { return svc.stats }
-
-// NumFlows returns the flow-pinning table occupancy.
-func (svc *L4Service) NumFlows() int { return len(svc.flows) }
 
 // AddBackend registers a farm machine (by switch port and MAC) as a
 // backend in the given initial state and returns its backend index.
@@ -373,9 +366,6 @@ func (svc *L4Service) SetBackendState(i int, state BackendState) {
 	svc.backends[i].State = state
 	svc.updateActive()
 }
-
-// BackendState returns backend i's state.
-func (svc *L4Service) BackendState(i int) BackendState { return svc.backends[i].State }
 
 // NumActive returns the number of backends accepting new flows.
 func (svc *L4Service) NumActive() int { return len(svc.placer.Active()) }
@@ -421,8 +411,7 @@ func (svc *L4Service) route(frame []byte) (out int, ok bool) {
 	return be.Port, true
 }
 
-// pin records a flow→backend pinning, evicting the oldest when full
-// (the NIC flow-tracking idiom, one level up).
+// pin records a flow→backend pinning, evicting the oldest when full.
 func (svc *L4Service) pin(flow proto.Flow, backend int32) {
 	if len(svc.flows) >= svc.maxFlows {
 		oldest := svc.flowOrder[svc.flowHead]

@@ -187,18 +187,19 @@ func TestSwitchFlowTableEviction(t *testing.T) {
 	sw, links, _ := mkSwitchWorld(s, 2)
 	vip := proto.Addr{10, 0, 0, 100}
 	vmac := proto.MAC{0x02, 0xFE, 0, 0, 0, 1}
-	svc, err := sw.AddService(L4ServiceConfig{Name: "web", VIP: vip, VMAC: vmac, MaxFlows: 8})
+	svc, err := sw.AddService(L4ServiceConfig{Name: "web", VIP: vip, VMAC: vmac})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.maxFlows = 8
 	svc.AddBackend(1, stationMAC(1), BackendActive)
 	src := proto.Addr{10, 0, 0, 1}
 	for port := uint16(1); port <= 24; port++ {
 		links[0].Transmit(0, tcpFrameTo(vmac, src, vip, port, 80))
 	}
 	s.Drain()
-	if svc.NumFlows() != 8 {
-		t.Fatalf("flow table holds %d entries, want 8", svc.NumFlows())
+	if len(svc.flows) != 8 {
+		t.Fatalf("flow table holds %d entries, want 8", len(svc.flows))
 	}
 	if svc.Stats().Evictions != 16 {
 		t.Fatalf("evictions %d, want 16", svc.Stats().Evictions)

@@ -29,7 +29,7 @@
 //
 // Every knob group is declared once, in the internal package that consumes
 // it, with its Validate beside it; the facade re-exports it by alias
-// (IPCConfig, GuardConfig, AutoscaleConfig, SwitchConfig, LinkConfig). One
+// (IPCConfig, GuardConfig, SwitchConfig, LinkConfig). One
 // function, compileSystem, turns a SystemConfig into what the testbed
 // boots, for a two-machine TopologyConfig and for every member of a
 // ClusterConfig farm alike.
@@ -152,8 +152,9 @@ const (
 )
 
 // SystemConfig configures one machine's NEaT system — the server of a
-// TopologyConfig, or every member of a FarmConfig. The zero value is a
-// working system: two single-component replicas on cores 2 and 3, no TSO,
+// TopologyConfig, or every member of a FarmConfig. Replicas start at core 2:
+// core 0 hosts the NIC driver and core 1 the SYSCALL server. The zero value
+// is a working system: two single-component replicas on cores 2 and 3, no TSO,
 // the paper's instantaneous crash oracle for failure detection, and no
 // observability instruments attached.
 type SystemConfig struct {
@@ -163,9 +164,6 @@ type SystemConfig struct {
 	// Kind selects single- (default) or multi-component replicas.
 	// Multi-component replicas occupy two consecutive cores each.
 	Kind ReplicaKind
-	// FirstCore is the first core used for replicas (default 2: core 0
-	// hosts the NIC driver and core 1 the SYSCALL server).
-	FirstCore int
 	// TSO enables TCP segmentation offload (default off, as in the
 	// paper's headline configurations).
 	TSO bool
@@ -180,15 +178,13 @@ type SystemConfig struct {
 	// system pays zero observation cost.
 	Observe bool
 	// Steering configures the flow placement plane: which replica a new
-	// flow's packets are hashed to, which replica serves an outbound
-	// connect, and how a retiring replica drains. The zero value is the
-	// paper's behaviour (RSS hash indirection, no drain deadline).
+	// flow's packets are hashed to and which replica serves an outbound
+	// connect. The zero value is the paper's RSS hash indirection.
 	Steering SteeringConfig
 	// Guard configures the per-replica resource guards against hostile
 	// peers (SYN-backlog shedding, SYN cookies, slowloris header/idle
-	// deadlines, per-source connection caps). The zero value disables
-	// every guard, preserving the paper's behaviour exactly; see
-	// GuardConfig.
+	// deadlines). The zero value disables every guard, preserving the
+	// paper's behaviour exactly; see GuardConfig.
 	Guard GuardConfig
 	// IPC tunes the modeled shared-memory message rings of every channel
 	// the system creates (replica↔replica, replica↔application, SYSCALL
@@ -198,18 +194,18 @@ type SystemConfig struct {
 }
 
 // IPCConfig tunes the bounded SPSC message rings of §3.2's user-space
-// channels: RingDepth and CoalesceWakes. The zero value is the paper's
-// calibrated behaviour. Declared in internal/ipc beside the ring.
+// channels: CoalesceWakes. The zero value is the paper's calibrated
+// behaviour. Declared in internal/ipc beside the ring.
 type IPCConfig = ipc.Tuning
 
 // GuardConfig bounds the resources one remote peer can pin inside a
 // replica: SYN-backlog shedding, SYN cookies, slowloris header/idle
-// deadlines, per-source connection caps. Guards are the containment half
+// deadlines. Guards are the containment half
 // of the adversarial-workload plane: partitioning already limits an
 // attack's blast radius to the replicas its flows hash to, and the guards
 // keep even those replicas serving. Each field is independent and disabled
 // at zero. Activity is counted in System.Metrics() as stack.syn_shed,
-// stack.syn_cookies_sent, stack.slowloris_reaped and stack.src_capped.
+// stack.syn_cookies_sent and stack.slowloris_reaped.
 // Declared in internal/tcpeng beside the engine that enforces it.
 type GuardConfig = tcpeng.GuardConfig
 
@@ -220,26 +216,19 @@ type SteeringConfig struct {
 	//   - "" or "hash": the paper's RSS indirection-table modulo hash
 	//     (default). Scale events remap roughly half of the unpinned
 	//     flow space.
-	//   - "ring": consistent-hash ring with virtual nodes; adding or
-	//     removing one replica out of N remaps only O(1/N) of the
-	//     unpinned flows.
+	//   - "ring": consistent-hash ring with 64 virtual nodes per replica;
+	//     adding or removing one replica out of N remaps only O(1/N) of
+	//     the unpinned flows.
 	//   - "least-loaded" (aliases "leastloaded", "p2c"):
 	//     power-of-two-choices over live per-replica connection counts;
 	//     skew-resistant under elephant-flow workloads.
 	//
 	// Established connections are never remapped by any policy: their
 	// flow-director filters pin them to the owning replica (§3.4).
+	//
+	// A retiring replica drains lazily under every policy: it serves its
+	// existing connections until the last one closes (§3.4).
 	Policy string
-	// RingVNodes is the virtual nodes per replica for the "ring" policy
-	// (default 64; more vnodes = smoother balance, larger table).
-	RingVNodes int
-	// DrainDeadline bounds a retiring replica's graceful drain. Zero
-	// (default) keeps the paper's unbounded lazy termination: the
-	// replica serves existing connections until the last one closes.
-	// Positive: if connections remain when the deadline fires, they are
-	// force-closed (reset with ErrReplicaRetired) and the replica is
-	// collected.
-	DrainDeadline Time
 }
 
 // compile is the one translation of the user-facing steering knobs (a
@@ -250,13 +239,7 @@ func (c SteeringConfig) compile() (steer.Config, error) {
 	if err != nil {
 		return steer.Config{}, fmt.Errorf("Policy %q: %v; want \"\", \"hash\", \"ring\" or \"least-loaded\"", c.Policy, err)
 	}
-	if c.RingVNodes < 0 {
-		return steer.Config{}, fmt.Errorf("RingVNodes is %d; want 0 (default %d) or a positive count", c.RingVNodes, steer.DefaultRingVNodes)
-	}
-	if c.DrainDeadline < 0 {
-		return steer.Config{}, fmt.Errorf("DrainDeadline is %v; want 0 (drain without deadline) or a positive duration", c.DrainDeadline)
-	}
-	return steer.Config{Policy: policy, RingVNodes: c.RingVNodes, DrainDeadline: c.DrainDeadline}, nil
+	return steer.Config{Policy: policy}, nil
 }
 
 // Validate reports the first configuration error, with enough context to
@@ -273,20 +256,18 @@ func (cfg SystemConfig) Validate() error {
 	if cfg.Kind != stack.Single && cfg.Kind != stack.Multi {
 		return fmt.Errorf("neat: SystemConfig.Kind is %d; want neat.SingleComponent or neat.MultiComponent", cfg.Kind)
 	}
-	if cfg.FirstCore == 1 || cfg.FirstCore < 0 {
-		return fmt.Errorf("neat: SystemConfig.FirstCore is %d; cores 0 and 1 host the NIC driver and the SYSCALL server, so replicas start at core 2 (the default)", cfg.FirstCore)
-	}
 	if _, err := cfg.Steering.compile(); err != nil {
 		return fmt.Errorf("neat: SystemConfig.Steering.%v", err)
 	}
 	if err := cfg.Guard.Validate(); err != nil {
 		return fmt.Errorf("neat: SystemConfig.Guard.%v", err)
 	}
-	if err := cfg.IPC.Validate(); err != nil {
-		return fmt.Errorf("neat: SystemConfig.IPC.%v", err)
-	}
 	return nil
 }
+
+// firstReplicaCore is where a system's replicas start: core 0 hosts the NIC
+// driver and core 1 the SYSCALL server.
+const firstReplicaCore = 2
 
 // compileSystem is the only translation of a SystemConfig into the
 // testbed's NEaTConfig: TopologyConfig.Build and ClusterConfig.Build both
@@ -301,17 +282,14 @@ func compileSystem(cfg SystemConfig, cores int) (testbed.NEaTConfig, error) {
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.FirstCore == 0 {
-		cfg.FirstCore = 2
-	}
-	slots := testbed.SingleSlots(cfg.FirstCore, cfg.Replicas)
+	slots := testbed.SingleSlots(firstReplicaCore, cfg.Replicas)
 	if cfg.Kind == stack.Multi {
-		slots = testbed.MultiSlots(cfg.FirstCore, cfg.Replicas)
+		slots = testbed.MultiSlots(firstReplicaCore, cfg.Replicas)
 	}
 	lastSlot := slots[len(slots)-1]
 	if lastCore := lastSlot[len(lastSlot)-1].Core; lastCore >= cores {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: %d %s-component replicas starting at core %d need cores up to %d, but the machine has %d cores; use fewer replicas or a lower FirstCore",
-			cfg.Replicas, cfg.Kind, cfg.FirstCore, lastCore, cores)
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: %d %s-component replicas starting at core %d need cores up to %d, but the machine has %d cores; use fewer replicas",
+			cfg.Replicas, cfg.Kind, firstReplicaCore, lastCore, cores)
 	}
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = cfg.TSO

@@ -8,7 +8,7 @@ package neat
 // same placement policies that steer flows across replicas within a
 // machine. TopologyConfig (below) is the short path for single-link work;
 // a cluster is what you reach for when the question spans machines:
-// farm-level autoscaling, cross-machine failover, multi-tenant isolation.
+// farm-level steering, cross-machine failover, multi-tenant isolation.
 
 import (
 	"fmt"
@@ -27,7 +27,7 @@ type Farm = testbed.Farm
 // FarmMember is one running server machine of a farm.
 type FarmMember = testbed.FarmMember
 
-// FarmEvent is one farm-controller decision (member death, scale events).
+// FarmEvent is one farm-controller decision (a member declared dead).
 type FarmEvent = testbed.FarmEvent
 
 // FarmEventKind enumerates farm-controller lifecycle events.
@@ -36,8 +36,6 @@ type FarmEventKind = testbed.FarmEventKind
 // Farm controller events.
 const (
 	FarmMemberDead = testbed.FarmMemberDead
-	FarmScaleUp    = testbed.FarmScaleUp
-	FarmScaleDown  = testbed.FarmScaleDown
 )
 
 // ClusterConfig declares a cluster topology. The zero values of every
@@ -99,10 +97,6 @@ type FarmConfig struct {
 	Tenant string
 	// Members is the machine count (required, ≥ 1).
 	Members int
-	// InitialActive is how many members start in the new-flow rotation
-	// (default all). The rest start as draining standby — capacity the
-	// autoscaler can activate.
-	InitialActive int
 	// System configures each member machine's NEaT system, exactly as
 	// TopologyConfig.System does for a two-machine server (one compile
 	// path; members are 12-core AMD machines with 8 NIC queues). The
@@ -115,18 +109,7 @@ type FarmConfig struct {
 	// — "hash" or "ring", not "least-loaded" — so that a cluster run is
 	// engine-independent.
 	Steering SteeringConfig
-	// Autoscale tunes the farm controller's watermark autoscaling.
-	// Zero watermarks leave the farm at InitialActive members (health
-	// monitoring still runs).
-	Autoscale AutoscaleConfig
 }
-
-// AutoscaleConfig is the farm controller's policy: evaluation Interval
-// (default 250 µs), HighWater/LowWater rules over the mean live-connection
-// count per active member (0 disables that direction), the MinActive floor
-// (default 1) and the Cooldown between scale events (default 4×Interval).
-// Declared in internal/testbed beside the controller loop.
-type AutoscaleConfig = testbed.FarmControlConfig
 
 // ClientConfig declares one load-generator machine.
 type ClientConfig struct {
@@ -161,14 +144,12 @@ func (cfg ClusterConfig) spec(tr *trace.Tracer) (testbed.ClusterSpec, error) {
 			return spec, fmt.Errorf("neat: farm %q: Steering.%v", f.Name, err)
 		}
 		spec.Farms = append(spec.Farms, testbed.FarmSpec{
-			Name:          f.Name,
-			Tenant:        f.Tenant,
-			Members:       f.Members,
-			InitialActive: f.InitialActive,
-			NEaT:          nc,
-			Trace:         memberTrace,
-			Steering:      steering,
-			Control:       f.Autoscale,
+			Name:     f.Name,
+			Tenant:   f.Tenant,
+			Members:  f.Members,
+			NEaT:     nc,
+			Trace:    memberTrace,
+			Steering: steering,
 		})
 	}
 	for _, cl := range cfg.Clients {

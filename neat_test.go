@@ -86,24 +86,18 @@ func TestSystemConfigValidate(t *testing.T) {
 	}{
 		{"zero-value-defaults", neat.SystemConfig{}, ""},
 		{"full-valid", neat.SystemConfig{Replicas: 8, Kind: neat.MultiComponent,
-			FirstCore: 4, TSO: true, Watchdog: true, Observe: true}, ""},
+			TSO: true, Watchdog: true, Observe: true}, ""},
 		{"negative-replicas", neat.SystemConfig{Replicas: -1}, "Replicas"},
 		{"too-many-replicas", neat.SystemConfig{Replicas: 9}, "queue pairs"},
 		{"bad-kind", neat.SystemConfig{Kind: neat.ReplicaKind(7)}, "Kind"},
-		{"reserved-core", neat.SystemConfig{FirstCore: 1}, "SYSCALL"},
-		{"negative-core", neat.SystemConfig{FirstCore: -2}, "FirstCore"},
 		// The knob groups validate in their declaring packages (range
 		// tables there); the facade prefixes the path the user wrote.
 		{"cookies-valid", neat.SystemConfig{Guard: neat.GuardConfig{
 			SynBacklog: 16, SynCookies: true, SynCookieWatermark: -1}}, ""},
 		{"guard-path", neat.SystemConfig{Guard: neat.GuardConfig{SynBacklog: -1}},
 			"SystemConfig.Guard.SynBacklog"},
-		{"ipc-path", neat.SystemConfig{IPC: neat.IPCConfig{RingDepth: -1}},
-			"SystemConfig.IPC.RingDepth"},
 		{"steering-policy", neat.SystemConfig{Steering: neat.SteeringConfig{Policy: "round-robin"}},
 			"SystemConfig.Steering.Policy"},
-		{"steering-vnodes", neat.SystemConfig{Steering: neat.SteeringConfig{RingVNodes: -1}},
-			"SystemConfig.Steering.RingVNodes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,18 +272,10 @@ func TestClusterConfigValidate(t *testing.T) {
 			Farms: []neat.FarmConfig{{Name: "web", Members: 1,
 				System: neat.SystemConfig{Guard: neat.GuardConfig{IdleDeadline: -1}}}},
 			Clients: clients}, "Guard.IdleDeadline"},
-		{"member-ipc", neat.ClusterConfig{
-			Farms: []neat.FarmConfig{{Name: "web", Members: 1,
-				System: neat.SystemConfig{IPC: neat.IPCConfig{RingDepth: -4}}}},
-			Clients: clients}, "IPC.RingDepth"},
 		{"farm-steering-policy", neat.ClusterConfig{
 			Farms: []neat.FarmConfig{{Name: "web", Members: 1,
 				Steering: neat.SteeringConfig{Policy: "round-robin"}}},
 			Clients: clients}, "Steering.Policy"},
-		{"autoscale-watermarks", neat.ClusterConfig{
-			Farms: []neat.FarmConfig{{Name: "web", Members: 2,
-				Autoscale: neat.AutoscaleConfig{HighWater: 2, LowWater: 5}}},
-			Clients: clients}, "watermarks"},
 		{"negative-switch-latency", neat.ClusterConfig{Farms: farm("web"), Clients: clients,
 			Switch: neat.SwitchConfig{Latency: -1}}, "switch latency"},
 		{"negative-link", neat.ClusterConfig{Farms: farm("web"), Clients: clients,

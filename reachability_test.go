@@ -18,63 +18,49 @@ import (
 // or the benchmark — or be deleted.
 var reachableOnlyFromTests = map[string]string{
 	// Features that only tests drive today.
-	"internal/app.NewDNSServer":          "the only UDP server; the DNS and baseline UDP tests run it until a campaign does",
-	"internal/app.NewDNSClient":          "the only UDP client; the DNS and baseline UDP tests run it until a campaign does",
-	"internal/pfilter.Filter.Append":     "the packet filter's rule table; nothing outside its tests installs rules yet",
-	"internal/pfilter.Filter.Clear":      "the packet filter's rule table; nothing outside its tests installs rules yet",
-	"internal/tcpeng.Engine.Shutdown":    "abrupt engine teardown with RSTs, pinned by its test; replica crashes lose state silently instead",
-	"internal/core.System.Quarantine":    "the operator's manual fence; the drop-all and fault-injection tests call it",
-	"internal/faultinject.Injector.Pick": "weighted component draw, checked against its weights by its test",
+	"internal/app.NewDNSServer":       "the only UDP server; the DNS and baseline UDP tests run it until a campaign does",
+	"internal/app.NewDNSClient":       "the only UDP client; the DNS and baseline UDP tests run it until a campaign does",
+	"internal/core.System.Quarantine": "the operator's manual fence; the drop-all and fault-injection tests call it",
 
 	// Test harness API: fault hooks, stepping, frame builders, instruments.
-	"internal/sim.Proc.SetDropRate":              "the lossy-channel fault hook of the ownership and watchdog tests",
-	"internal/sim.Simulator.Drain":               "runs a test simulation to quiescence",
-	"internal/sim.Simulator.Step":                "single-steps a test simulation",
-	"internal/sim.Simulator.Idle":                "tests check that a run left no events behind",
-	"internal/bufpool.Ref.Retain":                "part of the slab refcount contract; the ownership property test models shared holders with it",
-	"internal/proto.BuildICMP":                   "builds the ICMP frames of the proto and ipeng tests",
-	"internal/proto.BuildUDP":                    "builds the UDP frames of the proto, ipeng, udpeng and pfilter tests",
-	"internal/proto.FlagString":                  "renders TCP flags; pinned by the proto tests",
-	"internal/proto.SeqMax":                      "sequence-space helper beside SeqLT/SeqGEQ; pinned by the proto tests",
-	"internal/metrics.Counter.Inc":               "instrument API the registry tests exercise",
-	"internal/metrics.Counter.Set":               "instrument API the registry tests exercise",
-	"internal/metrics.Gauge.Set":                 "instrument API the registry tests exercise",
-	"internal/metrics.Histogram.Min":             "instrument API the metrics tests exercise",
-	"internal/metrics.Histogram.Max":             "instrument API the metrics and watchdog tests read",
-	"internal/metrics.Rate":                      "instrument API the metrics tests exercise",
-	"internal/metrics.CPUSampler.MaxUtilization": "instrument API the metrics tests exercise",
+	"internal/sim.Proc.SetDropRate":  "the lossy-channel fault hook of the ownership and watchdog tests",
+	"internal/sim.Simulator.Drain":   "runs a test simulation to quiescence",
+	"internal/sim.Simulator.Step":    "single-steps a test simulation",
+	"internal/sim.Simulator.Idle":    "tests check that a run left no events behind",
+	"internal/bufpool.Ref.Retain":    "part of the slab refcount contract; the ownership property test models shared holders with it",
+	"internal/proto.BuildICMP":       "builds the ICMP frames of the proto and ipeng tests",
+	"internal/proto.BuildUDP":        "builds the UDP frames of the proto, ipeng and udpeng tests",
+	"internal/metrics.Counter.Set":   "instrument API the registry tests exercise",
+	"internal/metrics.Gauge.Set":     "instrument API the registry tests exercise",
+	"internal/metrics.Histogram.Max": "instrument API the metrics and watchdog tests read",
 
 	// Accessors tests read to observe state.
 	"internal/faultinject.Injector.Injected": "read by the fault-injection tests",
-	"internal/ipc.Conn.InFlight":             "read by the ring tests",
-	"internal/ipc.Conn.Peer":                 "read by the rebind test",
-	"internal/ipeng.Engine.ARPEntry":         "read by the ARP resolution tests",
-	"internal/nicdev.NIC.NumTrackedFlows":    "read by the flow-tracking tests",
 	"internal/nicdev.NIC.RSSQueues":          "read by the drop-all quarantine test",
-	"internal/sim.Proc.CrashCause":           "read by the crash tests",
-	"internal/sim.Proc.QueueLen":             "read by the scheduler tests",
 	"internal/sim.Simulator.Machines":        "read by the stack and nicdev tests",
-	"internal/sim.Simulator.PDESEnabled":     "read by the PDES tests",
-	"internal/socketlib.Lib.NumOpenSockets":  "read by the socket library tests",
-	"internal/tcpeng.Conn.RecvAvailable":     "read by the flow-control and byte-path tests",
-	"internal/tcpeng.Listener.AcceptPending": "read by the accept-queue test",
 	"internal/testbed.FarmMember.Alive":      "read by the cluster failover test",
-	"internal/udpeng.Engine.NumBound":        "read by the UDP engine tests",
-	"internal/wire.L4Service.NumFlows":       "read by the switch tests",
-	"internal/pfilter.Filter.NumRules":       "read by the packet filter tests",
+}
+
+// settableOnlyFromTests lists the fields of settings types (see isSettings)
+// that no non-test file but the declaring one sets, kept on purpose, each
+// with the reason. Any other such field is a constant in disguise.
+var settableOnlyFromTests = map[string]string{
+	"internal/testbed.NEaTConfig.DisableFlowFilters": "the pure-RSS side of the paper's flow-director ablation; BenchmarkAblationFlowDirectorVsRSS sets it",
 }
 
 // TestEveryExportIsReachable fails on an exported function or method whose
-// name appears in no non-test Go file but its own, and on an allowlist entry
-// that no longer exists or has gained such a caller. Matching is by name, so
-// it errs towards "reachable": any identifier with the same name elsewhere
-// counts.
+// name appears in no non-test Go file but its own, on a settings field (see
+// isSettings) that no non-test Go file but its own sets, and on an allowlist
+// entry that no longer exists or has gained such a caller or setter.
+// Matching is by name, so it errs towards "reachable": any identifier or
+// set field with the same name elsewhere counts.
 func TestEveryExportIsReachable(t *testing.T) {
 	fset := token.NewFileSet()
 	// named[name] is the set of non-test files holding an identifier name.
 	named := map[string]map[string]bool{}
-	type export struct{ key, name, file string }
-	var exports []export
+	// set[name] is the set of non-test files that set a field called name.
+	set := map[string]map[string]bool{}
+	var exports, fields []export
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -101,20 +87,43 @@ func TestEveryExportIsReachable(t *testing.T) {
 				}
 				named[id.Name][path] = true
 			}
+			for _, name := range fieldsSet(n) {
+				if set[name] == nil {
+					set[name] = map[string]bool{}
+				}
+				set[name][path] = true
+			}
 			return true
 		})
 		if strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) {
 			return nil // callers only: benchmark/ is not this repo's API
 		}
+		pkg := filepath.ToSlash(filepath.Dir(path)) + "."
+		if pkg == ".." {
+			pkg = "neat."
+		}
 		for _, decl := range f.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !isSettings(pkg, ts.Name.Name) {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.IsExported() {
+								fields = append(fields, export{key: pkg + ts.Name.Name + "." + id.Name, name: id.Name, file: path})
+							}
+						}
+					}
+				}
+			}
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue
 			}
-			key := filepath.ToSlash(filepath.Dir(path)) + "."
-			if key == ".." {
-				key = "neat."
-			}
+			key := pkg
 			if fn.Recv != nil {
 				key += recvType(fn.Recv.List[0].Type) + "."
 			}
@@ -127,34 +136,95 @@ func TestEveryExportIsReachable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	checkClause(t, exports, named, reachableOnlyFromTests,
+		"exported, but no other non-test file names it; wire it into something a user runs, delete it, or allowlist it with a reason",
+		"is on the allowlist but another non-test file now names it; drop the entry",
+		"names no exported function or method; drop it")
+	checkClause(t, fields, set, settableOnlyFromTests,
+		"a setting no other non-test file sets; make it a constant, delete it, or allowlist it with a reason",
+		"is on the field allowlist but another non-test file now sets it; drop the entry",
+		"names no settings field; drop it")
+}
+
+// export is one checked declaration: its allowlist key, the identifier
+// other files must use, and the declaring file.
+type export struct{ key, name, file string }
+
+// checkClause fails on each item whose name no file but its own has in
+// files (unless allow lists it), on each allowlisted item that another
+// file now reaches, and on each allowlist entry that names no item.
+func checkClause(t *testing.T, items []export, files map[string]map[string]bool, allow map[string]string,
+	unreachedMsg, reachedMsg, goneMsg string) {
+	t.Helper()
 	declared := map[string]bool{}
 	var unreached []string
-	for _, e := range exports {
+	for _, e := range items {
 		declared[e.key] = true
 		reached := false
-		for file := range named[e.name] {
+		for file := range files[e.name] {
 			if file != e.file {
 				reached = true
 				break
 			}
 		}
-		_, allowed := reachableOnlyFromTests[e.key]
+		_, allowed := allow[e.key]
 		switch {
 		case !reached && !allowed:
 			unreached = append(unreached, e.key+" ("+filepath.ToSlash(e.file)+")")
 		case reached && allowed:
-			t.Errorf("%s is on the allowlist but another non-test file now names it; drop the entry", e.key)
+			t.Errorf("%s %s", e.key, reachedMsg)
 		}
 	}
 	sort.Strings(unreached)
 	for _, u := range unreached {
-		t.Errorf("%s: exported, but no other non-test file names it; wire it into something a user runs, delete it, or allowlist it with a reason", u)
+		t.Errorf("%s: %s", u, unreachedMsg)
 	}
-	for key := range reachableOnlyFromTests {
+	for key := range allow {
 		if !declared[key] {
-			t.Errorf("allowlist entry %s names no exported function or method; drop it", key)
+			t.Errorf("allowlist entry %s %s", key, goneMsg)
 		}
 	}
+}
+
+// isSettings reports whether the exported struct type name of package pkg
+// (as "dir.") holds settings the field clause checks: a name ending in
+// Config, Spec or Tuning, or the campaign Options.
+func isSettings(pkg, name string) bool {
+	if !ast.IsExported(name) {
+		return false
+	}
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Spec") ||
+		strings.HasSuffix(name, "Tuning") || (pkg == "internal/experiments." && name == "Options")
+}
+
+// fieldsSet returns the field names node n sets: the keys of a composite
+// literal, and the selector on the left of an assignment or an
+// increment/decrement.
+func fieldsSet(n ast.Node) []string {
+	var lhs []ast.Expr
+	switch x := n.(type) {
+	case *ast.CompositeLit:
+		var names []string
+		for _, el := range x.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					names = append(names, id.Name)
+				}
+			}
+		}
+		return names
+	case *ast.AssignStmt:
+		lhs = x.Lhs
+	case *ast.IncDecStmt:
+		lhs = []ast.Expr{x.X}
+	}
+	var names []string
+	for _, e := range lhs {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			names = append(names, sel.Sel.Name)
+		}
+	}
+	return names
 }
 
 // recvType names a method's receiver type without pointer or type parameters.
