@@ -18,11 +18,12 @@ test:
 # race-free AND byte-identical across worker counts, with or without
 # tracing), the scheduler's invariants and its differential test against a
 # reference heap, and the IPC ring semantics under the race detector, the
-# scheduler's node-size budget, the allocation guards (scheduling/dispatch, timer
-# arm/stop/fire and the IPC send/recv fast path must stay allocation-free in
-# steady state; so must a warm bulk exchange inside the TCP engine pair, in
-# order or reordered, a BuildTCP frame's round trip and an accept that keeps
-# up with the queue; a whole HTTP reply and a whole one-request connection
+# scheduler's node-size budget and the TCP PCB's (352 bytes), the
+# allocation guards (scheduling/dispatch, timer arm/stop/fire and the IPC
+# send/recv fast path must stay allocation-free in steady state; so must a
+# warm bulk exchange inside the TCP engine pair, in order or reordered, a
+# BuildTCP frame's round trip and an accept that keeps up with the queue;
+# a whole HTTP reply and a whole one-request connection
 # over a NEaT bed, with or without the watchdog, must stay inside their
 # budgets), the free-list boxes under the race detector (a heartbeat's
 # round trip and the socket protocol's box round trips allocate nothing
@@ -62,7 +63,7 @@ verify:
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades|TestWheelNodeSize' -count=1
 	$(GO) test -race ./internal/sim ./internal/stack ./internal/experiments -run 'TestHeartbeatRoundTripZeroAlloc|TestHeartbeatAnsweredOnlyWhenDraining|TestConnBoxRoundTripZeroAlloc|TestPoolsDrainAtQuiescence' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
-	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
+	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestConnSize|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
 	$(GO) test -race ./internal/baseline -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem

@@ -230,7 +230,7 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 		return
 	}
 	ctx.Charge(2000 + int64(snap.StateBytes())/2)
-	n := h.tcp.Restore(snap)
+	conns := h.tcp.Restore(snap)
 	for _, ls := range snap.Listeners {
 		if lc, ok := ls.Ctx.(*listenCtx); ok {
 			lc.home, lc.appConn = ctx.Proc, h.appConn(lc.app)
@@ -239,13 +239,15 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 			}
 		}
 	}
-	for _, cs := range snap.Conns {
-		sc, ok := cs.Ctx.(*sockCtx)
-		if !ok {
+	n := 0
+	for i, cs := range snap.Conns {
+		c := conns[i]
+		if c == nil {
 			continue
 		}
-		c := h.tcp.LookupByID(cs.ConnID)
-		if c == nil {
+		n++
+		sc, ok := cs.Ctx.(*sockCtx)
+		if !ok {
 			continue
 		}
 		old := sc.h
@@ -417,11 +419,11 @@ func (h *tcpHost) ConnClosed(c *tcpeng.Conn, reset bool) {
 	h.release(c, sc.h)
 	if !sc.established {
 		// Active open failed.
-		h.sendConn(h.ctx, sc.appConn, EvConnected{ReqID: sc.reqID, Stack: sc.home, Err: c.Err})
+		h.sendConn(h.ctx, sc.appConn, EvConnected{ReqID: sc.reqID, Stack: sc.home, Err: c.Err()})
 		return
 	}
 	h.sendConn(h.ctx, sc.appConn, NewEvClosed(h.s, EvClosed{Conn: sc.h, Stack: sc.home, ConnID: c.ID,
-		Reset: reset, Err: c.Err}))
+		Reset: reset, Err: c.Err()}))
 }
 
 // ConnRemoved implements tcpeng.Env.

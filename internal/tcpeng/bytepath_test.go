@@ -148,10 +148,11 @@ func TestSnapshotRestoreMidTransfer(t *testing.T) {
 	clear(srv.bufs.snd)
 
 	fresh := swapEngineB(h, defCfg())
-	if fresh.Restore(snap) != 1 {
+	restored := fresh.Restore(snap)
+	if len(restored) != 1 || restored[0] == nil {
 		t.Fatal("connection not restored")
 	}
-	srv = fresh.LookupByID(snap.Conns[0].ConnID)
+	srv = restored[0]
 	for i := 0; i < 500000 && (len(gotUp) < len(up) || len(h.a.recvData[cli]) < len(down)); i++ {
 		piece := srv.Recv(0)
 		gotUp = append(gotUp, piece...)

@@ -81,7 +81,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		s.Conns = append(s.Conns, ConnSnapshot{
 			LocalAddr: c.key.localAddr, LocalPort: c.key.localPort,
 			RemoteAddr: c.key.remoteAddr, RemotePort: c.key.remotePort,
-			State: c.state, MSS: c.mss,
+			State: c.state, MSS: int(c.mss),
 			SndUna: c.snd.una, SndWnd: c.snd.wnd, SndWndShift: c.snd.wndShift,
 			RcvNxt: c.rcv.nxt, RcvWndShift: c.rcv.wndShift,
 			SndBuf: append([]byte(nil), c.sndBuf()...),
@@ -99,7 +99,10 @@ func (e *Engine) Snapshot() *Snapshot {
 }
 
 // StateBytes estimates the checkpoint's size (buffer bytes + fixed PCB
-// cost); the caller charges checkpointing cycles proportional to it.
+// cost); the caller charges checkpointing cycles proportional to it. The
+// 256 bytes per connection are the modeled cost of serializing one PCB, a
+// constant of the checkpoint model: they are not sizeof(Conn), and changing
+// them moves every checkpointing result.
 func (s *Snapshot) StateBytes() int {
 	n := 0
 	for _, c := range s.Conns {
@@ -110,16 +113,17 @@ func (s *Snapshot) StateBytes() int {
 
 // Restore rebuilds the snapshot's listeners and connections in e (a fresh
 // engine). Restored connections keep their ConnID and Ctx; all
-// unacknowledged data is queued for retransmission. Returns the number of
-// connections restored.
-func (e *Engine) Restore(s *Snapshot) int {
+// unacknowledged data is queued for retransmission. It returns the PCB
+// built for each entry of s.Conns, index for index; an entry whose 4-tuple
+// is already taken is skipped and left nil.
+func (e *Engine) Restore(s *Snapshot) []*Conn {
 	for _, ls := range s.Listeners {
 		if l, err := e.Listen(ls.Addr, ls.Port, ls.Backlog); err == nil {
 			l.Ctx = ls.Ctx
 		}
 	}
-	restored := 0
-	for _, cs := range s.Conns {
+	restored := make([]*Conn, len(s.Conns))
+	for i, cs := range s.Conns {
 		k := connKey{localAddr: cs.LocalAddr, localPort: cs.LocalPort,
 			remoteAddr: cs.RemoteAddr, remotePort: cs.RemotePort}
 		if _, dup := e.conns[k]; dup {
@@ -133,7 +137,7 @@ func (e *Engine) Restore(s *Snapshot) int {
 			e.nextID = cs.ConnID + 1
 		}
 		c.state = cs.State
-		c.mss = cs.MSS
+		c.mss = int32(cs.MSS)
 		c.snd.una = cs.SndUna
 		// Everything buffered counts as "sent": the peer may have seen any
 		// prefix of it. Standard retransmission fills whatever is missing.
@@ -150,7 +154,7 @@ func (e *Engine) Restore(s *Snapshot) int {
 			c.ensureBufs().appendRcv(cs.RcvBuf)
 		}
 		c.rto = initialRTO
-		restored++
+		restored[i] = c
 		// Kick resynchronization: if data is outstanding, the RTO will
 		// retransmit from SndUna; otherwise probe the peer with a bare ACK
 		// so a diverged peer answers (and a healthy one ignores it).

@@ -45,8 +45,20 @@ func TestSnapshotRestoreQuiescentConnectionsSurvive(t *testing.T) {
 
 	// Crash: new engine, restore the checkpoint.
 	fresh := swapEngineB(h, defCfg())
-	if got := fresh.Restore(snap); got != 3 {
-		t.Fatalf("restored %d", got)
+	restored := fresh.Restore(snap)
+	if len(restored) != len(snap.Conns) {
+		t.Fatalf("Restore returned %d PCBs for %d snapshot entries", len(restored), len(snap.Conns))
+	}
+	for i, c := range restored {
+		if c == nil || c.ID != snap.Conns[i].ConnID || c != fresh.conns[c.key] {
+			t.Fatalf("entry %d: Restore returned %v, not the live PCB of ConnID %d", i, c, snap.Conns[i].ConnID)
+		}
+	}
+	// A second restore finds every 4-tuple taken and builds nothing.
+	for i, c := range fresh.Restore(snap) {
+		if c != nil {
+			t.Fatalf("entry %d restored over a live 4-tuple: %v", i, c)
+		}
 	}
 	h.run(h.now + 100*sim.Millisecond) // resynchronization ACKs settle
 

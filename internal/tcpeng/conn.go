@@ -11,49 +11,18 @@ import (
 // Conn is one TCP protocol control block. All of a connection's state lives
 // here, inside exactly one engine, inside exactly one replica — the paper's
 // partitioning unit.
+//
+// Fields are grouped by size, 8-byte words first, then the 32-bit sequence
+// space, then single bytes and flags, so the struct fits Go's 352-byte size
+// class (TestConnSize; DESIGN.md §15 has the byte budget).
 type Conn struct {
 	engine *Engine
 	ID     uint64
-	key    connKey
-	state  State
 
 	// Listener that spawned this connection (passive opens only).
 	Listener *Listener
-	// Intrusive links in the listener's embryonic arrival list, live only
-	// while state == SYN_RCVD. O(1) unlink keeps mass handshake completion
-	// linear — a slice queue made million-connection storms quadratic.
-	embPrev, embNext *Conn
 	// Ctx is opaque owner context (socket bookkeeping in the stack).
 	Ctx interface{}
-
-	iss, irs uint32 // initial send/recv sequence numbers
-	mss      int    // effective MSS (min of ours and peer's)
-
-	snd struct {
-		una, nxt       uint32 // oldest unacked, next to send
-		wnd            uint32 // peer's advertised window (scaled)
-		wndShift       uint8  // peer's window scale
-		cwnd           uint32 // congestion window (bytes)
-		ssthresh       uint32
-		inFastRecovery bool
-		recover        uint32 // recovery point for Reno
-		dupAcks        int
-
-		bufMax int
-
-		finQueued bool // app closed; FIN after buffer drains
-		finSent   bool
-		finSeq    uint32 // seq of FIN when queued
-	}
-
-	rcv struct {
-		nxt               uint32
-		wndShift          uint8
-		bufMax            int
-		finSeen           bool
-		finSeq            uint32
-		lastWndAdvertised uint32
-	}
 
 	// bufs is the lazily attached buffer block (send/receive buffers and
 	// the reassembly list). It stays nil until the connection buffers its
@@ -65,14 +34,9 @@ type Conn struct {
 	// RTT estimation (RFC 6298).
 	srtt, rttvar sim.Time
 	rto          sim.Time
-	rexmitCount  int      // consecutive RTO firings without progress
-	rttSeq       uint32   // sequence being timed
-	rttAt        sim.Time // when it was sent
-	rttTiming    bool
+	rttAt        sim.Time // when the timed sequence was sent
 
-	// Delayed ACK bookkeeping.
-	ackPending  int // segments received since last ACK sent
-	delAckArmed bool
+	lastActivity sim.Time // arrival time of the last inbound segment (guards)
 
 	// Timers are the intrusive per-connection timer nodes, indexed by
 	// TimerKind. The Env arms and stops through them with zero allocations:
@@ -80,15 +44,65 @@ type Conn struct {
 	// message (see ConnTimer).
 	Timers [NumTimers]ConnTimer
 
-	// Resource-guard bookkeeping (server side only; see GuardConfig).
-	guardPhase   guardPhase
-	lastActivity sim.Time // arrival time of the last inbound segment
+	key connKey
 
-	userClosed bool
-	removed    bool
-	// Err is set when the connection dies abnormally.
-	Err error
+	iss, irs uint32 // initial send/recv sequence numbers
+	mss      int32  // effective MSS (min of ours and peer's)
+	rttSeq   uint32 // sequence being timed
+
+	// Delayed ACK bookkeeping: segments received since the last ACK sent.
+	ackPending int32
+
+	snd struct {
+		una, nxt uint32 // oldest unacked, next to send
+		wnd      uint32 // peer's advertised window (scaled)
+		cwnd     uint32 // congestion window (bytes)
+		ssthresh uint32
+		recover  uint32 // recovery point for Reno
+		finSeq   uint32 // seq of FIN when queued
+		dupAcks  int32
+
+		wndShift       uint8 // peer's window scale
+		inFastRecovery bool
+		finQueued      bool // app closed; FIN after buffer drains
+		finSent        bool
+	}
+
+	rcv struct {
+		nxt               uint32
+		finSeq            uint32
+		lastWndAdvertised uint32
+		wndShift          uint8
+		finSeen           bool
+	}
+
+	state       State
+	rexmitCount uint8      // consecutive RTO firings without progress
+	guardPhase  guardPhase // resource-guard deadline (server side only; see GuardConfig)
+	cause       closeCause // why the connection died; see Err
+
+	rttTiming   bool
+	delAckArmed bool
+	userClosed  bool
+	removed     bool
 }
+
+// closeCause records why a connection died in one byte; Err turns it back
+// into the error callers compare against.
+type closeCause uint8
+
+const (
+	causeNone   closeCause = iota // open, or closed in order
+	causeClosed                   // ErrConnClosed
+	causeReset                    // ErrReset
+)
+
+var causeErrs = [...]error{causeNone: nil, causeClosed: ErrConnClosed, causeReset: ErrReset}
+
+// Err reports why the connection died abnormally: ErrReset for a reset from
+// the peer, ErrConnClosed for a local close before establishment, an abort,
+// a timeout or a shed handshake, and nil otherwise.
+func (c *Conn) Err() error { return causeErrs[c.cause] }
 
 // ooSeg is an out-of-order segment held for reassembly.
 type ooSeg struct {
@@ -205,7 +219,7 @@ func (c *Conn) Flow() proto.Flow { return c.key.flow() }
 func (c *Conn) InboundFlow() proto.Flow { return c.key.flow().Reverse() }
 
 // MSS returns the effective maximum segment size.
-func (c *Conn) MSS() int { return c.mss }
+func (c *Conn) MSS() int { return int(c.mss) }
 
 // String summarizes the connection.
 func (c *Conn) String() string {
@@ -263,9 +277,8 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 		// completes), so recycle its slot for the newcomer. Shed silently —
 		// the victim's source is probably spoofed, and an RST would only
 		// burn an ARP lookup.
-		old := l.embHead
 		e.stats.SynShed++
-		old.destroy(ErrConnClosed, false)
+		l.popEmbryonic().destroy(causeClosed, false)
 	}
 	if l.embryonic+len(l.acceptQ) >= l.backlog {
 		e.stats.DroppedSynBacklog++
@@ -273,7 +286,6 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 	}
 	c := e.newConn(k)
 	c.Listener = l
-	l.embryonic++
 	l.pushEmbryonic(c)
 	c.lastActivity = e.env.Now()
 	c.state = StateSynRcvd
@@ -290,8 +302,8 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 
 // applyPeerOptions ingests MSS and window scale from a SYN/SYN-ACK.
 func (c *Conn) applyPeerOptions(h *proto.TCPHeader) {
-	if h.Opts.MSS != 0 && int(h.Opts.MSS) < c.mss {
-		c.mss = int(h.Opts.MSS)
+	if h.Opts.MSS != 0 && int32(h.Opts.MSS) < c.mss {
+		c.mss = int32(h.Opts.MSS)
 	}
 	if h.Opts.HasWScale {
 		c.snd.wndShift = h.Opts.WScale
@@ -346,7 +358,7 @@ func (c *Conn) input(h *proto.TCPHeader, payload []byte) {
 	if h.Flags&proto.TCPRst != 0 {
 		if off := h.Seq - c.rcv.nxt; off == 0 || off < c.recvWindow() {
 			e.stats.ResetsIn++
-			c.destroy(ErrReset, true)
+			c.destroy(causeReset, true)
 		}
 		return
 	}
@@ -420,7 +432,7 @@ func (c *Conn) inputSynSent(h *proto.TCPHeader) {
 	if h.Flags&proto.TCPRst != 0 {
 		if ackOK {
 			e.stats.ResetsIn++
-			c.destroy(ErrReset, true)
+			c.destroy(causeReset, true)
 		}
 		return
 	}
@@ -474,8 +486,7 @@ func (c *Conn) processAck(h *proto.TCPHeader) bool {
 		e.stats.EstablishedTransitons++
 		e.stats.AcceptedConns++
 		if c.Listener != nil {
-			c.Listener.embryonic--
-			c.Listener.dropEmbryonic(c)
+			c.Listener.leaveEmbryonic()
 			if len(c.Listener.acceptQ) >= c.Listener.backlog {
 				e.stats.AcceptQueueOverflow++
 				c.Abort()
@@ -495,7 +506,7 @@ func (c *Conn) processAck(h *proto.TCPHeader) bool {
 		case StateClosing:
 			c.enterTimeWait()
 		case StateLastAck:
-			c.destroy(nil, false)
+			c.destroy(causeNone, false)
 			return false
 		}
 	}
@@ -581,7 +592,7 @@ func (c *Conn) processData(h *proto.TCPHeader, payload []byte) {
 // appendInOrder moves in-order payload into the receive buffer.
 func (c *Conn) appendInOrder(payload []byte) {
 	b := c.ensureBufs()
-	space := c.rcv.bufMax - len(b.rcv)
+	space := c.engine.cfg.recvBuf - len(b.rcv)
 	if space < len(payload) {
 		payload = payload[:space] // peer overran our window; drop excess
 	}
@@ -680,7 +691,7 @@ func (c *Conn) enterTimeWait() {
 }
 
 // destroy tears down a connection immediately (RST in/out or LastAck done).
-func (c *Conn) destroy(err error, reset bool) {
+func (c *Conn) destroy(cause closeCause, reset bool) {
 	if c.state == StateClosed {
 		return
 	}
@@ -689,14 +700,13 @@ func (c *Conn) destroy(err error, reset bool) {
 		c.state == StateSynSent || c.state == StateCloseWait ||
 		c.state == StateFinWait1 || c.state == StateFinWait2 || c.state == StateClosing
 	c.state = StateClosed
-	c.Err = err
+	c.cause = cause
 	if c.Listener != nil {
 		if wasEmbryonic {
 			// A SYN_RCVD connection dying (SYN-ACK retry exhaustion, peer
 			// RST, guard shed) must release its backlog slot, or a flood of
 			// abandoned handshakes wedges the listener permanently.
-			c.Listener.embryonic--
-			c.Listener.dropEmbryonic(c)
+			c.Listener.leaveEmbryonic()
 		}
 		// Remove from accept queue if never accepted.
 		for i, qc := range c.Listener.acceptQ {

@@ -3,6 +3,7 @@ package tcpeng
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"neat/internal/proto"
 	"neat/internal/sim"
@@ -11,6 +12,25 @@ import (
 // Ownership tests of the connection path: the accept queue keeps its array,
 // Listener.Close resets everything it held, and a buffer block returns to the
 // pool when its connection enters TIME_WAIT with nothing in it.
+
+// TestConnSize pins the PCB inside Go's 352-byte size class: conn-scale beds
+// keep two PCBs resident per established connection, so every size class
+// the struct climbs costs 32 bytes or more per connection end. DESIGN.md §15
+// has the byte budget.
+func TestConnSize(t *testing.T) {
+	n := unsafe.Sizeof(Conn{})
+	class := n
+	for _, c := range []uintptr{256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768} {
+		if n <= c {
+			class = c
+			break
+		}
+	}
+	t.Logf("Conn is %d bytes, size class %d", n, class)
+	if n > 352 {
+		t.Fatalf("Conn is %d bytes (size class %d), budget 352", n, class)
+	}
+}
 
 // TestListenerCloseResetsEveryQueued closes a listener whose host never
 // accepts, with 1…5 established connections queued: each one must be reset

@@ -26,7 +26,7 @@ import (
 )
 
 // State is a TCP connection state (RFC 793).
-type State int
+type State uint8
 
 // TCP states.
 const (
@@ -396,13 +396,17 @@ type Listener struct {
 	backlog int
 	// acceptQ holds established, not-yet-accepted connections.
 	acceptQ []*Conn
-	// embryonic counts connections still in SYN_RCVD; embHead/embTail
-	// anchor an intrusive doubly-linked list of them in arrival order for
-	// the guard's oldest-first shedding. Intrusive links make both insert
-	// and removal O(1), so a storm of completing handshakes stays linear.
-	embryonic        int
-	embHead, embTail *Conn
-	closed           bool
+	// embryonic counts connections still in SYN_RCVD. embQ[embHead:] holds
+	// them in arrival order for the guard's oldest-first shedding, among
+	// stale entries of connections that have since left SYN_RCVD: a
+	// connection leaving only decrements the count, and the queue is
+	// compacted once its stale entries outnumber the live ones. So every
+	// operation is amortized O(1) — a storm of completing handshakes stays
+	// linear — and the order costs no bytes in the PCB.
+	embryonic int
+	embQ      []embEntry
+	embHead   int
+	closed    bool
 	// Ctx is opaque owner context (the stack stores socket bookkeeping).
 	Ctx interface{}
 }
@@ -558,13 +562,11 @@ func (e *Engine) newConn(k connKey) *Conn {
 	c.engine = e
 	c.ID = e.nextID
 	c.key = k
-	c.mss = e.cfg.MSS
+	c.mss = int32(e.cfg.MSS)
 	for i := range c.Timers {
 		c.Timers[i].C = c
 		c.Timers[i].Kind = TimerKind(i)
 	}
-	c.rcv.bufMax = e.cfg.recvBuf
-	c.snd.bufMax = e.cfg.SendBuf
 	c.rcv.wndShift, c.snd.wndShift = windowShift(e.cfg.recvBuf), 0
 	c.snd.cwnd = uint32(initialCwndMSS * e.cfg.MSS)
 	c.snd.ssthresh = 0xffffffff
@@ -644,34 +646,71 @@ func (e *Engine) PoolStats() PoolStats {
 	return ps
 }
 
-// pushEmbryonic appends c to the listener's embryonic arrival list.
-func (l *Listener) pushEmbryonic(c *Conn) {
-	c.embPrev, c.embNext = l.embTail, nil
-	if l.embTail != nil {
-		l.embTail.embNext = c
-	} else {
-		l.embHead = c
-	}
-	l.embTail = c
+// embEntry is one arrival in a listener's embryonic queue. The ID tells a
+// live entry from one whose PCB has been recycled since: a recycled Conn
+// gets a new ID.
+type embEntry struct {
+	c  *Conn
+	id uint64
 }
 
-// dropEmbryonic unlinks c from the listener's embryonic arrival list.
-func (l *Listener) dropEmbryonic(c *Conn) {
-	if c.embPrev == nil && c.embNext == nil && l.embHead != c {
-		return // not linked
+// live reports whether the entry's connection is still the one that arrived
+// and is still in SYN_RCVD.
+func (en embEntry) live() bool { return en.c.ID == en.id && en.c.state == StateSynRcvd }
+
+// pushEmbryonic records a new SYN_RCVD connection at the back of the
+// listener's arrival order. When the array is full and at least half of it
+// lies in front of embHead, the queue is compacted into it instead of
+// growing, so shedding from the front cannot grow the array for ever.
+func (l *Listener) pushEmbryonic(c *Conn) {
+	l.embryonic++
+	if len(l.embQ) == cap(l.embQ) && l.embHead >= len(l.embQ)/2 {
+		l.compactEmbryonic()
 	}
-	if c.embPrev != nil {
-		c.embPrev.embNext = c.embNext
-	} else {
-		l.embHead = c.embNext
-	}
-	if c.embNext != nil {
-		c.embNext.embPrev = c.embPrev
-	} else {
-		l.embTail = c.embPrev
-	}
-	c.embPrev, c.embNext = nil, nil
+	l.embQ = append(l.embQ, embEntry{c: c, id: c.ID})
 }
+
+// popEmbryonic takes the oldest connection still in SYN_RCVD off the queue,
+// dropping the stale entries in front of it. The caller must know one
+// exists (embryonic > 0).
+func (l *Listener) popEmbryonic() *Conn {
+	for {
+		en := l.embQ[l.embHead]
+		l.embQ[l.embHead] = embEntry{}
+		l.embHead++
+		if en.live() {
+			return en.c
+		}
+	}
+}
+
+// leaveEmbryonic accounts for a connection leaving SYN_RCVD; its entry goes
+// stale where it stands. Once stale entries outnumber live ones the queue is
+// compacted, so it never holds more than twice the embryonic count plus a
+// small floor that spares tiny queues the copying.
+func (l *Listener) leaveEmbryonic() {
+	l.embryonic--
+	if n := len(l.embQ) - l.embHead; n > embQueueFloor && n-l.embryonic > l.embryonic {
+		l.compactEmbryonic()
+	}
+}
+
+// compactEmbryonic moves the live entries, in order, to the front of the
+// array and clears the rest.
+func (l *Listener) compactEmbryonic() {
+	live := l.embQ[:0]
+	for _, en := range l.embQ[l.embHead:] {
+		if en.live() {
+			live = append(live, en)
+		}
+	}
+	clear(l.embQ[len(live):])
+	l.embQ, l.embHead = live, 0
+}
+
+// embQueueFloor is the queue length up to which leaveEmbryonic never
+// compacts.
+const embQueueFloor = 16
 
 // Flow returns the flow (local as source) of a connection key.
 func (k connKey) flow() proto.Flow {
@@ -701,14 +740,4 @@ func (e *Engine) EmbryonicConns() int {
 		n += l.embryonic
 	}
 	return n
-}
-
-// LookupByID returns the live connection with the given ID, or nil.
-func (e *Engine) LookupByID(id uint64) *Conn {
-	for _, c := range e.conns {
-		if c.ID == id {
-			return c
-		}
-	}
-	return nil
 }

@@ -12,7 +12,7 @@ func (c *Conn) Send(data []byte) int {
 		return 0
 	}
 	b := c.ensureBufs()
-	space := c.snd.bufMax - len(b.snd)
+	space := c.engine.cfg.SendBuf - len(b.snd)
 	if space <= 0 {
 		return 0
 	}
@@ -25,7 +25,7 @@ func (c *Conn) Send(data []byte) int {
 }
 
 // SendSpaceFree returns the free bytes in the send buffer.
-func (c *Conn) SendSpaceFree() int { return c.snd.bufMax - len(c.sndBuf()) }
+func (c *Conn) SendSpaceFree() int { return c.engine.cfg.SendBuf - len(c.sndBuf()) }
 
 // Recv takes up to max bytes of in-order received data (max <= 0: all of
 // it). The bytes leave the engine with the call: nothing here refers to the
@@ -68,7 +68,7 @@ func (c *Conn) Close() {
 	c.userClosed = true
 	switch c.state {
 	case StateSynSent:
-		c.destroy(ErrConnClosed, false)
+		c.destroy(causeClosed, false)
 		return
 	case StateEstablished, StateSynRcvd:
 		c.state = StateFinWait1
@@ -95,15 +95,15 @@ func (c *Conn) Abort() {
 		hdr.Seq = c.snd.nxt
 		hdr.Ack = c.rcv.nxt
 		c.engine.env.SendSegment(c, OutSegment{
-			Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr, MSS: c.mss,
+			Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr, MSS: int(c.mss),
 		})
 	}
-	c.destroy(ErrConnClosed, true)
+	c.destroy(causeClosed, true)
 }
 
 // recvWindow returns the receive window we can advertise.
 func (c *Conn) recvWindow() uint32 {
-	w := c.rcv.bufMax - len(c.rcvBuf())
+	w := c.engine.cfg.recvBuf - len(c.rcvBuf())
 	if w < 0 {
 		w = 0
 	}
@@ -147,7 +147,7 @@ func (c *Conn) sendFlags(flags uint8, seq, ack uint32, syn bool) {
 	}
 	e.stats.SegsOut++
 	e.env.SendSegment(c, OutSegment{
-		Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr, MSS: c.mss,
+		Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr, MSS: int(c.mss),
 	})
 	c.ackPending = 0
 	if c.delAckArmed {
@@ -274,8 +274,8 @@ func (c *Conn) emitData(seq, n uint32, fin bool) {
 	e.env.SendSegment(c, OutSegment{
 		Src: c.key.localAddr, Dst: c.key.remoteAddr, Hdr: hdr,
 		Payload: payload,
-		TSO:     e.cfg.TSO && int(n) > c.mss,
-		MSS:     c.mss,
+		TSO:     e.cfg.TSO && n > uint32(c.mss),
+		MSS:     int(c.mss),
 	})
 	c.ackPending = 0
 	if c.delAckArmed {
@@ -370,7 +370,7 @@ func (c *Conn) renoOnAck(acked, ack uint32) {
 		}
 		c.snd.cwnd += add
 	}
-	if max := uint32(c.snd.bufMax) * 2; c.snd.cwnd > max {
+	if max := uint32(c.engine.cfg.SendBuf) * 2; c.snd.cwnd > max {
 		c.snd.cwnd = max
 	}
 }
@@ -423,7 +423,7 @@ func (e *Engine) OnTimer(c *Conn, k TimerKind) {
 		}
 	case TimerTimeWait:
 		e.stats.TimeWaitReaped++
-		c.destroy(nil, false)
+		c.destroy(causeNone, false)
 	case TimerGuard:
 		e.onGuardTimer(c)
 	}
@@ -492,7 +492,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 	case StateSynSent:
 		c.rto *= 2
 		if c.rto > maxRTO {
-			c.destroy(ErrConnClosed, false)
+			c.destroy(causeClosed, false)
 			return
 		}
 		e.stats.Retransmits++
@@ -502,7 +502,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 	case StateSynRcvd:
 		c.rto *= 2
 		if c.rto > maxRTO {
-			c.destroy(ErrConnClosed, false)
+			c.destroy(causeClosed, false)
 			return
 		}
 		e.stats.Retransmits++
@@ -516,7 +516,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 	c.rexmitCount++
 	if c.rexmitCount > maxRetries {
 		e.stats.RetriesExceeded++
-		c.destroy(ErrConnClosed, false)
+		c.destroy(causeClosed, false)
 		return
 	}
 	// Collapse to slow start.

@@ -148,7 +148,7 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 	c.rcv.nxt = h.Seq
 	c.snd.una = h.Ack
 	c.snd.nxt = h.Ack
-	c.mss = mss
+	c.mss = int32(mss)
 	// Neither direction scales: the SYN|ACK offered no window scale.
 	c.rcv.wndShift, c.snd.wndShift = 0, 0
 	c.snd.cwnd = uint32(initialCwndMSS * c.mss)

@@ -29,8 +29,8 @@ func TestSynCookieStatelessHandshake(t *testing.T) {
 		t.Fatalf("cookie stats: %+v", st)
 	}
 	// The handshake never created an embryonic PCB.
-	if l.embryonic != 0 || l.embHead != nil {
-		t.Fatalf("embryonic state leaked: %d", l.embryonic)
+	if l.embryonic != 0 || len(l.embQ) != 0 {
+		t.Fatalf("embryonic state leaked: %d counted, %d queued", l.embryonic, len(l.embQ))
 	}
 	if srv.State() != StateEstablished {
 		t.Fatalf("server conn %v", srv.State())

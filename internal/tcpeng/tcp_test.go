@@ -53,8 +53,8 @@ func TestConnectToClosedPortResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.runUntil(func() bool { return cli.State() == StateClosed }, sim.Second)
-	if cli.State() != StateClosed || cli.Err != ErrReset {
-		t.Fatalf("state=%v err=%v", cli.State(), cli.Err)
+	if cli.State() != StateClosed || cli.Err() != ErrReset {
+		t.Fatalf("state=%v err=%v", cli.State(), cli.Err())
 	}
 	if h.a.engine.Stats().ResetsIn == 0 {
 		t.Fatal("no RST counted")
@@ -565,8 +565,8 @@ func TestListenerCloseStopsAccepting(t *testing.T) {
 	l.Close()
 	cli, _ := h.a.engine.Connect(h.b.addr, 80)
 	h.runUntil(func() bool { return cli.State() == StateClosed }, sim.Second)
-	if cli.Err != ErrReset {
-		t.Fatalf("connect to closed listener: err=%v", cli.Err)
+	if cli.Err() != ErrReset {
+		t.Fatalf("connect to closed listener: err=%v", cli.Err())
 	}
 }
 
