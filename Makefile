@@ -12,12 +12,13 @@ test:
 
 # verify is the pre-merge gate: static checks (vet + gofmt cleanliness), a
 # full build, the whole test suite, the parallel-sweep + fault-matrix +
-# traced-breakdown + steering + PDES determinism + cluster determinism
-# tests under the race detector (the concurrent experiment runner must stay
-# race-free AND byte-identical to a sequential sweep, the PDES coordinator
-# race-free AND byte-identical across worker counts, with or without
-# tracing), the scheduler's invariants and its differential test against a
-# reference heap, and the IPC ring semantics under the race detector, the
+# traced-breakdown + steering + attack + cluster determinism tests under
+# the race detector (the concurrent experiment runner must stay race-free
+# AND byte-identical to a sequential sweep, with or without tracing; the
+# cluster bed in the benchmark's shape must measure the same under 1 and 2
+# PDES workers, the one PDES contract left outside internal/sim), the
+# scheduler's invariants and its differential test against a reference
+# heap, and the IPC ring semantics under the race detector, the
 # scheduler's node-size budget and the TCP PCB's (352 bytes), the
 # allocation guards (scheduling/dispatch, timer arm/stop/fire and the IPC
 # send/recv fast path must stay allocation-free in steady state; so must a
@@ -28,18 +29,19 @@ test:
 # budgets), the free-list boxes under the race detector (a heartbeat's
 # round trip and the socket protocol's box round trips allocate nothing
 # even there, because no sync.Pool is involved; a fault-free run returns
-# every box it took), the byte-path and
+# every box it took, and a PDES control plane totals every domain's free
+# lists), the byte-path and
 # connection-path ownership tests under the race detector, the Linux
 # baseline's tests under the race detector (its K kernel contexts share one
 # engine set and NEaT's pooled event boxes), the layer benchmarks of the per-byte path (checksum, bulk send/receive: they
 # print the numbers and fail on wrong bytes) and of the scheduler (schedule
 # and pop: near, far, and a burst after an idle gap), 5 s of each fuzz
 # target, and
-# the md5 oracle pinning the default single-link campaign outputs: a
-# topology-plumbing change that shifts one byte of `neat-bench -quick` or
-# `neat-faults -matrix -quick` fails here, not in review. The cluster and
-# ipc campaigns are additionally diffed PDES 1-worker vs 4-worker, the
-# contract sim/pdes.go states. The five examples and cmd/neat-demo are built
+# the md5 oracles pinning the default single-link campaign outputs and the
+# cluster and ipc campaigns: a topology-plumbing change that shifts one
+# byte of `neat-bench -quick`, `neat-faults -matrix -quick`, `neat-bench
+# -cluster -quick` or `neat-bench -ipc -quick` fails here, not in review.
+# The five examples and cmd/neat-demo are built
 # and run, and each one's stdout md5 must match testdata/example_outputs.md5:
 # user-facing programs stay byte-stable across refactors. Last, four short
 # workloads of the repository benchmark (the one benchmark; `bash
@@ -56,12 +58,12 @@ verify:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestPDESDeterminism|TestAttack|TestClusterDeterminism|TestClusterFailover'
+	$(GO) test -race -timeout 1800s ./internal/experiments -run 'TestParallel|TestFaultMatrix|TestBreakdown|TestSteering|TestAttack|TestClusterDeterminism|TestClusterFailover'
 	$(GO) test -race ./internal/bufpool ./internal/nicdev -run 'TestSlabOwnershipProperty|TestBatchedHandoffOwnership' -count=1
 	$(GO) test -race ./internal/sim -run 'TestTimer|TestScheduler|TestEventPosition|TestQueue|TestScheduleAtNow' -count=1
 	$(GO) test -race ./internal/ipc -run 'TestIPCRingOverflowStalls|TestIPCInjectOrdering|TestIPCCoalescedRideFIFO|TestIPCDepthHighWater|TestFastPathLatency|TestSlowPathWhenColocated|TestRebindAfterCrash' -count=1
 	$(GO) test ./internal/sim -run 'TestScheduleZeroAlloc|TestUntracedDispatchAllocBudget|TestTracedDispatchNoExtraAllocs|TestBatchedDeliveryZeroAlloc|TestTimerArmStopZeroAlloc|TestTimerStatsPendingAndCascades|TestWheelNodeSize' -count=1
-	$(GO) test -race ./internal/sim ./internal/stack ./internal/experiments -run 'TestHeartbeatRoundTripZeroAlloc|TestHeartbeatAnsweredOnlyWhenDraining|TestConnBoxRoundTripZeroAlloc|TestPoolsDrainAtQuiescence' -count=1
+	$(GO) test -race ./internal/sim ./internal/stack ./internal/experiments -run 'TestHeartbeatRoundTripZeroAlloc|TestHeartbeatAnsweredOnlyWhenDraining|TestConnBoxRoundTripZeroAlloc|TestPoolsDrainAtQuiescence|TestPDESPoolsDrainAcrossDomains' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestConnSize|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
@@ -79,15 +81,13 @@ verify:
 	got=$$($$tmp/neat-faults -matrix -quick | md5sum | cut -d' ' -f1); \
 	if [ "$$got" != "eae3e80b0ca40f84c2ac060885a24f84" ]; then \
 		echo "md5 oracle: neat-faults -matrix -quick output changed ($$got)"; exit 1; fi; \
-	a=$$($$tmp/neat-bench -cluster -quick -pdes 1 | md5sum | cut -d' ' -f1); \
-	b=$$($$tmp/neat-bench -cluster -quick -pdes 4 | md5sum | cut -d' ' -f1); \
-	if [ "$$a" != "$$b" ]; then \
-		echo "cluster campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
-	a=$$($$tmp/neat-bench -ipc -quick -pdes 1 | md5sum | cut -d' ' -f1); \
-	b=$$($$tmp/neat-bench -ipc -quick -pdes 4 | md5sum | cut -d' ' -f1); \
-	if [ "$$a" != "$$b" ]; then \
-		echo "ipc campaign diverged between -pdes 1 and -pdes 4"; exit 1; fi; \
-	echo "md5 oracle: default outputs unchanged, cluster and ipc identical across PDES workers"
+	got=$$($$tmp/neat-bench -cluster -quick | md5sum | cut -d' ' -f1); \
+	if [ "$$got" != "13a4e294263fe39af561ebc4700b5fad" ]; then \
+		echo "md5 oracle: neat-bench -cluster -quick output changed ($$got)"; exit 1; fi; \
+	got=$$($$tmp/neat-bench -ipc -quick | md5sum | cut -d' ' -f1); \
+	if [ "$$got" != "d62dfbdbf2c4434e9650afaffd03638f" ]; then \
+		echo "md5 oracle: neat-bench -ipc -quick output changed ($$got)"; exit 1; fi; \
+	echo "md5 oracle: default, cluster and ipc outputs unchanged"
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	while read -r want pkg; do \
 		bin=$$tmp/$$(basename $$pkg); \

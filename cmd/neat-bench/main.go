@@ -28,9 +28,9 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "run the traced per-hop latency breakdown instead of the paper tables")
 	steering := flag.Bool("steering", false, "run the placement-policy steering campaign instead of the paper tables")
 	attack := flag.Bool("attack", false, "run the goodput-under-attack campaign instead of the paper tables")
-	cluster := flag.Bool("cluster", false, "run the cluster campaign: multi-machine farms behind a switch/L4 tier (combine with -scale and -pdes)")
+	cluster := flag.Bool("cluster", false, "run the cluster campaign: multi-machine farms behind a switch/L4 tier (combine with -scale)")
 	connscale := flag.Bool("connscale", false, "run the connection-scale ladder: up to ~1M established conns on one replica's engine, each holding an armed timer")
-	ipcfp := flag.Bool("ipc", false, "run the IPC fast-path campaign: message-ring activity under per-message vs coalesced wakes across pipeline shapes (combine with -pdes)")
+	ipcfp := flag.Bool("ipc", false, "run the IPC fast-path campaign: message-ring activity under per-message vs coalesced wakes across pipeline shapes")
 	flag.Parse()
 	defer ef.StartProfiles()()
 
@@ -64,10 +64,6 @@ func main() {
 		// Not part of the default run: the IPC campaign measures the modeled
 		// message rings and wake coalescing, not a figure of the paper.
 		"ipc": experiments.IPCFastPath,
-		// Not part of the default run: the PDES benches measure the
-		// simulator itself, not the paper. Combine with -pdes N.
-		"pdesfarm":  experiments.PDESFarm,
-		"pdesscale": experiments.PDESScaling,
 	}
 
 	switch {

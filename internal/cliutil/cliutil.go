@@ -16,15 +16,13 @@ import (
 )
 
 // ExperimentFlags is the standard flag bundle of an experiment-running
-// command: seed, quick mode, sweep concurrency, in-simulation parallelism
-// and profiling outputs.
+// command: seed, quick mode, sweep concurrency, cluster scale and
+// profiling outputs.
 type ExperimentFlags struct {
-	Quick    *bool
-	Seed     *int64
-	Parallel *bool
-	Workers  *int
-	PDES     *int
-	Scale    *int
+	Quick   *bool
+	Seed    *int64
+	Workers *int
+	Scale   *int
 
 	CPUProfile *string
 	MemProfile *string
@@ -37,9 +35,7 @@ func Experiment(defaultSeed int64) *ExperimentFlags {
 	return &ExperimentFlags{
 		Quick:      flag.Bool("quick", false, "shorter warmup/measurement windows and fewer runs"),
 		Seed:       flag.Int64("seed", defaultSeed, "simulation seed"),
-		Parallel:   flag.Bool("parallel", true, "measure independent sweep points concurrently (output is identical either way)"),
-		Workers:    flag.Int("workers", 0, "worker count for -parallel (default GOMAXPROCS)"),
-		PDES:       flag.Int("pdes", 0, "run each simulation in parallel: conservative PDES with N domain workers (0 = sequential event loop)"),
+		Workers:    flag.Int("workers", runtime.GOMAXPROCS(0), "measure up to N independent sweep points concurrently; 1 runs them one after another (output is identical either way)"),
 		Scale:      flag.Int("scale", 1, "multiply the cluster campaign's connection ladder (1 fits a 1-CPU container; 8000 targets >1M aggregate connections)"),
 		CPUProfile: flag.String("cpuprofile", "", "write a CPU profile to this file"),
 		MemProfile: flag.String("memprofile", "", "write a heap profile to this file on exit"),
@@ -49,9 +45,7 @@ func Experiment(defaultSeed int64) *ExperimentFlags {
 // Options converts the parsed flags into experiment options.
 func (f *ExperimentFlags) Options() experiments.Options {
 	return experiments.Options{
-		Quick: *f.Quick, Seed: *f.Seed,
-		Parallel: *f.Parallel, Workers: *f.Workers,
-		PDESWorkers: *f.PDES, Scale: *f.Scale,
+		Quick: *f.Quick, Seed: *f.Seed, Workers: *f.Workers, Scale: *f.Scale,
 	}
 }
 

@@ -65,10 +65,9 @@ func Table1(o Options) *Result {
 			IRQAffinity: true, RxAffinity: true}, 186.7},
 		{"sched+eth+irqAff+rxAff+serv", fullLinuxTuning, 224.0},
 	}
-	outs := RunParallel(len(rows), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(rows), o.Workers, func(i int) outcome {
 		b, err := NewBed(BedConfig{
-			PDESWorkers: o.PDESWorkers,
-			Seed:        o.seed(), Machine: AMD,
+			Seed: o.seed(), Machine: AMD,
 			LinuxCores: 12, LinuxTuning: rows[i].tuning,
 			WebLocs:     coreRange(0, 12),
 			ConnsPerGen: conns, ReqPerConn: 1000,
@@ -109,8 +108,7 @@ func amdFig7Config(o Options, kind stack.Kind, replicas, webs, connsPerGen, reqP
 		return Measurement{}, fmt.Errorf("config needs %d cores, AMD has 11 usable", 2+stackCores+webs)
 	}
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        o.seed(), Machine: AMD, Kind: kind,
+		Seed: o.seed(), Machine: AMD, Kind: kind,
 		ReplicaSlots: slots,
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+stackCores, webs),
@@ -157,7 +155,7 @@ func Figure7(o Options) *Result {
 			jobs = append(jobs, job{ci, w})
 		}
 	}
-	outs := RunParallel(len(jobs), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(jobs), o.Workers, func(i int) outcome {
 		c := configs[jobs[i].cfg]
 		m, err := amdFig7Config(o, c.kind, c.replicas, jobs[i].webs, 24, 100, 20)
 		return outcome{m: m, err: err}
@@ -217,7 +215,7 @@ func Figure12(o Options) *Result {
 		{"Multi 1x", stack.Multi, 1},
 		{"Multi 2x", stack.Multi, 2},
 	}
-	outs := RunParallel(len(configs)*len(workloads), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(configs)*len(workloads), o.Workers, func(i int) outcome {
 		c := configs[i/len(workloads)]
 		w := workloads[i%len(workloads)]
 		m, err := amdFig7Config(o, c.kind, c.replicas, w.webs, w.conns, 1, 20)

@@ -160,8 +160,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 		plans[i] = aimedPorts(cliIP, srvIP, uint16(8000+i), replicas, i, uint16(1024+i*4096))
 	}
 	cfg := BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        o.seed(), Machine: AMD, Kind: stack.Single,
+		Seed: o.seed(), Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, replicas),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+replicas, replicas),
@@ -247,7 +246,7 @@ func GoodputUnderAttack(o Options) *Result {
 			cells = append(cells, cell{kind: k, policy: p})
 		}
 	}
-	outs := RunParallel(len(cells), o.workers(), func(i int) attackOut {
+	outs := RunParallel(len(cells), o.Workers, func(i int) attackOut {
 		return attackRun(o, cells[i].kind, cells[i].policy)
 	})
 
@@ -324,7 +323,7 @@ func synCookieComparison(o Options) *report.Table {
 		{"syn cookies", cookieGuard},
 	}
 	tune := attackTuning{floodBurst: 4, floodInterval: 25 * sim.Microsecond}
-	outs := RunParallel(len(guards), o.workers(), func(i int) attackOut {
+	outs := RunParallel(len(guards), o.Workers, func(i int) attackOut {
 		return attackRunGuard(o, attackSynFlood, steer.PolicyHash, guards[i].cfg, tune)
 	})
 	tab := &report.Table{

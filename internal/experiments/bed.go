@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"neat/internal/app"
 	"neat/internal/baseline"
@@ -30,21 +29,11 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Parallel measures independent sweep points concurrently. Reports are
+	// Workers > 1 measures up to that many independent sweep points
+	// concurrently; 0 or 1 runs them one after another. Reports are
 	// assembled in configuration order afterwards, so the output matches a
 	// sequential run byte for byte.
-	Parallel bool
-	// Workers caps sweep concurrency (default GOMAXPROCS).
 	Workers int
-	// PDESWorkers > 0 runs each simulation itself in parallel: conservative
-	// PDES with that many domain workers (sim.EnablePDES). 0 keeps the
-	// default single global event loop. Note this changes RNG stream
-	// assignment (per-domain streams), so results are comparable across
-	// PDES worker counts but not with the sequential mode. (The cluster and
-	// ipc campaigns draw nothing behavior-relevant from the RNG, yet differ
-	// too: same-nanosecond ties between a wire delivery and a local event
-	// fall the other way under PDES — see cluster.go.)
-	PDESWorkers int
 	// Scale multiplies the cluster campaign's connection ladder (default
 	// 1, sized for a 1-CPU container; large values target machine-room
 	// aggregate connection counts).
@@ -56,16 +45,6 @@ func (o Options) clusterScale() int {
 		return 1
 	}
 	return o.Scale
-}
-
-func (o Options) workers() int {
-	if !o.Parallel {
-		return 1
-	}
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (o Options) seed() int64 {
@@ -95,10 +74,6 @@ func (o Options) window() sim.Time {
 type BedConfig struct {
 	Seed    int64
 	Machine testbed.MachineModel
-
-	// PDESWorkers > 0 enables conservative parallel simulation with that
-	// many workers (see Options.PDESWorkers). Must be set at bed creation.
-	PDESWorkers int
 
 	// NEaT configuration (used when LinuxCores == 0).
 	Kind         stack.Kind
@@ -174,11 +149,6 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 		cfg.ReqPerConn = 100
 	}
 	s := sim.New(cfg.Seed)
-	if cfg.PDESWorkers > 0 {
-		// Must precede host creation: machines built afterwards get their
-		// own event-queue domains.
-		s.EnablePDES(cfg.PDESWorkers)
-	}
 	var tr *trace.Tracer
 	if cfg.Observe {
 		// The bed attaches it before anything is built, so every delivery
@@ -326,13 +296,6 @@ func (b *Bed) Registry() *metrics.Registry {
 	r.SetCounter("link.frames_from_client", ls.Frames[1])
 	r.SetCounter("link.dropped_from_server", ls.Dropped[0])
 	r.SetCounter("link.dropped_from_client", ls.Dropped[1])
-	if barriers, horizon, doms := b.Net.Sim.PDESStats(); doms != nil {
-		r.SetCounter("sim.pdes.barriers", barriers)
-		r.SetCounter("sim.pdes.horizon_ns", uint64(horizon))
-		for _, d := range doms {
-			r.SetCounter("sim.pdes.domain."+d.Name+".events", d.Events)
-		}
-	}
 	ts := b.Net.Sim.TimerStats()
 	r.SetCounter("sim.timers.pending", uint64(ts.Pending))
 	r.SetCounter("sim.timers.cascades", ts.Cascades)

@@ -40,11 +40,10 @@ func LatencyBreakdown(o Options) *Result {
 		events string
 		err    error
 	}
-	outs := RunParallel(len(configs), o.workers(), func(i int) out {
+	outs := RunParallel(len(configs), o.Workers, func(i int) out {
 		c := configs[i]
 		b, err := NewBed(BedConfig{
-			PDESWorkers: o.PDESWorkers,
-			Seed:        o.seed(), Machine: AMD, Kind: c.kind,
+			Seed: o.seed(), Machine: AMD, Kind: c.kind,
 			ReplicaSlots: c.slots,
 			SyscallLoc:   testbed.ThreadLoc{Core: 1},
 			WebLocs:      coreRange(6, 2),

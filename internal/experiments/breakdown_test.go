@@ -12,7 +12,7 @@ import (
 // The md5 comparison mirrors how the -breakdown CLI output is checked.
 func TestBreakdownDeterminism(t *testing.T) {
 	seq := LatencyBreakdown(Options{Quick: true}).String()
-	par := LatencyBreakdown(Options{Quick: true, Parallel: true, Workers: 4}).String()
+	par := LatencyBreakdown(Options{Quick: true, Workers: 4}).String()
 	if seq != par {
 		t.Fatalf("breakdown differs between sequential (md5 %x) and parallel (md5 %x) runs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 			md5.Sum([]byte(seq)), md5.Sum([]byte(par)), seq, par)

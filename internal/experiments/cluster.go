@@ -8,19 +8,13 @@ package experiments
 // replicas within a machine, and goodput should scale with active members
 // the way Figure 9 scales with replicas.
 //
-// Determinism contract: a cluster run is byte-identical across PDES worker
-// counts (1 worker is the oracle for every other count, as sim/pdes.go
-// states), and the report prints only simulation-derived numbers — never
-// wall-clock times or PDES coordinator counters. The workload is RNG-free
-// on every behavior-relevant path: one stack per client machine (the
-// connect-side placer has a single choice), deterministic farm steering
-// (hash over the active set), no loss/duplication on any link, and fixed
-// port plans. That is not enough to make the sequential engine agree with
-// PDES to the byte: a wire delivery and a machine-local event due at the
-// same nanosecond are ordered by sequence number, which the sequential
-// engine stamps at transmit time and a PDES domain at the barrier flush.
-// The two engines therefore differ by a few requests per rung, and each
-// keeps its own oracle.
+// Determinism contract: a cluster run is a pure function of its seed, and
+// the report prints only simulation-derived numbers — never wall-clock
+// times. `make verify` pins the md5 of `neat-bench -cluster -quick`. The
+// workload is RNG-free on every behavior-relevant path: one stack per
+// client machine (the connect-side placer has a single choice),
+// deterministic farm steering (hash over the active set), no
+// loss/duplication on any link, and fixed port plans.
 
 import (
 	"fmt"
@@ -36,8 +30,17 @@ import (
 
 // ClusterBedConfig describes one cluster configuration plus its workload.
 type ClusterBedConfig struct {
-	Seed        int64
-	PDESWorkers int // 0 = sequential global event loop
+	Seed int64
+	// PDESWorkers > 0 runs the bed under conservative parallel simulation
+	// (sim.EnablePDES) with that many workers; 0 is the sequential event
+	// loop. Its one non-test caller is the benchmark's traced cluster pass,
+	// which re-runs under 1 and 2 workers and reports the speedup; the
+	// field goes, with the PDES engine, once that probe is gone. Runs are
+	// byte-identical across worker counts >= 1 but differ from the
+	// sequential run: a wire delivery and a machine-local event due at the
+	// same nanosecond are ordered by sequence number, which the sequential
+	// engine stamps at transmit time and a PDES domain at the barrier flush.
+	PDESWorkers int
 
 	// Topology (defaults: 3 farms × 2 members × 2 replicas, 4 clients,
 	// 2 tenants — the smallest shape exercising multi-farm steering,
@@ -202,7 +205,7 @@ func NewClusterBed(cfg ClusterBedConfig) (*ClusterBed, error) {
 	// local-port range: generators sharing a client stack would otherwise
 	// race for the ephemeral allocator, making the k-th connection's
 	// 4-tuple (and so its farm-member placement) depend on event
-	// interleaving, which differs between the sequential and PDES engines.
+	// interleaving.
 	for k, cl := range cluster.Clients {
 		genCore := 4 // client cores: 0 driver, 1 syscall, 2 stack, 3 spare
 		for fi, farm := range cluster.Farms {
@@ -365,7 +368,6 @@ func clusterLadder(o Options, rungs []int, scale int) ([]ClusterPoint, error) {
 	for _, r := range rungs {
 		cfg := ClusterBedConfig{
 			Seed:        o.seed(),
-			PDESWorkers: o.PDESWorkers,
 			ConnsPerGen: r * scale,
 		}
 		b, err := NewClusterBed(cfg)
@@ -386,6 +388,20 @@ func clusterLadder(o Options, rungs []int, scale int) ([]ClusterPoint, error) {
 	return out, nil
 }
 
+func (o Options) farmWarm() sim.Time {
+	if o.Quick {
+		return 5 * sim.Millisecond
+	}
+	return 15 * sim.Millisecond
+}
+
+func (o Options) farmWindow() sim.Time {
+	if o.Quick {
+		return 10 * sim.Millisecond
+	}
+	return 40 * sim.Millisecond
+}
+
 // clusterRungs picks the ladder rungs for the options.
 func clusterRungs(o Options) []int {
 	if o.Quick {
@@ -397,10 +413,6 @@ func clusterRungs(o Options) []int {
 // ClusterScale is the cluster campaign: the connection ladder plus a
 // traced per-tier latency breakdown of the default point.
 func ClusterScale(o Options) *Result {
-	// Unlike the other PDES-aware campaigns, the title carries no
-	// engine-mode tag: the whole report is byte-identical across PDES
-	// worker counts, and the -pdes 1 vs -pdes 4 diff in `make verify`
-	// depends on that.
 	res := &Result{Name: "Cluster scale: L4-balanced NEaT farms behind a switch"}
 
 	points, err := clusterLadder(o, clusterRungs(o), o.clusterScale())
@@ -408,7 +420,7 @@ func ClusterScale(o Options) *Result {
 		res.Notef("ladder failed: %v", err)
 		return res
 	}
-	probe, err := NewClusterBed(ClusterBedConfig{Seed: o.seed(), PDESWorkers: o.PDESWorkers})
+	probe, err := NewClusterBed(ClusterBedConfig{Seed: o.seed()})
 	if err != nil {
 		res.Notef("probe bed failed: %v", err)
 		return res
@@ -425,12 +437,9 @@ func ClusterScale(o Options) *Result {
 	}
 	res.Tables = append(res.Tables, lt)
 
-	// Per-tier latency: a traced run of the default point. Tracing
-	// serializes PDES domain execution but changes no behavior, so the
-	// table is engine-independent like everything else here.
-	tb, err := NewClusterBed(ClusterBedConfig{
-		Seed: o.seed(), PDESWorkers: o.PDESWorkers, Observe: true,
-	})
+	// Per-tier latency: a traced run of the default point. Tracing changes
+	// no behavior.
+	tb, err := NewClusterBed(ClusterBedConfig{Seed: o.seed(), Observe: true})
 	if err != nil {
 		res.Notef("traced bed failed: %v", err)
 		return res

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"crypto/md5"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -18,15 +17,13 @@ import (
 // claims: one replica's TCP engine holds ~1M established connections while
 // the simulator's pending events stay few — armed per-connection timers are
 // timer nodes of the scheduler's wheel, which PendingEvents does not count,
-// and the events beside them stay O(1) in conns. The sweep
-// runs a conns ladder and checks, rung by rung, that a 2-worker PDES run
-// reproduces the sequential run's protocol state byte for byte.
+// and the events beside them stay O(1) in conns.
 //
-// The bed is deliberately minimal: two machines joined by a real wire.Link
-// (so PDES gets its lookahead and mailbox physics), each hosting raw
-// tcpeng.Engines in one process — no NIC, driver, IP layer or sockets. The
-// client side shards its connections across several engines (one per source
-// address) because a single 4-tuple space caps out at the ephemeral range.
+// The bed is deliberately minimal: two machines joined by a real wire.Link,
+// each hosting raw tcpeng.Engines in one process — no NIC, driver, IP layer
+// or sockets. The client side shards its connections across several engines
+// (one per source address) because a single 4-tuple space caps out at the
+// ephemeral range.
 
 // csFrame is one wire frame delivered to a connHost.
 type csFrame []byte
@@ -155,18 +152,12 @@ type ConnScalePoint struct {
 	Cascades      uint64 // wheel cascade operations during the run
 	BytesPerConn  float64
 	WallSeconds   float64
-	// PDESIdentical reports that a 2-worker PDES run of the same rung
-	// reproduced the sequential run's digest.
-	PDESIdentical bool
-
-	digest string
 }
 
 // connScaleRun measures one rung: conns connections established through a
 // batched, staggered connect storm, then a quiescent hold. The horizon is a
-// fixed function of the rung, so sequential and PDES runs of the same rung
-// execute an identical schedule.
-func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
+// fixed function of the rung.
+func connScaleRun(seed int64, conns int) ConnScalePoint {
 	const (
 		port      = uint16(80)
 		batchSize = 1024
@@ -186,9 +177,6 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 	start := time.Now()
 
 	s := sim.New(seed)
-	if pdesWorkers > 0 {
-		s.EnablePDES(pdesWorkers)
-	}
 	link := wire.NewLink(s)
 	srvM := sim.NewMachine(s, "server", 1, 1, 3_000_000_000)
 	cliM := sim.NewMachine(s, "client", 1, 1, 3_000_000_000)
@@ -248,13 +236,6 @@ func connScaleRun(seed int64, conns, pdesWorkers int) ConnScalePoint {
 	if p.Established > 0 {
 		p.BytesPerConn = float64(heap1-heap0) / float64(p.Established)
 	}
-
-	d := md5.New()
-	fmt.Fprintf(d, "now=%d est=%d %+v", s.Now(), p.Established, se.Stats())
-	for _, ip := range cliIPs {
-		fmt.Fprintf(d, "%+v", cli.engines[ip].Stats())
-	}
-	p.digest = fmt.Sprintf("%x", d.Sum(nil))
 	return p
 }
 
@@ -270,14 +251,11 @@ func settledHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// connScaleLadder measures the conns ladder. Every rung additionally runs
-// under 2-worker PDES to verify digest identity.
+// connScaleLadder measures the conns ladder, one run per rung.
 func connScaleLadder(o Options, conns []int) []ConnScalePoint {
 	var points []ConnScalePoint
 	for _, n := range conns {
-		p := connScaleRun(o.seed(), n, 0)
-		p.PDESIdentical = p.digest == connScaleRun(o.seed(), n, 2).digest
-		points = append(points, p)
+		points = append(points, connScaleRun(o.seed(), n))
 	}
 	return points
 }
@@ -297,13 +275,9 @@ func ConnScale(o Options) *Result {
 	tab := &report.Table{
 		Title: "Established connections vs simulator load (idle guard armed per conn)",
 		Columns: []string{"conns", "established", "pending events",
-			"pending timers", "cascades", "B/conn", "wall", "seq==pdes2"},
+			"pending timers", "cascades", "B/conn", "wall"},
 	}
 	for _, p := range points {
-		ident := "NO"
-		if p.PDESIdentical {
-			ident = "yes"
-		}
 		tab.AddRow(
 			fmt.Sprintf("%d", p.Conns),
 			fmt.Sprintf("%d", p.Established),
@@ -311,13 +285,11 @@ func ConnScale(o Options) *Result {
 			fmt.Sprintf("%d", p.PendingTimers),
 			fmt.Sprintf("%d", p.Cascades),
 			fmt.Sprintf("%.0f", p.BytesPerConn),
-			fmt.Sprintf("%.2fs", p.WallSeconds),
-			ident)
+			fmt.Sprintf("%.2fs", p.WallSeconds))
 	}
 	res.Tables = append(res.Tables, tab)
 	res.Notef("every established conn arms a 30s idle-guard timer; \"pending events\" counts scheduled events, \"pending timers\" armed timers, both in the one scheduler wheel")
 	res.Notef("pending events stay O(1) in conns: an armed timer is a timer node of the wheel, never an event")
 	res.Notef("B/conn is heap growth per established connection, both endpoints plus wheel entries included")
-	res.Notef("seq==pdes2: the same rung re-run under 2-worker PDES reproduces identical protocol-state digests")
 	return res
 }

@@ -4,11 +4,10 @@ import "testing"
 
 // TestConnScaleSmallRung checks the bed itself at a small rung: every
 // requested connection establishes, the wheel holds exactly the live timers
-// (one idle guard per connection) while the pending events stay few, and
-// PDES reproduces the sequential digest.
+// (one idle guard per connection) while the pending events stay few.
 func TestConnScaleSmallRung(t *testing.T) {
 	const conns = 768
-	seq := connScaleRun(7, conns, 0)
+	seq := connScaleRun(7, conns)
 	if seq.Established != conns {
 		t.Fatalf("established %d of %d", seq.Established, conns)
 	}
@@ -17,14 +16,6 @@ func TestConnScaleSmallRung(t *testing.T) {
 	}
 	if seq.PendingEvents >= conns/2 {
 		t.Fatalf("%d events pending — timers are being counted as events", seq.PendingEvents)
-	}
-
-	pdes := connScaleRun(7, conns, 2)
-	if pdes.Established != conns {
-		t.Fatalf("pdes: established %d of %d", pdes.Established, conns)
-	}
-	if pdes.digest != seq.digest {
-		t.Fatalf("digest mismatch: seq=%s pdes2=%s", seq.digest, pdes.digest)
 	}
 }
 
@@ -37,9 +28,6 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 		t.Fatalf("rows: %d", rows)
 	}
 	for _, p := range connScaleLadder(Options{Quick: true, Seed: 11}, []int{600}) {
-		if !p.PDESIdentical {
-			t.Fatal("rung not PDES-identical")
-		}
 		if p.Established != 600 {
 			t.Fatalf("rung established %d of 600", p.Established)
 		}
@@ -53,7 +41,7 @@ func TestConnScaleQuickLadderReport(t *testing.T) {
 func BenchmarkMillionConns(b *testing.B) {
 	const conns = 1_000_000
 	for i := 0; i < b.N; i++ {
-		p := connScaleRun(int64(42+i), conns, 0)
+		p := connScaleRun(int64(42+i), conns)
 		if p.Established != conns {
 			b.Fatalf("established %d of %d", p.Established, conns)
 		}

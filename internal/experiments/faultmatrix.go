@@ -75,7 +75,7 @@ func FaultMatrix(o Options) *Result {
 		}
 	}
 
-	outs := RunParallel(len(cells)*runsPer, o.workers(), func(i int) matrixOut {
+	outs := RunParallel(len(cells)*runsPer, o.Workers, func(i int) matrixOut {
 		c := cells[i/runsPer]
 		seed := o.seed() + int64(i)
 		return matrixRun(o, seed, c.kind, c.comp, observe)
@@ -133,8 +133,7 @@ func FaultMatrix(o Options) *Result {
 // observe, and classify the recovery.
 func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observe sim.Time) matrixOut {
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        seed, Machine: AMD, Kind: stack.Multi,
+		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(6, 2),
@@ -244,8 +243,7 @@ func FaultTimeline(o Options, seed int64, kind faultinject.Kind, comp string) *R
 		observe = 70 * sim.Millisecond
 	}
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        seed, Machine: AMD, Kind: stack.Multi,
+		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(6, 2),
@@ -304,8 +302,7 @@ func FaultTimeline(o Options, seed int64, kind faultinject.Kind, comp string) *R
 // management-plane statistics.
 func replayCounters(o Options, seed int64, kind faultinject.Kind, comp string, observe sim.Time) *report.Table {
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        seed, Machine: AMD, Kind: stack.Multi,
+		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(6, 2),

@@ -56,9 +56,8 @@ func TestFaultMatrixShape(t *testing.T) {
 // execution (each run builds its own simulator from an explicit seed).
 func TestFaultMatrixDeterministic(t *testing.T) {
 	seq := quick
-	seq.Parallel = false
+	seq.Workers = 1
 	par := quick
-	par.Parallel = true
 	par.Workers = 4
 	a := FaultMatrix(seq).String()
 	b := FaultMatrix(par).String()

@@ -28,8 +28,7 @@ func fileSizePoint(o Options, size int) (Measurement, error) {
 		}
 	}
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        o.seed(), Machine: AMD,
+		Seed: o.seed(), Machine: AMD,
 		LinuxCores: 12, LinuxTuning: fullLinuxTuning,
 		WebLocs:     coreRange(0, 12),
 		ConnsPerGen: conns, ReqPerConn: 1000,
@@ -61,7 +60,7 @@ func Figure4(o Options) *Result {
 		XLabel: "file size (bytes)", YLabel: "see series"}
 	lat := fig.NewSeries("latency [ms]")
 	reqs := fig.NewSeries("requests [kreq]")
-	outs := RunParallel(len(fileSizes), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(fileSizes), o.Workers, func(i int) outcome {
 		m, err := fileSizePoint(o, fileSizes[i])
 		return outcome{m: m, err: err}
 	})
@@ -90,7 +89,7 @@ func Figure5(o Options) *Result {
 	rate := fig.NewSeries("request rate [krps]")
 	tput := fig.NewSeries("throughput [MB/s]")
 	var crossover int
-	outs := RunParallel(len(fileSizes), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(fileSizes), o.Workers, func(i int) outcome {
 		m, err := fileSizePoint(o, fileSizes[i])
 		return outcome{m: m, err: err}
 	})

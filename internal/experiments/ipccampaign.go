@@ -20,9 +20,8 @@ import (
 //
 // Every number printed is simulation-derived (no wall clock), and the
 // workload follows the cluster campaign's determinism recipe — fixed
-// local-port plans, no loss, no behavior-relevant randomness — so PDES runs
-// of the same campaign are byte-identical at every worker count (the verify
-// target diffs -pdes 1 against -pdes 4).
+// local-port plans, no loss, no behavior-relevant randomness. `make verify`
+// pins the md5 of `neat-bench -ipc -quick`.
 
 // IPCPoint is one measured (pipeline, wake mode) cell.
 type IPCPoint struct {
@@ -36,7 +35,7 @@ type IPCPoint struct {
 // replicas) under the given wake mode. Determinism shape: one web instance,
 // so the client system runs one stack and connect placement is draw-free,
 // and a planned local-port range, so connection 4-tuples — and with them
-// RSS placement — are invariant to event interleaving (seq == PDES).
+// RSS placement — are invariant to event interleaving.
 func ipcLinkBed(o Options, kind stack.Kind, coalesce bool) (Measurement, sim.IPCStats, error) {
 	const replicas, webs = 2, 1
 	stackCores := replicas
@@ -55,7 +54,6 @@ func ipcLinkBed(o Options, kind stack.Kind, coalesce bool) (Measurement, sim.IPC
 	}
 	b, err := NewBed(BedConfig{
 		Seed: o.seed(), Machine: AMD, Kind: kind,
-		PDESWorkers:  o.PDESWorkers,
 		ReplicaSlots: slots,
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+stackCores, webs),
@@ -77,14 +75,11 @@ func ipcLinkBed(o Options, kind stack.Kind, coalesce bool) (Measurement, sim.IPC
 // ipcClusterBed measures the cluster pipeline (farms behind the L4 tier)
 // under the given wake mode.
 func ipcClusterBed(o Options, coalesce bool) (Measurement, sim.IPCStats, error) {
-	// The default topology and single-segment responses: the cluster's
-	// engine identity (the recipe in cluster.go) holds for this shape —
-	// multi-segment responses introduce same-timestamp ties the two
-	// engines may order differently.
+	// The default topology and single-segment responses, the shape the
+	// cluster campaign's determinism recipe (cluster.go) was built for.
 	b, err := NewClusterBed(ClusterBedConfig{
-		Seed:        o.seed(),
-		PDESWorkers: o.PDESWorkers,
-		Farms:       2, MembersPerFarm: 2, ReplicasPerMember: 2,
+		Seed:  o.seed(),
+		Farms: 2, MembersPerFarm: 2, ReplicasPerMember: 2,
 		Clients: 2, Tenants: 2,
 		ConnsPerGen: 4, ReqPerConn: 25,
 		IPC: ipc.Tuning{CoalesceWakes: coalesce},
@@ -179,7 +174,6 @@ func IPCFastPath(o Options) *Result {
 	res.Notef("sends traverse modeled SPSC rings; \"saved\" counts sends that found the ring armed and skipped their doorbell (coalesced mode only)")
 	res.Notef("\"slow\" sends paid the kernel-assisted latency (colocated endpoints); \"stalls\" found the ring full and waited for the head slot")
 	res.Notef("\"vectors\" are same-timestamp delivery batches the dispatcher carried as one event; \"avg vec\" their mean size")
-	res.Notef("all numbers are simulation-derived: -pdes N runs of this campaign must be byte-identical for every N (make verify diffs -pdes 1 vs -pdes 4)")
 	return res
 }
 

@@ -36,7 +36,7 @@ func TestParallelDeterminism(t *testing.T) {
 	if seq1 != seq2 {
 		t.Fatalf("sequential runs differ:\n--- first\n%s\n--- second\n%s", seq1, seq2)
 	}
-	par := Table1(Options{Quick: true, Parallel: true, Workers: 3}).String()
+	par := Table1(Options{Quick: true, Workers: 3}).String()
 	if par != seq1 {
 		t.Fatalf("parallel run differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq1, par)
 	}

@@ -28,9 +28,6 @@ func TestPoolsDrainAtQuiescence(t *testing.T) {
 		{"multi-tso", BedConfig{Kind: stack.Multi, ReplicaSlots: testbed.MultiSlots(2, 1),
 			SyscallLoc: testbed.ThreadLoc{Core: 1}, WebLocs: web, FileSize: 64 << 10, TSO: true},
 			[]string{"ev_send_space", "ip_output", "ip_output_tso", "tx_tso"}},
-		{"pdes", BedConfig{Kind: stack.Single, ReplicaSlots: testbed.SingleSlots(2, 2),
-			SyscallLoc: testbed.ThreadLoc{Core: 1}, WebLocs: web, PDESWorkers: 2},
-			[]string{"ev_data", "op_send", "tx_frame"}},
 		{"baseline", BedConfig{LinuxCores: 2, WebLocs: []testbed.ThreadLoc{{Core: 0}}},
 			[]string{"ev_accepted", "ev_closed", "ev_data", "op_send"}},
 	} {

@@ -27,7 +27,7 @@ func Table3(o Options) *Result {
 		outcome faultinject.Outcome
 		ok      bool
 	}
-	outs := RunParallel(runs, o.workers(), func(i int) t3out {
+	outs := RunParallel(runs, o.Workers, func(i int) t3out {
 		oc, ok := faultRun(o, int64(i+1), observe)
 		return t3out{outcome: oc, ok: ok}
 	})
@@ -65,8 +65,7 @@ func Table3(o Options) *Result {
 // the service did not come back.
 func faultRun(o Options, seed int64, observe sim.Time) (faultinject.Outcome, bool) {
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        seed, Machine: AMD, Kind: stack.Multi,
+		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(6, 2),
@@ -188,8 +187,8 @@ func Figure13(o Options) *Result {
 	// lives at the configuration level; the series themselves run their
 	// (one-point) sweeps sequentially.
 	seq := o
-	seq.Parallel = false
-	maxes := RunParallel(len(configs), o.workers(), func(i int) float64 {
+	seq.Workers = 1
+	maxes := RunParallel(len(configs), o.Workers, func(i int) float64 {
 		tmp := &report.Figure{}
 		return runXeonSeries(seq, configs[i].series, tmp, 24).MaxY()
 	})

@@ -55,7 +55,7 @@ func SteeringSkew(o Options) *Result {
 		}
 	}
 
-	outs := RunParallel(len(cells), o.workers(), func(i int) steeringOut {
+	outs := RunParallel(len(cells), o.Workers, func(i int) steeringOut {
 		c := cells[i]
 		return steeringRun(o, c.policy, c.skewed)
 	})
@@ -92,8 +92,7 @@ func SteeringSkew(o Options) *Result {
 func steeringRun(o Options, policy steer.PolicyKind, skewed bool) steeringOut {
 	const replicas = 4
 	cfg := BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        o.seed(), Machine: AMD, Kind: stack.Single,
+		Seed: o.seed(), Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, replicas),
 		SyscallLoc:   testbed.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+replicas, 4),

@@ -17,7 +17,7 @@ func TestSteeringDeterminism(t *testing.T) {
 	if seq1 != seq2 {
 		t.Fatalf("sequential runs differ:\n--- first\n%s\n--- second\n%s", seq1, seq2)
 	}
-	par := SteeringSkew(Options{Quick: true, Parallel: true, Workers: 3}).String()
+	par := SteeringSkew(Options{Quick: true, Workers: 3}).String()
 	if par != seq1 {
 		t.Fatalf("parallel run differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq1, par)
 	}

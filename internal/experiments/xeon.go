@@ -31,8 +31,7 @@ func xeonPoint(o Options, s xeonSeries, webs, conns int) (Measurement, error) {
 		return Measurement{}, fmt.Errorf("xeon series %s: %d webs exceed fill order", s.label, webs)
 	}
 	b, err := NewBed(BedConfig{
-		PDESWorkers: o.PDESWorkers,
-		Seed:        o.seed(), Machine: Xeon, Kind: s.kind,
+		Seed: o.seed(), Machine: Xeon, Kind: s.kind,
 		ReplicaSlots: s.slots,
 		SyscallLoc:   s.syscall,
 		DriverLoc:    s.driver,
@@ -48,7 +47,7 @@ func xeonPoint(o Options, s xeonSeries, webs, conns int) (Measurement, error) {
 // runXeonSeries measures the series at each web count.
 func runXeonSeries(o Options, s xeonSeries, fig *report.Figure, conns int) *report.Series {
 	series := fig.NewSeries(s.label)
-	outs := RunParallel(len(s.points), o.workers(), func(i int) outcome {
+	outs := RunParallel(len(s.points), o.Workers, func(i int) outcome {
 		m, err := xeonPoint(o, s, s.points[i], conns)
 		return outcome{m: m, err: err}
 	})
@@ -213,11 +212,10 @@ func Table2(o Options) *Result {
 		krps                  float64
 		err                   error
 	}
-	outs := RunParallel(len(rows), o.workers(), func(i int) t2out {
+	outs := RunParallel(len(rows), o.Workers, func(i int) t2out {
 		row := rows[i]
 		b, err := NewBed(BedConfig{
-			PDESWorkers: o.PDESWorkers,
-			Seed:        o.seed(), Machine: Xeon, Kind: stack.Single,
+			Seed: o.seed(), Machine: Xeon, Kind: stack.Single,
 			ReplicaSlots: [][]testbed.ThreadLoc{{loc(2, 0)}, {loc(2, 1)}, {loc(3, 0)}},
 			DriverLoc:    loc(0, 0), SyscallLoc: loc(1, 0),
 			WebLocs:     threadFill(4, 5, 6, 7)[:row.webs],

@@ -203,6 +203,94 @@ func TestPDESDrain(t *testing.T) {
 	}
 }
 
+// TestPDESPoolsDrainAcrossDomains: a control plane's PoolStats totals the
+// free lists of every domain. Two machines, each its own domain, pass a hop
+// count back and forth through a barrier-flushed mailbox. On every hop the
+// receiving process sends a two-message delivery vector and a heartbeat to
+// a local peer and arms a timer, whose firing passes the hop on. After
+// Drain every kind is back to zero; a heartbeat box one domain then keeps
+// shows up in the control plane's total.
+func TestPDESPoolsDrainAcrossDomains(t *testing.T) {
+	const la = 5 * Microsecond
+	s := New(1)
+	s.EnablePDES(2)
+	s.RegisterLookahead(la)
+	type fire struct{ hops int }
+	type leak struct{}
+	type post struct {
+		at   Time
+		hops int
+	}
+	var nodes [2]*Proc
+	var outbox [2][]post // outbox[i] is written only by domain i's events
+	var hopsSeen [2]int
+	for i, name := range []string{"a", "b"} {
+		i := i
+		m := NewMachine(s, name, 2, 1, 1_000_000_000)
+		peer := NewProc(m.Thread(1, 0), name+".peer", HandlerFunc(func(*Context, Message) {}), ProcConfig{})
+		nodes[i] = NewProc(m.Thread(0, 0), name+".node", HandlerFunc(func(ctx *Context, msg Message) {
+			switch msg := msg.(type) {
+			case int:
+				hopsSeen[i]++
+				ctx.Send(peer, 1)
+				ctx.Send(peer, 2)
+				ctx.Send(peer, ctx.NewHeartbeat(uint64(msg), nil))
+				ctx.TimerAfter(2*Microsecond, fire{msg})
+			case fire:
+				if msg.hops > 0 {
+					outbox[i] = append(outbox[i], post{ctx.Sim.Now() + la, msg.hops - 1})
+				}
+			case *HeartbeatPing:
+				msg.Recycle()
+			case leak:
+				ctx.NewHeartbeat(0, nil)
+			}
+		}), ProcConfig{})
+	}
+	s.RegisterBarrierFlush(func() {
+		for i := range outbox {
+			dst := nodes[1-i]
+			for _, p := range outbox[i] {
+				p := p
+				dst.Sim().At(p.at, func() { dst.Deliver(p.hops) })
+			}
+			outbox[i] = outbox[i][:0]
+		}
+	})
+	nodes[0].Sim().At(0, func() { nodes[0].Deliver(10) })
+	nodes[1].Sim().At(0, func() { nodes[1].Deliver(10) })
+	s.Drain()
+
+	// Two chains of 11 hops (10 down to 0), one starting in each domain,
+	// alternate between the domains: 6 + 5 hops land in each.
+	if hopsSeen != [2]int{11, 11} {
+		t.Fatalf("hops seen per domain = %v, want 11 each", hopsSeen)
+	}
+	outstanding := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, ps := range s.PoolStats() {
+			out[ps.Kind] = ps.Outstanding
+		}
+		return out
+	}
+	got := outstanding()
+	for _, kind := range []string{"batch", "timer_fire", "heartbeat"} {
+		n, ok := got[kind]
+		if !ok {
+			t.Fatalf("kind %s missing from PoolStats %v", kind, got)
+		}
+		if n != 0 {
+			t.Errorf("%s: %d boxes outstanding after Drain", kind, n)
+		}
+	}
+
+	nodes[0].Sim().At(s.Now()+Microsecond, func() { nodes[0].Deliver(leak{}) })
+	s.Drain()
+	if n := outstanding()["heartbeat"]; n != 1 {
+		t.Fatalf("a box kept in domain a counts %d on the control plane, want 1", n)
+	}
+}
+
 func TestPDESLookaheadRegistration(t *testing.T) {
 	s, _, _ := pdesPair(1)
 	s.RegisterLookahead(5 * Microsecond)

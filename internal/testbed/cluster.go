@@ -267,8 +267,8 @@ func clientIP(k int) proto.Addr { return proto.IPv4(10, 0, 0, byte(200+k)) }
 func clientMAC(k int) proto.MAC { return proto.MAC{0x02, 0xC1, 0, 0, 0, byte(k + 1)} }
 
 // NewCluster builds and boots the cluster described by spec on simulator
-// s. In PDES mode (s.EnablePDES called first) every machine — the switch
-// included — runs in its own scheduling domain. Machine creation order is
+// s. In PDES mode (experiments.NewClusterBed's benchmark probe) every
+// machine — the switch included — runs in its own scheduling domain. Machine creation order is
 // fixed (switch, then farms in order, then clients), so domain RNG
 // seeding and addressing are reproducible run-to-run. A farm's tracer is
 // attached to s before the first machine exists.

@@ -75,9 +75,9 @@ type ThreadLoc struct {
 type HostConfig struct {
 	Name           string
 	Cores          int
-	ThreadsPerCore int
+	threadsPerCore int
 	FreqHz         int64
-	Queues         int // NIC RX/TX queue pairs
+	queues         int // NIC RX/TX queue pairs
 	IP             proto.Addr
 	MAC            proto.MAC
 	Driver         ThreadLoc // where the NIC driver runs
@@ -95,8 +95,8 @@ type Host struct {
 
 // addHost creates a machine attached to endpoint side (0 or 1) of the link.
 func (n *Net) addHost(side int, cfg HostConfig) *Host {
-	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.ThreadsPerCore, cfg.FreqHz)
-	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, side, cfg.Queues)
+	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.threadsPerCore, cfg.FreqHz)
+	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, side, cfg.queues)
 	drv := nicdev.NewDriver(m.Thread(cfg.Driver.Core, cfg.Driver.Thread),
 		cfg.Name+".nicdrv", nic, nicdev.DefaultDriverCosts())
 	return &Host{Net: n, Machine: m, NIC: nic, Driver: drv, IP: cfg.IP, MAC: cfg.MAC}
@@ -140,12 +140,12 @@ const (
 // paper dedicates one core to it).
 func (m MachineModel) Host(queues int) HostConfig {
 	if m == Xeon {
-		return HostConfig{Name: "xeon", Cores: 8, ThreadsPerCore: 2,
-			FreqHz: 2_260_000_000, Queues: queues,
+		return HostConfig{Name: "xeon", Cores: 8, threadsPerCore: 2,
+			FreqHz: 2_260_000_000, queues: queues,
 			IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0x8E, 0, 0, 0, 0x01}}
 	}
-	return HostConfig{Name: "amd", Cores: 12, ThreadsPerCore: 1,
-		FreqHz: 1_900_000_000, Queues: queues,
+	return HostConfig{Name: "amd", Cores: 12, threadsPerCore: 1,
+		FreqHz: 1_900_000_000, queues: queues,
 		IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0xAD, 0, 0, 0, 0x01}}
 }
 
@@ -158,7 +158,7 @@ func (m MachineModel) Cores() int { return m.Host(0).Cores }
 func clientHost(stacks int) HostConfig {
 	return HostConfig{Name: "client",
 		Cores:          2 + 2*stacks + 14, // driver + syscall + stacks + apps
-		ThreadsPerCore: 1, FreqHz: 3_000_000_000, Queues: stacks,
+		threadsPerCore: 1, FreqHz: 3_000_000_000, queues: stacks,
 		IP: proto.IPv4(10, 0, 0, 2), MAC: proto.MAC{0x02, 0xC1, 0, 0, 0, 0x02}}
 }
 
@@ -317,8 +317,7 @@ type Bed struct {
 // NewBed boots the paper's two-machine testbed (§6) on simulator s, which
 // may be shared with other beds (one link each): tracer, server machine,
 // client machine, server system, Tune, client system — in that order, since
-// process creation order fixes event sequence numbers. Callers enable PDES
-// on s before the first machine exists.
+// process creation order fixes event sequence numbers.
 func NewBed(s *sim.Simulator, cfg BedConfig) (*Bed, error) {
 	if cfg.Trace != nil {
 		cfg.Trace.Attach(s)

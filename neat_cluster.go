@@ -50,12 +50,6 @@ const (
 type ClusterConfig struct {
 	// Seed drives the deterministic simulation (default 1).
 	Seed int64
-	// PDESWorkers > 0 runs the cluster under conservative parallel
-	// discrete-event simulation with that many workers; 0 is the
-	// sequential global event loop. Either way the run is deterministic,
-	// and a cluster built from this config behaves identically under
-	// both engines.
-	PDESWorkers int
 	// Switch shapes the one switch of the star topology.
 	Switch SwitchConfig
 	// Link shapes every machine's access link.
@@ -67,7 +61,7 @@ type ClusterConfig struct {
 	// Observe attaches one message tracer to the whole cluster before
 	// boot and hands it to every member system, so any member's
 	// Sys.Trace() reaches the per-hop latency spans and the lifecycle
-	// timeline (serializes PDES execution without changing behavior).
+	// timeline.
 	// Setting a farm's System.Observe does the same: a simulator has one
 	// tracer, never one per member.
 	Observe bool
@@ -116,8 +110,7 @@ type ClientConfig struct {
 	// Tenant selects which farms this client can reach ("" = default
 	// tenant). The tenant must own at least one farm.
 	Tenant string
-	// Stacks is the client-side replica count (default 1; keep 1 when
-	// sequential↔PDES byte-identity matters).
+	// Stacks is the client-side replica count (default 1).
 	Stacks int
 }
 
@@ -127,9 +120,6 @@ type ClientConfig struct {
 // asked, or all of them under ClusterConfig.Observe.
 func (cfg ClusterConfig) spec(tr *trace.Tracer) (testbed.ClusterSpec, error) {
 	spec := testbed.ClusterSpec{Switch: cfg.Switch, Link: cfg.Link}
-	if cfg.PDESWorkers < 0 {
-		return spec, fmt.Errorf("neat: ClusterConfig.PDESWorkers is %d; want 0 (sequential) or a positive worker count", cfg.PDESWorkers)
-	}
 	for _, f := range cfg.Farms {
 		var memberTrace *trace.Tracer
 		if cfg.Observe || f.System.Observe {
@@ -169,11 +159,10 @@ func (cfg ClusterConfig) Validate() error {
 	return err
 }
 
-// Build boots the cluster: its own simulator (sequential or PDES per
-// PDESWorkers), the switch, every farm member and client machine, the L4
-// services, and one controller loop per farm. Drive it through
-// Cluster.Sim and observe it through Cluster.Events, Farm.Service and
-// each member's System.
+// Build boots the cluster: its own simulator, the switch, every farm
+// member and client machine, the L4 services, and one controller loop per
+// farm. Drive it through Cluster.Sim and observe it through
+// Cluster.Events, Farm.Service and each member's System.
 func (cfg ClusterConfig) Build() (*Cluster, error) {
 	var tr *trace.Tracer
 	observed := cfg.Observe
@@ -192,9 +181,6 @@ func (cfg ClusterConfig) Build() (*Cluster, error) {
 		seed = 1
 	}
 	s := sim.New(seed)
-	if cfg.PDESWorkers > 0 {
-		s.EnablePDES(cfg.PDESWorkers)
-	}
 	return testbed.NewCluster(s, spec)
 }
 

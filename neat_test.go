@@ -253,8 +253,6 @@ func TestClusterConfigValidate(t *testing.T) {
 		{"minimal", neat.ClusterConfig{Farms: farm("web"), Clients: clients}, ""},
 		{"no-farms", neat.ClusterConfig{Clients: clients}, "farm"},
 		{"no-clients", neat.ClusterConfig{Farms: farm("web")}, "client"},
-		{"negative-workers", neat.ClusterConfig{Farms: farm("web"), Clients: clients,
-			PDESWorkers: -1}, "PDESWorkers"},
 		{"nondeterministic-steering", neat.ClusterConfig{
 			Farms: []neat.FarmConfig{{Name: "web", Members: 2,
 				Steering: neat.SteeringConfig{Policy: "least-loaded"}}},
