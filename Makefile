@@ -35,7 +35,8 @@ test:
 # baseline's tests under the race detector (its K kernel contexts share one
 # engine set and NEaT's pooled event boxes), the layer benchmarks of the per-byte path (checksum, bulk send/receive: they
 # print the numbers and fail on wrong bytes) and of the scheduler (schedule
-# and pop: near, far, and a burst after an idle gap), 5 s of each fuzz
+# and pop: near, far, a burst after an idle gap, and a dense hold at a web
+# workload's density, which prints the L0 insert walk), 5 s of each fuzz
 # target, and
 # the md5 oracles pinning the default single-link campaign outputs and the
 # cluster and ipc campaigns: a topology-plumbing change that shifts one
@@ -69,7 +70,7 @@ verify:
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
 	$(GO) test -race ./internal/baseline -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem
-	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEventSchedulePop' -benchtime 200000x -benchmem
+	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkEventSchedulePop|BenchmarkEventScheduleDense' -benchtime 200000x -benchmem
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s
 	$(GO) test ./internal/proto -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \

@@ -214,11 +214,38 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)
-		runWeb(b, s, testbed.AMD.Host(2), testbed.NEaTConfig{
-			Kind: stack.Single, TCP: defaultTCP(),
-			Slots: testbed.SingleSlots(2, 2), Syscall: testbed.ThreadLoc{Core: 1},
-		}, 2)
+		runThroughputBed(b, s)
 		b.ReportMetric(float64(s.EventsRun()), "sim-events")
+	}
+}
+
+// runThroughputBed runs BenchmarkSimulatorThroughput's web bed on s.
+func runThroughputBed(tb testing.TB, s *sim.Simulator) {
+	runWeb(tb, s, testbed.AMD.Host(2), testbed.NEaTConfig{
+		Kind: stack.Single, TCP: defaultTCP(),
+		Slots: testbed.SingleSlots(2, 2), Syscall: testbed.ThreadLoc{Core: 1},
+	}, 2)
+}
+
+// TestWheelInsertWalk is a host-independent gate on the scheduler's cost
+// per schedule: an L0 insert walks its slot's sorted ring back from the
+// tail, one dependent load per entry it steps over, so the mean walk on the
+// throughput bed measures how well the L0 bucket width fits the traffic.
+// On this bed 64 ns buckets step over 0.03 entries per insert and 4096 ns
+// buckets over 0.67.
+func TestWheelInsertWalk(t *testing.T) {
+	const budget = 0.25
+	s := sim.New(1)
+	runThroughputBed(t, s)
+	ts := s.TimerStats()
+	if ts.L0Inserts == 0 {
+		t.Fatal("no L0 inserts recorded")
+	}
+	mean := float64(ts.L0Steps) / float64(ts.L0Inserts)
+	t.Logf("%d L0 inserts, %d into an occupied slot, %d ring steps: %.3f steps per insert",
+		ts.L0Inserts, ts.L0Shared, ts.L0Steps, mean)
+	if mean > budget {
+		t.Fatalf("%.3f ring steps per L0 insert, budget %.2f", mean, budget)
 	}
 }
 

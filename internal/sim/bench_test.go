@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 type benchSink struct{ n uint64 }
 
@@ -11,7 +14,9 @@ func (s *benchSink) OnEvent(tag uint64) { s.n += tag }
 // earliest pending event and schedules a replacement, so the population
 // stays constant.
 //
-//   - near: 1024 events pending within the first 1 ms, all in L0;
+//   - near: 1024 events pending within the first 1 ms, about one per µs:
+//     the next 65 µs of them in L0, the rest in the first L1 slots,
+//     scattered into L0 as the clock reaches them;
 //   - far: 1024 events 10–14 ms out, each placed in L1 and scattered into
 //     L0 when its range opens;
 //   - gap_burst: one far event pending across a 1 s idle gap, then a burst
@@ -64,6 +69,48 @@ func BenchmarkEventSchedulePop(b *testing.B) {
 			b.Fatal("no events ran")
 		}
 	})
+}
+
+// BenchmarkEventScheduleDense is the hold model at the density a web
+// workload keeps in front of the clock: 80 events pending, each replaced at
+// a uniformly random nanosecond up to 32 µs ahead, so about 20 wait within
+// the next 4 µs and every schedule lands among neighbours at random sub-µs
+// offsets. The hold models above space their events about a microsecond
+// apart; this one is dense enough that an L0 insert has to step back past
+// later entries in its bucket, the walk the L0 bucket width sets.
+func BenchmarkEventScheduleDense(b *testing.B) {
+	const (
+		pop     = 80
+		horizon = 32 * Microsecond
+	)
+	rng := rand.New(rand.NewSource(1))
+	var ahead [4096]Time
+	for i := range ahead {
+		ahead[i] = Time(rng.Int63n(int64(horizon)))
+	}
+	s := New(1)
+	sink := &benchSink{}
+	for i := 0; i < pop; i++ {
+		s.AtEvent(ahead[i], sink, 1)
+	}
+	step := func(i int) {
+		s.Step()
+		s.AtEvent(s.Now()+ahead[i%len(ahead)], sink, 1)
+	}
+	for i := 0; i < 16*pop; i++ {
+		step(i)
+	}
+	before := s.TimerStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	b.StopTimer()
+	ts := s.TimerStats()
+	if n := ts.L0Inserts - before.L0Inserts; n > 0 {
+		b.ReportMetric(float64(ts.L0Steps-before.L0Steps)/float64(n), "steps/insert")
+	}
 }
 
 // timerBench is one process driven one tick per simulated microsecond; the

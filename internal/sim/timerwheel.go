@@ -35,16 +35,21 @@ import (
 // delivered through Proc.Deliver like any scheduled message, so drop
 // injection, dead-process drops and trace stamps apply to it.
 //
-// Geometry. Level 0 has twSlots buckets of 4096 ns and spans ~4.2 ms; each
-// higher level covers twSlots slots of the one below (L1 ~4.3 s — every RTO
-// and TIME_WAIT in practice — L2 ~73 min, L3 ~52 days, L4 the rest of Time).
-// A deadline beyond the last level's window waits in that window's last slot
-// and is placed again, by its true deadline, when the slot opens. L0 slot
-// lists are kept sorted by (at, seq), which a schedule satisfies by linking
-// at the tail in the common case; higher levels are plain FIFO lists,
-// scattered one level down when their range opens.
+// Geometry. Level 0 has twSlots buckets of 64 ns and spans ~65 µs: the
+// dispatches, deliveries, wire hops and interrupts a stack schedules a few
+// µs ahead. Each higher level covers twSlots slots of the one below: L1
+// ~67 ms (delayed ACKs, the watchdog, RTOs up to the initial 50 ms), L2
+// ~69 s (TIME_WAIT, persist probes, backed-off RTOs), L3 ~19.5 h, L4 ~2.3
+// years. A deadline beyond the last level's window waits in that window's
+// last slot and is placed again, by its true deadline, when the slot opens.
+// L0 slot lists are kept sorted by (at, seq); higher levels are plain FIFO
+// lists, scattered one level down when their range opens. The bucket width
+// is fitted to the traffic: a web workload keeps about five events per
+// simulated µs in front of the clock, so a 64 ns bucket rarely holds a
+// second entry and an insert almost never walks its ring (EXPERIMENTS.md
+// has the sweep).
 const (
-	bucketShift = 12 // 4096 ns per L0 bucket
+	bucketShift = 6 // 64 ns per L0 bucket
 	twLevels    = 5
 	twSlotBits  = 10
 	twSlots     = 1 << twSlotBits
@@ -112,6 +117,10 @@ type timerWheel struct {
 	timers   int    // resident timer nodes; every other resident node is an event
 	cascaded uint64 // timer nodes scattered down a level when their range opened
 	fired    uint64 // timer nodes popped for delivery
+
+	// The sorted-insert walk: nodes linked into L0, those whose slot
+	// already held an entry, and the ring entries they stepped back over.
+	l0Inserts, l0Shared, l0Steps uint64
 }
 
 func (w *timerWheel) node(i uint32) *twNode {
@@ -165,6 +174,9 @@ func (w *timerWheel) place(i uint32, n *twNode) {
 		cur >>= twSlotBits
 	}
 	slot := b & twSlotMask
+	if level == 0 {
+		w.l0Inserts++
+	}
 	n.level, n.slot = uint8(level), uint16(slot)
 	head := w.heads[level][slot]
 	if head == 0 {
@@ -174,11 +186,14 @@ func (w *timerWheel) place(i uint32, n *twNode) {
 	} else {
 		// Link after the last entry that is not later. Higher levels are
 		// FIFO, so there it is the tail; in L0 it almost always is, because
-		// a schedule carries the newest sequence number.
+		// a bucket rarely holds a second entry and a schedule carries the
+		// newest sequence number.
 		tail := w.node(head).prev
 		after := tail
 		if level == 0 {
+			w.l0Shared++
 			for !w.node(after).before(n.at, n.seq) {
+				w.l0Steps++
 				if after == head {
 					// Earlier than every entry: in a ring the new head
 					// links where a new tail would.
@@ -418,27 +433,41 @@ func (s *Simulator) peekTime() (Time, bool) {
 // idleLocal reports whether this simulator has no pending work of its own.
 func (s *Simulator) idleLocal() bool { return s.tw.pending() == 0 }
 
-// TimerStats reports timer counters: live armed timers, timer entries
-// scattered down a level when their range opened, and timer entries popped
-// for delivery. On a PDES control plane it totals across all domains; call
-// it only at a barrier.
+// TimerStats reports wheel counters: live armed timers, timer entries
+// scattered down a level when their range opened, timer entries popped for
+// delivery, and the cost of keeping L0 slots sorted — nodes of any kind
+// linked into L0, how many of them found their slot occupied, and how many
+// ring entries they stepped back over to find their place. On a PDES control
+// plane it totals across all domains; call it only at a barrier.
 type TimerStats struct {
-	Pending  int
-	Cascades uint64
-	Fired    uint64
+	Pending   int
+	Cascades  uint64
+	Fired     uint64
+	L0Inserts uint64
+	L0Shared  uint64
+	L0Steps   uint64
 }
 
 // TimerStats returns the simulator's timer counters.
 func (s *Simulator) TimerStats() TimerStats {
-	st := TimerStats{Pending: s.tw.timers, Cascades: s.tw.cascaded, Fired: s.tw.fired}
+	st := s.tw.stats()
 	if s.pdes != nil && s.parent == nil {
 		for _, d := range s.pdes.domains {
-			st.Pending += d.tw.timers
-			st.Cascades += d.tw.cascaded
-			st.Fired += d.tw.fired
+			ds := d.tw.stats()
+			st.Pending += ds.Pending
+			st.Cascades += ds.Cascades
+			st.Fired += ds.Fired
+			st.L0Inserts += ds.L0Inserts
+			st.L0Shared += ds.L0Shared
+			st.L0Steps += ds.L0Steps
 		}
 	}
 	return st
+}
+
+func (w *timerWheel) stats() TimerStats {
+	return TimerStats{Pending: w.timers, Cascades: w.cascaded, Fired: w.fired,
+		L0Inserts: w.l0Inserts, L0Shared: w.l0Shared, L0Steps: w.l0Steps}
 }
 
 // PendingEvents returns the number of scheduled events resident in the

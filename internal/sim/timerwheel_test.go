@@ -223,17 +223,23 @@ func (b *timerBed) do(fn func(ctx *Context)) {
 
 func (b *timerBed) levelCounts() [twLevels]int { return b.s.tw.counts }
 
+// levelDelay returns a delay that a wheel positioned at the clock places in
+// level l: half of that level's window, so the deadline sits well inside it.
+func levelDelay(l int) Time {
+	return Time(twSlots/2) << uint(bucketShift+l*twSlotBits)
+}
+
+// beyondWheel is a delay past the last level's window.
+const beyondWheel = Time(1)<<uint(bucketShift+twLevels*twSlotBits) + 5*Second
+
 // TestTimerStopAndRetimerAtEveryLevel cancels and moves entries resident in
 // each level of the wheel, the clamped slot beyond the last window included.
 func TestTimerStopAndRetimerAtEveryLevel(t *testing.T) {
-	delays := [...]Time{
-		100 * Microsecond,        // L0
-		100 * Millisecond,        // L1
-		30 * Second,              // L2
-		2 * 3600 * Second,        // L3
-		100 * 24 * 3600 * Second, // L4
-		maxTime + 5*Second,       // beyond the last window
+	var delays [twLevels + 1]Time
+	for l := 0; l < twLevels; l++ {
+		delays[l] = levelDelay(l)
 	}
+	delays[twLevels] = beyondWheel
 	for want, d := range delays {
 		level := want
 		if level >= twLevels {
@@ -256,12 +262,13 @@ func TestTimerStopAndRetimerAtEveryLevel(t *testing.T) {
 		// Re-arm at the same level, then move the entry down to L0: it must
 		// fire once, at the new deadline.
 		b.do(func(ctx *Context) { ctx.Retimer(&tm, d, "far") })
-		b.do(func(ctx *Context) { ctx.Retimer(&tm, 10*Microsecond, "near") })
+		near := levelDelay(0) / 2
+		b.do(func(ctx *Context) { ctx.Retimer(&tm, near, "near") })
 		if c := b.levelCounts(); c[0] != 1 || b.s.TimerStats().Pending != 1 {
 			t.Fatalf("delay %v: Retimer left %v", d, c)
 		}
 		b.s.Drain()
-		if want := []string{"near@10000"}; !reflect.DeepEqual(b.got, want) {
+		if want := []string{fmt.Sprintf("near@%d", near)}; !reflect.DeepEqual(b.got, want) {
 			t.Fatalf("delay %v: delivered %v, want %v", d, b.got, want)
 		}
 		if !tm.Fired() || tm.Armed() {
@@ -273,12 +280,9 @@ func TestTimerStopAndRetimerAtEveryLevel(t *testing.T) {
 // TestTimerFiresFromEveryLevel lets an entry of each level that a finite run
 // can reach open its way down and fire at its exact deadline.
 func TestTimerFiresFromEveryLevel(t *testing.T) {
-	delays := [...]Time{
-		100*Microsecond + 1,
-		100*Millisecond + 2,
-		30*Second + 3,
-		2*3600*Second + 4,
-		100*24*3600*Second + 5,
+	var delays [twLevels]Time
+	for l := range delays {
+		delays[l] = levelDelay(l) + Time(l+1)
 	}
 	b := newTimerBed()
 	timers := make([]Timer, len(delays))
@@ -366,7 +370,7 @@ func TestTimerStopAfterPop(t *testing.T) {
 func TestTimerRearmFromOwnHandler(t *testing.T) {
 	b := newTimerBed()
 	var tm Timer
-	const period = 3 * Millisecond // crosses an L0 window every other firing
+	const period = 3 * Millisecond // beyond L0's window: every arm is scattered down
 	fires := 0
 	b.hook = func(ctx *Context, msg Message) {
 		if !tm.Fired() || tm.Armed() {
@@ -396,7 +400,7 @@ func TestTimerRearmFromOwnHandler(t *testing.T) {
 // timer's deadline across an idle gap, and every nearer arm made afterwards
 // then parked in the one current L0 slot, which each pop rescanned. The
 // position must stay with the clock, so that no slot ever holds more than
-// the arms of its own 4096 ns bucket.
+// the arms of its own L0 bucket.
 func TestTimerWheelPositionFollowsClock(t *testing.T) {
 	const (
 		near   = 50_000
@@ -459,7 +463,7 @@ func TestTimerWheelPositionFollowsClock(t *testing.T) {
 // with only a far event pending, a 1 s idle gap must not move the position
 // to that event, or every nearer schedule afterwards would park in one L0
 // slot and be rescanned per pop. No L0 slot may ever hold more than the
-// schedules of its own 4096 ns bucket.
+// schedules of its own L0 bucket.
 func TestEventPositionFollowsClock(t *testing.T) {
 	const (
 		near   = 50_000
@@ -523,7 +527,7 @@ func TestWheelNodeSize(t *testing.T) {
 // stopping and firing timers through the wheel allocates nothing once the
 // node pool has reached the live population.
 func TestTimerArmStopZeroAlloc(t *testing.T) {
-	const period = Time(1 << 21) // ~2.1 ms: half an L0 wrap
+	const period = Time(1 << 21) // ~2.1 ms: an L1 arm
 	s := New(1)
 	m := NewMachine(s, "m", 1, 1, 1_000_000_000)
 	var timers [8]Timer // 0..3 periodic, 4..7 guards (re-armed, never fire)
@@ -569,7 +573,7 @@ func TestTimerStatsPendingAndCascades(t *testing.T) {
 		ctx.Charge(10)
 		if msg == Message("arm") {
 			for i := range timers {
-				// Beyond level 0 (~4.2 ms): these must cascade to fire.
+				// Beyond level 0 (~65 µs): these must cascade to fire.
 				ctx.Retimer(&timers[i], 10*Millisecond+Time(i)*Millisecond, i)
 			}
 		}
