@@ -1,91 +1,109 @@
-// Command neat-bench regenerates every table and figure of the paper's
-// evaluation (§6) and prints them with the paper's reported numbers
-// alongside. Expect a few minutes of wall-clock time for the full run;
-// -quick trades precision for speed.
+// Command neat-bench runs the evaluation campaigns: every table and figure
+// of the paper's §6, printed with the paper's reported numbers alongside,
+// and the extensions measured beside them. Expect a few minutes of
+// wall-clock time for the full run; -quick trades precision for speed.
 //
 // Usage:
 //
-//	neat-bench [-quick] [-seed N] [-only table1|fig4|fig5|fig7|fig9|fig11|fig12|table2|table3|fig13]
-//	neat-bench -breakdown          # traced run: per-hop latency breakdown tables
-//	neat-bench -steering           # placement policy × workload skew comparison
-//	neat-bench -attack             # hostile clients vs guarded replicas
-//	neat-bench -cluster [-scale N] # datacenter campaign: L4-balanced farms behind a switch
-//	neat-bench -connscale          # connection-scale ladder: ~1M conns on one replica engine
-//	neat-bench -ipc                # IPC fast path: message rings, per-message vs coalesced wakes
+//	neat-bench [-quick] [-seed N]                   the paper's campaigns, in paper order
+//	neat-bench -only NAME [-quick] [-scale N]       one campaign: table1, fig4, fig5, fig7,
+//	                                                fig9, fig11, fig12, table2, table3, fig13,
+//	                                                breakdown, steering, attack, cluster,
+//	                                                connscale, ipc or matrix
+//	neat-bench -replay SEED [-kind K] [-comp C]     one fault-matrix run, verbosely
+//	neat-bench -timeline SEED [-kind K] [-comp C]   one fault-matrix run's lifecycle timeline
 package main
 
 import (
 	"flag"
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
-	"neat/internal/cliutil"
 	"neat/internal/experiments"
+	"neat/internal/faultinject"
 )
 
 func main() {
-	ef := cliutil.Experiment(1)
-	only := flag.String("only", "", "run a single experiment (table1, fig4, fig5, fig7, fig9, fig11, fig12, table2, table3, fig13)")
-	breakdown := flag.Bool("breakdown", false, "run the traced per-hop latency breakdown instead of the paper tables")
-	steering := flag.Bool("steering", false, "run the placement-policy steering campaign instead of the paper tables")
-	attack := flag.Bool("attack", false, "run the goodput-under-attack campaign instead of the paper tables")
-	cluster := flag.Bool("cluster", false, "run the cluster campaign: multi-machine farms behind a switch/L4 tier (combine with -scale)")
-	connscale := flag.Bool("connscale", false, "run the connection-scale ladder: up to ~1M established conns on one replica's engine, each holding an armed timer")
-	ipcfp := flag.Bool("ipc", false, "run the IPC fast-path campaign: message-ring activity under per-message vs coalesced wakes across pipeline shapes")
+	quick := flag.Bool("quick", false, "shorter warmup/measurement windows and fewer runs")
+	seed := flag.Int64("seed", 1, "simulation seed")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "measure up to N independent sweep points concurrently; 1 runs them one after another (output is identical either way)")
+	scale := flag.Int("scale", 1, "multiply the cluster campaign's connection ladder (1 fits a 1-CPU container; 8000 targets >1M aggregate connections)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	only := flag.String("only", "", "run one campaign by name (default: every paper campaign)")
+	replay := flag.Int64("replay", 0, "re-run one fault-matrix run with this seed, verbosely")
+	timeline := flag.Int64("timeline", 0, "re-run one fault-matrix run with this seed and print the lifecycle-event timeline")
+	kindName := flag.String("kind", "crash", "fault kind for -replay/-timeline: crash, hang or storm")
+	comp := flag.String("comp", "tcp", "component for -replay/-timeline: pf, ip, udp, tcp, driver or syscall")
 	flag.Parse()
-	defer ef.StartProfiles()()
+	defer startProfiles(*cpuProfile, *memProfile)()
 
-	o := ef.Options()
-	drivers := map[string]func(experiments.Options) *experiments.Result{
-		"table1": experiments.Table1,
-		"fig4":   experiments.Figure4,
-		"fig5":   experiments.Figure5,
-		"fig7":   experiments.Figure7,
-		"fig9":   experiments.Figure9,
-		"fig11":  experiments.Figure11,
-		"fig12":  experiments.Figure12,
-		"table2": experiments.Table2,
-		"table3": experiments.Table3,
-		"fig13":  experiments.Figure13,
-		// Not part of the default run: tracing is opt-in, and the paper
-		// tables above are measured untraced.
-		"breakdown": experiments.LatencyBreakdown,
-		// Not part of the default run: the steering campaign measures the
-		// placement-plane extension, not a figure of the paper.
-		"steering": experiments.SteeringSkew,
-		// Not part of the default run: the adversarial campaign measures
-		// the resource-guard extension under hostile clients.
-		"attack": experiments.GoodputUnderAttack,
-		// Not part of the default run: the cluster campaign measures the
-		// multi-machine topology, not a figure of the paper.
-		"cluster": experiments.ClusterScale,
-		// Not part of the default run: the connection-scale ladder measures
-		// the million-connection engine refactor (timer wheel + pooled PCBs).
-		"connscale": experiments.ConnScale,
-		// Not part of the default run: the IPC campaign measures the modeled
-		// message rings and wake coalescing, not a figure of the paper.
-		"ipc": experiments.IPCFastPath,
-	}
-
+	o := experiments.Options{Quick: *quick, Seed: *seed, Workers: *workers, Scale: *scale}
 	switch {
-	case *breakdown:
-		cliutil.Emit(experiments.LatencyBreakdown(o))
-	case *steering:
-		cliutil.Emit(experiments.SteeringSkew(o))
-	case *attack:
-		cliutil.Emit(experiments.GoodputUnderAttack(o))
-	case *cluster:
-		cliutil.Emit(experiments.ClusterScale(o))
-	case *connscale:
-		cliutil.Emit(experiments.ConnScale(o))
-	case *ipcfp:
-		cliutil.Emit(experiments.IPCFastPath(o))
-	case *only != "":
-		fn, ok := drivers[strings.ToLower(*only)]
-		if !ok {
-			cliutil.Fail("unknown experiment %q", *only)
+	case *replay != 0 || *timeline != 0:
+		kind, err := faultinject.KindFromString(*kindName)
+		if err != nil {
+			fail("%v", err)
 		}
-		cliutil.Emit(fn(o))
+		if *timeline != 0 {
+			fmt.Print(experiments.FaultTimeline(o, *timeline, kind, *comp))
+			return
+		}
+		fmt.Print(experiments.FaultReplay(o, *replay, kind, *comp))
+	case *only != "":
+		name := strings.ToLower(*only)
+		for _, c := range experiments.Campaigns {
+			if c.Name == name {
+				fmt.Print(c.Run(o))
+				return
+			}
+		}
+		fail("unknown experiment %q", *only)
 	default:
-		cliutil.EmitAll(experiments.All(o))
+		for _, c := range experiments.Campaigns {
+			if c.Paper {
+				fmt.Println(c.Run(o))
+			}
+		}
 	}
+}
+
+// startProfiles starts the profiles -cpuprofile/-memprofile ask for and
+// returns the function to defer in main(): it stops the CPU profile and
+// writes the heap profile. With neither flag set it does nothing.
+func startProfiles(cpu, mem string) func() {
+	if cpu != "" {
+		cf, err := os.Create(cpu)
+		if err != nil {
+			fail("cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(cf); err != nil {
+			fail("cpuprofile: %v", err)
+		}
+	}
+	return func() {
+		if cpu != "" {
+			pprof.StopCPUProfile()
+		}
+		if mem != "" {
+			mf, err := os.Create(mem)
+			if err != nil {
+				fail("memprofile: %v", err)
+			}
+			runtime.GC()
+			if err := pprof.Lookup("allocs").WriteTo(mf, 0); err != nil {
+				fail("memprofile: %v", err)
+			}
+			mf.Close()
+		}
+	}
+}
+
+// fail reports a usage or runtime error and exits with status 2.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

@@ -11,10 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"neat"
 	"neat/internal/app"
-	"neat/internal/cliutil"
 	"neat/internal/ipc"
 	"neat/internal/report"
 	"neat/internal/sim"
@@ -36,7 +36,7 @@ func main() {
 		Tune:   func(sys *neat.System) error { return sys.ScaleDown() },
 	}.Build()
 	if err != nil {
-		cliutil.Fail("%v", err)
+		fail("%v", err)
 	}
 	net, server, client := tb.Net, tb.Server, tb.Client
 	sys := tb.System
@@ -95,14 +95,14 @@ func main() {
 
 	fmt.Println("-- scaling up: activating the spare replica slot")
 	if _, err := sys.ScaleUp(); err != nil {
-		cliutil.Fail("%v", err)
+		fail("%v", err)
 	}
 	fmt.Printf("after scale-up:          %6.1f krps, %d active replicas\n",
 		rate(100*sim.Millisecond), sys.NumActive())
 
 	fmt.Println("-- scaling down: lazy termination (existing connections drain first)")
 	if err := sys.ScaleDown(); err != nil {
-		cliutil.Fail("%v", err)
+		fail("%v", err)
 	}
 	fmt.Printf("during lazy termination: %6.1f krps, slot states %v\n",
 		rate(100*sim.Millisecond), sys.SlotStates())
@@ -131,4 +131,10 @@ func totalResponses(gens []*app.Loadgen) uint64 {
 		n += g.Stats().ResponsesOK
 	}
 	return n
+}
+
+// fail reports an error and exits with status 2.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

@@ -207,7 +207,7 @@ const (
 
 // opener speaks the socket protocol to one kernel context: it opens conns
 // connections to a peer port, sends one GET on each, closes once the reply
-// is in, and records the Stack every event names.
+// is in, and records the Stack every EvConnected names.
 type opener struct {
 	proc   *sim.Proc
 	kernel *ipc.Conn
@@ -219,12 +219,12 @@ type opener struct {
 	errs      []error
 	connected int
 	closed    int
-	replied   map[uint64]int
+	replied   map[stack.Handle]int
 }
 
 func newOpener(th *sim.HWThread, kernel *sim.Proc, peer proto.Addr, port uint16, conns int) *opener {
 	o := &opener{kernel: ipc.New(kernel, ipc.DefaultCosts()), peer: peer, port: port, conns: conns,
-		replied: map[uint64]int{}}
+		replied: map[stack.Handle]int{}}
 	o.proc = sim.NewProc(th, "opener", o, sim.ProcConfig{Component: "app"})
 	return o
 }
@@ -244,22 +244,20 @@ func (o *opener) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		o.connected++
 		o.kernel.Send(ctx, stack.NewOpSend(ctx.Sim, stack.OpSend{Conn: m.Conn, Data: []byte(openerRequest)}))
 	case *stack.EvData:
-		o.stacks = append(o.stacks, m.Stack)
-		o.replied[m.ConnID] += len(m.Data)
-		if len(m.Data) > 0 && o.replied[m.ConnID] == openerReplyLen {
+		o.replied[m.Conn] += len(m.Data)
+		if len(m.Data) > 0 && o.replied[m.Conn] == openerReplyLen {
 			o.kernel.Send(ctx, stack.NewOpClose(ctx.Sim, m.Conn, false))
 		}
 		m.Recycle()
 	case *stack.EvClosed:
-		o.stacks = append(o.stacks, m.Stack)
 		o.closed++
 		m.Recycle()
 	}
 }
 
 // TestBaselineActiveOpenNamesItsContext: connections opened through kernel
-// context 1 report context 1 in every event, although the NIC spreads
-// their receive processing over all four contexts.
+// context 1 are named by context 1 in every EvConnected, although the NIC
+// spreads their receive processing over all four contexts.
 func TestBaselineActiveOpenNamesItsContext(t *testing.T) {
 	p := bootPair(t, 4, 1, pinnedTuning)
 	web := app.NewHTTPD(p.client.AppThread(3), "web", p.cli.SyscallProc(), ipc.DefaultCosts(),

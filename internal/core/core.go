@@ -568,11 +568,10 @@ func (sys *System) sendProc(p *sim.Proc, msg sim.Message) {
 }
 
 // notifyLost tells the application owning c, if any, that the connection
-// is gone: a reset EvClosed naming stackProc and err.
-func (sys *System) notifyLost(r *stack.Replica, c *tcpeng.Conn, stackProc *sim.Proc, err error) {
+// is gone: a reset EvClosed carrying err.
+func (sys *System) notifyLost(r *stack.Replica, c *tcpeng.Conn, err error) {
 	if app, h := r.ConnOwner(c); app != nil {
-		sys.sendProc(app, stack.NewEvClosed(sys.s, stack.EvClosed{Conn: h, Stack: stackProc, ConnID: c.ID,
-			Reset: true, Err: err}))
+		sys.sendProc(app, stack.NewEvClosed(sys.s, stack.EvClosed{Conn: h, Reset: true, Err: err}))
 	}
 }
 
@@ -885,7 +884,7 @@ func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 			// checkpoint instead — do not declare them lost.)
 			for _, c := range sys.conns[r] {
 				sys.stats.ConnectionsLost++
-				sys.notifyLost(r, c, dead, stack.ErrReplicaFailure)
+				sys.notifyLost(r, c, stack.ErrReplicaFailure)
 			}
 		}
 		sys.conns[r] = map[uint64]*tcpeng.Conn{}
@@ -958,7 +957,7 @@ func (sys *System) quarantine(sl *slot) {
 	sys.eventf("quarantine", "slot %d fenced permanently", sl.index)
 	for _, c := range sys.conns[r] {
 		sys.stats.ConnectionsLost++
-		sys.notifyLost(r, c, r.SockProc(), stack.ErrReplicaFailure)
+		sys.notifyLost(r, c, stack.ErrReplicaFailure)
 	}
 	delete(sys.conns, r)
 	for _, p := range r.Procs() {

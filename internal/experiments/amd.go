@@ -192,17 +192,16 @@ func Figure12(o Options) *Result {
 		XLabel: "workload", YLabel: "krps"}
 
 	workloads := []struct {
-		x     float64
-		label string
+		x     float64 // the paper's label: conns for one server, 132 = 2srv,32, 164 = 4srv,64
 		webs  int
 		conns int // per generator
 	}{
-		{8, "1srv,8", 1, 8},
-		{16, "1srv,16", 1, 16},
-		{32, "1srv,32", 1, 32},
-		{64, "1srv,64", 1, 64},
-		{132, "2srv,32", 2, 16}, // 32 connections split over 2 instances
-		{164, "4srv,64", 4, 16}, // 64 connections split over 4 instances
+		{8, 1, 8},
+		{16, 1, 16},
+		{32, 1, 32},
+		{64, 1, 64},
+		{132, 2, 16}, // 32 connections split over 2 instances
+		{164, 4, 16}, // 64 connections split over 4 instances
 	}
 	configs := []struct {
 		label    string

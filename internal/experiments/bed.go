@@ -245,31 +245,36 @@ type Measurement struct {
 	Latency metrics.Histogram
 }
 
-// Run starts the load, warms up, measures for window and reports. The
-// measurement is derived from the bed's workload registry — the registry
-// is the source of truth, Measurement its httperf-style view.
+// Run starts the load, warms up, measures for window and reports.
 func (b *Bed) Run(warm, window sim.Time) Measurement {
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Net.Sim.RunFor(warm)
-	for _, g := range b.Gens {
-		g.BeginMeasure()
-	}
-	b.Net.Sim.RunFor(window)
-	return measurementFrom(b.workloadRegistry(), window)
+	return runLoad(b.Net.Sim, b.Gens, warm, window)
 }
 
-// workloadRegistry collects the load generators' counters into a fresh
+// runLoad starts gens, warms up, measures for window and reports. The
+// measurement is derived from the generators' workload registry — the
+// registry is the source of truth, Measurement its httperf-style view.
+func runLoad(s *sim.Simulator, gens []*app.Loadgen, warm, window sim.Time) Measurement {
+	for _, g := range gens {
+		g.Start()
+	}
+	s.RunFor(warm)
+	for _, g := range gens {
+		g.BeginMeasure()
+	}
+	s.RunFor(window)
+	return measurementFrom(loadRegistry(gens), window)
+}
+
+// loadRegistry collects the load generators' counters into a fresh
 // registry (the client-side "httperf report" instruments).
-func (b *Bed) workloadRegistry() *metrics.Registry {
+func loadRegistry(gens []*app.Loadgen) *metrics.Registry {
 	r := metrics.NewRegistry()
 	good := r.Counter("loadgen.responses_good")
 	raw := r.Counter("loadgen.window_responses")
 	bytes := r.Counter("loadgen.window_bytes")
 	errs := r.Counter("loadgen.conn_errors")
 	lat := r.Histogram("loadgen.latency")
-	for _, g := range b.Gens {
+	for _, g := range gens {
 		st := g.Stats()
 		good.Add(g.GoodResponses())
 		raw.Add(st.WindowResponses)
@@ -284,7 +289,7 @@ func (b *Bed) workloadRegistry() *metrics.Registry {
 // instruments plus the server and client systems' metrics under "server."
 // and "client." prefixes and the link counters.
 func (b *Bed) Registry() *metrics.Registry {
-	r := b.workloadRegistry()
+	r := loadRegistry(b.Gens)
 	if b.NEaT != nil {
 		r.Absorb("server.", b.NEaT.Metrics())
 	}

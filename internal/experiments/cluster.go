@@ -10,7 +10,7 @@ package experiments
 //
 // Determinism contract: a cluster run is a pure function of its seed, and
 // the report prints only simulation-derived numbers — never wall-clock
-// times. `make verify` pins the md5 of `neat-bench -cluster -quick`. The
+// times. `make verify` pins the md5 of `neat-bench -only cluster -quick`. The
 // workload is RNG-free on every behavior-relevant path: one stack per
 // client machine (the connect-side placer has a single choice),
 // deterministic farm steering (hash over the active set), no
@@ -243,34 +243,7 @@ func sequentialPorts(base uint16) app.PortPlan {
 // Run starts the load, warms up, measures for window and returns the
 // aggregate measurement.
 func (b *ClusterBed) Run(warm, window sim.Time) Measurement {
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Sim.RunFor(warm)
-	for _, g := range b.Gens {
-		g.BeginMeasure()
-	}
-	b.Sim.RunFor(window)
-	return measurementFrom(b.workloadRegistry(), window)
-}
-
-// workloadRegistry collects the generators' counters.
-func (b *ClusterBed) workloadRegistry() *metrics.Registry {
-	r := metrics.NewRegistry()
-	good := r.Counter("loadgen.responses_good")
-	raw := r.Counter("loadgen.window_responses")
-	bytes := r.Counter("loadgen.window_bytes")
-	errs := r.Counter("loadgen.conn_errors")
-	lat := r.Histogram("loadgen.latency")
-	for _, g := range b.Gens {
-		st := g.Stats()
-		good.Add(g.GoodResponses())
-		raw.Add(st.WindowResponses)
-		bytes.Add(st.WindowBytes)
-		errs.Add(st.ConnErrors)
-		lat.Merge(g.Latency())
-	}
-	return r
+	return runLoad(b.Sim, b.Gens, warm, window)
 }
 
 // farmGoodput sums good responses per farm across generators.

@@ -58,11 +58,10 @@ var matrixOutcomes = []string{"transparent", "tcp lost", "quarantined", "plane r
 func FaultMatrix(o Options) *Result {
 	res := &Result{Name: "Fault matrix: kind × component campaign under watchdog detection"}
 	runsPer := 3
-	observe := 150 * sim.Millisecond
 	if o.Quick {
 		runsPer = 1
-		observe = 70 * sim.Millisecond
 	}
+	observe := matrixObserve(o)
 
 	type cell struct {
 		kind faultinject.Kind
@@ -78,7 +77,7 @@ func FaultMatrix(o Options) *Result {
 	outs := RunParallel(len(cells)*runsPer, o.Workers, func(i int) matrixOut {
 		c := cells[i/runsPer]
 		seed := o.seed() + int64(i)
-		return matrixRun(o, seed, c.kind, c.comp, observe)
+		return classify(runFault(seed, c.kind, c.comp, observe, false))
 	})
 
 	tab := &report.Table{
@@ -128,10 +127,24 @@ func FaultMatrix(o Options) *Result {
 	return res
 }
 
-// matrixRun executes one fault-matrix run: boot a watchdog-supervised
-// multi-component bed under web load, inject one (kind, component) fault,
-// observe, and classify the recovery.
-func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observe sim.Time) matrixOut {
+// faultRun is one fault-injection scenario, the sequence every fault
+// campaign runs: boot the multi-component AMD bed under web load, warm it
+// for 20 ms, inject one fault, observe, then watch 40 ms more for
+// responses.
+type faultRun struct {
+	b         *Bed
+	injection faultinject.Injection
+	boot      int  // trace events recorded before the injection
+	reachable bool // responses still flowed in the last 40 ms
+}
+
+// runFault executes the scenario. An empty comp draws the fault the §6.6
+// way: a crash in a component weighted by code size, detected by the crash
+// oracle. Otherwise kind is injected into comp under watchdog detection,
+// and a storm re-strikes every respawned incarnation. trace attaches the
+// observability layer. The error reports a bed that failed to boot or a
+// fault that found no target.
+func runFault(seed int64, kind faultinject.Kind, comp string, observe sim.Time, trace bool) (*faultRun, error) {
 	b, err := NewBed(BedConfig{
 		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
@@ -139,20 +152,30 @@ func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observ
 		WebLocs:      coreRange(6, 2),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Timeout:  150 * sim.Millisecond,
-		Watchdog: true,
+		Watchdog: comp != "",
+		Observe:  trace,
 	})
 	if err != nil {
-		return matrixOut{outcome: "none"}
+		return nil, fmt.Errorf("bed failed: %w", err)
 	}
 	for _, g := range b.Gens {
 		g.Start()
 	}
 	b.Net.Sim.RunFor(20 * sim.Millisecond)
+	fr := &faultRun{b: b}
+	if b.Trace != nil {
+		fr.boot = len(b.Trace.Events())
+	}
 
-	inj := faultinject.New(b.Net.Sim.Rand(), faultinject.MatrixComponents)
-	injection, ok := inj.InjectKind(b.NEaT, kind, comp)
+	var ok bool
+	if comp == "" {
+		fr.injection, ok = faultinject.New(b.Net.Sim.Rand(), nil).Inject(b.NEaT)
+	} else {
+		inj := faultinject.New(b.Net.Sim.Rand(), faultinject.MatrixComponents)
+		fr.injection, ok = inj.InjectKind(b.NEaT, kind, comp)
+	}
 	if !ok {
-		return matrixOut{outcome: "none"}
+		return nil, fmt.Errorf("no injectable %s component in this configuration", comp)
 	}
 	if kind == faultinject.KindStorm {
 		// Keep striking the same component: every respawned incarnation is
@@ -163,30 +186,42 @@ func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observ
 			if left == 0 {
 				return
 			}
-			faultinject.ReInject(b.NEaT, injection)
+			faultinject.ReInject(b.NEaT, fr.injection)
 			b.Net.Sim.After(stormGap, func() { strike(left - 1) })
 		}
 		b.Net.Sim.After(stormGap, func() { strike(stormStrikes - 1) })
 	}
 	b.Net.Sim.RunFor(observe)
 
-	// Reachability: responses must still be flowing at the end.
-	var before uint64
-	for _, g := range b.Gens {
-		before += g.Stats().ResponsesOK
-	}
+	before := b.responsesOK()
 	b.Net.Sim.RunFor(40 * sim.Millisecond)
-	var after uint64
-	for _, g := range b.Gens {
-		after += g.Stats().ResponsesOK
-	}
+	fr.reachable = b.responsesOK() > before
+	return fr, nil
+}
 
-	var out matrixOut
-	out.ok = after > before
-	st := b.NEaT.Stats()
-	wst := b.NEaT.Watchdog().Stats()
-	out.detected = wst.CrashesDetected+wst.HangsDetected+wst.SpuriousDetected > 0
-	out.detectLat = b.NEaT.Watchdog().DetectionLatency().Mean()
+// responsesOK sums the load generators' successful responses.
+func (b *Bed) responsesOK() uint64 {
+	var n uint64
+	for _, g := range b.Gens {
+		n += g.Stats().ResponsesOK
+	}
+	return n
+}
+
+// classify reads a matrix run's outcome off the watchdog and the
+// management plane; a run whose fault never went in classifies as "none".
+func classify(fr *faultRun, err error) matrixOut {
+	if err != nil {
+		return matrixOut{outcome: "none"}
+	}
+	sys := fr.b.NEaT
+	st := sys.Stats()
+	wst := sys.Watchdog().Stats()
+	out := matrixOut{
+		ok:        fr.reachable,
+		detected:  wst.CrashesDetected+wst.HangsDetected+wst.SpuriousDetected > 0,
+		detectLat: sys.Watchdog().DetectionLatency().Mean(),
+	}
 	switch {
 	case st.SlotsQuarantined > 0:
 		out.outcome = "quarantined"
@@ -208,11 +243,8 @@ func matrixRun(o Options, seed int64, kind faultinject.Kind, comp string, observ
 // campaign aggregates away.
 func FaultReplay(o Options, seed int64, kind faultinject.Kind, comp string) *Result {
 	res := &Result{Name: fmt.Sprintf("Fault replay: %s of %q (seed %d)", kind, comp, seed)}
-	observe := 150 * sim.Millisecond
-	if o.Quick {
-		observe = 70 * sim.Millisecond
-	}
-	out := matrixRun(o, seed, kind, comp, observe)
+	fr, err := runFault(seed, kind, comp, matrixObserve(o), false)
+	out := classify(fr, err)
 
 	tab := &report.Table{Title: "Run classification",
 		Columns: []string{"field", "value"}}
@@ -220,125 +252,25 @@ func FaultReplay(o Options, seed int64, kind faultinject.Kind, comp string) *Res
 	tab.AddRow("service reachable", out.ok)
 	tab.AddRow("failure detected", out.detected)
 	tab.AddRow("mean detection latency", out.detectLat)
-	res.Tables = append(res.Tables, tab)
 
-	// Re-run to snapshot the counters (matrixRun's bed is internal; the
-	// replay is deterministic, so the second execution is identical).
-	det := replayCounters(o, seed, kind, comp, observe)
-	res.Tables = append(res.Tables, det)
+	cnt := &report.Table{Title: "Watchdog and management-plane counters",
+		Columns: []string{"counter", "value"}}
+	if err != nil {
+		cnt.AddRow("error", err.Error())
+	} else {
+		fr.addCounters(cnt)
+	}
+	res.Tables = append(res.Tables, tab, cnt)
 	res.Notef("replay is deterministic: the same seed reproduces this run exactly")
 	return res
 }
 
-// FaultTimeline re-executes a single fault-matrix run with the
-// observability layer attached and reports the management plane's
-// lifecycle-event timeline: every spawn, detection, escalation, RSS
-// rebind and recovery, stamped with simulated time. It is the annotated
-// companion to FaultReplay — the counters say what happened, the
-// timeline says when and in what order.
-func FaultTimeline(o Options, seed int64, kind faultinject.Kind, comp string) *Result {
-	res := &Result{Name: fmt.Sprintf("Fault timeline: %s of %q (seed %d)", kind, comp, seed)}
-	observe := 150 * sim.Millisecond
-	if o.Quick {
-		observe = 70 * sim.Millisecond
-	}
-	b, err := NewBed(BedConfig{
-		Seed: seed, Machine: AMD, Kind: stack.Multi,
-		ReplicaSlots: testbed.MultiSlots(2, 2),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs:      coreRange(6, 2),
-		ConnsPerGen:  16, ReqPerConn: 100,
-		Timeout:  150 * sim.Millisecond,
-		Watchdog: true,
-		Observe:  true,
-	})
-	if err != nil {
-		res.Notef("bed failed: %v", err)
-		return res
-	}
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Net.Sim.RunFor(20 * sim.Millisecond)
-	// Boot noise (initial spawns, first RSS programming) ends here; keep
-	// the timeline focused on the injected fault and its recovery.
-	boot := len(b.Trace.Events())
-
-	inj := faultinject.New(b.Net.Sim.Rand(), faultinject.MatrixComponents)
-	injection, ok := inj.InjectKind(b.NEaT, kind, comp)
-	if !ok {
-		res.Notef("no injectable %s component in this configuration", comp)
-		return res
-	}
-	if kind == faultinject.KindStorm {
-		var strike func(left int)
-		strike = func(left int) {
-			if left == 0 {
-				return
-			}
-			faultinject.ReInject(b.NEaT, injection)
-			b.Net.Sim.After(stormGap, func() { strike(left - 1) })
-		}
-		b.Net.Sim.After(stormGap, func() { strike(stormStrikes - 1) })
-	}
-	b.Net.Sim.RunFor(observe + 40*sim.Millisecond)
-
-	events := b.Trace.Events()[boot:]
-	res.Tables = append(res.Tables, trace.Timeline(events,
-		fmt.Sprintf("Lifecycle events after injecting %s into %s (%s)",
-			kind, injection.Component, injection.Proc.Name)))
-	res.Tables = append(res.Tables,
-		report.Metrics("Watchdog instruments at the end of the run",
-			b.NEaT.Metrics().Filter("watchdog.")))
-	if s := trace.EventCounts(events); s != "" {
-		res.Notef("event counts: %s", s)
-	}
-	res.Notef("%d boot-time events before the injection omitted", boot)
-	res.Notef("the timeline is deterministic: the same seed reproduces it exactly")
-	return res
-}
-
-// replayCounters runs the same scenario and tabulates the detector and
-// management-plane statistics.
-func replayCounters(o Options, seed int64, kind faultinject.Kind, comp string, observe sim.Time) *report.Table {
-	b, err := NewBed(BedConfig{
-		Seed: seed, Machine: AMD, Kind: stack.Multi,
-		ReplicaSlots: testbed.MultiSlots(2, 2),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs:      coreRange(6, 2),
-		ConnsPerGen:  16, ReqPerConn: 100,
-		Timeout:  150 * sim.Millisecond,
-		Watchdog: true,
-	})
-	tab := &report.Table{Title: "Watchdog and management-plane counters",
-		Columns: []string{"counter", "value"}}
-	if err != nil {
-		tab.AddRow("bed error", err.Error())
-		return tab
-	}
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Net.Sim.RunFor(20 * sim.Millisecond)
-	inj := faultinject.New(b.Net.Sim.Rand(), faultinject.MatrixComponents)
-	injection, ok := inj.InjectKind(b.NEaT, kind, comp)
-	if ok && kind == faultinject.KindStorm {
-		var strike func(left int)
-		strike = func(left int) {
-			if left == 0 {
-				return
-			}
-			faultinject.ReInject(b.NEaT, injection)
-			b.Net.Sim.After(stormGap, func() { strike(left - 1) })
-		}
-		b.Net.Sim.After(stormGap, func() { strike(stormStrikes - 1) })
-	}
-	b.Net.Sim.RunFor(observe + 40*sim.Millisecond)
-
-	wd := b.NEaT.Watchdog()
+// addCounters tabulates the detector and management-plane statistics.
+func (fr *faultRun) addCounters(tab *report.Table) {
+	wd := fr.b.NEaT.Watchdog()
 	wst := wd.Stats()
-	st := b.NEaT.Stats()
-	tab.AddRow("injected into", fmt.Sprintf("%s (%s)", injection.Component, injection.Proc.Name))
+	st := fr.b.NEaT.Stats()
+	tab.AddRow("injected into", fmt.Sprintf("%s (%s)", fr.injection.Component, fr.injection.Proc.Name))
 	tab.AddRow("probes sent", wst.ProbesSent)
 	tab.AddRow("acks received", wst.AcksReceived)
 	tab.AddRow("probes missed", wst.ProbesMissed)
@@ -353,6 +285,43 @@ func replayCounters(o Options, seed int64, kind faultinject.Kind, comp string, o
 	tab.AddRow("driver recoveries", st.DriverRecoveries)
 	tab.AddRow("syscall recoveries", st.SyscallRecoveries)
 	tab.AddRow("connections lost", st.ConnectionsLost)
-	tab.AddRow("final slot states", fmt.Sprintf("%v", b.NEaT.SlotStates()))
-	return tab
+	tab.AddRow("final slot states", fmt.Sprintf("%v", fr.b.NEaT.SlotStates()))
+}
+
+// FaultTimeline re-executes a single fault-matrix run with the
+// observability layer attached and reports the management plane's
+// lifecycle-event timeline: every spawn, detection, escalation, RSS
+// rebind and recovery, stamped with simulated time. It is the annotated
+// companion to FaultReplay — the counters say what happened, the
+// timeline says when and in what order.
+func FaultTimeline(o Options, seed int64, kind faultinject.Kind, comp string) *Result {
+	res := &Result{Name: fmt.Sprintf("Fault timeline: %s of %q (seed %d)", kind, comp, seed)}
+	fr, err := runFault(seed, kind, comp, matrixObserve(o), true)
+	if err != nil {
+		res.Notef("%v", err)
+		return res
+	}
+	// Boot noise (initial spawns, first RSS programming) precedes the
+	// injection; keep the timeline focused on the fault and its recovery.
+	events := fr.b.Trace.Events()[fr.boot:]
+	res.Tables = append(res.Tables, trace.Timeline(events,
+		fmt.Sprintf("Lifecycle events after injecting %s into %s (%s)",
+			kind, fr.injection.Component, fr.injection.Proc.Name)))
+	res.Tables = append(res.Tables,
+		report.Metrics("Watchdog instruments at the end of the run",
+			fr.b.NEaT.Metrics().Filter("watchdog.")))
+	if s := trace.EventCounts(events); s != "" {
+		res.Notef("event counts: %s", s)
+	}
+	res.Notef("%d boot-time events before the injection omitted", fr.boot)
+	res.Notef("the timeline is deterministic: the same seed reproduces it exactly")
+	return res
+}
+
+// matrixObserve is a matrix run's observation window.
+func matrixObserve(o Options) sim.Time {
+	if o.Quick {
+		return 70 * sim.Millisecond
+	}
+	return 150 * sim.Millisecond
 }

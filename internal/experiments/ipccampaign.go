@@ -21,7 +21,7 @@ import (
 // Every number printed is simulation-derived (no wall clock), and the
 // workload follows the cluster campaign's determinism recipe — fixed
 // local-port plans, no loss, no behavior-relevant randomness. `make verify`
-// pins the md5 of `neat-bench -ipc -quick`.
+// pins the md5 of `neat-bench -only ipc -quick`.
 
 // IPCPoint is one measured (pipeline, wake mode) cell.
 type IPCPoint struct {

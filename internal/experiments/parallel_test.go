@@ -23,21 +23,45 @@ func TestParallelRunner(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism is the regression gate for the concurrent sweep
-// runner: a full experiment driver must produce byte-identical reports
-// run-to-run sequentially AND when its points are measured concurrently.
-// Each sweep point owns its Simulator and RNG (seeded from the config), so
-// scheduling must not leak into the results; run under -race this also
-// proves the beds share no mutable state.
-func TestParallelDeterminism(t *testing.T) {
-	seq := Options{Quick: true}
-	seq1 := Table1(seq).String()
-	seq2 := Table1(seq).String()
-	if seq1 != seq2 {
-		t.Fatalf("sequential runs differ:\n--- first\n%s\n--- second\n%s", seq1, seq2)
-	}
-	par := Table1(Options{Quick: true, Workers: 3}).String()
-	if par != seq1 {
-		t.Fatalf("parallel run differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", seq1, par)
+// TestCampaignDeterminism is the byte-identity oracle over the campaign
+// table: a report must render the same bytes run to run, and when its
+// sweep points are measured concurrently. Each sweep point owns its
+// Simulator and RNG (seeded from the config), so scheduling must not leak
+// into the results; under -race this also proves the beds share no
+// mutable state.
+func TestCampaignDeterminism(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		twice   bool // compare two sequential runs
+		workers int  // compare a run on this many workers with the sequential one (0: none)
+	}{
+		{"table1", true, 3},
+		{"breakdown", false, 4}, // tracing must not perturb simulation order
+		{"steering", true, 3},
+		{"matrix", false, 4},
+		{"cluster", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var run func(Options) *Result
+			for _, c := range Campaigns {
+				if c.Name == tc.name {
+					run = c.Run
+				}
+			}
+			if run == nil {
+				t.Fatalf("no campaign %q", tc.name)
+			}
+			seq := run(Options{Quick: true}).String()
+			if tc.twice {
+				if again := run(Options{Quick: true}).String(); again != seq {
+					t.Fatalf("sequential runs differ:\n--- first\n%s\n--- second\n%s", seq, again)
+				}
+			}
+			if tc.workers > 0 {
+				if par := run(Options{Quick: true, Workers: tc.workers}).String(); par != seq {
+					t.Fatalf("%d-worker run differs from sequential:\n--- sequential\n%s\n--- parallel\n%s", tc.workers, seq, par)
+				}
+			}
+		})
 	}
 }

@@ -28,7 +28,7 @@ func Table3(o Options) *Result {
 		ok      bool
 	}
 	outs := RunParallel(runs, o.Workers, func(i int) t3out {
-		oc, ok := faultRun(o, int64(i+1), observe)
+		oc, ok := table3Run(int64(i+1), observe)
 		return t3out{outcome: oc, ok: ok}
 	})
 	var transparent, tcpLost, unreachable int
@@ -61,57 +61,21 @@ func Table3(o Options) *Result {
 	return res
 }
 
-// faultRun executes one injection run and classifies it; ok is false if
-// the service did not come back.
-func faultRun(o Options, seed int64, observe sim.Time) (faultinject.Outcome, bool) {
-	b, err := NewBed(BedConfig{
-		Seed: seed, Machine: AMD, Kind: stack.Multi,
-		ReplicaSlots: testbed.MultiSlots(2, 2),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs:      coreRange(6, 2),
-		ConnsPerGen:  16, ReqPerConn: 100,
-		Timeout: 150 * sim.Millisecond,
-	})
-	if err != nil {
+// table3Run executes one §6.6 injection run and classifies it; ok is false
+// if the service did not come back.
+func table3Run(seed int64, observe sim.Time) (faultinject.Outcome, bool) {
+	fr, err := runFault(seed, faultinject.KindCrash, "", observe, false)
+	if err != nil || !fr.reachable {
 		return 0, false
 	}
-	for _, g := range b.Gens {
-		g.Start()
-	}
-	b.Net.Sim.RunFor(20 * sim.Millisecond)
-
-	inj := faultinject.New(b.Net.Sim.Rand(), nil)
-	injection, ok := inj.Inject(b.NEaT)
-	if !ok {
-		return 0, false
-	}
-	b.Net.Sim.RunFor(observe)
-
-	// Service must be reachable again: responses must still flow at the
-	// end of the observation window.
-	var before uint64
-	for _, g := range b.Gens {
-		before += g.Stats().ResponsesOK
-	}
-	b.Net.Sim.RunFor(40 * sim.Millisecond)
-	var after uint64
-	for _, g := range b.Gens {
-		after += g.Stats().ResponsesOK
-	}
-	if after <= before {
-		return 0, false
-	}
-
-	st := b.NEaT.Stats()
-	if st.TCPStateLost > 0 {
+	st := fr.b.NEaT.Stats()
+	switch {
+	case st.TCPStateLost > 0:
 		return faultinject.OutcomeTCPLost, true
-	}
-	if st.TransparentRecov > 0 {
-		// Double-check the claim: transparent means no connection died.
-		if st.ConnectionsLost > 0 {
-			return faultinject.OutcomeTCPLost, true
-		}
-		_ = injection
+	case st.TransparentRecov > 0 && st.ConnectionsLost > 0:
+		// Transparent means no connection died.
+		return faultinject.OutcomeTCPLost, true
+	case st.TransparentRecov > 0:
 		return faultinject.OutcomeTransparent, true
 	}
 	return 0, false
@@ -205,20 +169,4 @@ func Figure13(o Options) *Result {
 	res.Notef("paper: performance AND reliability both increase with the replica count — no trade-off")
 	res.Notef("single-component replicas lose all state of the failing replica; multi-component ones only with P(tcp)=%.1f%%", 100*pTCP)
 	return res
-}
-
-// All runs every experiment in paper order.
-func All(o Options) []*Result {
-	return []*Result{
-		Table1(o),
-		Figure4(o),
-		Figure5(o),
-		Figure7(o),
-		Figure9(o),
-		Figure11(o),
-		Figure12(o),
-		Table2(o),
-		Table3(o),
-		Figure13(o),
-	}
 }

@@ -142,7 +142,7 @@ func (ln *Listener) Close(ctx *sim.Context) {
 		return
 	}
 	delete(ln.lib.listeners, ln.reqID)
-	ln.lib.sysConn.Send(ctx, stack.OpCloseListener{App: ln.lib.proc, ReqID: ln.reqID})
+	ln.lib.sysConn.Send(ctx, stack.OpCloseListener{ReqID: ln.reqID})
 }
 
 // Listen creates a listening socket on port.

@@ -27,7 +27,7 @@ func (f *fakeStack) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {
 	case stack.OpListen:
 		f.appConn = ipc.New(m.App, ipc.DefaultCosts())
-		f.appConn.Send(ctx, stack.EvListening{ReqID: m.ReqID, Stack: f.proc})
+		f.appConn.Send(ctx, stack.EvListening{ReqID: m.ReqID})
 	case stack.OpConnect:
 		f.appConn = ipc.New(m.App, ipc.DefaultCosts())
 		if f.refuse {
@@ -38,11 +38,9 @@ func (f *fakeStack) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	case *stack.OpSend:
 		// Echo the data back. The box is retained in f.ops for the tests'
 		// op-sequence assertions, so it is deliberately not recycled.
-		f.appConn.Send(ctx, stack.NewEvData(ctx.Sim, stack.EvData{Conn: m.Conn, Stack: f.proc, ConnID: 77,
-			Data: append([]byte(nil), m.Data...)}))
+		f.appConn.Send(ctx, stack.NewEvData(ctx.Sim, stack.EvData{Conn: m.Conn, Data: append([]byte(nil), m.Data...)}))
 		if m.WantSpace {
-			f.appConn.Send(ctx, stack.NewEvSendSpace(ctx.Sim, stack.EvSendSpace{Conn: m.Conn, Stack: f.proc,
-				ConnID: 77, Available: 1000}))
+			f.appConn.Send(ctx, stack.NewEvSendSpace(ctx.Sim, stack.EvSendSpace{Conn: m.Conn, Available: 1000}))
 		}
 	case stack.OpCloseListener:
 		// recorded in ops; nothing to reply
@@ -157,7 +155,7 @@ func TestListenAcceptFlow(t *testing.T) {
 		t.Fatal("listener not ready")
 	}
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn, ConnID: 9,
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn,
 		Stack: fs.proc, RemoteAddr: proto.IPv4(10, 0, 0, 2), RemotePort: 5555, SendBuf: 500}))
 	s.RunFor(sim.Millisecond)
 	if accepted == nil {
@@ -169,7 +167,7 @@ func TestListenAcceptFlow(t *testing.T) {
 }
 
 func TestEOFAndClosedEvents(t *testing.T) {
-	s, fs, app := setup(t)
+	s, _, app := setup(t)
 	var sock *Socket
 	var sawEOF, sawClosed, sawReset bool
 	app.on = func(ctx *sim.Context, msg sim.Message) {
@@ -182,8 +180,8 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	app.proc.Deliver("go")
 	s.RunFor(sim.Millisecond)
-	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: fakeConn, Stack: fs.proc, ConnID: 77, EOF: true}))
-	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn, Stack: fs.proc, ConnID: 77, Reset: true,
+	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: fakeConn, EOF: true}))
+	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn, Reset: true,
 		Err: stack.ErrReplicaFailure}))
 	s.RunFor(sim.Millisecond)
 	if !sawEOF || !sawClosed || !sawReset {
@@ -194,7 +192,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	}
 	// A second EvClosed for the same conn is ignored (already removed).
 	sawClosed = false
-	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn, Stack: fs.proc, ConnID: 77}))
+	app.proc.Deliver(stack.NewEvClosed(s, stack.EvClosed{Conn: fakeConn}))
 	s.RunFor(sim.Millisecond)
 	if sawClosed {
 		t.Fatal("duplicate close delivered")
@@ -328,7 +326,7 @@ func TestListenerClose(t *testing.T) {
 	}
 	// Accept events for the closed listener are ignored.
 	op := fs.ops[0].(stack.OpListen)
-	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn, ConnID: 3,
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: op.ReqID, Conn: fakeConn,
 		Stack: fs.proc}))
 	s.RunFor(sim.Millisecond)
 	if openSockets(app.lib) != 0 {
@@ -339,9 +337,9 @@ func TestListenerClose(t *testing.T) {
 func TestUnknownEventsIgnored(t *testing.T) {
 	s, fs, app := setup(t)
 	stray := stack.Handle{Host: 1, Slot: 5, Gen: 9}
-	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: stray, Stack: fs.proc, ConnID: 999, Data: []byte("stray")}))
-	app.proc.Deliver(stack.NewEvSendSpace(s, stack.EvSendSpace{Conn: stray, Stack: fs.proc, ConnID: 999}))
-	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: 424242, Conn: stray, ConnID: 1,
+	app.proc.Deliver(stack.NewEvData(s, stack.EvData{Conn: stray, Data: []byte("stray")}))
+	app.proc.Deliver(stack.NewEvSendSpace(s, stack.EvSendSpace{Conn: stray}))
+	app.proc.Deliver(stack.NewEvAccepted(s, stack.EvAccepted{ListenerReqID: 424242, Conn: stray,
 		Stack: fs.proc}))
 	s.RunFor(sim.Millisecond) // must not panic
 	if openSockets(app.lib) != 0 {

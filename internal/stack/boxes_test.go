@@ -40,7 +40,7 @@ func TestConnBoxRoundTripZeroAlloc(t *testing.T) {
 		h := op.Conn
 		op.Recycle()
 		ctx.Send(app, NewEvAccepted(ctx.Sim, EvAccepted{Conn: h, Stack: ctx.Proc, SendBuf: 1}))
-		ctx.Send(app, NewEvClosed(ctx.Sim, EvClosed{Conn: h, Stack: ctx.Proc, Reset: true}))
+		ctx.Send(app, NewEvClosed(ctx.Sim, EvClosed{Conn: h, Reset: true}))
 	}), sim.ProcConfig{})
 	round := func() {
 		app.Deliver(0)

@@ -91,12 +91,10 @@ type tickMsg struct{ fn func() }
 
 // ---- Application-facing socket protocol ----
 //
-// Handles: the application names its own sockets with ReqIDs; the stack
-// names live connections with ConnIDs (unique per replica process). Once a
-// connection exists, both sides address it by its Handle: a fixed-size
+// Handles: the application names its own sockets with ReqIDs. Once a
+// connection exists, both sides address it by its Handle, a fixed-size
 // (host, slot, generation) index the stack hands out with EvAccepted or
-// EvConnected, so neither side hashes anything per message. ConnIDs stay
-// in the events for reports and tests.
+// EvConnected, so neither side hashes anything per message.
 //
 // Boxes: OpSend and the per-connection events (EvAccepted, EvData,
 // EvSendSpace, EvClosed) travel only as boxes from the sending simulator's
@@ -130,7 +128,6 @@ type OpListen struct {
 // OpCloseListener closes a listening socket: the SYSCALL server fans it
 // out to every replica holding a subsocket and unregisters the listen.
 type OpCloseListener struct {
-	App   *sim.Proc
 	ReqID uint64 // the original OpListen request
 }
 
@@ -242,16 +239,13 @@ type OpRestore struct{ Snap *tcpeng.Snapshot }
 // stack process (its replica was restored from a checkpoint after a
 // crash); the socket library re-keys the socket transparently.
 type EvRehomed struct {
-	OldStack *sim.Proc
 	NewStack *sim.Proc
-	ConnID   uint64
 	Old, New Handle
 }
 
 // EvListening acknowledges OpListen.
 type EvListening struct {
 	ReqID uint64
-	Stack *sim.Proc // the replica process owning the subsocket
 	Err   error
 }
 
@@ -260,7 +254,6 @@ type EvListening struct {
 type EvAccepted struct {
 	ListenerReqID uint64
 	Conn          Handle
-	ConnID        uint64
 	Stack         *sim.Proc
 	RemoteAddr    proto.Addr
 	RemotePort    uint16
@@ -300,12 +293,10 @@ type EvConnected struct {
 // EvData delivers received bytes (push-mode fast path). EOF marks the
 // peer's FIN after all data. It travels only as a box from NewEvData.
 type EvData struct {
-	Conn   Handle
-	Stack  *sim.Proc
-	ConnID uint64
-	Data   []byte
-	EOF    bool
-	pool   *sim.Pool[EvData]
+	Conn Handle
+	Data []byte
+	EOF  bool
+	pool *sim.Pool[EvData]
 }
 
 var evDataPool = sim.NewPoolKind[EvData]("ev_data")
@@ -335,8 +326,6 @@ func (m *EvData) Recycle() {
 // It travels only as a box from NewEvSendSpace.
 type EvSendSpace struct {
 	Conn      Handle
-	Stack     *sim.Proc
-	ConnID    uint64
 	Available int
 	pool      *sim.Pool[EvSendSpace]
 }
@@ -364,12 +353,10 @@ func (m *EvSendSpace) Recycle() {
 // (including RSTs from the peer). It travels only as a box from
 // NewEvClosed.
 type EvClosed struct {
-	Conn   Handle
-	Stack  *sim.Proc
-	ConnID uint64
-	Reset  bool
-	Err    error
-	pool   *sim.Pool[EvClosed]
+	Conn  Handle
+	Reset bool
+	Err   error
+	pool  *sim.Pool[EvClosed]
 }
 
 var evClosedPool = sim.NewPoolKind[EvClosed]("ev_closed")

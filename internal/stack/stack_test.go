@@ -93,11 +93,11 @@ type echoServer struct {
 	listened bool
 	accepted int
 	closed   int
-	got      map[uint64][]byte
+	got      map[Handle][]byte
 }
 
 func newEchoServer(th *sim.HWThread, target *sim.Proc) *echoServer {
-	a := &echoServer{got: map[uint64][]byte{}}
+	a := &echoServer{got: map[Handle][]byte{}}
 	a.proc = sim.NewProc(th, "echoSrv", a, sim.ProcConfig{Component: "app"})
 	a.stack = ipc.New(target, ipc.DefaultCosts())
 	return a
@@ -117,7 +117,7 @@ func (a *echoServer) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	case *EvData:
 		// The event's chunk is this app's now; it is echoed by reference and
 		// never recycled, which the ownership contract allows.
-		a.got[m.ConnID] = append(a.got[m.ConnID], m.Data...)
+		a.got[m.Conn] = append(a.got[m.Conn], m.Data...)
 		if len(m.Data) > 0 && !a.sink {
 			a.stack.Send(ctx, NewOpSend(ctx.Sim, OpSend{Conn: m.Conn, Data: m.Data}))
 		}

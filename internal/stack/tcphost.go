@@ -141,7 +141,7 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 		if m.ReplyTo != nil {
 			ackTo = m.ReplyTo
 		}
-		h.sendApp(ctx, ackTo, EvListening{ReqID: m.ReqID, Stack: ctx.Proc, Err: err})
+		h.sendApp(ctx, ackTo, EvListening{ReqID: m.ReqID, Err: err})
 		return true
 	case OpConnect:
 		h.costs.chargeLocked(ctx, h.costs.connect)
@@ -181,7 +181,6 @@ func (h *tcpHost) handleOp(ctx *sim.Context, msg sim.Message) bool {
 		return true
 	case OpCheckpoint:
 		snap := h.tcp.Snapshot()
-		snap.Owner = ctx.Proc
 		// Checkpointing is the run-time overhead the paper warns about
 		// (§2.1): a process-image snapshot costs a fixed quiesce+copy of
 		// the process plus the per-connection state.
@@ -255,8 +254,7 @@ func (h *tcpHost) restore(ctx *sim.Context, snap *tcpeng.Snapshot) {
 		if h.r.OnConnEstablished != nil {
 			h.r.OnConnEstablished(h.r, c)
 		}
-		h.sendConn(ctx, sc.appConn, EvRehomed{OldStack: snap.Owner, NewStack: ctx.Proc, ConnID: c.ID,
-			Old: old, New: sc.h})
+		h.sendConn(ctx, sc.appConn, EvRehomed{NewStack: ctx.Proc, Old: old, New: sc.h})
 	}
 	if h.r.OnRestored != nil {
 		h.r.OnRestored(h.r, n)
@@ -285,8 +283,7 @@ func (h *tcpHost) maybeAdvertiseSpace(c *tcpeng.Conn, sc *sockCtx) {
 		return
 	}
 	sc.wantSpace = false
-	h.sendConn(h.ctx, sc.appConn, NewEvSendSpace(h.s, EvSendSpace{Conn: sc.h, Stack: sc.home,
-		ConnID: c.ID, Available: avail}))
+	h.sendConn(h.ctx, sc.appConn, NewEvSendSpace(h.s, EvSendSpace{Conn: sc.h, Available: avail}))
 }
 
 // sendApp posts an event to an application process.
@@ -363,7 +360,7 @@ func (h *tcpHost) Accepted(c *tcpeng.Conn) {
 	}
 	ra, rp := c.RemoteAddr()
 	h.sendConn(h.ctx, sc.appConn, NewEvAccepted(h.s, EvAccepted{ListenerReqID: lc.reqID, Conn: sc.h,
-		ConnID: c.ID, Stack: lc.home, RemoteAddr: ra, RemotePort: rp, SendBuf: c.SendSpaceFree()}))
+		Stack: lc.home, RemoteAddr: ra, RemotePort: rp, SendBuf: c.SendSpaceFree()}))
 }
 
 // Connected implements tcpeng.Env.
@@ -393,8 +390,7 @@ func (h *tcpHost) DataReadable(c *tcpeng.Conn) {
 	if len(data) == 0 && !eof {
 		return
 	}
-	h.sendConn(h.ctx, sc.appConn, NewEvData(h.s, EvData{Conn: sc.h, Stack: sc.home, ConnID: c.ID,
-		Data: data, EOF: eof}))
+	h.sendConn(h.ctx, sc.appConn, NewEvData(h.s, EvData{Conn: sc.h, Data: data, EOF: eof}))
 }
 
 // SendSpace implements tcpeng.Env.
@@ -422,8 +418,7 @@ func (h *tcpHost) ConnClosed(c *tcpeng.Conn, reset bool) {
 		h.sendConn(h.ctx, sc.appConn, EvConnected{ReqID: sc.reqID, Stack: sc.home, Err: c.Err()})
 		return
 	}
-	h.sendConn(h.ctx, sc.appConn, NewEvClosed(h.s, EvClosed{Conn: sc.h, Stack: sc.home, ConnID: c.ID,
-		Reset: reset, Err: c.Err()}))
+	h.sendConn(h.ctx, sc.appConn, NewEvClosed(h.s, EvClosed{Conn: sc.h, Reset: reset, Err: c.Err()}))
 }
 
 // ConnRemoved implements tcpeng.Env.

@@ -94,13 +94,13 @@ func TestListenFanOutAndAggregation(t *testing.T) {
 	if len(app.got) != 0 {
 		t.Fatalf("premature ack: %v", app.got)
 	}
-	srv.Proc().Deliver(stack.EvListening{ReqID: 11, Stack: reps[0].proc})
-	srv.Proc().Deliver(stack.EvListening{ReqID: 11, Stack: reps[1].proc})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 11})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 11})
 	s.RunFor(sim.Millisecond)
 	if len(app.got) != 0 {
 		t.Fatal("acked before last replica")
 	}
-	srv.Proc().Deliver(stack.EvListening{ReqID: 11, Stack: reps[2].proc})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 11})
 	s.RunFor(sim.Millisecond)
 	if len(app.got) != 1 {
 		t.Fatalf("app acks: %v", app.got)
@@ -114,11 +114,11 @@ func TestListenFanOutAndAggregation(t *testing.T) {
 }
 
 func TestListenErrorPropagates(t *testing.T) {
-	s, srv, _, reps, app := setup(t, 2)
+	s, srv, _, _, app := setup(t, 2)
 	srv.Proc().Deliver(stack.OpListen{App: app.proc, ReqID: 5, Port: 80})
 	s.RunFor(sim.Millisecond)
-	srv.Proc().Deliver(stack.EvListening{ReqID: 5, Stack: reps[0].proc, Err: stack.ErrNoReplicas})
-	srv.Proc().Deliver(stack.EvListening{ReqID: 5, Stack: reps[1].proc})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 5, Err: stack.ErrNoReplicas})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 5})
 	s.RunFor(sim.Millisecond)
 	if len(app.got) != 1 {
 		t.Fatal("no ack")
@@ -129,10 +129,10 @@ func TestListenErrorPropagates(t *testing.T) {
 }
 
 func TestStrayListenAckIgnored(t *testing.T) {
-	s, srv, _, reps, _ := setup(t, 1)
+	s, srv, _, _, _ := setup(t, 1)
 	// A replayed listen (after recovery) acks a request the server already
 	// resolved; it must be dropped silently.
-	srv.Proc().Deliver(stack.EvListening{ReqID: 999, Stack: reps[0].proc})
+	srv.Proc().Deliver(stack.EvListening{ReqID: 999})
 	s.RunFor(sim.Millisecond)
 }
 
@@ -177,7 +177,7 @@ func TestCloseListenerFansOutAndUnregisters(t *testing.T) {
 	if len(mgr.registered) != 1 {
 		t.Fatal("not registered")
 	}
-	srv.Proc().Deliver(stack.OpCloseListener{App: app.proc, ReqID: 77})
+	srv.Proc().Deliver(stack.OpCloseListener{ReqID: 77})
 	s.RunFor(sim.Millisecond)
 	if len(mgr.registered) != 0 {
 		t.Fatal("close did not unregister the listen")

@@ -1,9 +1,6 @@
 package tcpeng
 
-import (
-	"neat/internal/proto"
-	"neat/internal/sim"
-)
+import "neat/internal/proto"
 
 // Checkpoint-based stateful recovery.
 //
@@ -63,9 +60,6 @@ type ListenerSnapshot struct {
 type Snapshot struct {
 	Conns     []ConnSnapshot
 	Listeners []ListenerSnapshot
-	// Owner is the process that produced the snapshot (set by the stack
-	// layer; used to tell applications a connection moved).
-	Owner *sim.Proc
 }
 
 // Snapshot captures the engine's recoverable state. Connections in

@@ -299,12 +299,10 @@ type Stats struct {
 	ActiveOpens           uint64
 	DroppedSynBacklog     uint64
 	SegsToClosedPort      uint64
-	ChecksumPseudoDrops   uint64
 	TimeWaitReaped        uint64
 	RetriesExceeded       uint64
 	PersistProbes         uint64
 	DelayedAcksSent       uint64
-	KeepAliveUnsupported  uint64
 	FinsIn, FinsOut       uint64
 	ZeroWindowAdvertised  uint64
 	AcceptQueueOverflow   uint64
