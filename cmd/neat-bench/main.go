@@ -20,6 +20,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"neat/internal/experiments"
@@ -47,6 +48,13 @@ func main() {
 		kind, err := faultinject.KindFromString(*kindName)
 		if err != nil {
 			fail("%v", err)
+		}
+		var comps []string
+		for _, c := range faultinject.MatrixComponents {
+			comps = append(comps, c.Name)
+		}
+		if !slices.Contains(comps, *comp) {
+			fail("unknown component %q; want one of %s", *comp, strings.Join(comps, ", "))
 		}
 		if *timeline != 0 {
 			fmt.Print(experiments.FaultTimeline(o, *timeline, kind, *comp))

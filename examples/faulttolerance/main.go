@@ -80,13 +80,12 @@ func main() {
 type holder struct {
 	proc   *sim.Proc
 	lib    *socketlib.Lib
-	isSrv  bool
 	open   int
 	echoes int
 }
 
 func newHolder(th *sim.HWThread, syscall *sim.Proc, isSrv bool) *holder {
-	h := &holder{isSrv: isSrv}
+	h := &holder{}
 	h.proc = sim.NewProc(th, "holder", h, sim.ProcConfig{})
 	h.lib = socketlib.New(h.proc, syscall, ipc.DefaultCosts())
 	return h

@@ -39,7 +39,6 @@ type DNSServerStats struct {
 	Queries  uint64
 	Answers  uint64
 	BadQuery uint64
-	BytesOut uint64
 }
 
 // DNSServer is one resolver process.
@@ -66,12 +65,6 @@ func NewDNSServer(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	s.lib = socketlib.New(s.proc, syscallProc, ipcCosts)
 	return s
 }
-
-// Proc returns the resolver process.
-func (s *DNSServer) Proc() *sim.Proc { return s.proc }
-
-// Ready reports whether the UDP bind completed.
-func (s *DNSServer) Ready() bool { return s.ready }
 
 // Stats returns a snapshot of the counters.
 func (s *DNSServer) Stats() DNSServerStats { return s.stats }
@@ -106,7 +99,6 @@ func (s *DNSServer) onQuery(ctx *sim.Context, src proto.Addr, srcPort uint16, da
 	}
 	resp := []byte{data[0], data[1], byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h)}
 	s.stats.Answers++
-	s.stats.BytesOut += uint64(len(resp))
 	s.sock.SendTo(ctx, src, srcPort, resp)
 }
 
@@ -176,17 +168,8 @@ func NewDNSClient(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	return c
 }
 
-// Proc returns the generator process.
-func (c *DNSClient) Proc() *sim.Proc { return c.proc }
-
-// Ready reports whether the UDP bind completed.
-func (c *DNSClient) Ready() bool { return c.ready }
-
 // Stats returns a snapshot of the counters.
 func (c *DNSClient) Stats() DNSClientStats { return c.stats }
-
-// Latency returns the lookup-latency histogram.
-func (c *DNSClient) Latency() *metrics.Histogram { return &c.latency }
 
 // Start binds an ephemeral port and begins querying.
 func (c *DNSClient) Start() { c.proc.Deliver(dnsCliStart{}) }

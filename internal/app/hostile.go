@@ -52,9 +52,6 @@ type SlowlorisConfig struct {
 	Port   uint16
 	// Conns is the number of connections held open concurrently.
 	Conns int
-	// Interval paces the single-byte header sends (default 2 ms — slow
-	// enough to starve, fast enough to look alive to naive idle timers).
-	Interval sim.Time
 	// Ports optionally aims the attack (see PortPlan).
 	Ports PortPlan
 }
@@ -93,7 +90,6 @@ type slTick struct {
 }
 
 type slStart struct{}
-type slStop struct{}
 
 // slPreamble opens a plausible request; slPad is trickled forever after it
 // — header lines that never end in the blank line a parser waits for.
@@ -102,13 +98,14 @@ const (
 	slPad      = "X-Pad: aaaaaaaaaaaaaaaa\r\n"
 )
 
+// slowlorisInterval paces the single-byte header sends: slow enough to
+// starve, fast enough to look alive to naive idle timers.
+const slowlorisInterval = 2 * sim.Millisecond
+
 // NewSlowloris creates a slow-header attacker on thread th.
 func NewSlowloris(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc.Costs, cfg SlowlorisConfig) *Slowloris {
 	if cfg.Conns == 0 {
 		cfg.Conns = 8
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 2 * sim.Millisecond
 	}
 	a := &Slowloris{cfg: cfg}
 	a.proc = sim.NewProc(th, name, a, sim.ProcConfig{
@@ -118,17 +115,8 @@ func NewSlowloris(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	return a
 }
 
-// Proc returns the attacker process.
-func (a *Slowloris) Proc() *sim.Proc { return a.proc }
-
-// Stats returns a snapshot of the counters.
-func (a *Slowloris) Stats() SlowlorisStats { return a.stats }
-
 // Start opens the configured number of held connections.
 func (a *Slowloris) Start() { a.proc.Deliver(slStart{}) }
-
-// Stop ceases replacing reaped connections (existing ones keep trickling).
-func (a *Slowloris) Stop() { a.proc.Deliver(slStop{}) }
 
 // HandleMessage implements sim.Handler.
 func (a *Slowloris) HandleMessage(ctx *sim.Context, msg sim.Message) {
@@ -141,8 +129,6 @@ func (a *Slowloris) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		for i := 0; i < a.cfg.Conns; i++ {
 			a.openConn(ctx)
 		}
-	case slStop:
-		a.running = false
 	case slTick:
 		if m.c.gen == m.gen && !m.c.done {
 			a.trickle(ctx, m.c)
@@ -190,7 +176,7 @@ func (a *Slowloris) trickle(ctx *sim.Context, c *slConn) {
 	ref := a.arena.Alloc(1)
 	ref.B[0] = b
 	c.sock.SendRef(ctx, ref)
-	ctx.TimerAfter(a.cfg.Interval, slTick{c: c, gen: c.gen})
+	ctx.TimerAfter(slowlorisInterval, slTick{c: c, gen: c.gen})
 }
 
 func (a *Slowloris) connGone(ctx *sim.Context, c *slConn, reset bool) {
@@ -247,7 +233,6 @@ type SYNFlood struct {
 
 type flTick struct{ gen uint64 }
 type flStart struct{}
-type flStop struct{}
 
 // NewSYNFlood creates a SYN flooder on thread th, injecting frames at the
 // host's NIC driver process.
@@ -274,17 +259,11 @@ func NewSYNFlood(th *sim.HWThread, name string, driverProc *sim.Proc, ipcCosts i
 	return f
 }
 
-// Proc returns the flooder process.
-func (f *SYNFlood) Proc() *sim.Proc { return f.proc }
-
 // Stats returns a snapshot of the counters.
 func (f *SYNFlood) Stats() SYNFloodStats { return f.stats }
 
 // Start begins flooding.
 func (f *SYNFlood) Start() { f.proc.Deliver(flStart{}) }
-
-// Stop halts the flood.
-func (f *SYNFlood) Stop() { f.proc.Deliver(flStop{}) }
 
 // HandleMessage implements sim.Handler.
 func (f *SYNFlood) HandleMessage(ctx *sim.Context, msg sim.Message) {
@@ -296,8 +275,6 @@ func (f *SYNFlood) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		f.running = true
 		f.gen++
 		f.burst(ctx)
-	case flStop:
-		f.running = false
 	case flTick:
 		if f.running && m.gen == f.gen {
 			f.burst(ctx)
@@ -344,9 +321,7 @@ type ConnChurnConfig struct {
 
 // ConnChurnStats counts churn activity.
 type ConnChurnStats struct {
-	Opened  uint64
-	Aborted uint64
-	Errors  uint64
+	Errors uint64
 }
 
 // ConnChurn is one connection-churn attacker process.
@@ -371,7 +346,6 @@ type ccHold struct {
 }
 
 type ccStart struct{}
-type ccStop struct{}
 
 // NewConnChurn creates a churn attacker on thread th.
 func NewConnChurn(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc.Costs, cfg ConnChurnConfig) *ConnChurn {
@@ -386,17 +360,8 @@ func NewConnChurn(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts
 	return a
 }
 
-// Proc returns the attacker process.
-func (a *ConnChurn) Proc() *sim.Proc { return a.proc }
-
-// Stats returns a snapshot of the counters.
-func (a *ConnChurn) Stats() ConnChurnStats { return a.stats }
-
 // Start begins churning.
 func (a *ConnChurn) Start() { a.proc.Deliver(ccStart{}) }
-
-// Stop ceases opening replacement connections.
-func (a *ConnChurn) Stop() { a.proc.Deliver(ccStop{}) }
 
 // HandleMessage implements sim.Handler.
 func (a *ConnChurn) HandleMessage(ctx *sim.Context, msg sim.Message) {
@@ -409,8 +374,6 @@ func (a *ConnChurn) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		for i := 0; i < a.cfg.Conns; i++ {
 			a.openConn(ctx)
 		}
-	case ccStop:
-		a.running = false
 	case ccHold:
 		if m.c.gen == m.gen && !m.c.done {
 			a.abandon(ctx, m.c)
@@ -423,7 +386,6 @@ func (a *ConnChurn) openConn(ctx *sim.Context) {
 		return
 	}
 	a.gen++
-	a.stats.Opened++
 	c := &ccConn{gen: a.gen}
 	var lp uint16
 	if a.cfg.Ports != nil {
@@ -454,7 +416,6 @@ func (a *ConnChurn) abandon(ctx *sim.Context, c *ccConn) {
 		return
 	}
 	c.done = true
-	a.stats.Aborted++
 	c.sock.Abort(ctx)
 	a.openConn(ctx)
 }

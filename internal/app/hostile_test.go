@@ -176,3 +176,6 @@ func TestGuardShedsSynFloodKeepsService(t *testing.T) {
 		t.Fatalf("goodput under guarded flood too low: %d window responses", window)
 	}
 }
+
+// Stats returns a snapshot of the counters.
+func (a *Slowloris) Stats() SlowlorisStats { return a.stats }

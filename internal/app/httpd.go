@@ -44,14 +44,10 @@ const (
 
 // HTTPDStats counts server activity.
 type HTTPDStats struct {
-	Accepted  uint64
 	Requests  uint64
 	Responses uint64
-	BytesOut  uint64
 	BadReqs   uint64
 	NotFound  uint64
-	Resets    uint64
-	Closed    uint64
 }
 
 // HTTPD is one web server process.
@@ -66,9 +62,6 @@ type HTTPD struct {
 	// arena carves response payloads out of pooled slab blocks; each send
 	// hands a bufpool.Ref to the stack instead of allocating a []byte.
 	arena bufpool.Arena
-
-	// onClosed is connClosed bound once, so an accept does not bind it anew.
-	onClosed func(ctx *sim.Context, reset bool, err error)
 }
 
 type httpConn struct {
@@ -96,16 +89,12 @@ func NewHTTPD(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc
 		cfg.CyclesPerRequest = 30000
 	}
 	h := &HTTPD{cfg: cfg}
-	h.onClosed = h.connClosed
 	h.proc = sim.NewProc(th, name, h, sim.ProcConfig{
 		Component: "app", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 60,
 	})
 	h.lib = socketlib.New(h.proc, syscallProc, ipcCosts)
 	return h
 }
-
-// Proc returns the server process.
-func (h *HTTPD) Proc() *sim.Proc { return h.proc }
 
 // Ready reports whether the listen completed.
 func (h *HTTPD) Ready() bool { return h.ready }
@@ -131,19 +120,10 @@ func (h *HTTPD) HandleMessage(ctx *sim.Context, msg sim.Message) {
 }
 
 func (h *HTTPD) accept(ctx *sim.Context, s *socketlib.Socket) {
-	h.stats.Accepted++
 	c := &httpConn{srv: h, sock: s}
 	s.Ctx = c
 	s.OnData = c.onData
 	s.OnSendSpace = c.onSendSpace
-	s.OnClosed = h.onClosed
-}
-
-func (h *HTTPD) connClosed(ctx *sim.Context, reset bool, err error) {
-	if reset {
-		h.stats.Resets++
-	}
-	h.stats.Closed++
 }
 
 // onData parses pipelined HTTP/1.1 requests. Requests that arrive whole are
@@ -239,7 +219,6 @@ func (c *httpConn) respond(ctx *sim.Context, status, body string, closeAfter boo
 	appendHead(ref.B[:0], status, len(body), closeAfter)
 	copy(ref.B[n:], body)
 	h.stats.Responses++
-	h.stats.BytesOut += uint64(len(ref.B))
 	c.sock.SendRef(ctx, ref)
 	if closeAfter {
 		c.closing = true
@@ -254,7 +233,6 @@ func (c *httpConn) respondFile(ctx *sim.Context, size int, closeAfter bool) {
 	n := headLen("200 OK", size, closeAfter)
 	ctx.Charge(httpdCyclesPerKB * int64(size/1024+1))
 	h.stats.Responses++
-	h.stats.BytesOut += uint64(n + size)
 
 	if closeAfter {
 		c.closing = true

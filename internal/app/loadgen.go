@@ -39,8 +39,6 @@ type LoadgenConfig struct {
 	// the adversarial campaign uses this to attribute goodput per
 	// replica. Nil keeps ephemeral ports.
 	Ports PortPlan
-	// CyclesPerRequest is the client-side application cost.
-	CyclesPerRequest int64
 }
 
 // LoadgenStats is the httperf-style report.
@@ -48,9 +46,7 @@ type LoadgenStats struct {
 	ConnsOpened    uint64
 	ConnsCompleted uint64
 	ConnErrors     uint64 // timeouts + resets + failed connects
-	RequestsSent   uint64
 	ResponsesOK    uint64
-	BytesIn        uint64
 
 	// Windowed measurement (between BeginMeasure and snapshot):
 	WindowResponses uint64
@@ -78,7 +74,6 @@ type Loadgen struct {
 }
 
 type lgConn struct {
-	lg         *Loadgen
 	sock       *socketlib.Socket
 	sent       int
 	inbuf      []byte
@@ -111,6 +106,9 @@ type lgThinkDone struct {
 type lgStart struct{}
 type lgStop struct{}
 
+// lgCyclesPerRequest is the client-side application cost of one request.
+const lgCyclesPerRequest = 2500
+
 // NewLoadgen creates a load generator on thread th.
 func NewLoadgen(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts ipc.Costs, cfg LoadgenConfig) *Loadgen {
 	if cfg.Conns == 0 {
@@ -122,9 +120,6 @@ func NewLoadgen(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts i
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 2 * sim.Second
 	}
-	if cfg.CyclesPerRequest == 0 {
-		cfg.CyclesPerRequest = 2500
-	}
 	lg := &Loadgen{cfg: cfg}
 	lg.reqKeepAlive = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\n\r\n"
 	lg.reqClose = "GET " + cfg.URI + " HTTP/1.1\r\nHost: sut\r\nConnection: close\r\n\r\n"
@@ -134,9 +129,6 @@ func NewLoadgen(th *sim.HWThread, name string, syscallProc *sim.Proc, ipcCosts i
 	lg.lib = socketlib.New(lg.proc, syscallProc, ipcCosts)
 	return lg
 }
-
-// Proc returns the generator process.
-func (lg *Loadgen) Proc() *sim.Proc { return lg.proc }
 
 // Start opens the configured number of connections and begins issuing
 // requests.
@@ -198,7 +190,7 @@ func (lg *Loadgen) openConn(ctx *sim.Context) {
 		return
 	}
 	lg.stats.ConnsOpened++
-	c := &lgConn{lg: lg, expect: -1}
+	c := &lgConn{expect: -1}
 	c.timeout.c, c.think.c = c, c
 	var lp uint16
 	if lg.cfg.Ports != nil {
@@ -224,9 +216,8 @@ func (lg *Loadgen) openConn(ctx *sim.Context) {
 
 // sendRequest issues the next GET on the connection.
 func (lg *Loadgen) sendRequest(ctx *sim.Context, c *lgConn) {
-	ctx.Charge(lg.cfg.CyclesPerRequest)
+	ctx.Charge(lgCyclesPerRequest)
 	c.sent++
-	lg.stats.RequestsSent++
 	req := lg.reqKeepAlive
 	if c.sent >= lg.cfg.ReqPerConn {
 		req = lg.reqClose
@@ -322,10 +313,9 @@ func (lg *Loadgen) consume(ctx *sim.Context, c *lgConn, buf []byte) []byte {
 
 // completeResponse accounts one successful reply.
 func (lg *Loadgen) completeResponse(ctx *sim.Context, c *lgConn, bodyBytes int) {
-	ctx.Charge(lg.cfg.CyclesPerRequest / 2)
+	ctx.Charge(lgCyclesPerRequest / 2)
 	c.timeout.Stop()
 	lg.stats.ResponsesOK++
-	lg.stats.BytesIn += uint64(bodyBytes)
 	if lg.measuring {
 		lg.stats.WindowResponses++
 		lg.stats.WindowBytes += uint64(bodyBytes)

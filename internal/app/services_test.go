@@ -1,6 +1,7 @@
 package app
 
 import (
+	"neat/internal/metrics"
 	"testing"
 
 	"neat/internal/ipc"
@@ -62,3 +63,9 @@ func TestDNSRequestResponse(t *testing.T) {
 		t.Fatal("Stop did not halt query issue")
 	}
 }
+
+// Latency returns the lookup-latency histogram.
+func (c *DNSClient) Latency() *metrics.Histogram { return &c.latency }
+
+// Ready reports whether the UDP bind completed.
+func (s *DNSServer) Ready() bool { return s.ready }

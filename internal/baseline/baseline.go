@@ -123,11 +123,8 @@ type Config struct {
 
 // Stats aggregates baseline-wide counters.
 type Stats struct {
-	IRQs       uint64
-	PacketsIn  uint64
-	PacketsOut uint64
-	LockedOps  uint64
-	LockCycles int64
+	IRQs      uint64
+	LockedOps uint64
 }
 
 // System is the monolithic stack: K kernel contexts around one shared
@@ -223,7 +220,6 @@ func (kh kernelHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	frames := s.cfg.NIC.DrainQueue(irq.Queue)
 	for i, f := range frames {
 		frames[i] = nil
-		s.stats.PacketsIn++
 		kh.Input(ctx, f)
 	}
 	s.cfg.NIC.RearmQueueIRQ(irq.Queue)
@@ -233,12 +229,10 @@ func (kh kernelHandler) HandleMessage(ctx *sim.Context, msg sim.Message) {
 type nicEgress struct{ s *System }
 
 func (e nicEgress) Transmit(ctx *sim.Context, raw []byte) {
-	e.s.stats.PacketsOut++
 	e.s.cfg.NIC.Transmit(raw)
 }
 
 func (e nicEgress) TransmitTSO(ctx *sim.Context, t nicdev.TxTSO) {
-	e.s.stats.PacketsOut++
 	e.s.cfg.NIC.SendTSO(t)
 }
 
@@ -256,6 +250,5 @@ func (s *System) TCP() *tcpeng.Engine { return s.eng.TCP() }
 func (s *System) Stats() Stats {
 	st := s.stats
 	st.LockedOps = s.eng.LockedOps()
-	st.LockCycles = int64(st.LockedOps) * s.lock
 	return st
 }

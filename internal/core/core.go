@@ -47,28 +47,28 @@ type SlotState int
 
 // Slot states.
 const (
-	SlotEmpty SlotState = iota
-	SlotActive
-	SlotTerminating // lazy termination: draining connections (§3.4)
-	SlotRecovering
-	// SlotQuarantined is the escalation terminus: the slot failed too many
+	slotEmpty SlotState = iota
+	slotActive
+	slotTerminating // lazy termination: draining connections (§3.4)
+	slotRecovering
+	// slotQuarantined is the escalation terminus: the slot failed too many
 	// times within the sliding window and is permanently fenced — processes
 	// killed, queue unbound, no further respawns.
-	SlotQuarantined
+	slotQuarantined
 )
 
 // String names the state.
 func (s SlotState) String() string {
 	switch s {
-	case SlotEmpty:
+	case slotEmpty:
 		return "empty"
-	case SlotActive:
+	case slotActive:
 		return "active"
-	case SlotTerminating:
+	case slotTerminating:
 		return "terminating"
-	case SlotRecovering:
+	case slotRecovering:
 		return "recovering"
-	case SlotQuarantined:
+	case slotQuarantined:
 		return "quarantined"
 	default:
 		return fmt.Sprintf("SlotState(%d)", int(s))
@@ -80,13 +80,10 @@ type Config struct {
 	// Stack is the replica template (Name is overridden per replica).
 	Stack stack.Config
 	// Threads lists, per replica slot, the hardware threads its processes
-	// run on (1 for single-component, 2 for multi-component). The number
-	// of slots bounds the replica count and must not exceed the NIC queue
-	// count.
+	// run on (1 for single-component, 2 for multi-component). Every slot
+	// boots active; the number of slots bounds the replica count and must
+	// not exceed the NIC queue count.
 	Threads [][]*sim.HWThread
-	// InitialReplicas is the number of slots activated at boot (default:
-	// all).
-	InitialReplicas int
 	// NIC and Driver are the shared device and its driver process.
 	NIC    *nicdev.NIC
 	Driver *nicdev.Driver
@@ -197,7 +194,7 @@ type slot struct {
 	// failTimes is the slot's sliding failure window (escalation + backoff).
 	failTimes []sim.Time
 
-	// Recovery-cycle bookkeeping: set when the slot enters SlotRecovering,
+	// Recovery-cycle bookkeeping: set when the slot enters slotRecovering,
 	// updated if further components die before the respawn fires, consumed
 	// by completeRecovery. Keeping it on the slot (instead of captured in
 	// the After closure) is what lets a second crash within the
@@ -221,9 +218,6 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %d slots but NIC has %d queues",
 			len(cfg.Threads), cfg.NIC.NumQueues())
 	}
-	if cfg.InitialReplicas == 0 {
-		cfg.InitialReplicas = len(cfg.Threads)
-	}
 	// Every component of the system lives on the SYSCALL server's machine;
 	// schedule on that machine's domain (identical to s outside PDES mode).
 	s = cfg.SyscallThread.Machine().Sim()
@@ -244,8 +238,8 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 	sys.placer = placer
 	cfg.NIC.SetRSSPolicy(placer)
 	sys.sys = sysserver.New(cfg.SyscallThread, sys, cfg.Stack.IPC)
-	for i := 0; i < cfg.InitialReplicas && i < len(sys.slots); i++ {
-		sys.activate(sys.slots[i])
+	for _, sl := range sys.slots {
+		sys.activate(sl)
 	}
 	sys.updatePlacement()
 	sys.eventf("steer", "placement policy %s", placer.Name())
@@ -281,9 +275,6 @@ func (sys *System) Driver() *nicdev.Driver { return sys.cfg.Driver }
 // Watchdog returns the heartbeat failure detector, or nil in
 // paper-fidelity (instant-oracle) mode.
 func (sys *System) Watchdog() *Watchdog { return sys.wd }
-
-// Placer returns the flow-placement plane steering this system.
-func (sys *System) Placer() steer.Placer { return sys.placer }
 
 // slotConns is the placement plane's load feed: live connections on slot
 // i's replica (the same figure Metrics exports as
@@ -387,7 +378,7 @@ func (sys *System) Metrics() *metrics.Registry {
 	// placement imbalance — plus the PCB pool occupancy split (hot compact
 	// structs vs buffer-attached ones, and the recycled free lists).
 	for i, sl := range sys.slots {
-		if sl.state == SlotActive || sl.state == SlotTerminating {
+		if sl.state == slotActive || sl.state == slotTerminating {
 			r.SetGauge(fmt.Sprintf("core.replica%d.connections", i),
 				float64(sys.slotConns(i)))
 		}
@@ -444,7 +435,7 @@ func collectProcStats(r *metrics.Registry, prefix string, p *sim.Proc) {
 func (sys *System) Replicas() []*stack.Replica {
 	var out []*stack.Replica
 	for _, sl := range sys.slots {
-		if sl.state == SlotActive || sl.state == SlotTerminating || sl.state == SlotRecovering {
+		if sl.state == slotActive || sl.state == slotTerminating || sl.state == slotRecovering {
 			out = append(out, sl.replica)
 		}
 	}
@@ -455,7 +446,7 @@ func (sys *System) Replicas() []*stack.Replica {
 func (sys *System) NumActive() int {
 	n := 0
 	for _, sl := range sys.slots {
-		if sl.state == SlotActive {
+		if sl.state == slotActive {
 			n++
 		}
 	}
@@ -492,7 +483,7 @@ func (sys *System) activate(sl *slot) {
 	cfg.TCP.EphemeralHi = uint16(32768 + (sl.index+1)*span - 1)
 	r := stack.NewReplica(sl.threads, sys.cfg.Driver.Proc(), cfg)
 	sl.replica = r
-	sl.state = SlotActive
+	sl.state = slotActive
 	sys.conns[r] = map[uint64]*tcpeng.Conn{}
 	sys.installHooks(sl)
 	sys.cfg.Driver.BindQueue(sl.index, r.EntryProc())
@@ -547,7 +538,7 @@ func (sys *System) installHooks(sl *slot) {
 			sys.cfg.NIC.RemoveFilter(c.InboundFlow())
 			sys.stats.FiltersRemoved++
 		}
-		if sl.state == SlotTerminating && rr.TCP().NumConns() == 0 {
+		if sl.state == slotTerminating && rr.TCP().NumConns() == 0 {
 			sys.collect(sl)
 		}
 	}
@@ -606,7 +597,7 @@ func (sys *System) ConnectTarget() *sim.Proc {
 func (sys *System) ListenTargets() []*sim.Proc {
 	var out []*sim.Proc
 	for _, sl := range sys.slots {
-		if sl.state == SlotActive {
+		if sl.state == slotActive {
 			out = append(out, sl.replica.SockProc())
 		}
 	}
@@ -646,7 +637,7 @@ func (sys *System) UnregisterListen(reqID uint64) {
 // their replicas.
 func (sys *System) ScaleUp() (*stack.Replica, error) {
 	for _, sl := range sys.slots {
-		if sl.state == SlotEmpty {
+		if sl.state == slotEmpty {
 			sys.eventf("scale-up", "activating slot %d", sl.index)
 			sys.activate(sl)
 			sys.updatePlacement()
@@ -678,7 +669,7 @@ func (sys *System) ScaleDown() error {
 // retire transitions an active slot into the terminating (draining)
 // state, collecting it at once when it holds no connection.
 func (sys *System) retire(sl *slot) {
-	sl.state = SlotTerminating
+	sl.state = slotTerminating
 	sys.stats.ScaleDowns++
 	sys.eventf("scale-down", "slot %d terminating lazily (%d conns draining)",
 		sl.index, sl.replica.TCP().NumConns())
@@ -701,7 +692,7 @@ func (sys *System) collect(sl *slot) {
 	sl.replica.Kill()
 	delete(sys.conns, sl.replica)
 	sl.replica = nil
-	sl.state = SlotEmpty
+	sl.state = slotEmpty
 	sys.stats.ReplicasGarbage++
 	sys.eventf("collect", "slot %d drained and collected", sl.index)
 }
@@ -716,7 +707,7 @@ func (sys *System) collect(sl *slot) {
 func (sys *System) updatePlacement() {
 	var queues []int
 	for _, sl := range sys.slots {
-		if sl.state == SlotActive {
+		if sl.state == slotActive {
 			queues = append(queues, sl.index)
 		}
 	}
@@ -729,7 +720,7 @@ func (sys *System) updatePlacement() {
 func (sys *System) scheduleCheckpoints() {
 	sys.s.After(sys.cfg.CheckpointInterval, func() {
 		for _, sl := range sys.slots {
-			if sl.state == SlotActive || sl.state == SlotTerminating {
+			if sl.state == slotActive || sl.state == slotTerminating {
 				sys.sendProc(sl.replica.SockProc(), stack.OpCheckpoint{})
 			}
 		}
@@ -805,10 +796,10 @@ func (sys *System) watchdogFailure(p *sim.Proc) {
 // fills up — with exponentially backed-off respawn delays throughout, so a
 // crash storm converges to a fenced slot instead of a respawn busy-loop.
 func (sys *System) escalate(sl *slot, dead *sim.Proc) {
-	if sl.replica == nil || sl.state == SlotQuarantined {
+	if sl.replica == nil || sl.state == slotQuarantined {
 		return
 	}
-	if sl.state == SlotRecovering {
+	if sl.state == slotRecovering {
 		// A second component died while its sibling's respawn is pending:
 		// merge into the in-flight recovery cycle.
 		sys.recover(sl, dead, 0)
@@ -847,10 +838,10 @@ func (sys *System) escalate(sl *slot, dead *sim.Proc) {
 // (§3.6).
 func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 	r := sl.replica
-	first := sl.state != SlotRecovering
+	first := sl.state != slotRecovering
 	if first {
 		sl.recPrev = sl.state
-		sl.state = SlotRecovering
+		sl.state = slotRecovering
 		sl.recTCPLost = false
 		sl.recStateful = false
 		sl.recTransparent = false
@@ -905,7 +896,7 @@ func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 // after scheduling are honored.
 func (sys *System) completeRecovery(sl *slot) {
 	r := sl.replica
-	if r == nil || sl.state != SlotRecovering {
+	if r == nil || sl.state != slotRecovering {
 		return // quarantined (or collected) while the respawn was pending
 	}
 	if r.Kind() == stack.Single {
@@ -931,10 +922,10 @@ func (sys *System) completeRecovery(sl *slot) {
 	} else if sl.recTCPLost {
 		sys.replayListens(r)
 	}
-	if sl.recPrev == SlotTerminating {
-		sl.state = SlotTerminating
+	if sl.recPrev == slotTerminating {
+		sl.state = slotTerminating
 	} else {
-		sl.state = SlotActive
+		sl.state = slotActive
 	}
 	sl.recSnap = nil
 	sys.updatePlacement()
@@ -949,10 +940,10 @@ func (sys *System) completeRecovery(sl *slot) {
 // and the remaining replicas keep serving.
 func (sys *System) quarantine(sl *slot) {
 	r := sl.replica
-	if r == nil || sl.state == SlotQuarantined {
+	if r == nil || sl.state == slotQuarantined {
 		return
 	}
-	sl.state = SlotQuarantined
+	sl.state = slotQuarantined
 	sys.stats.SlotsQuarantined++
 	sys.eventf("quarantine", "slot %d fenced permanently", sl.index)
 	for _, c := range sys.conns[r] {
@@ -1005,7 +996,7 @@ func (sys *System) recoverDriver() {
 		d := sys.cfg.Driver
 		d.Restart()
 		for _, sl := range sys.slots {
-			if sl.replica != nil && sl.state != SlotQuarantined && !sl.replica.EntryProc().Dead() {
+			if sl.replica != nil && sl.state != slotQuarantined && !sl.replica.EntryProc().Dead() {
 				d.BindQueue(sl.index, sl.replica.EntryProc())
 			}
 		}

@@ -92,7 +92,7 @@ func TestCheckpointedRecoveryKeepsConnections(t *testing.T) {
 // subsequent connects are refused and the listen is no longer replayed to
 // recovered replicas.
 func TestListenerCloseEndToEnd(t *testing.T) {
-	b := newBed(t, stack.Single, testbed.SingleSlots(2, 2), 2)
+	b := newBed(t, stack.Single, testbed.SingleSlots(2, 2))
 	b.connect(4)
 	b.net.Sim.RunFor(sim.Second)
 	if b.cli.done != 4 {
@@ -120,7 +120,7 @@ func TestListenerCloseEndToEnd(t *testing.T) {
 // TestUDPThroughSyscallServer binds a UDP socket via the SYSCALL server
 // and exchanges datagrams with a remote peer through the full path.
 func TestUDPThroughSyscallServer(t *testing.T) {
-	b := newBed(t, stack.Single, testbed.SingleSlots(2, 1), 1)
+	b := newBed(t, stack.Single, testbed.SingleSlots(2, 1))
 	var srvGot, cliGot []string
 	srvU := newUDPApp(b.server.AppThread(9), b.sys.SyscallProc(), &srvGot, true)
 	srvU.proc.Deliver(uint16(5353))

@@ -3,7 +3,6 @@ package core_test
 import (
 	"testing"
 
-	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/socketlib"
@@ -15,12 +14,11 @@ import (
 // newSteerBed is newBed with an explicit seed and steering configuration:
 // the placement-plane tests need non-default policies.
 func newSteerBed(t *testing.T, seed int64, kind stack.Kind, slots [][]testbed.ThreadLoc,
-	initial int, steering steer.Config) *bed {
+	steering steer.Config) *bed {
 	t.Helper()
 	return listeningBed(t, seed, testbed.NEaTConfig{
 		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
-		InitialReplicas: initial,
-		Steering:        steering,
+		Steering: steering,
 	})
 }
 
@@ -90,7 +88,7 @@ func (a *talkerApp) pingAll(b *bed) int {
 // on the retiring replica complete, only new placement avoids it, and the
 // slot is collected once its last connection closes.
 func TestDrainScaleDown(t *testing.T) {
-	b := newSteerBed(t, 7, stack.Single, testbed.SingleSlots(2, 2), 2, steer.Config{})
+	b := newSteerBed(t, 7, stack.Single, testbed.SingleSlots(2, 2), steer.Config{})
 	b.connect(30)
 	// Let the burst get established but not complete, then retire a slot.
 	b.net.Sim.RunFor(500 * sim.Microsecond)
@@ -106,7 +104,7 @@ func TestDrainScaleDown(t *testing.T) {
 	if st.ConnectionsLost != 0 {
 		t.Fatalf("connections lost during drain: %d", st.ConnectionsLost)
 	}
-	if b.sys.SlotStates()[1] != core.SlotEmpty {
+	if b.sys.SlotStates()[1].String() != "empty" {
 		t.Fatalf("retired slot not collected: %v (conns=%d)",
 			b.sys.SlotStates(), b.sys.TotalConns())
 	}
@@ -121,8 +119,13 @@ func TestDrainScaleDown(t *testing.T) {
 // indirection (here with the ring policy, which genuinely remaps hash
 // space on every membership change).
 func TestFlowPinningAcrossRebinds(t *testing.T) {
-	b := newSteerBed(t, 7, stack.Multi, testbed.MultiSlots(2, 3), 2,
+	b := newSteerBed(t, 7, stack.Multi, testbed.MultiSlots(2, 3),
 		steer.Config{Policy: steer.PolicyRing})
+	// Every slot boots active; retiring one before any connection exists
+	// collects it at once and leaves a free slot for the scale-up below.
+	if err := b.sys.ScaleDown(); err != nil {
+		t.Fatal(err)
+	}
 	talker := newTalkerApp(b)
 	for i := 0; i < 12; i++ {
 		talker.proc.Deliver("dial")
@@ -176,7 +179,7 @@ func TestFlowPinningAcrossRebinds(t *testing.T) {
 // counts match exactly. (A placer with private randomness would diverge.)
 func TestConnectPlacementReproducible(t *testing.T) {
 	accepted := func() []uint64 {
-		b := newSteerBed(t, 11, stack.Single, testbed.SingleSlots(2, 3), 3,
+		b := newSteerBed(t, 11, stack.Single, testbed.SingleSlots(2, 3),
 			steer.Config{})
 		b.connect(24)
 		b.net.Sim.RunFor(2 * sim.Second)

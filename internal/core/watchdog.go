@@ -114,9 +114,6 @@ func newWatchdog(sys *System) *Watchdog {
 	return w
 }
 
-// Proc returns the watchdog's process.
-func (w *Watchdog) Proc() *sim.Proc { return w.proc }
-
 // Stats returns a snapshot of the detector counters.
 func (w *Watchdog) Stats() WatchdogStats { return w.stats }
 

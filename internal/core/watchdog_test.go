@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"neat/internal/bufpool"
-	"neat/internal/core"
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/stack"
@@ -13,12 +12,11 @@ import (
 
 // newWatchdogBed is newBed with heartbeat failure detection instead of the
 // paper-fidelity crash oracle.
-func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, initial int) *bed {
+func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc) *bed {
 	t.Helper()
 	return listeningBed(t, 7, testbed.NEaTConfig{
 		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
-		InitialReplicas: initial,
-		Watchdog:        true,
+		Watchdog: true,
 	})
 }
 
@@ -29,7 +27,7 @@ func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc, 
 const detectionBound = 4 * 100 * sim.Microsecond
 
 func TestWatchdogDetectsHungReplicaWithinBound(t *testing.T) {
-	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2))
 	holder := newHolderApp(b)
 	for i := 0; i < 8; i++ {
 		holder.proc.Deliver("hold")
@@ -80,7 +78,7 @@ func TestWatchdogDetectsHungReplicaWithinBound(t *testing.T) {
 }
 
 func TestWatchdogRecoversHungDriver(t *testing.T) {
-	b := newWatchdogBed(t, stack.Single, testbed.SingleSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Single, testbed.SingleSlots(2, 2))
 	b.connect(5)
 	b.net.Sim.RunFor(500 * sim.Millisecond)
 	if b.cli.done != 5 {
@@ -110,7 +108,7 @@ func TestWatchdogRecoversHungDriver(t *testing.T) {
 }
 
 func TestWatchdogRecoversHungSyscallServer(t *testing.T) {
-	b := newWatchdogBed(t, stack.Single, testbed.SingleSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Single, testbed.SingleSlots(2, 2))
 	b.connect(5)
 	b.net.Sim.RunFor(500 * sim.Millisecond)
 	if b.cli.done != 5 {
@@ -136,13 +134,13 @@ func TestWatchdogRecoversHungSyscallServer(t *testing.T) {
 }
 
 func TestWatchdogCrashStormConvergesToQuarantine(t *testing.T) {
-	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2))
 	victim := b.sys.Replicas()[0]
 
 	// Kill the replica's IP component every time it comes back. The ladder
 	// must escalate component restart → whole-replica rebuild → quarantine
 	// instead of respawning forever.
-	for i := 0; i < 10 && b.sys.SlotStates()[0] != core.SlotQuarantined; i++ {
+	for i := 0; i < 10 && b.sys.SlotStates()[0].String() != "quarantined"; i++ {
 		if p := victim.EntryProc(); !p.Dead() {
 			p.Crash(sim.ErrKilled)
 		}
@@ -151,7 +149,7 @@ func TestWatchdogCrashStormConvergesToQuarantine(t *testing.T) {
 
 	st := b.sys.Stats()
 	states := b.sys.SlotStates()
-	if states[0] != core.SlotQuarantined || st.SlotsQuarantined != 1 {
+	if states[0].String() != "quarantined" || st.SlotsQuarantined != 1 {
 		t.Fatalf("storm did not converge to quarantine: states=%v stats=%+v", states, st)
 	}
 	// Bounded respawn work: at most MaxRestarts-1 recovery cycles before
@@ -176,7 +174,7 @@ func TestWatchdogCrashStormConvergesToQuarantine(t *testing.T) {
 }
 
 func TestWatchdogSpuriousDetectionOnLossyChannel(t *testing.T) {
-	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2))
 	victim := b.sys.Replicas()[0]
 
 	// Drop almost every delivery to the IP component: heartbeat probes
@@ -210,7 +208,7 @@ func TestWatchdogSpuriousDetectionOnLossyChannel(t *testing.T) {
 // window, the second crash used to be silently dropped — its connection
 // loss went unrecorded and the recovery stayed classified as transparent.
 func TestSecondCrashWithinRecoveryWindow(t *testing.T) {
-	b := newBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
+	b := newBed(t, stack.Multi, testbed.MultiSlots(2, 2))
 	holder := newHolderApp(b)
 	for i := 0; i < 10; i++ {
 		holder.proc.Deliver("hold")
@@ -262,7 +260,7 @@ func TestSecondCrashWithinRecoveryWindow(t *testing.T) {
 // connection attempts are refused cleanly instead of hashing onto dead
 // queues.
 func TestQuarantineAllReplicasEntersDropAll(t *testing.T) {
-	b := newBed(t, stack.Single, testbed.SingleSlots(2, 2), 2)
+	b := newBed(t, stack.Single, testbed.SingleSlots(2, 2))
 	b.connect(10)
 	b.net.Sim.RunFor(2 * sim.Second)
 	if b.cli.done != 10 {
@@ -318,7 +316,7 @@ func TestQuarantineAllReplicasEntersDropAll(t *testing.T) {
 // quarantine — no matter how many accumulate over a long run. Failures
 // packed inside one window must still climb the ladder to quarantine.
 func TestEscalationWindowResetsAfterCleanRecovery(t *testing.T) {
-	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2), 2)
+	b := newWatchdogBed(t, stack.Multi, testbed.MultiSlots(2, 2))
 	victim := b.sys.Replicas()[0]
 
 	// Eight failures, each spaced well beyond the default 50 ms window:
@@ -330,7 +328,7 @@ func TestEscalationWindowResetsAfterCleanRecovery(t *testing.T) {
 		b.net.Sim.RunFor(100 * sim.Millisecond)
 	}
 	st := b.sys.Stats()
-	if b.sys.SlotStates()[0] == core.SlotQuarantined || st.SlotsQuarantined != 0 {
+	if b.sys.SlotStates()[0].String() == "quarantined" || st.SlotsQuarantined != 0 {
 		t.Fatalf("spaced failures quarantined the slot: %+v", st)
 	}
 	if st.ReplicaRebuilds != 0 {
@@ -342,13 +340,13 @@ func TestEscalationWindowResetsAfterCleanRecovery(t *testing.T) {
 
 	// The history is forgotten, not the mechanism: failures packed inside
 	// one window still converge to quarantine.
-	for i := 0; i < 10 && b.sys.SlotStates()[0] != core.SlotQuarantined; i++ {
+	for i := 0; i < 10 && b.sys.SlotStates()[0].String() != "quarantined"; i++ {
 		if p := victim.EntryProc(); !p.Dead() {
 			p.Crash(sim.ErrKilled)
 		}
 		b.net.Sim.RunFor(10 * sim.Millisecond)
 	}
-	if b.sys.SlotStates()[0] != core.SlotQuarantined {
+	if b.sys.SlotStates()[0].String() != "quarantined" {
 		t.Fatal("tight failures no longer quarantine after the spaced run")
 	}
 }

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"neat/internal/faultinject"
+	"neat/internal/ipc"
 	"neat/internal/sim"
+	"neat/internal/stack"
 	"neat/internal/testbed"
 )
 
@@ -42,7 +45,7 @@ func TestClusterBedTracesEveryMember(t *testing.T) {
 		t.Fatalf("%d spawn events, want one per member replica (%d)", n, replicas)
 	}
 	sys := b.Cluster.Farms[0].Members[0].Sys
-	faultinject.Target(sys, sys.Replicas()[0], "tcp").Crash(faultinject.ErrInjected)
+	sys.Replicas()[0].Procs()[0].Crash(faultinject.ErrInjected)
 	b.Sim.RunFor(5 * sim.Millisecond)
 	if count("recover") == 0 {
 		t.Fatalf("no recover event after crashing farm0 member 0's tcp; events: %+v", b.Trace.Events())
@@ -217,40 +220,92 @@ func TestClusterTenantIsolation(t *testing.T) {
 		if perFarm[fi] == 0 {
 			t.Fatalf("farm %d (%s) served nothing", fi, f.Tenant)
 		}
-		if f.Service.Config().Tenant != f.Tenant {
-			t.Fatalf("farm %s service belongs to tenant %q", f.Name, f.Service.Config().Tenant)
-		}
 	}
 }
 
-// TestClusterSpecValidation exercises the actionable-error surface.
+// TestClusterSpecValidation exercises the actionable-error surface: each
+// invalid spec fails NewCluster with a message naming the problem, and the
+// minimal spec boots.
 func TestClusterSpecValidation(t *testing.T) {
-	s := sim.New(1)
-	cases := []testbed.ClusterSpec{
-		{}, // no farms
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 1}}}, // no clients
-		{Farms: []testbed.FarmSpec{{Name: "", Members: 1}},
-			Clients: []testbed.ClientSpec{{}}}, // unnamed farm
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 0}},
-			Clients: []testbed.ClientSpec{{}}}, // no members
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 1}, {Name: "f", Members: 1}},
-			Clients: []testbed.ClientSpec{{}}}, // duplicate name
-		{Farms: []testbed.FarmSpec{{Name: "f", Members: 1}},
-			Clients: []testbed.ClientSpec{{Tenant: "ghost"}}}, // tenant owns no farm
+	farm := []testbed.FarmSpec{{Name: "f", Members: 1}}
+	client := []testbed.ClientSpec{{}}
+	cases := []struct {
+		name    string
+		spec    testbed.ClusterSpec
+		wantErr string // empty = valid
+	}{
+		{"minimal", testbed.ClusterSpec{Farms: farm, Clients: client}, ""},
+		{"no-farms", testbed.ClusterSpec{Clients: client}, "farm"},
+		{"no-clients", testbed.ClusterSpec{Farms: farm}, "client"},
+		{"unnamed-farm", testbed.ClusterSpec{Farms: []testbed.FarmSpec{{Members: 1}}, Clients: client}, "no name"},
+		{"zero-members", testbed.ClusterSpec{Farms: []testbed.FarmSpec{{Name: "f"}}, Clients: client}, "members"},
+		{"duplicate-name", testbed.ClusterSpec{Farms: []testbed.FarmSpec{{Name: "f", Members: 1}, {Name: "f", Members: 1}},
+			Clients: client}, "duplicate"},
+		{"ghost-tenant", testbed.ClusterSpec{Farms: farm, Clients: []testbed.ClientSpec{{Tenant: "ghost"}}}, "tenant"},
+		// 6 multi-component replicas need cores 2..13 on the 12-core member.
+		{"oversized-member-layout", testbed.ClusterSpec{Farms: []testbed.FarmSpec{{Name: "f", Members: 1,
+			NEaT: testbed.NEaTConfig{Kind: stack.Multi, Slots: testbed.MultiSlots(2, 6), Syscall: testbed.ThreadLoc{Core: 1}}}},
+			Clients: client}, "12 cores"},
 	}
-	for i, spec := range cases {
-		if _, err := testbed.NewCluster(s, spec); err == nil {
-			t.Errorf("case %d: invalid spec accepted: %+v", i, spec)
-		} else if err.Error() == "" {
-			t.Errorf("case %d: empty error message", i)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := testbed.NewCluster(sim.New(1), tc.spec)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid spec rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("NewCluster() = %v, want mention of %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestClusterObserveSharesOneTracer: under load, an observed cluster bed's
+// one tracer records the per-hop spans of every tier and the members'
+// lifecycle events.
+func TestClusterObserveSharesOneTracer(t *testing.T) {
+	b, err := NewClusterBed(ClusterBedConfig{Farms: 2, Clients: 1, Tenants: 1, Observe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range b.Cluster.Farms {
+		for mi, m := range f.Members {
+			if m.Sys.Trace() != b.Trace {
+				t.Fatalf("farm %s member %d has its own tracer (or none)", f.Name, mi)
+			}
 		}
 	}
-	ok := testbed.ClusterSpec{
-		Farms:   []testbed.FarmSpec{{Name: "f", Members: 1}},
-		Clients: []testbed.ClientSpec{{}},
+	b.Run(sim.Millisecond, 5*sim.Millisecond)
+	if len(b.Trace.Breakdown()) == 0 {
+		t.Fatal("the shared tracer recorded no spans: it is not attached to the simulator")
 	}
-	if _, err := testbed.NewCluster(sim.New(1), ok); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
+	if len(b.Trace.Events()) == 0 {
+		t.Fatal("the shared tracer holds no lifecycle events from the member systems")
+	}
+}
+
+// TestFarmMemberHonoursIPC: ClusterBedConfig.IPC reaches every farm
+// member; with CoalesceWakes a loaded member saves doorbells, without it
+// none is saved anywhere in the simulation.
+func TestFarmMemberHonoursIPC(t *testing.T) {
+	saved := func(tuning ipc.Tuning) uint64 {
+		b, err := NewClusterBed(ClusterBedConfig{Farms: 1, Clients: 1, Tenants: 1, ConnsPerGen: 16, IPC: tuning})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := b.Run(sim.Millisecond, 10*sim.Millisecond); m.KRPS == 0 {
+			t.Fatal("the farm served no responses")
+		}
+		return b.Sim.IPCStats().WakesSaved
+	}
+	if n := saved(ipc.Tuning{CoalesceWakes: true}); n == 0 {
+		t.Fatal("CoalesceWakes on a farm member saved no wakes under load")
+	}
+	if n := saved(ipc.Tuning{}); n != 0 {
+		t.Fatalf("default IPC tuning saved %d wakes; coalescing should be off", n)
 	}
 }
 

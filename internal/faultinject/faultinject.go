@@ -158,6 +158,16 @@ func (inj *Injector) pick() string {
 	return inj.components[len(inj.components)-1].Name
 }
 
+// has reports whether comp names a component of the injector's table.
+func (inj *Injector) has(comp string) bool {
+	for _, c := range inj.components {
+		if c.Name == comp {
+			return true
+		}
+	}
+	return false
+}
+
 // TCPShare returns the probability a fault lands in the TCP component —
 // the expected "TCP connections lost" fraction of Table 3 and the state
 // survival model of Figure 13.
@@ -175,9 +185,6 @@ type Injection struct {
 	Component string
 	Replica   *stack.Replica
 	Proc      *sim.Proc
-	// ExpectTCPLoss is true when the crashed process held TCP state
-	// (always true for single-component replicas).
-	ExpectTCPLoss bool
 }
 
 // Inject crashes the component's process in a random live replica of sys.
@@ -190,15 +197,10 @@ func (inj *Injector) Inject(sys *core.System) (Injection, bool) {
 	}
 	r := replicas[inj.rng.Intn(len(replicas))]
 	comp := inj.pick()
-	target := Target(sys, r, comp)
-	injection := Injection{
-		Component:     comp,
-		Replica:       r,
-		Proc:          target,
-		ExpectTCPLoss: r.Kind() == stack.Single || comp == "tcp",
-	}
+	proc := target(sys, r, comp)
+	injection := Injection{Component: comp, Replica: r, Proc: proc}
 	inj.injected[KindCrash]++
-	target.Crash(ErrInjected)
+	proc.Crash(ErrInjected)
 	return injection, true
 }
 
@@ -211,12 +213,12 @@ func (inj *Injector) Injected(k Kind) uint64 {
 	return inj.injected[k]
 }
 
-// Target resolves the process currently implementing comp: the singleton
+// target resolves the process currently implementing comp: the singleton
 // "driver"/"syscall" system processes, or comp's process within replica r.
-// Re-resolving through Target after a recovery finds the replacement
+// Re-resolving through target after a recovery finds the replacement
 // incarnation (replica restarts create new processes; the singletons keep
 // their endpoint).
-func Target(sys *core.System, r *stack.Replica, comp string) *sim.Proc {
+func target(sys *core.System, r *stack.Replica, comp string) *sim.Proc {
 	switch comp {
 	case "driver":
 		return sys.Driver().Proc()
@@ -238,11 +240,15 @@ func Target(sys *core.System, r *stack.Replica, comp string) *sim.Proc {
 }
 
 // InjectKind injects a fault of the given kind into the named component.
+// A name missing from the injector's component table reports ok=false.
 // Replica components target a random live replica (ok=false on a drained
 // system, as Inject); "driver" and "syscall" target the singleton system
 // processes regardless of replica state. KindStorm applies its first
 // crash; callers repeat via ReInject at their chosen cadence.
 func (inj *Injector) InjectKind(sys *core.System, kind Kind, comp string) (Injection, bool) {
+	if !inj.has(comp) {
+		return Injection{}, false
+	}
 	var r *stack.Replica
 	if comp != "driver" && comp != "syscall" {
 		replicas := sys.Replicas()
@@ -251,21 +257,16 @@ func (inj *Injector) InjectKind(sys *core.System, kind Kind, comp string) (Injec
 		}
 		r = replicas[inj.rng.Intn(len(replicas))]
 	}
-	target := Target(sys, r, comp)
-	if target == nil {
+	proc := target(sys, r, comp)
+	if proc == nil {
 		return Injection{}, false
 	}
-	injection := Injection{
-		Component:     comp,
-		Replica:       r,
-		Proc:          target,
-		ExpectTCPLoss: r != nil && (r.Kind() == stack.Single || comp == "tcp"),
-	}
+	injection := Injection{Component: comp, Replica: r, Proc: proc}
 	inj.injected[kind]++
 	if kind == KindHang {
-		target.Hang()
+		proc.Hang()
 	} else {
-		target.Crash(ErrInjected)
+		proc.Crash(ErrInjected)
 	}
 	return injection, true
 }
@@ -274,10 +275,10 @@ func (inj *Injector) InjectKind(sys *core.System, kind Kind, comp string) (Injec
 // injection's component (for crash storms: each respawn is killed again).
 // Reports false once the target is gone (slot quarantined).
 func ReInject(sys *core.System, prev Injection) bool {
-	target := Target(sys, prev.Replica, prev.Component)
-	if target == nil || target.Dead() {
+	proc := target(sys, prev.Replica, prev.Component)
+	if proc == nil || proc.Dead() {
 		return false
 	}
-	target.Crash(ErrInjected)
+	proc.Crash(ErrInjected)
 	return true
 }

@@ -109,11 +109,38 @@ func TestInjectDrainedSystemNoPanic(t *testing.T) {
 		t.Fatal("InjectKind(tcp) on a drained system reported ok")
 	}
 	// The singleton system services remain injectable.
-	if _, ok := inj.InjectKind(sys, KindHang, "driver"); !ok {
+	if _, ok := New(net.Sim.Rand(), MatrixComponents).InjectKind(sys, KindHang, "driver"); !ok {
 		t.Fatal("driver injection should not depend on replica state")
 	}
 	if !sys.Driver().Proc().Hung() {
 		t.Fatal("driver hang not applied")
+	}
+}
+
+// TestInjectKindRejectsUnknownComponent: a name missing from the
+// injector's table injects nothing, rather than falling through to a
+// replica's IP process.
+func TestInjectKindRejectsUnknownComponent(t *testing.T) {
+	_, sys := drainableBed(t)
+	inj := New(rand.New(rand.NewSource(1)), MatrixComponents)
+	if in, ok := inj.InjectKind(sys, KindCrash, "bogus"); ok {
+		t.Fatalf("InjectKind(bogus) reported ok, injected into %s", in.Proc.Name)
+	}
+	// The default table has no driver: the §6.6 model injects into replicas only.
+	if _, ok := New(rand.New(rand.NewSource(1)), nil).InjectKind(sys, KindCrash, "driver"); ok {
+		t.Fatal("InjectKind(driver) reported ok on the replica-only table")
+	}
+	for _, k := range []Kind{KindCrash, KindHang, KindStorm} {
+		if n := inj.Injected(k); n != 0 {
+			t.Fatalf("%d %s faults counted after rejected names", n, k)
+		}
+	}
+	for _, r := range sys.Replicas() {
+		for _, p := range r.Procs() {
+			if p.Dead() || p.Hung() {
+				t.Fatalf("%s hit by a rejected injection", p.Name)
+			}
+		}
 	}
 }
 

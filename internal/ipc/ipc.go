@@ -31,16 +31,16 @@ package ipc
 
 import "neat/internal/sim"
 
-// DefaultRingDepth is the per-connection in-flight bound: deep enough that
+// defaultRingDepth is the per-connection in-flight bound: deep enough that
 // the default campaigns never stall, shallow enough to bound a runaway
 // sender. A send finding the ring full stalls the sender until the head
 // slot frees (counted as sim.ipc.stalls).
-const DefaultRingDepth = 8192
+const defaultRingDepth = 8192
 
-// DefaultDoorbellCycles is the share of SendCycles attributed to the
-// doorbell write (the MWAIT monitor touch or kernel notify) when
-// Costs.DoorbellCycles is zero. A coalesced send saves exactly this.
-const DefaultDoorbellCycles = 120
+// doorbellCycles is the share of SendCycles attributed to the doorbell
+// write (the MWAIT monitor touch or kernel notify). A coalesced send saves
+// exactly this.
+const doorbellCycles = 120
 
 // Tuning is the ring knob a system builder sets per system; the remaining
 // Costs are calibration. It is declared here, beside the ring it shapes,
@@ -49,7 +49,7 @@ const DefaultDoorbellCycles = 120
 // value is the calibrated behavior: a per-message doorbell.
 type Tuning struct {
 	// CoalesceWakes enables doorbell/wake coalescing: a sender touching an
-	// already-armed ring skips the doorbell (saving DoorbellCycles) and
+	// already-armed ring skips the doorbell (saving doorbellCycles) and
 	// its message shares the in-flight predecessor's delivery window; the
 	// receiver drains the ring until empty before re-arming. Off by
 	// default — per-message doorbells, the calibrated behavior.
@@ -69,18 +69,15 @@ type Costs struct {
 	SlowLatency sim.Time
 	// Tuning holds wake coalescing.
 	Tuning
-	// DoorbellCycles is the portion of SendCycles a coalesced send skips.
-	// Only read when CoalesceWakes is on; 0 selects DefaultDoorbellCycles.
-	DoorbellCycles int64
 
-	// ringDepth overrides DefaultRingDepth when positive; the ring tests
+	// ringDepth overrides defaultRingDepth when positive; the ring tests
 	// shrink it to force stalls.
 	ringDepth int
 }
 
 // DefaultCosts returns the calibrated channel costs: a ~200-cycle enqueue,
 // ~0.3 µs MWAIT wake, ~2.5 µs kernel-assisted switch. Ring depth and
-// doorbell share take the package defaults; coalescing is off.
+// doorbell share are the package constants; coalescing is off.
 func DefaultCosts() Costs {
 	return Costs{
 		SendCycles:  200,
@@ -91,16 +88,9 @@ func DefaultCosts() Costs {
 
 func (c Costs) depth() int {
 	if c.ringDepth <= 0 {
-		return DefaultRingDepth
+		return defaultRingDepth
 	}
 	return c.ringDepth
-}
-
-func (c Costs) doorbellCycles() int64 {
-	if c.DoorbellCycles <= 0 {
-		return DefaultDoorbellCycles
-	}
-	return c.DoorbellCycles
 }
 
 // ringSegSlots is the capacity of one pooled ring segment. 256 deadlines
@@ -231,9 +221,6 @@ func (c *Conn) Rebind(peer *sim.Proc) {
 	c.lastDelay = 0
 }
 
-// Stats returns a snapshot of the counters.
-func (c *Conn) Stats() Stats { return c.stats }
-
 // Inject delivers msg to the peer immediately, outside any simulated
 // process context. The management plane uses it where it previously wrote
 // into processes directly (Proc.Deliver): the message still flows through
@@ -298,7 +285,7 @@ func (c *Conn) Send(ctx *sim.Context, msg sim.Message) {
 		// receiver activation — no earlier, no later.
 		c.stats.WakesSaved++
 		ctx.Sim.NoteIPCWakeSaved()
-		if cycles -= c.costs.doorbellCycles(); cycles < 0 {
+		if cycles -= doorbellCycles; cycles < 0 {
 			cycles = 0
 		}
 		delay = c.lastDelay

@@ -94,3 +94,6 @@ func TestNilPeerDropsSilently(t *testing.T) {
 		t.Fatalf("sent on nil peer: %+v", conn.Stats())
 	}
 }
+
+// Stats returns a snapshot of the counters.
+func (c *Conn) Stats() Stats { return c.stats }

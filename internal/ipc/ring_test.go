@@ -165,7 +165,7 @@ func TestIPCCoalescedRideFIFO(t *testing.T) {
 				at = append(at, s.Now())
 			}), sim.ProcConfig{})
 			costs := Costs{SendCycles: 200, FastLatency: 300, SlowLatency: 5000,
-				Tuning: Tuning{CoalesceWakes: true}, DoorbellCycles: 120}
+				Tuning: Tuning{CoalesceWakes: true}}
 			conn := New(dst, costs)
 			src := sim.NewProc(srcTh, "src", sim.HandlerFunc(func(ctx *sim.Context, msg sim.Message) {
 				conn.Send(ctx, 0)

@@ -32,7 +32,6 @@ type TSO struct {
 // (towards the NIC driver), transport delivery (towards TCP/UDP), and
 // timers.
 type Env interface {
-	Now() sim.Time
 	// TransmitFrame hands a serialized Ethernet frame to the NIC driver.
 	TransmitFrame(raw []byte)
 	// TransmitTSO hands the driver a TSO descriptor with prebuilt headers;
@@ -66,20 +65,14 @@ const (
 
 // Stats counts IP component events.
 type Stats struct {
-	In, Out           uint64
 	Loopback          uint64
 	ARPRequestsSent   uint64
-	ARPRepliesSent    uint64
-	ARPResolved       uint64
 	ARPFailed         uint64
-	ICMPEchoReplies   uint64
 	FragmentsSent     uint64
-	FragmentsReceived uint64
 	Reassembled       uint64
 	ReassemblyExpired uint64
 	NotForUs          uint64
 	NoRoute           uint64
-	QueuedAwaitingARP uint64
 }
 
 // Engine is the IP component state.
@@ -110,7 +103,6 @@ type reasmBuf struct {
 	have     map[uint16]bool // offsets received (8-byte units)
 	total    int             // total length once last fragment seen, else -1
 	received int
-	deadline sim.Time
 }
 
 // NewEngine creates an IP component.
@@ -234,7 +226,6 @@ func (e *Engine) sendIPFrame(dst proto.Addr, ip proto.IPv4Header, frame []byte) 
 	eth.Marshal(frame[:0:proto.EthernetHeaderLen])
 	ip.Marshal(frame[proto.EthernetHeaderLen:proto.EthernetHeaderLen:proto.TxHeadroom])
 	if resolved {
-		e.stats.Out++
 		e.env.TransmitFrame(frame)
 		return
 	}
@@ -245,7 +236,6 @@ func (e *Engine) sendIPFrame(dst proto.Addr, ip proto.IPv4Header, frame []byte) 
 		e.sendARPRequest(hop)
 		e.armARPRetry(hop)
 	}
-	e.stats.QueuedAwaitingARP++
 	if len(pend.frames) < 64 {
 		pend.frames = append(pend.frames, frame)
 	} else {
@@ -273,7 +263,6 @@ func (e *Engine) OutputTSO(t TSO) {
 		return
 	}
 	e.ipID++
-	e.stats.Out++
 	eth := proto.EthernetHeader{Dst: mac, Src: e.cfg.MAC, Type: proto.EtherTypeIPv4}
 	ip := proto.IPv4Header{ID: e.ipID, Flags: proto.IPFlagDF, TTL: 64,
 		Protocol: proto.ProtoTCP, Src: e.cfg.Addr, Dst: t.Dst}
@@ -326,7 +315,6 @@ func (e *Engine) sendIP(dst proto.Addr, ip proto.IPv4Header, payload []byte) {
 		raw = eth.Marshal(raw)
 		raw = ip.Marshal(raw)
 		raw = append(raw, payload...)
-		e.stats.Out++
 		e.env.TransmitFrame(raw)
 		return
 	}
@@ -342,7 +330,6 @@ func (e *Engine) sendIP(dst proto.Addr, ip proto.IPv4Header, payload []byte) {
 		e.sendARPRequest(hop)
 		e.armARPRetry(hop)
 	}
-	e.stats.QueuedAwaitingARP++
 	if len(pend.frames) < 64 {
 		pend.frames = append(pend.frames, raw)
 	} else {
@@ -398,7 +385,6 @@ func (e *Engine) Input(f *proto.Frame) {
 		f.Release()
 		return
 	}
-	e.stats.In++
 	if f.IP.FragOff != 0 || f.IP.Flags&proto.IPFlagMF != 0 {
 		e.inputFragment(f)
 		f.Release()
@@ -415,16 +401,13 @@ func (e *Engine) inputARP(a *proto.ARPPacket) {
 	// Learn the sender mapping either way.
 	e.arp[a.SenderIP] = a.SenderMAC
 	if pend, ok := e.arpWait[a.SenderIP]; ok {
-		e.stats.ARPResolved++
 		delete(e.arpWait, a.SenderIP)
 		for _, raw := range pend.frames {
 			copy(raw[0:6], a.SenderMAC[:]) // rewrite placeholder dst MAC
-			e.stats.Out++
 			e.env.TransmitFrame(raw)
 		}
 	}
 	if a.Op == proto.ARPRequest && a.TargetIP == e.cfg.Addr {
-		e.stats.ARPRepliesSent++
 		raw := proto.BuildARP(
 			proto.EthernetHeader{Dst: a.SenderMAC, Src: e.cfg.MAC, Type: proto.EtherTypeARP},
 			proto.ARPPacket{Op: proto.ARPReply, SenderMAC: e.cfg.MAC, SenderIP: e.cfg.Addr,
@@ -439,7 +422,6 @@ func (e *Engine) inputICMP(f *proto.Frame) {
 		e.env.DeliverTransport(f) // echo replies etc. go to the owner (ping)
 		return
 	}
-	e.stats.ICMPEchoReplies++
 	reply := proto.ICMPEcho{Type: proto.ICMPEchoReply, Ident: f.ICMP.Ident, Seq: f.ICMP.Seq}
 	body := reply.Marshal(bufpool.Get(proto.ICMPHeaderLen + len(f.Payload))[:0], f.Payload)
 	e.Output(f.IP.Src, proto.ProtoICMP, body)
@@ -449,12 +431,10 @@ func (e *Engine) inputICMP(f *proto.Frame) {
 
 // inputFragment buffers fragments and delivers the reassembled packet.
 func (e *Engine) inputFragment(f *proto.Frame) {
-	e.stats.FragmentsReceived++
 	k := reasmKey{src: f.IP.Src, id: f.IP.ID, proto: f.IP.Protocol}
 	b, ok := e.reasm[k]
 	if !ok {
-		b = &reasmBuf{have: make(map[uint16]bool), total: -1,
-			deadline: e.env.Now() + reassemblyTimeout}
+		b = &reasmBuf{have: make(map[uint16]bool), total: -1}
 		e.reasm[k] = b
 		e.env.After(reassemblyTimeout, func() {
 			if cur, still := e.reasm[k]; still && cur == b {

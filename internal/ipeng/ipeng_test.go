@@ -32,7 +32,6 @@ type ipTimer struct {
 	fn func()
 }
 
-func (e *fakeIPEnv) Now() sim.Time            { return e.now }
 func (e *fakeIPEnv) TransmitFrame(raw []byte) { e.frames = append(e.frames, raw) }
 func (e *fakeIPEnv) TransmitTSO(eth proto.EthernetHeader, ip proto.IPv4Header, tcp proto.TCPHeader, payload []byte, mss int) {
 	e.tso++

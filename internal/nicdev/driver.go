@@ -152,7 +152,6 @@ func (d *Driver) drainRx(ctx *sim.Context) {
 			}
 			ctx.Charge(d.costs.PerPacketRx)
 			d.stats.RxDispatched++
-			f.RxQueue = q
 			ctx.Send(target, f)
 		}
 		qu.spare = frames[:0]

@@ -26,8 +26,7 @@ import (
 )
 
 // RX frames are delivered by the driver to the replica owning the frame's
-// queue as bare *proto.Frame messages, with Frame.RxQueue stamped by the
-// driver. The NIC pre-decodes the frame (hardware parses headers anyway for
+// queue as bare *proto.Frame messages. The NIC pre-decodes the frame (hardware parses headers anyway for
 // classification); replicas charge their own protocol-processing cycles.
 
 // TxFrame asks the driver to transmit a fully serialized frame. Hot paths
@@ -83,9 +82,9 @@ type TxTSO struct {
 	pool    *sim.Pool[TxTSO]
 }
 
-// DefaultQueueDepth is the per-RX-queue capacity in frames; overflow is
+// defaultQueueDepth is the per-RX-queue capacity in frames; overflow is
 // dropped by the hardware, as on a real NIC under overload.
-const DefaultQueueDepth = 512
+const defaultQueueDepth = 512
 
 // NICStats counts NIC-level events.
 type NICStats struct {
@@ -169,7 +168,7 @@ func NewNIC(s *sim.Simulator, name string, mac proto.MAC, l *wire.Link, side int
 		PipelineLatency: 500 * sim.Nanosecond,
 		queues:          make([]rxQueue, nQueues),
 		filters:         make(map[proto.Flow]int),
-		queueDepth:      DefaultQueueDepth,
+		queueDepth:      defaultQueueDepth,
 		intrArmed:       true,
 	}
 	for q := 0; q < nQueues; q++ {

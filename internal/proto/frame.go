@@ -72,11 +72,6 @@ type Frame struct {
 	Payload []byte
 	// Raw is the complete frame as it appeared on the wire.
 	Raw []byte
-	// RxQueue is the NIC RX queue the frame was classified onto; the driver
-	// stamps it before handing the frame to the owning replica, so a frame
-	// delivers itself without a wrapper message (and without the wrapper's
-	// per-frame allocation).
-	RxQueue int
 
 	// Inline header storage: DecodeFrame points the header fields above at
 	// these so a decode performs no per-layer allocation.

@@ -12,7 +12,7 @@ const (
 	TCPRst uint8 = 1 << 2
 	TCPPsh uint8 = 1 << 3
 	TCPAck uint8 = 1 << 4
-	TCPUrg uint8 = 1 << 5
+	tcpUrg uint8 = 1 << 5
 )
 
 // flagString renders TCP flags as a compact string like "SA" or "FPA".
@@ -20,7 +20,7 @@ func flagString(flags uint8) string {
 	names := []struct {
 		bit uint8
 		ch  byte
-	}{{TCPFin, 'F'}, {TCPSyn, 'S'}, {TCPRst, 'R'}, {TCPPsh, 'P'}, {TCPAck, 'A'}, {TCPUrg, 'U'}}
+	}{{TCPFin, 'F'}, {TCPSyn, 'S'}, {TCPRst, 'R'}, {TCPPsh, 'P'}, {TCPAck, 'A'}, {tcpUrg, 'U'}}
 	out := make([]byte, 0, 6)
 	for _, n := range names {
 		if flags&n.bit != 0 {

@@ -89,9 +89,6 @@ type Core struct {
 	threads []*HWThread
 }
 
-// Machine returns the owning machine.
-func (c *Core) Machine() *Machine { return c.machine }
-
 // NumThreads returns the number of hardware threads on the core.
 func (c *Core) NumThreads() int { return len(c.threads) }
 
@@ -113,9 +110,6 @@ type HWThread struct {
 
 	procs []*Proc
 }
-
-// Core returns the owning core.
-func (t *HWThread) Core() *Core { return t.core }
 
 // Machine returns the owning machine.
 func (t *HWThread) Machine() *Machine { return t.core.machine }

@@ -38,7 +38,6 @@ const maxTime = Time(1<<62 - 1)
 // pdesCoord is the coordinator state shared by the control plane and all
 // domain shards of one parallel simulation.
 type pdesCoord struct {
-	root    *Simulator
 	workers int
 	domains []*Simulator
 
@@ -82,7 +81,7 @@ func (s *Simulator) EnablePDES(workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	s.pdes = &pdesCoord{root: s, workers: workers}
+	s.pdes = &pdesCoord{workers: workers}
 }
 
 // newDomain creates one domain shard. Its RNG stream is seeded from the
@@ -90,7 +89,7 @@ func (s *Simulator) EnablePDES(workers int) {
 // independent of the runtime interleaving.
 func (s *Simulator) newDomain() *Simulator {
 	d := newSimulator(rand.New(rand.NewSource(s.rng.Int63())))
-	d.tracer, d.pdes, d.parent, d.domID = s.tracer, s.pdes, s, len(s.pdes.domains)
+	d.tracer, d.pdes, d.parent = s.tracer, s.pdes, s
 	s.pdes.domains = append(s.pdes.domains, d)
 	return d
 }

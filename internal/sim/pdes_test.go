@@ -252,13 +252,13 @@ func TestPDESPoolsDrainAcrossDomains(t *testing.T) {
 			dst := nodes[1-i]
 			for _, p := range outbox[i] {
 				p := p
-				dst.Sim().At(p.at, func() { dst.Deliver(p.hops) })
+				dst.sim.At(p.at, func() { dst.Deliver(p.hops) })
 			}
 			outbox[i] = outbox[i][:0]
 		}
 	})
-	nodes[0].Sim().At(0, func() { nodes[0].Deliver(10) })
-	nodes[1].Sim().At(0, func() { nodes[1].Deliver(10) })
+	nodes[0].sim.At(0, func() { nodes[0].Deliver(10) })
+	nodes[1].sim.At(0, func() { nodes[1].Deliver(10) })
 	s.Drain()
 
 	// Two chains of 11 hops (10 down to 0), one starting in each domain,
@@ -284,7 +284,7 @@ func TestPDESPoolsDrainAcrossDomains(t *testing.T) {
 		}
 	}
 
-	nodes[0].Sim().At(s.Now()+Microsecond, func() { nodes[0].Deliver(leak{}) })
+	nodes[0].sim.At(s.Now()+Microsecond, func() { nodes[0].Deliver(leak{}) })
 	s.Drain()
 	if n := outstanding()["heartbeat"]; n != 1 {
 		t.Fatalf("a box kept in domain a counts %d on the control plane, want 1", n)

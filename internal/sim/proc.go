@@ -134,9 +134,9 @@ func (hb *HeartbeatPing) Recycle() {
 	pool.Put(hb)
 }
 
-// HeartbeatCycles is the cost of answering one heartbeat probe (an inbox
+// heartbeatCycles is the cost of answering one heartbeat probe (an inbox
 // pop plus a channel write — no protocol work).
-const HeartbeatCycles = 120
+const heartbeatCycles = 120
 
 // BusyNs returns total execution time across all categories.
 func (st *ProcStats) BusyNs() Time {
@@ -268,9 +268,6 @@ func NewProc(t *HWThread, name string, h Handler, cfg ProcConfig) *Proc {
 	m.sim.addProc(p)
 	return p
 }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Machine returns the machine the process runs on.
 func (p *Proc) Machine() *Machine { return p.machine }
@@ -442,8 +439,8 @@ func (p *Proc) runDispatch() {
 			// They are not part of the message path, so they are not traced.
 			// The ping box itself travels back as the ack.
 			p.stats.Messages++
-			p.charged += p.DispatchCycles + HeartbeatCycles
-			p.chargedByCat[CostProcessing] += p.DispatchCycles + HeartbeatCycles
+			p.charged += p.DispatchCycles + heartbeatCycles
+			p.chargedByCat[CostProcessing] += p.DispatchCycles + heartbeatCycles
 			prober := hb.From
 			hb.From, hb.Acked = p, true
 			p.pending = append(p.pending, outMsg{dst: prober, msg: hb, cyclesAt: p.charged})
@@ -652,9 +649,6 @@ func (t *Timer) Stop() {
 		t.p.sim.tw.stopTimer(t)
 	}
 }
-
-// Fired reports whether the timer message was delivered.
-func (t *Timer) Fired() bool { return t.node == timerFired }
 
 // Armed reports whether the timer holds a wheel entry: armed, flushed by
 // its dispatch, and neither fired nor stopped since.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 )
 
 // Time is a simulated timestamp or duration in nanoseconds since the start
@@ -39,9 +38,6 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
-
-// Duration converts a standard library duration to simulated Time.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -104,10 +100,9 @@ type Simulator struct {
 	// PDES mode (see pdes.go). pdes is the shared coordinator state when
 	// conservative parallel simulation is enabled; parent points from a
 	// domain shard back to the control-plane simulator (nil on the root and
-	// in the default sequential mode); domID indexes the shard.
+	// in the default sequential mode).
 	pdes   *pdesCoord
 	parent *Simulator
-	domID  int
 
 	crashWatchers []func(*Proc, error)
 

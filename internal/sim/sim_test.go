@@ -641,3 +641,6 @@ func TestQueuePeekTimeMatchesPop(t *testing.T) {
 		t.Fatal("peekTime on a drained scheduler reported an event")
 	}
 }
+
+// Fired reports whether the timer message was delivered.
+func (t *Timer) Fired() bool { return t.node == timerFired }

@@ -78,9 +78,6 @@ func New(app *sim.Proc, syscallProc *sim.Proc, costs ipc.Costs) *Lib {
 	}
 }
 
-// Proc returns the owning application process.
-func (l *Lib) Proc() *sim.Proc { return l.proc }
-
 func (l *Lib) stackConn(p *sim.Proc) *ipc.Conn {
 	c, ok := l.stackConns[p]
 	if !ok {
@@ -158,9 +155,9 @@ type SocketState int
 
 // Socket states.
 const (
-	SockConnecting SocketState = iota
+	sockConnecting SocketState = iota
 	SockOpen
-	SockClosed
+	sockClosed
 )
 
 // Socket is a connected (or connecting) TCP socket.
@@ -206,7 +203,7 @@ func (l *Lib) Connect(ctx *sim.Context, addr proto.Addr, port uint16) *Socket {
 // the flow hash the server's RSS computes — the adversarial campaigns use
 // this to aim traffic at a chosen replica.
 func (l *Lib) ConnectFrom(ctx *sim.Context, addr proto.Addr, port, localPort uint16) *Socket {
-	s := &Socket{lib: l, state: SockConnecting}
+	s := &Socket{lib: l, state: sockConnecting}
 	reqID := newReqID()
 	l.connecting[reqID] = s
 	l.sysConn.Send(ctx, stack.OpConnect{App: l.proc, ReqID: reqID, Addr: addr, Port: port,
@@ -254,7 +251,7 @@ func (s *Socket) Close(ctx *sim.Context) {
 	if s.state != SockOpen {
 		return
 	}
-	s.state = SockClosed
+	s.state = sockClosed
 	s.conn.Send(ctx, stack.NewOpClose(ctx.Sim, s.h, false))
 }
 
@@ -263,7 +260,7 @@ func (s *Socket) Abort(ctx *sim.Context) {
 	if s.state != SockOpen {
 		return
 	}
-	s.state = SockClosed
+	s.state = sockClosed
 	s.conn.Send(ctx, stack.NewOpClose(ctx.Sim, s.h, true))
 }
 
@@ -339,7 +336,7 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 		}
 		delete(l.connecting, m.ReqID)
 		if m.Err != nil {
-			s.state = SockClosed
+			s.state = sockClosed
 			if s.OnConnect != nil {
 				s.OnConnect(ctx, m.Err)
 			}
@@ -373,7 +370,7 @@ func (l *Lib) HandleEvent(ctx *sim.Context, msg sim.Message) bool {
 		if s := l.sock(m.Conn); s != nil {
 			l.unbind(s)
 			wasOpen := s.state == SockOpen
-			s.state = SockClosed
+			s.state = sockClosed
 			if s.OnClosed != nil && (wasOpen || m.Reset) {
 				s.OnClosed(ctx, m.Reset, m.Err)
 			}

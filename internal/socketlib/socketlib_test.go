@@ -187,7 +187,7 @@ func TestEOFAndClosedEvents(t *testing.T) {
 	if !sawEOF || !sawClosed || !sawReset {
 		t.Fatalf("eof=%v closed=%v reset=%v", sawEOF, sawClosed, sawReset)
 	}
-	if sock.State() != SockClosed {
+	if sock.State() != sockClosed {
 		t.Fatal("socket not closed")
 	}
 	// A second EvClosed for the same conn is ignored (already removed).
@@ -238,7 +238,7 @@ func TestSendOnClosedSocketRefused(t *testing.T) {
 	}
 	app.proc.Deliver("go")
 	s.RunFor(sim.Millisecond)
-	if sock.State() != SockClosed {
+	if sock.State() != sockClosed {
 		t.Fatal("not closed")
 	}
 }

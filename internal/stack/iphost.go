@@ -115,9 +115,6 @@ func (h *ipHost) sendApp(ctx *sim.Context, app *sim.Proc, ev sim.Message) {
 
 // ---- ipeng.Env ----
 
-// Now implements ipeng.Env.
-func (h *ipHost) Now() sim.Time { return h.s.Now() }
-
 // TransmitFrame implements ipeng.Env.
 func (h *ipHost) TransmitFrame(raw []byte) {
 	h.ctx.Charge(h.costs.IPOut)

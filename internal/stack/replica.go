@@ -264,9 +264,6 @@ func (r *Replica) ConnOwner(c *tcpeng.Conn) (*sim.Proc, Handle) {
 	return nil, Handle{}
 }
 
-// Name returns the replica name.
-func (r *Replica) Name() string { return r.name }
-
 // Kind returns the replica layout.
 func (r *Replica) Kind() Kind { return r.kind }
 
@@ -281,22 +278,6 @@ func (r *Replica) SockProc() *sim.Proc { return r.procs[len(r.procs)-1] }
 
 // TCP returns the replica's TCP engine (tests and the manager inspect it).
 func (r *Replica) TCP() *tcpeng.Engine { return r.tcph.tcp }
-
-// IP returns the replica's IP engine.
-func (r *Replica) IP() *ipeng.Engine { return r.iph.ip }
-
-// UDP returns the replica's UDP engine.
-func (r *Replica) UDP() *udpeng.Engine { return r.iph.udp }
-
-// Dead reports whether any process of the replica has died.
-func (r *Replica) Dead() bool {
-	for _, p := range r.procs {
-		if p.Dead() {
-			return true
-		}
-	}
-	return r.dead
-}
 
 // Kill crashes every process of the replica, losing all its state — the
 // paper's replica-failure model (§3.6).

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"neat/internal/udpeng"
 	"testing"
 
 	"neat/internal/ipc"
@@ -397,4 +398,20 @@ func TestReplicaAccessors(t *testing.T) {
 	if rep.String() == "" || Single.String() != "single" {
 		t.Fatal("strings")
 	}
+}
+
+// IP returns the replica's IP engine.
+func (r *Replica) IP() *ipeng.Engine { return r.iph.ip }
+
+// UDP returns the replica's UDP engine.
+func (r *Replica) UDP() *udpeng.Engine { return r.iph.udp }
+
+// Dead reports whether any process of the replica has died.
+func (r *Replica) Dead() bool {
+	for _, p := range r.procs {
+		if p.Dead() {
+			return true
+		}
+	}
+	return r.dead
 }

@@ -159,23 +159,6 @@ func New(cfg Config, rng *rand.Rand, load LoadFunc) (Placer, error) {
 	}
 }
 
-// NewDeterministic builds the placer selected by cfg without the
-// simulator's RNG, for consumers that must be bit-reproducible across
-// scheduling engines — the switch's farm-level L4 services, whose
-// placement must be byte-identical between the sequential and PDES
-// runs of a cluster. QueueFor is a pure function of (hash, active set)
-// for the hash and ring policies, so they qualify unchanged; their
-// connect-side choice runs on a private fixed-seed stream (farm-level
-// steering never calls PickConnect, but the interface stays total).
-// PolicyLeastLoaded is rejected: live load observation is inherently
-// engine-order-dependent.
-func (cfg Config) NewDeterministic() (Placer, error) {
-	if cfg.Policy == PolicyLeastLoaded {
-		return nil, fmt.Errorf("steer: least-loaded policy is not deterministic across engines (use hash or ring)")
-	}
-	return New(cfg, rand.New(rand.NewSource(1)), nil)
-}
-
 // activeSet is the shared active-slot bookkeeping embedded by every policy.
 type activeSet struct {
 	active []int

@@ -65,8 +65,8 @@ type pendingListen struct {
 	err  error
 }
 
-// OpCycles is the per-call cost of the SYSCALL server.
-const OpCycles = 1500
+// opCycles is the per-call cost of the SYSCALL server.
+const opCycles = 1500
 
 // New creates the SYSCALL server on thread th.
 func New(th *sim.HWThread, mgr Manager, ipcCost ipc.Costs) *Server {
@@ -112,7 +112,7 @@ func (s *Server) send(ctx *sim.Context, to *sim.Proc, msg sim.Message) {
 func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	switch m := msg.(type) {
 	case stack.OpListen:
-		ctx.Charge(OpCycles)
+		ctx.Charge(opCycles)
 		s.stats.Listens++
 		s.mgr.RegisterListen(m)
 		targets := s.mgr.ListenTargets()
@@ -127,7 +127,7 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			s.send(ctx, t, fanned)
 		}
 	case stack.EvListening:
-		ctx.Charge(OpCycles / 4)
+		ctx.Charge(opCycles / 4)
 		p, ok := s.pending[m.ReqID]
 		if !ok {
 			return // replayed listen after recovery: already acknowledged
@@ -141,13 +141,13 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 			s.send(ctx, p.app, stack.EvListening{ReqID: m.ReqID, Err: p.err})
 		}
 	case stack.OpCloseListener:
-		ctx.Charge(OpCycles)
+		ctx.Charge(opCycles)
 		s.mgr.UnregisterListen(m.ReqID)
 		for _, t := range s.mgr.ListenTargets() {
 			s.send(ctx, t, msg)
 		}
 	case stack.OpConnect:
-		ctx.Charge(OpCycles)
+		ctx.Charge(opCycles)
 		s.stats.Connects++
 		t := s.mgr.ConnectTarget()
 		if t == nil {
@@ -156,7 +156,7 @@ func (s *Server) HandleMessage(ctx *sim.Context, msg sim.Message) {
 		}
 		s.send(ctx, t, msg)
 	case stack.OpUDPBind:
-		ctx.Charge(OpCycles)
+		ctx.Charge(opCycles)
 		s.stats.UDPBinds++
 		t := s.mgr.UDPTarget()
 		if t == nil {

@@ -59,7 +59,6 @@ type Conn struct {
 		cwnd     uint32 // congestion window (bytes)
 		ssthresh uint32
 		recover  uint32 // recovery point for Reno
-		finSeq   uint32 // seq of FIN when queued
 		dupAcks  int32
 
 		wndShift       uint8 // peer's window scale
@@ -199,27 +198,15 @@ const (
 	guardIdle              // must show inbound activity within IdleDeadline
 )
 
-// State returns the connection state.
-func (c *Conn) State() State { return c.state }
-
-// Engine returns the owning engine.
-func (c *Conn) Engine() *Engine { return c.engine }
-
 // LocalAddr returns the local address and port.
 func (c *Conn) LocalAddr() (proto.Addr, uint16) { return c.key.localAddr, c.key.localPort }
 
 // RemoteAddr returns the remote address and port.
 func (c *Conn) RemoteAddr() (proto.Addr, uint16) { return c.key.remoteAddr, c.key.remotePort }
 
-// Flow returns the connection's flow with the local endpoint as source.
-func (c *Conn) Flow() proto.Flow { return c.key.flow() }
-
 // InboundFlow returns the flow as the NIC sees arriving packets (remote as
 // source) — the key NEaT installs in the flow-director filter (§4).
 func (c *Conn) InboundFlow() proto.Flow { return c.key.flow().Reverse() }
-
-// MSS returns the effective maximum segment size.
-func (c *Conn) MSS() int { return int(c.mss) }
 
 // String summarizes the connection.
 func (c *Conn) String() string {
@@ -258,7 +245,6 @@ func (e *Engine) Input(f *proto.Frame) {
 			}
 		}
 	}
-	e.stats.SegsToClosedPort++
 	if h.Flags&proto.TCPRst == 0 {
 		e.sendRST(k, h)
 	}
@@ -324,7 +310,7 @@ func (e *Engine) sendRST(k connKey, h *proto.TCPHeader) {
 	hdr.Ack = h.Seq + segLen(h, 0)
 	e.stats.SegsOut++
 	e.env.SendSegment(nil, OutSegment{
-		Src: k.localAddr, Dst: k.remoteAddr, Hdr: hdr, MSS: e.cfg.MSS,
+		Src: k.localAddr, Dst: k.remoteAddr, Hdr: hdr, MSS: ourMSS,
 	})
 }
 
@@ -446,7 +432,6 @@ func (c *Conn) inputSynSent(h *proto.TCPHeader) {
 	c.measureRTT(h.Ack)
 	e.env.StopTimer(c, TimerRexmit)
 	c.state = StateEstablished
-	e.stats.EstablishedTransitons++
 	c.sendAck()
 	e.env.Connected(c)
 	c.trySend()
@@ -483,12 +468,10 @@ func (c *Conn) processAck(h *proto.TCPHeader) bool {
 	// SYN_RCVD → ESTABLISHED.
 	if c.state == StateSynRcvd {
 		c.state = StateEstablished
-		e.stats.EstablishedTransitons++
 		e.stats.AcceptedConns++
 		if c.Listener != nil {
 			c.Listener.leaveEmbryonic()
 			if len(c.Listener.acceptQ) >= c.Listener.backlog {
-				e.stats.AcceptQueueOverflow++
 				c.Abort()
 				return false
 			}
@@ -568,7 +551,6 @@ func (c *Conn) processData(h *proto.TCPHeader, payload []byte) {
 			payload = payload[skip:]
 		}
 		seq = c.rcv.nxt
-		e.stats.SegmentsTrimmed++
 	}
 
 	if len(payload) > 0 {
@@ -654,7 +636,6 @@ func (c *Conn) maybeProcessFin() {
 		return
 	}
 	e := c.engine
-	e.stats.FinsIn++
 	c.rcv.nxt++ // FIN consumes one sequence number
 	c.ackPending = 2
 

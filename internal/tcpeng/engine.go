@@ -128,7 +128,6 @@ type Env interface {
 // Config parameterizes an engine. Small segments are never held back
 // (no Nagle: the paper's HTTP workload runs with TCP_NODELAY).
 type Config struct {
-	MSS     int  // our MSS (default 1460)
 	SendBuf int  // send buffer bytes (default 256 KiB)
 	TSO     bool // hand payloads of up to tsoMax bytes to the NIC
 
@@ -213,9 +212,6 @@ func (g GuardConfig) Validate() error {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MSS == 0 {
-		c.MSS = 1460
-	}
 	if c.recvBuf == 0 {
 		c.recvBuf = 256 << 10
 	}
@@ -257,6 +253,7 @@ const (
 	timeWait        = 250 * sim.Millisecond // 2*MSL stand-in
 	delAckDelay     = sim.Millisecond
 	persistInterval = 100 * sim.Millisecond // zero-window probe interval
+	ourMSS          = 1460                  // the MSS this engine offers
 	initialCwndMSS  = 10                    // initial congestion window in MSS
 	tsoMax          = 64 << 10              // largest TSO super-segment
 )
@@ -287,29 +284,21 @@ type listenKey struct {
 
 // Stats counts engine-wide events.
 type Stats struct {
-	SegsIn, SegsOut       uint64
-	DataBytesIn           uint64
-	DataBytesOut          uint64
-	Retransmits           uint64
-	FastRetransmits       uint64
-	DupAcksIn             uint64
-	OutOfOrderIn          uint64
-	ResetsIn, ResetsOut   uint64
-	AcceptedConns         uint64
-	ActiveOpens           uint64
-	DroppedSynBacklog     uint64
-	SegsToClosedPort      uint64
-	TimeWaitReaped        uint64
-	RetriesExceeded       uint64
-	PersistProbes         uint64
-	DelayedAcksSent       uint64
-	FinsIn, FinsOut       uint64
-	ZeroWindowAdvertised  uint64
-	AcceptQueueOverflow   uint64
-	SpuriousTimerFirings  uint64
-	SegmentsTrimmed       uint64
-	ConnsRemoved          uint64
-	EstablishedTransitons uint64
+	SegsIn, SegsOut      uint64
+	DataBytesIn          uint64
+	DataBytesOut         uint64
+	Retransmits          uint64
+	FastRetransmits      uint64
+	OutOfOrderIn         uint64
+	ResetsIn, ResetsOut  uint64
+	AcceptedConns        uint64
+	DroppedSynBacklog    uint64
+	TimeWaitReaped       uint64
+	RetriesExceeded      uint64
+	PersistProbes        uint64
+	DelayedAcksSent      uint64
+	ZeroWindowAdvertised uint64
+	SpuriousTimerFirings uint64
 
 	// Resource-guard activity (always zero with Config.Guard disabled).
 	SynShed         uint64 // oldest embryonic conns shed to admit new SYNs
@@ -361,9 +350,6 @@ func NewEngine(env Env, addr proto.Addr, cfg Config) *Engine {
 	}
 }
 
-// Addr returns the engine's local IP address.
-func (e *Engine) Addr() proto.Addr { return e.addr }
-
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -408,9 +394,6 @@ type Listener struct {
 	// Ctx is opaque owner context (the stack stores socket bookkeeping).
 	Ctx interface{}
 }
-
-// Port returns the listening port.
-func (l *Listener) Port() uint16 { return l.key.port }
 
 // Listen creates a listener on addr:port. A zero addr listens on the
 // engine's address (wildcard).
@@ -526,7 +509,6 @@ func (e *Engine) ConnectFrom(remote proto.Addr, port, localPort uint16) (*Conn, 
 	c.snd.una = c.iss
 	c.snd.nxt = c.iss + 1
 	c.rto = initialRTO
-	e.stats.ActiveOpens++
 	c.sendFlags(proto.TCPSyn, c.iss, 0, true)
 	e.env.ArmTimer(c, TimerRexmit, c.rto)
 	return c, nil
@@ -560,13 +542,13 @@ func (e *Engine) newConn(k connKey) *Conn {
 	c.engine = e
 	c.ID = e.nextID
 	c.key = k
-	c.mss = int32(e.cfg.MSS)
+	c.mss = ourMSS
 	for i := range c.Timers {
 		c.Timers[i].C = c
 		c.Timers[i].Kind = TimerKind(i)
 	}
 	c.rcv.wndShift, c.snd.wndShift = windowShift(e.cfg.recvBuf), 0
-	c.snd.cwnd = uint32(initialCwndMSS * e.cfg.MSS)
+	c.snd.cwnd = initialCwndMSS * ourMSS
 	c.snd.ssthresh = 0xffffffff
 	e.conns[k] = c
 	return c
@@ -591,7 +573,6 @@ func (e *Engine) remove(c *Conn) {
 		e.env.StopTimer(c, k)
 	}
 	delete(e.conns, c.key)
-	e.stats.ConnsRemoved++
 	e.env.ConnRemoved(c)
 	// Recycle after the upcall: the env reads c.ID/addresses synchronously.
 	// Stopping the timers above took every node out of the timer wheel and

@@ -135,7 +135,7 @@ func (c *Conn) sendFlags(flags uint8, seq, ack uint32, syn bool) {
 	hdr.Ack = ack
 	hdr.Window = c.advertisedWindow()
 	if syn {
-		hdr.Opts.MSS = uint16(e.cfg.MSS)
+		hdr.Opts.MSS = ourMSS
 		hdr.Opts.HasWScale = true
 		hdr.Opts.WScale = c.rcv.wndShift
 		// SYN segments advertise the unscaled window.
@@ -235,9 +235,7 @@ func (c *Conn) trySend() {
 		c.snd.nxt += chunk
 		if fin {
 			c.snd.finSent = true
-			c.snd.finSeq = c.snd.nxt
 			c.snd.nxt++
-			e.stats.FinsOut++
 		}
 		e.env.ArmTimer(c, TimerRexmit, c.rto)
 		// Time one segment per window for RTT.
@@ -378,7 +376,6 @@ func (c *Conn) renoOnAck(acked, ack uint32) {
 // onDupAck counts duplicate ACKs and triggers Reno fast retransmit.
 func (c *Conn) onDupAck() {
 	e := c.engine
-	e.stats.DupAcksIn++
 	if c.snd.inFastRecovery {
 		c.snd.cwnd += uint32(c.mss) // inflate
 		c.trySend()

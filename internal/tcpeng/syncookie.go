@@ -100,7 +100,7 @@ func (e *Engine) checkCookie(k connKey, now sim.Time, cookie uint32) (mss int, o
 
 // sendSynCookie answers a SYN with a stateless cookie SYN|ACK.
 func (e *Engine) sendSynCookie(k connKey, h *proto.TCPHeader) {
-	peerMSS := e.cfg.MSS
+	peerMSS := ourMSS
 	if h.Opts.MSS != 0 && int(h.Opts.MSS) < peerMSS {
 		peerMSS = int(h.Opts.MSS)
 	}
@@ -110,7 +110,7 @@ func (e *Engine) sendSynCookie(k connKey, h *proto.TCPHeader) {
 	hdr.Flags = proto.TCPSyn | proto.TCPAck
 	hdr.Seq = e.encodeCookie(k, peerMSS, e.env.Now())
 	hdr.Ack = h.Seq + 1
-	hdr.Opts.MSS = uint16(e.cfg.MSS)
+	hdr.Opts.MSS = ourMSS
 	// No window-scale offer: there is no PCB to remember it in.
 	w := e.cfg.recvBuf
 	if w > 0xffff {
@@ -119,7 +119,7 @@ func (e *Engine) sendSynCookie(k connKey, h *proto.TCPHeader) {
 	hdr.Window = uint16(w)
 	e.stats.SegsOut++
 	e.env.SendSegment(nil, OutSegment{
-		Src: k.localAddr, Dst: k.remoteAddr, Hdr: hdr, MSS: e.cfg.MSS,
+		Src: k.localAddr, Dst: k.remoteAddr, Hdr: hdr, MSS: ourMSS,
 	})
 }
 
@@ -135,7 +135,6 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 		return true
 	}
 	if len(l.acceptQ) >= l.backlog {
-		e.stats.AcceptQueueOverflow++
 		return true
 	}
 	e.stats.SynCookiesValidated++
@@ -155,7 +154,6 @@ func (e *Engine) completeCookie(l *Listener, k connKey, h *proto.TCPHeader, payl
 	c.snd.wnd = uint32(h.Window)
 	c.rto = initialRTO
 	c.state = StateEstablished
-	e.stats.EstablishedTransitons++
 	e.stats.AcceptedConns++
 	l.acceptQ = append(l.acceptQ, c)
 	e.env.Accepted(c)

@@ -879,3 +879,12 @@ func TestRandomChunkedTransferProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// State returns the connection state.
+func (c *Conn) State() State { return c.state }
+
+// MSS returns the effective maximum segment size.
+func (c *Conn) MSS() int { return int(c.mss) }
+
+// Addr returns the engine's local IP address.
+func (e *Engine) Addr() proto.Addr { return e.addr }

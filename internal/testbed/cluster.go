@@ -30,7 +30,6 @@ import (
 	"neat/internal/core"
 	"neat/internal/proto"
 	"neat/internal/sim"
-	"neat/internal/steer"
 	"neat/internal/trace"
 	"neat/internal/wire"
 )
@@ -56,9 +55,6 @@ type FarmSpec struct {
 	// Trace, when non-nil, is the cluster's one tracer: NewCluster
 	// attaches it to the simulator and hands it to every member system.
 	Trace *trace.Tracer
-	// Steering is the farm-level placement policy (default hash). Must be
-	// deterministic (hash or ring — not least-loaded).
-	Steering steer.Config
 }
 
 // ClientSpec describes one load-generator machine.
@@ -71,31 +67,11 @@ type ClientSpec struct {
 	Stacks int
 }
 
-// SwitchSpec shapes the cluster switch.
-type SwitchSpec struct {
-	// Name labels the switch (default "tor").
-	Name string
-	// Latency is the store-and-forward delay per frame (default 1 µs).
-	Latency sim.Time
-}
-
-// Validate reports a negative latency.
-func (sw SwitchSpec) Validate() error {
-	if sw.Latency < 0 {
-		return fmt.Errorf("switch latency is %v; want 0 (default 1 µs) or a positive delay", sw.Latency)
-	}
-	return nil
-}
-
-// ClusterSpec is a resolved cluster topology. The neat facade's
-// ClusterConfig compiles to this; tests may also build it directly.
+// ClusterSpec is a resolved cluster topology: one switch ("tor", 1 µs
+// store-and-forward) and one 10 Gb/s, 1 µs access link per machine.
 type ClusterSpec struct {
-	Switch  SwitchSpec
 	Farms   []FarmSpec
 	Clients []ClientSpec
-	// Link shapes every access link (zero: the 10 Gb/s, 1 µs DAC of the
-	// two-host testbed).
-	Link LinkSpec
 }
 
 // FarmMember is one running server machine of a farm.
@@ -168,25 +144,11 @@ type Cluster struct {
 	Farms   []*Farm
 	Clients []*ClusterClient
 
-	// SwitchMachine is the one-core "forwarding ASIC" machine whose
-	// scheduling domain the switch runs in (its own PDES shard).
-	SwitchMachine *sim.Machine
-
 	events []FarmEvent
 }
 
 // Events returns the farm-controller lifecycle log in decision order.
 func (c *Cluster) Events() []FarmEvent { return c.events }
-
-// Farm returns the farm named name, or nil.
-func (c *Cluster) Farm(name string) *Farm {
-	for _, f := range c.Farms {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
 
 // tenantFarms returns the farms of one tenant, in spec order.
 func (c *Cluster) tenantFarms(tenant string) []*Farm {
@@ -199,15 +161,9 @@ func (c *Cluster) tenantFarms(tenant string) []*Farm {
 	return out
 }
 
-// Validate reports the first error in the spec, with enough context to
+// validate reports the first error in the spec, with enough context to
 // fix it.
-func (spec ClusterSpec) Validate() error {
-	if err := spec.Switch.Validate(); err != nil {
-		return fmt.Errorf("testbed: %v", err)
-	}
-	if err := spec.Link.Validate(); err != nil {
-		return fmt.Errorf("testbed: %v", err)
-	}
+func (spec ClusterSpec) validate() error {
 	if len(spec.Farms) == 0 {
 		return fmt.Errorf("testbed: cluster needs at least one farm")
 	}
@@ -236,9 +192,6 @@ func (spec ClusterSpec) Validate() error {
 		}
 		if f.Members > 250 {
 			return fmt.Errorf("testbed: farm %q has %d members; the MAC plan allows 250", f.Name, f.Members)
-		}
-		if _, err := f.Steering.NewDeterministic(); err != nil {
-			return fmt.Errorf("testbed: farm %q: %v", f.Name, err)
 		}
 	}
 	for i, cl := range spec.Clients {
@@ -273,7 +226,7 @@ func clientMAC(k int) proto.MAC { return proto.MAC{0x02, 0xC1, 0, 0, 0, byte(k +
 // seeding and addressing are reproducible run-to-run. A farm's tracer is
 // attached to s before the first machine exists.
 func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	for _, fs := range spec.Farms {
@@ -281,24 +234,11 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			fs.Trace.Attach(s)
 		}
 	}
-	swName := spec.Switch.Name
-	if swName == "" {
-		swName = "tor"
-	}
 	// The "forwarding ASIC": a one-core machine minted only for its
 	// scheduling domain. The switch model costs no cycles on it.
-	swm := sim.NewMachine(s, swName, 1, 1, 1_000_000_000)
-	sw := wire.NewSwitch(swm.Sim(), swName)
-	if spec.Switch.Latency > 0 {
-		sw.Latency = spec.Switch.Latency
-	}
-	c := &Cluster{Sim: s, Switch: sw, SwitchMachine: swm}
-
-	link := func() *Net {
-		n := newNet(s)
-		spec.Link.Shape(n.Link)
-		return n
-	}
+	swm := sim.NewMachine(s, "tor", 1, 1, 1_000_000_000)
+	sw := wire.NewSwitch(swm.Sim(), "tor")
+	c := &Cluster{Sim: s, Switch: sw}
 
 	// Client addressing first: farm members need the client ARP entries
 	// of their tenant before their stacks boot.
@@ -315,11 +255,9 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		vip := farmVIP(fi)
 		vmac := farmVMAC(fi)
 		svc, err := sw.AddService(wire.L4ServiceConfig{
-			Name:     fs.Name,
-			Tenant:   fs.Tenant,
-			VIP:      vip,
-			VMAC:     vmac,
-			Steering: fs.Steering,
+			Name: fs.Name,
+			VIP:  vip,
+			VMAC: vmac,
 		})
 		if err != nil {
 			return nil, err
@@ -336,7 +274,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			hcfg.Name = fmt.Sprintf("%s-m%d", fs.Name, mi)
 			hcfg.IP = vip // DSR: every member answers from the VIP
 			hcfg.MAC = memberMAC(fi, mi)
-			n := link()
+			n := newNet(s)
 			h := n.addHost(0, hcfg)
 			ncfg := fs.NEaT
 			if ncfg.Slots == nil {
@@ -369,7 +307,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 		hcfg.Name = fmt.Sprintf("client%d", k)
 		hcfg.IP = clientIP(k)
 		hcfg.MAC = clientMAC(k)
-		n := link()
+		n := newNet(s)
 		h := n.addHost(0, hcfg)
 		// A tenant's client resolves exactly its tenant's VIPs: the ARP
 		// table is the tenant boundary.

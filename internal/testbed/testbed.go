@@ -36,35 +36,6 @@ func newNet(s *sim.Simulator) *Net {
 	return &Net{Sim: s, Link: wire.NewLink(s)}
 }
 
-// LinkSpec overrides the shape of a link: the one declaration every layer
-// that lets a caller reshape links carries (experiment beds, ClusterSpec,
-// the neat facade). Zero fields keep wire.NewLink's defaults — the
-// 10 Gb/s, 1 µs DAC of the paper's testbed.
-type LinkSpec struct {
-	// BitsPerSec is the line rate (default 10 Gb/s).
-	BitsPerSec int64
-	// PropDelay is the propagation delay (default 1 µs).
-	PropDelay sim.Time
-}
-
-// Validate reports a negative rate or delay.
-func (ls LinkSpec) Validate() error {
-	if ls.BitsPerSec < 0 || ls.PropDelay < 0 {
-		return fmt.Errorf("link shape is %+v; rate and propagation delay must be 0 (defaults) or positive", ls)
-	}
-	return nil
-}
-
-// Shape applies the overrides to a freshly built link.
-func (ls LinkSpec) Shape(l *wire.Link) {
-	if ls.BitsPerSec > 0 {
-		l.BitsPerSec = ls.BitsPerSec
-	}
-	if ls.PropDelay > 0 {
-		l.PropDelay = ls.PropDelay
-	}
-}
-
 // ThreadLoc addresses one hardware thread of a machine.
 type ThreadLoc struct {
 	Core   int
@@ -76,7 +47,7 @@ type HostConfig struct {
 	Name           string
 	Cores          int
 	threadsPerCore int
-	FreqHz         int64
+	freqHz         int64
 	queues         int // NIC RX/TX queue pairs
 	IP             proto.Addr
 	MAC            proto.MAC
@@ -95,7 +66,7 @@ type Host struct {
 
 // addHost creates a machine attached to endpoint side (0 or 1) of the link.
 func (n *Net) addHost(side int, cfg HostConfig) *Host {
-	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.threadsPerCore, cfg.FreqHz)
+	m := sim.NewMachine(n.Sim, cfg.Name, cfg.Cores, cfg.threadsPerCore, cfg.freqHz)
 	nic := nicdev.NewNIC(n.Sim, cfg.Name+".nic", cfg.MAC, n.Link, side, cfg.queues)
 	drv := nicdev.NewDriver(m.Thread(cfg.Driver.Core, cfg.Driver.Thread),
 		cfg.Name+".nicdrv", nic, nicdev.DefaultDriverCosts())
@@ -141,16 +112,13 @@ const (
 func (m MachineModel) Host(queues int) HostConfig {
 	if m == Xeon {
 		return HostConfig{Name: "xeon", Cores: 8, threadsPerCore: 2,
-			FreqHz: 2_260_000_000, queues: queues,
+			freqHz: 2_260_000_000, queues: queues,
 			IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0x8E, 0, 0, 0, 0x01}}
 	}
 	return HostConfig{Name: "amd", Cores: 12, threadsPerCore: 1,
-		FreqHz: 1_900_000_000, queues: queues,
+		freqHz: 1_900_000_000, queues: queues,
 		IP: proto.IPv4(10, 0, 0, 1), MAC: proto.MAC{0x02, 0xAD, 0, 0, 0, 0x01}}
 }
-
-// Cores is the model's core count: the bound a replica layout must fit.
-func (m MachineModel) Cores() int { return m.Host(0).Cores }
 
 // clientHost is the deliberately oversized load-generator machine for
 // `stacks` client replicas (it must never be the bottleneck; the paper
@@ -158,7 +126,7 @@ func (m MachineModel) Cores() int { return m.Host(0).Cores }
 func clientHost(stacks int) HostConfig {
 	return HostConfig{Name: "client",
 		Cores:          2 + 2*stacks + 14, // driver + syscall + stacks + apps
-		threadsPerCore: 1, FreqHz: 3_000_000_000, queues: stacks,
+		threadsPerCore: 1, freqHz: 3_000_000_000, queues: stacks,
 		IP: proto.IPv4(10, 0, 0, 2), MAC: proto.MAC{0x02, 0xC1, 0, 0, 0, 0x02}}
 }
 
@@ -172,8 +140,6 @@ type NEaTConfig struct {
 	Slots [][]ThreadLoc
 	// Syscall places the SYSCALL server.
 	Syscall ThreadLoc
-	// InitialReplicas (default: all slots).
-	InitialReplicas int
 	// DisableFlowFilters switches to pure-RSS steering (ablation).
 	DisableFlowFilters bool
 	// CheckpointInterval enables stateful TCP recovery (0 = stateless).
@@ -204,6 +170,16 @@ func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Trac
 	}
 	icosts := ipc.DefaultCosts()
 	icosts.Tuning = cfg.IPC
+	last := 0
+	for _, slot := range cfg.Slots {
+		for _, loc := range slot {
+			last = max(last, loc.Core)
+		}
+	}
+	if cores := h.Machine.NumCores(); last >= cores {
+		return nil, fmt.Errorf("testbed: %d replica slots need cores up to %d, but %s has %d cores; use fewer replicas",
+			len(cfg.Slots), last, h.Machine.Name, cores)
+	}
 	threads := make([][]*sim.HWThread, len(cfg.Slots))
 	for i, slot := range cfg.Slots {
 		for _, loc := range slot {
@@ -214,7 +190,6 @@ func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Trac
 		Stack: stack.Config{Kind: cfg.Kind, IP: h.ipConfig(arp), TCP: cfg.TCP,
 			Costs: cfg.Costs, IPC: icosts},
 		Threads:            threads,
-		InitialReplicas:    cfg.InitialReplicas,
 		NIC:                h.NIC,
 		Driver:             h.Driver,
 		SyscallThread:      h.Thread(cfg.Syscall),
@@ -297,11 +272,9 @@ type BedConfig struct {
 	// client side boots (scale adjustments, fault arming), so its events
 	// land before the client stack's boot events.
 	Tune func(*core.System) error
-	// ClientStacks is the load generator's replica count (default 1).
+	// ClientStacks is the load generator's replica count (default 1); the
+	// load-generator machine is sized for them (clientHost).
 	ClientStacks int
-	// Client shapes the load-generator machine (zero: the oversized
-	// default for ClientStacks stacks).
-	Client HostConfig
 }
 
 // Bed is a booted two-machine testbed.
@@ -323,11 +296,8 @@ func NewBed(s *sim.Simulator, cfg BedConfig) (*Bed, error) {
 		cfg.Trace.Attach(s)
 	}
 	stacks := max(cfg.ClientStacks, 1)
-	if cfg.Client == (HostConfig{}) {
-		cfg.Client = clientHost(stacks)
-	}
 	n := newNet(s)
-	b := &Bed{Net: n, Server: n.addHost(0, cfg.Server), Client: n.addHost(1, cfg.Client)}
+	b := &Bed{Net: n, Server: n.addHost(0, cfg.Server), Client: n.addHost(1, clientHost(stacks))}
 	arp := map[proto.Addr]proto.MAC{b.Client.IP: b.Client.MAC}
 	var err error
 	if cfg.LinuxCores > 0 {

@@ -29,9 +29,7 @@ var (
 
 // Stats counts UDP events.
 type Stats struct {
-	In, Out           uint64
-	NoSocket          uint64
-	BytesIn, BytesOut uint64
+	NoSocket uint64
 }
 
 // Engine is one replica's UDP state: a port table.
@@ -56,9 +54,6 @@ type Socket struct {
 func NewEngine(env Env, addr proto.Addr) *Engine {
 	return &Engine{env: env, addr: addr, binds: make(map[uint16]*Socket), nextEphem: 32768}
 }
-
-// Stats returns a snapshot of the counters.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // Bind binds a socket to port; port 0 picks an ephemeral port.
 func (e *Engine) Bind(port uint16) (*Socket, error) {
@@ -109,8 +104,6 @@ func (s *Socket) SendTo(dst proto.Addr, port uint16, data []byte) error {
 	// Output is synchronous (IP copies the datagram into the frame), so
 	// the scratch buffer goes straight back to the pool.
 	raw := h.Marshal(bufpool.Get(proto.UDPHeaderLen + len(data))[:0], e.addr, dst, data)
-	e.stats.Out++
-	e.stats.BytesOut += uint64(len(data))
 	e.env.Output(dst, raw)
 	bufpool.Put(raw)
 	return nil
@@ -126,7 +119,5 @@ func (e *Engine) Input(f *proto.Frame) {
 		e.stats.NoSocket++
 		return // a full stack would send ICMP port-unreachable
 	}
-	e.stats.In++
-	e.stats.BytesIn += uint64(len(f.Payload))
 	e.env.Deliver(s, f.IP.Src, f.UDP.SrcPort, f.Payload)
 }

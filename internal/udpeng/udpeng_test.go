@@ -133,3 +133,6 @@ func TestCloseReleasesPort(t *testing.T) {
 	}
 	s.Close() // double close is a no-op
 }
+
+// Stats returns a snapshot of the counters.
+func (e *Engine) Stats() Stats { return e.stats }

@@ -27,6 +27,7 @@ package wire
 
 import (
 	"fmt"
+	"math/rand"
 
 	"neat/internal/bufpool"
 	"neat/internal/proto"
@@ -236,10 +237,10 @@ type BackendState int
 const (
 	// BackendActive accepts new flows and serves pinned ones.
 	BackendActive BackendState = iota
-	// BackendDraining is removed from new-flow placement; its pinned
+	// backendDraining is removed from new-flow placement; its pinned
 	// flows keep forwarding until they finish — lazy termination, one
 	// level up from the paper's replica drain (§3.4).
-	BackendDraining
+	backendDraining
 	// BackendDown drops everything, pinned flows included — a dead
 	// machine.
 	BackendDown
@@ -250,7 +251,7 @@ func (s BackendState) String() string {
 	switch s {
 	case BackendActive:
 		return "active"
-	case BackendDraining:
+	case backendDraining:
 		return "draining"
 	case BackendDown:
 		return "down"
@@ -270,19 +271,11 @@ type L4Backend struct {
 type L4ServiceConfig struct {
 	// Name labels the service in stats and traces.
 	Name string
-	// Tenant names the owning tenant ("" = the default tenant). Services
-	// are a tenant's steering domain: each tenant's flows are placed by
-	// its own Placer over its own replica set, invisible to other
-	// tenants.
-	Tenant string
 	// VIP is the service's virtual IP — the address clients connect to
 	// and every backend answers from (DSR).
 	VIP proto.Addr
 	// VMAC is the virtual MAC clients resolve the VIP to.
 	VMAC proto.MAC
-	// Steering selects the farm-level placement policy (zero value:
-	// deterministic hash over the active backends).
-	Steering steer.Config
 }
 
 // l4MaxFlows bounds a service's flow-pinning table. The oldest pin is
@@ -302,7 +295,6 @@ type L4Stats struct {
 
 // L4Service is a running virtual service on a switch.
 type L4Service struct {
-	sw  *Switch
 	cfg L4ServiceConfig
 
 	backends []L4Backend
@@ -326,23 +318,19 @@ func (sw *Switch) AddService(cfg L4ServiceConfig) (*L4Service, error) {
 				sw.Name, s.cfg.Name, cfg.VMAC)
 		}
 	}
-	placer, err := cfg.Steering.NewDeterministic()
-	if err != nil {
-		return nil, fmt.Errorf("wire: service %s steering: %w", cfg.Name, err)
-	}
 	svc := &L4Service{
-		sw:       sw,
-		cfg:      cfg,
-		placer:   placer,
+		cfg: cfg,
+		// Farm-level placement hashes over the active backends on a
+		// private fixed-seed stream: QueueFor is a pure function of (hash,
+		// active set), so placement is byte-identical between sequential
+		// and PDES runs (a service never calls PickConnect).
+		placer:   steer.NewHashPolicy(rand.New(rand.NewSource(1))),
 		flows:    make(map[proto.Flow]int32),
 		maxFlows: l4MaxFlows,
 	}
 	sw.svcs = append(sw.svcs, svc)
 	return svc, nil
 }
-
-// Config returns the service configuration.
-func (svc *L4Service) Config() L4ServiceConfig { return svc.cfg }
 
 // Stats returns a snapshot of the service counters.
 func (svc *L4Service) Stats() L4Stats { return svc.stats }

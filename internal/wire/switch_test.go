@@ -6,7 +6,6 @@ import (
 	"neat/internal/bufpool"
 	"neat/internal/proto"
 	"neat/internal/sim"
-	"neat/internal/steer"
 )
 
 // mkSwitchWorld builds a switch with n station links (host on side 0,
@@ -147,7 +146,7 @@ func TestSwitchL4Service(t *testing.T) {
 
 	// Draining keeps pinned flows but takes no new ones; down drops all.
 	before := svc.NumActive()
-	svc.SetBackendState(0, BackendDraining)
+	svc.SetBackendState(0, backendDraining)
 	if svc.NumActive() != before-1 {
 		t.Fatalf("draining backend still active")
 	}
@@ -172,13 +171,6 @@ func TestSwitchServiceValidation(t *testing.T) {
 	}
 	if _, err := sw.AddService(L4ServiceConfig{Name: "b", VMAC: vmac}); err == nil {
 		t.Fatal("duplicate VMAC accepted")
-	}
-	if _, err := sw.AddService(L4ServiceConfig{
-		Name:     "c",
-		VMAC:     proto.MAC{0x02, 0xFE, 0, 0, 0, 2},
-		Steering: steer.Config{Policy: steer.PolicyLeastLoaded},
-	}); err == nil {
-		t.Fatal("least-loaded farm steering accepted")
 	}
 }
 

@@ -30,12 +30,12 @@ type Port interface {
 	Receive(frame []byte)
 }
 
-// DefaultOverheadBytes is the per-frame overhead on the physical medium:
+// overheadBytes is the per-frame overhead on the physical medium:
 // preamble (8) + FCS (4) + inter-frame gap (12).
-const DefaultOverheadBytes = 24
+const overheadBytes = 24
 
-// MinFrameBytes is the minimum Ethernet frame size on the wire.
-const MinFrameBytes = 64
+// minFrameBytes is the minimum Ethernet frame size on the wire.
+const minFrameBytes = 64
 
 // Link is a full-duplex point-to-point link. Endpoint 0 and endpoint 1 are
 // attached with Attach; each direction has independent serialization state.
@@ -130,9 +130,6 @@ type Endpoint struct {
 // End returns the endpoint handle for side (0 or 1) of the link.
 func (l *Link) End(side int) Endpoint { return Endpoint{link: l, side: side} }
 
-// Link returns the underlying link.
-func (e Endpoint) Link() *Link { return e.link }
-
 // Attach connects p as the receiver of frames arriving at this endpoint.
 func (e Endpoint) Attach(p Port) { e.link.Attach(e.side, p) }
 
@@ -170,7 +167,7 @@ func (l *Link) bindEndpoint(side int, ds *sim.Simulator) {
 // land one extra serialization later — is at least this far in the
 // transmitter's future, which is what makes it a safe PDES horizon.
 func (l *Link) lookahead() sim.Time {
-	minWire := int64(MinFrameBytes + DefaultOverheadBytes)
+	minWire := int64(minFrameBytes + overheadBytes)
 	serial := sim.Time(minWire * 8 * int64(sim.Second) / l.BitsPerSec)
 	la := serial + l.PropDelay
 	if la < sim.Nanosecond {
@@ -202,10 +199,10 @@ func (l *Link) Transmit(side int, frame []byte) {
 	l.stats.Bytes[side] += uint64(len(frame))
 
 	onWire := len(frame)
-	if onWire < MinFrameBytes {
-		onWire = MinFrameBytes
+	if onWire < minFrameBytes {
+		onWire = minFrameBytes
 	}
-	onWire += DefaultOverheadBytes
+	onWire += overheadBytes
 
 	ds := l.dom[side]
 	now := ds.Now()

@@ -29,10 +29,10 @@
 //
 // Every knob group is declared once, in the internal package that consumes
 // it, with its Validate beside it; the facade re-exports it by alias
-// (IPCConfig, GuardConfig, SwitchConfig, LinkConfig). One
-// function, compileSystem, turns a SystemConfig into what the testbed
-// boots, for a two-machine TopologyConfig and for every member of a
-// ClusterConfig farm alike.
+// (IPCConfig, GuardConfig). One function, compileSystem, turns a
+// SystemConfig into what the testbed boots. The multi-machine cluster tier
+// (switch, farms, tenants) is not part of the facade: neat-bench -only
+// cluster and internal/experiments.NewClusterBed drive it.
 package neat
 
 import (
@@ -144,15 +144,11 @@ func IPv4(a, b, c, d byte) Addr { return proto.IPv4(a, b, c, d) }
 // Time is simulated time in nanoseconds.
 type Time = sim.Time
 
-// Common durations.
-const (
-	Microsecond = sim.Microsecond
-	Millisecond = sim.Millisecond
-	Second      = sim.Second
-)
+// Millisecond is one millisecond of simulated time.
+const Millisecond = sim.Millisecond
 
-// SystemConfig configures one machine's NEaT system — the server of a
-// TopologyConfig, or every member of a FarmConfig. Replicas start at core 2:
+// SystemConfig configures the NEaT system on the server of a
+// TopologyConfig. Replicas start at core 2:
 // core 0 hosts the NIC driver and core 1 the SYSCALL server. The zero value
 // is a working system: two single-component replicas on cores 2 and 3, no TSO,
 // the paper's instantaneous crash oracle for failure detection, and no
@@ -242,42 +238,31 @@ func (c SteeringConfig) compile() (steer.Config, error) {
 	return steer.Config{Policy: policy}, nil
 }
 
-// Validate reports the first configuration error, with enough context to
-// fix it. Build calls it; call it directly to check a config built from
-// user input. Whether the replica layout fits the machine is checked where
-// the machine is known (TopologyConfig and ClusterConfig Validate/Build).
-func (cfg SystemConfig) Validate() error {
-	if cfg.Replicas < 0 {
-		return fmt.Errorf("neat: SystemConfig.Replicas is %d; want 0 (default 2) or a positive count", cfg.Replicas)
-	}
-	if cfg.Replicas > 8 {
-		return fmt.Errorf("neat: SystemConfig.Replicas is %d, but the testbed NICs expose 8 RX/TX queue pairs; use at most 8 replicas", cfg.Replicas)
-	}
-	if cfg.Kind != stack.Single && cfg.Kind != stack.Multi {
-		return fmt.Errorf("neat: SystemConfig.Kind is %d; want neat.SingleComponent or neat.MultiComponent", cfg.Kind)
-	}
-	if _, err := cfg.Steering.compile(); err != nil {
-		return fmt.Errorf("neat: SystemConfig.Steering.%v", err)
-	}
-	if err := cfg.Guard.Validate(); err != nil {
-		return fmt.Errorf("neat: SystemConfig.Guard.%v", err)
-	}
-	return nil
-}
-
 // firstReplicaCore is where a system's replicas start: core 0 hosts the NIC
 // driver and core 1 the SYSCALL server.
 const firstReplicaCore = 2
 
 // compileSystem is the only translation of a SystemConfig into the
-// testbed's NEaTConfig: TopologyConfig.Build and ClusterConfig.Build both
-// boot exactly what it returns, so a farm member is a two-machine server
-// behind a switch. cores is the target machine's core count — a layout
-// that does not fit is an error here, not a panic inside the testbed. The
-// tracer SystemConfig.Observe asks for is the builder's to attach.
-func compileSystem(cfg SystemConfig, cores int) (testbed.NEaTConfig, error) {
-	if err := cfg.Validate(); err != nil {
-		return testbed.NEaTConfig{}, err
+// testbed's NEaTConfig, and reports the first configuration error with
+// enough context to fix it. Whether the layout fits the machine is the
+// testbed's check. The tracer SystemConfig.Observe asks for is the
+// builder's to attach.
+func compileSystem(cfg SystemConfig) (testbed.NEaTConfig, error) {
+	if cfg.Replicas < 0 {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Replicas is %d; want 0 (default 2) or a positive count", cfg.Replicas)
+	}
+	if cfg.Replicas > 8 {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Replicas is %d, but the testbed NICs expose 8 RX/TX queue pairs; use at most 8 replicas", cfg.Replicas)
+	}
+	if cfg.Kind != stack.Single && cfg.Kind != stack.Multi {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Kind is %d; want neat.SingleComponent or neat.MultiComponent", cfg.Kind)
+	}
+	steering, err := cfg.Steering.compile()
+	if err != nil {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Steering.%v", err)
+	}
+	if err := cfg.Guard.Validate(); err != nil {
+		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Guard.%v", err)
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -286,15 +271,9 @@ func compileSystem(cfg SystemConfig, cores int) (testbed.NEaTConfig, error) {
 	if cfg.Kind == stack.Multi {
 		slots = testbed.MultiSlots(firstReplicaCore, cfg.Replicas)
 	}
-	lastSlot := slots[len(slots)-1]
-	if lastCore := lastSlot[len(lastSlot)-1].Core; lastCore >= cores {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: %d %s-component replicas starting at core %d need cores up to %d, but the machine has %d cores; use fewer replicas",
-			cfg.Replicas, cfg.Kind, firstReplicaCore, lastCore, cores)
-	}
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = cfg.TSO
 	tcp.Guard = cfg.Guard
-	steering, _ := cfg.Steering.compile() // Validate checked it
 	return testbed.NEaTConfig{
 		Kind:     cfg.Kind,
 		TCP:      tcp,
