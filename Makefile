@@ -20,6 +20,10 @@ test:
 # scheduler's invariants and its differential test against a reference
 # heap, and the IPC ring semantics under the race detector, the
 # scheduler's node-size budget and the TCP PCB's (352 bytes), the
+# footprint gates (a drained IPC ring keeps one segment of at most 160
+# bytes, parking PCBs allocates nothing however many are parked, and
+# BenchmarkSimulatorThroughput's bed keeps no more live bytes than its
+# budget), the
 # allocation guards (scheduling/dispatch, timer arm/stop/fire and the IPC
 # send/recv fast path must stay allocation-free in steady state; so must a
 # warm bulk exchange inside the TCP engine pair, in order or reordered, a
@@ -66,6 +70,7 @@ verify:
 	$(GO) test -race ./internal/sim ./internal/stack ./internal/experiments -run 'TestHeartbeatRoundTripZeroAlloc|TestHeartbeatAnsweredOnlyWhenDraining|TestConnBoxRoundTripZeroAlloc|TestPoolsDrainAtQuiescence|TestPDESPoolsDrainAcrossDomains' -count=1
 	$(GO) test ./internal/ipc -run 'TestIPCSendRecvZeroAlloc|TestIPCBatchDrainZeroAlloc' -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng ./internal/app -run 'TestBuildTCPRoundTripZeroAlloc|TestBulkSendRecvZeroAlloc|TestReorderedSegmentsArePooled|TestAcceptOneAtATimeReusesQueue|TestConnSize|TestBulkReplyAllocBudget|TestSmallReplyAllocBudget|TestConnLifecycleAllocBudget' -count=1
+	$(GO) test . ./internal/ipc ./internal/tcpeng -run 'TestThroughputBedLiveBytes|TestIPCRingFootprint|TestPCBPoolCycleZeroAlloc' -count=1
 	$(GO) test -race . ./internal/stack ./internal/tcpeng ./internal/ipeng -run 'TestEchoOfBorrowedSlice|TestDroppedEvDataCorruptsNothing|TestDroppedConnEventsCorruptNothing|TestDroppedTxTSOCorruptsNothing|TestLoopbackBulkTSO|TestPartialRecvKeepsStream|TestRetransmitAfterCompaction|TestSnapshotRestoreMidTransfer|TestSoftwareTSOSegmentsAtMSS|TestListenerCloseResetsEveryQueued|TestTimeWaitReturnsBlock|TestTimeWaitKeepsUnreadBytes|TestReturnedBlockStartsEmpty' -count=1
 	$(GO) test -race ./internal/baseline -count=1
 	$(GO) test ./internal/proto ./internal/tcpeng -run '^$$' -bench 'BenchmarkChecksum|BenchmarkBulkSendRecv' -benchtime 2000x -benchmem

@@ -11,6 +11,7 @@
 package neat
 
 import (
+	"runtime"
 	"testing"
 
 	"neat/internal/experiments"
@@ -247,6 +248,34 @@ func TestWheelInsertWalk(t *testing.T) {
 	if mean > budget {
 		t.Fatalf("%.3f ring steps per L0 insert, budget %.2f", mean, budget)
 	}
+}
+
+// TestThroughputBedLiveBytes is a budget on what BenchmarkSimulatorThroughput's
+// bed keeps reachable at the end of its run: heap bytes with the bed alive
+// minus heap bytes before it was built, each read after two collections (the
+// second empties the buffer pools' victim caches). Every ipc ring, payload
+// arena and PCB pool of the bed is in it, so a structure sized by a constant
+// instead of by its traffic shows here.
+func TestThroughputBedLiveBytes(t *testing.T) {
+	// 1.05 × the 354,576 bytes the bed kept when the budget was set (go1.24,
+	// linux/amd64). EXPERIMENTS.md lists what each sized structure adds.
+	const budget = 372_300
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	s := sim.New(1)
+	runThroughputBed(t, s)
+	live := heap() - before
+	runtime.KeepAlive(s)
+	if live > budget {
+		t.Fatalf("the bed keeps %d bytes live, budget %d", live, budget)
+	}
+	t.Logf("the bed keeps %d bytes live, budget %d", live, budget)
 }
 
 // BenchmarkAblationCheckpointing measures the run-time cost of

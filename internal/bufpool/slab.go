@@ -65,30 +65,29 @@ func (r Ref) Release() {
 	}
 }
 
-// Arena carves Refs out of pooled blocks. Small allocations share a block;
-// an allocation larger than half the block size gets a dedicated block so
-// one big payload does not pin a mostly-idle shared block. The arena holds
-// its own reference on the current block, dropped when it moves to the
-// next, so a block is recycled exactly when the arena has moved on AND
+// Arena carves Refs out of pooled blocks. Small allocations share a
+// 4 KiB block; an allocation larger than half of it gets a dedicated block
+// so one big payload does not pin a mostly-idle shared block. The arena
+// holds its own reference on the current block, dropped when it moves to
+// the next, so a block is recycled exactly when the arena has moved on AND
 // every Ref carved from it has been released.
+//
+// Every arena pins its current block while idle, and each application
+// process owns one, so the block is sized to the replies that share it
+// (headers and small bodies of about 100 bytes), not to bulk bodies:
+// those come in 64 KiB chunks and take dedicated blocks at any block size.
 type Arena struct {
-	// BlockSize is the shared-block capacity; zero defaults to 16 KiB.
-	BlockSize int
-
 	cur *slab
 	off int
 }
 
-const defaultArenaBlock = 16384
+// arenaBlock is the shared-block capacity, a bufpool size class.
+const arenaBlock = 4096
 
 // Alloc returns a Ref over n writable bytes. The caller fills r.B and hands
 // the Ref off (or Releases it on error paths).
 func (a *Arena) Alloc(n int) Ref {
-	bs := a.BlockSize
-	if bs == 0 {
-		bs = defaultArenaBlock
-	}
-	if n > bs/2 {
+	if n > arenaBlock/2 {
 		s := newSlab(n)
 		return Ref{s: s, B: s.buf[:n:n]}
 	}
@@ -96,7 +95,7 @@ func (a *Arena) Alloc(n int) Ref {
 		if a.cur != nil {
 			a.cur.release()
 		}
-		a.cur = newSlab(bs)
+		a.cur = newSlab(arenaBlock)
 		a.off = 0
 	}
 	b := a.cur.buf[a.off : a.off+n : a.off+n]

@@ -34,9 +34,9 @@ func TestArenaAllocSizesAndIsolation(t *testing.T) {
 }
 
 func TestArenaDedicatedBigBlocks(t *testing.T) {
-	a := Arena{BlockSize: 1024}
+	var a Arena
 	small := a.Alloc(16)
-	big := a.Alloc(4000) // > BlockSize/2: dedicated block
+	big := a.Alloc(4000) // > arenaBlock/2: dedicated block
 	if big.s == small.s {
 		t.Fatal("big allocation shared the arena block")
 	}
@@ -58,7 +58,7 @@ func TestZeroRefIsInert(t *testing.T) {
 }
 
 func TestRetainKeepsBlockAlive(t *testing.T) {
-	a := Arena{BlockSize: 256}
+	var a Arena
 	r := a.AllocCopy([]byte("hello"))
 	dup := r.Retain()
 	r.Release()
@@ -81,14 +81,14 @@ func TestSlabOwnershipProperty(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			a := Arena{BlockSize: 2048}
+			var a Arena
 			type live struct {
 				r     Ref
 				stamp byte
 			}
 			var window []live
 			for i := 0; i < 5000; i++ {
-				n := 1 + rng.Intn(1500) // crosses the dedicated-block threshold
+				n := 1 + rng.Intn(3000) // crosses the dedicated-block threshold
 				r := a.Alloc(n)
 				stamp := byte(rng.Intn(256))
 				for j := range r.B {

@@ -11,8 +11,10 @@
 // the path-appropriate notification latency. It additionally models the
 // ring itself: every connection tracks its in-flight slots (sent but not
 // yet consumed by the receiver) in a bounded FIFO of delivery deadlines,
-// backed by pooled fixed-size segments so steady-state Send is
-// allocation-free. The ring drives two behaviors:
+// backed by pooled segments so steady-state Send is allocation-free. A
+// segment is paid per channel per replica even when idle, so it is sized
+// to measured occupancy (see ringSegSlots), not to the depth bound; a deep
+// ring chains more segments. The ring drives two behaviors:
 //
 //   - Backpressure: a send finding the ring full stalls the sender — it
 //     spins (CostPolling) until the head slot frees and its message is
@@ -93,10 +95,21 @@ func (c Costs) depth() int {
 	return c.ringDepth
 }
 
-// ringSegSlots is the capacity of one pooled ring segment. 256 deadlines
-// per segment keeps a default-depth ring under three dozen segments while
-// making segment turnover (the only pool traffic) rare.
-const ringSegSlots = 256
+// ringSegSlots is the capacity of one pooled ring segment. Every ring keeps
+// at least one segment for good, so the size is set by occupancy: the slots
+// in flight right after a push, the pushed one included, over every send
+// of a 3 s run of the repository benchmark (seed 1):
+//
+//	workload        median  p99  max
+//	web_small            1   34   75
+//	web_bulk             2    3   14
+//	cluster_faults       1    7   19
+//
+// 16 slots make an idle ring's segment 136 bytes (the 144-byte size class)
+// instead of 2,056, and hold the deepest web_bulk ring and cluster_faults'
+// p99 in one segment; the rare deeper ring chains more, reused from its
+// free list. EXPERIMENTS.md has the sweep over 8, 16, 32 and 256 slots.
+const ringSegSlots = 16
 
 // ringSeg is one fixed-size block of ring slots. Segments are chained
 // FIFO; drained segments return to the owning ring's free list, never to
@@ -149,9 +162,6 @@ func (r *ring) push(at sim.Time) {
 	r.n++
 }
 
-// headAt returns the oldest in-flight deadline; only valid when n > 0.
-func (r *ring) headAt() sim.Time { return r.head.at[r.headIdx] }
-
 func (r *ring) pop() sim.Time {
 	at := r.head.at[r.headIdx]
 	r.headIdx++
@@ -168,6 +178,14 @@ func (r *ring) pop() sim.Time {
 		}
 	}
 	return at
+}
+
+// retire pops every slot whose delivery deadline is at or before now: the
+// receiver has consumed them, freeing ring space in FIFO order.
+func (r *ring) retire(now sim.Time) {
+	for r.n > 0 && r.head.at[r.headIdx] <= now {
+		r.pop()
+	}
 }
 
 // reset drops all in-flight slots (endpoint replaced: nothing already sent
@@ -249,11 +267,7 @@ func (c *Conn) Send(ctx *sim.Context, msg sim.Message) {
 		return
 	}
 	now := ctx.Sim.Now()
-	// Retire slots whose delivery deadline has passed: the receiver has
-	// consumed them, freeing ring space in FIFO order.
-	for c.ring.n > 0 && c.ring.headAt() <= now {
-		c.ring.pop()
-	}
+	c.ring.retire(now)
 	c.stats.Sent++
 	lat := c.costs.FastLatency
 	slow := c.peer.Thread() == ctx.Proc.Thread()

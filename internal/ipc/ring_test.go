@@ -2,6 +2,7 @@ package ipc
 
 import (
 	"testing"
+	"unsafe"
 
 	"neat/internal/sim"
 )
@@ -220,5 +221,36 @@ func TestIPCDepthHighWater(t *testing.T) {
 	h.s.Drain()
 	if n := h.conn.ring.n; n != 1 {
 		t.Fatalf("in-flight after expiry = %d, want 1", n)
+	}
+}
+
+// TestIPCRingFootprint gates what an idle channel keeps. A ring holds its
+// segments for good, and there is one ring per direction, component pair
+// and replica, so the segment is sized to occupancy (see ringSegSlots): a
+// ring drained after a burst of up to 16 sends keeps exactly one segment, of
+// at most 160 bytes.
+func TestIPCRingFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(ringSeg{}); n > 160 {
+		t.Fatalf("a ring segment is %d bytes, budget 160", n)
+	}
+	for burst := 1; burst <= 16; burst++ {
+		h := newRingHarness(DefaultCosts())
+		h.src.Deliver(burst)
+		h.s.Drain()
+		r := &h.conn.ring
+		r.retire(h.s.Now())
+		if r.n != 0 {
+			t.Fatalf("burst %d: %d slots in flight after the drain", burst, r.n)
+		}
+		segs := 0
+		for s := r.head; s != nil; s = s.next {
+			segs++
+		}
+		for s := r.free; s != nil; s = s.next {
+			segs++
+		}
+		if segs != 1 {
+			t.Fatalf("burst %d: the drained ring keeps %d segments, want 1", burst, segs)
+		}
 	}
 }

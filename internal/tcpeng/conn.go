@@ -30,6 +30,9 @@ type Conn struct {
 	// struct. The block returns to the engine pool on entry to TIME_WAIT if
 	// it holds no bytes (see enterTimeWait), else on removal.
 	bufs *connBufs
+	// nextFree chains the PCB on its engine's free list while it is parked
+	// there, and is nil otherwise.
+	nextFree *Conn
 
 	// RTT estimation (RFC 6298).
 	srtt, rttvar sim.Time

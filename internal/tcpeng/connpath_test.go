@@ -32,6 +32,50 @@ func TestConnSize(t *testing.T) {
 	}
 }
 
+// TestPCBPoolCycleZeroAlloc gates the PCB pool's own memory: parking a PCB
+// allocates nothing, however many are parked at once. Each run removes
+// 1,025 connections from an engine whose pool is still empty, so the free
+// list passes 1,024 PCBs for the first time, and then opens as many again
+// from the pool. (A slice-backed pool regrows here, and in every conn_scale
+// window, to the most PCBs ever parked.)
+func TestPCBPoolCycleZeroAlloc(t *testing.T) {
+	const conns, runs = 1025, 3
+	keys := make([]connKey, conns)
+	for i := range keys {
+		keys[i] = connKey{localAddr: proto.IPv4(10, 0, 0, 1), localPort: 80,
+			remoteAddr: proto.IPv4(10, 0, 0, 2), remotePort: uint16(1024 + i)}
+	}
+	// One engine per run, plus one for AllocsPerRun's warm-up call.
+	engines := make([]*Engine, runs+1)
+	live := make([][]*Conn, len(engines))
+	for i := range engines {
+		engines[i] = NewEngine(&pipeEnv{}, proto.IPv4(10, 0, 0, 1), DefaultConfig())
+		live[i] = make([]*Conn, conns)
+		for j, k := range keys {
+			live[i][j] = engines[i].newConn(k)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		e, cs := engines[next], live[next]
+		next++
+		for _, c := range cs {
+			e.remove(c)
+		}
+		for j, k := range keys {
+			cs[j] = e.newConn(k)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a remove → newConn cycle of %d PCBs allocates %v times, want 0", conns, allocs)
+	}
+	for _, e := range engines {
+		if ps := e.PoolStats(); ps.Reused != conns || ps.FreeConns != 0 || ps.LiveHot != conns {
+			t.Fatalf("pool after the cycle: %+v, want all %d PCBs reused and live", ps, conns)
+		}
+	}
+}
+
 // TestListenerCloseResetsEveryQueued closes a listener whose host never
 // accepts, with 1…5 established connections queued: each one must be reset
 // and removed on both ends. (Close used to range over the queue while each

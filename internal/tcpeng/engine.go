@@ -321,11 +321,16 @@ type Engine struct {
 	nextEphem uint16
 	nextID    uint64
 
-	// PCB pool: removed connections park their compact structs on connFree
-	// and their buffer blocks on bufsFree; newConn recycles them, so conn
-	// churn at steady state allocates nothing. Timer generations inside the
+	// PCB pool: removed connections park their compact structs on connFree,
+	// a LIFO chained through Conn.nextFree, and their buffer blocks on
+	// bufsFree; newConn recycles them, so conn churn at steady state
+	// allocates nothing. The intrusive chain costs each PCB one pointer
+	// (inside its size class) instead of a slice that regrows to the
+	// largest number of PCBs ever parked at once; connFreeN counts the
+	// chain, so PoolStats need not walk it. Timer generations inside the
 	// recycled structs keep increasing across incarnations (see ConnTimer).
-	connFree   []*Conn
+	connFree   *Conn
+	connFreeN  int
 	bufsFree   []*connBufs
 	poolReused uint64
 
@@ -517,11 +522,10 @@ func (e *Engine) ConnectFrom(remote proto.Addr, port, localPort uint16) (*Conn, 
 // newConn allocates (or recycles) a PCB and registers it.
 func (e *Engine) newConn(k connKey) *Conn {
 	e.nextID++
-	var c *Conn
-	if n := len(e.connFree); n > 0 {
-		c = e.connFree[n-1]
-		e.connFree[n-1] = nil
-		e.connFree = e.connFree[:n-1]
+	c := e.connFree
+	if c != nil {
+		e.connFree = c.nextFree
+		e.connFreeN--
 		e.poolReused++
 		// Full field reset, preserving the timer nodes: their sim.Timer
 		// generations must keep increasing across incarnations so that a
@@ -579,7 +583,9 @@ func (e *Engine) remove(c *Conn) {
 	// bumped its generation, so a fire already popped stays stale no matter
 	// who reuses the struct.
 	c.releaseBufs()
-	e.connFree = append(e.connFree, c)
+	c.nextFree = e.connFree
+	e.connFree = c
+	e.connFreeN++
 }
 
 // releaseBufs detaches the connection's buffer block, if any, and parks it
@@ -614,7 +620,7 @@ type PoolStats struct {
 
 // PoolStats returns a snapshot of the PCB pool occupancy.
 func (e *Engine) PoolStats() PoolStats {
-	ps := PoolStats{FreeConns: len(e.connFree), FreeBufs: len(e.bufsFree), Reused: e.poolReused}
+	ps := PoolStats{FreeConns: e.connFreeN, FreeBufs: len(e.bufsFree), Reused: e.poolReused}
 	for _, c := range e.conns {
 		if c.bufs != nil {
 			ps.LiveFull++
