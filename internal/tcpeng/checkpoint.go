@@ -68,9 +68,9 @@ type Snapshot struct {
 // app-visible life.
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{}
-	for _, c := range e.conns {
+	e.conns.all(func(c *Conn) {
 		if c.state != StateEstablished && c.state != StateCloseWait {
-			continue
+			return
 		}
 		s.Conns = append(s.Conns, ConnSnapshot{
 			LocalAddr: c.key.localAddr, LocalPort: c.key.localPort,
@@ -83,7 +83,7 @@ func (e *Engine) Snapshot() *Snapshot {
 			ConnID: c.ID,
 			Ctx:    c.Ctx,
 		})
-	}
+	})
 	for _, l := range e.listeners {
 		s.Listeners = append(s.Listeners, ListenerSnapshot{
 			Addr: l.key.addr, Port: l.key.port, Backlog: l.backlog, Ctx: l.Ctx,
@@ -120,7 +120,7 @@ func (e *Engine) Restore(s *Snapshot) []*Conn {
 	for i, cs := range s.Conns {
 		k := connKey{localAddr: cs.LocalAddr, localPort: cs.LocalPort,
 			remoteAddr: cs.RemoteAddr, remotePort: cs.RemotePort}
-		if _, dup := e.conns[k]; dup {
+		if e.conns.get(k) != nil {
 			continue
 		}
 		c := e.newConn(k)
@@ -153,7 +153,7 @@ func (e *Engine) Restore(s *Snapshot) []*Conn {
 		// retransmit from SndUna; otherwise probe the peer with a bare ACK
 		// so a diverged peer answers (and a healthy one ignores it).
 		if c.snd.nxt != c.snd.una {
-			e.env.ArmTimer(c, TimerRexmit, c.rto)
+			c.armRexmit()
 		}
 		c.sendAck()
 	}

@@ -50,7 +50,7 @@ func TestSnapshotRestoreQuiescentConnectionsSurvive(t *testing.T) {
 		t.Fatalf("Restore returned %d PCBs for %d snapshot entries", len(restored), len(snap.Conns))
 	}
 	for i, c := range restored {
-		if c == nil || c.ID != snap.Conns[i].ConnID || c != fresh.conns[c.key] {
+		if c == nil || c.ID != snap.Conns[i].ConnID || c != fresh.conns.get(c.key) {
 			t.Fatalf("entry %d: Restore returned %v, not the live PCB of ConnID %d", i, c, snap.Conns[i].ConnID)
 		}
 	}
@@ -67,7 +67,7 @@ func TestSnapshotRestoreQuiescentConnectionsSurvive(t *testing.T) {
 		// Find the restored server conn (same 4-tuple, new object).
 		la, lp := p.cli.LocalAddr()
 		var srv *Conn
-		for _, c := range snapshot(fresh.conns) {
+		for _, c := range snapshot(&fresh.conns) {
 			ra, rp := c.RemoteAddr()
 			if ra == la && rp == lp {
 				srv = c
@@ -145,7 +145,7 @@ func TestRestorePreservesConnIDAndCtx(t *testing.T) {
 	fresh := swapEngineB(h, defCfg())
 	fresh.Restore(snap)
 	var restored *Conn
-	for _, c := range snapshot(fresh.conns) {
+	for _, c := range snapshot(&fresh.conns) {
 		restored = c
 	}
 	if restored.ID != oldID {

@@ -12,10 +12,30 @@ import (
 // here, inside exactly one engine, inside exactly one replica — the paper's
 // partitioning unit.
 //
-// Fields are grouped by size, 8-byte words first, then the 32-bit sequence
-// space, then single bytes and flags, so the struct fits Go's 352-byte size
-// class (TestConnSize; DESIGN.md §15 has the byte budget).
+// The table link, the 4-tuple a lookup compares and the state segment
+// input switches on come first, so a walk down a bucket chain reads one
+// cache line of each PCB it passes. The other fields are grouped by size,
+// 32-bit values beside the 4-tuple, then 8-byte words, the sequence space,
+// then single bytes and flags, so the struct fits Go's 288-byte size class
+// (TestConnSize; DESIGN.md §15 has the byte budget).
 type Conn struct {
+	// link chains the PCB in its bucket of the engine's connection table
+	// while it is live, and on the engine's free list while it is parked.
+	link *Conn
+	key  connKey
+
+	state       State
+	rexmitCount uint8      // consecutive RTO firings without progress
+	guardPhase  guardPhase // resource-guard deadline (server side only; see GuardConfig)
+	cause       closeCause // why the connection died; see Err
+
+	iss, irs uint32 // initial send/recv sequence numbers
+	mss      int32  // effective MSS (min of ours and peer's)
+	rttSeq   uint32 // sequence being timed
+
+	// Delayed ACK bookkeeping: segments received since the last ACK sent.
+	ackPending int32
+
 	engine *Engine
 	ID     uint64
 
@@ -30,9 +50,6 @@ type Conn struct {
 	// struct. The block returns to the engine pool on entry to TIME_WAIT if
 	// it holds no bytes (see enterTimeWait), else on removal.
 	bufs *connBufs
-	// nextFree chains the PCB on its engine's free list while it is parked
-	// there, and is nil otherwise.
-	nextFree *Conn
 
 	// RTT estimation (RFC 6298).
 	srtt, rttvar sim.Time
@@ -44,17 +61,9 @@ type Conn struct {
 	// Timers are the intrusive per-connection timer nodes, indexed by
 	// TimerKind. The Env arms and stops through them with zero allocations:
 	// each node carries its own simulator timer and doubles as the fire
-	// message (see ConnTimer).
+	// message (see ConnTimer). Two nodes serve two roles each; persisting
+	// and the state tell which role an armed node is in.
 	Timers [NumTimers]ConnTimer
-
-	key connKey
-
-	iss, irs uint32 // initial send/recv sequence numbers
-	mss      int32  // effective MSS (min of ours and peer's)
-	rttSeq   uint32 // sequence being timed
-
-	// Delayed ACK bookkeeping: segments received since the last ACK sent.
-	ackPending int32
 
 	snd struct {
 		una, nxt uint32 // oldest unacked, next to send
@@ -78,13 +87,9 @@ type Conn struct {
 		finSeen           bool
 	}
 
-	state       State
-	rexmitCount uint8      // consecutive RTO firings without progress
-	guardPhase  guardPhase // resource-guard deadline (server side only; see GuardConfig)
-	cause       closeCause // why the connection died; see Err
-
 	rttTiming   bool
 	delAckArmed bool
+	persisting  bool // TimerRexmit carries the zero-window probe, not the RTO
 	userClosed  bool
 	removed     bool
 }
@@ -228,7 +233,7 @@ func (e *Engine) Input(f *proto.Frame) {
 		localAddr: f.IP.Dst, localPort: h.DstPort,
 		remoteAddr: f.IP.Src, remotePort: h.SrcPort,
 	}
-	if c, ok := e.conns[k]; ok {
+	if c := e.conns.get(k); c != nil {
 		c.input(h, f.Payload)
 		return
 	}
@@ -286,7 +291,7 @@ func (e *Engine) passiveOpen(l *Listener, k connKey, h *proto.TCPHeader) {
 	c.applyPeerOptions(h)
 	c.rto = initialRTO
 	c.sendFlags(proto.TCPSyn|proto.TCPAck, c.iss, c.rcv.nxt, true)
-	e.env.ArmTimer(c, TimerRexmit, c.rto)
+	c.armRexmit()
 }
 
 // applyPeerOptions ingests MSS and window scale from a SYN/SYN-ACK.
@@ -433,7 +438,7 @@ func (c *Conn) inputSynSent(h *proto.TCPHeader) {
 	c.snd.una = h.Ack
 	c.applyPeerOptions(h)
 	c.measureRTT(h.Ack)
-	e.env.StopTimer(c, TimerRexmit)
+	c.stopRexmit()
 	c.state = StateEstablished
 	c.sendAck()
 	e.env.Connected(c)
@@ -499,9 +504,9 @@ func (c *Conn) processAck(h *proto.TCPHeader) bool {
 
 	// Retransmission timer: restart if data remains, stop otherwise.
 	if c.bytesInFlight() > 0 || (c.snd.finSent && c.snd.una != c.snd.nxt) {
-		e.env.ArmTimer(c, TimerRexmit, c.rto)
+		c.armRexmit()
 	} else {
-		e.env.StopTimer(c, TimerRexmit)
+		c.stopRexmit()
 	}
 	return true
 }
@@ -659,15 +664,16 @@ func (c *Conn) maybeProcessFin() {
 	}
 }
 
-// enterTimeWait moves to TIME_WAIT and arms the reaper. Our FIN is acked and
-// the peer's has arrived, so no byte moves either way any more: a block with
-// no unread or out-of-order bytes would sit idle through the wait, and goes
-// back to the pool now. The PCB stays until the reaper fires, to re-ACK a
-// retransmitted FIN.
+// enterTimeWait moves to TIME_WAIT and arms the reaper, on the node that
+// carried the resource guard's deadline until now: the guard has nothing
+// left to police. Our FIN is acked and the peer's has arrived, so no byte
+// moves either way any more: a block with no unread or out-of-order bytes
+// would sit idle through the wait, and goes back to the pool now. The PCB
+// stays until the reaper fires, to re-ACK a retransmitted FIN.
 func (c *Conn) enterTimeWait() {
 	c.state = StateTimeWait
 	e := c.engine
-	e.env.StopTimer(c, TimerRexmit)
+	c.stopRexmit()
 	e.env.ArmTimer(c, TimerTimeWait, timeWait)
 	if b := c.bufs; b != nil && len(b.snd) == 0 && len(b.rcv) == 0 && len(b.oo) == 0 {
 		c.releaseBufs()

@@ -13,7 +13,7 @@ import (
 // Listener.Close resets everything it held, and a buffer block returns to the
 // pool when its connection enters TIME_WAIT with nothing in it.
 
-// TestConnSize pins the PCB inside Go's 352-byte size class: conn-scale beds
+// TestConnSize pins the PCB inside Go's 288-byte size class: conn-scale beds
 // keep two PCBs resident per established connection, so every size class
 // the struct climbs costs 32 bytes or more per connection end. DESIGN.md §15
 // has the byte budget.
@@ -27,17 +27,18 @@ func TestConnSize(t *testing.T) {
 		}
 	}
 	t.Logf("Conn is %d bytes, size class %d", n, class)
-	if n > 352 {
-		t.Fatalf("Conn is %d bytes (size class %d), budget 352", n, class)
+	if n > 288 {
+		t.Fatalf("Conn is %d bytes (size class %d), budget 288", n, class)
 	}
 }
 
 // TestPCBPoolCycleZeroAlloc gates the PCB pool's own memory: parking a PCB
 // allocates nothing, however many are parked at once. Each run removes
 // 1,025 connections from an engine whose pool is still empty, so the free
-// list passes 1,024 PCBs for the first time, and then opens as many again
-// from the pool. (A slice-backed pool regrows here, and in every conn_scale
-// window, to the most PCBs ever parked.)
+// list passes 1,024 PCBs for the first time, then opens as many again from
+// the pool, into the connection table that grew to hold them the first
+// time, and looks each one up. (A slice-backed pool regrows here, and in
+// every conn_scale window, to the most PCBs ever parked.)
 func TestPCBPoolCycleZeroAlloc(t *testing.T) {
 	const conns, runs = 1025, 3
 	keys := make([]connKey, conns)
@@ -65,9 +66,14 @@ func TestPCBPoolCycleZeroAlloc(t *testing.T) {
 		for j, k := range keys {
 			cs[j] = e.newConn(k)
 		}
+		for j, k := range keys {
+			if e.conns.get(k) != cs[j] {
+				t.Fatalf("lookup of reopened PCB %d missed", j)
+			}
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("a remove → newConn cycle of %d PCBs allocates %v times, want 0", conns, allocs)
+		t.Fatalf("a remove → newConn → lookup cycle of %d PCBs allocates %v times, want 0", conns, allocs)
 	}
 	for _, e := range engines {
 		if ps := e.PoolStats(); ps.Reused != conns || ps.FreeConns != 0 || ps.LiveHot != conns {

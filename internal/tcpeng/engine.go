@@ -55,25 +55,35 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// TimerKind identifies one of a connection's timers.
+// TimerKind identifies one of a connection's three timer nodes. Timers a
+// connection never needs at the same time share a node, as Linux's
+// retransmit timer carries both the RTO and the zero-window probe, and the
+// engine tells the two roles of a node apart when it fires.
 type TimerKind int
 
 // Connection timers.
 const (
+	// TimerRexmit carries the retransmission timeout, or the zero-window
+	// probe while the connection is persisting: the probe is armed only
+	// with nothing in flight, and every RTO arm ends it.
 	TimerRexmit TimerKind = iota
-	TimerPersist
+	// TimerDelAck carries the delayed ACK.
 	TimerDelAck
+	// TimerTimeWait carries the server-side resource guard's deadline
+	// until the connection enters TIME_WAIT, and the TIME_WAIT reaper from
+	// then on; entering TIME_WAIT re-arms the node, so a guard never fires
+	// there.
 	TimerTimeWait
-	TimerGuard
 	NumTimers
 )
 
 // ConnTimer is the intrusive timer node embedded in a Conn, one per
-// TimerKind. It owns a reusable simulator timer and identifies itself, so
-// the Env can arm it with `Retimer(&t.Timer, d, t)` — the node is its own
-// fire message and the arm/stop path allocates nothing. The embedded
-// sim.Timer generation survives PCB recycling, which is what keeps a fire
-// from a previous incarnation of a pooled Conn stale.
+// TimerKind (three nodes, two of them with two roles each; see TimerKind).
+// It owns a reusable simulator timer and identifies itself, so the Env can
+// arm it with `Retimer(&t.Timer, d, t)` — the node is its own fire message
+// and the arm/stop path allocates nothing. The embedded sim.Timer
+// generation survives PCB recycling, which is what keeps a fire from a
+// previous incarnation of a pooled Conn stale.
 type ConnTimer struct {
 	sim.Timer
 	C    *Conn
@@ -101,8 +111,11 @@ type Env interface {
 	// is a view into the connection's send buffer and is valid until the
 	// call returns; an Env that needs the bytes later copies them.
 	SendSegment(c *Conn, seg OutSegment)
-	// ArmTimer (re)schedules timer k of c to fire after d; StopTimer
-	// cancels it. The owner must call Engine.OnTimer when it fires.
+	// ArmTimer (re)schedules timer node k of c to fire after d, replacing
+	// whatever the node held; StopTimer cancels it. A node serves two
+	// roles that never overlap (the RTO or the zero-window probe; the
+	// resource guard or the TIME_WAIT reaper), and the engine knows which
+	// one it armed. The owner must call Engine.OnTimer when it fires.
 	ArmTimer(c *Conn, k TimerKind, d sim.Time)
 	StopTimer(c *Conn, k TimerKind)
 	// Accepted reports a connection that completed the passive handshake
@@ -316,19 +329,20 @@ type Engine struct {
 	cfg  Config
 	addr proto.Addr // our IP address
 
-	conns     map[connKey]*Conn
+	conns     connTable
 	listeners map[listenKey]*Listener
 	nextEphem uint16
 	nextID    uint64
 
 	// PCB pool: removed connections park their compact structs on connFree,
-	// a LIFO chained through Conn.nextFree, and their buffer blocks on
-	// bufsFree; newConn recycles them, so conn churn at steady state
-	// allocates nothing. The intrusive chain costs each PCB one pointer
-	// (inside its size class) instead of a slice that regrows to the
-	// largest number of PCBs ever parked at once; connFreeN counts the
-	// chain, so PoolStats need not walk it. Timer generations inside the
-	// recycled structs keep increasing across incarnations (see ConnTimer).
+	// a LIFO chained through Conn.link (the pointer that chains a live PCB
+	// in its conns bucket), and their buffer blocks on bufsFree; newConn
+	// recycles them, so conn churn at steady state allocates nothing. The
+	// intrusive chain costs each PCB no byte beyond the link it already
+	// has, instead of a slice that regrows to the largest number of PCBs
+	// ever parked at once; connFreeN counts the chain, so PoolStats need
+	// not walk it. Timer generations inside the recycled structs keep
+	// increasing across incarnations (see ConnTimer).
 	connFree   *Conn
 	connFreeN  int
 	bufsFree   []*connBufs
@@ -349,7 +363,7 @@ func NewEngine(env Env, addr proto.Addr, cfg Config) *Engine {
 		env:       env,
 		cfg:       cfg,
 		addr:      addr,
-		conns:     make(map[connKey]*Conn),
+		conns:     newConnTable(),
 		listeners: make(map[listenKey]*Listener),
 		nextEphem: cfg.EphemeralLo,
 	}
@@ -364,16 +378,16 @@ func (e *Engine) Stats() Stats { return e.stats }
 // NumConns returns the number of live PCBs (any state incl. TIME_WAIT).
 // NEaT's lazy termination (§3.4) garbage-collects a terminating replica
 // when this reaches zero.
-func (e *Engine) NumConns() int { return len(e.conns) }
+func (e *Engine) NumConns() int { return e.conns.n }
 
 // NumEstablished returns connections in app-usable states.
 func (e *Engine) NumEstablished() int {
 	n := 0
-	for _, c := range e.conns {
+	e.conns.all(func(c *Conn) {
 		if c.state == StateEstablished || c.state == StateCloseWait {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -479,7 +493,7 @@ func (e *Engine) allocEphemeral(remoteAddr proto.Addr, remotePort uint16) (uint1
 			e.nextEphem = p + 1
 		}
 		k := connKey{localAddr: e.addr, localPort: p, remoteAddr: remoteAddr, remotePort: remotePort}
-		if _, used := e.conns[k]; !used {
+		if e.conns.get(k) == nil {
 			return p, nil
 		}
 	}
@@ -504,8 +518,8 @@ func (e *Engine) ConnectFrom(remote proto.Addr, port, localPort uint16) (*Conn, 
 		if err != nil {
 			return nil, err
 		}
-	} else if _, used := e.conns[connKey{localAddr: e.addr, localPort: lp,
-		remoteAddr: remote, remotePort: port}]; used {
+	} else if e.conns.get(connKey{localAddr: e.addr, localPort: lp,
+		remoteAddr: remote, remotePort: port}) != nil {
 		return nil, ErrPortInUse
 	}
 	c := e.newConn(connKey{localAddr: e.addr, localPort: lp, remoteAddr: remote, remotePort: port})
@@ -515,7 +529,7 @@ func (e *Engine) ConnectFrom(remote proto.Addr, port, localPort uint16) (*Conn, 
 	c.snd.nxt = c.iss + 1
 	c.rto = initialRTO
 	c.sendFlags(proto.TCPSyn, c.iss, 0, true)
-	e.env.ArmTimer(c, TimerRexmit, c.rto)
+	c.armRexmit()
 	return c, nil
 }
 
@@ -524,7 +538,7 @@ func (e *Engine) newConn(k connKey) *Conn {
 	e.nextID++
 	c := e.connFree
 	if c != nil {
-		e.connFree = c.nextFree
+		e.connFree = c.link
 		e.connFreeN--
 		e.poolReused++
 		// Full field reset, preserving the timer nodes: their sim.Timer
@@ -554,7 +568,7 @@ func (e *Engine) newConn(k connKey) *Conn {
 	c.rcv.wndShift, c.snd.wndShift = windowShift(e.cfg.recvBuf), 0
 	c.snd.cwnd = initialCwndMSS * ourMSS
 	c.snd.ssthresh = 0xffffffff
-	e.conns[k] = c
+	e.conns.insert(c)
 	return c
 }
 
@@ -576,14 +590,14 @@ func (e *Engine) remove(c *Conn) {
 	for k := TimerKind(0); k < NumTimers; k++ {
 		e.env.StopTimer(c, k)
 	}
-	delete(e.conns, c.key)
+	e.conns.remove(c)
 	e.env.ConnRemoved(c)
 	// Recycle after the upcall: the env reads c.ID/addresses synchronously.
 	// Stopping the timers above took every node out of the timer wheel and
 	// bumped its generation, so a fire already popped stays stale no matter
 	// who reuses the struct.
 	c.releaseBufs()
-	c.nextFree = e.connFree
+	c.link = e.connFree
 	e.connFree = c
 	e.connFreeN++
 }
@@ -621,13 +635,13 @@ type PoolStats struct {
 // PoolStats returns a snapshot of the PCB pool occupancy.
 func (e *Engine) PoolStats() PoolStats {
 	ps := PoolStats{FreeConns: e.connFreeN, FreeBufs: len(e.bufsFree), Reused: e.poolReused}
-	for _, c := range e.conns {
+	e.conns.all(func(c *Conn) {
 		if c.bufs != nil {
 			ps.LiveFull++
 		} else {
 			ps.LiveHot++
 		}
-	}
+	})
 	return ps
 }
 

@@ -146,7 +146,7 @@ func TestSynShedOldestFirstUnderChurn(t *testing.T) {
 			} else if len(env.removed) != 0 {
 				t.Fatalf("SYN %d removed %v without shedding", sent, env.removed)
 			}
-			c := e.conns[connKey{localAddr: srv, localPort: 80, remoteAddr: cli, remotePort: port}]
+			c := e.conns.get(connKey{localAddr: srv, localPort: 80, remoteAddr: cli, remotePort: port})
 			if c == nil || c.State() != StateSynRcvd {
 				t.Fatalf("SYN %d made no embryonic connection", sent)
 			}
@@ -187,4 +187,51 @@ func TestSynShedOldestFirstUnderChurn(t *testing.T) {
 		t.Fatalf("mix too thin: %d shed, %d completed, %d reset", shed, completed, resets)
 	}
 	t.Logf("%d SYNs: %d shed, %d completed, %d reset; queue array %d entries", sent, shed, completed, resets, cap(l.embQ))
+}
+
+// TestGuardedTimeWaitReapedOnTime: the idle guard and the TIME_WAIT reaper
+// share a timer node, so a guarded server connection that closes first
+// hands the node to the reaper when it enters TIME_WAIT. It is reaped
+// exactly timeWait later, and the guard, due inside the wait, never fires.
+func TestGuardedTimeWaitReapedOnTime(t *testing.T) {
+	cfgB := defCfg()
+	cfgB.Guard.IdleDeadline = 100 * sim.Millisecond
+	h := newHarness(80)
+	h.build(defCfg(), cfgB)
+	h.b.engine.Listen(proto.Addr{}, 80, 16)
+	start := h.now
+	cli, srv := h.connectPair(80)
+	if srv == nil {
+		t.Fatal("connection not established")
+	}
+	// The guard was armed at the server's establishment, inside [start, now].
+	dueLo, dueHi := start+cfgB.Guard.IdleDeadline, h.now+cfgB.Guard.IdleDeadline
+
+	srv.Close()
+	if !h.runUntil(func() bool { return cli.State() == StateCloseWait }, h.now+sim.Second) {
+		t.Fatalf("client is %v, want CLOSE_WAIT after the server's FIN", cli.State())
+	}
+	cli.Close()
+	if !h.runUntil(func() bool { return srv.State() == StateTimeWait }, h.now+sim.Second) {
+		t.Fatalf("server is %v, want TIME_WAIT", srv.State())
+	}
+	tw := h.now
+	if dueLo <= tw || dueHi >= tw+timeWait {
+		t.Fatalf("guard due in [%v, %v], not inside TIME_WAIT [%v, %v]", dueLo, dueHi, tw, tw+timeWait)
+	}
+
+	fired := len(h.b.fired)
+	if !h.runUntil(func() bool { return h.b.engine.NumConns() == 0 }, tw+2*timeWait) {
+		t.Fatalf("server connection is %v at %v, want reaped", srv.State(), h.now)
+	}
+	if got := h.now - tw; got != timeWait {
+		t.Fatalf("reaped %v after entering TIME_WAIT, want %v", got, timeWait)
+	}
+	want := []timerFire{{at: tw + timeWait, conn: srv, kind: TimerTimeWait}}
+	if got := h.b.fired[fired:]; len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("server timers fired %+v after entering TIME_WAIT, want only the reaper %+v", got, want)
+	}
+	if st := h.b.engine.Stats(); st.TimeWaitReaped != 1 || st.SlowlorisReaped != 0 {
+		t.Fatalf("TIME_WAIT reaped %d, guard reaped %d; want 1 and 0", st.TimeWaitReaped, st.SlowlorisReaped)
+	}
 }

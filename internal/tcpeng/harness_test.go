@@ -95,6 +95,13 @@ type timerKey struct {
 	kind TimerKind
 }
 
+// timerFire is one timer firing the fake environment delivered.
+type timerFire struct {
+	at   sim.Time
+	conn *Conn
+	kind TimerKind
+}
+
 type fakeEnv struct {
 	h      *harness
 	name   string
@@ -105,6 +112,7 @@ type fakeEnv struct {
 
 	gen   map[timerKey]int
 	armed map[timerKey]bool
+	fired []timerFire
 
 	accepted  []*Conn
 	connected []*Conn
@@ -196,6 +204,7 @@ func (e *fakeEnv) ArmTimer(c *Conn, k TimerKind, d sim.Time) {
 	e.h.at(e.h.now+d, func() {
 		if e.gen[key] == g && e.armed[key] {
 			e.armed[key] = false
+			e.fired = append(e.fired, timerFire{at: e.h.now, conn: c, kind: k})
 			e.engine.OnTimer(c, k)
 		}
 	})

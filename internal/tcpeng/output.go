@@ -204,10 +204,11 @@ func (c *Conn) trySend() {
 		}
 
 		// Zero/insufficient window: wait for ACKs, or arm the persist
-		// timer when the peer closed the window completely.
+		// probe when the peer closed the window completely. Nothing is in
+		// flight then, so the RTO has nothing to time and the node is free.
 		if avail == 0 {
 			if c.snd.wnd == 0 && inFlight == 0 && unsent > 0 {
-				e.env.ArmTimer(c, TimerPersist, persistInterval)
+				c.armPersist()
 			}
 			break
 		}
@@ -237,7 +238,7 @@ func (c *Conn) trySend() {
 			c.snd.finSent = true
 			c.snd.nxt++
 		}
-		e.env.ArmTimer(c, TimerRexmit, c.rto)
+		c.armRexmit()
 		// Time one segment per window for RTT.
 		if !c.rttTiming && chunk > 0 {
 			c.rttTiming = true
@@ -397,11 +398,31 @@ func (c *Conn) onDupAck() {
 	}
 }
 
+// armRexmit (re)arms the retransmission timeout, ending any zero-window
+// probe the node carried.
+func (c *Conn) armRexmit() {
+	c.persisting = false
+	c.engine.env.ArmTimer(c, TimerRexmit, c.rto)
+}
+
+// armPersist (re)arms the zero-window probe on the RTO's node.
+func (c *Conn) armPersist() {
+	c.persisting = true
+	c.engine.env.ArmTimer(c, TimerRexmit, persistInterval)
+}
+
+// stopRexmit stops the RTO or the probe, whichever the node carries.
+func (c *Conn) stopRexmit() {
+	c.persisting = false
+	c.engine.env.StopTimer(c, TimerRexmit)
+}
+
 // OnTimer must be called by the Env owner when a previously armed timer
-// fires. It dispatches to the protocol action for the timer kind. The
-// engine-identity check rejects fires that leaked across a checkpoint/
-// restore re-bind: a timer armed by a previous engine incarnation must not
-// drive protocol actions against the engine that restored the connection.
+// fires. It dispatches to the protocol action of the node's current role
+// (see TimerKind). The engine-identity check rejects fires that leaked
+// across a checkpoint/restore re-bind: a timer armed by a previous engine
+// incarnation must not drive protocol actions against the engine that
+// restored the connection.
 func (e *Engine) OnTimer(c *Conn, k TimerKind) {
 	if c.engine != e || c.state == StateClosed || c.removed {
 		e.stats.SpuriousTimerFirings++
@@ -409,9 +430,12 @@ func (e *Engine) OnTimer(c *Conn, k TimerKind) {
 	}
 	switch k {
 	case TimerRexmit:
-		e.onRexmitTimeout(c)
-	case TimerPersist:
-		e.onPersist(c)
+		if c.persisting {
+			c.persisting = false
+			e.onPersist(c)
+		} else {
+			e.onRexmitTimeout(c)
+		}
 	case TimerDelAck:
 		c.delAckArmed = false
 		if c.ackPending > 0 {
@@ -419,25 +443,28 @@ func (e *Engine) OnTimer(c *Conn, k TimerKind) {
 			c.sendAck()
 		}
 	case TimerTimeWait:
-		e.stats.TimeWaitReaped++
-		c.destroy(causeNone, false)
-	case TimerGuard:
-		e.onGuardTimer(c)
+		if c.state == StateTimeWait {
+			e.stats.TimeWaitReaped++
+			c.destroy(causeNone, false)
+		} else {
+			e.onGuardTimer(c)
+		}
 	}
 }
 
 // armGuard starts deadline policing on a freshly accepted server-side
-// connection. Called only from the passive-establishment path, so active
-// (client) connections are never reaped by their own engine's guards.
+// connection, on the node the TIME_WAIT reaper takes over later. Called
+// only from the passive-establishment path, so active (client) connections
+// are never reaped by their own engine's guards.
 func (e *Engine) armGuard(c *Conn) {
 	g := e.cfg.Guard
 	switch {
 	case g.HeaderDeadline > 0:
 		c.guardPhase = guardHeader
-		e.env.ArmTimer(c, TimerGuard, g.HeaderDeadline)
+		e.env.ArmTimer(c, TimerTimeWait, g.HeaderDeadline)
 	case g.IdleDeadline > 0:
 		c.guardPhase = guardIdle
-		e.env.ArmTimer(c, TimerGuard, g.IdleDeadline)
+		e.env.ArmTimer(c, TimerTimeWait, g.IdleDeadline)
 	}
 }
 
@@ -467,7 +494,7 @@ func (e *Engine) onGuardTimer(c *Conn) {
 		}
 		if g.IdleDeadline > 0 {
 			c.guardPhase = guardIdle
-			e.env.ArmTimer(c, TimerGuard, g.IdleDeadline)
+			e.env.ArmTimer(c, TimerTimeWait, g.IdleDeadline)
 		} else {
 			c.guardPhase = guardNone
 		}
@@ -478,7 +505,7 @@ func (e *Engine) onGuardTimer(c *Conn) {
 			c.Abort()
 			return
 		}
-		e.env.ArmTimer(c, TimerGuard, g.IdleDeadline-idle)
+		e.env.ArmTimer(c, TimerTimeWait, g.IdleDeadline-idle)
 	}
 }
 
@@ -494,7 +521,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 		}
 		e.stats.Retransmits++
 		c.sendFlags(proto.TCPSyn, c.iss, 0, true)
-		e.env.ArmTimer(c, TimerRexmit, c.rto)
+		c.armRexmit()
 		return
 	case StateSynRcvd:
 		c.rto *= 2
@@ -504,7 +531,7 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 		}
 		e.stats.Retransmits++
 		c.sendFlags(proto.TCPSyn|proto.TCPAck, c.iss, c.rcv.nxt, true)
-		e.env.ArmTimer(c, TimerRexmit, c.rto)
+		c.armRexmit()
 		return
 	}
 	if c.snd.nxt == c.snd.una {
@@ -531,25 +558,29 @@ func (e *Engine) onRexmitTimeout(c *Conn) {
 		c.rto = maxRTO
 	}
 	c.retransmit()
-	e.env.ArmTimer(c, TimerRexmit, c.rto)
+	c.armRexmit()
 }
 
-// onPersist sends a zero-window probe while the peer advertises zero.
+// onPersist sends a zero-window probe while the peer advertises zero, and
+// re-arms only the probe: the peer answers a probe it drops with a
+// duplicate ACK, which leaves the node alone, so probing goes on at the
+// probe interval for as long as the window stays shut. Once the window
+// opens, or no unsent byte is left to probe with, the node goes back to
+// the RTO, which recovers the probe bytes in flight.
 func (e *Engine) onPersist(c *Conn) {
-	if c.snd.wnd > 0 {
+	inFlight := c.snd.nxt - c.snd.una
+	if c.snd.wnd > 0 || uint32(len(c.sndBuf())) <= inFlight {
+		if inFlight > 0 {
+			c.armRexmit()
+		}
 		c.trySend()
 		return
 	}
-	inFlight := c.snd.nxt - c.snd.una
-	if uint32(len(c.sndBuf())) <= inFlight {
-		return // nothing unsent to probe with
-	}
 	e.stats.PersistProbes++
 	// Probe with one byte beyond the window (classic BSD behaviour). The
-	// receiver will drop the byte but ACK, and the retransmission timer
-	// recovers the byte once the window reopens.
+	// receiver drops the byte but ACKs, and the RTO recovers the byte once
+	// the window reopens.
 	c.emitData(c.snd.nxt, 1, false)
 	c.snd.nxt++
-	e.env.ArmTimer(c, TimerRexmit, c.rto)
-	e.env.ArmTimer(c, TimerPersist, persistInterval)
+	c.armPersist()
 }

@@ -228,7 +228,7 @@ func TestRecycledPCBWithArmedTimerPanics(t *testing.T) {
 		}
 	}()
 	r.onClient(sim.Millisecond, func() {
-		r.cli.ArmTimer(conns[0], TimerPersist, sim.Second) // stale handle, pooled PCB
+		r.cli.ArmTimer(conns[0], TimerRexmit, sim.Second) // stale handle, pooled PCB
 	})
 	r.open(t, 1)
 }

@@ -12,11 +12,9 @@ import (
 func defCfg() Config { return DefaultConfig() }
 
 // snapshot lists the connections of m in map order.
-func snapshot(m map[connKey]*Conn) []*Conn {
-	out := make([]*Conn, 0, len(m))
-	for _, c := range m {
-		out = append(out, c)
-	}
+func snapshot(t *connTable) []*Conn {
+	out := make([]*Conn, 0, t.n)
+	t.all(func(c *Conn) { out = append(out, c) })
 	return out
 }
 
@@ -703,7 +701,7 @@ func TestPeerWithoutWindowScale(t *testing.T) {
 		t.Fatalf("conns=%d", conns)
 	}
 	// Grab the server conn and check negotiated values.
-	for _, c := range snapshot(h.b.engine.conns) {
+	for _, c := range snapshot(&h.b.engine.conns) {
 		if c.MSS() != 1000 {
 			t.Fatalf("mss=%d, want 1000", c.MSS())
 		}
