@@ -19,7 +19,7 @@ test:
 # PDES workers, the one PDES contract left outside internal/sim), the
 # scheduler's invariants and its differential test against a reference
 # heap, and the IPC ring semantics under the race detector, the
-# scheduler's node-size budget and the TCP PCB's (352 bytes), the
+# scheduler's node-size budget and the TCP PCB's (288 bytes), the
 # footprint gates (a drained IPC ring keeps one segment of at most 160
 # bytes, parking PCBs allocates nothing however many are parked, and
 # BenchmarkSimulatorThroughput's bed keeps no more live bytes than its

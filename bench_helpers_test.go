@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"neat/internal/app"
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/tcpeng"
@@ -17,7 +18,7 @@ func defaultTCP() tcpeng.Config { return tcpeng.DefaultConfig() }
 // runWeb boots a two-machine bed on s with the given server machine and
 // NEaT system and `webs` client stacks, attaches `webs` lighttpd+httperf
 // pairs, runs a short measured window and returns krps.
-func runWeb(b testing.TB, s *sim.Simulator, host testbed.HostConfig, cfg testbed.NEaTConfig, webs int) float64 {
+func runWeb(b testing.TB, s *sim.Simulator, host testbed.HostConfig, cfg core.Config, webs int) float64 {
 	b.Helper()
 	tb, err := testbed.NewBed(s, testbed.BedConfig{Server: host, NEaT: cfg, ClientStacks: webs})
 	if err != nil {

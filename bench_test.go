@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/experiments"
 	"neat/internal/sim"
 	"neat/internal/stack"
@@ -145,10 +146,10 @@ func BenchmarkFigure13StateVsThroughput(b *testing.B) {
 // ablationBed builds a 3-replica NEaT web bed with optional knobs.
 func ablationBed(b *testing.B, flowFilters bool) float64 {
 	b.Helper()
-	return runWeb(b, sim.New(1), testbed.AMD.Host(3), testbed.NEaTConfig{
+	return runWeb(b, sim.New(1), testbed.AMD.Host(3), core.Config{
 		Kind: stack.Single, TCP: defaultTCP(),
 		Slots:              testbed.SingleSlots(2, 3),
-		Syscall:            testbed.ThreadLoc{Core: 1},
+		Syscall:            core.ThreadLoc{Core: 1},
 		DisableFlowFilters: !flowFilters,
 	}, 4)
 }
@@ -176,9 +177,9 @@ func BenchmarkAblationMultiVsSingle(b *testing.B) {
 		if kind == stack.Multi {
 			slots = testbed.MultiSlots(2, replicas)
 		}
-		return runWeb(b, sim.New(1), testbed.AMD.Host(replicas), testbed.NEaTConfig{
+		return runWeb(b, sim.New(1), testbed.AMD.Host(replicas), core.Config{
 			Kind: kind, TCP: defaultTCP(),
-			Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+			Slots: slots, Syscall: core.ThreadLoc{Core: 1},
 		}, 4)
 	}
 	for i := 0; i < b.N; i++ {
@@ -192,14 +193,14 @@ func BenchmarkAblationMultiVsSingle(b *testing.B) {
 // against dedicating full cores.
 func BenchmarkAblationHyperthreadColocation(b *testing.B) {
 	run := func(colocate bool) float64 {
-		cfg := testbed.NEaTConfig{
+		cfg := core.Config{
 			Kind: stack.Single, TCP: defaultTCP(),
 			Slots:   testbed.SingleSlots(2, 2),
-			Syscall: testbed.ThreadLoc{Core: 1},
+			Syscall: core.ThreadLoc{Core: 1},
 		}
 		if colocate {
-			cfg.Slots = [][]testbed.ThreadLoc{{{Core: 1, Thread: 0}}, {{Core: 1, Thread: 1}}}
-			cfg.Syscall = testbed.ThreadLoc{Core: 0, Thread: 1}
+			cfg.Slots = [][]core.ThreadLoc{{{Core: 1, Thread: 0}}, {{Core: 1, Thread: 1}}}
+			cfg.Syscall = core.ThreadLoc{Core: 0, Thread: 1}
 		}
 		return runWeb(b, sim.New(1), testbed.Xeon.Host(2), cfg, 4)
 	}
@@ -222,9 +223,9 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // runThroughputBed runs BenchmarkSimulatorThroughput's web bed on s.
 func runThroughputBed(tb testing.TB, s *sim.Simulator) {
-	runWeb(tb, s, testbed.AMD.Host(2), testbed.NEaTConfig{
+	runWeb(tb, s, testbed.AMD.Host(2), core.Config{
 		Kind: stack.Single, TCP: defaultTCP(),
-		Slots: testbed.SingleSlots(2, 2), Syscall: testbed.ThreadLoc{Core: 1},
+		Slots: testbed.SingleSlots(2, 2), Syscall: core.ThreadLoc{Core: 1},
 	}, 2)
 }
 
@@ -285,10 +286,10 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 	run := func(interval sim.Time) float64 {
 		// One replica serving more web demand than it has capacity for:
 		// the snapshot cycles come straight out of the request rate.
-		return runWeb(b, sim.New(1), testbed.AMD.Host(1), testbed.NEaTConfig{
+		return runWeb(b, sim.New(1), testbed.AMD.Host(1), core.Config{
 			Kind: stack.Single, TCP: defaultTCP(),
 			Slots:              testbed.SingleSlots(2, 1),
-			Syscall:            testbed.ThreadLoc{Core: 1},
+			Syscall:            core.ThreadLoc{Core: 1},
 			CheckpointInterval: interval,
 		}, 4)
 	}

@@ -5,9 +5,9 @@ import (
 )
 
 // TestOneCompilePath pins the one-translation rule: for every SystemConfig
-// in the table, compileSystem carries each knob into the NEaTConfig the
+// in the table, compileSystem carries each knob into the core.Config the
 // two-machine Build boots, and the booted system agrees with that
-// NEaTConfig on everything a replica is configured with.
+// core.Config on everything a replica is configured with.
 func TestOneCompilePath(t *testing.T) {
 	cases := map[string]SystemConfig{
 		"zero":      {},

@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/socketlib"
@@ -44,10 +45,10 @@ func run(interval sim.Time) (lost, restored uint64, appFailures int) {
 	// not adopt it), so this example assembles its world on the testbed.
 	b, err := testbed.NewBed(sim.New(21), testbed.BedConfig{
 		Server: testbed.AMD.Host(8),
-		NEaT: testbed.NEaTConfig{
+		NEaT: core.Config{
 			Kind:               stack.Multi,
 			Slots:              testbed.MultiSlots(2, 2),
-			Syscall:            testbed.ThreadLoc{Core: 1},
+			Syscall:            core.ThreadLoc{Core: 1},
 			CheckpointInterval: interval,
 		},
 		ClientStacks: 2,

@@ -39,10 +39,10 @@ func newSupervisedWebBed(t *testing.T, replicas, httpds, loadgens int, watchdog 
 	t.Helper()
 	b := bootWebBed(t, testbed.BedConfig{
 		Server: testbed.AMD.Host(replicas),
-		NEaT: testbed.NEaTConfig{
+		NEaT: core.Config{
 			Kind: stack.Single, TCP: tcp,
 			Slots:    testbed.SingleSlots(2, replicas),
-			Syscall:  testbed.ThreadLoc{Core: 1},
+			Syscall:  core.ThreadLoc{Core: 1},
 			Watchdog: watchdog,
 		},
 		ClientStacks: loadgens,
@@ -61,11 +61,11 @@ func newBaselineWebBed(t *testing.T, contexts int, tcp tcpeng.Config,
 	t.Helper()
 	b := bootWebBed(t, testbed.BedConfig{
 		Server:     testbed.AMD.Host(contexts),
-		NEaT:       testbed.NEaTConfig{TCP: tcp},
+		NEaT:       core.Config{TCP: tcp},
 		LinuxCores: contexts,
 	})
 	b.populate(t, 1, 1, hcfg, lcfg, func(int) (*sim.HWThread, *sim.Proc) {
-		return b.server.Thread(testbed.ThreadLoc{Core: 0}), b.linux.KernelProc(0)
+		return b.server.Thread(core.ThreadLoc{Core: 0}), b.linux.KernelProc(0)
 	})
 	return b
 }

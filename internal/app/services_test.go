@@ -1,6 +1,7 @@
 package app
 
 import (
+	"neat/internal/core"
 	"neat/internal/metrics"
 	"testing"
 
@@ -14,10 +15,10 @@ import (
 func TestDNSRequestResponse(t *testing.T) {
 	b := bootWebBed(t, testbed.BedConfig{
 		Server: testbed.AMD.Host(1),
-		NEaT: testbed.NEaTConfig{
+		NEaT: core.Config{
 			Kind: stack.Single, TCP: tcpeng.DefaultConfig(),
 			Slots:   testbed.SingleSlots(2, 1),
-			Syscall: testbed.ThreadLoc{Core: 1},
+			Syscall: core.ThreadLoc{Core: 1},
 		},
 	})
 	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys

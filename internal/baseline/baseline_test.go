@@ -28,7 +28,7 @@ func bootPair(t *testing.T, cores, clientStacks int, tuning baseline.Tuning) pai
 	t.Helper()
 	b, err := testbed.NewBed(sim.New(33), testbed.BedConfig{
 		Server:       testbed.AMD.Host(cores),
-		NEaT:         testbed.NEaTConfig{TCP: tcpeng.DefaultConfig()},
+		NEaT:         core.Config{TCP: tcpeng.DefaultConfig()},
 		LinuxCores:   cores,
 		LinuxTuning:  tuning,
 		ClientStacks: clientStacks,

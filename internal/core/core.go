@@ -32,6 +32,7 @@ import (
 	"fmt"
 
 	"neat/internal/ipc"
+	"neat/internal/ipeng"
 	"neat/internal/metrics"
 	"neat/internal/nicdev"
 	"neat/internal/sim"
@@ -75,45 +76,51 @@ func (s SlotState) String() string {
 	}
 }
 
-// Config assembles a NEaT system.
+// ThreadLoc addresses one hardware thread of a machine.
+type ThreadLoc struct {
+	Core   int
+	Thread int
+}
+
+// Config places a NEaT system on a machine. It is the one declaration of
+// the system's knobs: the facade, the testbed and the experiment beds all
+// fill it in, and New boots it.
 type Config struct {
-	// Stack is the replica template (Name is overridden per replica).
-	Stack stack.Config
-	// Threads lists, per replica slot, the hardware threads its processes
+	// Kind is the replica layout: single- or multi-component.
+	Kind stack.Kind
+	// TCP configures every replica's engine (zero: tcpeng.DefaultConfig()).
+	TCP tcpeng.Config
+	// Costs is the replica cycle table (zero: stack.DefaultCosts()).
+	Costs stack.Costs
+	// IPC tunes the modeled message rings of the system's channels (zero:
+	// the calibrated per-message doorbell behaviour).
+	IPC ipc.Tuning
+	// Slots lists, per replica slot, the hardware threads its processes
 	// run on (1 for single-component, 2 for multi-component). Every slot
 	// boots active; the number of slots bounds the replica count and must
 	// not exceed the NIC queue count.
-	Threads [][]*sim.HWThread
-	// NIC and Driver are the shared device and its driver process.
-	NIC    *nicdev.NIC
-	Driver *nicdev.Driver
-	// SyscallThread hosts the SYSCALL server.
-	SyscallThread *sim.HWThread
-	// UseFlowFilters steers established connections with exact NIC
-	// filters; disabling it is the pure-RSS ablation.
-	UseFlowFilters bool
+	Slots [][]ThreadLoc
+	// Syscall places the SYSCALL server.
+	Syscall ThreadLoc
+	// DisableFlowFilters stops steering established connections with exact
+	// NIC filters: the pure-RSS ablation.
+	DisableFlowFilters bool
 	// CheckpointInterval enables checkpoint-based stateful TCP recovery
 	// (§2.1's alternative to stateless recovery): every interval each
 	// replica snapshots its TCP state, and after a TCP crash the new
 	// incarnation restores the latest snapshot instead of losing the
 	// connections. 0 disables (the paper's default, stateless recovery).
 	CheckpointInterval sim.Time
-	// Steering selects the flow-placement policy (internal/steer). The
-	// zero value is the paper's placement: hash steering with a uniformly
-	// random connect-side choice.
-	Steering steer.Config
 	// Watchdog switches failure detection to heartbeat probing (watchdog.go).
 	// Disabled by default: paper-fidelity mode keeps the instantaneous
 	// crash oracle of §3.6. Enabling it supervises every stack component,
 	// the NIC driver and the SYSCALL server with periodic heartbeats, which
 	// also detects hangs/livelocks the oracle cannot see.
 	Watchdog bool
-	// Trace, when non-nil, receives the management plane's lifecycle
-	// events (respawns, escalations, quarantines, RSS rebinds, scaling).
-	// Callers who also want per-message latency breakdowns attach the same
-	// tracer to the simulator (trace.Tracer.Attach) before the run. Nil
-	// (the default) fires no trace points and keeps no events.
-	Trace *trace.Tracer
+	// Steering selects the flow-placement policy (internal/steer). The
+	// zero value is the paper's placement: hash steering with a uniformly
+	// random connect-side choice.
+	Steering steer.Config
 }
 
 // recoveryDelay models the time the reincarnation server needs to spawn a
@@ -145,8 +152,16 @@ var ErrNoFreeSlot = errors.New("core: no free replica slot")
 
 // System is one NEaT network stack: N replicas, a SYSCALL server, a NIC.
 type System struct {
-	s   *sim.Simulator
-	cfg Config
+	s      *sim.Simulator
+	cfg    Config
+	nic    *nicdev.NIC
+	driver *nicdev.Driver
+	// trace, when non-nil, receives the management plane's lifecycle
+	// events (respawns, escalations, quarantines, RSS rebinds, scaling).
+	trace *trace.Tracer
+	// replica is the template every replica is built from (Name and the
+	// ephemeral port range are set per slot).
+	replica stack.Config
 
 	slots []*slot
 	sys   *sysserver.Server
@@ -157,13 +172,6 @@ type System struct {
 	placer steer.Placer
 
 	listens []stack.OpListen
-
-	// conns tracks (replica, connID) → connection for crash notification.
-	conns map[*stack.Replica]map[uint64]*tcpeng.Conn
-
-	// checkpoints holds the latest TCP snapshot per slot (stateful
-	// recovery mode).
-	checkpoints map[int]*tcpeng.Snapshot
 
 	// expectedKills marks processes being killed intentionally (GC of
 	// terminated replicas) so the crash watcher ignores them.
@@ -190,6 +198,9 @@ type slot struct {
 	state   SlotState
 	replica *stack.Replica
 	threads []*sim.HWThread
+	// checkpoint is the latest TCP snapshot of the slot's replica
+	// (stateful recovery mode).
+	checkpoint *tcpeng.Snapshot
 
 	// failTimes is the slot's sliding failure window (escalation + backoff).
 	failTimes []sim.Time
@@ -206,38 +217,60 @@ type slot struct {
 	recSnap        *tcpeng.Snapshot
 }
 
-// New boots a NEaT system.
-func New(s *sim.Simulator, cfg Config) (*System, error) {
-	if cfg.NIC == nil || cfg.Driver == nil {
-		return nil, errors.New("core: NIC and Driver are required")
+// New boots a NEaT system on machine m, whose NIC nic is served by the
+// driver drv. ip is the machine's IP configuration; tr, when non-nil,
+// receives the system's lifecycle events. Callers who also want
+// per-message latency breakdowns attach the same tracer to the simulator
+// (trace.Tracer.Attach) before the run.
+func New(m *sim.Machine, nic *nicdev.NIC, drv *nicdev.Driver, ip ipeng.Config, tr *trace.Tracer, cfg Config) (*System, error) {
+	last := 0
+	for _, locs := range cfg.Slots {
+		for _, loc := range locs {
+			last = max(last, loc.Core)
+		}
 	}
-	if len(cfg.Threads) == 0 {
+	if cores := m.NumCores(); last >= cores {
+		return nil, fmt.Errorf("core: %d replica slots need cores up to %d, but %s has %d cores; use fewer replicas",
+			len(cfg.Slots), last, m.Name, cores)
+	}
+	if len(cfg.Slots) == 0 {
 		return nil, errors.New("core: at least one replica slot required")
 	}
-	if len(cfg.Threads) > cfg.NIC.NumQueues() {
+	if len(cfg.Slots) > nic.NumQueues() {
 		return nil, fmt.Errorf("core: %d slots but NIC has %d queues",
-			len(cfg.Threads), cfg.NIC.NumQueues())
+			len(cfg.Slots), nic.NumQueues())
 	}
-	// Every component of the system lives on the SYSCALL server's machine;
-	// schedule on that machine's domain (identical to s outside PDES mode).
-	s = cfg.SyscallThread.Machine().Sim()
+	if cfg.TCP == (tcpeng.Config{}) {
+		cfg.TCP = tcpeng.DefaultConfig()
+	}
+	if cfg.Costs == (stack.Costs{}) {
+		cfg.Costs = stack.DefaultCosts()
+	}
+	icosts := ipc.DefaultCosts()
+	icosts.Tuning = cfg.IPC
+	// Every component of the system lives on m; schedule on its domain
+	// (the root simulator outside PDES mode).
+	s := m.Sim()
 	sys := &System{
-		s: s, cfg: cfg,
-		conns:         map[*stack.Replica]map[uint64]*tcpeng.Conn{},
+		s: s, cfg: cfg, nic: nic, driver: drv, trace: tr,
+		replica:       stack.Config{Kind: cfg.Kind, IP: ip, TCP: cfg.TCP, Costs: cfg.Costs, IPC: icosts},
 		expectedKills: map[*sim.Proc]bool{},
-		checkpoints:   map[int]*tcpeng.Snapshot{},
 		mgmtConns:     map[*sim.Proc]*ipc.Conn{},
 	}
-	for i := range cfg.Threads {
-		sys.slots = append(sys.slots, &slot{index: i, threads: cfg.Threads[i]})
+	for i, locs := range cfg.Slots {
+		sl := &slot{index: i}
+		for _, loc := range locs {
+			sl.threads = append(sl.threads, m.Thread(loc.Core, loc.Thread))
+		}
+		sys.slots = append(sys.slots, sl)
 	}
 	placer, err := steer.New(cfg.Steering, s.Rand(), sys.slotConns)
 	if err != nil {
 		return nil, err
 	}
 	sys.placer = placer
-	cfg.NIC.SetRSSPolicy(placer)
-	sys.sys = sysserver.New(cfg.SyscallThread, sys, cfg.Stack.IPC)
+	nic.SetRSSPolicy(placer)
+	sys.sys = sysserver.New(m.Thread(cfg.Syscall.Core, cfg.Syscall.Thread), sys, icosts)
 	for _, sl := range sys.slots {
 		sys.activate(sl)
 	}
@@ -251,7 +284,7 @@ func New(s *sim.Simulator, cfg Config) (*System, error) {
 		// can only be detected) by missed heartbeats. The whole plane is
 		// supervised: driver, SYSCALL server, every replica.
 		sys.wd = newWatchdog(sys)
-		sys.wd.Watch(cfg.Driver.Proc())
+		sys.wd.Watch(drv.Proc())
 		sys.wd.Watch(sys.sys.Proc())
 		for _, sl := range sys.slots {
 			sys.superviseReplica(sl)
@@ -270,7 +303,7 @@ func (sys *System) SyscallProc() *sim.Proc { return sys.sys.Proc() }
 func (sys *System) Syscall() *sysserver.Server { return sys.sys }
 
 // Driver returns the NIC driver the system manages.
-func (sys *System) Driver() *nicdev.Driver { return sys.cfg.Driver }
+func (sys *System) Driver() *nicdev.Driver { return sys.driver }
 
 // Watchdog returns the heartbeat failure detector, or nil in
 // paper-fidelity (instant-oracle) mode.
@@ -291,15 +324,15 @@ func (sys *System) Stats() Stats { return sys.stats }
 
 // Trace returns the attached lifecycle tracer, or nil when the system was
 // built without observability.
-func (sys *System) Trace() *trace.Tracer { return sys.cfg.Trace }
+func (sys *System) Trace() *trace.Tracer { return sys.trace }
 
 // eventf records a lifecycle event on the observability timeline. With no
 // tracer attached (the default) it returns before formatting anything.
 func (sys *System) eventf(kind, format string, args ...interface{}) {
-	if sys.cfg.Trace == nil {
+	if sys.trace == nil {
 		return
 	}
-	sys.cfg.Trace.Emit(kind, fmt.Sprintf(format, args...))
+	sys.trace.Emit(kind, fmt.Sprintf(format, args...))
 }
 
 // Metrics collects the system's live counters into a fresh registry:
@@ -327,7 +360,7 @@ func (sys *System) Metrics() *metrics.Registry {
 	r.SetCounter("core.driver_recoveries", st.DriverRecoveries)
 	r.SetCounter("core.syscall_recoveries", st.SyscallRecoveries)
 
-	ns := sys.cfg.NIC.Stats()
+	ns := sys.nic.Stats()
 	r.SetCounter("nic.rx_frames", ns.RxFrames)
 	r.SetCounter("nic.rx_drop_full", ns.RxDropFull)
 	r.SetCounter("nic.rx_drop_bad", ns.RxDropBad)
@@ -338,7 +371,7 @@ func (sys *System) Metrics() *metrics.Registry {
 	r.SetCounter("nic.tso_requests", ns.TSORequests)
 	r.SetCounter("nic.tso_segments", ns.TSOSegments)
 
-	ds := sys.cfg.Driver.Stats()
+	ds := sys.driver.Stats()
 	r.SetCounter("driver.rx_dispatched", ds.RxDispatched)
 	r.SetCounter("driver.rx_unbound", ds.RxUnbound)
 	r.SetCounter("driver.tx_sent", ds.TxSent)
@@ -404,7 +437,7 @@ func (sys *System) Metrics() *metrics.Registry {
 
 	r.SetGauge("core.replicas_active", float64(sys.NumActive()))
 	r.SetGauge("core.connections_live", float64(sys.TotalConns()))
-	collectProcStats(r, "driver", sys.cfg.Driver.Proc())
+	collectProcStats(r, "driver", sys.driver.Proc())
 	collectProcStats(r, "syscall", sys.sys.Proc())
 	for _, sl := range sys.slots {
 		if sl.replica == nil {
@@ -473,7 +506,7 @@ func (sys *System) TotalConns() int {
 
 // activate builds a replica in an empty slot and wires it up.
 func (sys *System) activate(sl *slot) {
-	cfg := sys.cfg.Stack
+	cfg := sys.replica
 	cfg.Name = fmt.Sprintf("neat%d", sl.index)
 	// Partition the ephemeral port space across slots: replicas share the
 	// host IP, so distinct ranges guarantee collision-free 4-tuples for
@@ -481,12 +514,11 @@ func (sys *System) activate(sl *slot) {
 	span := (65536 - 32768) / len(sys.slots)
 	cfg.TCP.EphemeralLo = uint16(32768 + sl.index*span)
 	cfg.TCP.EphemeralHi = uint16(32768 + (sl.index+1)*span - 1)
-	r := stack.NewReplica(sl.threads, sys.cfg.Driver.Proc(), cfg)
+	r := stack.NewReplica(sl.threads, sys.driver.Proc(), cfg)
 	sl.replica = r
 	sl.state = slotActive
-	sys.conns[r] = map[uint64]*tcpeng.Conn{}
 	sys.installHooks(sl)
-	sys.cfg.Driver.BindQueue(sl.index, r.EntryProc())
+	sys.driver.BindQueue(sl.index, r.EntryProc())
 	sys.replayListens(r)
 	sys.superviseReplica(sl)
 	sys.eventf("spawn", "replica %d activated (%s)", sl.index, cfg.Name)
@@ -504,38 +536,32 @@ func (sys *System) superviseReplica(sl *slot) {
 	}
 }
 
-// installHooks wires connection-lifecycle hooks for NIC steering, crash
-// bookkeeping and lazy termination.
+// installHooks wires connection-lifecycle hooks for NIC steering,
+// checkpoints and lazy termination.
 func (sys *System) installHooks(sl *slot) {
 	r := sl.replica
 	r.OnCheckpoint = func(rr *stack.Replica, snap *tcpeng.Snapshot) {
 		sys.stats.Checkpoints++
-		sys.checkpoints[sl.index] = snap
+		sl.checkpoint = snap
 	}
 	r.OnRestored = func(rr *stack.Replica, n int) {
 		sys.stats.ConnectionsRestored += uint64(n)
 	}
-	r.OnConnCreated = func(rr *stack.Replica, c *tcpeng.Conn) {
-		// Steer the reply path to this replica before the SYN leaves.
-		sys.conns[rr][c.ID] = c
-		if sys.cfg.UseFlowFilters {
-			if err := sys.cfg.NIC.InstallFilter(c.InboundFlow(), sl.index); err == nil {
-				sys.stats.FiltersInstalled++
-			}
+	// An active open steers the reply path to this replica before its SYN
+	// leaves; an accepted connection, when it establishes.
+	pin := func(rr *stack.Replica, c *tcpeng.Conn) {
+		if sys.cfg.DisableFlowFilters {
+			return
+		}
+		if err := sys.nic.InstallFilter(c.InboundFlow(), sl.index); err == nil {
+			sys.stats.FiltersInstalled++
 		}
 	}
-	r.OnConnEstablished = func(rr *stack.Replica, c *tcpeng.Conn) {
-		sys.conns[rr][c.ID] = c
-		if sys.cfg.UseFlowFilters {
-			if err := sys.cfg.NIC.InstallFilter(c.InboundFlow(), sl.index); err == nil {
-				sys.stats.FiltersInstalled++
-			}
-		}
-	}
+	r.OnConnCreated = pin
+	r.OnConnEstablished = pin
 	r.OnConnRemoved = func(rr *stack.Replica, c *tcpeng.Conn) {
-		delete(sys.conns[rr], c.ID)
-		if sys.cfg.UseFlowFilters {
-			sys.cfg.NIC.RemoveFilter(c.InboundFlow())
+		if !sys.cfg.DisableFlowFilters {
+			sys.nic.RemoveFilter(c.InboundFlow())
 			sys.stats.FiltersRemoved++
 		}
 		if sl.state == slotTerminating && rr.TCP().NumConns() == 0 {
@@ -558,11 +584,16 @@ func (sys *System) sendProc(p *sim.Proc, msg sim.Message) {
 	c.Inject(msg)
 }
 
-// notifyLost tells the application owning c, if any, that the connection
-// is gone: a reset EvClosed carrying err.
-func (sys *System) notifyLost(r *stack.Replica, c *tcpeng.Conn, err error) {
-	if app, h := r.ConnOwner(c); app != nil {
-		sys.sendProc(app, stack.NewEvClosed(sys.s, stack.EvClosed{Conn: h, Reset: true, Err: err}))
+// declareLost counts every connection a socket owns on r as lost and
+// tells each owning application: a reset EvClosed per connection, in
+// ConnID order. The applications' libraries observe the shared-memory
+// channels tearing down.
+func (sys *System) declareLost(r *stack.Replica) {
+	for _, c := range r.OwnedConns() {
+		sys.stats.ConnectionsLost++
+		if app, h := r.ConnOwner(c); app != nil {
+			sys.sendProc(app, stack.NewEvClosed(sys.s, stack.EvClosed{Conn: h, Reset: true, Err: stack.ErrReplicaFailure}))
+		}
 	}
 }
 
@@ -688,22 +719,21 @@ func (sys *System) collect(sl *slot) {
 			sys.expectedKills[p] = true
 		}
 	}
-	sys.cfg.Driver.BindQueue(sl.index, nil)
+	sys.driver.BindQueue(sl.index, nil)
 	sl.replica.Kill()
-	delete(sys.conns, sl.replica)
 	sl.replica = nil
 	sl.state = slotEmpty
 	sys.stats.ReplicasGarbage++
 	sys.eventf("collect", "slot %d drained and collected", sl.index)
 }
 
-// updatePlacement points the placement plane (and the NIC's RSS
-// indirection view) at the active replicas only. With zero active
-// replicas (all terminating, recovering or quarantined) the placer's
-// empty set is the NIC's explicit drop-all state: unmatched flows are
-// dropped in hardware instead of landing on a queue whose replica cannot
-// accept them, while exact-match filters keep serving the established
-// connections of terminating replicas.
+// updatePlacement points the placement plane, which is the NIC's RSS
+// policy, at the active replicas only. With zero active replicas (all
+// terminating, recovering or quarantined) the placer's empty set is the
+// NIC's explicit drop-all state: unmatched flows are dropped in hardware
+// instead of landing on a queue whose replica cannot accept them, while
+// exact-match filters keep serving the established connections of
+// terminating replicas.
 func (sys *System) updatePlacement() {
 	var queues []int
 	for _, sl := range sys.slots {
@@ -712,7 +742,6 @@ func (sys *System) updatePlacement() {
 		}
 	}
 	sys.placer.SetActive(queues)
-	sys.cfg.NIC.SetRSSQueues(queues)
 	sys.eventf("rss", "RSS rebind -> queues %v", queues)
 }
 
@@ -739,7 +768,7 @@ func (sys *System) onCrash(p *sim.Proc, cause error) {
 		delete(sys.expectedKills, p)
 		return
 	}
-	if p == sys.cfg.Driver.Proc() {
+	if p == sys.driver.Proc() {
 		sys.recoverDriver()
 		return
 	}
@@ -769,7 +798,7 @@ func (sys *System) watchdogFailure(p *sim.Proc) {
 	if !p.Dead() {
 		p.Crash(ErrWatchdogKilled)
 	}
-	if p == sys.cfg.Driver.Proc() {
+	if p == sys.driver.Proc() {
 		sys.recoverDriver()
 		return
 	}
@@ -864,21 +893,15 @@ func (sys *System) recover(sl *slot, dead *sim.Proc, delay sim.Time) {
 			sys.stats.TransparentRecov--
 			sl.recTransparent = false
 		}
-		snap := sys.checkpoints[sl.index]
-		sl.recStateful = sys.cfg.CheckpointInterval > 0 && snap != nil
-		sl.recSnap = snap
+		sl.recStateful = sys.cfg.CheckpointInterval > 0 && sl.checkpoint != nil
+		sl.recSnap = sl.checkpoint
 		sys.stats.TCPStateLost++
 		if !sl.recStateful {
-			// All connections of this replica are gone. Tell the owning
-			// apps: their libraries observe the shared-memory channels
-			// tearing down. (Stateful mode restores them from the last
-			// checkpoint instead — do not declare them lost.)
-			for _, c := range sys.conns[r] {
-				sys.stats.ConnectionsLost++
-				sys.notifyLost(r, c, stack.ErrReplicaFailure)
-			}
+			// All connections of this replica are gone. (Stateful mode
+			// restores them from the last checkpoint instead — do not
+			// declare them lost.)
+			sys.declareLost(r)
 		}
-		sys.conns[r] = map[uint64]*tcpeng.Conn{}
 	} else if !tcpLost && first {
 		sl.recTransparent = true
 		sys.stats.TransparentRecov++
@@ -912,7 +935,7 @@ func (sys *System) completeRecovery(sl *slot) {
 		}
 	}
 	sys.installHooks(sl)
-	sys.cfg.Driver.BindQueue(sl.index, r.EntryProc())
+	sys.driver.BindQueue(sl.index, r.EntryProc())
 	if sl.recTCPLost && sl.recStateful {
 		// The snapshot carries the listener table; only genuinely new
 		// listens (registered after the snapshot) need replaying, and
@@ -943,14 +966,15 @@ func (sys *System) quarantine(sl *slot) {
 	if r == nil || sl.state == slotQuarantined {
 		return
 	}
+	// A TCP-losing recovery in flight has already declared (or, stateful,
+	// kept) this replica's connections.
+	declared := sl.state == slotRecovering && sl.recTCPLost
 	sl.state = slotQuarantined
 	sys.stats.SlotsQuarantined++
 	sys.eventf("quarantine", "slot %d fenced permanently", sl.index)
-	for _, c := range sys.conns[r] {
-		sys.stats.ConnectionsLost++
-		sys.notifyLost(r, c, stack.ErrReplicaFailure)
+	if !declared {
+		sys.declareLost(r)
 	}
-	delete(sys.conns, r)
 	for _, p := range r.Procs() {
 		if sys.wd != nil {
 			sys.wd.Unwatch(p)
@@ -962,7 +986,7 @@ func (sys *System) quarantine(sl *slot) {
 			p.Kill()
 		}
 	}
-	sys.cfg.Driver.BindQueue(sl.index, nil)
+	sys.driver.BindQueue(sl.index, nil)
 	sl.replica = nil
 	sys.updatePlacement()
 }
@@ -993,7 +1017,7 @@ func (sys *System) recoverDriver() {
 	delay := sys.backoffDelay(&sys.driverFails)
 	sys.eventf("driver-recover", "NIC driver failed, respawn in %v", delay)
 	sys.s.After(delay, func() {
-		d := sys.cfg.Driver
+		d := sys.driver
 		d.Restart()
 		for _, sl := range sys.slots {
 			if sl.replica != nil && sl.state != slotQuarantined && !sl.replica.EntryProc().Dead() {

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
+	"neat/internal/bufpool"
 	"neat/internal/core"
 	"neat/internal/ipc"
+	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/socketlib"
 	"neat/internal/stack"
@@ -22,6 +25,7 @@ type srvApp struct {
 	accepted int
 	failures int // sockets closed by reset / replica failure
 	echoed   int
+	closed   []stack.Handle // every EvClosed, in arrival order
 }
 
 func newSrvApp(th *sim.HWThread, syscall *sim.Proc) *srvApp {
@@ -33,6 +37,9 @@ func newSrvApp(th *sim.HWThread, syscall *sim.Proc) *srvApp {
 
 func (a *srvApp) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	ctx.Charge(400)
+	if ev, ok := msg.(*stack.EvClosed); ok {
+		a.closed = append(a.closed, ev.Conn)
+	}
 	if a.lib.HandleEvent(ctx, msg) {
 		return
 	}
@@ -127,16 +134,16 @@ type bed struct {
 	cli    *cliApp
 }
 
-func newBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc) *bed {
+func newBed(t *testing.T, kind stack.Kind, slots [][]core.ThreadLoc) *bed {
 	t.Helper()
-	return listeningBed(t, 7, testbed.NEaTConfig{
-		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, 7, core.Config{
+		Kind: kind, Slots: slots, Syscall: core.ThreadLoc{Core: 1},
 	})
 }
 
 // bootBed boots the two-machine bed on seed: an AMD server with one NIC
 // queue per slot running cfg, and a client host with 2 stacks.
-func bootBed(t *testing.T, seed int64, cfg testbed.NEaTConfig) *bed {
+func bootBed(t *testing.T, seed int64, cfg core.Config) *bed {
 	t.Helper()
 	tb, err := testbed.NewBed(sim.New(seed), testbed.BedConfig{
 		Server: testbed.AMD.Host(len(cfg.Slots)), NEaT: cfg, ClientStacks: 2,
@@ -149,7 +156,7 @@ func bootBed(t *testing.T, seed int64, cfg testbed.NEaTConfig) *bed {
 
 // listeningBed is bootBed plus the server app listening on the server's
 // last core and the client app on the client's last core.
-func listeningBed(t *testing.T, seed int64, cfg testbed.NEaTConfig) *bed {
+func listeningBed(t *testing.T, seed int64, cfg core.Config) *bed {
 	t.Helper()
 	b := bootBed(t, seed, cfg)
 	b.app = newSrvApp(b.server.AppThread(b.server.Machine.NumCores()-1), b.sys.SyscallProc())
@@ -268,18 +275,27 @@ type holderApp struct {
 	socks    []*socketlib.Socket
 	open     int
 	failures int
+	closed   []stack.Handle // every EvClosed, in arrival order
 }
 
 func newHolderApp(b *bed) *holderApp {
-	a := &holderApp{server: b.server}
-	a.proc = sim.NewProc(b.client.AppThread(b.client.Machine.NumCores()-2), "holder", a,
-		sim.ProcConfig{Component: "app"})
-	a.lib = socketlib.New(a.proc, b.clisys.SyscallProc(), ipc.DefaultCosts())
+	return newHolderOn(b.client.AppThread(b.client.Machine.NumCores()-2), b.clisys, b.server)
+}
+
+// newHolderOn runs a holder on thread th over system sys, holding
+// connections to target.
+func newHolderOn(th *sim.HWThread, sys *core.System, target *testbed.Host) *holderApp {
+	a := &holderApp{server: target}
+	a.proc = sim.NewProc(th, "holder", a, sim.ProcConfig{Component: "app"})
+	a.lib = socketlib.New(a.proc, sys.SyscallProc(), ipc.DefaultCosts())
 	return a
 }
 
 func (a *holderApp) HandleMessage(ctx *sim.Context, msg sim.Message) {
 	ctx.Charge(200)
+	if ev, ok := msg.(*stack.EvClosed); ok {
+		a.closed = append(a.closed, ev.Conn)
+	}
 	if a.lib.HandleEvent(ctx, msg) {
 		return
 	}
@@ -447,5 +463,116 @@ func TestASLRReRandomizationAcrossRecovery(t *testing.T) {
 	seed2 := b.sys.Replicas()[0].Procs()[0].ASLRSeed
 	if seed1 == seed2 {
 		t.Fatal("replica respawned with identical address-space layout")
+	}
+}
+
+// lostRun is what one crash of TestLostConnectionsDeclaredOncePerSocket
+// declared: the lost connections' IDs and each owning application's reset
+// events, in arrival order.
+type lostRun struct {
+	ids         []uint64 // the owned connections at the crash
+	embryos     int      // PCBs no socket owns
+	wantSrv     []stack.Handle
+	wantDialer  []stack.Handle
+	srv, dialer []stack.Handle
+	lost        uint64 // ConnectionsLost after the crash
+	lostAfter   uint64 // ConnectionsLost after the quarantine
+}
+
+// crashHoldingReplica boots one single-component replica holding five
+// accepted connections, three active opens and four embryonic SYN_RCVD
+// PCBs, crashes it, and quarantines the slot before the respawn.
+func crashHoldingReplica(t *testing.T) lostRun {
+	t.Helper()
+	b := newBed(t, stack.Single, testbed.SingleSlots(2, 1))
+	holder := newHolderApp(b)
+	for i := 0; i < 5; i++ {
+		holder.proc.Deliver("hold")
+	}
+	// Active opens: an application on the server dials a listener on the
+	// client machine.
+	peer := newSrvApp(b.client.AppThread(b.client.Machine.NumCores()-3), b.clisys.SyscallProc())
+	peer.proc.Deliver("listen")
+	b.net.Sim.RunFor(sim.Millisecond)
+	dialer := newHolderOn(b.server.AppThread(b.server.Machine.NumCores()-2), b.sys, b.client)
+	for i := 0; i < 3; i++ {
+		dialer.proc.Deliver("hold")
+	}
+	b.net.Sim.RunFor(100 * sim.Millisecond)
+	if holder.open != 5 || dialer.open != 3 {
+		t.Fatalf("held %d accepted and %d active connections, want 5 and 3", holder.open, dialer.open)
+	}
+	// Embryos: SYNs from addresses nobody answers for stay in SYN_RCVD.
+	for i := 0; i < 4; i++ {
+		tcp := proto.TCPHeader{SrcPort: uint16(5000 + i), DstPort: 80, Seq: 77, Flags: proto.TCPSyn, Window: 65535}
+		b.server.NIC.Receive(proto.AppendTCP(bufpool.Get(proto.WireSizeTCP(&tcp, 0))[:0],
+			proto.EthernetHeader{Dst: b.server.MAC, Src: b.client.MAC, Type: proto.EtherTypeIPv4},
+			proto.IPv4Header{TTL: 64, Protocol: proto.ProtoTCP, Src: proto.IPv4(10, 0, 0, byte(50+i)), Dst: b.server.IP},
+			tcp, nil))
+	}
+	b.net.Sim.RunFor(sim.Millisecond)
+
+	r := b.sys.Replicas()[0]
+	var run lostRun
+	owned := r.OwnedConns()
+	run.embryos = r.TCP().NumConns() - len(owned)
+	for _, c := range owned {
+		run.ids = append(run.ids, c.ID)
+		switch app, h := r.ConnOwner(c); app {
+		case b.app.proc:
+			run.wantSrv = append(run.wantSrv, h)
+		case dialer.proc:
+			run.wantDialer = append(run.wantDialer, h)
+		default:
+			t.Fatalf("connection %d owned by %v", c.ID, app)
+		}
+	}
+	srv0, dial0 := len(b.app.closed), len(dialer.closed)
+
+	r.Procs()[0].Crash(sim.ErrKilled)
+	b.net.Sim.RunFor(200 * sim.Microsecond) // the respawn waits 500 µs
+	run.lost = b.sys.Stats().ConnectionsLost
+	run.srv = append(run.srv, b.app.closed[srv0:]...)
+	run.dialer = append(run.dialer, dialer.closed[dial0:]...)
+
+	if err := b.sys.Quarantine(0); err != nil {
+		t.Fatal(err)
+	}
+	b.net.Sim.RunFor(10 * sim.Millisecond)
+	run.lostAfter = b.sys.Stats().ConnectionsLost
+	if len(b.app.closed)-srv0 != len(run.srv) || len(dialer.closed)-dial0 != len(run.dialer) {
+		t.Fatalf("quarantine during the recovery sent %d more resets",
+			len(b.app.closed)-srv0-len(run.srv)+len(dialer.closed)-dial0-len(run.dialer))
+	}
+	return run
+}
+
+// TestLostConnectionsDeclaredOncePerSocket checks the stateless recovery's
+// accounting: a crashed replica loses exactly the connections a socket
+// owns (embryos are no application's loss), each owning application gets
+// one reset per connection in ConnID order, the order repeats run to run,
+// and a quarantine before the respawn declares nothing a second time.
+func TestLostConnectionsDeclaredOncePerSocket(t *testing.T) {
+	run := crashHoldingReplica(t)
+	if run.embryos != 4 {
+		t.Fatalf("%d embryonic PCBs at the crash, want 4", run.embryos)
+	}
+	if len(run.ids) != 8 || run.lost != 8 {
+		t.Fatalf("ConnectionsLost=%d over %d owned connections, want 8 and 8", run.lost, len(run.ids))
+	}
+	if !slices.IsSorted(run.ids) {
+		t.Fatalf("owned connections out of ConnID order: %v", run.ids)
+	}
+	if !slices.Equal(run.srv, run.wantSrv) || !slices.Equal(run.dialer, run.wantDialer) {
+		t.Fatalf("resets: server app %v want %v; dialer %v want %v",
+			run.srv, run.wantSrv, run.dialer, run.wantDialer)
+	}
+	if run.lostAfter != run.lost {
+		t.Fatalf("quarantine during the recovery counted %d more lost", run.lostAfter-run.lost)
+	}
+	again := crashHoldingReplica(t)
+	if !slices.Equal(again.ids, run.ids) || !slices.Equal(again.srv, run.srv) ||
+		!slices.Equal(again.dialer, run.dialer) {
+		t.Fatalf("a second run declared differently: %+v then %+v", run, again)
 	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/proto"
 	"neat/internal/sim"
@@ -15,10 +16,10 @@ import (
 // stateful recovery: connections survive a TCP crash, the applications
 // are rehomed to the new process, and traffic continues.
 func TestCheckpointedRecoveryKeepsConnections(t *testing.T) {
-	b := bootBed(t, 21, testbed.NEaTConfig{
+	b := bootBed(t, 21, core.Config{
 		Kind:               stack.Multi,
 		Slots:              testbed.MultiSlots(2, 2),
-		Syscall:            testbed.ThreadLoc{Core: 1},
+		Syscall:            core.ThreadLoc{Core: 1},
 		CheckpointInterval: 10 * sim.Millisecond,
 	})
 	n, server, client, sys, clisys := b.net, b.server, b.client, b.sys, b.clisys

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/sim"
 	"neat/internal/socketlib"
@@ -13,11 +14,11 @@ import (
 
 // newSteerBed is newBed with an explicit seed and steering configuration:
 // the placement-plane tests need non-default policies.
-func newSteerBed(t *testing.T, seed int64, kind stack.Kind, slots [][]testbed.ThreadLoc,
+func newSteerBed(t *testing.T, seed int64, kind stack.Kind, slots [][]core.ThreadLoc,
 	steering steer.Config) *bed {
 	t.Helper()
-	return listeningBed(t, seed, testbed.NEaTConfig{
-		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, seed, core.Config{
+		Kind: kind, Slots: slots, Syscall: core.ThreadLoc{Core: 1},
 		Steering: steering,
 	})
 }

@@ -107,7 +107,7 @@ const (
 
 func newWatchdog(sys *System) *Watchdog {
 	w := &Watchdog{sys: sys}
-	w.proc = sim.NewProc(sys.cfg.SyscallThread, "watchdog", w, sim.ProcConfig{
+	w.proc = sim.NewProc(sys.sys.Proc().Thread(), "watchdog", w, sim.ProcConfig{
 		Component: "watchdog", WakeCycles: 1400, HaltCycles: 900, DispatchCycles: 80,
 	})
 	sys.s.DeliverAt(sys.s.Now()+wdInterval, w.proc, wdTick{})

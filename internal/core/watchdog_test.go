@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"neat/internal/bufpool"
+	"neat/internal/core"
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/stack"
@@ -12,10 +13,10 @@ import (
 
 // newWatchdogBed is newBed with heartbeat failure detection instead of the
 // paper-fidelity crash oracle.
-func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]testbed.ThreadLoc) *bed {
+func newWatchdogBed(t *testing.T, kind stack.Kind, slots [][]core.ThreadLoc) *bed {
 	t.Helper()
-	return listeningBed(t, 7, testbed.NEaTConfig{
-		Kind: kind, Slots: slots, Syscall: testbed.ThreadLoc{Core: 1},
+	return listeningBed(t, 7, core.Config{
+		Kind: kind, Slots: slots, Syscall: core.ThreadLoc{Core: 1},
 		Watchdog: true,
 	})
 }
@@ -276,10 +277,6 @@ func TestQuarantineAllReplicasEntersDropAll(t *testing.T) {
 	if b.sys.NumActive() != 0 {
 		t.Fatalf("active=%d after quarantining all slots", b.sys.NumActive())
 	}
-	if q := b.server.NIC.RSSQueues(); len(q) != 0 {
-		t.Fatalf("RSS set not empty with zero active replicas: %v", q)
-	}
-
 	// A fresh inbound SYN (no exact filter, empty RSS set) is dropped in
 	// hardware, not hashed onto a dead queue.
 	tcp := proto.TCPHeader{SrcPort: 4242, DstPort: 80, Flags: proto.TCPSyn, Window: 65535}

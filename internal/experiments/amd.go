@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"neat/internal/baseline"
+	"neat/internal/core"
 	"neat/internal/report"
 	"neat/internal/stack"
 	"neat/internal/testbed"
@@ -110,7 +111,7 @@ func amdFig7Config(o Options, kind stack.Kind, replicas, webs, connsPerGen, reqP
 	b, err := NewBed(BedConfig{
 		Seed: o.seed(), Machine: AMD, Kind: kind,
 		ReplicaSlots: slots,
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+stackCores, webs),
 		ConnsPerGen:  connsPerGen, ReqPerConn: reqPerConn,
 		FileSize: fileSize,
@@ -237,10 +238,10 @@ func Figure12(o Options) *Result {
 }
 
 // coreRange builds n thread locs on consecutive cores (thread 0).
-func coreRange(first, n int) []testbed.ThreadLoc {
-	out := make([]testbed.ThreadLoc, n)
+func coreRange(first, n int) []core.ThreadLoc {
+	out := make([]core.ThreadLoc, n)
 	for i := range out {
-		out[i] = testbed.ThreadLoc{Core: first + i}
+		out[i] = core.ThreadLoc{Core: first + i}
 	}
 	return out
 }

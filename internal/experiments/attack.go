@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"neat/internal/app"
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/proto"
@@ -162,7 +163,7 @@ func attackRunGuard(o Options, kind attackKind, policy steer.PolicyKind, guard t
 	cfg := BedConfig{
 		Seed: o.seed(), Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, replicas),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+replicas, replicas),
 		ConnsPerGen:  8, ReqPerConn: 100,
 		Timeout:  100 * sim.Millisecond,

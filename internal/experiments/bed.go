@@ -5,6 +5,7 @@ import (
 
 	"neat/internal/app"
 	"neat/internal/baseline"
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/sim"
@@ -77,9 +78,9 @@ type BedConfig struct {
 
 	// NEaT configuration (used when LinuxCores == 0).
 	Kind         stack.Kind
-	ReplicaSlots [][]testbed.ThreadLoc
-	SyscallLoc   testbed.ThreadLoc
-	DriverLoc    testbed.ThreadLoc // the NIC driver's thread (default core 0)
+	ReplicaSlots [][]core.ThreadLoc
+	SyscallLoc   core.ThreadLoc
+	DriverLoc    core.ThreadLoc // the NIC driver's thread (default core 0)
 	// Watchdog switches failure detection to heartbeat probing (the
 	// fault-matrix campaign; Table 3 keeps the paper's crash oracle).
 	Watchdog bool
@@ -103,11 +104,11 @@ type BedConfig struct {
 	IPC ipc.Tuning
 
 	// Workload.
-	WebLocs     []testbed.ThreadLoc // lighttpd i at WebLocs[i], port 8000+i
-	FileSize    int                 // default 20 bytes
-	FileSizes   []int               // per-web override of FileSize (skewed workloads)
-	ConnsPerGen int                 // default 16
-	ReqPerConn  int                 // default 100
+	WebLocs     []core.ThreadLoc // lighttpd i at WebLocs[i], port 8000+i
+	FileSize    int              // default 20 bytes
+	FileSizes   []int            // per-web override of FileSize (skewed workloads)
+	ConnsPerGen int              // default 16
+	ReqPerConn  int              // default 100
 	ThinkTime   sim.Time
 	TSO         bool
 	Timeout     sim.Time
@@ -170,7 +171,7 @@ func NewBed(cfg BedConfig) (*Bed, error) {
 	tb, err := testbed.NewBed(s, testbed.BedConfig{
 		Trace:  tr,
 		Server: server,
-		NEaT: testbed.NEaTConfig{
+		NEaT: core.Config{
 			Kind: cfg.Kind, TCP: tcp,
 			Slots:    cfg.ReplicaSlots,
 			Syscall:  cfg.SyscallLoc,

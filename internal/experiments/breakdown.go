@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"neat/internal/core"
 	"neat/internal/report"
 	"neat/internal/stack"
 	"neat/internal/testbed"
@@ -27,7 +28,7 @@ func LatencyBreakdown(o Options) *Result {
 	type config struct {
 		name  string
 		kind  stack.Kind
-		slots [][]testbed.ThreadLoc
+		slots [][]core.ThreadLoc
 	}
 	configs := []config{
 		{"single-component, 2 replicas", stack.Single, testbed.SingleSlots(2, 2)},
@@ -45,7 +46,7 @@ func LatencyBreakdown(o Options) *Result {
 		b, err := NewBed(BedConfig{
 			Seed: o.seed(), Machine: AMD, Kind: c.kind,
 			ReplicaSlots: c.slots,
-			SyscallLoc:   testbed.ThreadLoc{Core: 1},
+			SyscallLoc:   core.ThreadLoc{Core: 1},
 			WebLocs:      coreRange(6, 2),
 			ConnsPerGen:  16, ReqPerConn: 100,
 			Observe: true,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"neat/internal/baseline"
+	"neat/internal/core"
 	"neat/internal/stack"
 	"neat/internal/testbed"
 )
@@ -25,8 +26,8 @@ func TestAnchorWebInstance(t *testing.T) {
 	m := measure(t, BedConfig{
 		Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, 3),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs:      []testbed.ThreadLoc{{Core: 5}},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
+		WebLocs:      []core.ThreadLoc{{Core: 5}},
 		ConnsPerGen:  64,
 	})
 	t.Logf("1 web, 3 replicas: %.1f krps (errors=%d, mean=%v)", m.KRPS, m.Errors, m.MeanLat)
@@ -41,8 +42,8 @@ func TestAnchorSingleReplica(t *testing.T) {
 	m := measure(t, BedConfig{
 		Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, 1),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs: []testbed.ThreadLoc{
+		SyscallLoc:   core.ThreadLoc{Core: 1},
+		WebLocs: []core.ThreadLoc{
 			{Core: 3}, {Core: 4}, {Core: 5}, {Core: 6}, {Core: 7}, {Core: 8},
 		},
 		ConnsPerGen: 64,
@@ -59,8 +60,8 @@ func TestAnchorMultiReplica(t *testing.T) {
 	m := measure(t, BedConfig{
 		Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 1),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
-		WebLocs: []testbed.ThreadLoc{
+		SyscallLoc:   core.ThreadLoc{Core: 1},
+		WebLocs: []core.ThreadLoc{
 			{Core: 4}, {Core: 5}, {Core: 6}, {Core: 7}, {Core: 8}, {Core: 9},
 		},
 		ConnsPerGen: 64,

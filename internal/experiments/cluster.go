@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"neat/internal/app"
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/metrics"
 	"neat/internal/report"
@@ -151,9 +152,9 @@ func NewClusterBed(cfg ClusterBedConfig) (*ClusterBed, error) {
 			Tenant:  tenantName(fi % cfg.Tenants),
 			Members: cfg.MembersPerFarm,
 			Host:    host,
-			NEaT: testbed.NEaTConfig{
+			NEaT: core.Config{
 				Slots:   testbed.SingleSlots(2, cfg.ReplicasPerMember),
-				Syscall: testbed.ThreadLoc{Core: 1},
+				Syscall: core.ThreadLoc{Core: 1},
 				IPC:     cfg.IPC,
 			},
 			Trace: tr,
@@ -178,7 +179,7 @@ func NewClusterBed(cfg ClusterBedConfig) (*ClusterBed, error) {
 	for fi, farm := range cluster.Farms {
 		var row []*app.HTTPD
 		for mi, m := range farm.Members {
-			h := app.NewHTTPD(m.Host.Thread(testbed.ThreadLoc{Core: webCore}),
+			h := app.NewHTTPD(m.Host.Thread(core.ThreadLoc{Core: webCore}),
 				fmt.Sprintf("lighttpd-f%dm%d", fi, mi), m.Sys.SyscallProc(),
 				ipc.DefaultCosts(), app.HTTPDConfig{
 					Port:             clusterFarmPort(fi),

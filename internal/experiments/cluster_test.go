@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/faultinject"
 	"neat/internal/ipc"
 	"neat/internal/sim"
@@ -244,7 +245,7 @@ func TestClusterSpecValidation(t *testing.T) {
 		{"ghost-tenant", testbed.ClusterSpec{Farms: farm, Clients: []testbed.ClientSpec{{Tenant: "ghost"}}}, "tenant"},
 		// 6 multi-component replicas need cores 2..13 on the 12-core member.
 		{"oversized-member-layout", testbed.ClusterSpec{Farms: []testbed.FarmSpec{{Name: "f", Members: 1,
-			NEaT: testbed.NEaTConfig{Kind: stack.Multi, Slots: testbed.MultiSlots(2, 6), Syscall: testbed.ThreadLoc{Core: 1}}}},
+			NEaT: core.Config{Kind: stack.Multi, Slots: testbed.MultiSlots(2, 6), Syscall: core.ThreadLoc{Core: 1}}}},
 			Clients: client}, "12 cores"},
 	}
 	for _, tc := range cases {

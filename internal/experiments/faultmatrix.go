@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"neat/internal/core"
 	"neat/internal/faultinject"
 	"neat/internal/report"
 	"neat/internal/sim"
@@ -148,7 +149,7 @@ func runFault(seed int64, kind faultinject.Kind, comp string, observe sim.Time, 
 	b, err := NewBed(BedConfig{
 		Seed: seed, Machine: AMD, Kind: stack.Multi,
 		ReplicaSlots: testbed.MultiSlots(2, 2),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(6, 2),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Timeout:  150 * sim.Millisecond,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"neat/internal/app"
+	"neat/internal/core"
 	"neat/internal/ipc"
 	"neat/internal/report"
 	"neat/internal/sim"
@@ -55,7 +56,7 @@ func ipcLinkBed(o Options, kind stack.Kind, coalesce bool) (Measurement, sim.IPC
 	b, err := NewBed(BedConfig{
 		Seed: o.seed(), Machine: AMD, Kind: kind,
 		ReplicaSlots: slots,
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+stackCores, webs),
 		ConnsPerGen:  conns, ReqPerConn: 50,
 		// Multi-segment responses: consecutive segments of one response are

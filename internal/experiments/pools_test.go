@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/sim"
 	"neat/internal/stack"
 	"neat/internal/testbed"
@@ -15,7 +16,7 @@ import (
 // sim.pool.<kind>.outstanding of the bed's registry must be zero. A
 // consumer that forgets to Recycle a box fails here, naming the kind.
 func TestPoolsDrainAtQuiescence(t *testing.T) {
-	web := []testbed.ThreadLoc{{Core: 6}}
+	web := []core.ThreadLoc{{Core: 6}}
 	for _, tc := range []struct {
 		name string
 		cfg  BedConfig
@@ -23,12 +24,12 @@ func TestPoolsDrainAtQuiescence(t *testing.T) {
 		kinds []string
 	}{
 		{"neat", BedConfig{Kind: stack.Single, ReplicaSlots: testbed.SingleSlots(2, 2),
-			SyscallLoc: testbed.ThreadLoc{Core: 1}, WebLocs: web},
+			SyscallLoc: core.ThreadLoc{Core: 1}, WebLocs: web},
 			[]string{"batch", "ev_accepted", "ev_closed", "ev_data", "op_close", "op_send", "timer_fire", "tx_frame"}},
 		{"multi-tso", BedConfig{Kind: stack.Multi, ReplicaSlots: testbed.MultiSlots(2, 1),
-			SyscallLoc: testbed.ThreadLoc{Core: 1}, WebLocs: web, FileSize: 64 << 10, TSO: true},
+			SyscallLoc: core.ThreadLoc{Core: 1}, WebLocs: web, FileSize: 64 << 10, TSO: true},
 			[]string{"ev_send_space", "ip_output", "ip_output_tso", "tx_tso"}},
-		{"baseline", BedConfig{LinuxCores: 2, WebLocs: []testbed.ThreadLoc{{Core: 0}}},
+		{"baseline", BedConfig{LinuxCores: 2, WebLocs: []core.ThreadLoc{{Core: 0}}},
 			[]string{"ev_accepted", "ev_closed", "ev_data", "op_send"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

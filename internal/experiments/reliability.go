@@ -3,11 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"neat/internal/core"
 	"neat/internal/faultinject"
 	"neat/internal/report"
 	"neat/internal/sim"
 	"neat/internal/stack"
-	"neat/internal/testbed"
 )
 
 // Table3 reproduces the fault-injection experiment of §6.6: inject faults
@@ -96,52 +96,21 @@ func Figure13(o Options) *Result {
 	}
 	pTCP := faultinject.New(nil, nil).TCPShare()
 
-	type cfg struct {
-		label    string
-		kind     stack.Kind
-		replicas int
-		series   xeonSeries
-	}
-	configs := []cfg{
-		{"NEaT 1x (1 core)", stack.Single, 1, xeonSeries{
+	configs := []struct {
+		label  string
+		series xeonSeries
+	}{
+		{"NEaT 1x (1 core)", neat1x.at(4)},
+		{"NEaT 2x (2 cores)", neat2x.at(6)},
+		{"NEaT 3x (3 cores)", xeonSeries{
 			kind:   stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: threadFill(3, 4, 5, 6, 7), points: []int{4}}},
-		{"NEaT 2x (2 cores)", stack.Single, 2, xeonSeries{
-			kind:   stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0)}, {loc(3, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: threadFill(4, 5, 6, 7), points: []int{6}}},
-		{"NEaT 3x (3 cores)", stack.Single, 3, xeonSeries{
-			kind:   stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(1, 0)}, {loc(2, 0)}, {loc(3, 0)}},
+			slots:  [][]core.ThreadLoc{{loc(1, 0)}, {loc(2, 0)}, {loc(3, 0)}},
 			driver: loc(0, 0), syscall: loc(0, 1),
 			webFill: threadFill(4, 5, 6, 7), points: []int{8}}},
-		{"NEaT 4x (2 cores, 4 threads)", stack.Single, 4, xeonSeries{
-			kind: stack.Single,
-			slots: [][]testbed.ThreadLoc{
-				{loc(1, 0)}, {loc(1, 1)}, {loc(2, 0)}, {loc(2, 1)}},
-			driver: loc(0, 0), syscall: loc(0, 1),
-			webFill: threadFill(3, 4, 5, 6, 7), points: []int{9}}},
-		{"Multi 1x (2 cores)", stack.Multi, 1, xeonSeries{
-			kind:   stack.Multi,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0), loc(3, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: threadFill(4, 5, 6, 7), points: []int{4}}},
-		{"Multi 2x (4 cores)", stack.Multi, 2, xeonSeries{
-			kind:   stack.Multi,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0), loc(3, 0)}, {loc(4, 0), loc(5, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: []testbed.ThreadLoc{loc(6, 0), loc(7, 0), loc(6, 1), loc(7, 1),
-				loc(3, 1), loc(5, 1), loc(2, 1), loc(4, 1)},
-			points: []int{8}}},
-		{"Multi 2x (2 cores, 4 threads)", stack.Multi, 2, xeonSeries{
-			kind: stack.Multi,
-			slots: [][]testbed.ThreadLoc{
-				{loc(2, 0), loc(1, 0)}, {loc(2, 1), loc(1, 1)}},
-			driver: loc(0, 0), syscall: loc(0, 1),
-			webFill: threadFill(3, 4, 5, 6, 7), points: []int{8}}},
+		{"NEaT 4x (2 cores, 4 threads)", neat4xHT.at(9)},
+		{"Multi 1x (2 cores)", multi1x.at(4)},
+		{"Multi 2x (4 cores)", multi2x.at(8)},
+		{"Multi 2x (2 cores, 4 threads)", multi2xHT.at(8)},
 	}
 
 	fig := &report.Figure{Title: "Preserved state vs max throughput",
@@ -157,9 +126,10 @@ func Figure13(o Options) *Result {
 		return runXeonSeries(seq, configs[i].series, tmp, 24).MaxY()
 	})
 	for i, c := range configs {
-		preserved := 100 * (1 - 1/float64(c.replicas))
-		if c.kind == stack.Multi {
-			preserved = 100 * (1 - pTCP/float64(c.replicas))
+		replicas := float64(len(c.series.slots))
+		preserved := 100 * (1 - 1/replicas)
+		if c.series.kind == stack.Multi {
+			preserved = 100 * (1 - pTCP/replicas)
 		}
 		tab.AddRow(c.label, fmt.Sprintf("%.1f%%", preserved), maxes[i])
 		curve.Add(maxes[i], preserved)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"neat/internal/core"
 	"neat/internal/report"
 	"neat/internal/stack"
 	"neat/internal/steer"
@@ -94,7 +95,7 @@ func steeringRun(o Options, policy steer.PolicyKind, skewed bool) steeringOut {
 	cfg := BedConfig{
 		Seed: o.seed(), Machine: AMD, Kind: stack.Single,
 		ReplicaSlots: testbed.SingleSlots(2, replicas),
-		SyscallLoc:   testbed.ThreadLoc{Core: 1},
+		SyscallLoc:   core.ThreadLoc{Core: 1},
 		WebLocs:      coreRange(2+replicas, 4),
 		ConnsPerGen:  16, ReqPerConn: 100,
 		Steering: steer.Config{Policy: policy},

@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"neat/internal/core"
 	"neat/internal/report"
 	"neat/internal/sim"
 	"neat/internal/stack"
-	"neat/internal/testbed"
 )
 
 // Xeon placements follow the paper's Figures 8 and 10: hyperthreading lets
@@ -18,10 +18,10 @@ import (
 type xeonSeries struct {
 	label   string
 	kind    stack.Kind
-	slots   [][]testbed.ThreadLoc
-	driver  testbed.ThreadLoc
-	syscall testbed.ThreadLoc
-	webFill []testbed.ThreadLoc
+	slots   [][]core.ThreadLoc
+	driver  core.ThreadLoc
+	syscall core.ThreadLoc
+	webFill []core.ThreadLoc
 	points  []int // which web counts to measure
 }
 
@@ -61,18 +61,96 @@ func runXeonSeries(o Options, s xeonSeries, fig *report.Figure, conns int) *repo
 }
 
 // threadFill lists (core,0) for cores in order, then (core,1).
-func threadFill(cores ...int) []testbed.ThreadLoc {
-	var out []testbed.ThreadLoc
+func threadFill(cores ...int) []core.ThreadLoc {
+	var out []core.ThreadLoc
 	for _, c := range cores {
-		out = append(out, testbed.ThreadLoc{Core: c, Thread: 0})
+		out = append(out, core.ThreadLoc{Core: c, Thread: 0})
 	}
 	for _, c := range cores {
-		out = append(out, testbed.ThreadLoc{Core: c, Thread: 1})
+		out = append(out, core.ThreadLoc{Core: c, Thread: 1})
 	}
 	return out
 }
 
-func loc(c, t int) testbed.ThreadLoc { return testbed.ThreadLoc{Core: c, Thread: t} }
+func loc(c, t int) core.ThreadLoc { return core.ThreadLoc{Core: c, Thread: t} }
+
+// The Xeon layouts of Figures 9 and 11, declared once: Figure 13 measures
+// them again at a single point each.
+var (
+	// Multi 1x: one replica on two dedicated cores.
+	multi1x = xeonSeries{
+		label: "Multi 1x", kind: stack.Multi,
+		slots:  [][]core.ThreadLoc{{loc(2, 0), loc(3, 0)}},
+		driver: loc(0, 0), syscall: loc(1, 0),
+		webFill: threadFill(4, 5, 6, 7),
+		points:  []int{1, 2, 3, 4},
+	}
+	// Multi 2x on dedicated cores: only cores 6,7 remain for lighttpd;
+	// points 3,4 use their sibling threads, 6 adds the TCP cores' and 8
+	// the IP cores' spare threads (§6.4).
+	multi2x = xeonSeries{
+		label: "Multi 2x", kind: stack.Multi,
+		slots:  [][]core.ThreadLoc{{loc(2, 0), loc(3, 0)}, {loc(4, 0), loc(5, 0)}},
+		driver: loc(0, 0), syscall: loc(1, 0),
+		webFill: []core.ThreadLoc{loc(6, 0), loc(7, 0), loc(6, 1), loc(7, 1),
+			loc(3, 1), loc(5, 1), loc(2, 1), loc(4, 1)},
+		points: []int{1, 2, 3, 4, 6, 8},
+	}
+	// Multi 2x HT (Fig. 8c): both TCP processes share one core, both IP
+	// processes another; driver and SYSCALL share core 0.
+	multi2xHT = xeonSeries{
+		label: "Multi 2x HT", kind: stack.Multi,
+		slots:  [][]core.ThreadLoc{{loc(2, 0), loc(1, 0)}, {loc(2, 1), loc(1, 1)}},
+		driver: loc(0, 0), syscall: loc(0, 1),
+		webFill: threadFill(3, 4, 5, 6, 7),
+		points:  []int{2, 4, 6, 8},
+	}
+	neat1x = xeonSeries{
+		label: "NEaT 1x", kind: stack.Single,
+		slots:  [][]core.ThreadLoc{{loc(2, 0)}},
+		driver: loc(0, 0), syscall: loc(1, 0),
+		webFill: threadFill(3, 4, 5, 6, 7),
+		points:  []int{1, 2, 3, 4, 5},
+	}
+	neat1xHT = xeonSeries{
+		label: "NEaT 1x HT", kind: stack.Single,
+		slots:  [][]core.ThreadLoc{{loc(1, 0)}},
+		driver: loc(0, 0), syscall: loc(0, 1),
+		webFill: threadFill(2, 3, 4, 5, 6, 7),
+		points:  []int{1, 2, 3, 4, 5, 6, 8, 9},
+	}
+	neat2x = xeonSeries{
+		label: "NEaT 2x", kind: stack.Single,
+		slots:  [][]core.ThreadLoc{{loc(2, 0)}, {loc(3, 0)}},
+		driver: loc(0, 0), syscall: loc(1, 0),
+		webFill: threadFill(4, 5, 6, 7),
+		points:  []int{2, 3, 4, 5, 6, 8},
+	}
+	neat2xHT = xeonSeries{
+		label: "NEaT 2x HT", kind: stack.Single,
+		slots:  [][]core.ThreadLoc{{loc(1, 0)}, {loc(1, 1)}},
+		driver: loc(0, 0), syscall: loc(0, 1),
+		webFill: threadFill(2, 3, 4, 5, 6, 7),
+		points:  []int{2, 4, 6, 8, 9},
+	}
+	// Fig. 10: the best-performing configuration, fully exploiting
+	// hyperthreading: 4 replicas on 2 cores, driver+SYSCALL on one.
+	neat4xHT = xeonSeries{
+		label: "NEaT 4x HT", kind: stack.Single,
+		slots: [][]core.ThreadLoc{
+			{loc(1, 0)}, {loc(1, 1)}, {loc(2, 0)}, {loc(2, 1)},
+		},
+		driver: loc(0, 0), syscall: loc(0, 1),
+		webFill: threadFill(3, 4, 5, 6, 7),
+		points:  []int{4, 6, 8, 9, 10},
+	}
+)
+
+// at returns the series measured at the single web count webs.
+func (s xeonSeries) at(webs int) xeonSeries {
+	s.points = []int{webs}
+	return s
+}
 
 // Figure9 reproduces the Xeon multi-component scaling: Multi 1x, Multi 2x
 // (spilling lighttpd onto the stack cores' spare threads) and Multi 2x HT
@@ -83,33 +161,6 @@ func Figure9(o Options) *Result {
 	fig := &report.Figure{Title: "Request rate vs lighttpd instances (Xeon, 8 cores × 2 threads)",
 		XLabel: "#lighttpd", YLabel: "krps"}
 
-	multi1x := xeonSeries{
-		label: "Multi 1x", kind: stack.Multi,
-		slots:  [][]testbed.ThreadLoc{{loc(2, 0), loc(3, 0)}},
-		driver: loc(0, 0), syscall: loc(1, 0),
-		webFill: threadFill(4, 5, 6, 7),
-		points:  []int{1, 2, 3, 4},
-	}
-	// Multi 2x on dedicated cores: only cores 6,7 remain for lighttpd;
-	// points 3,4 use their sibling threads, 6 adds the TCP cores' and 8
-	// the IP cores' spare threads (§6.4).
-	multi2x := xeonSeries{
-		label: "Multi 2x", kind: stack.Multi,
-		slots:  [][]testbed.ThreadLoc{{loc(2, 0), loc(3, 0)}, {loc(4, 0), loc(5, 0)}},
-		driver: loc(0, 0), syscall: loc(1, 0),
-		webFill: []testbed.ThreadLoc{loc(6, 0), loc(7, 0), loc(6, 1), loc(7, 1),
-			loc(3, 1), loc(5, 1), loc(2, 1), loc(4, 1)},
-		points: []int{1, 2, 3, 4, 6, 8},
-	}
-	// Multi 2x HT (Fig. 8c): both TCP processes share one core, both IP
-	// processes another; driver and SYSCALL share core 0.
-	multi2xHT := xeonSeries{
-		label: "Multi 2x HT", kind: stack.Multi,
-		slots:  [][]testbed.ThreadLoc{{loc(2, 0), loc(1, 0)}, {loc(2, 1), loc(1, 1)}},
-		driver: loc(0, 0), syscall: loc(0, 1),
-		webFill: threadFill(3, 4, 5, 6, 7),
-		points:  []int{2, 4, 6, 8},
-	}
 	var peak float64
 	for _, s := range []xeonSeries{multi1x, multi2x, multi2xHT} {
 		series := runXeonSeries(o, s, fig, 24)
@@ -132,49 +183,8 @@ func Figure11(o Options) *Result {
 	fig := &report.Figure{Title: "Request rate vs lighttpd instances (Xeon, single-component)",
 		XLabel: "#lighttpd", YLabel: "krps"}
 
-	series := []xeonSeries{
-		{
-			label: "NEaT 1x", kind: stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: threadFill(3, 4, 5, 6, 7),
-			points:  []int{1, 2, 3, 4, 5},
-		},
-		{
-			label: "NEaT 1x HT", kind: stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(1, 0)}},
-			driver: loc(0, 0), syscall: loc(0, 1),
-			webFill: threadFill(2, 3, 4, 5, 6, 7),
-			points:  []int{1, 2, 3, 4, 5, 6, 8, 9},
-		},
-		{
-			label: "NEaT 2x", kind: stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(2, 0)}, {loc(3, 0)}},
-			driver: loc(0, 0), syscall: loc(1, 0),
-			webFill: threadFill(4, 5, 6, 7),
-			points:  []int{2, 3, 4, 5, 6, 8},
-		},
-		{
-			label: "NEaT 2x HT", kind: stack.Single,
-			slots:  [][]testbed.ThreadLoc{{loc(1, 0)}, {loc(1, 1)}},
-			driver: loc(0, 0), syscall: loc(0, 1),
-			webFill: threadFill(2, 3, 4, 5, 6, 7),
-			points:  []int{2, 4, 6, 8, 9},
-		},
-		{
-			// Fig. 10: the best-performing configuration, fully exploiting
-			// hyperthreading: 4 replicas on 2 cores, driver+SYSCALL on one.
-			label: "NEaT 4x HT", kind: stack.Single,
-			slots: [][]testbed.ThreadLoc{
-				{loc(1, 0)}, {loc(1, 1)}, {loc(2, 0)}, {loc(2, 1)},
-			},
-			driver: loc(0, 0), syscall: loc(0, 1),
-			webFill: threadFill(3, 4, 5, 6, 7),
-			points:  []int{4, 6, 8, 9, 10},
-		},
-	}
 	var best float64
-	for _, s := range series {
+	for _, s := range []xeonSeries{neat1x, neat1xHT, neat2x, neat2xHT, neat4xHT} {
 		sr := runXeonSeries(o, s, fig, 24)
 		if m := sr.MaxY(); m > best {
 			best = m
@@ -216,7 +226,7 @@ func Table2(o Options) *Result {
 		row := rows[i]
 		b, err := NewBed(BedConfig{
 			Seed: o.seed(), Machine: Xeon, Kind: stack.Single,
-			ReplicaSlots: [][]testbed.ThreadLoc{{loc(2, 0)}, {loc(2, 1)}, {loc(3, 0)}},
+			ReplicaSlots: [][]core.ThreadLoc{{loc(2, 0)}, {loc(2, 1)}, {loc(3, 0)}},
 			DriverLoc:    loc(0, 0), SyscallLoc: loc(1, 0),
 			WebLocs:     threadFill(4, 5, 6, 7)[:row.webs],
 			ConnsPerGen: row.conns, ReqPerConn: 100, ThinkTime: row.think,

@@ -70,10 +70,10 @@ func drainableBed(t *testing.T) (*testbed.Net, *core.System) {
 	t.Helper()
 	b, err := testbed.NewBed(sim.New(11), testbed.BedConfig{
 		Server: testbed.AMD.Host(4),
-		NEaT: testbed.NEaTConfig{
+		NEaT: core.Config{
 			Kind:    stack.Single,
 			Slots:   testbed.SingleSlots(2, 2),
-			Syscall: testbed.ThreadLoc{Core: 1},
+			Syscall: core.ThreadLoc{Core: 1},
 		},
 	})
 	if err != nil {

@@ -102,9 +102,8 @@ type NICStats struct {
 // RSSPolicy steers unpinned flows to a queue: the software-programmable
 // half of the RSS indirection. QueueFor maps a flow hash to the RX queue
 // that should own it, or -1 to drop (no queue can accept new flows). The
-// flow-placement plane (internal/steer) provides implementations; when no
-// policy is installed the NIC falls back to its built-in
-// rssQueues[hash%len] indirection table.
+// flow-placement plane (internal/steer) provides implementations; a NIC
+// without a policy hashes over all of its queues (hash%queues).
 type RSSPolicy interface {
 	QueueFor(hash uint32) int
 }
@@ -127,8 +126,6 @@ type NIC struct {
 	// path allocates no strings per frame.
 	rxqHop     []string
 	filters    map[proto.Flow]int
-	rssQueues  []int // queues participating in RSS for unmatched flows
-	rssView    []int // cached copy handed out by RSSQueues
 	rssPolicy  RSSPolicy
 	driver     *Driver
 	intrArmed  bool
@@ -157,7 +154,7 @@ type rxQueue struct {
 
 // NewNIC creates a NIC with n RX/TX queue pairs attached to the given side
 // of a link — a point-to-point link or a switch access link; the NIC does
-// not care which. Initially all queues participate in RSS.
+// not care which. Until a policy is installed, RSS hashes over all queues.
 func NewNIC(s *sim.Simulator, name string, mac proto.MAC, l *wire.Link, side int, nQueues int) *NIC {
 	port := l.End(side)
 	n := &NIC{
@@ -172,7 +169,6 @@ func NewNIC(s *sim.Simulator, name string, mac proto.MAC, l *wire.Link, side int
 		intrArmed:       true,
 	}
 	for q := 0; q < nQueues; q++ {
-		n.rssQueues = append(n.rssQueues, q)
 		n.rxqHop = append(n.rxqHop, fmt.Sprintf("%s.rxq%d", name, q))
 	}
 	port.Attach(n)
@@ -210,39 +206,13 @@ func (n *NIC) RemoveFilter(flow proto.Flow) { delete(n.filters, flow) }
 // NumFilters returns the number of installed exact-match filters.
 func (n *NIC) NumFilters() int { return len(n.filters) }
 
-// SetRSSQueues restricts RSS steering of unmatched flows to the given
-// queues. NEaT uses this for lazy termination (§3.4): a replica in
-// termination state is removed from RSS so it receives no new connections,
-// while its exact-match filters keep serving existing ones.
-//
-// An empty set is the explicit drop-all state: with no replica able to
-// accept new connections (all quarantined or terminating), unmatched flows
-// are dropped in hardware (counted as RxDropNoRSS) instead of being hashed
-// onto a dead queue. Exact-match filters keep steering existing flows.
-func (n *NIC) SetRSSQueues(queues []int) error {
-	for _, q := range queues {
-		if q < 0 || q >= len(n.queues) {
-			return fmt.Errorf("nicdev: queue %d out of range", q)
-		}
-	}
-	n.rssQueues = append([]int(nil), queues...)
-	n.rssView = nil
-	return nil
-}
-
-// RSSQueues returns the queues currently participating in RSS. The slice
-// is cached between SetRSSQueues calls; callers must not modify it.
-func (n *NIC) RSSQueues() []int {
-	if n.rssView == nil {
-		n.rssView = append([]int(nil), n.rssQueues...)
-	}
-	return n.rssView
-}
-
 // SetRSSPolicy delegates unpinned-flow steering to a placement policy
-// (the flow-placement plane). With a policy installed the built-in
-// rssQueues indirection is bypassed; exact-match filters still take
-// precedence over the policy, exactly as they do over RSS. nil restores the built-in indirection.
+// (the flow-placement plane). Exact-match filters still take precedence
+// over the policy. A policy that answers -1 is the explicit drop-all
+// state: NEaT's manager has no replica that can accept a new connection
+// (all quarantined or terminating, §3.4), so unmatched flows are dropped in
+// hardware (RxDropNoRSS) while filters keep steering existing ones. nil
+// restores hashing over all queues.
 func (n *NIC) SetRSSPolicy(p RSSPolicy) { n.rssPolicy = p }
 
 // Receive implements wire.Port: hardware classification and enqueue. The
@@ -281,8 +251,9 @@ func (n *NIC) Receive(raw []byte) {
 }
 
 // classify picks the RX queue for a decoded frame: exact filter first, then
-// RSS hash over the enabled queues; non-flow traffic (ARP) goes to queue 0.
-// Returns -1 when the flow is unmatched and the RSS set is empty (drop-all).
+// the RSS policy, or a hash over all queues when none is installed;
+// non-flow traffic (ARP) goes to queue 0. Returns -1 when the flow is
+// unmatched and the policy drops it.
 func (n *NIC) classify(f *proto.Frame) int {
 	flow, ok := f.Flow()
 	if !ok {
@@ -292,19 +263,14 @@ func (n *NIC) classify(f *proto.Frame) int {
 		n.stats.RxFiltered++
 		return q
 	}
-	if n.rssPolicy != nil {
-		q := n.rssPolicy.QueueFor(flow.Hash())
-		if q < 0 {
-			return -1
-		}
-		n.stats.RxHashed++
-		return q
-	}
-	if len(n.rssQueues) == 0 {
+	var q int
+	if n.rssPolicy == nil {
+		q = int(flow.Hash()) % len(n.queues)
+	} else if q = n.rssPolicy.QueueFor(flow.Hash()); q < 0 {
 		return -1
 	}
 	n.stats.RxHashed++
-	return n.rssQueues[int(flow.Hash())%len(n.rssQueues)]
+	return q
 }
 
 // Transmit puts a serialized frame on the wire.

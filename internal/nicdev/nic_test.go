@@ -99,11 +99,15 @@ func TestExactFilterOverridesRSS(t *testing.T) {
 	}
 }
 
+// fixedQueue is an RSS policy that sends every unpinned flow to one queue,
+// or drops it when the queue is -1.
+type fixedQueue int
+
+func (q fixedQueue) QueueFor(uint32) int { return int(q) }
+
 func TestRSSRestrictedQueues(t *testing.T) {
 	rig := newRig(t, 4)
-	if err := rig.nic.SetRSSQueues([]int{2}); err != nil {
-		t.Fatal(err)
-	}
+	rig.nic.SetRSSPolicy(fixedQueue(2))
 	for p := 0; p < 16; p++ {
 		rig.link.Transmit(0, tcpFrame(uint16(3000+p), nil))
 	}
@@ -111,14 +115,9 @@ func TestRSSRestrictedQueues(t *testing.T) {
 	if got := len(rig.got["C"]); got != 16 {
 		t.Fatalf("restricted RSS: queue C got %d of 16 (%v)", got, rig.got)
 	}
-	if err := rig.nic.SetRSSQueues([]int{9}); err == nil {
-		t.Fatal("out-of-range RSS queue accepted")
-	}
-	// Empty RSS set is the explicit drop-all state: unmatched flows are
-	// dropped in hardware, exact filters keep steering.
-	if err := rig.nic.SetRSSQueues(nil); err != nil {
-		t.Fatalf("empty RSS set rejected: %v", err)
-	}
+	// A policy answering -1 is the explicit drop-all state: unmatched flows
+	// are dropped in hardware, exact filters keep steering.
+	rig.nic.SetRSSPolicy(fixedQueue(-1))
 	pinned := proto.Flow{Src: ipA, Dst: ipB, SrcPort: 3000, DstPort: 80, Proto: proto.ProtoTCP}
 	if err := rig.nic.InstallFilter(pinned, 1); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package stack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"neat/internal/ipc"
 	"neat/internal/ipeng"
@@ -262,6 +264,22 @@ func (r *Replica) ConnOwner(c *tcpeng.Conn) (*sim.Proc, Handle) {
 		return sc.app, sc.h
 	}
 	return nil, Handle{}
+}
+
+// OwnedConns returns the connections of the replica's TCP engine that a
+// socket owns, in ConnID order: every active open from its OpConnect on,
+// every accepted connection from its accept on, until the engine removes
+// the PCB. Embryonic connections, which no application has seen, are left
+// out.
+func (r *Replica) OwnedConns() []*tcpeng.Conn {
+	var out []*tcpeng.Conn
+	r.TCP().EachConn(func(c *tcpeng.Conn) {
+		if _, ok := c.Ctx.(*sockCtx); ok {
+			out = append(out, c)
+		}
+	})
+	slices.SortFunc(out, func(a, b *tcpeng.Conn) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Kind returns the replica layout.

@@ -9,8 +9,8 @@ import "math/rand"
 // balancing and address-space unpredictability).
 //
 // It is the default, and it is byte-identical to the behaviour the
-// repository had before the placement plane existed: QueueFor reproduces
-// the NIC's rssQueues[hash%len] lookup exactly, and PickConnect consumes
+// repository had before the placement plane existed: QueueFor is the NIC's
+// old built-in indirection, active[hash%len(active)], and PickConnect consumes
 // exactly one rng.Intn draw per connect, like the management plane's old
 // inline selection.
 type HashPolicy struct {

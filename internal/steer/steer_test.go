@@ -46,8 +46,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 }
 
 // TestHashPolicyMatchesLegacyRSS pins the byte-identity contract: the
-// default policy must reproduce the NIC's historical
-// rssQueues[hash%len(rssQueues)] indirection exactly.
+// default policy must reproduce the NIC's historical RSS indirection over
+// the active queues, active[hash%len(active)], exactly.
 func TestHashPolicyMatchesLegacyRSS(t *testing.T) {
 	p := NewHashPolicy(rand.New(rand.NewSource(1)))
 	for _, active := range [][]int{{0}, {0, 1}, {0, 2, 5}, {1, 3, 4, 7}} {

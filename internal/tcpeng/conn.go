@@ -460,7 +460,9 @@ func (c *Conn) processAck(h *proto.TCPHeader) bool {
 	c.snd.wnd = uint32(h.Window) << c.snd.wndShift
 
 	if proto.SeqLEQ(ack, c.snd.una) {
-		if ack == c.snd.una && c.bytesInFlight() > 0 {
+		// An ACK that shuts the window answers a persist probe: the
+		// receiver dropped the probe byte, nothing was lost.
+		if ack == c.snd.una && c.bytesInFlight() > 0 && c.snd.wnd > 0 {
 			c.onDupAck()
 		}
 		return true

@@ -380,6 +380,10 @@ func (e *Engine) Stats() Stats { return e.stats }
 // when this reaches zero.
 func (e *Engine) NumConns() int { return e.conns.n }
 
+// EachConn calls fn for every live PCB, in no particular order. fn must
+// not create or remove connections.
+func (e *Engine) EachConn(fn func(*Conn)) { e.conns.all(fn) }
+
 // NumEstablished returns connections in app-usable states.
 func (e *Engine) NumEstablished() int {
 	n := 0

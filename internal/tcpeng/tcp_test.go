@@ -490,6 +490,36 @@ func TestPersistProbeSurvivesLostWindowUpdate(t *testing.T) {
 	}
 }
 
+// TestZeroWindowProbesAreNotDupAcks holds a receive window shut for two
+// seconds: the receiver answers each persist probe with an ACK that repeats
+// snd.una and advertises a zero window. Those answers are not duplicate
+// ACKs, so however many probes go out, nothing is fast-retransmitted.
+func TestZeroWindowProbesAreNotDupAcks(t *testing.T) {
+	cfgB := defCfg()
+	cfgB.recvBuf = 4096
+	h := newHarness(15)
+	h.build(defCfg(), cfgB)
+	h.b.autoRecv = false // the receiver never reads
+	h.b.engine.Listen(proto.Addr{}, 80, 16)
+	cli, _ := h.connectPair(80)
+
+	payload := make([]byte, 64*1024)
+	sent := 0
+	for len(h.queue) > 0 && h.queue[0].at <= 2*sim.Second {
+		if sent < len(payload) {
+			sent += cli.Send(payload[sent:])
+		}
+		h.step()
+	}
+	st := h.a.engine.Stats()
+	if st.PersistProbes < 3 {
+		t.Fatalf("only %d persist probes in 2 s; the scenario needs at least 3", st.PersistProbes)
+	}
+	if st.FastRetransmits != 0 {
+		t.Fatalf("%d fast retransmits with nothing lost (%d probes)", st.FastRetransmits, st.PersistProbes)
+	}
+}
+
 func TestReorderingToleratedByOutOfOrderQueue(t *testing.T) {
 	h := newHarness(14)
 	h.build(defCfg(), defCfg())

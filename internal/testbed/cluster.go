@@ -51,7 +51,7 @@ type FarmSpec struct {
 	// NEaT configures each member's system. Nil Slots means two
 	// single-component replicas on cores 2-3. The watchdog is forced on:
 	// its heartbeat counters are the cross-machine liveness signal.
-	NEaT NEaTConfig
+	NEaT core.Config
 	// Trace, when non-nil, is the cluster's one tracer: NewCluster
 	// attaches it to the simulator and hands it to every member system.
 	Trace *trace.Tracer
@@ -279,7 +279,7 @@ func NewCluster(s *sim.Simulator, spec ClusterSpec) (*Cluster, error) {
 			ncfg := fs.NEaT
 			if ncfg.Slots == nil {
 				ncfg.Slots = SingleSlots(2, 2)
-				ncfg.Syscall = ThreadLoc{Core: 1}
+				ncfg.Syscall = core.ThreadLoc{Core: 1}
 			}
 			// The member watchdog is the cross-machine liveness signal:
 			// the farm controller reads its probe counter for progress.

@@ -17,8 +17,6 @@ import (
 	"neat/internal/proto"
 	"neat/internal/sim"
 	"neat/internal/stack"
-	"neat/internal/steer"
-	"neat/internal/tcpeng"
 	"neat/internal/trace"
 	"neat/internal/wire"
 )
@@ -36,11 +34,8 @@ func newNet(s *sim.Simulator) *Net {
 	return &Net{Sim: s, Link: wire.NewLink(s)}
 }
 
-// ThreadLoc addresses one hardware thread of a machine.
-type ThreadLoc struct {
-	Core   int
-	Thread int
-}
+// ThreadLoc is core.ThreadLoc under the name benchmark/web.go uses.
+type ThreadLoc = core.ThreadLoc
 
 // HostConfig describes one machine and its NIC.
 type HostConfig struct {
@@ -51,7 +46,7 @@ type HostConfig struct {
 	queues         int // NIC RX/TX queue pairs
 	IP             proto.Addr
 	MAC            proto.MAC
-	Driver         ThreadLoc // where the NIC driver runs
+	Driver         core.ThreadLoc // where the NIC driver runs
 }
 
 // Host is a machine with its NIC and driver.
@@ -74,7 +69,7 @@ func (n *Net) addHost(side int, cfg HostConfig) *Host {
 }
 
 // Thread resolves a thread location on the host.
-func (h *Host) Thread(loc ThreadLoc) *sim.HWThread {
+func (h *Host) Thread(loc core.ThreadLoc) *sim.HWThread {
 	return h.Machine.Thread(loc.Core, loc.Thread)
 }
 
@@ -130,75 +125,12 @@ func clientHost(stacks int) HostConfig {
 		IP: proto.IPv4(10, 0, 0, 2), MAC: proto.MAC{0x02, 0xC1, 0, 0, 0, 0x02}}
 }
 
-// NEaTConfig places a NEaT system on a host.
-type NEaTConfig struct {
-	Kind stack.Kind
-	// TCP configures every replica's engine (zero: tcpeng.DefaultConfig()).
-	TCP tcpeng.Config
-	// Slots lists the hardware threads of each replica slot (1 thread for
-	// single-component, 2 for multi-component replicas).
-	Slots [][]ThreadLoc
-	// Syscall places the SYSCALL server.
-	Syscall ThreadLoc
-	// DisableFlowFilters switches to pure-RSS steering (ablation).
-	DisableFlowFilters bool
-	// CheckpointInterval enables stateful TCP recovery (0 = stateless).
-	CheckpointInterval sim.Time
-	// Watchdog enables heartbeat-based failure detection with the
-	// escalation ladder (default: the paper's instantaneous crash oracle).
-	Watchdog bool
-	// Steering configures the flow placement plane (zero value: the
-	// legacy RSS hash policy).
-	Steering steer.Config
-	// Costs is the replica cycle table (zero: stack.DefaultCosts()).
-	Costs stack.Costs
-	// IPC tunes the modeled message rings of the system's channels (zero:
-	// the calibrated per-message doorbell behaviour).
-	IPC ipc.Tuning
-}
-
 // boot starts a NEaT system on host h with static ARP table arp: the one
 // per-machine system builder behind two-machine servers and clients and
 // every cluster member and client. tr, when non-nil, receives the system's
 // lifecycle events.
-func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Tracer) (*core.System, error) {
-	if cfg.TCP == (tcpeng.Config{}) {
-		cfg.TCP = tcpeng.DefaultConfig()
-	}
-	if cfg.Costs == (stack.Costs{}) {
-		cfg.Costs = stack.DefaultCosts()
-	}
-	icosts := ipc.DefaultCosts()
-	icosts.Tuning = cfg.IPC
-	last := 0
-	for _, slot := range cfg.Slots {
-		for _, loc := range slot {
-			last = max(last, loc.Core)
-		}
-	}
-	if cores := h.Machine.NumCores(); last >= cores {
-		return nil, fmt.Errorf("testbed: %d replica slots need cores up to %d, but %s has %d cores; use fewer replicas",
-			len(cfg.Slots), last, h.Machine.Name, cores)
-	}
-	threads := make([][]*sim.HWThread, len(cfg.Slots))
-	for i, slot := range cfg.Slots {
-		for _, loc := range slot {
-			threads[i] = append(threads[i], h.Thread(loc))
-		}
-	}
-	return core.New(h.Net.Sim, core.Config{
-		Stack: stack.Config{Kind: cfg.Kind, IP: h.ipConfig(arp), TCP: cfg.TCP,
-			Costs: cfg.Costs, IPC: icosts},
-		Threads:            threads,
-		NIC:                h.NIC,
-		Driver:             h.Driver,
-		SyscallThread:      h.Thread(cfg.Syscall),
-		CheckpointInterval: cfg.CheckpointInterval,
-		UseFlowFilters:     !cfg.DisableFlowFilters,
-		Watchdog:           cfg.Watchdog,
-		Trace:              tr,
-		Steering:           cfg.Steering,
-	})
+func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg core.Config, tr *trace.Tracer) (*core.System, error) {
+	return core.New(h.Machine, h.NIC, h.Driver, h.ipConfig(arp), tr, cfg)
 }
 
 // clientSystem is the load generator's NEaT system: `stacks`
@@ -207,10 +139,10 @@ func (h *Host) boot(arp map[proto.Addr]proto.MAC, cfg NEaTConfig, tr *trace.Trac
 // saturate the server, not itself (the paper's client machine runs 12
 // httperf processes that together generate >300 krps). Their engines run
 // tcpeng.DefaultConfig().
-func clientSystem(stacks int) NEaTConfig {
-	return NEaTConfig{Kind: stack.Single,
+func clientSystem(stacks int) core.Config {
+	return core.Config{Kind: stack.Single,
 		Slots:   SingleSlots(2, stacks),
-		Syscall: ThreadLoc{Core: 1},
+		Syscall: core.ThreadLoc{Core: 1},
 		Costs:   cheapCosts(),
 	}
 }
@@ -235,20 +167,20 @@ func cheapCosts() stack.Costs {
 
 // SingleSlots builds n single-thread slots on consecutive cores starting
 // at core first (thread 0).
-func SingleSlots(first, n int) [][]ThreadLoc {
-	out := make([][]ThreadLoc, n)
+func SingleSlots(first, n int) [][]core.ThreadLoc {
+	out := make([][]core.ThreadLoc, n)
 	for i := range out {
-		out[i] = []ThreadLoc{{Core: first + i}}
+		out[i] = []core.ThreadLoc{{Core: first + i}}
 	}
 	return out
 }
 
 // MultiSlots builds n two-thread slots on consecutive core pairs starting
 // at core first: slot i = cores (first+2i, first+2i+1).
-func MultiSlots(first, n int) [][]ThreadLoc {
-	out := make([][]ThreadLoc, n)
+func MultiSlots(first, n int) [][]core.ThreadLoc {
+	out := make([][]core.ThreadLoc, n)
 	for i := range out {
-		out[i] = []ThreadLoc{{Core: first + 2*i}, {Core: first + 2*i + 1}}
+		out[i] = []core.ThreadLoc{{Core: first + 2*i}, {Core: first + 2*i + 1}}
 	}
 	return out
 }
@@ -265,7 +197,7 @@ type BedConfig struct {
 	// NEaT is the server's system. With LinuxCores > 0 the Linux baseline
 	// boots instead, running NEaT.TCP under LinuxTuning with one kernel
 	// context on each of cores 0..LinuxCores-1.
-	NEaT        NEaTConfig
+	NEaT        core.Config
 	LinuxCores  int
 	LinuxTuning baseline.Tuning
 	// Tune, when non-nil, runs against the server's NEaT system before the

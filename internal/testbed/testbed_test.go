@@ -3,6 +3,7 @@ package testbed
 import (
 	"testing"
 
+	"neat/internal/core"
 	"neat/internal/sim"
 	"neat/internal/stack"
 	"neat/internal/tcpeng"
@@ -21,7 +22,7 @@ func bed(t *testing.T, seed int64, cfg BedConfig) *Bed {
 }
 
 // twoReplicas is a two-replica single-component system on cores 2-3.
-var twoReplicas = NEaTConfig{Kind: stack.Single, Slots: SingleSlots(2, 2), Syscall: ThreadLoc{Core: 1}}
+var twoReplicas = core.Config{Kind: stack.Single, Slots: SingleSlots(2, 2), Syscall: core.ThreadLoc{Core: 1}}
 
 func TestHostsAndLayouts(t *testing.T) {
 	b := bed(t, 1, BedConfig{Server: AMD.Host(4), NEaT: twoReplicas, ClientStacks: 2})
@@ -35,7 +36,7 @@ func TestHostsAndLayouts(t *testing.T) {
 	if cli.Machine.NumCores() < 16 || cli.NIC.NumQueues() != 2 {
 		t.Fatalf("client too small: %d cores, %d queues", cli.Machine.NumCores(), cli.NIC.NumQueues())
 	}
-	if amd.Thread(ThreadLoc{Core: 3}) != amd.Machine.Thread(3, 0) {
+	if amd.Thread(core.ThreadLoc{Core: 3}) != amd.Machine.Thread(3, 0) {
 		t.Fatal("thread resolution")
 	}
 }
@@ -75,7 +76,7 @@ func TestBuildNEaTAndBaseline(t *testing.T) {
 		t.Fatal("the tracer must reach the server system and only it")
 	}
 
-	b = bed(t, 2, BedConfig{Server: AMD.Host(4), NEaT: NEaTConfig{TCP: tcpeng.DefaultConfig()}, LinuxCores: 4})
+	b = bed(t, 2, BedConfig{Server: AMD.Host(4), NEaT: core.Config{TCP: tcpeng.DefaultConfig()}, LinuxCores: 4})
 	if b.NEaT != nil || b.Linux.NumContexts() != 4 {
 		t.Fatalf("NEaT %v, baseline contexts %d", b.NEaT, b.Linux.NumContexts())
 	}

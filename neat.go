@@ -243,26 +243,26 @@ func (c SteeringConfig) compile() (steer.Config, error) {
 const firstReplicaCore = 2
 
 // compileSystem is the only translation of a SystemConfig into the
-// testbed's NEaTConfig, and reports the first configuration error with
-// enough context to fix it. Whether the layout fits the machine is the
-// testbed's check. The tracer SystemConfig.Observe asks for is the
+// core.Config that boots, and reports the first configuration error with
+// enough context to fix it. Whether the layout fits the machine is
+// core.New's check. The tracer SystemConfig.Observe asks for is the
 // builder's to attach.
-func compileSystem(cfg SystemConfig) (testbed.NEaTConfig, error) {
+func compileSystem(cfg SystemConfig) (core.Config, error) {
 	if cfg.Replicas < 0 {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Replicas is %d; want 0 (default 2) or a positive count", cfg.Replicas)
+		return core.Config{}, fmt.Errorf("neat: SystemConfig.Replicas is %d; want 0 (default 2) or a positive count", cfg.Replicas)
 	}
 	if cfg.Replicas > 8 {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Replicas is %d, but the testbed NICs expose 8 RX/TX queue pairs; use at most 8 replicas", cfg.Replicas)
+		return core.Config{}, fmt.Errorf("neat: SystemConfig.Replicas is %d, but the testbed NICs expose 8 RX/TX queue pairs; use at most 8 replicas", cfg.Replicas)
 	}
 	if cfg.Kind != stack.Single && cfg.Kind != stack.Multi {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Kind is %d; want neat.SingleComponent or neat.MultiComponent", cfg.Kind)
+		return core.Config{}, fmt.Errorf("neat: SystemConfig.Kind is %d; want neat.SingleComponent or neat.MultiComponent", cfg.Kind)
 	}
 	steering, err := cfg.Steering.compile()
 	if err != nil {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Steering.%v", err)
+		return core.Config{}, fmt.Errorf("neat: SystemConfig.Steering.%v", err)
 	}
 	if err := cfg.Guard.Validate(); err != nil {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: SystemConfig.Guard.%v", err)
+		return core.Config{}, fmt.Errorf("neat: SystemConfig.Guard.%v", err)
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -274,11 +274,11 @@ func compileSystem(cfg SystemConfig) (testbed.NEaTConfig, error) {
 	tcp := tcpeng.DefaultConfig()
 	tcp.TSO = cfg.TSO
 	tcp.Guard = cfg.Guard
-	return testbed.NEaTConfig{
+	return core.Config{
 		Kind:     cfg.Kind,
 		TCP:      tcp,
 		Slots:    slots,
-		Syscall:  testbed.ThreadLoc{Core: 1},
+		Syscall:  core.ThreadLoc{Core: 1},
 		Watchdog: cfg.Watchdog,
 		Steering: steering,
 		IPC:      cfg.IPC,

@@ -7,6 +7,7 @@ package neat
 import (
 	"fmt"
 
+	"neat/internal/core"
 	"neat/internal/sim"
 	"neat/internal/testbed"
 	"neat/internal/trace"
@@ -41,17 +42,17 @@ type TopologyConfig struct {
 }
 
 // compile checks the topology's own fields and compiles the server system.
-func (cfg TopologyConfig) compile() (testbed.NEaTConfig, error) {
+func (cfg TopologyConfig) compile() (core.Config, error) {
 	if cfg.ClientStacks < 0 {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.ClientStacks is %d; want 0 (default 1) or a positive count", cfg.ClientStacks)
+		return core.Config{}, fmt.Errorf("neat: TopologyConfig.ClientStacks is %d; want 0 (default 1) or a positive count", cfg.ClientStacks)
 	}
 	if cfg.Server != AMD12 && cfg.Server != Xeon8x2 {
-		return testbed.NEaTConfig{}, fmt.Errorf("neat: TopologyConfig.Server is %d; want neat.AMD12 or neat.Xeon8x2", cfg.Server)
+		return core.Config{}, fmt.Errorf("neat: TopologyConfig.Server is %d; want neat.AMD12 or neat.Xeon8x2", cfg.Server)
 	}
 	return compileSystem(cfg.System)
 }
 
-// Build reports the first configuration error — the testbed refuses a
+// Build reports the first configuration error — core.New refuses a
 // replica layout that does not fit the chosen server model — or boots the
 // declared testbed
 // through the testbed's one two-machine builder: the server machine (8 NIC queues) and the oversized client

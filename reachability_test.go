@@ -51,7 +51,6 @@ var reachableOnlyFromTests = map[string]string{
 
 	// Accessors tests in other packages read to observe state.
 	"internal/faultinject.Injector.Injected": "read by the fault-injection tests",
-	"internal/nicdev.NIC.RSSQueues":          "read by the drop-all quarantine test",
 	"internal/sim.Simulator.Machines":        "read by the stack and nicdev tests",
 	"internal/testbed.FarmMember.Alive":      "read by the cluster failover test",
 	"internal/wire.L4Service.NumActive":      "read by the switch and cluster failover tests",
@@ -66,14 +65,14 @@ var reachableOnlyFromTests = map[string]string{
 // that no non-test file but the declaring one sets, kept on purpose, each
 // with the reason. Any other such field is a constant in disguise.
 var settableOnlyFromTests = map[string]string{
-	"internal/testbed.NEaTConfig.DisableFlowFilters": "the pure-RSS side of the paper's flow-director ablation; BenchmarkAblationFlowDirectorVsRSS sets it",
-	"internal/tcpeng.Config.SendBuf":                 "the byte-path tests shrink the send buffer to force it to wrap",
-	"internal/app.HTTPDConfig.Backlog":               "the slowloris tests shrink the accept backlog the attack exhausts",
-	"internal/app.DNSServerConfig.Port":              "part of the test-only DNS server (see NewDNSServer)",
-	"internal/app.DNSClientConfig.Target":            "part of the test-only DNS client (see NewDNSClient)",
-	"internal/app.DNSClientConfig.Port":              "part of the test-only DNS client (see NewDNSClient)",
-	"internal/app.DNSClientConfig.Interval":          "part of the test-only DNS client (see NewDNSClient)",
-	"internal/app.DNSClientConfig.Timeout":           "part of the test-only DNS client (see NewDNSClient)",
+	"internal/core.Config.DisableFlowFilters": "the pure-RSS side of the paper's flow-director ablation; BenchmarkAblationFlowDirectorVsRSS sets it",
+	"internal/tcpeng.Config.SendBuf":          "the byte-path tests shrink the send buffer to force it to wrap",
+	"internal/app.HTTPDConfig.Backlog":        "the slowloris tests shrink the accept backlog the attack exhausts",
+	"internal/app.DNSServerConfig.Port":       "part of the test-only DNS server (see NewDNSServer)",
+	"internal/app.DNSClientConfig.Target":     "part of the test-only DNS client (see NewDNSClient)",
+	"internal/app.DNSClientConfig.Port":       "part of the test-only DNS client (see NewDNSClient)",
+	"internal/app.DNSClientConfig.Interval":   "part of the test-only DNS client (see NewDNSClient)",
+	"internal/app.DNSClientConfig.Timeout":    "part of the test-only DNS client (see NewDNSClient)",
 
 	// The facade's knobs no example or tool sets yet; the facade tests
 	// check each reaches the system it configures.
